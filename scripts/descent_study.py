@@ -40,9 +40,8 @@ def main() -> int:
     for mult in args.multipliers:
         gamma = mult * bundle.gamma
         try:
-            out = flow.run(gamma, args.steps, keep_densities=True)
-            report = descent_check(out["densities"], gamma, bundle.mirrored,
-                                   bundle.kernel, profile=bundle.profile)
+            out = flow.run(gamma, args.steps)
+            report = descent_check(flow, out["records"], gamma, profile=bundle.profile)
             row = {
                 "multiplier": mult,
                 "gamma": gamma,

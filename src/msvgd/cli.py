@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -119,10 +120,9 @@ def _cmd_run(args) -> int:
 # verify
 
 
-def _verify_descent(flow, bundle, gamma: float, steps: int) -> tuple:
-    out = flow.run(gamma, steps, keep_densities=True)
-    report = descent_check(out["densities"], gamma, bundle.mirrored, bundle.kernel,
-                           profile=bundle.profile)
+def _verify_descent(flow, profile, gamma: float, steps: int) -> tuple:
+    out = flow.run(gamma, steps)
+    report = descent_check(flow, out["records"], gamma, profile=profile)
     violations = [
         f"step {row['step']}: KL drop {row['kl_next'] - row['kl']:.6g} exceeds "
         f"bound {row['bound_rhs']:.6g}"
@@ -145,10 +145,14 @@ def _verify_descent(flow, bundle, gamma: float, steps: int) -> tuple:
 
 
 def _verify_lemmas(flow, gamma: float, steps: int) -> tuple:
-    out = flow.run(gamma, steps, record_every=10, keep_densities=True)
+    out = flow.run(gamma, steps, record_every=10)
     checks, violations = [], []
-    for step in range(0, steps + 1, 10):
-        gaps = flow.g_forms_gap(out["densities"][step])
+    # the final state is recorded too; only every tenth step is checked
+    for rec in out["records"]:
+        step = rec["step"]
+        if step % 10:
+            continue
+        gaps = flow.g_forms_gap(rec["density"])
         worst = max(gaps.values())
         ok = worst <= LEMMA_GAP_TOL
         checks.append({"step": step, **gaps, "ok": ok})
@@ -196,8 +200,8 @@ def _cmd_verify(args) -> int:
         )
     gamma = float(args.gamma) if args.gamma is not None else bundle.gamma
     gamma *= args.gamma_scale
-    if not gamma > 0.0:
-        raise ConfigError(f"resolved step size must be positive, got {gamma}")
+    if not (gamma > 0.0 and math.isfinite(gamma)):
+        raise ConfigError(f"resolved step size must be positive and finite, got {gamma}")
     steps = cfg.steps if args.steps is None else args.steps
     if steps < 1:
         raise ConfigError(f"verification needs at least one step, got {steps}")
@@ -206,7 +210,7 @@ def _cmd_verify(args) -> int:
                         nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     started = time.perf_counter()
     if args.suite == "descent":
-        report, records, passed = _verify_descent(flow, bundle, gamma, steps)
+        report, records, passed = _verify_descent(flow, bundle.profile, gamma, steps)
     elif args.suite == "lemmas":
         report, records, passed = _verify_lemmas(flow, gamma, steps)
     else:
@@ -258,16 +262,13 @@ def _cmd_theory(args) -> int:
             "the median-heuristic bandwidth has no fixed kernel constants; "
             "pick a fixed bandwidth for the constants report"
         )
-    profile = bundle.profile
-    if profile is None:
-        profile = smoothness_profile(bundle.mirrored)
-        if profile is not None:
-            profile = profile.with_values("user", alpha=cfg.alpha)
+    profile = smoothness_profile(bundle.mirrored)
     if profile is None:
         raise ConfigError(
             "no growth constants are available for this target; the Hessian "
             "growth bound does not hold, so there is nothing to report"
         )
+    profile = profile.with_values("user", alpha=cfg.alpha)
     if args.p is not None and args.p != profile.p:
         raise ConfigError(
             f"growth exponent p={args.p} does not match the target's "

@@ -9,6 +9,7 @@ live objects a run needs (map, target, kernel, resolved step size).
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -16,14 +17,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .kernels import make_kernel
-from .mirrors import EntropicSimplexMap, EuclideanMap, make_map
-from .targets import (
-    Dirichlet,
-    MirroredPowerLaw,
-    MirroredTarget,
-    make_target,
-    smoothness_profile,
-)
+from .mirrors import make_map
+from .targets import MirroredTarget, certified_profile, make_target
 from . import theory
 
 _REQUIRED_KEYS = ("map", "kernel", "target", "particles", "steps", "seed")
@@ -119,6 +114,8 @@ def _as_number(raw: dict, key: str, default=None, minimum=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
     value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value}")
     if minimum is not None and (value < minimum or (strict and value == minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"config key {key!r} must be {op} {minimum}, got {value}")
@@ -158,6 +155,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
     else:
         gamma = float(gamma)
+        if not math.isfinite(gamma):
+            raise ConfigError(f"config key 'gamma' must be finite, got {gamma}")
         if not gamma > 0:
             raise ConfigError(f"config key 'gamma' must be > 0, got {gamma}")
 
@@ -212,21 +211,6 @@ def apply_overrides(cfg: RunConfig, gamma=None, steps=None, seed=None, particles
     if particles is not None:
         raw["particles"] = particles
     return config_from_dict(raw)
-
-
-def certified_profile(mirrored: MirroredTarget):
-    """Catalog growth constants, or None when only fitted estimates exist.
-
-    Only profiles whose constants hold by derivation may back a "theorem"
-    step size; the sampled-envelope fallback in targets.smoothness_profile is
-    advisory and deliberately not accepted here.
-    """
-    base, mp = mirrored.base, mirrored.map
-    if isinstance(base, MirroredPowerLaw) and isinstance(mp, EuclideanMap):
-        return smoothness_profile(mirrored)
-    if isinstance(base, Dirichlet) and isinstance(mp, EntropicSimplexMap):
-        return smoothness_profile(mirrored)
-    return None
 
 
 @dataclass

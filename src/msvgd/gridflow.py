@@ -7,6 +7,11 @@ and the smoothed Fisher value are read off the same grid.  This is the
 verification side of the package: the descent inequality and the two-formula
 identities for g are checked here at quadrature accuracy, in d <= 2.
 
+There is one field per state.  MirroredFlow.run builds each state's field
+once; the same field gives that state's KL, Stein-Fisher and growth record
+and then pushes the state forward.  descent_check reads those records and
+never rebuilds a flow or a field.
+
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
 start, so linear-space storage would underflow to exact zeros and poison the
@@ -534,17 +539,7 @@ class MirroredFlow:
 
     def kl(self, density: GridDensity) -> float:
         """KL(mu | pi) by quadrature against the shared grid normalizer."""
-        rho = density.density
-        support = rho > 0.0
-        gap = density.log_density - self.log_pi
-        if np.any(~np.isfinite(gap[support])):
-            return math.inf
-        integrand = np.zeros_like(rho)
-        integrand[support] = rho[support] * gap[support]
-        value = float(np.dot(self.weights, integrand))
-        if value < -1e-9:
-            raise NumericsError(f"KL quadrature returned {value}, below the -1e-9 floor")
-        return value
+        return kl_quadrature(density, self.pi_density())
 
     def mean_grad_potential_norm(self, density: GridDensity) -> float:
         norms = np.sqrt(np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
@@ -575,42 +570,34 @@ class MirroredFlow:
 
     # -- stepping -------------------------------------------------------------
 
-    def step(self, density: GridDensity, gamma: float,
-             field: FieldOnGrid | None = None) -> GridDensity:
-        if field is None:
-            field = self.g_field(density, form="score")
-        return pushforward_step(density, field, gamma)
-
     def run(self, gamma: float, steps: int, density: GridDensity | None = None,
-            record_every: int = 1, keep_densities: bool = False) -> dict:
-        """Flow for a fixed number of steps, recording scalar diagnostics at
-        step 0, every record_every-th step, and the final step."""
+            record_every: int = 1) -> dict:
+        """Flow for a fixed number of steps, recording scalar diagnostics and
+        the density at step 0, every record_every-th step, and the final step.
+
+        Each state's field is built once: it feeds that state's record and
+        then the pushforward to the next state, so a run makes steps + 1
+        g_field calls.
+        """
         if density is None:
             density = self.initial_density()
         records = []
-        densities = [density] if keep_densities else None
-
-        def record(state: GridDensity, step: int) -> None:
-            field = self.g_field(state, form="score")
-            fisher = self.stein_fisher(state, field)
-            records.append({
-                "step": step,
-                "kl": self.kl(state),
-                "stein_fisher": fisher,
-                "field_norm": math.sqrt(max(fisher, 0.0)),
-                "mean_grad_norm": self.mean_grad_potential_norm(state),
-                "gamma": gamma,
-            })
-
-        record(density, 0)
-        for n in range(1, steps + 1):
-            density = self.step(density, gamma)
-            if keep_densities:
-                densities.append(density)
+        for n in range(steps + 1):
+            field = self.g_field(density, form="score")
             if n % record_every == 0 or n == steps:
-                if records[-1]["step"] != n:
-                    record(density, n)
-        return {"records": records, "densities": densities, "final": density}
+                fisher = self.stein_fisher(density, field)
+                records.append({
+                    "step": n,
+                    "kl": self.kl(density),
+                    "stein_fisher": fisher,
+                    "field_norm": math.sqrt(max(fisher, 0.0)),
+                    "mean_grad_norm": self.mean_grad_potential_norm(density),
+                    "gamma": gamma,
+                    "density": density,
+                })
+            if n < steps:
+                density = pushforward_step(density, field, gamma)
+        return {"records": records, "final": density}
 
 
 # ---------------------------------------------------------------------------
@@ -683,41 +670,23 @@ def _invert_2d(grid: Grid, field: FieldOnGrid, gamma: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# free-function forms and the descent report
+# KL and the descent report
 
 
-def _as_flow(density: GridDensity, target, kernel) -> MirroredFlow:
-    return MirroredFlow(target, kernel, grid=density.grid)
-
-
-def g_field(density: GridDensity, target, kernel, form: str = "score") -> FieldOnGrid:
-    return _as_flow(density, target, kernel).g_field(density, form=form)
-
-
-def kl_quadrature(density: GridDensity, target) -> float:
-    """KL of a grid density against the dual target, both normalized on the
-    density's own grid; +inf when the density puts mass where the target has
-    none."""
-    grid = density.grid
-    potential = np.asarray(target.potential(grid.nodes()), dtype=float)
-    weights = grid.weights()
-    log_z = float(np.logaddexp.reduce(np.sort(-potential + np.log(weights))))
-    log_pi = -potential - log_z
+def kl_quadrature(density: GridDensity, reference: GridDensity) -> float:
+    """KL(density | reference) by quadrature on their shared grid; +inf when
+    the density puts mass where the reference has none."""
     rho = density.density
     support = rho > 0.0
-    gap = density.log_density - log_pi
+    gap = density.log_density - reference.log_density
     if np.any(~np.isfinite(gap[support])):
         return math.inf
     integrand = np.zeros_like(rho)
     integrand[support] = rho[support] * gap[support]
-    value = float(np.dot(weights, integrand))
+    value = float(np.dot(density.grid.weights(), integrand))
     if value < -1e-9:
         raise NumericsError(f"KL quadrature returned {value}, below the -1e-9 floor")
     return value
-
-
-def stein_fisher_quadrature(density: GridDensity, target, kernel) -> float:
-    return _as_flow(density, target, kernel).stein_fisher(density)
 
 
 def fisher_norm_margins(records, kernel_bounds, strong_convexity: float, dim: int):
@@ -736,42 +705,48 @@ def fisher_norm_margins(records, kernel_bounds, strong_convexity: float, dim: in
     return rows
 
 
-def descent_check(densities, gamma: float, target, kernel, profile=None,
+def descent_check(flow: MirroredFlow, records, gamma: float, profile=None,
                   tol: float = 1e-7) -> dict:
-    """Per-step descent report for a density trajectory.
+    """Per-step descent report for the records of one flow's run.
 
-    Checks KL(n+1) - KL(n) <= -(gamma/2) * fisher(n) + tol at every step.
+    Checks KL(n+1) - KL(n) <= -(gamma/2) * fisher(n) + tol at every step,
+    reading KL, fisher and the growth statistic from the records, so the
+    records must cover consecutive steps (a run with record_every=1).
     When growth constants are supplied, gamma is also checked for
     admissibility in both regimes: against the fixed worst-case cap priced
     exactly the way a "theorem" step size is (initial-KL upper bound formula,
     not the measured KL), and against the per-state cap from the measured
     field norm and growth statistic.
     """
-    if len(densities) < 1:
-        raise ConfigError("descent_check needs at least one density")
-    flow = MirroredFlow(target, kernel, grid=densities[0].grid)
-    kls, fishers, caps = [], [], []
-    for density in densities:
-        field = flow.g_field(density, form="score")
-        fisher = flow.stein_fisher(density, field)
-        kls.append(flow.kl(density))
-        fishers.append(fisher)
-        if profile is not None:
-            growth = profile.l0 + profile.l1 * flow.mean_grad_potential_norm(density)
-            caps.append(theory.step_size_cap_exact(
-                math.sqrt(max(fisher, 0.0)), growth, profile,
-                kernel.bounds(), flow.map.strong_convexity, flow.grid.dim,
-            ))
+    if not records:
+        raise ConfigError("descent_check needs at least one record")
+    steps = [rec["step"] for rec in records]
+    if steps != list(range(steps[0], steps[0] + len(steps))):
+        raise ConfigError(
+            "descent_check needs a record for every step; run the flow with record_every=1"
+        )
+    kls = [rec["kl"] for rec in records]
+    fishers = [rec["stein_fisher"] for rec in records]
+    caps = []
+    if profile is not None:
+        caps = [
+            theory.step_size_cap_exact(
+                math.sqrt(max(rec["stein_fisher"], 0.0)),
+                profile.l0 + profile.l1 * rec["mean_grad_norm"], profile,
+                flow.kernel.bounds(), flow.map.strong_convexity, flow.grid.dim,
+            )
+            for rec in records
+        ]
 
     rows, all_pass = [], True
-    for n in range(len(densities) - 1):
+    for n in range(len(records) - 1):
         drop = kls[n + 1] - kls[n]
         rhs = -(gamma / 2.0) * fishers[n]
         margin = rhs + tol - drop
         ok = bool(margin >= 0.0)
         all_pass = all_pass and ok
         rows.append({
-            "step": n,
+            "step": steps[n],
             "kl": kls[n],
             "kl_next": kls[n + 1],
             "stein_fisher": fishers[n],
@@ -792,11 +767,11 @@ def descent_check(densities, gamma: float, target, kernel, profile=None,
     if profile is not None:
         if profile.c_pi_p is None:
             profile = profile.with_values(
-                "empirical", c_pi_p=theory.c_pi_p(target, profile.p)
+                "empirical", c_pi_p=theory.c_pi_p(flow.target, profile.p)
             )
-        kl0_upper = theory.kl0_upper_bound(target, profile, dim=flow.grid.dim)
+        kl0_upper = theory.kl0_upper_bound(flow.target, profile, dim=flow.grid.dim)
         fixed_cap = theory.step_size_bound(
-            profile, kernel.bounds(), flow.map.strong_convexity, flow.grid.dim, kl0_upper
+            profile, flow.kernel.bounds(), flow.map.strong_convexity, flow.grid.dim, kl0_upper
         )
         report["kl0_upper"] = kl0_upper
         report["fixed_cap"] = fixed_cap

@@ -317,8 +317,32 @@ def _empirical_profile(mirrored, samples, rng):
     )
 
 
+# Growth constants that hold by derivation, keyed by (base class, map class).
+# Only these may back a "theorem" step size.
+_PROFILE_CATALOG = {
+    (MirroredPowerLaw, EuclideanMap): lambda base: _power_law_profile(base.power, base.scale),
+    (Dirichlet, EntropicSimplexMap): lambda base: _dirichlet_entropic_profile(base.concentration),
+}
+
+
+def _catalog_key(mirrored) -> tuple:
+    return type(mirrored.base), type(mirrored.map)
+
+
+def certified_profile(mirrored):
+    """Catalog growth constants, or None when only fitted estimates exist.
+
+    Only profiles whose constants hold by derivation may back a "theorem"
+    step size; the sampled-envelope fallback in smoothness_profile is
+    advisory and deliberately not accepted here.
+    """
+    rule = _PROFILE_CATALOG.get(_catalog_key(mirrored))
+    return None if rule is None else rule(mirrored.base)
+
+
 def smoothness_profile(target, samples=100_000, rng=None):
-    """Growth constants for a mirrored target (or a dual-native one).
+    """Growth constants for a mirrored target (or a dual-native power law,
+    which lives in the euclidean chart).
 
     Catalog entries are returned with "analytic" provenance; anything else
     falls back to an envelope fitted on a sampled dual-space cloud, tagged
@@ -327,14 +351,12 @@ def smoothness_profile(target, samples=100_000, rng=None):
     user-supplied step size can drive a run).
     """
     if isinstance(target, MirroredPowerLaw):
-        return _power_law_profile(target.power, target.scale)
-    if isinstance(target, MirroredTarget):
-        if isinstance(target.base, MirroredPowerLaw) and isinstance(target.map, EuclideanMap):
-            return _power_law_profile(target.base.power, target.base.scale)
-        if isinstance(target.base, Dirichlet) and isinstance(target.map, EntropicSimplexMap):
-            return _dirichlet_entropic_profile(target.base.concentration)
-        return _empirical_profile(target, samples, rng)
-    raise ConfigError(f"no profile rule for target of type {type(target).__name__}")
+        target = MirroredTarget(target, EuclideanMap(target.dim))
+    if not isinstance(target, MirroredTarget):
+        raise ConfigError(f"no profile rule for target of type {type(target).__name__}")
+    if _catalog_key(target) in _PROFILE_CATALOG:
+        return certified_profile(target)
+    return _empirical_profile(target, samples, rng)
 
 
 _TARGETS = {

@@ -98,8 +98,8 @@ class DiagnosticsRecord:
 
     def __post_init__(self) -> None:
         # The estimator is a nonnegative quadratic form; anything below the
-        # roundoff floor means the estimate itself is broken.
-        if self.stein_fisher < -1e-10:
+        # roundoff floor, or NaN, means the estimate itself is broken.
+        if not self.stein_fisher >= -1e-10:
             raise NumericsError(
                 f"stein_fisher estimate {self.stein_fisher!r} below the roundoff floor",
                 step=self.step,

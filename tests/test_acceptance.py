@@ -18,6 +18,7 @@ from msvgd import cli, theory
 from msvgd.config import build_runtime, load_config
 from msvgd.engine import init_ensemble, msvgd_step
 from msvgd.gridflow import (
+    GridDensity,
     MirroredFlow,
     descent_check,
     fisher_norm_margins,
@@ -55,9 +56,8 @@ def quartic_setup():
     cfg = load_config(cli._resolve_config_path("quartic-1d-descent"))
     bundle = build_runtime(cfg)
     flow = MirroredFlow(bundle.mirrored, bundle.kernel)
-    out = flow.run(bundle.gamma, cfg.steps, keep_densities=True)
-    report = descent_check(out["densities"], bundle.gamma, bundle.mirrored,
-                           bundle.kernel, profile=bundle.profile)
+    out = flow.run(bundle.gamma, cfg.steps)
+    report = descent_check(flow, out["records"], bundle.gamma, profile=bundle.profile)
     elapsed = time.perf_counter() - started
     return {
         "cfg": cfg,
@@ -113,10 +113,10 @@ def test_criterion_03_field_formula_identities():
     started = time.perf_counter()
     target = MirroredTarget(Dirichlet([3.0, 2.0]), EntropicSimplexMap(1))
     flow = MirroredFlow(target, IMQKernel())
-    out = flow.run(gamma=0.05, steps=100, record_every=10, keep_densities=True)
+    out = flow.run(gamma=0.05, steps=100, record_every=10)
     worst = 0.0
-    for step in range(0, 101, 10):
-        gaps = flow.g_forms_gap(out["densities"][step])
+    for rec in out["records"]:  # steps 0, 10, ..., 100
+        gaps = flow.g_forms_gap(rec["density"])
         worst = max(worst, *gaps.values())
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -224,7 +224,8 @@ def test_criterion_08_initial_kl_bound():
         profile = smoothness_profile(target)
         bound = theory.kl0_upper_bound(target, profile, dim=1)
         grid = grid_for_target(target)
-        actual = kl_quadrature(standard_normal_density(grid), target)
+        reference = GridDensity(grid, -target.potential(grid.nodes())).renormalized()
+        actual = kl_quadrature(standard_normal_density(grid), reference)
         margins[name] = bound - actual
     elapsed = time.perf_counter() - started
     ok = all(m >= 0.0 for m in margins.values()) and elapsed < 30.0

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from msvgd import cli
+from msvgd.gridflow import MirroredFlow
 
 QUARTIC_SMALL = {
     "map": "euclidean",
@@ -100,6 +101,13 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["summary"]["abort"] is not None
 
+    def test_infinite_gamma_in_config_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(dict(DIRICHLET_SMALL, gamma=float("inf"))))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'gamma' must be finite" in capsys.readouterr().err
+
     def test_preset_name_resolution(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["run", "--config", "dirichlet-simplex-d2",
@@ -120,6 +128,42 @@ class TestVerifyCommand:
         lines = (out / "verify.csv").read_text().splitlines()
         assert lines[0] == "step,kl,stein_fisher,gamma,bound_rhs"
         assert len(lines) == QUARTIC_SMALL["steps"] + 2
+
+    def test_descent_suite_builds_one_flow_and_one_field_per_state(
+            self, quartic_config, tmp_path, monkeypatch):
+        builds, fields = [], []
+        init, g_field = MirroredFlow.__init__, MirroredFlow.g_field
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_g_field(self, *args, **kwargs):
+            fields.append(1)
+            return g_field(self, *args, **kwargs)
+
+        monkeypatch.setattr(MirroredFlow, "__init__", counting_init)
+        monkeypatch.setattr(MirroredFlow, "g_field", counting_g_field)
+        code = cli.main(["verify", "--suite", "descent", "--target", str(quartic_config),
+                         "--out", str(tmp_path / "v"), "--steps", "6"])
+        assert code == 0
+        assert len(builds) == 1
+        assert len(fields) == 6 + 1
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--gamma-scale"])
+    def test_infinite_step_size_exits_two(self, quartic_config, tmp_path, capsys, flag):
+        code = cli.main(["verify", "--suite", "descent", "--target", str(quartic_config),
+                         "--out", str(tmp_path / "o"), flag, "inf"])
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
+    def test_infinite_grid_halfwidth_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(QUARTIC_SMALL, grid_halfwidth=float("inf"))))
+        code = cli.main(["verify", "--suite", "descent", "--target", str(path),
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'grid_halfwidth' must be finite" in capsys.readouterr().err
 
     def test_steps_override_and_2d_grid(self, tmp_path):
         # A d=2 preset at the quadrature defaults must be checkable in

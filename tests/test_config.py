@@ -63,7 +63,7 @@ def test_unknown_keys_are_named():
         config_from_dict(dict(MINIMAL, map_params={"lo": 0.0}))
 
 
-@pytest.mark.parametrize("gamma", [0.0, -0.5, "auto", True])
+@pytest.mark.parametrize("gamma", [0.0, -0.5, "auto", True, float("inf")])
 def test_gamma_must_be_positive_or_theorem(gamma):
     with pytest.raises(ConfigError, match="gamma"):
         config_from_dict(dict(MINIMAL, gamma=gamma))
@@ -148,6 +148,16 @@ def test_box_map_bounds_come_from_target():
     assert np.allclose(bundle.mirror_map.hi, [1.0, 2.0])
     with pytest.raises(ConfigError, match="do not match"):
         config_from_dict(dict(raw, map_params={"lo": [-1.0, -1.0], "hi": [1.0, 2.0]}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", float("inf")),
+    ("alpha", float("nan")),
+    ("grid_halfwidth", float("inf")),
+])
+def test_non_finite_numbers_are_named(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        config_from_dict(dict(MINIMAL, **{key: value}))
 
 
 def test_overrides_revalidate():

@@ -24,7 +24,6 @@ from msvgd.gridflow import (
     nonuniform_gradient,
     pushforward_step,
     standard_normal_density,
-    stein_fisher_quadrature,
 )
 from msvgd.kernels import IMQKernel, make_kernel
 from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
@@ -63,6 +62,11 @@ class WindowedGaussian(GaussianDual):
         base = super().potential(x)
         outside = np.abs(np.atleast_2d(np.asarray(x, dtype=float))[:, 0]) >= self.cut
         return np.where(outside, np.inf, base)
+
+
+def dual_reference(grid, target):
+    """The target's dual density, normalized on the grid."""
+    return GridDensity(grid, -target.potential(grid.nodes())).renormalized()
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,8 @@ class TestKL:
     def test_identical_densities_give_zero(self):
         target = GaussianDual()
         grid = Grid((np.linspace(-8.0, 8.0, 4096),))
-        assert abs(kl_quadrature(standard_normal_density(grid), target)) <= 1e-10
+        reference = dual_reference(grid, target)
+        assert abs(kl_quadrature(standard_normal_density(grid), reference)) <= 1e-10
 
     def test_mean_shift_closed_form(self):
         m = 0.7
@@ -202,7 +207,8 @@ class TestKL:
         grid = Grid((np.linspace(-9.0, 9.0, 4096),))
         x = grid.nodes()[:, 0]
         shifted = GridDensity(grid, -0.5 * (x - m) ** 2 - 0.5 * math.log(2 * math.pi))
-        assert kl_quadrature(shifted, target) == pytest.approx(m * m / 2.0, abs=1e-6)
+        reference = dual_reference(grid, target)
+        assert kl_quadrature(shifted, reference) == pytest.approx(m * m / 2.0, abs=1e-6)
 
     def test_variance_change_closed_form(self):
         sigma = 1.3
@@ -213,21 +219,24 @@ class TestKL:
             grid, -0.5 * (x / sigma) ** 2 - math.log(sigma) - 0.5 * math.log(2 * math.pi)
         )
         expected = (sigma**2 - 1.0 - 2.0 * math.log(sigma)) / 2.0
-        assert kl_quadrature(wide, target) == pytest.approx(expected, abs=1e-6)
+        reference = dual_reference(grid, target)
+        assert kl_quadrature(wide, reference) == pytest.approx(expected, abs=1e-6)
 
     def test_support_mismatch_is_infinite(self):
         grid = Grid((np.linspace(-8.0, 8.0, 1024),))
         density = standard_normal_density(grid)
-        assert kl_quadrature(density, WindowedGaussian(cut=4.0)) == math.inf
+        reference = dual_reference(grid, WindowedGaussian(cut=4.0))
+        assert kl_quadrature(density, reference) == math.inf
 
     def test_never_meaningfully_negative(self, rng):
         target = GaussianDual()
         grid = Grid((np.linspace(-8.0, 8.0, 2048),))
         x = grid.nodes()[:, 0]
+        reference = dual_reference(grid, target)
         for _ in range(5):
             bump = 0.05 * rng.standard_normal() * np.cos(x * rng.uniform(0.5, 2.0))
             density = GridDensity(grid, -0.5 * x * x + bump).renormalized()
-            assert kl_quadrature(density, target) >= -1e-9
+            assert kl_quadrature(density, reference) >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -249,32 +258,48 @@ class TestGField:
 
     def test_three_forms_agree_along_a_run(self):
         flow = MirroredFlow(dirichlet_target(), IMQKernel())
-        out = flow.run(gamma=0.05, steps=30, record_every=10, keep_densities=True)
-        for step in (0, 10, 20, 30):
-            gaps = flow.g_forms_gap(out["densities"][step])
+        out = flow.run(gamma=0.05, steps=30, record_every=10)
+        assert [rec["step"] for rec in out["records"]] == [0, 10, 20, 30]
+        for rec in out["records"]:
+            gaps = flow.g_forms_gap(rec["density"])
             for name, gap in gaps.items():
-                assert gap <= 1e-6, f"step {step}: {name} gap {gap}"
+                assert gap <= 1e-6, f"step {rec['step']}: {name} gap {gap}"
 
     def test_unknown_form_rejected(self):
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=4.0)
         with pytest.raises(ConfigError, match="unknown g form"):
             flow.g_field(flow.pi_density(), form="both")
 
-    def test_free_function_matches_method(self):
+    def test_flow_on_given_grid_matches_own_grid(self):
         target = quartic_target()
         kernel = IMQKernel()
         flow = MirroredFlow(target, kernel, nodes=512, halfwidth=6.0)
         density = flow.initial_density()
         a = flow.g_field(density).values
-        b = gridflow.g_field(density, target, kernel).values
+        b = MirroredFlow(target, kernel, grid=density.grid).g_field(density).values
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("record_every", [1, 10])
+    def test_run_builds_one_field_per_state(self, monkeypatch, record_every):
+        calls = []
+        original = MirroredFlow.g_field
+
+        def counting(self, density, form="score"):
+            calls.append(form)
+            return original(self, density, form=form)
+
+        monkeypatch.setattr(MirroredFlow, "g_field", counting)
+        flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=6.0)
+        flow.run(gamma=0.01, steps=12, record_every=record_every)
+        assert calls == ["score"] * 13
 
 
 class TestSteinFisher:
     def test_pairing_matches_double_integral(self):
         flow = MirroredFlow(quartic_target(), IMQKernel())
-        out = flow.run(gamma=0.01, steps=5, keep_densities=True)
-        for density in out["densities"][::2]:
+        out = flow.run(gamma=0.01, steps=5)
+        for rec in out["records"][::2]:
+            density = rec["density"]
             pairing = flow.stein_fisher(density)
             double = flow.stein_fisher_double(density)
             assert pairing == pytest.approx(double, rel=1e-6, abs=1e-12)
@@ -287,11 +312,12 @@ class TestSteinFisher:
             density = GridDensity(flow.grid, -0.5 * x * x + bump).renormalized()
             assert flow.stein_fisher_double(density) >= -1e-12
 
-    def test_free_function(self):
+    def test_flow_on_given_grid_matches_own_grid(self):
         target = quartic_target()
         flow = MirroredFlow(target, IMQKernel(), nodes=512, halfwidth=6.0)
         density = flow.initial_density()
-        assert stein_fisher_quadrature(density, target, IMQKernel()) == pytest.approx(
+        again = MirroredFlow(target, IMQKernel(), grid=density.grid)
+        assert again.stein_fisher(density) == pytest.approx(
             flow.stein_fisher(density), rel=1e-12
         )
 
@@ -383,14 +409,14 @@ class TestFlowRuns:
         gamma = theory.step_size_bound(profile, kernel.bounds(), 1.0, 1, kl0)
         assert gamma > 0.0
 
-        out = flow.run(gamma, steps=20, keep_densities=True)
-        report = descent_check(out["densities"], gamma, target, kernel, profile=profile)
+        out = flow.run(gamma, steps=20)
+        report = descent_check(flow, out["records"], gamma, profile=profile)
         assert report["passed"]
         assert report["kl_strictly_decreased"]
         assert report["fixed_cap"] == pytest.approx(gamma, rel=1e-12)
         assert all(row["margin"] >= 0.0 for row in report["steps"])
 
-        inflated = descent_check(out["densities"], 10.0 * gamma, target, kernel, profile=profile)
+        inflated = descent_check(flow, out["records"], 10.0 * gamma, profile=profile)
         assert not inflated["fixed_cap_ok"]
         assert not inflated["passed"]
 
@@ -398,16 +424,24 @@ class TestFlowRuns:
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)
         out = flow.run(gamma=0.01, steps=7, record_every=3)
         assert [r["step"] for r in out["records"]] == [0, 3, 6, 7]
-        assert out["densities"] is None
+        for rec in out["records"]:
+            assert rec["density"].grid is flow.grid
+            assert flow.kl(rec["density"]) == rec["kl"]
+        assert out["records"][-1]["density"] is out["final"]
         kls = [r["kl"] for r in out["records"]]
         assert kls == sorted(kls, reverse=True)
 
+    def test_descent_check_needs_every_step(self):
+        flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)
+        out = flow.run(gamma=0.01, steps=7, record_every=3)
+        with pytest.raises(ConfigError, match="every step"):
+            descent_check(flow, out["records"], 0.01)
+
     def test_descent_report_trivial_at_target(self):
-        target = quartic_target()
-        kernel = IMQKernel()
-        flow = MirroredFlow(target, kernel)
-        pi = flow.pi_density()
-        report = descent_check([pi, pi], 0.01, target, kernel)
+        flow = MirroredFlow(quartic_target(), IMQKernel())
+        # gamma = 0 leaves the density in place, so both records sit at pi
+        out = flow.run(gamma=0.0, steps=1, density=flow.pi_density())
+        report = descent_check(flow, out["records"], 0.01)
         assert report["passed"]
         assert abs(report["kl_first"]) <= 1e-9
 

@@ -116,6 +116,10 @@ class TestDiagnosticsRecord:
         with pytest.raises(NumericsError):
             DiagnosticsRecord(step=3, stein_fisher=-1e-6, a_n=1.0, gamma=0.1)
 
+    def test_nan_estimate_rejected(self):
+        with pytest.raises(NumericsError):
+            DiagnosticsRecord(step=3, stein_fisher=float("nan"), a_n=1.0, gamma=0.1)
+
 
 class TestGrowthFunction:
     def test_zero(self):
