@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msvgd.cli import _resolve_config_path
 from msvgd.config import apply_overrides, build_runtime, load_config
-from msvgd.engine import init_ensemble, msvgd_step
+from msvgd.engine import init_ensemble, msvgd_step, update_field
 from msvgd.theory import stein_fisher_particles
 
 
@@ -35,13 +35,14 @@ def main() -> int:
     bundle = build_runtime(cfg)
 
     ens = init_ensemble(cfg.particles, bundle.dim, bundle.mirror_map, cfg.seed)
+    velocity = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
     fisher0 = stein_fisher_particles(ens, bundle.target, bundle.mirror_map,
-                                     bundle.kernel)
+                                     bundle.kernel, velocity)
     for _ in range(cfg.steps):
-        ens = msvgd_step(ens, bundle.target, bundle.mirror_map, bundle.kernel,
-                         bundle.gamma)
+        ens = msvgd_step(ens, velocity, bundle.gamma, bundle.mirror_map)
+        velocity = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
     fisher1 = stein_fisher_particles(ens, bundle.target, bundle.mirror_map,
-                                     bundle.kernel)
+                                     bundle.kernel, velocity)
 
     conc = np.asarray(cfg.target_params["concentration"], dtype=float)
     analytic = conc[:-1] / conc.sum()

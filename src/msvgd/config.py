@@ -95,6 +95,18 @@ class RunConfig:
         return out
 
 
+def _require_finite(value, path: str) -> None:
+    """Reject a non-finite number anywhere inside nested dicts and lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{path}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            _require_finite(item, f"{path}[{index}]")
+    elif isinstance(value, numbers.Real) and not math.isfinite(value):
+        raise ConfigError(f"config key {path!r} must be finite, got {value}")
+
+
 def _as_int(raw: dict, key: str, default=None, minimum=None):
     if key not in raw:
         return default
@@ -114,8 +126,7 @@ def _as_number(raw: dict, key: str, default=None, minimum=None, strict=False):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
     value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value}")
+    _require_finite(value, key)
     if minimum is not None and (value < minimum or (strict and value == minimum)):
         op = ">" if strict else ">="
         raise ConfigError(f"config key {key!r} must be {op} {minimum}, got {value}")
@@ -126,6 +137,7 @@ def _as_params(raw: dict, key: str) -> dict:
     value = raw.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"config key {key!r} must be an object, got {value!r}")
+    _require_finite(value, key)
     return dict(value)
 
 
@@ -155,8 +167,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
     else:
         gamma = float(gamma)
-        if not math.isfinite(gamma):
-            raise ConfigError(f"config key 'gamma' must be finite, got {gamma}")
+        _require_finite(gamma, "gamma")
         if not gamma > 0:
             raise ConfigError(f"config key 'gamma' must be > 0, got {gamma}")
 

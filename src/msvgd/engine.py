@@ -2,10 +2,11 @@
 
 Particles are tracked in both charts: primal positions live inside the
 constraint set, dual positions in the unconstrained space where the kernel
-update is applied.  A step perturbs the dual cloud by the averaged kernel
-field and maps back through the conjugate gradient, so feasibility is
-automatic.  With the Euclidean map the whole scheme collapses to standard
-SVGD, which is the reduction the tests pin.
+update is applied.  A run builds one averaged kernel field per state
+(update_field) and uses it twice: msvgd_step moves the dual cloud along it
+and maps back through the conjugate gradient, so feasibility is automatic;
+then the state's Stein-Fisher snapshot reads it.  With the Euclidean map the
+whole scheme collapses to standard SVGD, which is the reduction the tests pin.
 
 Reductions over the particle index use fixed-order einsum paths, so a fixed
 seed gives bit-identical trajectories.
@@ -74,10 +75,13 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> np.n
 
     with t the primal positions, s the primal score.  The second term is the
     product-rule remainder of the kernel-smoothed divergence; together they
-    make the field a pure average of certified primal primitives.
+    make the field a pure average of certified primal primitives.  An
+    adaptive kernel first refreshes its bandwidth from this primal cloud.
     """
     theta = ensemble.primal
     n = theta.shape[0]
+    if kernel.adaptive:
+        kernel.update_bandwidth(theta)
     score = np.asarray(target.grad_log_density(theta), dtype=float)
     hinv = np.asarray(mirror_map.hess_psi_inv(theta), dtype=float)
     div = np.asarray(mirror_map.div_hess_psi_inv(theta), dtype=float)
@@ -90,11 +94,8 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> np.n
     return (drift + repulsion) / float(n)
 
 
-def msvgd_step(ensemble: ParticleEnsemble, target, mirror_map, kernel, gamma: float) -> ParticleEnsemble:
-    """One explicit step: refresh adaptive kernel state, move dual, map back."""
-    if kernel.adaptive:
-        kernel.update_bandwidth(ensemble.primal)
-    velocity = update_field(ensemble, target, mirror_map, kernel)
+def msvgd_step(ensemble: ParticleEnsemble, velocity: np.ndarray, gamma: float, mirror_map) -> ParticleEnsemble:
+    """One explicit step along the state's field (from update_field): move dual, map back."""
     finite = np.isfinite(velocity).all(axis=1)
     if not finite.all():
         particle = int(np.argmin(finite))
@@ -160,15 +161,15 @@ class _RunWriter:
 def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
     """Execute a configured run, writing trajectory and diagnostics CSVs.
 
-    Rows are written at step 0, every cadence-th step, and the final step;
-    steps=0 produces header-only files.  A numeric abort still flushes the
-    last valid state and a manifest before the error propagates.  Returns a
-    summary dict (also serialized into the manifest).
+    Rows are written at step 0, every cadence-th step, and the final step,
+    each after its state is stepped, from the field it was stepped with;
+    steps=0 builds no field and produces header-only files.  A numeric abort
+    fills the abort block, logs the last valid state if its field is finite,
+    and writes a manifest before the error propagates.  Returns a summary
+    dict (also serialized into the manifest).
     """
     started = time.perf_counter()
-    if bundle is None:
-        bundle = build_runtime(cfg)
-    elif bundle.gamma is None:
+    if bundle is None or bundle.gamma is None:
         bundle = build_runtime(cfg)
     gamma = bundle.gamma
     out_dir = Path(out_dir)
@@ -178,15 +179,13 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
     target = bundle.target
     mirror_map = bundle.mirror_map
     ensemble = init_ensemble(cfg.particles, bundle.dim, mirror_map, cfg.seed)
-    if kernel.adaptive:
-        kernel.update_bandwidth(ensemble.primal)
 
     writer = _RunWriter(out_dir, bundle.dim)
-    first_sf = last_sf = None
+    logged_sf = []
     abort = None
 
-    def snapshot(ens: ParticleEnsemble) -> float:
-        sf = theory.stein_fisher_particles(ens, target, mirror_map, kernel)
+    def snapshot(ens: ParticleEnsemble, velocity: np.ndarray) -> None:
+        sf = theory.stein_fisher_particles(ens, target, mirror_map, kernel, velocity)
         if bundle.profile is not None:
             an = theory.a_n(ens, bundle.mirrored, bundle.profile)
         else:
@@ -196,27 +195,23 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
         bandwidth = getattr(kernel, "bandwidth", float("nan"))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         writer.log(ens, record, bandwidth, elapsed_ms)
-        return sf
+        logged_sf.append(sf)
 
     try:
-        if cfg.steps > 0:
-            first_sf = last_sf = snapshot(ensemble)
-        step = 0
-        while step < cfg.steps:
-            try:
-                ensemble = msvgd_step(ensemble, target, mirror_map, kernel, gamma)
-            except NumericsError as exc:
-                if ensemble.step_index not in writer.logged_steps:
-                    last_sf = snapshot(ensemble)
-                abort = {
-                    "step": exc.step,
-                    "particle": exc.particle,
-                    "message": str(exc),
-                }
-                raise
-            step = ensemble.step_index
+        for step in range(cfg.steps + 1 if cfg.steps > 0 else 0):
+            velocity = update_field(ensemble, target, mirror_map, kernel)
+            stepped = ensemble
+            if step < cfg.steps:
+                try:
+                    stepped = msvgd_step(ensemble, velocity, gamma, mirror_map)
+                except NumericsError as exc:
+                    abort = {"step": exc.step, "particle": exc.particle, "message": str(exc)}
+                    if np.isfinite(velocity).all():
+                        snapshot(ensemble, velocity)
+                    raise
             if step % cfg.cadence == 0 or step == cfg.steps:
-                last_sf = snapshot(ensemble)
+                snapshot(ensemble, velocity)
+            ensemble = stepped
     finally:
         writer.close()
         summary = {
@@ -226,8 +221,8 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
             "gamma": gamma,
             "gamma_mode": bundle.gamma_mode,
             "kl0_upper": bundle.kl0_upper,
-            "stein_fisher_first": first_sf,
-            "stein_fisher_final": last_sf,
+            "stein_fisher_first": logged_sf[0] if logged_sf else None,
+            "stein_fisher_final": logged_sf[-1] if logged_sf else None,
             "logged_steps": list(writer.logged_steps),
             "abort": abort,
         }

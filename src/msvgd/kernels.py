@@ -1,8 +1,8 @@
 """Kernels on the constrained domain, with the derivative operations the
 particle update and the discrepancy estimators need.
 
-All kernels expose scalar ops (eval, grad1, grad12) and batched ops (gram,
-grad1_gram, grad12_gram). grad1 differentiates the first argument slot;
+All kernels expose batched ops on point sets X (n, d) and Y (m, d): gram,
+grad1_gram and grad12_gram. grad1 differentiates the first argument slot;
 grad12 is the matrix of cross second derivatives d^2 k / dtheta_i dtheta'_j.
 bounds() returns (b1, b2) with sup k(t, t) <= b1^2 and the cross second
 derivative bounded by b2^2; these two constants feed every step-size bound.
@@ -15,22 +15,6 @@ from .errors import ConfigError
 
 class Kernel:
     adaptive = False  # True when the engine must refresh state each step
-
-    def eval(self, a, b):
-        return float(self.gram(np.asarray(a, float)[None, :],
-                               np.asarray(b, float)[None, :])[0, 0])
-
-    def grad1(self, a, b):
-        return self.grad1_gram(np.asarray(a, float)[None, :],
-                               np.asarray(b, float)[None, :])[0, 0]
-
-    def grad2(self, a, b):
-        # symmetry of the kernel swaps the argument slots
-        return self.grad1(b, a)
-
-    def grad12(self, a, b):
-        return self.grad12_gram(np.asarray(a, float)[None, :],
-                                np.asarray(b, float)[None, :])[0, 0]
 
     def gram(self, X, Y):
         raise NotImplementedError
@@ -128,8 +112,9 @@ class RBFKernel(_RadialKernel):
     """Gaussian kernel k(a, b) = exp(-||a - b||^2 / (2 h^2)).
 
     bandwidth may be a positive float or "median", in which case the engine
-    refreshes it from the current particle set before every step via
-    update_bandwidth(); evaluation before the first refresh is an error.
+    refreshes it from the current particle set via update_bandwidth() before
+    it builds each state's field; evaluation before the first refresh is an
+    error.
     """
 
     def __init__(self, bandwidth=1.0):

@@ -329,9 +329,17 @@ def a_n(ensemble, mirrored_target, profile: SmoothnessProfile) -> float:
     return profile.l0 + profile.l1 * float(np.mean(np.sqrt(np.sum(grad * grad, axis=1))))
 
 
-def stein_fisher_particles(ensemble, target, mirror_map, kernel, chunk: int = 256) -> float:
+def stein_fisher_particles(ensemble, target, mirror_map, kernel, velocity,
+                           chunk: int = 256) -> float:
     """Squared kernel-space norm of the update field over the ensemble: the
-    V-statistic of the score-plus-divergence operand.
+    V-statistic of the score-plus-divergence operand op_j = H_j s(t_j) +
+    div Hinv(t_j), H_j = Hinv(t_j), read off ``velocity``, the field v that
+    ``engine.update_field`` built for this ensemble and kernel.  The
+    V-statistic's gram term and one of its two equal cross terms sum to
+    (1/n) sum_b op_b.v_b, so
+
+        SF = (1/n) sum_b op_b.v_b + (1/n^2) sum_{b,j} [op_j.H_b grad1 k(t_b,t_j)
+                                                      + tr(H_b grad12 k(t_b,t_j) H_j)].
 
     Reduces in fixed block order, so a given ensemble always produces the
     same float.  Nonnegative up to roundoff.  A point mass still scores
@@ -340,6 +348,8 @@ def stein_fisher_particles(ensemble, target, mirror_map, kernel, chunk: int = 25
     """
     theta = np.asarray(getattr(ensemble, "primal", ensemble), dtype=float)
     n, _ = theta.shape
+    if np.shape(velocity) != theta.shape:
+        raise ValueError(f"velocity has shape {np.shape(velocity)}, expected {theta.shape}")
     score = np.asarray(target.grad_log_density(theta), dtype=float)
     hinv = np.asarray(mirror_map.hess_psi_inv(theta), dtype=float)
     operand = np.einsum("nde,ne->nd", hinv, score)
@@ -347,15 +357,11 @@ def stein_fisher_particles(ensemble, target, mirror_map, kernel, chunk: int = 25
     total = 0.0
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
-        gram = kernel.gram(theta[rows], theta)
         grad1 = kernel.grad1_gram(theta[rows], theta)
         grad12 = kernel.grad12_gram(theta[rows], theta)
-        total += float(np.einsum("bj,bd,jd->", gram, operand[rows], operand))
-        # The two cross blocks are equal after summing over all pairs, so one
-        # of them is evaluated and doubled.
-        total += 2.0 * float(np.einsum("jd,bde,bje->", operand, hinv[rows], grad1))
+        total += float(np.einsum("jd,bde,bje->", operand, hinv[rows], grad1))
         total += float(np.einsum("bde,bjef,jfd->", hinv[rows], grad12, hinv))
-    return total / float(n * n)
+    return (float(np.einsum("bd,bd->", operand, velocity)) + total / n) / n
 
 
 def _grid_1d(nodes: int, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ import pytest
 
 from msvgd import cli, theory
 from msvgd.config import build_runtime, load_config
-from msvgd.engine import init_ensemble, msvgd_step
+from msvgd.engine import init_ensemble, msvgd_step, update_field
 from msvgd.gridflow import (
     GridDensity,
     MirroredFlow,
@@ -150,7 +150,7 @@ def test_criterion_05_svgd_reduction():
     reference = ens.dual.copy()
     worst = 0.0
     for _ in range(100):
-        ens = msvgd_step(ens, target, mirror_map, kernel, gamma)
+        ens = msvgd_step(ens, update_field(ens, target, mirror_map, kernel), gamma, mirror_map)
         # independent SVGD oracle: explicit per-particle loop
         score = (mean[None, :] - reference) @ prec
         new = np.empty_like(reference)

@@ -101,6 +101,42 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["summary"]["abort"] is not None
 
+    def test_abort_at_an_unlogged_state_keeps_the_abort_block(self, tmp_path, capsys):
+        # The blow-up lands at step 1, off the cadence; its field is not
+        # finite, so that state is not logged and the abort is reported.
+        cfg = dict(QUARTIC_SMALL, gamma=1e150, steps=5, cadence=10, particles=20)
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "non-finite velocity for particle" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "o" / "manifest.json").read_text())["summary"]
+        assert summary["abort"]["message"].startswith("non-finite velocity for particle")
+        assert summary["abort"]["step"] == 1
+        assert summary["abort"]["particle"] is not None
+        assert summary["logged_steps"] == [0]
+
+    @pytest.mark.parametrize("kernel, target, path", [
+        ({"kernel": "rbf", "kernel_params": {"bandwidth": float("inf")}}, {},
+         "kernel_params.bandwidth"),
+        ({"kernel": "imq", "kernel_params": {"c": float("inf")}}, {}, "kernel_params.c"),
+        ({"kernel": "rescaled",
+          "kernel_params": {"inner": "rbf", "scale": 2.0,
+                            "inner_params": {"bandwidth": float("inf")}}}, {},
+         "kernel_params.inner_params.bandwidth"),
+        ({}, {"map": "entropic-box", "target": "truncated-gaussian",
+              "target_params": {"mean": [0.0, float("nan")], "cov": 1.0,
+                                "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}},
+         "target_params.mean[1]"),
+    ])
+    def test_non_finite_params_exit_two_and_name_the_path(self, tmp_path, capsys,
+                                                          kernel, target, path):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(dict(DIRICHLET_SMALL, **kernel, **target)))
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'{path}' must be finite" in capsys.readouterr().err
+
     def test_infinite_gamma_in_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(dict(DIRICHLET_SMALL, gamma=float("inf"))))

@@ -3,11 +3,13 @@ degenerate-step identities, and the run artifact contract."""
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from msvgd.config import RunConfig, build_runtime
+from msvgd import engine
+from msvgd.config import RunConfig, build_runtime, config_from_dict
 from msvgd.engine import (
     ParticleEnsemble,
     init_ensemble,
@@ -55,7 +57,8 @@ def test_svgd_reduction_trajectory():
     reference = ensemble.primal.copy()
     worst = 0.0
     for _ in range(100):
-        ensemble = msvgd_step(ensemble, target, mirror_map, kernel, gamma)
+        velocity = update_field(ensemble, target, mirror_map, kernel)
+        ensemble = msvgd_step(ensemble, velocity, gamma, mirror_map)
         reference = _reference_svgd_step(reference, mean, prec, gamma)
         worst = max(worst, float(np.max(np.abs(ensemble.primal - reference))))
     assert worst <= 1e-12
@@ -92,7 +95,7 @@ def test_two_particle_oracle():
     field = update_field(ensemble, target, mirror_map, kernel)
     assert np.max(np.abs(field[:, 0] - v)) <= 1e-12
 
-    stepped = msvgd_step(ensemble, target, mirror_map, kernel, gamma)
+    stepped = msvgd_step(ensemble, field, gamma, mirror_map)
     assert np.max(np.abs(stepped.dual[:, 0] - x_next)) <= 1e-12
     assert np.max(np.abs(stepped.primal[:, 0] - theta_next)) <= 1e-12
     assert stepped.step_index == 1
@@ -114,7 +117,8 @@ def test_zero_step_is_bitwise_identity():
     target = Dirichlet([5.0, 5.0, 5.0])
     kernel = IMQKernel()
     ensemble = init_ensemble(16, 2, mirror_map, seed=3)
-    stepped = msvgd_step(ensemble, target, mirror_map, kernel, 0.0)
+    velocity = update_field(ensemble, target, mirror_map, kernel)
+    stepped = msvgd_step(ensemble, velocity, 0.0, mirror_map)
     assert np.array_equal(stepped.dual, ensemble.dual)
     assert np.array_equal(stepped.primal, ensemble.primal)
     assert stepped.step_index == 1
@@ -144,7 +148,8 @@ def test_stepping_is_deterministic():
         ensemble = init_ensemble(25, 2, mirror_map, seed=11)
         states = []
         for _ in range(30):
-            ensemble = msvgd_step(ensemble, target, mirror_map, kernel, 0.05)
+            velocity = update_field(ensemble, target, mirror_map, kernel)
+            ensemble = msvgd_step(ensemble, velocity, 0.05, mirror_map)
             states.append(ensemble.dual.copy())
         return states
 
@@ -159,7 +164,8 @@ def test_feasibility_and_chart_consistency():
     kernel = IMQKernel()
     ensemble = init_ensemble(30, 2, mirror_map, seed=5)
     for _ in range(100):
-        ensemble = msvgd_step(ensemble, target, mirror_map, kernel, 0.05)
+        velocity = update_field(ensemble, target, mirror_map, kernel)
+        ensemble = msvgd_step(ensemble, velocity, 0.05, mirror_map)
         theta = ensemble.primal
         assert np.all(theta > 0.0)
         assert np.all(theta.sum(axis=1) < 1.0)
@@ -276,6 +282,43 @@ def test_run_records_numeric_abort(tmp_path):
     abort = manifest["summary"]["abort"]
     assert abort is not None
     assert abort["step"] is not None
+
+
+def test_run_builds_one_field_per_state(tmp_path, monkeypatch):
+    # The field of each state serves both its step and its snapshot, so the
+    # snapshot builds no gram block of its own.
+    steps = 25
+    cfg = _dirichlet_config(steps=steps, cadence=10)
+    bundle = build_runtime(cfg)
+    calls = {"msvgd_step": 0, "update_field": 0, "gram": 0}
+
+    def counting(name, inner):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(engine, "msvgd_step", counting("msvgd_step", engine.msvgd_step))
+    monkeypatch.setattr(engine, "update_field", counting("update_field", engine.update_field))
+    monkeypatch.setattr(bundle.kernel, "gram", counting("gram", bundle.kernel.gram))
+    summary = run(cfg, tmp_path / "out", bundle=bundle)
+    assert summary["logged_steps"] == [0, 10, 20, 25]
+    assert calls == {"msvgd_step": steps, "update_field": steps + 1, "gram": steps + 1}
+
+
+def test_run_logs_the_median_bandwidth_of_each_logged_state(tmp_path):
+    preset = Path(__file__).resolve().parents[1] / "presets" / "dirichlet-simplex-d2.json"
+    cfg = config_from_dict(dict(json.loads(preset.read_text()), kernel="rbf",
+                                kernel_params={"bandwidth": "median"},
+                                particles=30, steps=3, cadence=1))
+    run(cfg, tmp_path / "out")
+
+    traj = _read_csv(tmp_path / "out" / "trajectory.csv")
+    diag = _read_csv(tmp_path / "out" / "diagnostics.csv")
+    assert [int(r[0]) for r in diag[1:]] == [0, 1, 2, 3]
+    for row in diag[1:]:
+        primal = np.array([[float(v) for v in r[2:4]] for r in traj[1:] if r[0] == row[0]])
+        assert float(row[4]) == RBFKernel.median_bandwidth(primal)
 
 
 def test_run_theorem_gamma_resolves(tmp_path):

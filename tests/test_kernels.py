@@ -18,6 +18,15 @@ from msvgd.mirrors import EntropicSimplexMap
 from conftest import fd_gradient, fd_mixed_second, rel_err, sample_simplex_interior
 
 
+def _pair(op, a, b):
+    """Entry [0, 0] of a batched kernel op on the 1-row batches a and b."""
+    return op(np.asarray(a, float)[None, :], np.asarray(b, float)[None, :])[0, 0]
+
+
+def _value(k, a, b):
+    return float(_pair(k.gram, a, b))
+
+
 def _euclidean_kernels():
     return [
         IMQKernel(c=1.0, beta=-0.5),
@@ -34,8 +43,8 @@ def test_grad1_matches_fd(rng, d):
     for k in _euclidean_kernels():
         for _ in range(6):
             a, b = rng.normal(size=d), rng.normal(size=d)
-            g = k.grad1(a, b)
-            g_fd = fd_gradient(lambda z: k.eval(z, b), a, h=1e-5)
+            g = _pair(k.grad1_gram, a, b)
+            g_fd = fd_gradient(lambda z: _value(k, z, b), a, h=1e-5)
             assert np.max(np.abs(g - g_fd)) < 1e-6 * max(1.0, np.max(np.abs(g)))
 
 
@@ -44,8 +53,8 @@ def test_grad12_matches_fd(rng, d):
     for k in _euclidean_kernels():
         for _ in range(4):
             a, b = rng.normal(size=d), rng.normal(size=d)
-            m = k.grad12(a, b)
-            m_fd = fd_mixed_second(k.eval, a, b, h=1e-4)
+            m = _pair(k.grad12_gram, a, b)
+            m_fd = fd_mixed_second(lambda x, y: _value(k, x, y), a, b, h=1e-4)
             assert np.max(np.abs(m - m_fd)) < 2e-5 * max(1.0, np.max(np.abs(m)))
 
 
@@ -56,18 +65,18 @@ def test_dual_imq_grads_match_fd(rng):
         pts = sample_simplex_interior(rng, 8, d, margin=0.05)
         for i in range(0, 8, 2):
             a, b = pts[i], pts[i + 1]
-            g_fd = fd_gradient(lambda z: k.eval(z, b), a, h=1e-6)
-            assert rel_err(g_fd, k.grad1(a, b), floor=1e-6) < 1e-5
-            m_fd = fd_mixed_second(k.eval, a, b, h=1e-5)
-            assert rel_err(m_fd, k.grad12(a, b), floor=1e-5) < 1e-4
+            g_fd = fd_gradient(lambda z: _value(k, z, b), a, h=1e-6)
+            assert rel_err(g_fd, _pair(k.grad1_gram, a, b), floor=1e-6) < 1e-5
+            m_fd = fd_mixed_second(lambda x, y: _value(k, x, y), a, b, h=1e-5)
+            assert rel_err(m_fd, _pair(k.grad12_gram, a, b), floor=1e-5) < 1e-4
 
 
 def test_imq_frozen_values():
     k = IMQKernel(c=1.0, beta=-0.5)
-    assert abs(k.eval(np.zeros(2), np.zeros(2)) - 1.0) < 1e-15
+    assert abs(_value(k, np.zeros(2), np.zeros(2)) - 1.0) < 1e-15
     a, b = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-    assert abs(k.eval(a, b) - 2.0**-0.5) < 1e-15
-    g = k.grad1(a, b)
+    assert abs(_value(k, a, b) - 2.0**-0.5) < 1e-15
+    g = _pair(k.grad1_gram, a, b)
     assert abs(g[0] - (-(2.0**-1.5))) < 1e-15
     assert abs(g[1]) < 1e-15
 
@@ -75,8 +84,8 @@ def test_imq_frozen_values():
 def test_rbf_frozen_values():
     k = RBFKernel(bandwidth=1.0)
     a, b = np.array([1.0, 0.0]), np.array([0.0, 0.0])
-    assert abs(k.eval(a, b) - np.exp(-0.5)) < 1e-15
-    g = k.grad1(a, b)
+    assert abs(_value(k, a, b) - np.exp(-0.5)) < 1e-15
+    g = _pair(k.grad1_gram, a, b)
     assert abs(g[0] - (-np.exp(-0.5))) < 1e-15
     assert abs(g[1]) < 1e-15
 
@@ -104,11 +113,11 @@ def test_bounds_certified_empirically(rng, d):
     for k in _euclidean_kernels():
         b1, b2 = k.bounds()
         pts = rng.normal(scale=3.0, size=(200, d))
-        diag = np.array([k.eval(p, p) for p in pts])
+        diag = np.array([_value(k, p, p) for p in pts])
         assert np.max(diag) <= b1**2 * (1 + 1e-12)
         for i in range(10):
-            m = fd_mixed_second(k.eval, pts[i], pts[i] + rng.normal(scale=0.5, size=d),
-                                h=1e-4)
+            m = fd_mixed_second(lambda x, y: _value(k, x, y), pts[i],
+                                pts[i] + rng.normal(scale=0.5, size=d), h=1e-4)
             assert np.max(np.abs(np.linalg.eigvalsh(0.5 * (m + m.T)))) <= (
                 b2**2 * (1 + 1e-3)
             )
@@ -121,11 +130,11 @@ def test_dual_imq_bounds_certified_in_dual_chart(rng):
     b1, b2 = k.bounds()
     xs = rng.normal(scale=3.0, size=(50, d))
     thetas = mp.grad_psi_star(xs)
-    diag = np.array([k.eval(t, t) for t in thetas])
+    diag = np.array([_value(k, t, t) for t in thetas])
     assert np.max(diag) <= b1**2 * (1 + 1e-12)
 
     def k_dual(x, y):
-        return k.eval(mp.grad_psi_star(x), mp.grad_psi_star(y))
+        return _value(k, mp.grad_psi_star(x), mp.grad_psi_star(y))
 
     for i in range(6):
         m = fd_mixed_second(k_dual, xs[i], xs[i] + rng.normal(scale=0.5, size=d),
@@ -151,8 +160,10 @@ def test_symmetry_and_grad2(rng):
     d = 3
     for k in _euclidean_kernels():
         a, b = rng.normal(size=d), rng.normal(size=d)
-        assert k.eval(a, b) == pytest.approx(k.eval(b, a), abs=1e-15)
-        assert np.allclose(k.grad2(a, b), k.grad1(b, a), atol=0)
+        assert _value(k, a, b) == pytest.approx(_value(k, b, a), abs=1e-15)
+        # the second-slot gradient, grad1 with the slots swapped, is minus the
+        # first-slot one for these translation-invariant kernels
+        assert np.allclose(_pair(k.grad1_gram, b, a), -_pair(k.grad1_gram, a, b), atol=0)
 
 
 def test_gram_psd(rng):
@@ -181,7 +192,7 @@ def test_rescaled_is_inner_on_scaled_points(rng):
     inner = IMQKernel(c=1.0, beta=-0.5)
     k = RescaledKernel(inner, scale=5.0)
     a, b = rng.normal(size=3), rng.normal(size=3)
-    assert k.eval(a, b) == pytest.approx(inner.eval(a / 5.0, b / 5.0), abs=1e-15)
+    assert _value(k, a, b) == pytest.approx(_value(inner, a / 5.0, b / 5.0), abs=1e-15)
 
 
 def test_parameter_validation():

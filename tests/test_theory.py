@@ -3,6 +3,7 @@ moments against Monte Carlo, the particle Stein-Fisher estimator against a
 straight-loop reference, and quadrature constants against closed forms."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import sample_simplex_interior
 
 from msvgd import theory
+from msvgd.engine import update_field
 from msvgd.errors import ConfigError, DomainError, NumericsError
 from msvgd.kernels import IMQKernel, RBFKernel
 from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
@@ -507,17 +509,57 @@ def _ksd_reference(x, score):
     return total / n ** 2
 
 
+def _sf(cloud, target, mirror_map, kernel, **kwargs):
+    """stein_fisher_particles on the field the engine builds for the cloud."""
+    ensemble = cloud if hasattr(cloud, "primal") else SimpleNamespace(primal=cloud)
+    velocity = update_field(ensemble, target, mirror_map, kernel)
+    return stein_fisher_particles(cloud, target, mirror_map, kernel, velocity, **kwargs)
+
+
+def _v_statistic(theta, target, mirror_map, kernel):
+    """The four-block V-statistic, gram block included, pair by pair."""
+    n = theta.shape[0]
+    hinv = mirror_map.hess_psi_inv(theta)
+    op = np.einsum("nde,ne->nd", hinv, target.grad_log_density(theta))
+    op += mirror_map.div_hess_psi_inv(theta)
+    gram = kernel.gram(theta, theta)
+    grad1 = kernel.grad1_gram(theta, theta)
+    grad12 = kernel.grad12_gram(theta, theta)
+    total = 0.0
+    for b in range(n):
+        for j in range(n):
+            total += gram[b, j] * float(op[b] @ op[j])
+            total += 2.0 * float(op[j] @ hinv[b] @ grad1[b, j])
+            total += float(np.trace(hinv[b] @ grad12[b, j] @ hinv[j]))
+    return total / n ** 2
+
+
 class TestSteinFisherParticles:
+    @pytest.mark.parametrize("d, kernel", [(1, IMQKernel()), (2, RBFKernel(0.7)),
+                                           (2, RBFKernel("median"))])
+    def test_matches_v_statistic_on_the_simplex(self, rng, d, kernel):
+        theta = sample_simplex_interior(rng, 30, d, margin=1e-3)
+        target = Dirichlet([2.0] * (d + 1))
+        mirror_map = EntropicSimplexMap(d)
+        got = _sf(theta, target, mirror_map, kernel)
+        assert got == pytest.approx(_v_statistic(theta, target, mirror_map, kernel), rel=1e-12)
+
+    def test_rejects_a_field_of_the_wrong_shape(self, rng):
+        x = rng.standard_normal((6, 2))
+        target = ScoreStub(lambda t: -t)
+        with pytest.raises(ValueError, match="velocity has shape"):
+            stein_fisher_particles(x, target, EuclideanMap(2), IMQKernel(), np.zeros((6, 1)))
+
     def test_matches_reference_ksd_euclidean(self, rng):
         x = rng.standard_normal((25, 2))
         target = ScoreStub(lambda t: -t)
-        got = stein_fisher_particles(x, target, EuclideanMap(2), IMQKernel())
+        got = _sf(x, target, EuclideanMap(2), IMQKernel())
         assert got == pytest.approx(_ksd_reference(x, -x), rel=1e-12)
 
     def test_single_particle_positive_through_derivative_block(self):
         theta = np.array([[0.5]])
         target = ScoreStub(lambda t: np.zeros_like(t))
-        got = stein_fisher_particles(theta, target, EntropicSimplexMap(1), IMQKernel())
+        got = _sf(theta, target, EntropicSimplexMap(1), IMQKernel())
         # operand is zero at theta = 1/2, so only the derivative block
         # contributes: (theta(1-theta))^2 * (-2 f'(0)) = 0.25^2 * 1.
         assert got == pytest.approx(0.0625, rel=1e-13)
@@ -525,15 +567,15 @@ class TestSteinFisherParticles:
     def test_chunking_does_not_change_the_value(self, rng):
         x = rng.standard_normal((37, 2))
         target = ScoreStub(lambda t: -t)
-        full = stein_fisher_particles(x, target, EuclideanMap(2), IMQKernel(), chunk=10 ** 9)
-        small = stein_fisher_particles(x, target, EuclideanMap(2), IMQKernel(), chunk=7)
+        full = _sf(x, target, EuclideanMap(2), IMQKernel(), chunk=10 ** 9)
+        small = _sf(x, target, EuclideanMap(2), IMQKernel(), chunk=7)
         assert small == pytest.approx(full, rel=1e-13)
 
     def test_nonnegative_on_random_clouds(self, rng):
         for d in (1, 2, 3):
             theta = sample_simplex_interior(rng, 40, d)
             target = ScoreStub(lambda t: np.ones_like(t))
-            got = stein_fisher_particles(theta, target, EntropicSimplexMap(d), RBFKernel(0.7))
+            got = _sf(theta, target, EntropicSimplexMap(d), RBFKernel(0.7))
             assert got >= -1e-10
 
     def test_accepts_ensemble_objects(self, rng):
@@ -543,8 +585,8 @@ class TestSteinFisherParticles:
             primal = x
 
         target = ScoreStub(lambda t: -t)
-        assert stein_fisher_particles(Bag(), target, EuclideanMap(2), IMQKernel()) == (
-            stein_fisher_particles(x, target, EuclideanMap(2), IMQKernel())
+        assert _sf(Bag(), target, EuclideanMap(2), IMQKernel()) == (
+            _sf(x, target, EuclideanMap(2), IMQKernel())
         )
 
     @given(seed=st.integers(0, 2 ** 32 - 1))
@@ -553,5 +595,5 @@ class TestSteinFisherParticles:
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((12, 2))
         target = ScoreStub(lambda t: np.sin(t))
-        got = stein_fisher_particles(x, target, EuclideanMap(2), IMQKernel())
+        got = _sf(x, target, EuclideanMap(2), IMQKernel())
         assert got >= -1e-10
