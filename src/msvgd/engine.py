@@ -94,8 +94,7 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> np.n
     return (drift + repulsion) / float(n)
 
 
-def msvgd_step(ensemble: ParticleEnsemble, velocity: np.ndarray, gamma: float, mirror_map) -> ParticleEnsemble:
-    """One explicit step along the state's field (from update_field): move dual, map back."""
+def _require_finite_field(ensemble: ParticleEnsemble, velocity: np.ndarray) -> None:
     finite = np.isfinite(velocity).all(axis=1)
     if not finite.all():
         particle = int(np.argmin(finite))
@@ -104,6 +103,11 @@ def msvgd_step(ensemble: ParticleEnsemble, velocity: np.ndarray, gamma: float, m
             step=ensemble.step_index,
             particle=particle,
         )
+
+
+def msvgd_step(ensemble: ParticleEnsemble, velocity: np.ndarray, gamma: float, mirror_map) -> ParticleEnsemble:
+    """One explicit step along the state's field (from update_field): move dual, map back."""
+    _require_finite_field(ensemble, velocity)
     dual = ensemble.dual + gamma * velocity
     try:
         primal = mirror_map.grad_psi_star(dual)
@@ -163,10 +167,11 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
 
     Rows are written at step 0, every cadence-th step, and the final step,
     each after its state is stepped, from the field it was stepped with;
-    steps=0 builds no field and produces header-only files.  A numeric abort
-    fills the abort block, logs the last valid state if its field is finite,
-    and writes a manifest before the error propagates.  Returns a summary
-    dict (also serialized into the manifest).
+    steps=0 builds no field and produces header-only files.  The final state
+    is not stepped, but its field gets the same finite check.  A numeric
+    abort fills the abort block, logs the last valid state if its field is
+    finite, and writes a manifest before the error propagates.  Returns a
+    summary dict (also serialized into the manifest).
     """
     started = time.perf_counter()
     if bundle is None or bundle.gamma is None:
@@ -201,14 +206,16 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
         for step in range(cfg.steps + 1 if cfg.steps > 0 else 0):
             velocity = update_field(ensemble, target, mirror_map, kernel)
             stepped = ensemble
-            if step < cfg.steps:
-                try:
+            try:
+                if step < cfg.steps:
                     stepped = msvgd_step(ensemble, velocity, gamma, mirror_map)
-                except NumericsError as exc:
-                    abort = {"step": exc.step, "particle": exc.particle, "message": str(exc)}
-                    if np.isfinite(velocity).all():
-                        snapshot(ensemble, velocity)
-                    raise
+                else:
+                    _require_finite_field(ensemble, velocity)
+            except NumericsError as exc:
+                abort = {"step": exc.step, "particle": exc.particle, "message": str(exc)}
+                if np.isfinite(velocity).all():
+                    snapshot(ensemble, velocity)
+                raise
             if step % cfg.cadence == 0 or step == cfg.steps:
                 snapshot(ensemble, velocity)
             ensemble = stepped

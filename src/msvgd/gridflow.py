@@ -12,6 +12,14 @@ once; the same field gives that state's KL, Stein-Fisher and growth record
 and then pushes the state forward.  descent_check reads those records and
 never rebuilds a flow or a field.
 
+The field is a handful of kernel-matrix products over the nodes, and one
+kernel operator performs them.  When the kernel is translation invariant and
+the primal nodes are the grid itself (the euclidean map), every kernel matrix
+is (block-)Toeplitz, so the operator applies it as a zero-padded FFT
+convolution with the kernel sampled at the node lags.  Otherwise it uses
+explicit gram blocks.  The pushforward inverts x - gamma * g by Newton's
+method.
+
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
 start, so linear-space storage would underflow to exact zeros and poison the
@@ -37,8 +45,13 @@ TAIL_DROP_NATS = 45.0
 # nodes whose density sits this far (nats) below the peak are excluded from
 # finite differences in the primal chart, where the grid spacing collapses
 PRIMAL_FD_DROP_NATS = 40.0
-# precompute the kernel matrices over the grid when they fit in memory
+# precompute the dense kernel matrices over the grid when they fit in memory
 PRECOMPUTE_BYTES = 700_000_000
+# matrix entries per column block when the dense path streams instead
+STREAM_BLOCK_ENTRIES = 1 << 23
+# pushforward inverse: Newton rounds and the residual it must reach
+NEWTON_ROUNDS = 80
+NEWTON_TOL = 1e-12
 
 G_FORMS = ("score", "dual", "primal")
 
@@ -98,10 +111,6 @@ class Grid:
             return parts[0]
         return np.outer(parts[0], parts[1]).ravel()
 
-    def refined(self) -> "Grid":
-        """Same box with the spacing halved (for quadrature sanity checks)."""
-        return Grid(tuple(np.linspace(a[0], a[-1], 2 * a.size - 1) for a in self.axes))
-
 
 def _boundary_mask(shape: tuple) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
@@ -159,16 +168,6 @@ class GridDensity:
             raise DomainError("log density must be finite or -inf")
         self.grid = grid
         self.log_density = log_density
-
-    @classmethod
-    def from_density(cls, grid: Grid, density: np.ndarray) -> "GridDensity":
-        density = np.asarray(density, dtype=float).ravel()
-        if np.any(density <= 0.0):
-            node = int(np.argmin(density))
-            raise DomainError(
-                f"density is not positive at node {node}; its log is undefined there"
-            )
-        return cls(grid, np.log(density))
 
     @property
     def density(self) -> np.ndarray:
@@ -377,6 +376,128 @@ class FieldOnGrid:
 
 
 # ---------------------------------------------------------------------------
+# kernel operators
+#
+# g_field needs four products of the kernel matrices over the primal nodes
+# theta, with K[i, j] = k(theta_i, theta_j), K1 = grad1 k and K12 = grad12 k:
+#
+#   vals[j]        = sum_i K[i, j] q[i] + sum_{i,e} K1[i, j, e] u[i, :, e]
+#   dvals[j, :, c] = sum_i K1[j, i, c] q[i] + sum_{i,e} K12[i, j, e, c] u[i, :, e]
+#
+# dvals is the derivative of vals in the evaluation slot theta_j.  The u
+# terms belong to the "score" form only; apply(q, None) skips them.
+
+
+class _DenseKernelOperator:
+    """The products against explicit gram blocks between the nodes.
+
+    The blocks are precomputed when they fit in PRECOMPUTE_BYTES, since the
+    nodes never move; otherwise every product streams over column blocks.
+    """
+
+    def __init__(self, kernel, theta: np.ndarray):
+        self.kernel = kernel
+        self.theta = theta
+        size, d = theta.shape
+        self._precomputed = size * size * (1 + d + d * d) * 8 <= PRECOMPUTE_BYTES
+        if self._precomputed:
+            self._K = kernel.gram(theta, theta)
+            self._K1 = kernel.grad1_gram(theta, theta)
+            self._K12 = kernel.grad12_gram(theta, theta)
+
+    def _blocks(self, cols: slice):
+        """Kernel matrices between all nodes (rows) and a column block: the
+        gram block, the first-slot gradient, the same gradient with the block
+        in the first slot (the evaluation-side derivative, by symmetry of the
+        kernel), and the mixed second derivative."""
+        if self._precomputed:
+            return self._K[:, cols], self._K1[:, cols], self._K1[cols], self._K12[:, cols]
+        theta_c = self.theta[cols]
+        return (
+            self.kernel.gram(self.theta, theta_c),
+            self.kernel.grad1_gram(self.theta, theta_c),
+            self.kernel.grad1_gram(theta_c, self.theta),
+            self.kernel.grad12_gram(self.theta, theta_c),
+        )
+
+    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
+        size, d = self.theta.shape
+        block = size if self._precomputed else max(1, STREAM_BLOCK_ENTRIES // size)
+        vals = np.empty((size, d))
+        dvals = np.empty((size, d, d))
+        for start in range(0, size, block):
+            cols = slice(start, min(start + block, size))
+            K, K1, K1rev, K12 = self._blocks(cols)
+            v = K.T @ q
+            dv = np.stack([K1rev[:, :, c] @ q for c in range(d)], axis=2)
+            if u is not None:
+                for e in range(d):
+                    v += K1[:, :, e].T @ u[:, :, e]
+                    for c in range(d):
+                        dv[:, :, c] += K12[:, :, e, c].T @ u[:, :, e]
+            vals[cols] = v
+            dvals[cols] = dv
+        return vals, dvals
+
+
+class _LatticeKernelOperator:
+    """The same products for a translation-invariant kernel whose nodes are
+    the grid's own nodes.
+
+    Entry (i, j) of each kernel matrix then depends only on the lag between
+    nodes i and j, so each product is a linear convolution of node values
+    with the kernel sampled at the 2n - 1 lags of every axis.  The operator
+    evaluates the kernel's own gram, grad1_gram and grad12_gram at the lag
+    points against the origin, keeps their spectra, and applies them by
+    zero-padded FFTs over the grid's shape.  No node-by-node array exists.
+    """
+
+    def __init__(self, kernel, grid: Grid):
+        self._shape = grid.shape
+        self._axes = tuple(range(grid.dim))
+        # a linear convolution of n values with 2n - 1 lags needs 2n - 1 points
+        self._fft_shape = tuple(1 << (2 * n - 2).bit_length() for n in self._shape)
+        self._window = tuple(slice(n - 1, 2 * n - 1) for n in self._shape)
+        # the spacing as linspace computes it, not a[1] - a[0], which loses
+        # the digits of a[0]
+        lag_axes = [np.arange(1 - a.size, a.size) * ((a[-1] - a[0]) / (a.size - 1))
+                    for a in grid.axes]
+        mesh = np.meshgrid(*lag_axes, indexing="ij")
+        lags = np.stack([m.ravel() for m in mesh], axis=1)
+        origin = np.zeros((1, grid.dim))
+        lag_shape = tuple(2 * n - 1 for n in self._shape)
+        k = kernel.gram(lags, origin).reshape(lag_shape)
+        k1 = kernel.grad1_gram(lags, origin).reshape(lag_shape + (grid.dim,))
+        k12 = kernel.grad12_gram(lags, origin).reshape(lag_shape + (grid.dim, grid.dim))
+        # K[i, j] = k(theta_i - theta_j, 0) sits at lag -(j - i): the products
+        # that sum over the first slot convolve with the reflected samples
+        flip = (slice(None, None, -1),) * grid.dim
+        self._K = self._spectrum(k[flip])
+        self._K1 = self._spectrum(k1[flip])
+        self._K1rev = self._spectrum(k1)
+        self._K12 = self._spectrum(k12[flip])
+
+    def _spectrum(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(values, s=self._fft_shape, axes=self._axes)
+
+    def _convolved(self, spectrum: np.ndarray) -> np.ndarray:
+        full = np.fft.irfftn(spectrum, s=self._fft_shape, axes=self._axes)
+        return full[self._window]
+
+    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
+        size, d = q.shape
+        Q = self._spectrum(q.reshape(self._shape + (d,)))
+        V = self._K[..., None] * Q
+        DV = Q[..., :, None] * self._K1rev[..., None, :]
+        if u is not None:
+            U = self._spectrum(u.reshape(self._shape + (d, d)))
+            V += np.einsum("...e,...de->...d", self._K1, U)
+            DV += np.einsum("...ec,...de->...dc", self._K12, U)
+        return (self._convolved(V).reshape(size, d),
+                self._convolved(DV).reshape(size, d, d))
+
+
+# ---------------------------------------------------------------------------
 # the flow
 
 
@@ -384,9 +505,11 @@ class MirroredFlow:
     """Quadrature-side mirrored flow for one (target, kernel) pair.
 
     The target must expose the dual potential and its gradient plus the
-    primal-chart pieces (a MirroredTarget does).  Kernel cross matrices over
-    the grid are precomputed when they fit in memory, since the grid never
-    moves; otherwise field evaluations stream over column blocks.
+    primal-chart pieces (a MirroredTarget does).  The kernel products of the
+    field go through one kernel operator, built once since the grid never
+    moves: FFT convolutions when the kernel is translation invariant and the
+    primal nodes are the grid nodes, else gram blocks precomputed when they
+    fit in memory and streamed over column blocks when they do not.
     """
 
     def __init__(self, mirrored: MirroredTarget, kernel, grid: Grid | None = None,
@@ -420,13 +543,10 @@ class MirroredFlow:
         # the particle engine averages
         self.operand = np.einsum("nde,ne->nd", self.hinv, self.primal_score) + self.div_hinv
 
-        d = self.grid.dim
-        need = self.grid.size * self.grid.size * (1 + d + d * d) * 8
-        self._precomputed = need <= PRECOMPUTE_BYTES
-        if self._precomputed:
-            self._K = kernel.gram(self.theta, self.theta)
-            self._K1 = kernel.grad1_gram(self.theta, self.theta)
-            self._K12 = kernel.grad12_gram(self.theta, self.theta)
+        if kernel.translation_invariant and np.array_equal(self.theta, x):
+            self.kernel_operator = _LatticeKernelOperator(kernel, self.grid)
+        else:
+            self.kernel_operator = _DenseKernelOperator(kernel, self.theta)
 
     # -- densities ----------------------------------------------------------
 
@@ -443,26 +563,6 @@ class MirroredFlow:
 
     # -- field --------------------------------------------------------------
 
-    def _blocks(self, cols: slice):
-        """Kernel matrices between all nodes (rows) and a column block: the
-        gram block, the first-slot gradient, the same gradient with the block
-        in the first slot (the evaluation-side derivative, by symmetry of the
-        kernel), and the mixed second derivative."""
-        if self._precomputed:
-            return self._K[:, cols], self._K1[:, cols], self._K1[cols], self._K12[:, cols]
-        theta_c = self.theta[cols]
-        return (
-            self.kernel.gram(self.theta, theta_c),
-            self.kernel.grad1_gram(self.theta, theta_c),
-            self.kernel.grad1_gram(theta_c, self.theta),
-            self.kernel.grad12_gram(self.theta, theta_c),
-        )
-
-    def _block_size(self) -> int:
-        if self._precomputed:
-            return self.grid.size
-        return max(1, (1 << 23) // max(self.grid.size, 1))
-
     def g_field(self, density: GridDensity, form: str = "score") -> FieldOnGrid:
         """Kernel-smoothed score difference on the grid, with exact nodal
         derivatives for the pushforward Jacobian.
@@ -475,7 +575,6 @@ class MirroredFlow:
         """
         if form not in G_FORMS:
             raise ConfigError(f"unknown g form {form!r}; expected one of {G_FORMS}")
-        grid, d = self.grid, self.grid.dim
         wrho = self.weights * density.density
 
         if form == "score":
@@ -484,27 +583,12 @@ class MirroredFlow:
             op, sign = self.dual_score_ratio(density), 1.0
         else:
             op, sign = self._primal_operand(density), 1.0
-        q = wrho[:, None] * op                      # (P, d)
-        u = wrho[:, None, None] * self.hinv         # (P, d, d), score form only
-
-        values = np.empty((grid.size, d))
-        derivs = np.empty((grid.size, d, d))
-        block = self._block_size()
-        for start in range(0, grid.size, block):
-            cols = slice(start, min(start + block, grid.size))
-            K, K1, K1rev, K12 = self._blocks(cols)
-            # value at column j: sum_i K[i,j] q[i] (+ kernel-gradient term)
-            vals = K.T @ q
-            # derivative wrt the evaluation slot, before the chart chain rule
-            dvals = np.stack([K1rev[:, :, c] @ q for c in range(d)], axis=2)
-            if form == "score":
-                for e in range(d):
-                    vals += K1[:, :, e].T @ u[:, :, e]
-                    for c in range(d):
-                        dvals[:, :, c] += K12[:, :, e, c].T @ u[:, :, e]
-            values[cols] = sign * vals
-            derivs[cols] = sign * np.einsum("jdc,jcf->jdf", dvals, self.hinv[cols])
-        return FieldOnGrid(grid, values, derivs)
+        q = wrho[:, None] * op                                        # (P, d)
+        u = wrho[:, None, None] * self.hinv if form == "score" else None  # (P, d, d)
+        vals, dvals = self.kernel_operator.apply(q, u)
+        # dvals differentiates in the primal evaluation slot: chain rule to dual
+        derivs = sign * np.einsum("jdc,jcf->jdf", dvals, self.hinv)
+        return FieldOnGrid(self.grid, sign * vals, derivs)
 
     def _primal_operand(self, density: GridDensity) -> np.ndarray:
         if self.grid.dim != 1:
@@ -555,19 +639,6 @@ class MirroredFlow:
         wrho = self.weights * density.density
         return float(np.einsum("n,nd,nd->", wrho, field.values, ratio))
 
-    def stein_fisher_double(self, density: GridDensity) -> float:
-        """The same value as an explicit double integral of the kernel
-        against both score ratios (the definition-shaped estimate)."""
-        ratio = self.dual_score_ratio(density)
-        q = (self.weights * density.density)[:, None] * ratio
-        total = 0.0
-        block = self._block_size()
-        for start in range(0, self.grid.size, block):
-            cols = slice(start, min(start + block, self.grid.size))
-            K = self._blocks(cols)[0]
-            total += float(np.einsum("id,ij,jd->", q, K, q[cols]))
-        return total
-
     # -- stepping -------------------------------------------------------------
 
     def run(self, gamma: float, steps: int, density: GridDensity | None = None,
@@ -607,9 +678,14 @@ class MirroredFlow:
 def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> GridDensity:
     """Push the density through x - gamma * field(x) by change of variables.
 
-    The map must stay injective: gamma times the largest nodal field stretch
-    below one.  gamma = 0 returns the density unchanged, bit for bit.
+    The field must be finite and the map injective: gamma times the largest
+    nodal field stretch below one.  gamma = 0 returns the density unchanged,
+    bit for bit.
     """
+    finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise NumericsError(f"non-finite field at node {node}", particle=node)
     if gamma == 0.0:
         return density
     grid = density.grid
@@ -620,7 +696,7 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
             f"{gamma * stretch:.6g} at node {node}",
             particle=node,
         )
-    inverse = _invert_1d(grid, field, gamma) if grid.dim == 1 else _invert_2d(grid, field, gamma)
+    inverse = _invert(grid, field, gamma)
     jac = np.eye(grid.dim) - gamma * field.jacobian(inverse)
     if grid.dim == 1:
         det = jac[:, 0, 0]
@@ -639,34 +715,42 @@ def _interp_log_density(density: GridDensity, points: np.ndarray) -> np.ndarray:
     return _bilinear(grid, density.log_density, points)
 
 
-def _invert_1d(grid: Grid, field: FieldOnGrid, gamma: float) -> np.ndarray:
-    targets = grid.nodes()[:, 0]
-    reach = abs(gamma) * float(np.max(np.abs(field.values))) + 1.0
-    lo = np.full_like(targets, grid.axes[0][0] - reach)
-    hi = np.full_like(targets, grid.axes[0][-1] + reach)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        too_low = mid - gamma * field(mid[:, None])[:, 0] < targets
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        if float(np.max(hi - lo)) <= 1e-12:
-            break
-    return (0.5 * (lo + hi))[:, None]
+def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> np.ndarray:
+    """Solve y - gamma * field(y) = x at every node x by Newton's method.
 
-
-def _invert_2d(grid: Grid, field: FieldOnGrid, gamma: float) -> np.ndarray:
+    1D starts from linear interpolation of the nodes over the forward map at
+    the nodes; 2D starts at the nodes.  Every residual must reach NEWTON_TOL
+    within NEWTON_ROUNDS steps, or the worst node is named in a NumericsError.
+    """
     targets = grid.nodes()
-    y = targets.copy()
-    for _ in range(80):
+    if grid.dim == 1:
+        x = targets[:, 0]
+        y = np.interp(x, x - gamma * field.values[:, 0], x)[:, None]
+    else:
+        y = targets.copy()
+    for rounds in range(NEWTON_ROUNDS + 1):
         residual = y - gamma * field(y) - targets
-        if float(np.max(np.abs(residual))) <= 1e-12:
-            break
-        jac = np.eye(2) - gamma * field.jacobian(y)
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        step0 = (jac[:, 1, 1] * residual[:, 0] - jac[:, 0, 1] * residual[:, 1]) / det
-        step1 = (-jac[:, 1, 0] * residual[:, 0] + jac[:, 0, 0] * residual[:, 1]) / det
-        y = y - np.stack([step0, step1], axis=1)
-    return y
+        worst = np.max(np.abs(residual), axis=1)
+        if float(np.max(worst)) <= NEWTON_TOL:
+            return y
+        if rounds < NEWTON_ROUNDS:
+            y = y - _solve_small(np.eye(grid.dim) - gamma * field.jacobian(y), residual)
+    node = int(np.argmax(worst))
+    raise NumericsError(
+        f"pushforward inverse did not converge in {NEWTON_ROUNDS} Newton rounds: "
+        f"residual {worst[node]:.3g} at node {node}",
+        particle=node,
+    )
+
+
+def _solve_small(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per-node solutions of jac @ step = rhs for 1x1 or 2x2 systems."""
+    if jac.shape[1] == 1:
+        return rhs / jac[:, 0]
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    step0 = (jac[:, 1, 1] * rhs[:, 0] - jac[:, 0, 1] * rhs[:, 1]) / det
+    step1 = (-jac[:, 1, 0] * rhs[:, 0] + jac[:, 0, 0] * rhs[:, 1]) / det
+    return np.stack([step0, step1], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ grad1_gram and grad12_gram. grad1 differentiates the first argument slot;
 grad12 is the matrix of cross second derivatives d^2 k / dtheta_i dtheta'_j.
 bounds() returns (b1, b2) with sup k(t, t) <= b1^2 and the cross second
 derivative bounded by b2^2; these two constants feed every step-size bound.
+translation_invariant marks kernels with k(a, b) = k(a - b, 0), whose gram
+blocks over a uniform lattice are Toeplitz.
 """
 
 import numpy as np
@@ -15,6 +17,7 @@ from .errors import ConfigError
 
 class Kernel:
     adaptive = False  # True when the engine must refresh state each step
+    translation_invariant = False
 
     def gram(self, X, Y):
         raise NotImplementedError
@@ -36,6 +39,8 @@ def _sq_dists(X, Y):
 
 class _RadialKernel(Kernel):
     """Kernel of the form k(a, b) = f(||a - b||^2)."""
+
+    translation_invariant = True
 
     def _f(self, t):
         raise NotImplementedError
@@ -176,6 +181,10 @@ class RescaledKernel(Kernel):
     @property
     def adaptive(self):
         return self.inner.adaptive
+
+    @property
+    def translation_invariant(self):
+        return self.inner.translation_invariant
 
     def gram(self, X, Y):
         return self.inner.gram(X / self.scale, Y / self.scale)

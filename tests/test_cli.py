@@ -116,6 +116,21 @@ class TestRunCommand:
         assert summary["abort"]["particle"] is not None
         assert summary["logged_steps"] == [0]
 
+    def test_non_finite_final_field_fills_the_abort_block(self, tmp_path, capsys):
+        # One step: the blow-up lands on the final state, which no step
+        # follows; its field still gets the finite check.
+        cfg = dict(QUARTIC_SMALL, gamma=1e150, steps=1, particles=20)
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps(cfg))
+        code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "non-finite velocity for particle" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "o" / "manifest.json").read_text())["summary"]
+        assert summary["abort"]["message"].startswith("non-finite velocity for particle")
+        assert summary["abort"]["step"] == 1
+        assert summary["abort"]["particle"] is not None
+        assert summary["logged_steps"] == [0]
+
     @pytest.mark.parametrize("kernel, target, path", [
         ({"kernel": "rbf", "kernel_params": {"bandwidth": float("inf")}}, {},
          "kernel_params.bandwidth"),

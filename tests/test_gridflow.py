@@ -1,12 +1,16 @@
 """Quadrature-flow checks: finite differences against known stencils, KL
 against closed-form Gaussian values, the fixed point of the flow, agreement
-of the three field formulas, pushforward identities, and the descent report
-in both step-size regimes."""
+of the three field formulas, the lattice kernel operator against dense gram
+blocks, pushforward identities, and the descent report in both step-size
+regimes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msvgd import gridflow, theory
 from msvgd.errors import ConfigError, DomainError, NumericsError
@@ -25,7 +29,7 @@ from msvgd.gridflow import (
     pushforward_step,
     standard_normal_density,
 )
-from msvgd.kernels import IMQKernel, make_kernel
+from msvgd.kernels import IMQKernel, RBFKernel, RescaledKernel, make_kernel
 from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
 from msvgd.targets import Dirichlet, MirroredPowerLaw, MirroredTarget, smoothness_profile
 
@@ -67,6 +71,57 @@ class WindowedGaussian(GaussianDual):
 def dual_reference(grid, target):
     """The target's dual density, normalized on the grid."""
     return GridDensity(grid, -target.potential(grid.nodes())).renormalized()
+
+
+# ---------------------------------------------------------------------------
+# oracles: plain constructions the library does not need itself
+
+
+def refined(grid):
+    """Same box with the spacing halved (for quadrature sanity checks)."""
+    return Grid(tuple(np.linspace(a[0], a[-1], 2 * a.size - 1) for a in grid.axes))
+
+
+def density_from_values(grid, density):
+    """GridDensity from linear-space values, refusing non-positive ones."""
+    density = np.asarray(density, dtype=float).ravel()
+    if np.any(density <= 0.0):
+        node = int(np.argmin(density))
+        raise DomainError(f"density is not positive at node {node}; its log is undefined there")
+    return GridDensity(grid, np.log(density))
+
+
+def stein_fisher_double(flow, density):
+    """The Stein-Fisher value as an explicit double integral of the full
+    gram matrix against both dual score ratios (the definition-shaped
+    estimate)."""
+    ratio = flow.dual_score_ratio(density)
+    q = (flow.weights * density.density)[:, None] * ratio
+    K = flow.kernel.gram(flow.theta, flow.theta)
+    return float(np.einsum("id,ij,jd->", q, K, q))
+
+
+def invert_by_bisection(grid, field, gamma):
+    """Solve y - gamma * field(y) = x at every 1D node x by 200 rounds of
+    bisection on a bracket that must contain the root."""
+    targets = grid.nodes()[:, 0]
+    reach = abs(gamma) * float(np.max(np.abs(field.values))) + 1.0
+    lo = np.full_like(targets, grid.axes[0][0] - reach)
+    hi = np.full_like(targets, grid.axes[0][-1] + reach)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        too_low = mid - gamma * field(mid[:, None])[:, 0] < targets
+        lo = np.where(too_low, mid, lo)
+        hi = np.where(too_low, hi, mid)
+        if float(np.max(hi - lo)) <= 1e-12:
+            break
+    return (0.5 * (lo + hi))[:, None]
+
+
+def with_dense_operator(flow):
+    """The same flow with its kernel products on explicit gram blocks."""
+    flow.kernel_operator = gridflow._DenseKernelOperator(flow.kernel, flow.theta)
+    return flow
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +209,7 @@ class TestGridDensity:
         vals = np.ones(16)
         vals[7] = 0.0
         with pytest.raises(DomainError, match="node 7"):
-            GridDensity.from_density(grid, vals)
+            density_from_values(grid, vals)
 
     def test_rejects_nan_and_plus_inf(self):
         grid = Grid((np.linspace(-1.0, 1.0, 16),))
@@ -174,7 +229,7 @@ class TestGridDensity:
 
     def test_refined_grid_halves_spacing(self):
         grid = Grid((np.linspace(-2.0, 2.0, 9),))
-        fine = grid.refined()
+        fine = refined(grid)
         assert fine.shape == (17,)
         assert fine.spacing[0] == pytest.approx(grid.spacing[0] / 2.0)
         assert fine.axes[0][0] == grid.axes[0][0]
@@ -301,7 +356,7 @@ class TestSteinFisher:
         for rec in out["records"][::2]:
             density = rec["density"]
             pairing = flow.stein_fisher(density)
-            double = flow.stein_fisher_double(density)
+            double = stein_fisher_double(flow, density)
             assert pairing == pytest.approx(double, rel=1e-6, abs=1e-12)
 
     def test_nonnegative_on_perturbed_densities(self, rng):
@@ -310,7 +365,7 @@ class TestSteinFisher:
         for _ in range(5):
             bump = 0.1 * rng.standard_normal() * np.sin(x * rng.uniform(0.3, 1.5))
             density = GridDensity(flow.grid, -0.5 * x * x + bump).renormalized()
-            assert flow.stein_fisher_double(density) >= -1e-12
+            assert stein_fisher_double(flow, density) >= -1e-12
 
     def test_flow_on_given_grid_matches_own_grid(self):
         target = quartic_target()
@@ -337,6 +392,82 @@ class TestSteinFisher:
             field = update_field(ens, target.base, target.map, kernel)
             vals.append(stein_fisher_particles(ens, target.base, target.map, kernel, field))
         assert np.mean(vals) == pytest.approx(quad, rel=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the kernel operator
+
+
+def _assert_fields_close(fast, reference, rel=1e-13):
+    for a, b in ((fast.values, reference.values), (fast.derivs, reference.derivs)):
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+class TestKernelOperator:
+    def test_operator_choice(self):
+        lattice = MirroredFlow(quartic_target(), IMQKernel(), nodes=64, halfwidth=4.0)
+        assert isinstance(lattice.kernel_operator, gridflow._LatticeKernelOperator)
+        simplex = MirroredFlow(dirichlet_target(), IMQKernel(), nodes=64)
+        assert isinstance(simplex.kernel_operator, gridflow._DenseKernelOperator)
+        # dual-imq is not flagged translation invariant, even on the euclidean map
+        dual_imq = make_kernel("dual-imq", mirror_map=EuclideanMap(1))
+        dual = MirroredFlow(quartic_target(), dual_imq, nodes=64, halfwidth=4.0)
+        assert isinstance(dual.kernel_operator, gridflow._DenseKernelOperator)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.one_of(st.tuples(st.integers(8, 64)),
+                        st.tuples(st.integers(8, 20), st.integers(8, 20))),
+        halfwidths=st.tuples(st.floats(2.0, 8.0), st.floats(2.0, 8.0)),
+        kernel_name=st.sampled_from(["imq", "rbf", "rescaled-imq"]),
+        width=st.floats(0.5, 3.0),
+        mean=st.floats(-1.0, 1.0),
+        scale=st.floats(1.0, 2.0),
+    )
+    def test_lattice_matches_dense_blocks(self, shape, halfwidths, kernel_name, width,
+                                          mean, scale):
+        kernel = {"imq": IMQKernel(c=width), "rbf": RBFKernel(bandwidth=width),
+                  "rescaled-imq": RescaledKernel(IMQKernel(), width)}[kernel_name]
+        dim = len(shape)
+        grid = Grid(tuple(np.linspace(-h, h, n) for n, h in zip(shape, halfwidths)))
+        target = MirroredTarget(MirroredPowerLaw(4.0, dim=dim), EuclideanMap(dim))
+        flow = MirroredFlow(target, kernel, grid=grid)
+        assert isinstance(flow.kernel_operator, gridflow._LatticeKernelOperator)
+        x = grid.nodes()
+        density = GridDensity(grid, -0.5 * np.sum((x - mean) ** 2, axis=1) / scale**2)
+        forms = gridflow.G_FORMS if dim == 1 else ("score", "dual")
+        lattice = [flow.g_field(density, form=form) for form in forms]
+        with_dense_operator(flow)
+        for form, fast in zip(forms, lattice):
+            _assert_fields_close(fast, flow.g_field(density, form=form))
+
+    @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
+    def test_streaming_matches_precomputed(self, monkeypatch, conc, nodes):
+        flow = MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes)
+        assert isinstance(flow.kernel_operator, gridflow._DenseKernelOperator)
+        assert flow.kernel_operator._precomputed
+        density = flow.initial_density()
+        forms = gridflow.G_FORMS if flow.grid.dim == 1 else ("score", "dual")
+        precomputed = [flow.g_field(density, form=form) for form in forms]
+        # five columns per block, so the last block is a partial one
+        monkeypatch.setattr(gridflow, "PRECOMPUTE_BYTES", 0)
+        monkeypatch.setattr(gridflow, "STREAM_BLOCK_ENTRIES", 5 * flow.grid.size)
+        with_dense_operator(flow)
+        assert not flow.kernel_operator._precomputed
+        for form, reference in zip(forms, precomputed):
+            _assert_fields_close(flow.g_field(density, form=form), reference)
+
+    def test_lattice_flow_builds_no_node_by_node_array(self):
+        tracemalloc.start()
+        try:
+            flow = MirroredFlow(quartic_target(), IMQKernel())
+            flow.run(gamma=1e-3, steps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert flow.grid.size == 4096
+        # one dense 4096 x 4096 gram matrix alone is 134 MB
+        assert peak < 32e6
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +510,48 @@ class TestPushforward:
         s = 1.0 - gamma
         expected = np.exp(-0.5 * (x[:, 0] / s) ** 2) / (s * math.sqrt(2 * math.pi))
         assert np.max(np.abs(moved.density - expected)) <= 1e-7
+
+    @pytest.mark.parametrize("fraction", [1e-3, 0.5, 0.9])
+    def test_newton_inverse_matches_bisection(self, fraction):
+        flow = MirroredFlow(quartic_target(), IMQKernel())
+        field = flow.g_field(flow.initial_density())
+        stretch, _ = field.max_stretch()
+        gamma = fraction / stretch
+        newton = gridflow._invert(flow.grid, field, gamma)
+        bisection = invert_by_bisection(flow.grid, field, gamma)
+        assert np.max(np.abs(newton - bisection)) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(16,), (16, 16)])
+    @pytest.mark.parametrize("part", ["values", "derivs"])
+    def test_non_finite_field_is_a_numeric_abort(self, shape, part):
+        grid = Grid(tuple(np.linspace(-4.0, 4.0, n) for n in shape))
+        arrays = {"values": np.zeros((grid.size, grid.dim)),
+                  "derivs": np.zeros((grid.size, grid.dim, grid.dim))}
+        arrays[part][5] = np.nan
+        field = FieldOnGrid(grid, arrays["values"], arrays["derivs"])
+        with pytest.raises(NumericsError, match="non-finite field at node 5") as info:
+            pushforward_step(standard_normal_density(grid), field, 0.1)
+        assert info.value.particle == 5
+
+    def test_unconverged_2d_inverse_names_worst_node(self):
+        # zero nodal derivatives make the bilinear Jacobian zero, so Newton
+        # degrades to a fixed-point iteration contracting only by 0.9
+        grid = Grid((np.linspace(-4.0, 4.0, 16), np.linspace(-4.0, 4.0, 16)))
+        field = FieldOnGrid(grid, grid.nodes().copy(), np.zeros((grid.size, 2, 2)))
+        with pytest.raises(NumericsError, match="did not converge") as info:
+            pushforward_step(standard_normal_density(grid), field, 0.9)
+        assert f"at node {info.value.particle}" in str(info.value)
+
+    def test_unconverged_1d_inverse_names_worst_node(self, monkeypatch):
+        grid = Grid((np.linspace(-4.0, 4.0, 64),))
+        x = grid.nodes()[:, 0]
+        field = FieldOnGrid(grid, 0.9 * np.sin(x)[:, None], 0.9 * np.cos(x)[:, None, None])
+        density = standard_normal_density(grid)
+        pushforward_step(density, field, 1.0)
+        monkeypatch.setattr(gridflow, "NEWTON_ROUNDS", 1)
+        with pytest.raises(NumericsError, match="in 1 Newton rounds") as info:
+            pushforward_step(density, field, 1.0)
+        assert f"at node {info.value.particle}" in str(info.value)
 
     def test_mass_preserved_2d(self):
         grid = Grid((np.linspace(-5.0, 5.0, 48), np.linspace(-5.0, 5.0, 48)))
@@ -456,7 +629,7 @@ class TestFlowRuns:
         target = quartic_target()
         kernel = IMQKernel()
         coarse = MirroredFlow(target, kernel)
-        fine = MirroredFlow(target, kernel, grid=coarse.grid.refined())
+        fine = MirroredFlow(target, kernel, grid=refined(coarse.grid))
         gamma = 1e-3
         out_c = coarse.run(gamma, steps=3)
         out_f = fine.run(gamma, steps=3)
