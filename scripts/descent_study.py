@@ -35,13 +35,14 @@ def main() -> int:
     flow = MirroredFlow(bundle.mirrored, bundle.kernel,
                         nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     print(f"base step size: {bundle.gamma:.6g} ({bundle.gamma_mode})")
+    certificate = bundle.certified()
 
     rows = []
     for mult in args.multipliers:
         gamma = mult * bundle.gamma
         try:
             out = flow.run(gamma, args.steps)
-            report = descent_check(flow, out["records"], gamma, profile=bundle.profile)
+            report = descent_check(flow, out["records"], gamma, certificate=certificate)
             row = {
                 "multiplier": mult,
                 "gamma": gamma,

@@ -35,14 +35,12 @@ def main() -> int:
     bundle = build_runtime(cfg)
 
     ens = init_ensemble(cfg.particles, bundle.dim, bundle.mirror_map, cfg.seed)
-    velocity = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
-    fisher0 = stein_fisher_particles(ens, bundle.target, bundle.mirror_map,
-                                     bundle.kernel, velocity)
+    field = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
+    fisher0 = stein_fisher_particles(ens, bundle.kernel, field)
     for _ in range(cfg.steps):
-        ens = msvgd_step(ens, velocity, bundle.gamma, bundle.mirror_map)
-        velocity = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
-    fisher1 = stein_fisher_particles(ens, bundle.target, bundle.mirror_map,
-                                     bundle.kernel, velocity)
+        ens = msvgd_step(ens, field, bundle.gamma, bundle.mirror_map)
+        field = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
+    fisher1 = stein_fisher_particles(ens, bundle.kernel, field)
 
     conc = np.asarray(cfg.target_params["concentration"], dtype=float)
     analytic = conc[:-1] / conc.sum()

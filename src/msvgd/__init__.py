@@ -17,7 +17,13 @@ from .targets import (
     make_target,
     smoothness_profile,
 )
-from .theory import SmoothnessProfile, step_size_bound, stein_fisher_particles
+from .theory import (
+    Certificate,
+    SmoothnessProfile,
+    certify,
+    step_size_bound,
+    stein_fisher_particles,
+)
 
 __version__ = "0.1.0"
 
@@ -41,6 +47,8 @@ __all__ = [
     "make_target",
     "smoothness_profile",
     "SmoothnessProfile",
+    "Certificate",
+    "certify",
     "step_size_bound",
     "stein_fisher_particles",
     "__version__",

@@ -120,9 +120,9 @@ def _cmd_run(args) -> int:
 # verify
 
 
-def _verify_descent(flow, profile, gamma: float, steps: int) -> tuple:
+def _verify_descent(flow, certificate, gamma: float, steps: int) -> tuple:
     out = flow.run(gamma, steps)
-    report = descent_check(flow, out["records"], gamma, profile=profile)
+    report = descent_check(flow, out["records"], gamma, certificate=certificate)
     violations = [
         f"step {row['step']}: KL drop {row['kl_next'] - row['kl']:.6g} exceeds "
         f"bound {row['bound_rhs']:.6g}"
@@ -210,7 +210,7 @@ def _cmd_verify(args) -> int:
                         nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     started = time.perf_counter()
     if args.suite == "descent":
-        report, records, passed = _verify_descent(flow, bundle.profile, gamma, steps)
+        report, records, passed = _verify_descent(flow, bundle.certified(), gamma, steps)
     elif args.suite == "lemmas":
         report, records, passed = _verify_lemmas(flow, gamma, steps)
     else:
@@ -276,19 +276,15 @@ def _cmd_theory(args) -> int:
         )
     if args.lam is not None:
         profile = profile.with_values("user", lam=args.lam)
-    if profile.c_pi_p is None:
-        profile = profile.with_values(
-            "empirical", c_pi_p=theory.c_pi_p(bundle.mirrored, profile.p)
-        )
 
     dim = bundle.dim
     kernel_bounds = bundle.kernel.bounds()
     strong_convexity = bundle.mirror_map.strong_convexity
+    certificate = theory.certify(bundle.mirrored, profile, kernel_bounds, strong_convexity, dim)
+    profile = certificate.profile
+    kl0 = certificate.kl0_upper
+    gamma_general = certificate.fixed_cap
     w_p = theory.w_p_to_point_mass(profile.p, dim)
-    kl0 = theory.kl0_upper_bound(bundle.mirrored, profile, dim=dim)
-    gamma_general = theory.step_size_bound(
-        profile, kernel_bounds, strong_convexity, dim, kl0
-    )
     gamma_tp = None
     iters_tp = None
     if profile.lam is not None:

@@ -3,7 +3,8 @@
 A config file is a single flat JSON object.  load_config() rejects unknown
 keys by name, fills defaults, and performs every check that does not require
 running anything expensive; build_runtime() turns a validated config into the
-live objects a run needs (map, target, kernel, resolved step size).
+live objects a run needs (map, target, kernel, resolved step size, and for
+a "theorem" step size the certificate that prices it).
 """
 
 from __future__ import annotations
@@ -226,7 +227,12 @@ def apply_overrides(cfg: RunConfig, gamma=None, steps=None, seed=None, particles
 
 @dataclass
 class RuntimeBundle:
-    """Live objects for one run, with the step size fully resolved."""
+    """Live objects for one run, with the step size fully resolved.
+
+    ``profile`` holds the cataloged growth constants.  A resolved "theorem"
+    step size carries its ``certificate`` (the priced constants, with
+    ``c_pi_p`` filled in), and ``gamma`` is the certificate's fixed cap.
+    """
 
     config: RunConfig
     dim: int
@@ -237,7 +243,16 @@ class RuntimeBundle:
     profile: object
     gamma: float | None
     gamma_mode: str
-    kl0_upper: float | None = None
+    certificate: theory.Certificate | None = None
+
+    def certified(self) -> theory.Certificate | None:
+        """The certificate of a resolved "theorem" step size or, for an
+        explicit one, a certificate priced now from the cataloged profile;
+        None when there is no profile."""
+        if self.certificate is not None or self.profile is None:
+            return self.certificate
+        return theory.certify(self.mirrored, self.profile, self.kernel.bounds(),
+                              self.mirror_map.strong_convexity, self.dim)
 
 
 def _build_map(cfg: RunConfig, dim: int, target):
@@ -314,18 +329,7 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
                 f"available for dim <= 2 only (target has dim {dim})"
             )
 
-    gamma = None if gamma_mode == "theorem" else float(cfg.gamma)
-    kl0_upper = None
-    if gamma_mode == "theorem" and resolve_gamma:
-        if profile.c_pi_p is None:
-            moment = theory.c_pi_p(mirrored, profile.p)
-            profile = profile.with_values("empirical", c_pi_p=moment)
-        kl0_upper = theory.kl0_upper_bound(mirrored, profile, dim=dim)
-        gamma = theory.step_size_bound(
-            profile, kernel.bounds(), mirror_map.strong_convexity, dim, kl0_upper
-        )
-
-    return RuntimeBundle(
+    bundle = RuntimeBundle(
         config=cfg,
         dim=dim,
         mirror_map=mirror_map,
@@ -333,7 +337,10 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
         mirrored=mirrored,
         kernel=kernel,
         profile=profile,
-        gamma=gamma,
+        gamma=None if gamma_mode == "theorem" else float(cfg.gamma),
         gamma_mode=gamma_mode,
-        kl0_upper=kl0_upper,
     )
+    if gamma_mode == "theorem" and resolve_gamma:
+        bundle.certificate = bundle.certified()
+        bundle.gamma = bundle.certificate.fixed_cap
+    return bundle

@@ -5,8 +5,10 @@ constraint set, dual positions in the unconstrained space where the kernel
 update is applied.  A run builds one averaged kernel field per state
 (update_field) and uses it twice: msvgd_step moves the dual cloud along it
 and maps back through the conjugate gradient, so feasibility is automatic;
-then the state's Stein-Fisher snapshot reads it.  With the Euclidean map the
-whole scheme collapses to standard SVGD, which is the reduction the tests pin.
+then the state's Stein-Fisher snapshot reads it, together with the operand
+and inverse mirror Hessians the field was built from, so no score or mirror
+Hessian is evaluated twice per state.  With the Euclidean map the whole
+scheme collapses to standard SVGD, which is the reduction the tests pin.
 
 Reductions over the particle index use fixed-order einsum paths, so a fixed
 seed gives bit-identical trajectories.
@@ -67,7 +69,19 @@ def init_ensemble(particles: int, dim: int, mirror_map, seed: int) -> ParticleEn
     return ParticleEnsemble(primal=primal, dual=dual, step_index=0)
 
 
-def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> np.ndarray:
+@dataclass(frozen=True)
+class ParticleField:
+    """One state's update field and the per-particle values it was built
+    from: ``velocity`` (n, d) is the field at each particle, ``operand``
+    (n, d) the score-plus-divergence term Hinv(t_j) s(t_j) + div Hinv(t_j),
+    and ``hinv`` (n, d, d) the inverse mirror Hessians Hinv(t_j)."""
+
+    velocity: np.ndarray
+    operand: np.ndarray
+    hinv: np.ndarray
+
+
+def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> ParticleField:
     """Averaged dual-space velocity field evaluated at every particle.
 
     velocity[i] = (1/n) sum_j [ k(t_i, t_j) (Hinv(t_j) s(t_j) + div Hinv(t_j))
@@ -77,6 +91,8 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> np.n
     product-rule remainder of the kernel-smoothed divergence; together they
     make the field a pure average of certified primal primitives.  An
     adaptive kernel first refreshes its bandwidth from this primal cloud.
+    The returned field keeps the operand and Hinv it was built from, for
+    the state's Stein-Fisher snapshot.
     """
     theta = ensemble.primal
     n = theta.shape[0]
@@ -91,11 +107,11 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> np.n
     grad1 = kernel.grad1_gram(theta, theta)  # grad1[j, i] = d/dt_j k(t_j, t_i)
     drift = np.einsum("ij,jd->id", gram, operand)
     repulsion = np.einsum("jde,jie->id", hinv, grad1)
-    return (drift + repulsion) / float(n)
+    return ParticleField(velocity=(drift + repulsion) / float(n), operand=operand, hinv=hinv)
 
 
-def _require_finite_field(ensemble: ParticleEnsemble, velocity: np.ndarray) -> None:
-    finite = np.isfinite(velocity).all(axis=1)
+def _require_finite_field(ensemble: ParticleEnsemble, field: ParticleField) -> None:
+    finite = np.isfinite(field.velocity).all(axis=1)
     if not finite.all():
         particle = int(np.argmin(finite))
         raise NumericsError(
@@ -105,10 +121,10 @@ def _require_finite_field(ensemble: ParticleEnsemble, velocity: np.ndarray) -> N
         )
 
 
-def msvgd_step(ensemble: ParticleEnsemble, velocity: np.ndarray, gamma: float, mirror_map) -> ParticleEnsemble:
+def msvgd_step(ensemble: ParticleEnsemble, field: ParticleField, gamma: float, mirror_map) -> ParticleEnsemble:
     """One explicit step along the state's field (from update_field): move dual, map back."""
-    _require_finite_field(ensemble, velocity)
-    dual = ensemble.dual + gamma * velocity
+    _require_finite_field(ensemble, field)
+    dual = ensemble.dual + gamma * field.velocity
     try:
         primal = mirror_map.grad_psi_star(dual)
     except NumericsError as exc:
@@ -189,8 +205,8 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
     logged_sf = []
     abort = None
 
-    def snapshot(ens: ParticleEnsemble, velocity: np.ndarray) -> None:
-        sf = theory.stein_fisher_particles(ens, target, mirror_map, kernel, velocity)
+    def snapshot(ens: ParticleEnsemble, field: ParticleField) -> None:
+        sf = theory.stein_fisher_particles(ens, kernel, field)
         if bundle.profile is not None:
             an = theory.a_n(ens, bundle.mirrored, bundle.profile)
         else:
@@ -204,20 +220,20 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
 
     try:
         for step in range(cfg.steps + 1 if cfg.steps > 0 else 0):
-            velocity = update_field(ensemble, target, mirror_map, kernel)
+            field = update_field(ensemble, target, mirror_map, kernel)
             stepped = ensemble
             try:
                 if step < cfg.steps:
-                    stepped = msvgd_step(ensemble, velocity, gamma, mirror_map)
+                    stepped = msvgd_step(ensemble, field, gamma, mirror_map)
                 else:
-                    _require_finite_field(ensemble, velocity)
+                    _require_finite_field(ensemble, field)
             except NumericsError as exc:
                 abort = {"step": exc.step, "particle": exc.particle, "message": str(exc)}
-                if np.isfinite(velocity).all():
-                    snapshot(ensemble, velocity)
+                if np.isfinite(field.velocity).all():
+                    snapshot(ensemble, field)
                 raise
             if step % cfg.cadence == 0 or step == cfg.steps:
-                snapshot(ensemble, velocity)
+                snapshot(ensemble, field)
             ensemble = stepped
     finally:
         writer.close()
@@ -227,7 +243,7 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
             "dim": bundle.dim,
             "gamma": gamma,
             "gamma_mode": bundle.gamma_mode,
-            "kl0_upper": bundle.kl0_upper,
+            "kl0_upper": None if bundle.certificate is None else bundle.certificate.kl0_upper,
             "stein_fisher_first": logged_sf[0] if logged_sf else None,
             "stein_fisher_final": logged_sf[-1] if logged_sf else None,
             "logged_steps": list(writer.logged_steps),

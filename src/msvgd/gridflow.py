@@ -9,8 +9,9 @@ identities for g are checked here at quadrature accuracy, in d <= 2.
 
 There is one field per state.  MirroredFlow.run builds each state's field
 once; the same field gives that state's KL, Stein-Fisher and growth record
-and then pushes the state forward.  descent_check reads those records and
-never rebuilds a flow or a field.
+and then pushes the state forward.  descent_check reads those records, and
+the caps from a theory.Certificate priced beforehand; it never rebuilds a
+flow or a field and never prices a constant.
 
 The field is a handful of kernel-matrix products over the nodes, and one
 kernel operator performs them.  When the kernel is translation invariant and
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import theory
 from .errors import ConfigError, DomainError, NumericsError
 from .targets import MirroredTarget
 
@@ -366,12 +366,45 @@ class FieldOnGrid:
         return _bilinear(self.grid, self.derivs, points)
 
     def max_stretch(self) -> tuple:
-        """Largest nodal Jacobian magnitude (max row sum) and its node."""
-        if self.grid.dim == 1:
-            mags = np.abs(self.derivs[:, 0, 0])
-        else:
+        """Largest Jacobian magnitude (max row sum) of the interpolated field,
+        and the node nearest to where it is reached.
+
+        In 2D the Jacobian is a bilinear blend of the nodal Jacobians, so the
+        largest value sits at a node.  In 1D the Hermite slope is quadratic
+        in t on each interval, a t^2 + b t + m_i, so its supremum is at an
+        end (a node) or at the vertex t = -b / (2a).
+        """
+        if self.grid.dim == 2:
             mags = np.abs(self.derivs).sum(axis=2).max(axis=1)
+            node = int(np.argmax(mags))
+            return float(mags[node]), node
+        v, m = self.values[:, 0], self.derivs[:, 0, 0]
+        mags = np.abs(m)
         node = int(np.argmax(mags))
+        # Every pushforward step calls this while earlier states' densities
+        # stay alive, so the interval arrays are few and updated in place:
+        # a fresh node-sized temporary per operation fragmented the heap.
+        fall = v[:-1] - v[1:]
+        fall *= 6.0 / (self.grid.axes[0][1] - self.grid.axes[0][0])
+        a = m[:-1] + m[1:]
+        a *= 3.0
+        a += fall
+        b = m[1:] * -2.0
+        b -= fall
+        b -= 4.0 * m[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = b / a
+        t *= -0.5
+        t[~((t > 0.0) & (t < 1.0))] = 0.0
+        peak = a  # becomes |(a t + b) t + m_i|
+        peak *= t
+        peak += b
+        peak *= t
+        peak += m[:-1]
+        np.abs(peak, out=peak)
+        k = int(np.argmax(peak))
+        if peak[k] > mags[node]:
+            return float(peak[k]), k + int(t[k] > 0.5)
         return float(mags[node]), node
 
 
@@ -789,18 +822,19 @@ def fisher_norm_margins(records, kernel_bounds, strong_convexity: float, dim: in
     return rows
 
 
-def descent_check(flow: MirroredFlow, records, gamma: float, profile=None,
+def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
                   tol: float = 1e-7) -> dict:
     """Per-step descent report for the records of one flow's run.
 
     Checks KL(n+1) - KL(n) <= -(gamma/2) * fisher(n) + tol at every step,
     reading KL, fisher and the growth statistic from the records, so the
     records must cover consecutive steps (a run with record_every=1).
-    When growth constants are supplied, gamma is also checked for
-    admissibility in both regimes: against the fixed worst-case cap priced
-    exactly the way a "theorem" step size is (initial-KL upper bound formula,
-    not the measured KL), and against the per-state cap from the measured
-    field norm and growth statistic.
+    When a ``theory.Certificate`` for the flow's setting is supplied, gamma
+    is also checked for admissibility in both regimes: against its fixed
+    worst-case cap (the "theorem" step size, priced from the initial-KL
+    upper bound, not the measured KL), and against the per-state cap from
+    each record's measured field norm and growth statistic.  The
+    certificate is read, never re-priced.
     """
     if not records:
         raise ConfigError("descent_check needs at least one record")
@@ -809,18 +843,14 @@ def descent_check(flow: MirroredFlow, records, gamma: float, profile=None,
         raise ConfigError(
             "descent_check needs a record for every step; run the flow with record_every=1"
         )
+    if certificate is not None and (
+        certificate.dim != flow.grid.dim
+        or certificate.kernel_bounds != tuple(float(b) for b in flow.kernel.bounds())
+        or certificate.strong_convexity != float(flow.map.strong_convexity)
+    ):
+        raise ConfigError("the certificate was priced for a different map, kernel or dimension")
     kls = [rec["kl"] for rec in records]
     fishers = [rec["stein_fisher"] for rec in records]
-    caps = []
-    if profile is not None:
-        caps = [
-            theory.step_size_cap_exact(
-                math.sqrt(max(rec["stein_fisher"], 0.0)),
-                profile.l0 + profile.l1 * rec["mean_grad_norm"], profile,
-                flow.kernel.bounds(), flow.map.strong_convexity, flow.grid.dim,
-            )
-            for rec in records
-        ]
 
     rows, all_pass = [], True
     for n in range(len(records) - 1):
@@ -848,18 +878,14 @@ def descent_check(flow: MirroredFlow, records, gamma: float, profile=None,
         "kl_strictly_decreased": bool(kls[-1] < kls[0]) if len(kls) > 1 else True,
         "descent_ok": all_pass,
     }
-    if profile is not None:
-        if profile.c_pi_p is None:
-            profile = profile.with_values(
-                "empirical", c_pi_p=theory.c_pi_p(flow.target, profile.p)
-            )
-        kl0_upper = theory.kl0_upper_bound(flow.target, profile, dim=flow.grid.dim)
-        fixed_cap = theory.step_size_bound(
-            profile, flow.kernel.bounds(), flow.map.strong_convexity, flow.grid.dim, kl0_upper
-        )
-        report["kl0_upper"] = kl0_upper
-        report["fixed_cap"] = fixed_cap
-        report["fixed_cap_ok"] = bool(gamma <= fixed_cap * (1.0 + 1e-12))
+    if certificate is not None:
+        caps = [
+            certificate.cap(math.sqrt(max(rec["stein_fisher"], 0.0)), rec["mean_grad_norm"])
+            for rec in records
+        ]
+        report["kl0_upper"] = certificate.kl0_upper
+        report["fixed_cap"] = certificate.fixed_cap
+        report["fixed_cap_ok"] = bool(gamma <= certificate.fixed_cap * (1.0 + 1e-12))
         report["per_step_caps"] = caps
         report["per_step_cap_ok"] = bool(all(gamma <= c * (1.0 + 1e-12) for c in caps))
         report["passed"] = bool(

@@ -6,8 +6,15 @@ the largest step size under which the descent inequality is certified, and
 iteration-count estimates at unit leading constants.  The exponential-moment
 constant ``c_pi_p`` is the exception: it is bounded from above by 1D/2D
 quadrature, with an explicit tail-decay test standing in for the moment
-assumption it encodes.  Upper bounds are the safe direction throughout: a
-larger ``c_pi_p`` or initial-KL bound only shrinks the certified step size.
+assumption it encodes.  Its growth rates s all walk the same bracketing
+boxes and rays, and only the s * ||x - x0||^p term depends on s, so the
+potential is evaluated once per box and once per ray set in a call.  Upper
+bounds are the safe direction throughout: a larger ``c_pi_p`` or initial-KL
+bound only shrinks the certified step size.
+
+``certify`` is the one place that prices these constants for a run: it
+fills in ``c_pi_p``, bounds the initial KL, and returns the fixed step size
+with a per-state cap as one ``Certificate``.
 """
 
 from __future__ import annotations
@@ -329,14 +336,15 @@ def a_n(ensemble, mirrored_target, profile: SmoothnessProfile) -> float:
     return profile.l0 + profile.l1 * float(np.mean(np.sqrt(np.sum(grad * grad, axis=1))))
 
 
-def stein_fisher_particles(ensemble, target, mirror_map, kernel, velocity,
-                           chunk: int = 256) -> float:
+def stein_fisher_particles(ensemble, kernel, field, chunk: int = 256) -> float:
     """Squared kernel-space norm of the update field over the ensemble: the
     V-statistic of the score-plus-divergence operand op_j = H_j s(t_j) +
-    div Hinv(t_j), H_j = Hinv(t_j), read off ``velocity``, the field v that
-    ``engine.update_field`` built for this ensemble and kernel.  The
-    V-statistic's gram term and one of its two equal cross terms sum to
-    (1/n) sum_b op_b.v_b, so
+    div Hinv(t_j), H_j = Hinv(t_j).  ``field`` is what
+    ``engine.update_field`` built for this ensemble and kernel; its
+    ``operand`` and ``hinv`` are those per-particle values and its
+    ``velocity`` is the field v itself, so nothing per particle is
+    evaluated again.  The V-statistic's gram term and one of its two equal
+    cross terms sum to (1/n) sum_b op_b.v_b, so
 
         SF = (1/n) sum_b op_b.v_b + (1/n^2) sum_{b,j} [op_j.H_b grad1 k(t_b,t_j)
                                                       + tr(H_b grad12 k(t_b,t_j) H_j)].
@@ -348,12 +356,9 @@ def stein_fisher_particles(ensemble, target, mirror_map, kernel, velocity,
     """
     theta = np.asarray(getattr(ensemble, "primal", ensemble), dtype=float)
     n, _ = theta.shape
+    velocity, operand, hinv = field.velocity, field.operand, field.hinv
     if np.shape(velocity) != theta.shape:
         raise ValueError(f"velocity has shape {np.shape(velocity)}, expected {theta.shape}")
-    score = np.asarray(target.grad_log_density(theta), dtype=float)
-    hinv = np.asarray(mirror_map.hess_psi_inv(theta), dtype=float)
-    operand = np.einsum("nde,ne->nd", hinv, score)
-    operand += np.asarray(mirror_map.div_hess_psi_inv(theta), dtype=float)
     total = 0.0
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
@@ -399,10 +404,13 @@ def _tail_clears(vals: np.ndarray, dim: int, nodes: int, drop: float) -> bool:
     return border <= peak - drop
 
 
-def _rays_keep_falling(logf, dim: int, halfwidth: float, doublings: int = 12) -> bool:
+_RAY_DOUBLINGS = 12
+
+
+def _ray_points(dim: int, halfwidth: float) -> np.ndarray:
     # A dip-then-rise integrand (say s|x|^3 against a Gaussian tail) can look
     # converged on a small box; probe geometrically spaced radii along fixed
-    # rays and demand the log-integrand keeps falling out to 2^12 box widths.
+    # rays out to 2^12 box widths.  Rows run radius-major.
     if dim == 1:
         rays = np.array([[1.0], [-1.0]])
     else:
@@ -411,25 +419,62 @@ def _rays_keep_falling(logf, dim: int, halfwidth: float, doublings: int = 12) ->
             [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
              [diag, diag], [diag, -diag], [-diag, diag], [-diag, -diag]]
         )
-    radii = halfwidth * 2.0 ** np.arange(1, doublings + 1)
-    pts = (radii[:, None, None] * rays[None, :, :]).reshape(-1, dim)
-    vals = np.asarray(logf(pts), dtype=float).reshape(len(radii), len(rays))
-    return bool(np.all(np.diff(vals, axis=0) <= 0.0))
+    radii = halfwidth * 2.0 ** np.arange(1, _RAY_DOUBLINGS + 1)
+    return (radii[:, None, None] * rays[None, :, :]).reshape(-1, dim)
 
 
-def _expand_until_decay(logf, dim: int, nodes: int, start: float, drop: float = 45.0,
-                        max_doublings: int = 14):
-    """Grow a centered box until the log-integrand at its edge sits `drop`
-    nats under the interior peak and keeps falling along rays far beyond the
-    box.  Returns (points, log-weights, values), or None when no bracketed
-    box passes (a divergent integrand)."""
-    halfwidth = float(start)
-    for _ in range(max_doublings + 1):
-        pts, logw = (_grid_1d if dim == 1 else _grid_2d)(nodes, halfwidth)
-        vals = np.asarray(logf(pts), dtype=float)
-        if _tail_clears(vals, dim, nodes, drop) and _rays_keep_falling(logf, dim, halfwidth):
-            return pts, logw, vals
-        halfwidth *= 2.0
+class _Bracket:
+    """The boxes of one bracketing sequence, halfwidth ``start * 2**level``,
+    and the ray probes beyond each box.
+
+    ``evaluate`` maps a point set to the arrays a log-integrand is combined
+    from.  It runs once per point set, the first time that box or ray set is
+    asked for, so log-integrands that differ only in how they combine those
+    arrays share every evaluation.
+    """
+
+    def __init__(self, evaluate, dim: int, nodes: int, start: float):
+        self.dim = dim
+        self.nodes = nodes
+        self._evaluate = evaluate
+        self._start = float(start)
+        self._boxes: dict = {}
+        self._rays: dict = {}
+
+    def _halfwidth(self, level: int) -> float:
+        return self._start * 2.0 ** level
+
+    def points(self, level: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and log-weights of the level's box."""
+        return (_grid_1d if self.dim == 1 else _grid_2d)(self.nodes, self._halfwidth(level))
+
+    def box(self, level: int):
+        """(log-weights, evaluated arrays) of the level's box."""
+        if level not in self._boxes:
+            pts, logw = self.points(level)
+            self._boxes[level] = (logw, self._evaluate(pts))
+        return self._boxes[level]
+
+    def rays(self, level: int):
+        """Evaluated arrays at the ray probes beyond the level's box."""
+        if level not in self._rays:
+            self._rays[level] = self._evaluate(_ray_points(self.dim, self._halfwidth(level)))
+        return self._rays[level]
+
+
+def _expand_until_decay(bracket: _Bracket, logf, drop: float = 45.0, max_doublings: int = 14):
+    """Walk the bracket's boxes until the log-integrand ``logf`` (applied to
+    the bracket's evaluated arrays) sits `drop` nats under the interior peak
+    at the box edge and keeps falling along every ray far beyond the box.
+    Returns (level, log-weights, values), or None when no bracketed box
+    passes (a divergent integrand)."""
+    for level in range(max_doublings + 1):
+        logw, arrays = bracket.box(level)
+        vals = np.asarray(logf(arrays), dtype=float)
+        if _tail_clears(vals, bracket.dim, bracket.nodes, drop):
+            far = np.asarray(logf(bracket.rays(level)), dtype=float)
+            if np.all(np.diff(far.reshape(_RAY_DOUBLINGS, -1), axis=0) <= 0.0):
+                return level, logw, vals
     return None
 
 
@@ -442,12 +487,14 @@ def _target_grid(target, nodes: int | None):
     if dim > 2:
         raise ConfigError(f"quadrature constants support dim <= 2, got dim={dim}")
     nodes = int(nodes) if nodes is not None else _default_nodes(dim)
-    got = _expand_until_decay(
-        lambda q: -np.asarray(target.potential(q), dtype=float), dim, nodes, start=8.0
-    )
+    bracket = _Bracket(lambda q: -np.asarray(target.potential(q), dtype=float),
+                       dim, nodes, start=8.0)
+    got = _expand_until_decay(bracket, lambda vals: vals)
     if got is None:
         raise NumericsError("target density does not decay on any bracketed box")
-    return dim, nodes, got
+    level, logw, vals = got
+    pts, _ = bracket.points(level)
+    return dim, nodes, (pts, logw, vals)
 
 
 def dual_log_partition(target, nodes: int | None = None) -> float:
@@ -499,15 +546,19 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
     center = weights @ pts
     base_half = float(np.max(np.abs(pts)))
 
-    def log_integrand(s):
-        def inner(q):
-            shift = np.sqrt(np.sum((q - center) ** 2, axis=1))
-            return s * shift ** p - np.asarray(target.potential(q), dtype=float)
-        return inner
+    def powered_and_potential(q):
+        shift = np.sqrt(np.sum((q - center) ** 2, axis=1))
+        return shift ** p, np.asarray(target.potential(q), dtype=float)
 
+    def log_integrand(s):
+        return lambda arrays: s * arrays[0] - arrays[1]
+
+    # Only the s * ||q - center||^p term depends on s: every growth rate
+    # walks the same boxes and rays, so each is evaluated once per call.
+    bracket = _Bracket(powered_and_potential, dim, nodes, start=base_half)
     best = math.inf
     for s in np.logspace(math.log10(s_min), math.log10(s_max), num_s):
-        got = _expand_until_decay(log_integrand(float(s)), dim, nodes, start=base_half)
+        got = _expand_until_decay(bracket, log_integrand(float(s)))
         if got is None:
             continue
         _, logw_s, vals_s = got
@@ -522,3 +573,43 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
             f"growth rate in [{s_min!r}, {s_max!r}]"
         )
     return 2.0 * best
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The priced constants behind a certified step size for one (target,
+    map, kernel) setting: the profile with ``c_pi_p`` filled in, the
+    initial-KL upper bound, and the fixed step size they certify for every
+    step of a run started at N(0, I).  ``cap`` gives the per-state cap from
+    a state's measured field norm and mean mirrored-gradient norm."""
+
+    profile: SmoothnessProfile
+    kernel_bounds: tuple[float, float]
+    strong_convexity: float
+    dim: int
+    kl0_upper: float
+    fixed_cap: float
+
+    def cap(self, field_norm: float, mean_grad_norm: float) -> float:
+        growth = self.profile.l0 + self.profile.l1 * mean_grad_norm
+        return step_size_cap_exact(field_norm, growth, self.profile, self.kernel_bounds,
+                                   self.strong_convexity, self.dim)
+
+
+def certify(target, profile: SmoothnessProfile, kernel_bounds: tuple[float, float],
+            strong_convexity: float, dim: int) -> Certificate:
+    """Price the constants of the descent certificate once: ``c_pi_p`` by
+    quadrature when the profile lacks it (tagged "empirical"), then the
+    initial-KL upper bound, then the fixed step size."""
+    if profile.c_pi_p is None:
+        profile = profile.with_values("empirical", c_pi_p=c_pi_p(target, profile.p))
+    kl0_upper = kl0_upper_bound(target, profile, dim=dim)
+    fixed_cap = step_size_bound(profile, kernel_bounds, strong_convexity, dim, kl0_upper)
+    return Certificate(
+        profile=profile,
+        kernel_bounds=tuple(float(b) for b in kernel_bounds),
+        strong_convexity=float(strong_convexity),
+        dim=int(dim),
+        kl0_upper=kl0_upper,
+        fixed_cap=fixed_cap,
+    )

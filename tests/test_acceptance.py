@@ -57,7 +57,7 @@ def quartic_setup():
     bundle = build_runtime(cfg)
     flow = MirroredFlow(bundle.mirrored, bundle.kernel)
     out = flow.run(bundle.gamma, cfg.steps)
-    report = descent_check(flow, out["records"], bundle.gamma, profile=bundle.profile)
+    report = descent_check(flow, out["records"], bundle.gamma, certificate=bundle.certificate)
     elapsed = time.perf_counter() - started
     return {
         "cfg": cfg,
@@ -255,10 +255,10 @@ def test_criterion_09_step_size_formula(quartic_setup):
 
     # independent arithmetic re-derivation on criterion 1's constants
     bundle = quartic_setup["bundle"]
-    prof = bundle.profile
+    prof = bundle.certificate.profile
     b1, b2 = bundle.kernel.bounds()
     p, cp, a = prof.p, prof.c_p, prof.alpha
-    kl0 = max(bundle.kl0_upper, 0.0)
+    kl0 = max(bundle.certificate.kl0_upper, 0.0)
     w = (2.0 ** (0.5 * p) * math.gamma(0.5 * (p + 1.0))
          / math.gamma(0.5)) ** (1.0 / p)
     reach = prof.c_pi_p * 2.0 * (kl0 ** (1.0 / p) + (0.5 * kl0) ** (0.5 / p))

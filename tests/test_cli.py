@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from msvgd import cli
+from msvgd import cli, theory
 from msvgd.gridflow import MirroredFlow
 
 QUARTIC_SMALL = {
@@ -345,3 +345,58 @@ class TestPresets:
                          "--out", str(tmp_path / "o")])
         assert code == 2
         assert "no-such-preset" in capsys.readouterr().err
+
+
+@pytest.fixture
+def pricing_calls(monkeypatch):
+    """Counts of the two quadrature-priced constants, through the module
+    attributes every caller goes through."""
+    calls = {"c_pi_p": 0, "kl0_upper_bound": 0}
+    for name in calls:
+        original = getattr(theory, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(theory, name, counting)
+    return calls
+
+
+class TestPricedOnce:
+    def test_verify_descent_on_a_theorem_config(self, tmp_path, pricing_calls):
+        path = tmp_path / "dirichlet.json"
+        path.write_text(json.dumps(dict(DIRICHLET_SMALL, gamma="theorem",
+                                        grid_nodes=24, steps=1)))
+        assert cli.main(["verify", "--suite", "descent", "--target", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert pricing_calls == {"c_pi_p": 1, "kl0_upper_bound": 1}
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["fixed_cap"] == report["gamma"]
+
+    def test_verify_descent_with_an_explicit_gamma(self, tmp_path, pricing_calls):
+        # an explicit step size is still checked against the certified caps
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps(dict(QUARTIC_SMALL, gamma=1e-5, steps=2)))
+        assert cli.main(["verify", "--suite", "descent", "--target", str(path),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert pricing_calls == {"c_pi_p": 1, "kl0_upper_bound": 1}
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["fixed_cap_ok"] and report["per_step_cap_ok"]
+
+    def test_run_with_a_theorem_gamma(self, quartic_config, tmp_path, pricing_calls):
+        assert cli.main(["run", "--config", str(quartic_config), "--out", str(tmp_path / "out"),
+                         "--steps", "2"]) == 0
+        assert pricing_calls == {"c_pi_p": 1, "kl0_upper_bound": 1}
+
+    def test_run_with_an_explicit_gamma_prices_nothing(self, dirichlet_config, tmp_path,
+                                                        pricing_calls):
+        assert cli.main(["run", "--config", str(dirichlet_config), "--out", str(tmp_path / "out"),
+                         "--steps", "2"]) == 0
+        assert pricing_calls == {"c_pi_p": 0, "kl0_upper_bound": 0}
+
+    def test_theory(self, quartic_config, capsys, pricing_calls):
+        assert cli.main(["theory", "--target", str(quartic_config)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert pricing_calls == {"c_pi_p": 1, "kl0_upper_bound": 1}
+        assert report["profile"]["provenance"]["c_pi_p"] == "empirical"

@@ -93,7 +93,7 @@ def test_two_particle_oracle():
                                 dual=mirror_map.grad_psi(theta[:, None]))
 
     field = update_field(ensemble, target, mirror_map, kernel)
-    assert np.max(np.abs(field[:, 0] - v)) <= 1e-12
+    assert np.max(np.abs(field.velocity[:, 0] - v)) <= 1e-12
 
     stepped = msvgd_step(ensemble, field, gamma, mirror_map)
     assert np.max(np.abs(stepped.dual[:, 0] - x_next)) <= 1e-12
@@ -107,7 +107,7 @@ def test_single_particle_symmetric_point_is_stationary():
     kernel = IMQKernel(c=1.0, beta=-0.5)
     theta = np.array([[0.5]])
     ensemble = ParticleEnsemble(primal=theta, dual=mirror_map.grad_psi(theta))
-    field = update_field(ensemble, target, mirror_map, kernel)
+    field = update_field(ensemble, target, mirror_map, kernel).velocity
     assert field.shape == (1, 1)
     assert field[0, 0] == 0.0
 
@@ -130,12 +130,12 @@ def test_permutation_equivariance(rng):
     kernel = IMQKernel()
     theta = sample_simplex_interior(rng, 17, 2, margin=1e-3)
     ensemble = ParticleEnsemble(primal=theta, dual=mirror_map.grad_psi(theta))
-    field = update_field(ensemble, target, mirror_map, kernel)
+    field = update_field(ensemble, target, mirror_map, kernel).velocity
 
     perm = rng.permutation(17)
     shuffled = ParticleEnsemble(primal=theta[perm],
                                 dual=ensemble.dual[perm])
-    field_perm = update_field(shuffled, target, mirror_map, kernel)
+    field_perm = update_field(shuffled, target, mirror_map, kernel).velocity
     assert np.max(np.abs(field_perm - field[perm])) <= 1e-12
 
 

@@ -390,7 +390,7 @@ class TestSteinFisher:
         for seed in (0, 1, 2):
             ens = init_ensemble(4000, 1, target.map, seed)
             field = update_field(ens, target.base, target.map, kernel)
-            vals.append(stein_fisher_particles(ens, target.base, target.map, kernel, field))
+            vals.append(stein_fisher_particles(ens, kernel, field))
         assert np.mean(vals) == pytest.approx(quad, rel=0.1)
 
 
@@ -499,6 +499,29 @@ class TestPushforward:
         with pytest.raises(NumericsError, match="not injective"):
             pushforward_step(density, field, 2.0)
 
+    def test_injectivity_is_checked_between_nodes(self):
+        # zero nodal derivatives, but the Hermite slope of values x peaks at
+        # 1.5 mid-interval: gamma 0.9 folds the map there
+        grid = Grid((np.linspace(-3.0, 3.0, 16),))
+        field = FieldOnGrid(grid, grid.nodes().copy(), np.zeros((16, 1, 1)))
+        stretch, node = field.max_stretch()
+        assert stretch == pytest.approx(1.5, rel=1e-12)
+        assert 0 <= node < 16
+        with pytest.raises(NumericsError, match="not injective") as info:
+            pushforward_step(standard_normal_density(grid), field, 0.9)
+        assert info.value.particle == node
+        assert f"at node {node}" in str(info.value)
+
+    def test_max_stretch_bounds_the_hermite_slope(self, rng):
+        grid = Grid((np.linspace(-2.0, 2.0, 12),))
+        dense = np.linspace(-2.0, 2.0, 200_001)
+        for _ in range(20):
+            field = FieldOnGrid(grid, rng.standard_normal((12, 1)),
+                                rng.standard_normal((12, 1, 1)))
+            stretch, _ = field.max_stretch()
+            sampled = float(np.max(np.abs(field.jacobian(dense[:, None]))))
+            assert sampled <= stretch <= sampled * (1.0 + 1e-6)
+
     def test_linear_field_rescales_gaussian(self):
         # g(x) = x contracts N(0,1) to N(0, (1-gamma)^2) in one step
         grid = Grid((np.linspace(-8.0, 8.0, 4096),))
@@ -574,23 +597,41 @@ class TestFlowRuns:
     def test_quartic_descent_with_theorem_step(self):
         target = quartic_target()
         kernel = IMQKernel()
-        profile = smoothness_profile(target)
-        profile = profile.with_values("empirical", c_pi_p=theory.c_pi_p(target, profile.p))
+        certificate = theory.certify(target, smoothness_profile(target), kernel.bounds(), 1.0, 1)
         flow = MirroredFlow(target, kernel)
-        kl0 = theory.kl0_upper_bound(target, profile, dim=1)
-        gamma = theory.step_size_bound(profile, kernel.bounds(), 1.0, 1, kl0)
+        gamma = certificate.fixed_cap
         assert gamma > 0.0
 
         out = flow.run(gamma, steps=20)
-        report = descent_check(flow, out["records"], gamma, profile=profile)
+        report = descent_check(flow, out["records"], gamma, certificate=certificate)
         assert report["passed"]
         assert report["kl_strictly_decreased"]
         assert report["fixed_cap"] == pytest.approx(gamma, rel=1e-12)
         assert all(row["margin"] >= 0.0 for row in report["steps"])
 
-        inflated = descent_check(flow, out["records"], 10.0 * gamma, profile=profile)
+        inflated = descent_check(flow, out["records"], 10.0 * gamma, certificate=certificate)
         assert not inflated["fixed_cap_ok"]
         assert not inflated["passed"]
+
+    def test_certificate_cap_is_the_exact_per_state_cap(self):
+        target, kernel = quartic_target(), IMQKernel()
+        profile = smoothness_profile(target).with_values("user", c_pi_p=2.5)
+        certificate = theory.certify(target, profile, kernel.bounds(), 1.0, 1)
+        flow = MirroredFlow(target, kernel, nodes=512, halfwidth=6.0)
+        for rec in flow.run(certificate.fixed_cap, steps=3)["records"]:
+            norm = math.sqrt(max(rec["stein_fisher"], 0.0))
+            growth = profile.l0 + profile.l1 * rec["mean_grad_norm"]
+            assert certificate.cap(norm, rec["mean_grad_norm"]) == theory.step_size_cap_exact(
+                norm, growth, profile, kernel.bounds(), 1.0, 1)
+
+    def test_descent_check_refuses_a_certificate_for_another_setting(self):
+        target, kernel = quartic_target(), IMQKernel()
+        profile = smoothness_profile(target).with_values("user", c_pi_p=2.5)
+        flow = MirroredFlow(target, kernel, nodes=512, halfwidth=6.0)
+        out = flow.run(gamma=0.01, steps=1)
+        other = theory.certify(target, profile, RBFKernel(0.5).bounds(), 1.0, 1)
+        with pytest.raises(ConfigError, match="different map, kernel or dimension"):
+            descent_check(flow, out["records"], 0.01, certificate=other)
 
     def test_records_and_density_bookkeeping(self):
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import sample_simplex_interior
 
 from msvgd import theory
-from msvgd.engine import update_field
+from msvgd.cli import _resolve_config_path
+from msvgd.config import build_runtime, load_config
+from msvgd.engine import ParticleField, update_field
 from msvgd.errors import ConfigError, DomainError, NumericsError
 from msvgd.kernels import IMQKernel, RBFKernel
 from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
@@ -458,6 +460,16 @@ class TestCPiP:
             best = min(best, (1.5 + max(log_moment, 0.0)) / s)
         assert got == pytest.approx(2.0 * best, rel=1e-4)
 
+    def test_one_potential_evaluation_per_box_and_ray_set(self, monkeypatch):
+        # 64 growth rates walk the same boxes and rays; at most the 15 boxes
+        # and 15 ray sets of each bracket are evaluated, not one per rate
+        target = _preset_bundle("dirichlet-simplex-d2").mirrored
+        calls = []
+        original = target.potential
+        monkeypatch.setattr(target, "potential", lambda q: calls.append(len(q)) or original(q))
+        c_pi_p(target, p=1.0)
+        assert 0 < len(calls) <= 30
+
     def test_divergent_for_every_rate(self):
         with pytest.raises(DomainError, match="diverges"):
             c_pi_p(gauss_stub(), p=3.0, num_s=5, s_max=10.0)
@@ -465,6 +477,35 @@ class TestCPiP:
     def test_domain(self):
         with pytest.raises(DomainError):
             c_pi_p(gauss_stub(), p=0.5)
+
+
+def _preset_bundle(name):
+    """A preset's live objects, with no constant priced yet."""
+    return build_runtime(load_config(_resolve_config_path(name)), resolve_gamma=False)
+
+
+class TestCertify:
+    @pytest.mark.parametrize("name", ["quartic-1d-descent", "dirichlet-simplex-d2"])
+    def test_equals_the_free_function_composition(self, name):
+        bundle = _preset_bundle(name)
+        setting = (bundle.kernel.bounds(), bundle.mirror_map.strong_convexity, bundle.dim)
+        cert = theory.certify(bundle.mirrored, bundle.profile, *setting)
+
+        profile = bundle.profile.with_values(
+            "empirical", c_pi_p=c_pi_p(bundle.mirrored, bundle.profile.p))
+        kl0 = kl0_upper_bound(bundle.mirrored, profile, dim=bundle.dim)
+        assert cert.profile == profile
+        assert cert.kl0_upper == kl0
+        assert cert.fixed_cap == step_size_bound(profile, *setting, kl0)
+        assert (cert.kernel_bounds, cert.strong_convexity, cert.dim) == setting
+
+    def test_a_given_c_pi_p_is_not_repriced(self, monkeypatch):
+        bundle = _preset_bundle("quartic-1d-descent")
+        profile = bundle.profile.with_values("user", c_pi_p=2.5)
+        monkeypatch.setattr(theory, "c_pi_p", None)
+        cert = theory.certify(bundle.mirrored, profile, bundle.kernel.bounds(), 1.0, 1)
+        assert cert.profile is profile
+        assert cert.profile.tag("c_pi_p") == "user"
 
 
 class ScoreStub:
@@ -512,8 +553,8 @@ def _ksd_reference(x, score):
 def _sf(cloud, target, mirror_map, kernel, **kwargs):
     """stein_fisher_particles on the field the engine builds for the cloud."""
     ensemble = cloud if hasattr(cloud, "primal") else SimpleNamespace(primal=cloud)
-    velocity = update_field(ensemble, target, mirror_map, kernel)
-    return stein_fisher_particles(cloud, target, mirror_map, kernel, velocity, **kwargs)
+    field = update_field(ensemble, target, mirror_map, kernel)
+    return stein_fisher_particles(cloud, kernel, field, **kwargs)
 
 
 def _v_statistic(theta, target, mirror_map, kernel):
@@ -546,9 +587,9 @@ class TestSteinFisherParticles:
 
     def test_rejects_a_field_of_the_wrong_shape(self, rng):
         x = rng.standard_normal((6, 2))
-        target = ScoreStub(lambda t: -t)
         with pytest.raises(ValueError, match="velocity has shape"):
-            stein_fisher_particles(x, target, EuclideanMap(2), IMQKernel(), np.zeros((6, 1)))
+            stein_fisher_particles(x, IMQKernel(), ParticleField(
+                np.zeros((6, 1)), np.zeros((6, 2)), np.zeros((6, 2, 2))))
 
     def test_matches_reference_ksd_euclidean(self, rng):
         x = rng.standard_normal((25, 2))
