@@ -10,8 +10,10 @@ and inverse mirror Hessians the field was built from, so no score or mirror
 Hessian is evaluated twice per state.  With the Euclidean map the whole
 scheme collapses to standard SVGD, which is the reduction the tests pin.
 
-Reductions over the particle index use fixed-order einsum paths, so a fixed
-seed gives bit-identical trajectories.
+Reductions over the particle index use fixed-order einsum paths, and the
+snapshot reduces through matrix products of fixed shape (the kernel operator
+of msvgd.kernels), so a fixed seed gives bit-identical trajectories and
+diagnostics.
 """
 
 from __future__ import annotations

@@ -17,9 +17,10 @@ The field is a handful of kernel-matrix products over the nodes, and one
 kernel operator performs them.  When the kernel is translation invariant and
 the primal nodes are the grid itself (the euclidean map), every kernel matrix
 is (block-)Toeplitz, so the operator applies it as a zero-padded FFT
-convolution with the kernel sampled at the node lags.  Otherwise it uses
-explicit gram blocks.  The pushforward inverts x - gamma * g by Newton's
-method.
+convolution with the kernel sampled at the node lags.  Otherwise it is the
+point-set operator of msvgd.kernels: matrix products of f(t), f'(t) and
+f''(t) for a radial kernel, explicit gram blocks for dual-imq.  The
+pushforward inverts x - gamma * g by Newton's method.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -35,20 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
+from .kernels import kernel_operator
 from .targets import MirroredTarget
 
 DEFAULT_NODES_1D = 4096
-# Per-axis 2-d default stays inside the kernel precompute budget: streaming
-# rebuilds the gram blocks every step and is orders of magnitude slower.
+# Per-axis 2-d default keeps even dual-imq's gram blocks inside the kernel
+# precompute budget (kernels.PRECOMPUTE_BYTES): streaming rebuilds them for
+# every product and is orders of magnitude slower.
 DEFAULT_NODES_2D = 48
 TAIL_DROP_NATS = 45.0
 # nodes whose density sits this far (nats) below the peak are excluded from
 # finite differences in the primal chart, where the grid spacing collapses
 PRIMAL_FD_DROP_NATS = 40.0
-# precompute the dense kernel matrices over the grid when they fit in memory
-PRECOMPUTE_BYTES = 700_000_000
-# matrix entries per column block when the dense path streams instead
-STREAM_BLOCK_ENTRIES = 1 << 23
 # pushforward inverse: Newton rounds and the residual it must reach
 NEWTON_ROUNDS = 80
 NEWTON_TOL = 1e-12
@@ -409,73 +408,16 @@ class FieldOnGrid:
 
 
 # ---------------------------------------------------------------------------
-# kernel operators
+# the lattice kernel operator
 #
-# g_field needs four products of the kernel matrices over the primal nodes
-# theta, with K[i, j] = k(theta_i, theta_j), K1 = grad1 k and K12 = grad12 k:
-#
-#   vals[j]        = sum_i K[i, j] q[i] + sum_{i,e} K1[i, j, e] u[i, :, e]
-#   dvals[j, :, c] = sum_i K1[j, i, c] q[i] + sum_{i,e} K12[i, j, e, c] u[i, :, e]
-#
-# dvals is the derivative of vals in the evaluation slot theta_j.  The u
-# terms belong to the "score" form only; apply(q, None) skips them.
-
-
-class _DenseKernelOperator:
-    """The products against explicit gram blocks between the nodes.
-
-    The blocks are precomputed when they fit in PRECOMPUTE_BYTES, since the
-    nodes never move; otherwise every product streams over column blocks.
-    """
-
-    def __init__(self, kernel, theta: np.ndarray):
-        self.kernel = kernel
-        self.theta = theta
-        size, d = theta.shape
-        self._precomputed = size * size * (1 + d + d * d) * 8 <= PRECOMPUTE_BYTES
-        if self._precomputed:
-            self._K = kernel.gram(theta, theta)
-            self._K1 = kernel.grad1_gram(theta, theta)
-            self._K12 = kernel.grad12_gram(theta, theta)
-
-    def _blocks(self, cols: slice):
-        """Kernel matrices between all nodes (rows) and a column block: the
-        gram block, the first-slot gradient, the same gradient with the block
-        in the first slot (the evaluation-side derivative, by symmetry of the
-        kernel), and the mixed second derivative."""
-        if self._precomputed:
-            return self._K[:, cols], self._K1[:, cols], self._K1[cols], self._K12[:, cols]
-        theta_c = self.theta[cols]
-        return (
-            self.kernel.gram(self.theta, theta_c),
-            self.kernel.grad1_gram(self.theta, theta_c),
-            self.kernel.grad1_gram(theta_c, self.theta),
-            self.kernel.grad12_gram(self.theta, theta_c),
-        )
-
-    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
-        size, d = self.theta.shape
-        block = size if self._precomputed else max(1, STREAM_BLOCK_ENTRIES // size)
-        vals = np.empty((size, d))
-        dvals = np.empty((size, d, d))
-        for start in range(0, size, block):
-            cols = slice(start, min(start + block, size))
-            K, K1, K1rev, K12 = self._blocks(cols)
-            v = K.T @ q
-            dv = np.stack([K1rev[:, :, c] @ q for c in range(d)], axis=2)
-            if u is not None:
-                for e in range(d):
-                    v += K1[:, :, e].T @ u[:, :, e]
-                    for c in range(d):
-                        dv[:, :, c] += K12[:, :, e, c].T @ u[:, :, e]
-            vals[cols] = v
-            dvals[cols] = dv
-        return vals, dvals
+# g_field's four kernel products over the primal nodes are an apply(q, u)
+# of the kernel operator contract stated in msvgd.kernels, with u present in
+# the "score" form only.  Every operator implements that contract.
 
 
 class _LatticeKernelOperator:
-    """The same products for a translation-invariant kernel whose nodes are
-    the grid's own nodes.
+    """The operator products for a translation-invariant kernel whose nodes
+    are the grid's own nodes.
 
     Entry (i, j) of each kernel matrix then depends only on the lag between
     nodes i and j, so each product is a linear convolution of node values
@@ -541,8 +483,9 @@ class MirroredFlow:
     primal-chart pieces (a MirroredTarget does).  The kernel products of the
     field go through one kernel operator, built once since the grid never
     moves: FFT convolutions when the kernel is translation invariant and the
-    primal nodes are the grid nodes, else gram blocks precomputed when they
-    fit in memory and streamed over column blocks when they do not.
+    primal nodes are the grid nodes, else kernels.kernel_operator over the
+    primal nodes, whose matrices are precomputed when they fit in memory and
+    streamed over column blocks when they do not.
     """
 
     def __init__(self, mirrored: MirroredTarget, kernel, grid: Grid | None = None,
@@ -579,7 +522,7 @@ class MirroredFlow:
         if kernel.translation_invariant and np.array_equal(self.theta, x):
             self.kernel_operator = _LatticeKernelOperator(kernel, self.grid)
         else:
-            self.kernel_operator = _DenseKernelOperator(kernel, self.theta)
+            self.kernel_operator = kernel_operator(kernel, self.theta)
 
     # -- densities ----------------------------------------------------------
 

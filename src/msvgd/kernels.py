@@ -8,11 +8,22 @@ bounds() returns (b1, b2) with sup k(t, t) <= b1^2 and the cross second
 derivative bounded by b2^2; these two constants feed every step-size bound.
 translation_invariant marks kernels with k(a, b) = k(a - b, 0), whose gram
 blocks over a uniform lattice are Toeplitz.
+
+kernel_operator(kernel, points) applies the kernel matrices over one point
+set to per-point values, the sums that both the grid field and the particle
+Stein-Fisher value are made of.  For a radial kernel k = f(||a - b||^2) every
+such sum is a product of the n x n matrices f(t), f'(t) and f''(t) with
+stacked per-point features, so no (n, n, d) or (n, n, d, d) block is built.
 """
 
 import numpy as np
 
 from .errors import ConfigError
+
+# precompute the kernel matrices over a point set when they fit in memory
+PRECOMPUTE_BYTES = 700_000_000
+# matrix entries per column block when an operator streams instead
+STREAM_BLOCK_ENTRIES = 1 << 23
 
 
 class Kernel:
@@ -179,10 +190,6 @@ class RescaledKernel(Kernel):
         self.scale = float(scale)
 
     @property
-    def adaptive(self):
-        return self.inner.adaptive
-
-    @property
     def translation_invariant(self):
         return self.inner.translation_invariant
 
@@ -250,9 +257,185 @@ def make_kernel(name, params=None, mirror_map=None):
         if inner_name is None or scale is None:
             raise ConfigError("rescaled kernel needs inner and scale")
         inner = make_kernel(inner_name, inner_params, mirror_map=mirror_map)
+        if inner.adaptive:
+            raise ConfigError(
+                "config key 'kernel_params.inner_params.bandwidth' must be a number: "
+                "a rescaled kernel cannot refresh a median bandwidth, which would "
+                "cancel its scale"
+            )
         return RescaledKernel(inner, scale)
     if name == "dual-imq":
         if mirror_map is None:
             raise ConfigError("dual-imq kernel needs a mirror map")
         return DualIMQKernel(mirror_map, **params)
     raise ConfigError(f"unknown kernel {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# kernel operators
+#
+# An operator over points theta (n, d) applies the kernel matrices
+# K[i, j] = k(theta_i, theta_j), K1 = grad1 k and K12 = grad12 k to per-point
+# values q (n, d) and u (n, d, d):
+#
+#   vals[j]        = sum_i K[i, j] q[i] + sum_{i,e} K1[i, j, e] u[i, :, e]
+#   dvals[j, :, c] = sum_i K1[j, i, c] q[i] + sum_{i,e} K12[i, j, e, c] u[i, :, e]
+#
+# dvals is the derivative of vals in the evaluation slot theta_j.
+# apply(q, None) skips the u terms.
+
+
+def kernel_operator(kernel, points):
+    """The operator over ``points`` (n, d): matrix products of f(t), f'(t)
+    and f''(t) for a radial kernel, rescaled or not, and explicit gram
+    blocks for any other kernel."""
+    radial, scale = kernel, 1.0
+    if isinstance(kernel, RescaledKernel):
+        radial, scale = kernel.inner, kernel.scale
+    if isinstance(radial, _RadialKernel):
+        return _RadialOperator(radial, points, scale)
+    return _DenseKernelOperator(kernel, points)
+
+
+class _RadialOperator:
+    """The products for k(a, b) = f(||a - b||^2 / scale^2).
+
+    With x = theta / scale, D = x_i - x_j, and F, F', F'' the symmetric
+    n x n matrices of f, f', f'' at t_ij = ||D||^2:
+
+        K = F,   K1[i, j] = (2 / scale) F'_ij D,
+        K12[i, j] = -(4 F''_ij D D^T + 2 F'_ij I) / scale^2.
+
+    Splitting D into x_i and x_j turns every sum into one factor times
+    per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and point-wise
+    products with x_j.  Each factor multiplies all its features in one
+    matrix product.  The sums are translation invariant, so x is centred
+    first, which keeps the cancellation between the split terms small.
+    The factors are precomputed when they fit in PRECOMPUTE_BYTES and
+    rebuilt for each column block otherwise.
+    """
+
+    def __init__(self, kernel, points, scale):
+        self.kernel = kernel
+        self.scale = float(scale)
+        x = np.asarray(points, dtype=float) / self.scale
+        self._x = x - np.mean(x, axis=0)
+        n = x.shape[0]
+        self._precomputed = 3 * n * n * 8 <= PRECOMPUTE_BYTES
+        if self._precomputed:
+            self._factors = self._block(slice(0, n))
+
+    def _block(self, cols: slice) -> tuple:
+        """F, F' and F'' between all points (rows) and a column block; the
+        squared distances are summed coordinate by coordinate."""
+        x = self._x
+        diff = x[:, None, 0] - x[None, cols, 0]
+        t = diff * diff
+        for c in range(1, x.shape[1]):
+            np.subtract(x[:, None, c], x[None, cols, c], out=diff)
+            diff *= diff
+            t += diff
+        factors = self.kernel._f(t), self.kernel._fp(t), self.kernel._fpp(t)
+        # D vanishes on the diagonal, so F' and F'' enter the split sums only
+        # off it (the identity term of K12 adds f'(0) back in apply); zeros
+        # there spare the split terms their largest cancellation
+        rows = np.arange(cols.start, cols.stop)
+        for factor in factors[1:]:
+            factor[rows, rows - cols.start] = 0.0
+        return factors
+
+    def _products(self, *groups) -> list:
+        """factor_k^T @ a for every per-point array a (n, ...) in groups[k],
+        with factors F, F', F'' in that order; one matrix product per
+        factor and column block."""
+        n = self._x.shape[0]
+        stacked = [np.concatenate([a.reshape(n, -1) for a in group], axis=1)
+                   for group in groups]
+        out = [np.empty_like(features) for features in stacked]
+        block = n if self._precomputed else max(1, STREAM_BLOCK_ENTRIES // n)
+        for start in range(0, n, block):
+            cols = slice(start, min(start + block, n))
+            factors = self._factors if self._precomputed else self._block(cols)
+            for factor, features, result in zip(factors, stacked, out):
+                result[cols] = factor.T @ features
+        products = []
+        for group, result in zip(groups, out):
+            widths = np.cumsum([a[0].size for a in group])[:-1]
+            parts = np.split(result, widths, axis=1)
+            products.append([p.reshape(a.shape) for p, a in zip(parts, group)])
+        return products
+
+    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
+        x, s = self._x, self.scale
+        q_x = q[:, :, None] * x[:, None, :]
+        if u is None:
+            (Fq,), (Fpq, Fpqx) = self._products([q], [q, q_x])
+        else:
+            w = np.einsum("ide,ie->id", u, x)
+            w_x = w[:, :, None] * x[:, None, :]
+            u_x = u[:, :, :, None] * x[:, None, None, :]
+            (Fq,), (Fpq, Fpqx, Fpw, Fpu), (Fppw, Fppwx, Fppu, Fppux) = self._products(
+                [q], [q, q_x, w, u], [w, w_x, u, u_x])
+        vals = Fq
+        dvals = (2.0 / s) * (Fpq[:, :, None] * x[:, None, :] - Fpqx)
+        if u is not None:
+            vals = vals + (2.0 / s) * (Fpw - np.einsum("jde,je->jd", Fpu, x))
+            Fppu_x = np.einsum("jde,je->jd", Fppu, x)
+            dd = (Fppwx - np.einsum("jdec,je->jdc", Fppux, x)
+                  + (Fppu_x - Fppw)[:, :, None] * x[:, None, :])
+            fp0 = float(self.kernel._fp(np.zeros(1))[0])
+            dvals = dvals - (2.0 * (Fpu + fp0 * u) + 4.0 * dd) / s**2
+        return vals, dvals
+
+
+class _DenseKernelOperator:
+    """The products against explicit gram blocks between the points.
+
+    The blocks are precomputed when they fit in PRECOMPUTE_BYTES, so that
+    repeated products reuse them; otherwise every product streams over
+    column blocks.
+    """
+
+    def __init__(self, kernel, theta: np.ndarray):
+        self.kernel = kernel
+        self.theta = theta
+        size, d = theta.shape
+        self._precomputed = size * size * (1 + d + d * d) * 8 <= PRECOMPUTE_BYTES
+        if self._precomputed:
+            self._K = kernel.gram(theta, theta)
+            self._K1 = kernel.grad1_gram(theta, theta)
+            self._K12 = kernel.grad12_gram(theta, theta)
+
+    def _blocks(self, cols: slice):
+        """Kernel matrices between all points (rows) and a column block: the
+        gram block, the first-slot gradient, the same gradient with the block
+        in the first slot (the evaluation-side derivative, by symmetry of the
+        kernel), and the mixed second derivative."""
+        if self._precomputed:
+            return self._K[:, cols], self._K1[:, cols], self._K1[cols], self._K12[:, cols]
+        theta_c = self.theta[cols]
+        return (
+            self.kernel.gram(self.theta, theta_c),
+            self.kernel.grad1_gram(self.theta, theta_c),
+            self.kernel.grad1_gram(theta_c, self.theta),
+            self.kernel.grad12_gram(self.theta, theta_c),
+        )
+
+    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
+        size, d = self.theta.shape
+        block = size if self._precomputed else max(1, STREAM_BLOCK_ENTRIES // size)
+        vals = np.empty((size, d))
+        dvals = np.empty((size, d, d))
+        for start in range(0, size, block):
+            cols = slice(start, min(start + block, size))
+            K, K1, K1rev, K12 = self._blocks(cols)
+            v = K.T @ q
+            dv = np.stack([K1rev[:, :, c] @ q for c in range(d)], axis=2)
+            if u is not None:
+                for e in range(d):
+                    v += K1[:, :, e].T @ u[:, :, e]
+                    for c in range(d):
+                        dv[:, :, c] += K12[:, :, e, c].T @ u[:, :, e]
+            vals[cols] = v
+            dvals[cols] = dv
+        return vals, dvals

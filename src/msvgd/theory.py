@@ -27,6 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
+from .kernels import kernel_operator
 
 PROVENANCE_TAGS = ("analytic", "empirical", "user")
 
@@ -336,7 +337,7 @@ def a_n(ensemble, mirrored_target, profile: SmoothnessProfile) -> float:
     return profile.l0 + profile.l1 * float(np.mean(np.sqrt(np.sum(grad * grad, axis=1))))
 
 
-def stein_fisher_particles(ensemble, kernel, field, chunk: int = 256) -> float:
+def stein_fisher_particles(ensemble, kernel, field) -> float:
     """Squared kernel-space norm of the update field over the ensemble: the
     V-statistic of the score-plus-divergence operand op_j = H_j s(t_j) +
     div Hinv(t_j), H_j = Hinv(t_j).  ``field`` is what
@@ -349,23 +350,23 @@ def stein_fisher_particles(ensemble, kernel, field, chunk: int = 256) -> float:
         SF = (1/n) sum_b op_b.v_b + (1/n^2) sum_{b,j} [op_j.H_b grad1 k(t_b,t_j)
                                                       + tr(H_b grad12 k(t_b,t_j) H_j)].
 
-    Reduces in fixed block order, so a given ensemble always produces the
-    same float.  Nonnegative up to roundoff.  A point mass still scores
-    positive through the kernel-derivative block; the statistic detects
-    non-convergence, not mere stationarity of the velocity.
+    The second sum is sum_b <H_b, dvals_b>_F with (_, dvals) the kernel
+    operator's apply(op, Hinv) over the particles (``kernels.kernel_operator``):
+    its dvals_b pairs grad1 k with op and grad12 k with H_j^T, which is H_j
+    because every mirror map's inverse Hessian is symmetric.  The operator
+    reduces through matrix products of fixed shape, so a given ensemble
+    always produces the same float.  Nonnegative up to roundoff.  A point
+    mass still scores positive through the kernel-derivative block; the
+    statistic detects non-convergence, not mere stationarity of the
+    velocity.
     """
     theta = np.asarray(getattr(ensemble, "primal", ensemble), dtype=float)
     n, _ = theta.shape
     velocity, operand, hinv = field.velocity, field.operand, field.hinv
     if np.shape(velocity) != theta.shape:
         raise ValueError(f"velocity has shape {np.shape(velocity)}, expected {theta.shape}")
-    total = 0.0
-    for start in range(0, n, chunk):
-        rows = slice(start, min(start + chunk, n))
-        grad1 = kernel.grad1_gram(theta[rows], theta)
-        grad12 = kernel.grad12_gram(theta[rows], theta)
-        total += float(np.einsum("jd,bde,bje->", operand, hinv[rows], grad1))
-        total += float(np.einsum("bde,bjef,jfd->", hinv[rows], grad12, hinv))
+    _, dvals = kernel_operator(kernel, theta).apply(operand, hinv)
+    total = float(np.einsum("bdc,bdc->", hinv, dvals))
     return (float(np.einsum("bd,bd->", operand, velocity)) + total / n) / n
 
 
@@ -497,11 +498,15 @@ def _target_grid(target, nodes: int | None):
     return dim, nodes, (pts, logw, vals)
 
 
+def _log_mass(grid) -> float:
+    _, _, (_, logw, vals) = grid
+    return float(np.logaddexp.reduce(np.sort(vals + logw)))
+
+
 def dual_log_partition(target, nodes: int | None = None) -> float:
     """log of the unnormalized mass of exp(-V) over the dual space, by
     trapezoid quadrature on an automatically bracketed box (dim <= 2)."""
-    _, _, (_, logw, vals) = _target_grid(target, nodes)
-    return float(np.logaddexp.reduce(np.sort(vals + logw)))
+    return _log_mass(_target_grid(target, nodes))
 
 
 def kl0_upper_bound(target, profile: SmoothnessProfile, dim: int | None = None,
@@ -526,7 +531,7 @@ def kl0_upper_bound(target, profile: SmoothnessProfile, dim: int | None = None,
 
 
 def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float = 100.0,
-           nodes: int | None = None) -> float:
+           nodes: int | None = None, *, _grid=None) -> float:
     """Upper bound on the exponential-moment transport constant of the
     target's dual density at growth exponent ``p``.
 
@@ -536,12 +541,14 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
     exponential-moment assumption does not hold for this (target, p) and a
     domain error is raised.  The result is an upper bound on the infimum,
     never the infimum itself, which is the conservative direction for step
-    sizes.
+    sizes.  ``certify`` passes the bracketed target grid it already holds as
+    ``_grid``.
     """
     if p < 1.0:
         raise DomainError(f"c_pi_p requires p >= 1, got {p!r}")
-    dim, nodes, (pts, logw, vals) = _target_grid(target, nodes)
-    log_mass = float(np.logaddexp.reduce(np.sort(vals + logw)))
+    grid = _grid if _grid is not None else _target_grid(target, nodes)
+    dim, nodes, (pts, logw, vals) = grid
+    log_mass = _log_mass(grid)
     weights = np.exp(vals + logw - log_mass)
     center = weights @ pts
     base_half = float(np.max(np.abs(pts)))
@@ -600,10 +607,13 @@ def certify(target, profile: SmoothnessProfile, kernel_bounds: tuple[float, floa
             strong_convexity: float, dim: int) -> Certificate:
     """Price the constants of the descent certificate once: ``c_pi_p`` by
     quadrature when the profile lacks it (tagged "empirical"), then the
-    initial-KL upper bound, then the fixed step size."""
+    initial-KL upper bound, then the fixed step size.  Both quadratures
+    share one bracketing of the target's dual density."""
+    grid = _target_grid(target, None)
     if profile.c_pi_p is None:
-        profile = profile.with_values("empirical", c_pi_p=c_pi_p(target, profile.p))
-    kl0_upper = kl0_upper_bound(target, profile, dim=dim)
+        profile = profile.with_values("empirical",
+                                      c_pi_p=c_pi_p(target, profile.p, _grid=grid))
+    kl0_upper = kl0_upper_bound(target, profile, dim=dim, log_partition=_log_mass(grid))
     fixed_cap = step_size_bound(profile, kernel_bounds, strong_convexity, dim, kl0_upper)
     return Certificate(
         profile=profile,

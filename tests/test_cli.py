@@ -152,6 +152,16 @@ class TestRunCommand:
         assert code == 2
         assert f"'{path}' must be finite" in capsys.readouterr().err
 
+    def test_rescaled_median_bandwidth_exits_two_and_names_the_path(self, tmp_path, capsys):
+        config = tmp_path / "rescaled.json"
+        config.write_text(json.dumps(dict(
+            DIRICHLET_SMALL, kernel="rescaled", steps=3, particles=20,
+            kernel_params={"inner": "rbf", "scale": 2.0,
+                           "inner_params": {"bandwidth": "median"}})))
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'kernel_params.inner_params.bandwidth'" in capsys.readouterr().err
+
     def test_infinite_gamma_in_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(dict(DIRICHLET_SMALL, gamma=float("inf"))))

@@ -1,8 +1,8 @@
 """Quadrature-flow checks: finite differences against known stencils, KL
 against closed-form Gaussian values, the fixed point of the flow, agreement
-of the three field formulas, the lattice kernel operator against dense gram
-blocks, pushforward identities, and the descent report in both step-size
-regimes."""
+of the three field formulas, the lattice and radial kernel operators against
+dense gram blocks, pushforward identities, and the descent report in both
+step-size regimes."""
 
 import math
 import tracemalloc
@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvgd import gridflow, theory
+from msvgd import gridflow, kernels, theory
 from msvgd.errors import ConfigError, DomainError, NumericsError
 from msvgd.gridflow import (
     FieldOnGrid,
@@ -120,7 +120,7 @@ def invert_by_bisection(grid, field, gamma):
 
 def with_dense_operator(flow):
     """The same flow with its kernel products on explicit gram blocks."""
-    flow.kernel_operator = gridflow._DenseKernelOperator(flow.kernel, flow.theta)
+    flow.kernel_operator = kernels._DenseKernelOperator(flow.kernel, flow.theta)
     return flow
 
 
@@ -408,11 +408,18 @@ class TestKernelOperator:
         lattice = MirroredFlow(quartic_target(), IMQKernel(), nodes=64, halfwidth=4.0)
         assert isinstance(lattice.kernel_operator, gridflow._LatticeKernelOperator)
         simplex = MirroredFlow(dirichlet_target(), IMQKernel(), nodes=64)
-        assert isinstance(simplex.kernel_operator, gridflow._DenseKernelOperator)
-        # dual-imq is not flagged translation invariant, even on the euclidean map
+        assert isinstance(simplex.kernel_operator, kernels._RadialOperator)
+        rescaled = MirroredFlow(dirichlet_target(), RescaledKernel(RBFKernel(0.5), 2.0), nodes=64)
+        assert isinstance(rescaled.kernel_operator, kernels._RadialOperator)
+        # dual-imq is not flagged translation invariant, even on the euclidean
+        # map, and is not radial in the primal chart
         dual_imq = make_kernel("dual-imq", mirror_map=EuclideanMap(1))
         dual = MirroredFlow(quartic_target(), dual_imq, nodes=64, halfwidth=4.0)
-        assert isinstance(dual.kernel_operator, gridflow._DenseKernelOperator)
+        assert isinstance(dual.kernel_operator, kernels._DenseKernelOperator)
+        target = dirichlet_target()
+        dirichlet_dual = MirroredFlow(target, make_kernel("dual-imq", mirror_map=target.map),
+                                      nodes=64)
+        assert isinstance(dirichlet_dual.kernel_operator, kernels._DenseKernelOperator)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -443,19 +450,29 @@ class TestKernelOperator:
 
     @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
     def test_streaming_matches_precomputed(self, monkeypatch, conc, nodes):
-        flow = MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes)
-        assert isinstance(flow.kernel_operator, gridflow._DenseKernelOperator)
+        flow = with_dense_operator(MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes))
         assert flow.kernel_operator._precomputed
         density = flow.initial_density()
         forms = gridflow.G_FORMS if flow.grid.dim == 1 else ("score", "dual")
         precomputed = [flow.g_field(density, form=form) for form in forms]
         # five columns per block, so the last block is a partial one
-        monkeypatch.setattr(gridflow, "PRECOMPUTE_BYTES", 0)
-        monkeypatch.setattr(gridflow, "STREAM_BLOCK_ENTRIES", 5 * flow.grid.size)
+        monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
+        monkeypatch.setattr(kernels, "STREAM_BLOCK_ENTRIES", 5 * flow.grid.size)
         with_dense_operator(flow)
         assert not flow.kernel_operator._precomputed
         for form, reference in zip(forms, precomputed):
             _assert_fields_close(flow.g_field(density, form=form), reference)
+
+    @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
+    def test_radial_matches_dense_blocks(self, conc, nodes):
+        flow = MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes)
+        assert isinstance(flow.kernel_operator, kernels._RadialOperator)
+        density = flow.initial_density()
+        forms = gridflow.G_FORMS if flow.grid.dim == 1 else ("score", "dual")
+        radial = [flow.g_field(density, form=form) for form in forms]
+        with_dense_operator(flow)
+        for form, fast in zip(forms, radial):
+            _assert_fields_close(fast, flow.g_field(density, form=form))
 
     def test_lattice_flow_builds_no_node_by_node_array(self):
         tracemalloc.start()
@@ -468,6 +485,21 @@ class TestKernelOperator:
         assert flow.grid.size == 4096
         # one dense 4096 x 4096 gram matrix alone is 134 MB
         assert peak < 32e6
+
+    def test_radial_flow_builds_no_gram_blocks(self):
+        tracemalloc.start()
+        try:
+            flow = MirroredFlow(dirichlet_target((5.0, 5.0, 5.0)), IMQKernel(), nodes=48)
+            flow.run(gamma=1e-3, steps=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(flow.kernel_operator, kernels._RadialOperator)
+        assert flow.grid.size == 2304
+        # The three n x n factors are 127 MB and the peak reads 255 MB, while
+        # they are built.  The dense path keeps 1 + d + d^2 = 7 gram blocks
+        # (297 MB) and peaks at 637 MB on the same flow and step.
+        assert peak < 350e6
 
 
 # ---------------------------------------------------------------------------

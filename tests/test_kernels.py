@@ -1,10 +1,12 @@
-"""Kernel derivative and bound certification against finite differences."""
+"""Kernel derivative and bound certification against finite differences,
+and the radial kernel operator against explicit gram blocks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msvgd import kernels
 from msvgd.errors import ConfigError
 from msvgd.kernels import (
     DualIMQKernel,
@@ -13,9 +15,15 @@ from msvgd.kernels import (
     RescaledKernel,
     make_kernel,
 )
-from msvgd.mirrors import EntropicSimplexMap
+from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
 
-from conftest import fd_gradient, fd_mixed_second, rel_err, sample_simplex_interior
+from conftest import (
+    fd_gradient,
+    fd_mixed_second,
+    rel_err,
+    sample_box_interior,
+    sample_simplex_interior,
+)
 
 
 def _pair(op, a, b):
@@ -230,3 +238,81 @@ def test_psd_property(seed):
     gram = k.gram(pts, pts)
     assert np.max(np.abs(gram - gram.T)) < 1e-14
     assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) >= -1e-8
+
+
+# ---------------------------------------------------------------------------
+# the kernel operator
+
+
+def _interior_cloud(gen, map_name, n, d):
+    """A point cloud inside the map's domain, with the map's inverse
+    Hessians there."""
+    if map_name == "euclidean":
+        mirror_map, theta = EuclideanMap(d), gen.standard_normal((n, d))
+    elif map_name == "simplex":
+        mirror_map = EntropicSimplexMap(d)
+        theta = sample_simplex_interior(gen, n, d, margin=1e-3)
+    else:
+        lo, hi = -np.ones(d), np.linspace(1.0, 2.0, d)
+        mirror_map, theta = EntropicBoxMap(lo, hi), sample_box_interior(gen, n, lo, hi)
+    return theta, np.asarray(mirror_map.hess_psi_inv(theta), dtype=float)
+
+
+def _operator_inputs(gen, map_name, n, d):
+    """Point cloud and weighted operands shaped like g_field's: q a weighted
+    operand, u the weighted inverse Hessians."""
+    theta, hinv = _interior_cloud(gen, map_name, n, d)
+    weights = gen.uniform(0.1, 1.0, size=n)
+    q = weights[:, None] * gen.standard_normal((n, d))
+    return theta, q, weights[:, None, None] * hinv
+
+
+def _assert_products_close(got, want, rel=1e-13):
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    map_name=st.sampled_from(["euclidean", "simplex", "box"]),
+    kernel_name=st.sampled_from(["imq", "rbf", "rescaled-imq"]),
+    d=st.integers(1, 3),
+    n=st.integers(1, 40),
+    width=st.floats(0.5, 3.0),
+)
+def test_radial_operator_matches_dense_blocks(seed, map_name, kernel_name, d, n, width):
+    gen = np.random.default_rng(seed)
+    kernel = {"imq": IMQKernel(c=width), "rbf": RBFKernel(bandwidth=width),
+              "rescaled-imq": RescaledKernel(IMQKernel(), width)}[kernel_name]
+    theta, q, u = _operator_inputs(gen, map_name, n, d)
+    radial = kernels.kernel_operator(kernel, theta)
+    assert isinstance(radial, kernels._RadialOperator)
+    dense = kernels._DenseKernelOperator(kernel, theta)
+    _assert_products_close(radial.apply(q, None), dense.apply(q, None))
+    _assert_products_close(radial.apply(q, u), dense.apply(q, u))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_streaming_matches_precomputed(rng, monkeypatch, d):
+    theta, q, u = _operator_inputs(rng, "simplex", 37, d)
+    kernel = RescaledKernel(IMQKernel(), 1.5)
+    precomputed = kernels.kernel_operator(kernel, theta)
+    assert precomputed._precomputed
+    # seven columns per block, so the last block is a partial one
+    monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
+    monkeypatch.setattr(kernels, "STREAM_BLOCK_ENTRIES", 7 * 37)
+    streaming = kernels.kernel_operator(kernel, theta)
+    assert not streaming._precomputed
+    for uu in (None, u):
+        _assert_products_close(streaming.apply(q, uu), precomputed.apply(q, uu))
+
+
+@pytest.mark.parametrize("kernel", [IMQKernel(), DualIMQKernel(EntropicSimplexMap(2))])
+def test_operator_repeats_bit_for_bit(rng, kernel):
+    theta, q, u = _operator_inputs(rng, "simplex", 300, 2)
+    first = kernels.kernel_operator(kernel, theta).apply(q, u)
+    second = kernels.kernel_operator(kernel, theta.copy()).apply(q.copy(), u.copy())
+    for a, b in zip(first, second):
+        assert a.tobytes() == b.tobytes()
+

@@ -10,16 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_simplex_interior
+from conftest import sample_box_interior, sample_simplex_interior
 
-from msvgd import theory
+from msvgd import kernels, theory
 from msvgd.cli import _resolve_config_path
 from msvgd.config import build_runtime, load_config
 from msvgd.engine import ParticleField, update_field
 from msvgd.errors import ConfigError, DomainError, NumericsError
-from msvgd.kernels import IMQKernel, RBFKernel
-from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
-from msvgd.targets import Dirichlet, MirroredTarget
+from msvgd.kernels import DualIMQKernel, IMQKernel, RBFKernel, RescaledKernel
+from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
+from msvgd.targets import Dirichlet, MirroredTarget, TruncatedGaussian
 from msvgd.theory import (
     DiagnosticsRecord,
     SmoothnessProfile,
@@ -499,6 +499,24 @@ class TestCertify:
         assert cert.fixed_cap == step_size_bound(profile, *setting, kl0)
         assert (cert.kernel_bounds, cert.strong_convexity, cert.dim) == setting
 
+    @pytest.mark.parametrize("given_c_pi_p", [None, 2.5])
+    def test_brackets_the_target_once(self, monkeypatch, given_c_pi_p):
+        bundle = _preset_bundle("quartic-1d-descent")
+        assert bundle.profile.c_pi_p is None
+        profile = bundle.profile
+        if given_c_pi_p is not None:
+            profile = profile.with_values("user", c_pi_p=given_c_pi_p)
+        calls = []
+        original = theory._target_grid
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theory, "_target_grid", counting)
+        theory.certify(bundle.mirrored, profile, bundle.kernel.bounds(), 1.0, 1)
+        assert len(calls) == 1
+
     def test_a_given_c_pi_p_is_not_repriced(self, monkeypatch):
         bundle = _preset_bundle("quartic-1d-descent")
         profile = bundle.profile.with_values("user", c_pi_p=2.5)
@@ -585,6 +603,29 @@ class TestSteinFisherParticles:
         got = _sf(theta, target, mirror_map, kernel)
         assert got == pytest.approx(_v_statistic(theta, target, mirror_map, kernel), rel=1e-12)
 
+    @pytest.mark.parametrize("map_name", ["box", "euclidean", "simplex"])
+    @pytest.mark.parametrize("kernel_name", ["imq", "rescaled-rbf", "dual-imq"])
+    def test_matches_v_statistic_on_every_map(self, rng, map_name, kernel_name):
+        lo, hi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0])
+        if map_name == "box":
+            mirror_map = EntropicBoxMap(lo, hi)
+            theta = sample_box_interior(rng, 30, lo, hi)
+        elif map_name == "euclidean":
+            mirror_map = EuclideanMap(3)
+            theta = rng.standard_normal((30, 3))
+        else:
+            mirror_map = EntropicSimplexMap(3)
+            theta = sample_simplex_interior(rng, 30, 3, margin=1e-3)
+        target = TruncatedGaussian([0.2, -0.1, 0.0], [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1],
+                                                      [0.0, 0.1, 1.2]])
+        kernel = {"imq": IMQKernel(c=0.8), "rescaled-rbf": RescaledKernel(RBFKernel(0.7), 1.5),
+                  "dual-imq": DualIMQKernel(mirror_map)}[kernel_name]
+        operator = kernels.kernel_operator(kernel, theta)
+        dense = kernel_name == "dual-imq"
+        assert isinstance(operator, kernels._DenseKernelOperator) == dense
+        got = _sf(theta, target, mirror_map, kernel)
+        assert got == pytest.approx(_v_statistic(theta, target, mirror_map, kernel), rel=1e-12)
+
     def test_rejects_a_field_of_the_wrong_shape(self, rng):
         x = rng.standard_normal((6, 2))
         with pytest.raises(ValueError, match="velocity has shape"):
@@ -605,11 +646,14 @@ class TestSteinFisherParticles:
         # contributes: (theta(1-theta))^2 * (-2 f'(0)) = 0.25^2 * 1.
         assert got == pytest.approx(0.0625, rel=1e-13)
 
-    def test_chunking_does_not_change_the_value(self, rng):
+    def test_chunking_does_not_change_the_value(self, rng, monkeypatch):
         x = rng.standard_normal((37, 2))
         target = ScoreStub(lambda t: -t)
-        full = _sf(x, target, EuclideanMap(2), IMQKernel(), chunk=10 ** 9)
-        small = _sf(x, target, EuclideanMap(2), IMQKernel(), chunk=7)
+        full = _sf(x, target, EuclideanMap(2), IMQKernel())
+        # seven columns per block, so the last block is a partial one
+        monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
+        monkeypatch.setattr(kernels, "STREAM_BLOCK_ENTRIES", 7 * 37)
+        small = _sf(x, target, EuclideanMap(2), IMQKernel())
         assert small == pytest.approx(full, rel=1e-13)
 
     def test_nonnegative_on_random_clouds(self, rng):
