@@ -18,9 +18,11 @@ kernel operator performs them.  When the kernel is translation invariant and
 the primal nodes are the grid itself (the euclidean map), every kernel matrix
 is (block-)Toeplitz, so the operator applies it as a zero-padded FFT
 convolution with the kernel sampled at the node lags.  Otherwise it is the
-point-set operator of msvgd.kernels: matrix products of f(t), f'(t) and
-f''(t) for a radial kernel, explicit gram blocks for dual-imq.  The
-pushforward inverts x - gamma * g by Newton's method.
+point-set operator of msvgd.kernels: matrix products of the kernel
+profile's f(t), f'(t) and f''(t) in the kernel's chart, for every kernel
+(dual-imq's chart is grad_psi, so there t is measured between the dual
+images of the primal nodes).  The pushforward inverts x - gamma * g by
+Newton's method.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -40,9 +42,11 @@ from .kernels import kernel_operator
 from .targets import MirroredTarget
 
 DEFAULT_NODES_1D = 4096
-# Per-axis 2-d default keeps even dual-imq's gram blocks inside the kernel
-# precompute budget (kernels.PRECOMPUTE_BYTES): streaming rebuilds them for
-# every product and is orders of magnitude slower.
+# Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
+# field is an n x n matrix product over the P = 48^2 nodes; the three factors
+# (3 P^2 x 8 bytes = 127 MB) stay precomputed inside kernels.PRECOMPUTE_BYTES
+# with room to spare, and a flow with one step peaks near 255 MB.  Past 73
+# per axis the factors are rebuilt for every product.
 DEFAULT_NODES_2D = 48
 TAIL_DROP_NATS = 45.0
 # nodes whose density sits this far (nats) below the peak are excluded from
@@ -484,8 +488,9 @@ class MirroredFlow:
     field go through one kernel operator, built once since the grid never
     moves: FFT convolutions when the kernel is translation invariant and the
     primal nodes are the grid nodes, else kernels.kernel_operator over the
-    primal nodes, whose matrices are precomputed when they fit in memory and
-    streamed over column blocks when they do not.
+    primal nodes, the kernel's profile in its chart for every kernel, whose
+    three n x n factors are precomputed when they fit in memory and rebuilt
+    per column block when they do not.
     """
 
     def __init__(self, mirrored: MirroredTarget, kernel, grid: Grid | None = None,

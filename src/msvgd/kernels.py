@@ -1,19 +1,29 @@
 """Kernels on the constrained domain, with the derivative operations the
 particle update and the discrepancy estimators need.
 
+Every kernel is one radial profile read through a chart:
+k(theta, theta') = f(||x - x'||^2) with x = phi(theta).  chart(points)
+returns the chart coordinates x and the chart's Jacobian J there, which is
+symmetric for every chart here: None for the identity (imq, rbf), the
+number 1 / scale for rescaled, and hess_psi (n, d, d) for dual-imq, whose
+chart is the mirror map's grad_psi.  profile is the radial kernel whose
+f, f' and f'' apply in the chart.
+
 All kernels expose batched ops on point sets X (n, d) and Y (m, d): gram,
-grad1_gram and grad12_gram. grad1 differentiates the first argument slot;
-grad12 is the matrix of cross second derivatives d^2 k / dtheta_i dtheta'_j.
-bounds() returns (b1, b2) with sup k(t, t) <= b1^2 and the cross second
-derivative bounded by b2^2; these two constants feed every step-size bound.
-translation_invariant marks kernels with k(a, b) = k(a - b, 0), whose gram
-blocks over a uniform lattice are Toeplitz.
+grad1_gram and grad12_gram, written once for every kernel.  grad1
+differentiates the first argument slot; grad12 is the matrix of cross
+second derivatives d^2 k / dtheta_i dtheta'_j.  bounds() returns (b1, b2)
+with sup k(t, t) <= b1^2 and the cross second derivative bounded by b2^2;
+these two constants feed every step-size bound.  translation_invariant
+marks kernels with k(a, b) = k(a - b, 0), whose gram blocks over a uniform
+lattice are Toeplitz.
 
 kernel_operator(kernel, points) applies the kernel matrices over one point
 set to per-point values, the sums that both the grid field and the particle
-Stein-Fisher value are made of.  For a radial kernel k = f(||a - b||^2) every
-such sum is a product of the n x n matrices f(t), f'(t) and f''(t) with
-stacked per-point features, so no (n, n, d) or (n, n, d, d) block is built.
+Stein-Fisher value are made of.  Every such sum is a product of the n x n
+matrices f(t), f'(t) and f''(t) with stacked per-point features, between
+two per-point multiplications by J, so no (n, n, d) or (n, n, d, d) block
+is built.
 """
 
 import numpy as np
@@ -26,32 +36,74 @@ PRECOMPUTE_BYTES = 700_000_000
 STREAM_BLOCK_ENTRIES = 1 << 23
 
 
-class Kernel:
-    adaptive = False  # True when the engine must refresh state each step
-    translation_invariant = False
-
-    def gram(self, X, Y):
-        raise NotImplementedError
-
-    def grad1_gram(self, X, Y):
-        raise NotImplementedError
-
-    def grad12_gram(self, X, Y):
-        raise NotImplementedError
-
-    def bounds(self):
-        raise NotImplementedError
-
-
 def _sq_dists(X, Y):
     diff = X[:, None, :] - Y[None, :, :]
     return np.sum(diff * diff, axis=2), diff
 
 
+def _times_jac(v, jac, subscripts):
+    """v multiplied by the chart Jacobians: by the number itself, or by the
+    per-point (n, d, d) matrices through einsum ``subscripts``; v itself
+    when the chart is the identity."""
+    if jac is None:
+        return v
+    if np.ndim(jac) == 0:
+        return v * jac
+    return np.einsum(subscripts, v, jac)
+
+
+class Kernel:
+    """k(a, b) = f(||x_a - x_b||^2) with f = profile and x = chart(points).
+
+    With D = x_a - x_b, t = ||D||^2 and J the chart's symmetric Jacobian:
+
+        K = f(t),   K1 = J_a (2 f'(t) D),
+        K12 = J_a (-4 f''(t) D D^T - 2 f'(t) I) J_b.
+    """
+
+    adaptive = False  # True when the engine must refresh state each step
+    translation_invariant = False
+    profile = None  # the radial kernel whose f, f' and f'' apply in the chart
+
+    def chart(self, points):
+        """(x, jac): the chart coordinates of points (n, d) and the chart's
+        Jacobian there; the identity chart by default."""
+        return points, None
+
+    def gram(self, X, Y):
+        t, _ = _sq_dists(self.chart(X)[0], self.chart(Y)[0])
+        return self.profile._f(t)
+
+    def grad1_gram(self, X, Y):
+        x, jac = self.chart(X)
+        t, diff = _sq_dists(x, self.chart(Y)[0])
+        return _times_jac(2.0 * self.profile._fp(t)[:, :, None] * diff, jac, "nma,nab->nmb")
+
+    def grad12_gram(self, X, Y):
+        (x, jx), (y, jy) = self.chart(X), self.chart(Y)
+        t, diff = _sq_dists(x, y)
+        d = x.shape[1]
+        eye = np.eye(d)
+        out = -4.0 * self.profile._fpp(t)[:, :, None, None] * (
+            diff[:, :, :, None] * diff[:, :, None, :]
+        )
+        out -= 2.0 * self.profile._fp(t)[:, :, None, None] * eye
+        out = _times_jac(out, jx, "nmac,nab->nmbc")
+        return _times_jac(out, jy, "nmac,mcd->nmad")
+
+    def bounds(self):
+        raise NotImplementedError
+
+
 class _RadialKernel(Kernel):
-    """Kernel of the form k(a, b) = f(||a - b||^2)."""
+    """Kernel of the form k(a, b) = f(||a - b||^2): its own profile, in the
+    identity chart."""
 
     translation_invariant = True
+
+    @property
+    def profile(self):
+        return self
 
     def _f(self, t):
         raise NotImplementedError
@@ -61,24 +113,6 @@ class _RadialKernel(Kernel):
 
     def _fpp(self, t):
         raise NotImplementedError
-
-    def gram(self, X, Y):
-        t, _ = _sq_dists(X, Y)
-        return self._f(t)
-
-    def grad1_gram(self, X, Y):
-        t, diff = _sq_dists(X, Y)
-        return 2.0 * self._fp(t)[:, :, None] * diff
-
-    def grad12_gram(self, X, Y):
-        t, diff = _sq_dists(X, Y)
-        d = X.shape[1]
-        eye = np.eye(d)
-        out = -4.0 * self._fpp(t)[:, :, None, None] * (
-            diff[:, :, :, None] * diff[:, :, None, :]
-        )
-        out -= 2.0 * self._fp(t)[:, :, None, None] * eye
-        return out
 
 
 def _sampled_cross_derivative_bound(f, fp):
@@ -177,33 +211,26 @@ class RBFKernel(_RadialKernel):
 
 
 class RescaledKernel(Kernel):
-    """inner kernel evaluated on points divided by a fixed scale.
+    """A radial kernel (imq or rbf) evaluated on points divided by a fixed
+    scale: the chart x = theta / scale, whose Jacobian is 1 / scale.
 
     Shrinks the cross-derivative constant by the scale (b2 / scale), which is
     how the dimension dependence of the step-size bound is tamed in practice.
     """
 
+    translation_invariant = True
+
     def __init__(self, inner, scale):
         if not (scale > 0):
             raise ConfigError("rescaled kernel needs scale > 0")
-        self.inner = inner
+        self.profile = inner
         self.scale = float(scale)
 
-    @property
-    def translation_invariant(self):
-        return self.inner.translation_invariant
-
-    def gram(self, X, Y):
-        return self.inner.gram(X / self.scale, Y / self.scale)
-
-    def grad1_gram(self, X, Y):
-        return self.inner.grad1_gram(X / self.scale, Y / self.scale) / self.scale
-
-    def grad12_gram(self, X, Y):
-        return self.inner.grad12_gram(X / self.scale, Y / self.scale) / self.scale**2
+    def chart(self, points):
+        return points / self.scale, 1.0 / self.scale
 
     def bounds(self):
-        b1, b2 = self.inner.bounds()
+        b1, b2 = self.profile.bounds()
         return b1, b2 / self.scale
 
 
@@ -211,36 +238,22 @@ class DualIMQKernel(Kernel):
     """Inverse multiquadric composed with the mirror chart:
     k(theta, theta') = (c^2 + ||grad_psi(theta) - grad_psi(theta')||^2)^beta.
 
-    In the dual coordinates this kernel is translation invariant, so bounds()
-    reports the dual-chart constants (where the kernel actually enters the
-    dual-space analysis); the raw primal cross derivative is unbounded near
-    the domain boundary for maps with unbounded curvature.
+    Its chart is grad_psi, whose Jacobian hess_psi is symmetric.  In the dual
+    coordinates this kernel is translation invariant, so bounds() reports the
+    dual-chart constants (where the kernel actually enters the dual-space
+    analysis); the raw primal cross derivative is unbounded near the domain
+    boundary for maps with unbounded curvature.
     """
 
     def __init__(self, mirror_map, c=1.0, beta=-0.5):
         self.map = mirror_map
-        self._imq = IMQKernel(c=c, beta=beta)
+        self.profile = IMQKernel(c=c, beta=beta)
 
-    def gram(self, X, Y):
-        return self._imq.gram(self.map.grad_psi(X), self.map.grad_psi(Y))
-
-    def grad1_gram(self, X, Y):
-        gx = self.map.grad_psi(X)
-        gy = self.map.grad_psi(Y)
-        inner = self._imq.grad1_gram(gx, gy)        # (n, m, d), dual slot
-        hx = self.map.hess_psi(X)                   # (n, d, d), symmetric
-        return np.einsum("nab,nmb->nma", hx, inner)
-
-    def grad12_gram(self, X, Y):
-        gx = self.map.grad_psi(X)
-        gy = self.map.grad_psi(Y)
-        inner = self._imq.grad12_gram(gx, gy)       # (n, m, d, d)
-        hx = self.map.hess_psi(X)
-        hy = self.map.hess_psi(Y)
-        return np.einsum("nab,nmbc,mcd->nmad", hx, inner, hy)
+    def chart(self, points):
+        return self.map.grad_psi(points), self.map.hess_psi(points)
 
     def bounds(self):
-        return self._imq.bounds()
+        return self.profile.bounds()
 
 
 def make_kernel(name, params=None, mirror_map=None):
@@ -256,7 +269,13 @@ def make_kernel(name, params=None, mirror_map=None):
         inner_params = params.pop("inner_params", {})
         if inner_name is None or scale is None:
             raise ConfigError("rescaled kernel needs inner and scale")
-        inner = make_kernel(inner_name, inner_params, mirror_map=mirror_map)
+        if inner_name not in ("imq", "rbf"):
+            raise ConfigError(
+                f"config key 'kernel_params.inner' must be 'imq' or 'rbf', not "
+                f"{inner_name!r}: a rescaled kernel divides primal points by its "
+                "scale, which only a radial kernel can take"
+            )
+        inner = make_kernel(inner_name, inner_params)
         if inner.adaptive:
             raise ConfigError(
                 "config key 'kernel_params.inner_params.bandwidth' must be a number: "
@@ -286,39 +305,36 @@ def make_kernel(name, params=None, mirror_map=None):
 
 
 def kernel_operator(kernel, points):
-    """The operator over ``points`` (n, d): matrix products of f(t), f'(t)
-    and f''(t) for a radial kernel, rescaled or not, and explicit gram
-    blocks for any other kernel."""
-    radial, scale = kernel, 1.0
-    if isinstance(kernel, RescaledKernel):
-        radial, scale = kernel.inner, kernel.scale
-    if isinstance(radial, _RadialKernel):
-        return _RadialOperator(radial, points, scale)
-    return _DenseKernelOperator(kernel, points)
+    """The operator over ``points`` (n, d): the kernel's profile applied in
+    its chart."""
+    return _RadialOperator(kernel.profile, *kernel.chart(points))
 
 
 class _RadialOperator:
-    """The products for k(a, b) = f(||a - b||^2 / scale^2).
+    """The products for k(a, b) = f(||x_a - x_b||^2) over chart coordinates
+    x (n, d) with symmetric chart Jacobians jac (see Kernel.chart).
 
-    With x = theta / scale, D = x_i - x_j, and F, F', F'' the symmetric
-    n x n matrices of f, f', f'' at t_ij = ||D||^2:
+    With D = x_i - x_j and F, F', F'' the symmetric n x n matrices of f,
+    f', f'' at t_ij = ||D||^2:
 
-        K = F,   K1[i, j] = (2 / scale) F'_ij D,
-        K12[i, j] = -(4 F''_ij D D^T + 2 F'_ij I) / scale^2.
+        K = F,   K1[i, j] = J_i (2 F'_ij D),
+        K12[i, j] = -J_i (4 F''_ij D D^T + 2 F'_ij I) J_j.
 
-    Splitting D into x_i and x_j turns every sum into one factor times
-    per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and point-wise
-    products with x_j.  Each factor multiplies all its features in one
-    matrix product.  The sums are translation invariant, so x is centred
-    first, which keeps the cancellation between the split terms small.
-    The factors are precomputed when they fit in PRECOMPUTE_BYTES and
-    rebuilt for each column block otherwise.
+    By the chain rule, apply maps u to u J per point on the way in and
+    dvals to dvals J on the way out; between the two every sum is the
+    identity chart's.  Splitting D into x_i and x_j turns every sum into one
+    factor times per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and
+    point-wise products with x_j.  Each factor multiplies all its features
+    in one matrix product.  The sums are translation invariant, so x is
+    centred first, which keeps the cancellation between the split terms
+    small.  The factors are precomputed when they fit in PRECOMPUTE_BYTES
+    and rebuilt for each column block otherwise.
     """
 
-    def __init__(self, kernel, points, scale):
-        self.kernel = kernel
-        self.scale = float(scale)
-        x = np.asarray(points, dtype=float) / self.scale
+    def __init__(self, profile, x, jac):
+        self.profile = profile
+        self.jac = jac
+        x = np.asarray(x, dtype=float)
         self._x = x - np.mean(x, axis=0)
         n = x.shape[0]
         self._precomputed = 3 * n * n * 8 <= PRECOMPUTE_BYTES
@@ -335,7 +351,7 @@ class _RadialOperator:
             np.subtract(x[:, None, c], x[None, cols, c], out=diff)
             diff *= diff
             t += diff
-        factors = self.kernel._f(t), self.kernel._fp(t), self.kernel._fpp(t)
+        factors = self.profile._f(t), self.profile._fp(t), self.profile._fpp(t)
         # D vanishes on the diagonal, so F' and F'' enter the split sums only
         # off it (the identity term of K12 adds f'(0) back in apply); zeros
         # there spare the split terms their largest cancellation
@@ -366,76 +382,24 @@ class _RadialOperator:
         return products
 
     def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
-        x, s = self._x, self.scale
+        x = self._x
         q_x = q[:, :, None] * x[:, None, :]
         if u is None:
             (Fq,), (Fpq, Fpqx) = self._products([q], [q, q_x])
         else:
+            u = _times_jac(u, self.jac, "nde,nef->ndf")
             w = np.einsum("ide,ie->id", u, x)
             w_x = w[:, :, None] * x[:, None, :]
             u_x = u[:, :, :, None] * x[:, None, None, :]
             (Fq,), (Fpq, Fpqx, Fpw, Fpu), (Fppw, Fppwx, Fppu, Fppux) = self._products(
                 [q], [q, q_x, w, u], [w, w_x, u, u_x])
         vals = Fq
-        dvals = (2.0 / s) * (Fpq[:, :, None] * x[:, None, :] - Fpqx)
+        dvals = 2.0 * (Fpq[:, :, None] * x[:, None, :] - Fpqx)
         if u is not None:
-            vals = vals + (2.0 / s) * (Fpw - np.einsum("jde,je->jd", Fpu, x))
+            vals = vals + 2.0 * (Fpw - np.einsum("jde,je->jd", Fpu, x))
             Fppu_x = np.einsum("jde,je->jd", Fppu, x)
             dd = (Fppwx - np.einsum("jdec,je->jdc", Fppux, x)
                   + (Fppu_x - Fppw)[:, :, None] * x[:, None, :])
-            fp0 = float(self.kernel._fp(np.zeros(1))[0])
-            dvals = dvals - (2.0 * (Fpu + fp0 * u) + 4.0 * dd) / s**2
-        return vals, dvals
-
-
-class _DenseKernelOperator:
-    """The products against explicit gram blocks between the points.
-
-    The blocks are precomputed when they fit in PRECOMPUTE_BYTES, so that
-    repeated products reuse them; otherwise every product streams over
-    column blocks.
-    """
-
-    def __init__(self, kernel, theta: np.ndarray):
-        self.kernel = kernel
-        self.theta = theta
-        size, d = theta.shape
-        self._precomputed = size * size * (1 + d + d * d) * 8 <= PRECOMPUTE_BYTES
-        if self._precomputed:
-            self._K = kernel.gram(theta, theta)
-            self._K1 = kernel.grad1_gram(theta, theta)
-            self._K12 = kernel.grad12_gram(theta, theta)
-
-    def _blocks(self, cols: slice):
-        """Kernel matrices between all points (rows) and a column block: the
-        gram block, the first-slot gradient, the same gradient with the block
-        in the first slot (the evaluation-side derivative, by symmetry of the
-        kernel), and the mixed second derivative."""
-        if self._precomputed:
-            return self._K[:, cols], self._K1[:, cols], self._K1[cols], self._K12[:, cols]
-        theta_c = self.theta[cols]
-        return (
-            self.kernel.gram(self.theta, theta_c),
-            self.kernel.grad1_gram(self.theta, theta_c),
-            self.kernel.grad1_gram(theta_c, self.theta),
-            self.kernel.grad12_gram(self.theta, theta_c),
-        )
-
-    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
-        size, d = self.theta.shape
-        block = size if self._precomputed else max(1, STREAM_BLOCK_ENTRIES // size)
-        vals = np.empty((size, d))
-        dvals = np.empty((size, d, d))
-        for start in range(0, size, block):
-            cols = slice(start, min(start + block, size))
-            K, K1, K1rev, K12 = self._blocks(cols)
-            v = K.T @ q
-            dv = np.stack([K1rev[:, :, c] @ q for c in range(d)], axis=2)
-            if u is not None:
-                for e in range(d):
-                    v += K1[:, :, e].T @ u[:, :, e]
-                    for c in range(d):
-                        dv[:, :, c] += K12[:, :, e, c].T @ u[:, :, e]
-            vals[cols] = v
-            dvals[cols] = dv
-        return vals, dvals
+            fp0 = float(self.profile._fp(np.zeros(1))[0])
+            dvals = dvals - (2.0 * (Fpu + fp0 * u) + 4.0 * dd)
+        return vals, _times_jac(dvals, self.jac, "nde,nef->ndf")

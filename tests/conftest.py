@@ -3,10 +3,14 @@
 The oracles are deliberately dumb and independent of the library code: plain
 central differences and loop-based constructions, so closed forms in the
 package are certified against something that cannot share their bugs.
+DenseKernelOperator is the kernel operators' oracle: the same sums taken
+against explicit gram blocks.
 """
 
 import numpy as np
 import pytest
+
+from msvgd.kernels import Kernel
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -63,6 +67,49 @@ def fd_mixed_second(k, a, b, h=1e-4):
                 + k(a - ea, b - eb)
             ) / (4 * h * h)
     return out
+
+
+class _LongDoubleChart(Kernel):
+    """A kernel's profile and chart with the chart coordinates and
+    Jacobians carried in long double, so that every gram block built from
+    them is too."""
+
+    def __init__(self, kernel):
+        self.profile = kernel.profile
+        self._chart = kernel.chart
+
+    def chart(self, points):
+        x, jac = self._chart(points)
+        return (np.asarray(x, dtype=np.longdouble),
+                None if jac is None else np.asarray(jac, dtype=np.longdouble))
+
+
+class DenseKernelOperator:
+    """The kernel sums of ``msvgd.kernels.kernel_operator`` taken against the
+    kernel's explicit gram blocks between the points, all precomputed:
+
+        vals[j]        = sum_i K[i, j] q[i] + sum_{i,e} K1[i, j, e] u[i, :, e]
+        dvals[j, :, c] = sum_i K1[j, i, c] q[i] + sum_{i,e} K12[i, j, e, c] u[i, :, e]
+
+    The blocks and the sums are in long double from the kernel's own
+    float chart: a chart Jacobian J enters K12 as J_i (.) J_j, and a u near
+    J^-1 (the mirror maps' inverse Hessians) cancels it again, which costs
+    double-precision blocks cond(J) ulps of the result.
+    """
+
+    def __init__(self, kernel, theta):
+        kernel = _LongDoubleChart(kernel)
+        self._K = kernel.gram(theta, theta)
+        self._K1 = kernel.grad1_gram(theta, theta)
+        self._K12 = kernel.grad12_gram(theta, theta)
+
+    def apply(self, q, u):
+        vals = self._K.T @ q
+        dvals = np.einsum("jic,id->jdc", self._K1, q)
+        if u is not None:
+            vals += np.einsum("ije,ide->jd", self._K1, u)
+            dvals += np.einsum("ijec,ide->jdc", self._K12, u)
+        return vals.astype(float), dvals.astype(float)
 
 
 def rel_err(approx, exact, floor=1e-12):

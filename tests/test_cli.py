@@ -162,6 +162,20 @@ class TestRunCommand:
         assert code == 2
         assert "'kernel_params.inner_params.bandwidth'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inner", ["dual-imq", "rescaled"])
+    def test_rescaled_non_radial_inner_exits_two_before_any_output(self, tmp_path, capsys,
+                                                                   inner):
+        config = tmp_path / "rescaled.json"
+        config.write_text(json.dumps(dict(
+            DIRICHLET_SMALL, kernel="rescaled", steps=3, particles=20,
+            kernel_params={"inner": inner, "scale": 0.5})))
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(config), "--out", str(out)])
+        assert code == 2
+        assert "'kernel_params.inner'" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "diagnostics.csv").exists()
+
     def test_infinite_gamma_in_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(dict(DIRICHLET_SMALL, gamma=float("inf"))))

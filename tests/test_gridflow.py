@@ -1,8 +1,8 @@
 """Quadrature-flow checks: finite differences against known stencils, KL
 against closed-form Gaussian values, the fixed point of the flow, agreement
-of the three field formulas, the lattice and radial kernel operators against
-dense gram blocks, pushforward identities, and the descent report in both
-step-size regimes."""
+of the three field formulas, the lattice and point-set kernel operators
+against dense gram blocks, pushforward identities, and the descent report in
+both step-size regimes."""
 
 import math
 import tracemalloc
@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import DenseKernelOperator
 
 from msvgd import gridflow, kernels, theory
 from msvgd.errors import ConfigError, DomainError, NumericsError
@@ -120,7 +122,7 @@ def invert_by_bisection(grid, field, gamma):
 
 def with_dense_operator(flow):
     """The same flow with its kernel products on explicit gram blocks."""
-    flow.kernel_operator = kernels._DenseKernelOperator(flow.kernel, flow.theta)
+    flow.kernel_operator = DenseKernelOperator(flow.kernel, flow.theta)
     return flow
 
 
@@ -412,14 +414,14 @@ class TestKernelOperator:
         rescaled = MirroredFlow(dirichlet_target(), RescaledKernel(RBFKernel(0.5), 2.0), nodes=64)
         assert isinstance(rescaled.kernel_operator, kernels._RadialOperator)
         # dual-imq is not flagged translation invariant, even on the euclidean
-        # map, and is not radial in the primal chart
+        # map; it is its IMQ profile in the chart grad_psi
         dual_imq = make_kernel("dual-imq", mirror_map=EuclideanMap(1))
         dual = MirroredFlow(quartic_target(), dual_imq, nodes=64, halfwidth=4.0)
-        assert isinstance(dual.kernel_operator, kernels._DenseKernelOperator)
+        assert isinstance(dual.kernel_operator, kernels._RadialOperator)
         target = dirichlet_target()
         dirichlet_dual = MirroredFlow(target, make_kernel("dual-imq", mirror_map=target.map),
                                       nodes=64)
-        assert isinstance(dirichlet_dual.kernel_operator, kernels._DenseKernelOperator)
+        assert isinstance(dirichlet_dual.kernel_operator, kernels._RadialOperator)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -450,7 +452,7 @@ class TestKernelOperator:
 
     @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
     def test_streaming_matches_precomputed(self, monkeypatch, conc, nodes):
-        flow = with_dense_operator(MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes))
+        flow = MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes)
         assert flow.kernel_operator._precomputed
         density = flow.initial_density()
         forms = gridflow.G_FORMS if flow.grid.dim == 1 else ("score", "dual")
@@ -458,21 +460,37 @@ class TestKernelOperator:
         # five columns per block, so the last block is a partial one
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
         monkeypatch.setattr(kernels, "STREAM_BLOCK_ENTRIES", 5 * flow.grid.size)
-        with_dense_operator(flow)
+        flow.kernel_operator = kernels.kernel_operator(flow.kernel, flow.theta)
         assert not flow.kernel_operator._precomputed
         for form, reference in zip(forms, precomputed):
             _assert_fields_close(flow.g_field(density, form=form), reference)
 
     @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
     def test_radial_matches_dense_blocks(self, conc, nodes):
-        flow = MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes)
-        assert isinstance(flow.kernel_operator, kernels._RadialOperator)
-        density = flow.initial_density()
-        forms = gridflow.G_FORMS if flow.grid.dim == 1 else ("score", "dual")
-        radial = [flow.g_field(density, form=form) for form in forms]
-        with_dense_operator(flow)
-        for form, fast in zip(forms, radial):
-            _assert_fields_close(fast, flow.g_field(density, form=form))
+        target = dirichlet_target(conc)
+        for kernel in (IMQKernel(), make_kernel("dual-imq", mirror_map=target.map)):
+            flow = MirroredFlow(target, kernel, nodes=nodes)
+            assert isinstance(flow.kernel_operator, kernels._RadialOperator)
+            density = flow.initial_density()
+            forms = gridflow.G_FORMS if flow.grid.dim == 1 else ("score", "dual")
+            radial = [flow.g_field(density, form=form) for form in forms]
+            with_dense_operator(flow)
+            for form, fast in zip(forms, radial):
+                reference = flow.g_field(density, form=form)
+                if isinstance(kernel, IMQKernel):
+                    _assert_fields_close(fast, reference)
+                    continue
+                # g_field takes dvals back to the dual chart through hinv.
+                # dual-imq's dvals carry its chart Jacobian J = hess_psi, so
+                # that multiplies by J and then by its inverse, which alone
+                # costs up to eps cond(J) of the field's scale at a node;
+                # cond(J) reaches 1e14 in the 2-d grid's tails
+                values_err = np.max(np.abs(fast.values - reference.values))
+                assert values_err <= 1e-13 * np.max(np.abs(reference.values))
+                cond = np.linalg.cond(target.map.hess_psi(flow.theta))
+                allowed = np.max(np.abs(reference.derivs)) * (1e-13 + np.finfo(float).eps * cond)
+                err = np.max(np.abs(fast.derivs - reference.derivs), axis=(1, 2))
+                assert np.all(err <= allowed)
 
     def test_lattice_flow_builds_no_node_by_node_array(self):
         tracemalloc.start()
@@ -487,19 +505,22 @@ class TestKernelOperator:
         assert peak < 32e6
 
     def test_radial_flow_builds_no_gram_blocks(self):
-        tracemalloc.start()
-        try:
-            flow = MirroredFlow(dirichlet_target((5.0, 5.0, 5.0)), IMQKernel(), nodes=48)
-            flow.run(gamma=1e-3, steps=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert isinstance(flow.kernel_operator, kernels._RadialOperator)
-        assert flow.grid.size == 2304
-        # The three n x n factors are 127 MB and the peak reads 255 MB, while
-        # they are built.  The dense path keeps 1 + d + d^2 = 7 gram blocks
-        # (297 MB) and peaks at 637 MB on the same flow and step.
-        assert peak < 350e6
+        target = dirichlet_target((5.0, 5.0, 5.0))
+        for kernel in (IMQKernel(), make_kernel("dual-imq", mirror_map=target.map)):
+            tracemalloc.start()
+            try:
+                flow = MirroredFlow(target, kernel, nodes=48)
+                flow.run(gamma=1e-3, steps=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert isinstance(flow.kernel_operator, kernels._RadialOperator)
+            assert flow.grid.size == 2304
+            # The three n x n factors are 127 MB and the peak reads 255 MB, while
+            # they are built, for either kernel.  Gram blocks would be
+            # 1 + d + d^2 = 7 n x n arrays (297 MB), and on them the same flow
+            # and step peaked at 637 MB for imq and 638 MB for dual-imq.
+            assert peak < 350e6
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ moments against Monte Carlo, the particle Stein-Fisher estimator against a
 straight-loop reference, and quadrature constants against closed forms."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -620,11 +621,26 @@ class TestSteinFisherParticles:
                                                       [0.0, 0.1, 1.2]])
         kernel = {"imq": IMQKernel(c=0.8), "rescaled-rbf": RescaledKernel(RBFKernel(0.7), 1.5),
                   "dual-imq": DualIMQKernel(mirror_map)}[kernel_name]
-        operator = kernels.kernel_operator(kernel, theta)
-        dense = kernel_name == "dual-imq"
-        assert isinstance(operator, kernels._DenseKernelOperator) == dense
         got = _sf(theta, target, mirror_map, kernel)
         assert got == pytest.approx(_v_statistic(theta, target, mirror_map, kernel), rel=1e-12)
+
+    def test_dual_imq_snapshot_builds_no_gram_blocks(self):
+        lo, hi = np.array([-1.0, -1.0, -1.0]), np.array([1.0, 2.0, 1.0])
+        mirror_map = EntropicBoxMap(lo, hi)
+        theta = sample_box_interior(np.random.default_rng(1), 1000, lo, hi)
+        target = TruncatedGaussian([0.2, -0.1, 0.0], np.eye(3), lo=lo, hi=hi)
+        kernel = DualIMQKernel(mirror_map)
+        field = update_field(SimpleNamespace(primal=theta), target, mirror_map, kernel)
+        tracemalloc.start()
+        try:
+            stein_fisher_particles(theta, kernel, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The three n x n factors are 24 MB and the peak reads 48 MB, as for
+        # imq.  Gram blocks would be 1 + d + d^2 = 13 n x n arrays (104 MB),
+        # and the snapshot on them peaked at 216 MB.
+        assert peak < 80e6
 
     def test_rejects_a_field_of_the_wrong_shape(self, rng):
         x = rng.standard_normal((6, 2))
