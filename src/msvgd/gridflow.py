@@ -22,7 +22,9 @@ point-set operator of msvgd.kernels: matrix products of the kernel
 profile's f(t), f'(t) and f''(t) in the kernel's chart, for every kernel
 (dual-imq's chart is grad_psi, so there t is measured between the dual
 images of the primal nodes).  The pushforward inverts x - gamma * g by
-Newton's method.
+Newton's method, each round reading the field and its Jacobian from one
+interval lookup.  A density keeps its finite-difference log gradient, so a
+state's Stein-Fisher record and its 1-D pushforward compute it once.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -32,6 +34,7 @@ finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,13 +43,15 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import kernel_operator
 from .targets import MirroredTarget
+from .theory import log_sum_exp
 
 DEFAULT_NODES_1D = 4096
 # Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
 # field is an n x n matrix product over the P = 48^2 nodes; the three factors
 # (3 P^2 x 8 bytes = 127 MB) stay precomputed inside kernels.PRECOMPUTE_BYTES
-# with room to spare, and a flow with one step peaks near 255 MB.  Past 73
-# per axis the factors are rebuilt for every product.
+# with room to spare, and a flow with one step peaks near 130 MB (the build
+# holds at most one P x P block besides them).  Past 73 per axis the factors
+# are rebuilt for every product.
 DEFAULT_NODES_2D = 48
 TAIL_DROP_NATS = 45.0
 # nodes whose density sits this far (nats) below the peak are excluded from
@@ -176,10 +181,31 @@ class GridDensity:
     def density(self) -> np.ndarray:
         return np.exp(self.log_density)
 
+    @functools.cached_property
+    def log_gradient(self) -> np.ndarray:
+        """Finite-difference gradient of the log density at every node,
+        shape (size, dim), read-only.  Computed once per density: a state's
+        dual score ratio and its 1-D pushforward share it, and
+        MirroredFlow.run drops it once the state has moved on."""
+        if np.any(np.isneginf(self.log_density)):
+            node = int(np.argmin(self.log_density))
+            raise DomainError(
+                f"density is zero at node {node}; the log gradient is undefined there"
+            )
+        grid = self.grid
+        logrho = self.log_density.reshape(grid.shape)
+        if grid.dim == 1:
+            grad = _fd4_uniform(logrho, grid.spacing[0])[:, None]
+        else:
+            d0 = _fd4_uniform(logrho.T, grid.spacing[0]).T
+            d1 = _fd4_uniform(logrho, grid.spacing[1])
+            grad = np.stack([d0.ravel(), d1.ravel()], axis=1)
+        grad.flags.writeable = False
+        return grad
+
     @property
     def log_mass(self) -> float:
-        logs = self.log_density + np.log(self.grid.weights())
-        return float(np.logaddexp.reduce(np.sort(logs)))
+        return log_sum_exp(self.log_density + np.log(self.grid.weights()))
 
     @property
     def mass(self) -> float:
@@ -230,34 +256,25 @@ def fornberg_weights(points: np.ndarray, center: float, order: int) -> np.ndarra
     return c[:, order]
 
 
+# (row, stencil) of the one-sided five-point first-derivative stencils at the
+# two edge nodes of each end, for unit spacing; rows 0 and 1 read the first
+# five nodes, rows -2 and -1 the last five
+_FD4_EDGE_STENCILS = tuple(
+    (row, fornberg_weights(np.arange(5.0), center, 1))
+    for row, center in ((0, 0.0), (1, 1.0), (-2, 3.0), (-1, 4.0))
+)
+
+
 def _fd4_uniform(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative along the last axis of a uniform grid,
     one-sided five-point stencils at the edges."""
     v = values
     out = np.empty_like(v)
     out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
-    offsets = np.arange(5.0)
-    for row, center in ((0, 0.0), (1, 1.0), (-2, 3.0), (-1, 4.0)):
-        w = fornberg_weights(offsets, center, 1) / h
-        chunk = v[..., :5] if center < 2.5 else v[..., -5:]
-        out[..., row] = np.dot(chunk, w)
+    for row, w in _FD4_EDGE_STENCILS:
+        chunk = v[..., :5] if row >= 0 else v[..., -5:]
+        out[..., row] = np.dot(chunk, w / h)
     return out
-
-
-def log_density_gradient(density: GridDensity) -> np.ndarray:
-    """Gradient of log density at every node, shape (size, dim)."""
-    if np.any(np.isneginf(density.log_density)):
-        node = int(np.argmin(density.log_density))
-        raise DomainError(
-            f"density is zero at node {node}; the log gradient is undefined there"
-        )
-    grid = density.grid
-    logrho = density.log_density.reshape(grid.shape)
-    if grid.dim == 1:
-        return _fd4_uniform(logrho, grid.spacing[0])[:, None]
-    d0 = _fd4_uniform(logrho.T, grid.spacing[0]).T
-    d1 = _fd4_uniform(logrho, grid.spacing[1])
-    return np.stack([d0.ravel(), d1.ravel()], axis=1)
 
 
 def nonuniform_gradient(points: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -287,8 +304,8 @@ def _hermite_pieces(x: np.ndarray, q: np.ndarray):
     return idx, t, h
 
 
-def _hermite_value(x, v, m, q, extend: str):
-    idx, t, h = _hermite_pieces(x, q)
+def _hermite_value(x, v, m, q, pieces, extend: str):
+    idx, t, h = pieces
     t2, t3 = t * t, t * t * t
     val = ((2 * t3 - 3 * t2 + 1) * v[idx] + (t3 - 2 * t2 + t) * h * m[idx]
            + (-2 * t3 + 3 * t2) * v[idx + 1] + (t3 - t2) * h * m[idx + 1])
@@ -302,8 +319,8 @@ def _hermite_value(x, v, m, q, extend: str):
     return val
 
 
-def _hermite_slope(x, v, m, q, extend: str):
-    idx, t, h = _hermite_pieces(x, q)
+def _hermite_slope(x, v, m, q, pieces, extend: str):
+    idx, t, h = pieces
     t2 = t * t
     val = ((6 * t2 - 6 * t) * v[idx] / h + (3 * t2 - 4 * t + 1) * m[idx]
            + (-6 * t2 + 6 * t) * v[idx + 1] / h + (3 * t2 - 2 * t) * m[idx + 1])
@@ -316,18 +333,24 @@ def _hermite_slope(x, v, m, q, extend: str):
     return val
 
 
-def _bilinear(grid: Grid, flat_values: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of node values (trailing dims preserved),
-    constant beyond the box."""
+def _bilinear_pieces(grid: Grid, q: np.ndarray):
+    """Cell indices and in-cell coordinates of points q (n, 2), clipped to
+    the box."""
     ax0, ax1 = grid.axes
-    vals = flat_values.reshape(grid.shape + flat_values.shape[1:])
     q0 = np.clip(q[:, 0], ax0[0], ax0[-1])
     q1 = np.clip(q[:, 1], ax1[0], ax1[-1])
     i = np.clip(np.searchsorted(ax0, q0, side="right") - 1, 0, ax0.size - 2)
     j = np.clip(np.searchsorted(ax1, q1, side="right") - 1, 0, ax1.size - 2)
+    return i, j, (q0 - ax0[i]) / (ax0[1] - ax0[0]), (q1 - ax1[j]) / (ax1[1] - ax1[0])
+
+
+def _bilinear(grid: Grid, flat_values: np.ndarray, pieces) -> np.ndarray:
+    """Bilinear interpolation of node values (trailing dims preserved) at
+    the points that ``pieces`` locates, constant beyond the box."""
+    vals = flat_values.reshape(grid.shape + flat_values.shape[1:])
+    i, j, t, u = pieces
     pad = (...,) + (None,) * (vals.ndim - 2)
-    t = ((q0 - ax0[i]) / (ax0[1] - ax0[0]))[pad]
-    u = ((q1 - ax1[j]) / (ax1[1] - ax1[0]))[pad]
+    t, u = t[pad], u[pad]
     return ((1 - t) * (1 - u) * vals[i, j] + t * (1 - u) * vals[i + 1, j]
             + (1 - t) * u * vals[i, j + 1] + t * u * vals[i + 1, j + 1])
 
@@ -337,7 +360,9 @@ class FieldOnGrid:
 
     1D evaluation is cubic Hermite (the nodal derivatives are part of the
     data, not re-estimated) and constant beyond the box, which keeps the flow
-    map injective out there.  2D evaluation is bilinear.
+    map injective out there.  2D evaluation is bilinear.  evaluate returns
+    values and Jacobians from one interval lookup; calling the field and
+    jacobian give one of the two.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, derivs: np.ndarray):
@@ -352,21 +377,23 @@ class FieldOnGrid:
                 f"expected {expect_v}/{expect_d}"
             )
 
-    def __call__(self, points: np.ndarray) -> np.ndarray:
+    def evaluate(self, points: np.ndarray) -> tuple:
+        """(values (n, d), Jacobians (n, d, d)) at points from one interval
+        lookup."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.grid.dim == 1:
-            v = _hermite_value(self.grid.axes[0], self.values[:, 0],
-                               self.derivs[:, 0, 0], points[:, 0], "constant")
-            return v[:, None]
-        return _bilinear(self.grid, self.values, points)
+            x, v, m, q = self.grid.axes[0], self.values[:, 0], self.derivs[:, 0, 0], points[:, 0]
+            pieces = _hermite_pieces(x, q)
+            return (_hermite_value(x, v, m, q, pieces, "constant")[:, None],
+                    _hermite_slope(x, v, m, q, pieces, "constant")[:, None, None])
+        pieces = _bilinear_pieces(self.grid, points)
+        return _bilinear(self.grid, self.values, pieces), _bilinear(self.grid, self.derivs, pieces)
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        return self.evaluate(points)[0]
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.grid.dim == 1:
-            s = _hermite_slope(self.grid.axes[0], self.values[:, 0],
-                               self.derivs[:, 0, 0], points[:, 0], "constant")
-            return s[:, None, None]
-        return _bilinear(self.grid, self.derivs, points)
+        return self.evaluate(points)[1]
 
     def max_stretch(self) -> tuple:
         """Largest Jacobian magnitude (max row sum) of the interpolated field,
@@ -509,9 +536,7 @@ class MirroredFlow:
         self.weights = self.grid.weights()
         self.potential = np.asarray(mirrored.potential(x), dtype=float)
         self.grad_potential = np.asarray(mirrored.grad_potential(x), dtype=float)
-        self.log_partition = float(
-            np.logaddexp.reduce(np.sort(-self.potential + np.log(self.weights)))
-        )
+        self.log_partition = log_sum_exp(-self.potential + np.log(self.weights))
         self.log_pi = -self.potential - self.log_partition
 
         self.theta = self.map.grad_psi_star(x)
@@ -540,7 +565,7 @@ class MirroredFlow:
     def dual_score_ratio(self, density: GridDensity) -> np.ndarray:
         """grad log(mu/pi) at every node in the dual chart: finite-difference
         log mu plus the exact potential gradient."""
-        return log_density_gradient(density) + self.grad_potential
+        return density.log_gradient + self.grad_potential
 
     # -- field --------------------------------------------------------------
 
@@ -648,7 +673,12 @@ class MirroredFlow:
                     "density": density,
                 })
             if n < steps:
-                density = pushforward_step(density, field, gamma)
+                moved = pushforward_step(density, field, gamma)
+                # the records keep their densities: drop the gradient that
+                # served this state's record and pushforward, so a run holds
+                # one state's gradient, not one per record
+                vars(density).pop("log_gradient", None)
+                density = moved
         return {"records": records, "final": density}
 
 
@@ -677,8 +707,8 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
             f"{gamma * stretch:.6g} at node {node}",
             particle=node,
         )
-    inverse = _invert(grid, field, gamma)
-    jac = np.eye(grid.dim) - gamma * field.jacobian(inverse)
+    inverse, field_jac = _invert(grid, field, gamma)
+    jac = np.eye(grid.dim) - gamma * field_jac
     if grid.dim == 1:
         det = jac[:, 0, 0]
     else:
@@ -690,18 +720,21 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
 def _interp_log_density(density: GridDensity, points: np.ndarray) -> np.ndarray:
     grid = density.grid
     if grid.dim == 1:
-        slopes = log_density_gradient(density)[:, 0]
-        return _hermite_value(grid.axes[0], density.log_density, slopes,
-                              points[:, 0], "linear")
-    return _bilinear(grid, density.log_density, points)
+        x, q = grid.axes[0], points[:, 0]
+        return _hermite_value(x, density.log_density, density.log_gradient[:, 0], q,
+                              _hermite_pieces(x, q), "linear")
+    return _bilinear(grid, density.log_density, _bilinear_pieces(grid, points))
 
 
-def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> np.ndarray:
-    """Solve y - gamma * field(y) = x at every node x by Newton's method.
+def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
+    """Solve y - gamma * field(y) = x at every node x by Newton's method;
+    returns y and the field's Jacobian there.
 
     1D starts from linear interpolation of the nodes over the forward map at
-    the nodes; 2D starts at the nodes.  Every residual must reach NEWTON_TOL
-    within NEWTON_ROUNDS steps, or the worst node is named in a NumericsError.
+    the nodes; 2D starts at the nodes.  Each round evaluates the field and
+    its Jacobian from one interval lookup.  Every residual must reach
+    NEWTON_TOL within NEWTON_ROUNDS steps, or the worst node is named in a
+    NumericsError.
     """
     targets = grid.nodes()
     if grid.dim == 1:
@@ -710,12 +743,13 @@ def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> np.ndarray:
     else:
         y = targets.copy()
     for rounds in range(NEWTON_ROUNDS + 1):
-        residual = y - gamma * field(y) - targets
+        values, jac = field.evaluate(y)
+        residual = y - gamma * values - targets
         worst = np.max(np.abs(residual), axis=1)
         if float(np.max(worst)) <= NEWTON_TOL:
-            return y
+            return y, jac
         if rounds < NEWTON_ROUNDS:
-            y = y - _solve_small(np.eye(grid.dim) - gamma * field.jacobian(y), residual)
+            y = y - _solve_small(np.eye(grid.dim) - gamma * jac, residual)
     node = int(np.argmax(worst))
     raise NumericsError(
         f"pushforward inverse did not converge in {NEWTON_ROUNDS} Newton rounds: "

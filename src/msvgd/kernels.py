@@ -9,6 +9,11 @@ number 1 / scale for rescaled, and hess_psi (n, d, d) for dual-imq, whose
 chart is the mirror map's grad_psi.  profile is the radial kernel whose
 f, f' and f'' apply in the chart.
 
+A radial profile evaluates f and its first two derivatives in one method,
+_derivatives(t, order), from one transcendental: one pow of c^2 + t for imq,
+whose derivatives follow by division, and one exp for rbf.  Every caller
+asks it for the orders it needs, so no formula is written twice.
+
 All kernels expose batched ops on point sets X (n, d) and Y (m, d): gram,
 grad1_gram and grad12_gram, written once for every kernel.  grad1
 differentiates the first argument slot; grad12 is the matrix of cross
@@ -72,22 +77,26 @@ class Kernel:
 
     def gram(self, X, Y):
         t, _ = _sq_dists(self.chart(X)[0], self.chart(Y)[0])
-        return self.profile._f(t)
+        return self.profile._derivatives(t, 0)[0]
 
     def grad1_gram(self, X, Y):
         x, jac = self.chart(X)
         t, diff = _sq_dists(x, self.chart(Y)[0])
-        return _times_jac(2.0 * self.profile._fp(t)[:, :, None] * diff, jac, "nma,nab->nmb")
+        # scaled in place: a named factor must not cost one more n x m array
+        fp = self.profile._derivatives(t, 1)[1]
+        fp *= 2.0
+        return _times_jac(fp[:, :, None] * diff, jac, "nma,nab->nmb")
 
     def grad12_gram(self, X, Y):
         (x, jx), (y, jy) = self.chart(X), self.chart(Y)
         t, diff = _sq_dists(x, y)
         d = x.shape[1]
         eye = np.eye(d)
-        out = -4.0 * self.profile._fpp(t)[:, :, None, None] * (
-            diff[:, :, :, None] * diff[:, :, None, :]
-        )
-        out -= 2.0 * self.profile._fp(t)[:, :, None, None] * eye
+        fp, fpp = self.profile._derivatives(t, 2)[1:]
+        fp *= 2.0
+        fpp *= -4.0
+        out = fpp[:, :, None, None] * (diff[:, :, :, None] * diff[:, :, None, :])
+        out -= fp[:, :, None, None] * eye
         out = _times_jac(out, jx, "nmac,nab->nmbc")
         return _times_jac(out, jy, "nmac,mcd->nmad")
 
@@ -105,24 +114,25 @@ class _RadialKernel(Kernel):
     def profile(self):
         return self
 
-    def _f(self, t):
+    def _derivatives(self, t, order):
+        """(f(t), f'(t), ...) up to the order-th derivative, order <= 2, from
+        one transcendental.  t is an array and is consumed: its buffer may
+        hold one of the results.  (imq's sampled bound passes floats at
+        order 0.)"""
         raise NotImplementedError
 
-    def _fp(self, t):
-        raise NotImplementedError
 
-    def _fpp(self, t):
-        raise NotImplementedError
-
-
-def _sampled_cross_derivative_bound(f, fp):
+def _sampled_cross_derivative_bound(profile):
     """b2^2 for a radial kernel, sampled rather than derived.
 
     For the kernels here the cross second derivative peaks at coincidence,
     where the matrix is -2 f'(0) I. Sample it by a Richardson-refined central
     difference on the 1-d slice k(a, b) = f((a-b)^2) so an algebra slip in
-    fp cannot silently skew the step-size bounds.
+    f' cannot silently skew the step-size bounds.
     """
+
+    def f(t):
+        return profile._derivatives(t, 0)[0]
 
     def mixed(h):
         return (f((h - h) ** 2) - f((h + h) ** 2)
@@ -143,16 +153,24 @@ class IMQKernel(_RadialKernel):
         self.c = float(c)
         self.beta = float(beta)
         self._b1 = self.c**self.beta
-        self._b2sq = _sampled_cross_derivative_bound(self._f, self._fp)
+        self._b2sq = _sampled_cross_derivative_bound(self)
 
-    def _f(self, t):
-        return (self.c**2 + t) ** self.beta
-
-    def _fp(self, t):
-        return self.beta * (self.c**2 + t) ** (self.beta - 1.0)
-
-    def _fpp(self, t):
-        return self.beta * (self.beta - 1.0) * (self.c**2 + t) ** (self.beta - 2.0)
+    def _derivatives(self, t, order):
+        # with base = c^2 + t: f = base^beta, f' = beta f / base and
+        # f'' = (beta - 1) f' / base; the highest order asked for is built
+        # in t's buffer
+        base = t
+        base += self.c**2
+        f = base**self.beta
+        if order == 0:
+            return (f,)
+        fp = np.divide(f, base, out=base if order == 1 else None)
+        fp *= self.beta
+        if order == 1:
+            return f, fp
+        fpp = np.divide(fp, base, out=base)
+        fpp *= self.beta - 1.0
+        return f, fp, fpp
 
     def bounds(self):
         return self._b1, float(np.sqrt(self._b2sq))
@@ -197,14 +215,17 @@ class RBFKernel(_RadialKernel):
         self._h = self.median_bandwidth(X)
         return self._h
 
-    def _f(self, t):
-        return np.exp(-t / (2.0 * self.bandwidth**2))
-
-    def _fp(self, t):
-        return -self._f(t) / (2.0 * self.bandwidth**2)
-
-    def _fpp(self, t):
-        return self._f(t) / (4.0 * self.bandwidth**4)
+    def _derivatives(self, t, order):
+        # f = exp(-t / (2 h^2)), built in t's buffer; f' = -f / (2 h^2) and
+        # f'' = f / (4 h^4)
+        two_h2 = 2.0 * self.bandwidth**2
+        f = np.divide(t, -two_h2, out=t)
+        np.exp(f, out=f)
+        if order == 0:
+            return (f,)
+        if order == 1:
+            return f, f / -two_h2
+        return f, f / -two_h2, f / (4.0 * self.bandwidth**4)
 
     def bounds(self):
         return 1.0, 1.0 / self.bandwidth
@@ -327,8 +348,12 @@ class _RadialOperator:
     point-wise products with x_j.  Each factor multiplies all its features
     in one matrix product.  The sums are translation invariant, so x is
     centred first, which keeps the cancellation between the split terms
-    small.  The factors are precomputed when they fit in PRECOMPUTE_BYTES
-    and rebuilt for each column block otherwise.
+    small.  The profile builds F, F' and F'' in one pass from one
+    transcendental, one of them in the squared distances' buffer, so a
+    build holds the three factors and at most one more block; f'(0) for the
+    identity term is evaluated once per operator.  The factors are
+    precomputed when they fit in PRECOMPUTE_BYTES and rebuilt for each
+    column block otherwise.
     """
 
     def __init__(self, profile, x, jac):
@@ -336,6 +361,7 @@ class _RadialOperator:
         self.jac = jac
         x = np.asarray(x, dtype=float)
         self._x = x - np.mean(x, axis=0)
+        self._fp0 = float(profile._derivatives(np.zeros(1), 1)[1][0])
         n = x.shape[0]
         self._precomputed = 3 * n * n * 8 <= PRECOMPUTE_BYTES
         if self._precomputed:
@@ -343,7 +369,9 @@ class _RadialOperator:
 
     def _block(self, cols: slice) -> tuple:
         """F, F' and F'' between all points (rows) and a column block; the
-        squared distances are summed coordinate by coordinate."""
+        squared distances are summed coordinate by coordinate, and the
+        profile builds one factor in their buffer, so the build holds the
+        three factors and at most one more block."""
         x = self._x
         diff = x[:, None, 0] - x[None, cols, 0]
         t = diff * diff
@@ -351,7 +379,8 @@ class _RadialOperator:
             np.subtract(x[:, None, c], x[None, cols, c], out=diff)
             diff *= diff
             t += diff
-        factors = self.profile._f(t), self.profile._fp(t), self.profile._fpp(t)
+        del diff
+        factors = self.profile._derivatives(t, 2)
         # D vanishes on the diagonal, so F' and F'' enter the split sums only
         # off it (the identity term of K12 adds f'(0) back in apply); zeros
         # there spare the split terms their largest cancellation
@@ -400,6 +429,5 @@ class _RadialOperator:
             Fppu_x = np.einsum("jde,je->jd", Fppu, x)
             dd = (Fppwx - np.einsum("jdec,je->jdc", Fppux, x)
                   + (Fppu_x - Fppw)[:, :, None] * x[:, None, :])
-            fp0 = float(self.profile._fp(np.zeros(1))[0])
-            dvals = dvals - (2.0 * (Fpu + fp0 * u) + 4.0 * dd)
+            dvals = dvals - (2.0 * (Fpu + self._fp0 * u) + 4.0 * dd)
         return vals, _times_jac(dvals, self.jac, "nde,nef->ndf")

@@ -8,9 +8,11 @@ constant ``c_pi_p`` is the exception: it is bounded from above by 1D/2D
 quadrature, with an explicit tail-decay test standing in for the moment
 assumption it encodes.  Its growth rates s all walk the same bracketing
 boxes and rays, and only the s * ||x - x0||^p term depends on s, so the
-potential is evaluated once per box and once per ray set in a call.  Upper
-bounds are the safe direction throughout: a larger ``c_pi_p`` or initial-KL
-bound only shrinks the certified step size.
+potential is evaluated once per box and once per ray set in a call.  The
+walk tests a level's few ray probes before its box, so the boxes of rates
+whose tails still rise are never evaluated.  Every quadrature sum is one
+``log_sum_exp``.  Upper bounds are the safe direction throughout: a larger
+``c_pi_p`` or initial-KL bound only shrinks the certified step size.
 
 ``certify`` is the one place that prices these constants for a run: it
 fills in ``c_pi_p``, bounds the initial KL, and returns the fixed step size
@@ -465,17 +467,22 @@ class _Bracket:
 
 def _expand_until_decay(bracket: _Bracket, logf, drop: float = 45.0, max_doublings: int = 14):
     """Walk the bracket's boxes until the log-integrand ``logf`` (applied to
-    the bracket's evaluated arrays) sits `drop` nats under the interior peak
-    at the box edge and keeps falling along every ray far beyond the box.
+    the bracket's evaluated arrays) keeps falling along every ray far beyond
+    the box and sits `drop` nats under the interior peak at the box edge.
     Returns (level, log-weights, values), or None when no bracketed box
-    passes (a divergent integrand)."""
+    passes (a divergent integrand).
+
+    Both tests must pass at one level, so their order leaves the result
+    unchanged; the rays go first because they are a few dozen points against
+    the box's nodes, and a box whose rays still rise is never evaluated."""
     for level in range(max_doublings + 1):
+        far = np.asarray(logf(bracket.rays(level)), dtype=float)
+        if not np.all(np.diff(far.reshape(_RAY_DOUBLINGS, -1), axis=0) <= 0.0):
+            continue
         logw, arrays = bracket.box(level)
         vals = np.asarray(logf(arrays), dtype=float)
         if _tail_clears(vals, bracket.dim, bracket.nodes, drop):
-            far = np.asarray(logf(bracket.rays(level)), dtype=float)
-            if np.all(np.diff(far.reshape(_RAY_DOUBLINGS, -1), axis=0) <= 0.0):
-                return level, logw, vals
+            return level, logw, vals
     return None
 
 
@@ -498,9 +505,18 @@ def _target_grid(target, nodes: int | None):
     return dim, nodes, (pts, logw, vals)
 
 
+def log_sum_exp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), shifted by the largest value so no term
+    overflows; -inf when every value is -inf."""
+    peak = float(np.max(values))
+    if not math.isfinite(peak):
+        return peak
+    return peak + math.log(float(np.sum(np.exp(values - peak))))
+
+
 def _log_mass(grid) -> float:
     _, _, (_, logw, vals) = grid
-    return float(np.logaddexp.reduce(np.sort(vals + logw)))
+    return log_sum_exp(vals + logw)
 
 
 def dual_log_partition(target, nodes: int | None = None) -> float:
@@ -569,7 +585,7 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
         if got is None:
             continue
         _, logw_s, vals_s = got
-        log_moment = float(np.logaddexp.reduce(np.sort(vals_s + logw_s))) - log_mass
+        log_moment = log_sum_exp(vals_s + logw_s) - log_mass
         # The moment is >= 1 pointwise, so its log is >= 0; the floor only
         # absorbs quadrature roundoff.
         log_moment = max(log_moment, 0.0)

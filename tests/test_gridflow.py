@@ -26,7 +26,6 @@ from msvgd.gridflow import (
     fornberg_weights,
     grid_for_target,
     kl_quadrature,
-    log_density_gradient,
     nonuniform_gradient,
     pushforward_step,
     standard_normal_density,
@@ -160,7 +159,7 @@ class TestFiniteDifferences:
         grid = Grid((np.linspace(-2.0, 2.0, 64),))
         x = grid.axes[0]
         density = GridDensity(grid, x**4 - 2.0 * x**2 + 0.5)
-        grad = log_density_gradient(density)
+        grad = density.log_gradient
         expected = 4.0 * x**3 - 4.0 * x
         assert np.max(np.abs(grad[:, 0] - expected)) < 1e-10
 
@@ -169,7 +168,7 @@ class TestFiniteDifferences:
         logrho = np.zeros(16)
         logrho[3] = -np.inf
         with pytest.raises(DomainError, match="node 3"):
-            log_density_gradient(GridDensity(grid, logrho))
+            GridDensity(grid, logrho).log_gradient
 
     def test_nonuniform_gradient_exact_on_quartic(self, rng):
         pts = np.sort(rng.uniform(0.0, 2.0, size=40))
@@ -181,7 +180,7 @@ class TestFiniteDifferences:
         grid = Grid((np.linspace(-1.0, 1.0, 32), np.linspace(-2.0, 2.0, 48)))
         nodes = grid.nodes()
         logrho = nodes[:, 0] ** 2 + 0.5 * nodes[:, 1] ** 3
-        grad = log_density_gradient(GridDensity(grid, logrho))
+        grad = GridDensity(grid, logrho).log_gradient
         assert np.max(np.abs(grad[:, 0] - 2.0 * nodes[:, 0])) < 1e-10
         assert np.max(np.abs(grad[:, 1] - 1.5 * nodes[:, 1] ** 2)) < 1e-10
 
@@ -350,6 +349,21 @@ class TestGField:
         flow.run(gamma=0.01, steps=12, record_every=record_every)
         assert calls == ["score"] * 13
 
+    def test_run_takes_each_log_gradient_once(self, monkeypatch):
+        # a state's Stein-Fisher record and its 1-D pushforward share the
+        # density's finite-difference gradient
+        calls = []
+        original = gridflow._fd4_uniform
+        monkeypatch.setattr(gridflow, "_fd4_uniform",
+                            lambda values, h: calls.append(h) or original(values, h))
+        flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=6.0)
+        out = flow.run(gamma=0.01, steps=12)
+        assert len(calls) == 13
+        # a recorded state that has moved on keeps no gradient
+        assert all("log_gradient" not in vars(rec["density"]) for rec in out["records"][:-1])
+        grad = out["final"].log_gradient
+        assert grad is out["final"].log_gradient and not grad.flags.writeable
+
 
 class TestSteinFisher:
     def test_pairing_matches_double_integral(self):
@@ -516,11 +530,14 @@ class TestKernelOperator:
                 tracemalloc.stop()
             assert isinstance(flow.kernel_operator, kernels._RadialOperator)
             assert flow.grid.size == 2304
-            # The three n x n factors are 127 MB and the peak reads 255 MB, while
-            # they are built, for either kernel.  Gram blocks would be
-            # 1 + d + d^2 = 7 n x n arrays (297 MB), and on them the same flow
-            # and step peaked at 637 MB for imq and 638 MB for dual-imq.
-            assert peak < 350e6
+            # The three n x n factors are 127 MB.  The profile builds one of
+            # them in the squared distances' buffer, so the build holds them
+            # plus at most one n x n temporary (170 MB); the peak reads 130 MB
+            # for either kernel (255 MB when each factor took its own pass).
+            # Gram blocks would be 1 + d + d^2 = 7 n x n arrays (297 MB), and
+            # on them the same flow and step peaked at 637 MB for imq and
+            # 638 MB for dual-imq.
+            assert peak < 200e6
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +610,10 @@ class TestPushforward:
         field = flow.g_field(flow.initial_density())
         stretch, _ = field.max_stretch()
         gamma = fraction / stretch
-        newton = gridflow._invert(flow.grid, field, gamma)
+        newton, jac = gridflow._invert(flow.grid, field, gamma)
         bisection = invert_by_bisection(flow.grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
+        assert jac.tobytes() == field.jacobian(newton).tobytes()
 
     @pytest.mark.parametrize("shape", [(16,), (16, 16)])
     @pytest.mark.parametrize("part", ["values", "derivs"])

@@ -329,3 +329,56 @@ def test_operator_repeats_bit_for_bit(rng, kernel):
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
 
+
+
+def _profile_arguments(gen):
+    """Squared distances over [0, 1e8]: zero, log-spaced and uniform."""
+    return np.concatenate([[0.0], 10.0 ** gen.uniform(-12.0, 8.0, 4000),
+                           gen.uniform(0.0, 1e8, 1000)])
+
+
+def _assert_within_ulps(got, want, ulps=4):
+    """Relative error at most ``ulps`` units of double roundoff (eps)."""
+    want = np.asarray(want, dtype=np.longdouble)
+    err = np.abs(np.asarray(got, dtype=np.longdouble) - want) / np.abs(want)
+    assert float(np.max(err)) <= ulps * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0, 2.7])
+@pytest.mark.parametrize("beta", [-0.999, -0.9, -0.5, -0.1])
+def test_imq_one_pass_matches_closed_forms(rng, c, beta):
+    # The closed forms in long double at the base c^2 + t the kernel rounds
+    # to double: pow amplifies that rounding by |exponent| on any path, so
+    # it is not the one-pass division's to answer for.
+    t = _profile_arguments(rng)
+    f, fp, fpp = IMQKernel(c=c, beta=beta)._derivatives(t.copy(), 2)
+    base = (c**2 + t).astype(np.longdouble)
+    b = np.longdouble(beta)
+    _assert_within_ulps(f, base**b)
+    _assert_within_ulps(fp, b * base ** (b - 1))
+    _assert_within_ulps(fpp, b * (b - 1) * base ** (b - 2))
+    # lower orders return the same values
+    for order in (0, 1):
+        for got, want in zip(IMQKernel(c=c, beta=beta)._derivatives(t.copy(), order),
+                             (f, fp)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bandwidth", [0.05, 1.0, 30.0])
+def test_rbf_one_pass_matches_closed_forms(rng, bandwidth):
+    # in long double at the exponent -t / (2 h^2) the kernel rounds to double
+    t = _profile_arguments(rng)
+    f, fp, fpp = RBFKernel(bandwidth=bandwidth)._derivatives(t.copy(), 2)
+    arg = (t / (-2.0 * bandwidth**2)).astype(np.longdouble)
+    h = np.longdouble(bandwidth)
+    wants = [np.exp(arg), -np.exp(arg) / (2 * h * h), np.exp(arg) / (4 * h**4)]
+    # where all three are normal doubles; below that they lose digits by design
+    keep = np.min([np.abs(w) for w in wants], axis=0) >= np.finfo(float).tiny
+    assert np.count_nonzero(keep) > 1000
+    for got, want in zip((f, fp, fpp), wants):
+        _assert_within_ulps(got[keep], want[keep])
+    assert np.all(f[~keep] >= 0.0) and np.all(f[~keep] <= 1e-290)
+    for order in (0, 1):
+        for got, want in zip(RBFKernel(bandwidth=bandwidth)._derivatives(t.copy(), order),
+                             (f, fp)):
+            assert got.tobytes() == want.tobytes()

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_box_interior, sample_simplex_interior
@@ -32,6 +32,7 @@ from msvgd.theory import (
     gaussian_moment,
     iteration_estimate,
     kl0_upper_bound,
+    log_sum_exp,
     step_size_bound,
     step_size_bound_tp,
     step_size_cap,
@@ -470,6 +471,10 @@ class TestCPiP:
         monkeypatch.setattr(target, "potential", lambda q: calls.append(len(q)) or original(q))
         c_pi_p(target, p=1.0)
         assert 0 < len(calls) <= 30
+        # Rays go first, so a box whose rays still rise is never evaluated:
+        # 394 849 points are, and the bound allows one more 256 x 256 box
+        # with its 96 ray probes.  Box first, the walk evaluated 1 114 593.
+        assert sum(calls) <= 394_849 + 65_536 + 96
 
     def test_divergent_for_every_rate(self):
         with pytest.raises(DomainError, match="diverges"):
@@ -478,6 +483,112 @@ class TestCPiP:
     def test_domain(self):
         with pytest.raises(DomainError):
             c_pi_p(gauss_stub(), p=0.5)
+
+
+def _box_first_walk(bracket, logf, drop=45.0, max_doublings=14):
+    """The bracket walk as first written, kept as the oracle of the
+    rays-first one: each level's box, then its rays."""
+    for level in range(max_doublings + 1):
+        logw, arrays = bracket.box(level)
+        vals = np.asarray(logf(arrays), dtype=float)
+        if theory._tail_clears(vals, bracket.dim, bracket.nodes, drop):
+            far = np.asarray(logf(bracket.rays(level)), dtype=float)
+            if np.all(np.diff(far.reshape(theory._RAY_DOUBLINGS, -1), axis=0) <= 0.0):
+                return level, logw, vals
+    return None
+
+
+def _walk_targets():
+    return {
+        "dirichlet-2d": _preset_bundle("dirichlet-simplex-d2").mirrored,
+        "dirichlet-1d": MirroredTarget(Dirichlet([3.0, 2.0]), EntropicSimplexMap(1)),
+        "quartic": quartic_stub(),
+    }
+
+
+class TestBracketWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["dirichlet-2d", "dirichlet-1d", "quartic"]),
+        log_s=st.floats(-4.0, 3.0),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 4.0, 5.0]),
+        shift=st.floats(-2.0, 2.0),
+        start=st.floats(0.5, 16.0),
+    )
+    # walks that end at levels 3 and 6 after passing rays over failing boxes,
+    # and a divergent one whose boxes are never evaluated
+    @example(name="dirichlet-2d", log_s=-0.5, p=1.0, shift=0.3, start=2.0)
+    @example(name="dirichlet-2d", log_s=0.2, p=1.0, shift=0.0, start=0.5)
+    @example(name="dirichlet-1d", log_s=0.0, p=1.0, shift=-0.5, start=1.0)
+    @example(name="quartic", log_s=-0.3, p=4.0, shift=0.0, start=0.5)
+    @example(name="quartic", log_s=0.5, p=4.0, shift=1.0, start=1.0)
+    def test_rays_first_matches_box_first(self, name, log_s, p, shift, start):
+        # The c_pi_p log-integrand s ||q - center||^p - V(q) at one growth
+        # rate; small boxes keep each example cheap, and the walk does not
+        # depend on the node count.
+        target = _walk_targets()[name]
+        dim = int(target.dim)
+        center = np.full(dim, shift)
+        s = 10.0 ** log_s
+
+        def evaluate(q):
+            return (np.sqrt(np.sum((q - center) ** 2, axis=1)) ** p,
+                    np.asarray(target.potential(q), dtype=float))
+
+        def logf(arrays):
+            return s * arrays[0] - arrays[1]
+
+        nodes = 48 if dim == 2 else 512
+        got = theory._expand_until_decay(theory._Bracket(evaluate, dim, nodes, start), logf)
+        want = _box_first_walk(theory._Bracket(evaluate, dim, nodes, start), logf)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("name", ["dirichlet-2d", "dirichlet-1d", "quartic"])
+    def test_target_walk_matches_box_first(self, name):
+        target = _walk_targets()[name]
+        dim = int(target.dim)
+        nodes = theory._default_nodes(dim)
+
+        def evaluate(q):
+            return -np.asarray(target.potential(q), dtype=float)
+
+        got = theory._expand_until_decay(theory._Bracket(evaluate, dim, nodes, 8.0),
+                                         lambda v: v)
+        want = _box_first_walk(theory._Bracket(evaluate, dim, nodes, 8.0), lambda v: v)
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+class TestLogSumExp:
+    @staticmethod
+    def _reference(values):
+        """Sorted pairwise logaddexp in long double."""
+        return float(np.logaddexp.reduce(np.sort(np.asarray(values, dtype=np.longdouble))))
+
+    def test_all_minus_inf(self):
+        assert log_sum_exp(np.full(7, -np.inf)) == -np.inf
+
+    @pytest.mark.parametrize("value", [-1e4, -3.5, 0.0, 2.25, 7e3])
+    def test_single_value(self, value):
+        assert log_sum_exp(np.array([value])) == value
+
+    @pytest.mark.parametrize("offset", [-2e4, 5e3, 1.5e4])
+    def test_wide_spread_matches_long_double(self, rng, offset):
+        # 65 536 values over 10^4 nats, the size of a 2-D quadrature box
+        values = offset - rng.uniform(0.0, 1e4, 65536)
+        values[rng.integers(0, 65536, 50)] = -np.inf
+        ref = self._reference(values)
+        assert abs(log_sum_exp(values) - ref) <= 1e-15 * abs(ref)
+
+    def test_many_comparable_terms_match_long_double(self, rng):
+        values = 20.0 + 3.0 * rng.normal(size=65536)
+        ref = self._reference(values)
+        assert abs(log_sum_exp(values) - ref) <= 1e-15 * abs(ref)
 
 
 def _preset_bundle(name):
