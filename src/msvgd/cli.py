@@ -144,15 +144,23 @@ def _verify_descent(flow, certificate, gamma: float, steps: int) -> tuple:
     return report, out["records"], bool(report["passed"]) and not violations
 
 
+def _suite_report(tolerance: float, gamma: float, checks: list, violations: list) -> dict:
+    return {"tolerance": tolerance, "gamma": gamma, "checks": checks,
+            "violations": violations, "passed": not violations}
+
+
+def _tenth_states(flow, gamma: float, steps: int):
+    """The states the lemmas and bounds suites write: every tenth and the last."""
+    return (s for s in flow.states(gamma, steps) if s[0] % 10 == 0 or s[0] == steps)
+
+
 def _verify_lemmas(flow, gamma: float, steps: int) -> tuple:
-    out = flow.run(gamma, steps, record_every=10)
-    checks, violations = [], []
-    # the final state is recorded too; only every tenth step is checked
-    for rec in out["records"]:
-        step = rec["step"]
-        if step % 10:
+    records, checks, violations = [], [], []
+    for step, density, field in _tenth_states(flow, gamma, steps):
+        records.append(flow.record(step, density, field))
+        if step % 10:  # the final state is recorded too, but not checked
             continue
-        gaps = flow.g_forms_gap(rec["density"])
+        gaps = flow.g_forms_gap(density, field)
         worst = max(gaps.values())
         ok = worst <= LEMMA_GAP_TOL
         checks.append({"step": step, **gaps, "ok": ok})
@@ -161,33 +169,19 @@ def _verify_lemmas(flow, gamma: float, steps: int) -> tuple:
                 f"step {step}: field formulas disagree by {worst:.3g} "
                 f"(tolerance {LEMMA_GAP_TOL:g})"
             )
-    report = {
-        "tolerance": LEMMA_GAP_TOL,
-        "gamma": gamma,
-        "checks": checks,
-        "violations": violations,
-        "passed": not violations,
-    }
-    return report, out["records"], not violations
+    return _suite_report(LEMMA_GAP_TOL, gamma, checks, violations), records, not violations
 
 
 def _verify_bounds(flow, bundle, gamma: float, steps: int) -> tuple:
-    out = flow.run(gamma, steps, record_every=10)
-    rows = fisher_norm_margins(out["records"], bundle.kernel.bounds(),
+    records = [flow.record(*state) for state in _tenth_states(flow, gamma, steps)]
+    rows = fisher_norm_margins(records, bundle.kernel.bounds(),
                                flow.map.strong_convexity, flow.grid.dim)
     violations = [
         f"step {row['step']}: field norm {row['field_norm']:.6g} exceeds "
         f"bound {row['bound_rhs']:.6g}"
         for row in rows if row["margin"] < NORM_MARGIN_TOL
     ]
-    report = {
-        "tolerance": NORM_MARGIN_TOL,
-        "gamma": gamma,
-        "checks": rows,
-        "violations": violations,
-        "passed": not violations,
-    }
-    return report, out["records"], not violations
+    return _suite_report(NORM_MARGIN_TOL, gamma, rows, violations), records, not violations
 
 
 def _cmd_verify(args) -> int:

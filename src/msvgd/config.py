@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,6 +292,17 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
     dim = target.dim
     if cfg.dim is not None and cfg.dim != dim:
         raise ConfigError(f"config dim {cfg.dim} does not match target dimension {dim}")
+    # The particle field builds float64 (n, n, d) kernel blocks.  One such
+    # block larger than physical memory can never be allocated, so this
+    # refuses only runs that could not fit.
+    block = 8 * cfg.particles ** 2 * dim
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if block > memory:
+        raise ConfigError(
+            f"config key 'particles' = {cfg.particles} needs a float64 "
+            f"({cfg.particles}, {cfg.particles}, {dim}) kernel block of {block} bytes, "
+            f"more than the {memory} bytes of physical memory"
+        )
 
     domain = _MAP_DOMAIN.get(cfg.map)
     if domain is None:

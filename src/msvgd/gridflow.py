@@ -7,11 +7,13 @@ and the smoothed Fisher value are read off the same grid.  This is the
 verification side of the package: the descent inequality and the two-formula
 identities for g are checked here at quadrature accuracy, in d <= 2.
 
-There is one field per state.  MirroredFlow.run builds each state's field
-once; the same field gives that state's KL, Stein-Fisher and growth record
-and then pushes the state forward.  descent_check reads those records, and
-the caps from a theory.Certificate priced beforehand; it never rebuilds a
-flow or a field and never prices a constant.
+The flow holds one state at a time.  MirroredFlow.states builds each
+state's field once and pushes the state forward only when the next one is
+asked for; MirroredFlow.run keeps scalar records and the final density only.
+Each array is computed once per grid (nodes, weights), per flow (the target
+density, |grad V|) or per state (exp(log rho), w rho, the log gradient).
+descent_check reads the records and the caps of a theory.Certificate priced
+beforehand; it never rebuilds a flow or a field and never prices a constant.
 
 The field is a handful of kernel-matrix products over the nodes, and one
 kernel operator performs them.  When the kernel is translation invariant and
@@ -23,8 +25,7 @@ profile's f(t), f'(t) and f''(t) in the kernel's chart, for every kernel
 (dual-imq's chart is grad_psi, so there t is measured between the dual
 images of the primal nodes).  The pushforward inverts x - gamma * g by
 Newton's method, each round reading the field and its Jacobian from one
-interval lookup.  A density keeps its finite-difference log gradient, so a
-state's Stein-Fisher record and its 1-D pushforward compute it once.
+interval lookup.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -68,6 +69,11 @@ G_FORMS = ("score", "dual", "primal")
 # grids and densities
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor grid over a dual-space box."""
@@ -102,22 +108,22 @@ class Grid:
     def spacing(self) -> tuple:
         return tuple(float(a[1] - a[0]) for a in self.axes)
 
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        """All grid points, flattened in row-major order, shape (size, dim)."""
+        """All grid points in row-major order, (size, dim), read-only."""
         mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
 
+    @functools.cached_property
     def weights(self) -> np.ndarray:
-        """Flat trapezoid quadrature weights matching nodes()."""
+        """Flat trapezoid quadrature weights matching nodes, read-only."""
         parts = []
         for a in self.axes:
             w = np.full(a.size, a[1] - a[0])
             w[0] *= 0.5
             w[-1] *= 0.5
             parts.append(w)
-        if self.dim == 1:
-            return parts[0]
-        return np.outer(parts[0], parts[1]).ravel()
+        return _read_only(parts[0] if self.dim == 1 else np.outer(parts[0], parts[1]).ravel())
 
 
 def _boundary_mask(shape: tuple) -> np.ndarray:
@@ -152,7 +158,7 @@ def grid_for_target(target, nodes: int | None = None, halfwidth: float | None = 
     half = 8.0
     for _ in range(13):
         grid = Grid(tuple(np.linspace(-half, half, nodes) for _ in range(dim)))
-        logpi = -np.asarray(target.potential(grid.nodes()), dtype=float)
+        logpi = -np.asarray(target.potential(grid.nodes), dtype=float)
         peak = float(np.max(logpi))
         if float(np.max(logpi[_boundary_mask(grid.shape)])) <= peak - TAIL_DROP_NATS:
             return grid
@@ -177,16 +183,21 @@ class GridDensity:
         self.grid = grid
         self.log_density = log_density
 
-    @property
+    @functools.cached_property
     def density(self) -> np.ndarray:
-        return np.exp(self.log_density)
+        """exp(log density) at every node, read-only, computed once."""
+        return _read_only(np.exp(self.log_density))
+
+    @functools.cached_property
+    def wrho(self) -> np.ndarray:
+        """Trapezoid weight times density at every node, read-only."""
+        return _read_only(self.grid.weights * self.density)
 
     @functools.cached_property
     def log_gradient(self) -> np.ndarray:
         """Finite-difference gradient of the log density at every node,
         shape (size, dim), read-only.  Computed once per density: a state's
-        dual score ratio and its 1-D pushforward share it, and
-        MirroredFlow.run drops it once the state has moved on."""
+        dual score ratio and its 1-D pushforward share it."""
         if np.any(np.isneginf(self.log_density)):
             node = int(np.argmin(self.log_density))
             raise DomainError(
@@ -200,12 +211,11 @@ class GridDensity:
             d0 = _fd4_uniform(logrho.T, grid.spacing[0]).T
             d1 = _fd4_uniform(logrho, grid.spacing[1])
             grad = np.stack([d0.ravel(), d1.ravel()], axis=1)
-        grad.flags.writeable = False
-        return grad
+        return _read_only(grad)
 
     @property
     def log_mass(self) -> float:
-        return log_sum_exp(self.log_density + np.log(self.grid.weights()))
+        return log_sum_exp(self.log_density + np.log(self.grid.weights))
 
     @property
     def mass(self) -> float:
@@ -216,11 +226,11 @@ class GridDensity:
 
     def expectation(self, values: np.ndarray) -> float:
         """Trapezoid integral of node values against this density."""
-        return float(np.dot(self.grid.weights() * self.density, values))
+        return float(np.dot(self.wrho, values))
 
 
 def standard_normal_density(grid: Grid) -> GridDensity:
-    nodes = grid.nodes()
+    nodes = grid.nodes
     logrho = -0.5 * np.einsum("nd,nd->n", nodes, nodes) - 0.5 * grid.dim * math.log(2.0 * math.pi)
     return GridDensity(grid, logrho).renormalized()
 
@@ -411,9 +421,7 @@ class FieldOnGrid:
         v, m = self.values[:, 0], self.derivs[:, 0, 0]
         mags = np.abs(m)
         node = int(np.argmax(mags))
-        # Every pushforward step calls this while earlier states' densities
-        # stay alive, so the interval arrays are few and updated in place:
-        # a fresh node-sized temporary per operation fragmented the heap.
+        # few interval arrays, updated in place: no temporary per operation
         fall = v[:-1] - v[1:]
         fall *= 6.0 / (self.grid.axes[0][1] - self.grid.axes[0][0])
         a = m[:-1] + m[1:]
@@ -531,13 +539,13 @@ class MirroredFlow:
                 f"grid dimension {self.grid.dim} does not match target dimension {mirrored.dim}"
             )
 
-        x = self.grid.nodes()
-        self.nodes = x
-        self.weights = self.grid.weights()
-        self.potential = np.asarray(mirrored.potential(x), dtype=float)
+        x = self.grid.nodes
+        potential = np.asarray(mirrored.potential(x), dtype=float)
+        log_partition = log_sum_exp(-potential + np.log(self.grid.weights))
+        self._pi = GridDensity(self.grid, -potential - log_partition)
         self.grad_potential = np.asarray(mirrored.grad_potential(x), dtype=float)
-        self.log_partition = log_sum_exp(-self.potential + np.log(self.weights))
-        self.log_pi = -self.potential - self.log_partition
+        self.grad_potential_norm = np.sqrt(
+            np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
 
         self.theta = self.map.grad_psi_star(x)
         self.hinv = np.asarray(self.map.hess_psi_inv(self.theta), dtype=float)
@@ -557,7 +565,8 @@ class MirroredFlow:
     # -- densities ----------------------------------------------------------
 
     def pi_density(self) -> GridDensity:
-        return GridDensity(self.grid, self.log_pi)
+        """The target normalized on the grid, the reference of every KL."""
+        return self._pi
 
     def initial_density(self) -> GridDensity:
         return standard_normal_density(self.grid)
@@ -581,8 +590,7 @@ class MirroredFlow:
         """
         if form not in G_FORMS:
             raise ConfigError(f"unknown g form {form!r}; expected one of {G_FORMS}")
-        wrho = self.weights * density.density
-
+        wrho = density.wrho
         if form == "score":
             op, sign = self.operand, -1.0
         elif form == "dual":
@@ -616,24 +624,26 @@ class MirroredFlow:
         out[hi + 1:] = 0.0
         return out
 
-    def g_forms_gap(self, density: GridDensity) -> dict:
-        """Sup-norm disagreements between the three field formulas."""
-        fields = {form: self.g_field(density, form=form).values for form in G_FORMS}
+    def g_forms_gap(self, density: GridDensity, field: FieldOnGrid) -> dict:
+        """Sup-norm disagreements between the three field formulas, given
+        the state's own "score" field."""
+        score = field.values
+        dual = self.g_field(density, form="dual").values
+        primal = self.g_field(density, form="primal").values
         return {
-            "score_vs_dual": float(np.max(np.abs(fields["score"] - fields["dual"]))),
-            "score_vs_primal": float(np.max(np.abs(fields["score"] - fields["primal"]))),
-            "dual_vs_primal": float(np.max(np.abs(fields["dual"] - fields["primal"]))),
+            "score_vs_dual": float(np.max(np.abs(score - dual))),
+            "score_vs_primal": float(np.max(np.abs(score - primal))),
+            "dual_vs_primal": float(np.max(np.abs(dual - primal))),
         }
 
     # -- scalar diagnostics ---------------------------------------------------
 
     def kl(self, density: GridDensity) -> float:
         """KL(mu | pi) by quadrature against the shared grid normalizer."""
-        return kl_quadrature(density, self.pi_density())
+        return kl_quadrature(density, self._pi)
 
     def mean_grad_potential_norm(self, density: GridDensity) -> float:
-        norms = np.sqrt(np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
-        return density.expectation(norms)
+        return density.expectation(self.grad_potential_norm)
 
     def stein_fisher(self, density: GridDensity, field: FieldOnGrid | None = None) -> float:
         """Smoothed relative Fisher value via the pairing of the field with
@@ -642,43 +652,39 @@ class MirroredFlow:
         if field is None:
             field = self.g_field(density, form="score")
         ratio = self.dual_score_ratio(density)
-        wrho = self.weights * density.density
-        return float(np.einsum("n,nd,nd->", wrho, field.values, ratio))
+        return float(np.einsum("n,nd,nd->", density.wrho, field.values, ratio))
+
+    def record(self, step: int, density: GridDensity, field: FieldOnGrid) -> dict:
+        """Scalar diagnostics of one state, read off the field it was built with."""
+        fisher = self.stein_fisher(density, field)
+        return {
+            "step": step,
+            "kl": self.kl(density),
+            "stein_fisher": fisher,
+            "field_norm": math.sqrt(max(fisher, 0.0)),
+            "mean_grad_norm": self.mean_grad_potential_norm(density),
+        }
 
     # -- stepping -------------------------------------------------------------
 
-    def run(self, gamma: float, steps: int, density: GridDensity | None = None,
-            record_every: int = 1) -> dict:
-        """Flow for a fixed number of steps, recording scalar diagnostics and
-        the density at step 0, every record_every-th step, and the final step.
-
-        Each state's field is built once: it feeds that state's record and
-        then the pushforward to the next state, so a run makes steps + 1
-        g_field calls.
-        """
+    def states(self, gamma: float, steps: int, density: GridDensity | None = None):
+        """Yield (step, density, field) for steps 0 to steps.  Each state's
+        field is built once and, after the consumer has read it, pushes the
+        state forward when the next one is asked for."""
         if density is None:
             density = self.initial_density()
-        records = []
         for n in range(steps + 1):
             field = self.g_field(density, form="score")
-            if n % record_every == 0 or n == steps:
-                fisher = self.stein_fisher(density, field)
-                records.append({
-                    "step": n,
-                    "kl": self.kl(density),
-                    "stein_fisher": fisher,
-                    "field_norm": math.sqrt(max(fisher, 0.0)),
-                    "mean_grad_norm": self.mean_grad_potential_norm(density),
-                    "gamma": gamma,
-                    "density": density,
-                })
+            yield n, density, field
             if n < steps:
-                moved = pushforward_step(density, field, gamma)
-                # the records keep their densities: drop the gradient that
-                # served this state's record and pushforward, so a run holds
-                # one state's gradient, not one per record
-                vars(density).pop("log_gradient", None)
-                density = moved
+                density = pushforward_step(density, field, gamma)
+
+    def run(self, gamma: float, steps: int, density: GridDensity | None = None) -> dict:
+        """Flow for a fixed number of steps: {"records": the record of every
+        state, "final": the last density}, from steps + 1 g_field calls."""
+        records = []
+        for step, density, field in self.states(gamma, steps, density):
+            records.append(self.record(step, density, field))
         return {"records": records, "final": density}
 
 
@@ -736,7 +742,7 @@ def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
     NEWTON_TOL within NEWTON_ROUNDS steps, or the worst node is named in a
     NumericsError.
     """
-    targets = grid.nodes()
+    targets = grid.nodes
     if grid.dim == 1:
         x = targets[:, 0]
         y = np.interp(x, x - gamma * field.values[:, 0], x)[:, None]
@@ -782,7 +788,7 @@ def kl_quadrature(density: GridDensity, reference: GridDensity) -> float:
         return math.inf
     integrand = np.zeros_like(rho)
     integrand[support] = rho[support] * gap[support]
-    value = float(np.dot(density.grid.weights(), integrand))
+    value = float(np.dot(density.grid.weights, integrand))
     if value < -1e-9:
         raise NumericsError(f"KL quadrature returned {value}, below the -1e-9 floor")
     return value
@@ -810,7 +816,7 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
 
     Checks KL(n+1) - KL(n) <= -(gamma/2) * fisher(n) + tol at every step,
     reading KL, fisher and the growth statistic from the records, so the
-    records must cover consecutive steps (a run with record_every=1).
+    records must cover consecutive steps, as MirroredFlow.run's do.
     When a ``theory.Certificate`` for the flow's setting is supplied, gamma
     is also checked for admissibility in both regimes: against its fixed
     worst-case cap (the "theorem" step size, priced from the initial-KL
@@ -823,7 +829,7 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
     steps = [rec["step"] for rec in records]
     if steps != list(range(steps[0], steps[0] + len(steps))):
         raise ConfigError(
-            "descent_check needs a record for every step; run the flow with record_every=1"
+            "descent_check needs a record for every step, as MirroredFlow.run gives"
         )
     if certificate is not None and (
         certificate.dim != flow.grid.dim

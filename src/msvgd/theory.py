@@ -298,8 +298,8 @@ def iteration_estimate(profile: SmoothnessProfile, eps: float, d: int, mode: str
     An order estimate, not a guarantee: the 1/eps scaling and the dimension
     exponent are the meaningful content.
     """
-    if eps <= 0.0:
-        raise ConfigError(f"iteration_estimate requires eps > 0, got {eps!r}")
+    if not 0.0 < eps < math.inf:
+        raise ConfigError(f"iteration_estimate requires a finite eps > 0, got {eps!r}")
     p = profile.p
     if mode == "general":
         if profile.c_pi_p is None:

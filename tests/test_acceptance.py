@@ -113,11 +113,11 @@ def test_criterion_03_field_formula_identities():
     started = time.perf_counter()
     target = MirroredTarget(Dirichlet([3.0, 2.0]), EntropicSimplexMap(1))
     flow = MirroredFlow(target, IMQKernel())
-    out = flow.run(gamma=0.05, steps=100, record_every=10)
     worst = 0.0
-    for rec in out["records"]:  # steps 0, 10, ..., 100
-        gaps = flow.g_forms_gap(rec["density"])
-        worst = max(worst, *gaps.values())
+    for step, density, field in flow.states(gamma=0.05, steps=100):
+        if step % 10 == 0:  # steps 0, 10, ..., 100
+            gaps = flow.g_forms_gap(density, field)
+            worst = max(worst, *gaps.values())
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-6 and elapsed < 30.0
     _report(3, ok,
@@ -224,7 +224,7 @@ def test_criterion_08_initial_kl_bound():
         profile = smoothness_profile(target)
         bound = theory.kl0_upper_bound(target, profile, dim=1)
         grid = grid_for_target(target)
-        reference = GridDensity(grid, -target.potential(grid.nodes())).renormalized()
+        reference = GridDensity(grid, -target.potential(grid.nodes)).renormalized()
         actual = kl_quadrature(standard_normal_density(grid), reference)
         margins[name] = bound - actual
     elapsed = time.perf_counter() - started

@@ -183,6 +183,16 @@ class TestRunCommand:
         assert code == 2
         assert "'gamma' must be finite" in capsys.readouterr().err
 
+    def test_oversized_particle_count_exits_two_before_any_output(self, tmp_path, capsys):
+        # one (300000, 300000, 2) float64 block is 1.44e12 bytes
+        out = tmp_path / "big"
+        code = cli.main(["run", "--config", "dirichlet-simplex-d2", "--particles", "300000",
+                         "--steps", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'particles' = 300000" in err and "1440000000000 bytes" in err
+        assert not out.exists()
+
     def test_preset_name_resolution(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["run", "--config", "dirichlet-simplex-d2",
@@ -338,6 +348,14 @@ class TestTheoryCommand:
         capsys.readouterr()
         assert (out / "theory.json").exists()
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    def test_non_finite_eps_exits_two(self, capsys, eps):
+        code = cli.main(["theory", "--target", "quartic-1d-descent", "--eps", eps])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"finite eps > 0, got {eps}" in captured.err
+        assert captured.out == ""
 
     def test_p_mismatch_exits_two(self, capsys):
         code = cli.main(["theory", "--target", "quartic-1d-descent", "-p", "2.0"])

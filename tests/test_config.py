@@ -1,6 +1,8 @@
 """Config schema: defaults, rejection messages, round trips, wiring checks."""
 
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -158,6 +160,15 @@ def test_box_map_bounds_come_from_target():
 def test_non_finite_numbers_are_named(key, value):
     with pytest.raises(ConfigError, match=f"'{key}' must be"):
         config_from_dict(dict(MINIMAL, **{key: value}))
+
+
+def test_particle_count_is_refused_only_past_physical_memory():
+    # one float64 (n, n, d) block must fit; here d = 1
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    largest = math.isqrt(memory // 8)
+    assert config_from_dict(dict(MINIMAL, particles=largest)).particles == largest
+    with pytest.raises(ConfigError, match=rf"'particles' = {largest + 1} .* bytes"):
+        config_from_dict(dict(MINIMAL, particles=largest + 1))
 
 
 def test_overrides_revalidate():

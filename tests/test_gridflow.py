@@ -4,8 +4,10 @@ of the three field formulas, the lattice and point-set kernel operators
 against dense gram blocks, pushforward identities, and the descent report in
 both step-size regimes."""
 
+import functools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -71,7 +73,7 @@ class WindowedGaussian(GaussianDual):
 
 def dual_reference(grid, target):
     """The target's dual density, normalized on the grid."""
-    return GridDensity(grid, -target.potential(grid.nodes())).renormalized()
+    return GridDensity(grid, -target.potential(grid.nodes)).renormalized()
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def stein_fisher_double(flow, density):
     gram matrix against both dual score ratios (the definition-shaped
     estimate)."""
     ratio = flow.dual_score_ratio(density)
-    q = (flow.weights * density.density)[:, None] * ratio
+    q = (flow.grid.weights * density.density)[:, None] * ratio
     K = flow.kernel.gram(flow.theta, flow.theta)
     return float(np.einsum("id,ij,jd->", q, K, q))
 
@@ -105,7 +107,7 @@ def stein_fisher_double(flow, density):
 def invert_by_bisection(grid, field, gamma):
     """Solve y - gamma * field(y) = x at every 1D node x by 200 rounds of
     bisection on a bracket that must contain the root."""
-    targets = grid.nodes()[:, 0]
+    targets = grid.nodes[:, 0]
     reach = abs(gamma) * float(np.max(np.abs(field.values))) + 1.0
     lo = np.full_like(targets, grid.axes[0][0] - reach)
     hi = np.full_like(targets, grid.axes[0][-1] + reach)
@@ -178,7 +180,7 @@ class TestFiniteDifferences:
 
     def test_2d_log_gradient(self):
         grid = Grid((np.linspace(-1.0, 1.0, 32), np.linspace(-2.0, 2.0, 48)))
-        nodes = grid.nodes()
+        nodes = grid.nodes
         logrho = nodes[:, 0] ** 2 + 0.5 * nodes[:, 1] ** 3
         grad = GridDensity(grid, logrho).log_gradient
         assert np.max(np.abs(grad[:, 0] - 2.0 * nodes[:, 0])) < 1e-10
@@ -192,7 +194,7 @@ class TestFiniteDifferences:
 class TestGridDensity:
     def test_standard_normal_mass_before_renormalization(self):
         grid = Grid((np.linspace(-8.0, 8.0, 4096),))
-        nodes = grid.nodes()
+        nodes = grid.nodes
         logrho = -0.5 * nodes[:, 0] ** 2 - 0.5 * math.log(2.0 * math.pi)
         raw = GridDensity(grid, logrho)
         assert abs(raw.mass - 1.0) <= 1e-6
@@ -201,7 +203,7 @@ class TestGridDensity:
     def test_moments_of_standard_normal(self):
         grid = Grid((np.linspace(-8.0, 8.0, 4096),))
         density = standard_normal_density(grid)
-        x = grid.nodes()[:, 0]
+        x = grid.nodes[:, 0]
         assert density.expectation(x) == pytest.approx(0.0, abs=1e-12)
         assert density.expectation(x * x) == pytest.approx(1.0, abs=1e-9)
 
@@ -239,7 +241,7 @@ class TestGridDensity:
     def test_grid_for_target_keeps_tail_drop(self):
         grid = grid_for_target(quartic_target())
         assert grid.shape == (4096,)
-        logpi = -quartic_target().potential(grid.nodes())
+        logpi = -quartic_target().potential(grid.nodes)
         assert logpi[0] <= logpi.max() - gridflow.TAIL_DROP_NATS
         explicit = grid_for_target(quartic_target(), nodes=512, halfwidth=3.0)
         assert explicit.shape == (512,)
@@ -261,7 +263,7 @@ class TestKL:
         m = 0.7
         target = GaussianDual(mean=0.0)
         grid = Grid((np.linspace(-9.0, 9.0, 4096),))
-        x = grid.nodes()[:, 0]
+        x = grid.nodes[:, 0]
         shifted = GridDensity(grid, -0.5 * (x - m) ** 2 - 0.5 * math.log(2 * math.pi))
         reference = dual_reference(grid, target)
         assert kl_quadrature(shifted, reference) == pytest.approx(m * m / 2.0, abs=1e-6)
@@ -270,7 +272,7 @@ class TestKL:
         sigma = 1.3
         target = GaussianDual()
         grid = Grid((np.linspace(-10.0, 10.0, 4096),))
-        x = grid.nodes()[:, 0]
+        x = grid.nodes[:, 0]
         wide = GridDensity(
             grid, -0.5 * (x / sigma) ** 2 - math.log(sigma) - 0.5 * math.log(2 * math.pi)
         )
@@ -287,7 +289,7 @@ class TestKL:
     def test_never_meaningfully_negative(self, rng):
         target = GaussianDual()
         grid = Grid((np.linspace(-8.0, 8.0, 2048),))
-        x = grid.nodes()[:, 0]
+        x = grid.nodes[:, 0]
         reference = dual_reference(grid, target)
         for _ in range(5):
             bump = 0.05 * rng.standard_normal() * np.cos(x * rng.uniform(0.5, 2.0))
@@ -314,12 +316,15 @@ class TestGField:
 
     def test_three_forms_agree_along_a_run(self):
         flow = MirroredFlow(dirichlet_target(), IMQKernel())
-        out = flow.run(gamma=0.05, steps=30, record_every=10)
-        assert [rec["step"] for rec in out["records"]] == [0, 10, 20, 30]
-        for rec in out["records"]:
-            gaps = flow.g_forms_gap(rec["density"])
+        checked = []
+        for step, density, field in flow.states(gamma=0.05, steps=30):
+            if step % 10:
+                continue
+            checked.append(step)
+            gaps = flow.g_forms_gap(density, field)
             for name, gap in gaps.items():
-                assert gap <= 1e-6, f"step {rec['step']}: {name} gap {gap}"
+                assert gap <= 1e-6, f"step {step}: {name} gap {gap}"
+        assert checked == [0, 10, 20, 30]
 
     def test_unknown_form_rejected(self):
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=4.0)
@@ -335,8 +340,9 @@ class TestGField:
         b = MirroredFlow(target, kernel, grid=density.grid).g_field(density).values
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("record_every", [1, 10])
-    def test_run_builds_one_field_per_state(self, monkeypatch, record_every):
+    @pytest.mark.parametrize("every", [1, 10])
+    def test_run_builds_one_field_per_state(self, monkeypatch, every):
+        # however few of the states the consumer records
         calls = []
         original = MirroredFlow.g_field
 
@@ -346,7 +352,9 @@ class TestGField:
 
         monkeypatch.setattr(MirroredFlow, "g_field", counting)
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=6.0)
-        flow.run(gamma=0.01, steps=12, record_every=record_every)
+        records = [flow.record(*state) for state in flow.states(gamma=0.01, steps=12)
+                   if state[0] % every == 0]
+        assert len(records) == 12 // every + 1
         assert calls == ["score"] * 13
 
     def test_run_takes_each_log_gradient_once(self, monkeypatch):
@@ -357,27 +365,94 @@ class TestGField:
         monkeypatch.setattr(gridflow, "_fd4_uniform",
                             lambda values, h: calls.append(h) or original(values, h))
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=6.0)
-        out = flow.run(gamma=0.01, steps=12)
+        for state in flow.states(gamma=0.01, steps=12):
+            flow.record(*state)
         assert len(calls) == 13
-        # a recorded state that has moved on keeps no gradient
-        assert all("log_gradient" not in vars(rec["density"]) for rec in out["records"][:-1])
-        grad = out["final"].log_gradient
-        assert grad is out["final"].log_gradient and not grad.flags.writeable
+        density = state[1]
+        grad = density.log_gradient
+        assert grad is density.log_gradient and not grad.flags.writeable
+        # the records of a run are scalars: they keep no state alive
+        out = flow.run(gamma=0.01, steps=12)
+        assert all("density" not in rec for rec in out["records"])
+
+
+def count_builds(monkeypatch, cls, name):
+    """Wrap the cached property cls.name so every computation appends its
+    instance to the returned list."""
+    built, compute = [], vars(cls)[name].func
+
+    def counted(self):
+        built.append(self)
+        return compute(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return built
+
+
+class TestOneStateAtATime:
+    def test_each_array_is_built_once(self, monkeypatch):
+        grids = {name: count_builds(monkeypatch, Grid, name) for name in ("nodes", "weights")}
+        states = {name: count_builds(monkeypatch, GridDensity, name)
+                  for name in ("density", "wrho")}
+        flow = MirroredFlow(quartic_target(), IMQKernel())
+        out = flow.run(gamma=1e-3, steps=20)
+        assert len(out["records"]) == 21
+        for built in (*grids.values(), *states.values()):
+            assert len({id(obj) for obj in built}) == len(built)  # once per object
+        for built in grids.values():
+            assert any(grid is flow.grid for grid in built)
+        assert len(states["density"]) == 21 and len(states["wrho"]) == 21
+        final = out["final"]
+        for values in (flow.grid.nodes, flow.grid.weights, final.density, final.wrho):
+            assert not values.flags.writeable
+
+    def test_run_keeps_at_most_two_states_alive(self, monkeypatch):
+        flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)
+        alive, counts = weakref.WeakSet(), []
+        init, g_field = GridDensity.__init__, MirroredFlow.g_field
+
+        def tracked_init(self, *args):
+            init(self, *args)
+            alive.add(self)
+
+        def counting_g_field(self, density, form="score"):
+            counts.append(len(alive))
+            return g_field(self, density, form=form)
+
+        monkeypatch.setattr(GridDensity, "__init__", tracked_init)
+        monkeypatch.setattr(MirroredFlow, "g_field", counting_g_field)
+        out = flow.run(gamma=0.01, steps=200)
+        assert len(out["records"]) == 201 and len(counts) == 201
+        assert max(counts) <= 2
+
+    def test_states_push_forward_only_on_demand(self, monkeypatch):
+        pushes = []
+        original = gridflow.pushforward_step
+        monkeypatch.setattr(gridflow, "pushforward_step",
+                            lambda *args: pushes.append(1) or original(*args))
+        flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=6.0)
+        states = flow.states(gamma=0.01, steps=5)
+        assert next(states)[0] == 0 and not pushes
+        assert next(states)[0] == 1 and len(pushes) == 1
+        assert [step for step, _, _ in states] == [2, 3, 4, 5]
+        assert len(pushes) == 5
 
 
 class TestSteinFisher:
     def test_pairing_matches_double_integral(self):
         flow = MirroredFlow(quartic_target(), IMQKernel())
-        out = flow.run(gamma=0.01, steps=5)
-        for rec in out["records"][::2]:
-            density = rec["density"]
+        for step, density, _ in flow.states(gamma=0.01, steps=5):
+            if step % 2:
+                continue
             pairing = flow.stein_fisher(density)
             double = stein_fisher_double(flow, density)
             assert pairing == pytest.approx(double, rel=1e-6, abs=1e-12)
 
     def test_nonnegative_on_perturbed_densities(self, rng):
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=1024)
-        x = flow.grid.nodes()[:, 0]
+        x = flow.grid.nodes[:, 0]
         for _ in range(5):
             bump = 0.1 * rng.standard_normal() * np.sin(x * rng.uniform(0.3, 1.5))
             density = GridDensity(flow.grid, -0.5 * x * x + bump).renormalized()
@@ -456,7 +531,7 @@ class TestKernelOperator:
         target = MirroredTarget(MirroredPowerLaw(4.0, dim=dim), EuclideanMap(dim))
         flow = MirroredFlow(target, kernel, grid=grid)
         assert isinstance(flow.kernel_operator, gridflow._LatticeKernelOperator)
-        x = grid.nodes()
+        x = grid.nodes
         density = GridDensity(grid, -0.5 * np.sum((x - mean) ** 2, axis=1) / scale**2)
         forms = gridflow.G_FORMS if dim == 1 else ("score", "dual")
         lattice = [flow.g_field(density, form=form) for form in forms]
@@ -557,14 +632,14 @@ class TestPushforward:
         c, gamma = 0.8, 0.5
         field = FieldOnGrid(grid, np.full((2048, 1), c), np.zeros((2048, 1, 1)))
         moved = pushforward_step(density, field, gamma)
-        x = grid.nodes()[:, 0]
+        x = grid.nodes[:, 0]
         expected = np.exp(-0.5 * (x + gamma * c) ** 2) / math.sqrt(2 * math.pi)
         assert np.max(np.abs(moved.density - expected)) <= 1e-8
 
     def test_injectivity_violation_names_node(self):
         grid = Grid((np.linspace(-4.0, 4.0, 256),))
         density = standard_normal_density(grid)
-        x = grid.nodes()
+        x = grid.nodes
         field = FieldOnGrid(grid, x.copy(), np.ones((256, 1, 1)))
         with pytest.raises(NumericsError, match="not injective"):
             pushforward_step(density, field, 2.0)
@@ -573,7 +648,7 @@ class TestPushforward:
         # zero nodal derivatives, but the Hermite slope of values x peaks at
         # 1.5 mid-interval: gamma 0.9 folds the map there
         grid = Grid((np.linspace(-3.0, 3.0, 16),))
-        field = FieldOnGrid(grid, grid.nodes().copy(), np.zeros((16, 1, 1)))
+        field = FieldOnGrid(grid, grid.nodes.copy(), np.zeros((16, 1, 1)))
         stretch, node = field.max_stretch()
         assert stretch == pytest.approx(1.5, rel=1e-12)
         assert 0 <= node < 16
@@ -596,7 +671,7 @@ class TestPushforward:
         # g(x) = x contracts N(0,1) to N(0, (1-gamma)^2) in one step
         grid = Grid((np.linspace(-8.0, 8.0, 4096),))
         density = standard_normal_density(grid)
-        x = grid.nodes()
+        x = grid.nodes
         field = FieldOnGrid(grid, x.copy(), np.ones((4096, 1, 1)))
         gamma = 0.25
         moved = pushforward_step(density, field, gamma)
@@ -631,14 +706,14 @@ class TestPushforward:
         # zero nodal derivatives make the bilinear Jacobian zero, so Newton
         # degrades to a fixed-point iteration contracting only by 0.9
         grid = Grid((np.linspace(-4.0, 4.0, 16), np.linspace(-4.0, 4.0, 16)))
-        field = FieldOnGrid(grid, grid.nodes().copy(), np.zeros((grid.size, 2, 2)))
+        field = FieldOnGrid(grid, grid.nodes.copy(), np.zeros((grid.size, 2, 2)))
         with pytest.raises(NumericsError, match="did not converge") as info:
             pushforward_step(standard_normal_density(grid), field, 0.9)
         assert f"at node {info.value.particle}" in str(info.value)
 
     def test_unconverged_1d_inverse_names_worst_node(self, monkeypatch):
         grid = Grid((np.linspace(-4.0, 4.0, 64),))
-        x = grid.nodes()[:, 0]
+        x = grid.nodes[:, 0]
         field = FieldOnGrid(grid, 0.9 * np.sin(x)[:, None], 0.9 * np.cos(x)[:, None, None])
         density = standard_normal_density(grid)
         pushforward_step(density, field, 1.0)
@@ -651,11 +726,11 @@ class TestPushforward:
         grid = Grid((np.linspace(-5.0, 5.0, 48), np.linspace(-5.0, 5.0, 48)))
         density = standard_normal_density(grid)
         values = np.stack(
-            [0.3 * np.tanh(grid.nodes()[:, 0]), -0.2 * np.tanh(grid.nodes()[:, 1])], axis=1
+            [0.3 * np.tanh(grid.nodes[:, 0]), -0.2 * np.tanh(grid.nodes[:, 1])], axis=1
         )
         derivs = np.zeros((grid.size, 2, 2))
-        derivs[:, 0, 0] = 0.3 / np.cosh(grid.nodes()[:, 0]) ** 2
-        derivs[:, 1, 1] = -0.2 / np.cosh(grid.nodes()[:, 1]) ** 2
+        derivs[:, 0, 0] = 0.3 / np.cosh(grid.nodes[:, 0]) ** 2
+        derivs[:, 1, 1] = -0.2 / np.cosh(grid.nodes[:, 1]) ** 2
         moved = pushforward_step(density, FieldOnGrid(grid, values, derivs), 0.5)
         assert abs(moved.mass - 1.0) <= 1e-6
 
@@ -706,20 +781,25 @@ class TestFlowRuns:
 
     def test_records_and_density_bookkeeping(self):
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)
-        out = flow.run(gamma=0.01, steps=7, record_every=3)
-        assert [r["step"] for r in out["records"]] == [0, 3, 6, 7]
-        for rec in out["records"]:
-            assert rec["density"].grid is flow.grid
-            assert flow.kl(rec["density"]) == rec["kl"]
-        assert out["records"][-1]["density"] is out["final"]
+        out = flow.run(gamma=0.01, steps=7)
+        assert [r["step"] for r in out["records"]] == list(range(8))
+        kept = [(step, density) for step, density, _ in flow.states(gamma=0.01, steps=7)
+                if step % 3 == 0 or step == 7]
+        assert [step for step, _ in kept] == [0, 3, 6, 7]
+        for step, density in kept:
+            assert density.grid is flow.grid
+            assert flow.kl(density) == out["records"][step]["kl"]
+        assert np.array_equal(kept[-1][1].log_density, out["final"].log_density)
         kls = [r["kl"] for r in out["records"]]
         assert kls == sorted(kls, reverse=True)
 
     def test_descent_check_needs_every_step(self):
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)
-        out = flow.run(gamma=0.01, steps=7, record_every=3)
+        records = [flow.record(*state) for state in flow.states(gamma=0.01, steps=7)
+                   if state[0] % 3 == 0 or state[0] == 7]
+        assert [r["step"] for r in records] == [0, 3, 6, 7]
         with pytest.raises(ConfigError, match="every step"):
-            descent_check(flow, out["records"], 0.01)
+            descent_check(flow, records, 0.01)
 
     def test_descent_report_trivial_at_target(self):
         flow = MirroredFlow(quartic_target(), IMQKernel())

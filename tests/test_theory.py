@@ -344,6 +344,9 @@ class TestIterationEstimate:
             iteration_estimate(profile(c_pi_p=1.0), eps=0.1, d=1, mode="tp")
         with pytest.raises(ConfigError):
             iteration_estimate(profile(c_pi_p=1.0), eps=0.0, d=1)
+        for eps in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="finite eps"):
+                iteration_estimate(profile(c_pi_p=1.0), eps=eps, d=1)
 
 
 class TestLogPartition:
