@@ -241,6 +241,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if not 0.0 < args.eps < math.inf:
+        raise ConfigError(f"--eps needs a finite eps > 0, got {args.eps!r}")
     cfg = load_config(_resolve_config_path(args.target))
     raw = cfg.to_dict()
     if args.map is not None:

@@ -10,8 +10,9 @@ identities for g are checked here at quadrature accuracy, in d <= 2.
 The flow holds one state at a time.  MirroredFlow.states builds each
 state's field once and pushes the state forward only when the next one is
 asked for; MirroredFlow.run keeps scalar records and the final density only.
-Each array is computed once per grid (nodes, weights), per flow (the target
-density, |grad V|) or per state (exp(log rho), w rho, the log gradient).
+Each array is computed once per grid (nodes, weights, log weights), per flow
+(the target density, |grad V|), per state (exp(log rho), w rho, the log
+gradient) or per field (its 1D Hermite table).
 descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
 
@@ -24,8 +25,10 @@ point-set operator of msvgd.kernels: matrix products of the kernel
 profile's f(t), f'(t) and f''(t) in the kernel's chart, for every kernel
 (dual-imq's chart is grad_psi, so there t is measured between the dual
 images of the primal nodes).  The pushforward inverts x - gamma * g by
-Newton's method, each round reading the field and its Jacobian from one
-interval lookup.
+Newton's method.  In 1D one search finds the interval of the field's
+Hermite table that holds each node's preimage, Newton runs inside it, and
+the state's log density is interpolated there without a second lookup; in
+2D each round reads the field and its Jacobian from one cell lookup.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -125,6 +128,12 @@ class Grid:
             parts.append(w)
         return _read_only(parts[0] if self.dim == 1 else np.outer(parts[0], parts[1]).ravel())
 
+    @functools.cached_property
+    def log_weights(self) -> np.ndarray:
+        """Logs of the trapezoid weights, read-only: every log-space mass on
+        the grid sums log density + log weight."""
+        return _read_only(np.log(self.weights))
+
 
 def _boundary_mask(shape: tuple) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
@@ -215,7 +224,7 @@ class GridDensity:
 
     @property
     def log_mass(self) -> float:
-        return log_sum_exp(self.log_density + np.log(self.grid.weights))
+        return log_sum_exp(self.log_density + self.grid.log_weights)
 
     @property
     def mass(self) -> float:
@@ -239,31 +248,38 @@ def standard_normal_density(grid: Grid) -> GridDensity:
 # finite differences
 
 
-def fornberg_weights(points: np.ndarray, center: float, order: int) -> np.ndarray:
+def fornberg_weights(points: np.ndarray, center, order: int) -> np.ndarray:
     """Stencil weights w with sum(w * f(points)) approximating the order-th
-    derivative of f at center, by Fornberg's recursion."""
+    derivative of f at center, by Fornberg's recursion.
+
+    Broadcasts over leading stencil axes: points (..., n) and center (...)
+    give weights (..., n).  Every stencil takes the scalar recursion's
+    operations in the same order, so a batch equals its stencils' scalar
+    calls bit for bit."""
     points = np.asarray(points, dtype=float)
-    n = points.size
+    center = np.asarray(center, dtype=float)
+    n = points.shape[-1]
     if order >= n:
         raise ConfigError("stencil too short for the requested derivative order")
-    c = np.zeros((n, order + 1))
-    c[0, 0] = 1.0
+    x = [points[..., i] for i in range(n)]
+    c = np.zeros(points.shape[:-1] + (n, order + 1))
+    c[..., 0, 0] = 1.0
     c1 = 1.0
     for i in range(1, n):
         c2 = 1.0
         mn = min(i, order)
         for j in range(i):
-            c3 = points[i] - points[j]
-            c2 *= c3
+            c3 = x[i] - x[j]
+            c2 = c2 * c3
             if j == i - 1:
                 for m in range(mn, 0, -1):
-                    c[i, m] = c1 * (m * c[i - 1, m - 1] - (points[i - 1] - center) * c[i - 1, m]) / c2
-                c[i, 0] = -c1 * (points[i - 1] - center) * c[i - 1, 0] / c2
+                    c[..., i, m] = c1 * (m * c[..., i - 1, m - 1] - (x[i - 1] - center) * c[..., i - 1, m]) / c2
+                c[..., i, 0] = -c1 * (x[i - 1] - center) * c[..., i - 1, 0] / c2
             for m in range(mn, 0, -1):
-                c[j, m] = ((points[i] - center) * c[j, m] - m * c[j, m - 1]) / c3
-            c[j, 0] = (points[i] - center) * c[j, 0] / c3
+                c[..., j, m] = ((x[i] - center) * c[..., j, m] - m * c[..., j, m - 1]) / c3
+            c[..., j, 0] = (x[i] - center) * c[..., j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return c[..., order]
 
 
 # (row, stencil) of the one-sided five-point first-derivative stencils at the
@@ -289,58 +305,68 @@ def _fd4_uniform(values: np.ndarray, h: float) -> np.ndarray:
 
 def nonuniform_gradient(points: np.ndarray, values: np.ndarray) -> np.ndarray:
     """First derivative on a strictly increasing 1D point set, five-point
-    Fornberg stencils shifted one-sided at the ends."""
+    Fornberg stencils shifted one-sided at the ends, all built in one
+    batched call."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     n = points.size
     if n < 5:
         raise ConfigError("nonuniform_gradient needs at least 5 points")
-    out = np.empty(n)
-    for i in range(n):
-        lo = min(max(i - 2, 0), n - 5)
-        w = fornberg_weights(points[lo:lo + 5], points[i], 1)
-        out[i] = float(np.dot(w, values[lo:lo + 5]))
-    return out
+    stencils = np.clip(np.arange(n) - 2, 0, n - 5)[:, None] + np.arange(5)
+    weights = fornberg_weights(points[stencils], points, 1)
+    return np.vecdot(weights, values[stencils])
 
 
 # ---------------------------------------------------------------------------
 # interpolation
 
 
-def _hermite_pieces(x: np.ndarray, q: np.ndarray):
-    h = x[1] - x[0]
-    idx = np.clip(np.searchsorted(x, q, side="right") - 1, 0, x.size - 2)
-    t = (q - x[idx]) / h
-    return idx, t, h
+# A 1-D Hermite table has one column per piece of the line: column 0 lies
+# below the box, column j in 1..n-1 is the interval [x_{j-1}, x_j] (the last
+# node closes the last interval), and column n lies above the box.  A point's
+# offset t on its piece is measured from the piece's left node (x_0 below
+# the box, x_{n-1} above it) in units of the spacing.
 
 
-def _hermite_value(x, v, m, q, pieces, extend: str):
-    idx, t, h = pieces
-    t2, t3 = t * t, t * t * t
-    val = ((2 * t3 - 3 * t2 + 1) * v[idx] + (t3 - 2 * t2 + t) * h * m[idx]
-           + (-2 * t3 + 3 * t2) * v[idx + 1] + (t3 - t2) * h * m[idx + 1])
-    below, above = q < x[0], q > x[-1]
-    if extend == "constant":
-        val = np.where(below, v[0], val)
-        val = np.where(above, v[-1], val)
-    else:
-        val = np.where(below, v[0] + m[0] * (q - x[0]), val)
-        val = np.where(above, v[-1] + m[-1] * (q - x[-1]), val)
-    return val
+def _hermite_table(v: np.ndarray, m: np.ndarray, h: float, extend: str) -> np.ndarray:
+    """(4, n + 1) coefficients of the cubic Hermite interpolant through node
+    values v and slopes m, spacing h: on column j the value is
+    c0 + t (c1 + t (c2 + t c3)).  Beyond the box it is held "constant" or
+    extended "linear"-ly along the edge slope."""
+    n = v.size
+    table = np.zeros((4, n + 1))
+    c0, c1, c2, c3 = table[:, 1:n]  # the intervals, written in place
+    c0[:] = v[:-1]
+    np.multiply(m[:-1], h, out=c1)
+    fall = v[:-1] - v[1:]
+    np.multiply(m[1:], h, out=c3)
+    c3 += c1
+    c3 += fall
+    c3 += fall  # 2 fall + h m0 + h m1
+    np.add(c3, fall, out=c2)
+    c2 += c1
+    np.negative(c2, out=c2)  # -(3 fall + 2 h m0 + h m1)
+    table[0, 0], table[0, n] = v[0], v[-1]
+    if extend == "linear":
+        table[1, 0], table[1, n] = h * m[0], h * m[-1]
+    return table
 
 
-def _hermite_slope(x, v, m, q, pieces, extend: str):
-    idx, t, h = pieces
-    t2 = t * t
-    val = ((6 * t2 - 6 * t) * v[idx] / h + (3 * t2 - 4 * t + 1) * m[idx]
-           + (-6 * t2 + 6 * t) * v[idx + 1] / h + (3 * t2 - 2 * t) * m[idx + 1])
-    below, above = q < x[0], q > x[-1]
-    if extend == "constant":
-        val = np.where(below | above, 0.0, val)
-    else:
-        val = np.where(below, m[0], val)
-        val = np.where(above, m[-1], val)
-    return val
+def _hermite_columns(breaks: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Column of each point q among increasing breakpoints, by one binary
+    search: breaks[j - 1] <= q < breaks[j], except that the last breakpoint
+    itself closes column n - 1."""
+    closed = breaks.copy()
+    closed[-1] = np.nextafter(closed[-1], np.inf)
+    return np.searchsorted(closed, q, side="right")
+
+
+def _cubic(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+
+
+def _slope(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return c[4] + t * (c[5] + t * c[6])
 
 
 def _bilinear_pieces(grid: Grid, q: np.ndarray):
@@ -370,9 +396,11 @@ class FieldOnGrid:
 
     1D evaluation is cubic Hermite (the nodal derivatives are part of the
     data, not re-estimated) and constant beyond the box, which keeps the flow
-    map injective out there.  2D evaluation is bilinear.  evaluate returns
-    values and Jacobians from one interval lookup; calling the field and
-    jacobian give one of the two.
+    map injective out there.  Its formula lives in one per-field table,
+    ``hermite``, which evaluate, max_stretch and the pushforward's inverse
+    all read.  2D evaluation is bilinear.  evaluate returns values and
+    Jacobians from one interval lookup; calling the field and jacobian give
+    one of the two.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, derivs: np.ndarray):
@@ -387,15 +415,30 @@ class FieldOnGrid:
                 f"expected {expect_v}/{expect_d}"
             )
 
+    @functools.cached_property
+    def hermite(self) -> np.ndarray:
+        """1D only: the (7, n + 1) table of the field on every piece of the
+        line, read-only.  Rows 0-3 are the value's Hermite coefficients in
+        the offset t (constant beyond the box); rows 4-6 give the slope
+        d/dx as s0 + t (s1 + t s2), with s0 the nodal derivative itself."""
+        x = self.grid.axes[0]
+        m, h = self.derivs[:, 0, 0], x[1] - x[0]
+        value = _hermite_table(self.values[:, 0], m, h, "constant")
+        slope = np.zeros((3, x.size + 1))
+        slope[0, 1:-1] = m[:-1]
+        np.multiply(value[2:], [[2.0 / h], [3.0 / h]], out=slope[1:])
+        return _read_only(np.concatenate([value, slope]))
+
     def evaluate(self, points: np.ndarray) -> tuple:
         """(values (n, d), Jacobians (n, d, d)) at points from one interval
         lookup."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.grid.dim == 1:
-            x, v, m, q = self.grid.axes[0], self.values[:, 0], self.derivs[:, 0, 0], points[:, 0]
-            pieces = _hermite_pieces(x, q)
-            return (_hermite_value(x, v, m, q, pieces, "constant")[:, None],
-                    _hermite_slope(x, v, m, q, pieces, "constant")[:, None, None])
+            x, q = self.grid.axes[0], points[:, 0]
+            columns = _hermite_columns(x, q)
+            t = (q - x[np.maximum(columns - 1, 0)]) / (x[1] - x[0])
+            c = np.take(self.hermite, columns, axis=1)
+            return _cubic(c, t)[:, None], _slope(c, t)[:, None, None]
         pieces = _bilinear_pieces(self.grid, points)
         return _bilinear(self.grid, self.values, pieces), _bilinear(self.grid, self.derivs, pieces)
 
@@ -410,36 +453,22 @@ class FieldOnGrid:
         and the node nearest to where it is reached.
 
         In 2D the Jacobian is a bilinear blend of the nodal Jacobians, so the
-        largest value sits at a node.  In 1D the Hermite slope is quadratic
-        in t on each interval, a t^2 + b t + m_i, so its supremum is at an
-        end (a node) or at the vertex t = -b / (2a).
+        largest value sits at a node.  In 1D the slope on each interval is
+        the table's quadratic s0 + t (s1 + t s2), so its supremum is at an
+        end (a node) or at the vertex t = -s1 / (2 s2).
         """
         if self.grid.dim == 2:
             mags = np.abs(self.derivs).sum(axis=2).max(axis=1)
             node = int(np.argmax(mags))
             return float(mags[node]), node
-        v, m = self.values[:, 0], self.derivs[:, 0, 0]
-        mags = np.abs(m)
+        mags = np.abs(self.derivs[:, 0, 0])
         node = int(np.argmax(mags))
-        # few interval arrays, updated in place: no temporary per operation
-        fall = v[:-1] - v[1:]
-        fall *= 6.0 / (self.grid.axes[0][1] - self.grid.axes[0][0])
-        a = m[:-1] + m[1:]
-        a *= 3.0
-        a += fall
-        b = m[1:] * -2.0
-        b -= fall
-        b -= 4.0 * m[:-1]
+        c = self.hermite[:, 1:-1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = b / a
+            t = c[5] / c[6]
         t *= -0.5
         t[~((t > 0.0) & (t < 1.0))] = 0.0
-        peak = a  # becomes |(a t + b) t + m_i|
-        peak *= t
-        peak += b
-        peak *= t
-        peak += m[:-1]
-        np.abs(peak, out=peak)
+        peak = np.abs(_slope(c, t))
         k = int(np.argmax(peak))
         if peak[k] > mags[node]:
             return float(peak[k]), k + int(t[k] > 0.5)
@@ -541,7 +570,7 @@ class MirroredFlow:
 
         x = self.grid.nodes
         potential = np.asarray(mirrored.potential(x), dtype=float)
-        log_partition = log_sum_exp(-potential + np.log(self.grid.weights))
+        log_partition = log_sum_exp(-potential + self.grid.log_weights)
         self._pi = GridDensity(self.grid, -potential - log_partition)
         self.grad_potential = np.asarray(mirrored.grad_potential(x), dtype=float)
         self.grad_potential_norm = np.sqrt(
@@ -696,8 +725,9 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     """Push the density through x - gamma * field(x) by change of variables.
 
     The field must be finite and the map injective: gamma times the largest
-    nodal field stretch below one.  gamma = 0 returns the density unchanged,
-    bit for bit.
+    field stretch below one.  The log density is then interpolated at each
+    node's preimage on the piece the inverse found it on, with no second
+    lookup.  gamma = 0 returns the density unchanged, bit for bit.
     """
     finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
     if not finite.all():
@@ -713,49 +743,71 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
             f"{gamma * stretch:.6g} at node {node}",
             particle=node,
         )
-    inverse, field_jac = _invert(grid, field, gamma)
+    _, field_jac, pieces = _invert(grid, field, gamma)
     jac = np.eye(grid.dim) - gamma * field_jac
     if grid.dim == 1:
         det = jac[:, 0, 0]
+        x = grid.axes[0]
+        table = _hermite_table(density.log_density, density.log_gradient[:, 0],
+                               x[1] - x[0], "linear")
+        columns, t = pieces
+        log_rho_at = _cubic(np.take(table, columns, axis=1), t)
     else:
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    log_rho_at = _interp_log_density(density, inverse)
+        log_rho_at = _bilinear(grid, density.log_density, pieces)
     return GridDensity(grid, log_rho_at - np.log(det)).renormalized()
-
-
-def _interp_log_density(density: GridDensity, points: np.ndarray) -> np.ndarray:
-    grid = density.grid
-    if grid.dim == 1:
-        x, q = grid.axes[0], points[:, 0]
-        return _hermite_value(x, density.log_density, density.log_gradient[:, 0], q,
-                              _hermite_pieces(x, q), "linear")
-    return _bilinear(grid, density.log_density, _bilinear_pieces(grid, points))
 
 
 def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
     """Solve y - gamma * field(y) = x at every node x by Newton's method;
-    returns y and the field's Jacobian there.
+    returns y, the field's Jacobian there, and the pieces that locate y for
+    interpolating node values: (column, offset t) of the field's Hermite
+    table in 1D, the bilinear cell pieces in 2D.
 
-    1D starts from linear interpolation of the nodes over the forward map at
-    the nodes; 2D starts at the nodes.  Each round evaluates the field and
-    its Jacobian from one interval lookup.  Every residual must reach
-    NEWTON_TOL within NEWTON_ROUNDS steps, or the worst node is named in a
+    In 1D the map is strictly increasing (pushforward_step has checked
+    gamma * max_stretch < 1, and the field is constant beyond the box), so
+    one search of the nodes among the forward node images x_i - gamma v_i
+    finds the table column holding each preimage: an interval of the box,
+    or the constant piece beyond it.  Newton then runs on that column alone,
+    gathered once, with no lookup in any round.  2D starts at
+    the nodes, and each round evaluates the field and its Jacobian from one
+    cell lookup.  Every residual, beyond the box too, must reach NEWTON_TOL
+    within NEWTON_ROUNDS steps, or the worst node is named in a
     NumericsError.
     """
-    targets = grid.nodes
     if grid.dim == 1:
-        x = targets[:, 0]
-        y = np.interp(x, x - gamma * field.values[:, 0], x)[:, None]
+        x = grid.axes[0]
+        n, h = x.size, x[1] - x[0]
+        forward = x - gamma * field.values[:, 0]
+        columns = _hermite_columns(forward, x)
+        c = np.take(field.hermite, columns, axis=1)
+        prev = columns - 1
+        left = x[np.maximum(prev, 0)]
+        # start on the secant of the forward map over the column's interval;
+        # beyond the box the piece is constant and any start converges at once
+        lo = np.clip(prev, 0, n - 2)
+        f0 = forward[lo]
+        y = left + h * ((x - f0) / (forward[lo + 1] - f0))
+        for rounds in range(NEWTON_ROUNDS + 1):
+            t = (y - left) / h
+            slope = _slope(c, t)
+            residual = y - gamma * _cubic(c, t) - x
+            worst = np.abs(residual)
+            if float(np.max(worst)) <= NEWTON_TOL:
+                return y[:, None], slope[:, None, None], (columns, t)
+            if rounds < NEWTON_ROUNDS:
+                y = y - residual / (1.0 - gamma * slope)
     else:
+        targets = grid.nodes
         y = targets.copy()
-    for rounds in range(NEWTON_ROUNDS + 1):
-        values, jac = field.evaluate(y)
-        residual = y - gamma * values - targets
-        worst = np.max(np.abs(residual), axis=1)
-        if float(np.max(worst)) <= NEWTON_TOL:
-            return y, jac
-        if rounds < NEWTON_ROUNDS:
-            y = y - _solve_small(np.eye(grid.dim) - gamma * jac, residual)
+        for rounds in range(NEWTON_ROUNDS + 1):
+            values, jac = field.evaluate(y)
+            residual = y - gamma * values - targets
+            worst = np.max(np.abs(residual), axis=1)
+            if float(np.max(worst)) <= NEWTON_TOL:
+                return y, jac, _bilinear_pieces(grid, y)
+            if rounds < NEWTON_ROUNDS:
+                y = y - _solve_2x2(np.eye(2) - gamma * jac, residual)
     node = int(np.argmax(worst))
     raise NumericsError(
         f"pushforward inverse did not converge in {NEWTON_ROUNDS} Newton rounds: "
@@ -764,10 +816,8 @@ def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
     )
 
 
-def _solve_small(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Per-node solutions of jac @ step = rhs for 1x1 or 2x2 systems."""
-    if jac.shape[1] == 1:
-        return rhs / jac[:, 0]
+def _solve_2x2(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Per-node solutions of jac @ step = rhs."""
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     step0 = (jac[:, 1, 1] * rhs[:, 0] - jac[:, 0, 1] * rhs[:, 1]) / det
     step1 = (-jac[:, 1, 0] * rhs[:, 0] + jac[:, 0, 0] * rhs[:, 1]) / det

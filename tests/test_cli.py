@@ -357,6 +357,19 @@ class TestTheoryCommand:
         assert f"finite eps > 0, got {eps}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-0.01"])
+    def test_bad_eps_exits_two_before_any_pricing(self, monkeypatch, capsys, eps):
+        def fail(*args, **kwargs):
+            raise AssertionError("--eps must be refused before the runtime is built")
+
+        monkeypatch.setattr(theory, "certify", fail)
+        monkeypatch.setattr(cli, "build_runtime", fail)
+        code = cli.main(["theory", "--target", "dirichlet-simplex-d2", "--eps", eps])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"--eps needs a finite eps > 0, got {float(eps)!r}" in captured.err
+        assert captured.out == ""
+
     def test_p_mismatch_exits_two(self, capsys):
         code = cli.main(["theory", "--target", "quartic-1d-descent", "-p", "2.0"])
         assert code == 2

@@ -121,6 +121,29 @@ def invert_by_bisection(grid, field, gamma):
     return (0.5 * (lo + hi))[:, None]
 
 
+def fornberg_scalar(points, center, order):
+    """Fornberg's recursion for one stencil in plain Python floats."""
+    n = len(points)
+    c = [[0.0] * (order + 1) for _ in range(n)]
+    c[0][0] = 1.0
+    c1 = 1.0
+    for i in range(1, n):
+        c2 = 1.0
+        mn = min(i, order)
+        for j in range(i):
+            c3 = points[i] - points[j]
+            c2 *= c3
+            if j == i - 1:
+                for m in range(mn, 0, -1):
+                    c[i][m] = c1 * (m * c[i - 1][m - 1] - (points[i - 1] - center) * c[i - 1][m]) / c2
+                c[i][0] = -c1 * (points[i - 1] - center) * c[i - 1][0] / c2
+            for m in range(mn, 0, -1):
+                c[j][m] = ((points[i] - center) * c[j][m] - m * c[j][m - 1]) / c3
+            c[j][0] = (points[i] - center) * c[j][0] / c3
+        c1 = c2
+    return np.array([row[order] for row in c])
+
+
 def with_dense_operator(flow):
     """The same flow with its kernel products on explicit gram blocks."""
     flow.kernel_operator = DenseKernelOperator(flow.kernel, flow.theta)
@@ -156,6 +179,21 @@ class TestFiniteDifferences:
     def test_fornberg_rejects_short_stencil(self):
         with pytest.raises(ConfigError):
             fornberg_weights(np.arange(3.0), 0.0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), order=st.integers(1, 6),
+           batch=st.integers(1, 9))
+    def test_batched_fornberg_equals_scalar_recursion_bit_for_bit(self, seed, n, order, batch):
+        order = min(order, n - 1)
+        rng = np.random.default_rng(seed)
+        points = np.sort(rng.uniform(-3.0, 3.0, size=(batch, n)), axis=1)
+        points += np.arange(n) * 1e-3  # distinct nodes
+        centers = rng.uniform(-3.0, 3.0, size=batch)
+        weights = fornberg_weights(points, centers, order)
+        assert weights.shape == (batch, n)
+        for row, pts, center in zip(weights, points, centers):
+            expected = fornberg_scalar([float(p) for p in pts], float(center), order)
+            assert row.tobytes() == expected.tobytes()
 
     def test_uniform_gradient_exact_on_quartic(self):
         grid = Grid((np.linspace(-2.0, 2.0, 64),))
@@ -685,10 +723,58 @@ class TestPushforward:
         field = flow.g_field(flow.initial_density())
         stretch, _ = field.max_stretch()
         gamma = fraction / stretch
-        newton, jac = gridflow._invert(flow.grid, field, gamma)
+        newton, jac, _ = gridflow._invert(flow.grid, field, gamma)
         bisection = invert_by_bisection(flow.grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
         assert jac.tobytes() == field.jacobian(newton).tobytes()
+
+    @pytest.mark.parametrize("case", ["beyond-both-ends", "onto-nodes", "fixed-node"])
+    def test_inverse_matches_bisection_on_edge_cases(self, case):
+        grid = Grid((np.linspace(-4.0, 4.0, 65),))  # spacing 1/8, exact in binary
+        x = grid.nodes[:, 0]
+        if case == "beyond-both-ends":
+            # an outward field: the edge nodes' preimages lie beyond the box
+            values, slopes, gamma = 0.5 * x + 0.3 * np.sin(2 * x), 0.5 + 0.6 * np.cos(2 * x), 0.8
+        elif case == "onto-nodes":
+            # gamma * field = 2 spacings exactly: every preimage is a node
+            values, slopes, gamma = np.full(65, 0.5), np.zeros(65), 0.5
+        else:
+            # the field vanishes at the middle node, which is its own preimage
+            values, slopes, gamma = 0.3 * np.sin(x), 0.3 * np.cos(x), 1.0
+        field = FieldOnGrid(grid, values[:, None], slopes[:, None, None])
+        assert gamma * field.max_stretch()[0] < 1.0
+        newton, jac, (columns, t) = gridflow._invert(grid, field, gamma)
+        bisection = invert_by_bisection(grid, field, gamma)
+        assert np.max(np.abs(newton - bisection)) <= 1e-12
+        assert jac.tobytes() == field.jacobian(newton).tobytes()
+        # the pieces locate the inverse on the field's own table
+        c = np.take(field.hermite, columns, axis=1)
+        assert gridflow._cubic(c, t).tobytes() == field(newton)[:, 0].tobytes()
+        if case == "beyond-both-ends":
+            assert newton[0, 0] < x[0] and newton[-1, 0] > x[-1]
+            assert columns[0] == 0 and columns[-1] == x.size
+        elif case == "onto-nodes":
+            assert np.array_equal(newton[:-2, 0], x[2:])
+        else:
+            assert newton[32, 0] == x[32] == 0.0
+
+    def test_1d_pushforward_makes_one_interval_lookup(self, monkeypatch):
+        flow = MirroredFlow(quartic_target(), IMQKernel())
+        density = flow.initial_density()
+        field = flow.g_field(density)
+        gamma = 0.5 / field.max_stretch()[0]
+        calls = []
+        for name in ("searchsorted", "interp", "digitize"):
+            original = getattr(np, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        moved = pushforward_step(density, field, gamma)
+        assert calls == ["searchsorted"]
+        assert abs(moved.mass - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(16,), (16, 16)])
     @pytest.mark.parametrize("part", ["values", "derivs"])
