@@ -7,12 +7,15 @@ and the smoothed Fisher value are read off the same grid.  This is the
 verification side of the package: the descent inequality and the two-formula
 identities for g are checked here at quadrature accuracy, in d <= 2.
 
-The flow holds one state at a time.  MirroredFlow.states builds each
-state's field once and pushes the state forward only when the next one is
-asked for; MirroredFlow.run keeps scalar records and the final density only.
+A flow's grid is the box theory's bracket walk picks for the dual target,
+unless a halfwidth is given.  The flow holds one state at a time.
+MirroredFlow.states builds each state's field once and pushes the state
+forward only when the next one is asked for; MirroredFlow.run keeps scalar
+records and the final density only.
 Each array is computed once per grid (nodes, weights, log weights), per flow
 (the target density, |grad V|), per state (exp(log rho), w rho, the log
-gradient) or per field (its 1D Hermite table).
+gradient; GridDensity.normalized builds and validates each state once) or
+per field (its 1D Hermite table).
 descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
 
@@ -40,14 +43,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import kernel_operator
 from .targets import MirroredTarget
-from .theory import log_sum_exp
+from .theory import Grid, _read_only, _target_grid, log_sum_exp
 
 DEFAULT_NODES_1D = 4096
 # Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
@@ -57,7 +59,6 @@ DEFAULT_NODES_1D = 4096
 # holds at most one P x P block besides them).  Past 73 per axis the factors
 # are rebuilt for every product.
 DEFAULT_NODES_2D = 48
-TAIL_DROP_NATS = 45.0
 # nodes whose density sits this far (nats) below the peak are excluded from
 # finite differences in the primal chart, where the grid spacing collapses
 PRIMAL_FD_DROP_NATS = 40.0
@@ -72,110 +73,23 @@ G_FORMS = ("score", "dual", "primal")
 # grids and densities
 
 
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Uniform tensor grid over a dual-space box."""
-
-    axes: tuple
-
-    def __post_init__(self):
-        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
-        if not 1 <= len(axes) <= 2:
-            raise ConfigError(f"grids support 1 or 2 dimensions, got {len(axes)}")
-        for a in axes:
-            if a.ndim != 1 or a.size < 8:
-                raise ConfigError("each grid axis needs at least 8 nodes")
-            steps = np.diff(a)
-            if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-                raise ConfigError("grid axes must be uniformly spaced")
-        object.__setattr__(self, "axes", axes)
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def shape(self) -> tuple:
-        return tuple(a.size for a in self.axes)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def spacing(self) -> tuple:
-        return tuple(float(a[1] - a[0]) for a in self.axes)
-
-    @functools.cached_property
-    def nodes(self) -> np.ndarray:
-        """All grid points in row-major order, (size, dim), read-only."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
-
-    @functools.cached_property
-    def weights(self) -> np.ndarray:
-        """Flat trapezoid quadrature weights matching nodes, read-only."""
-        parts = []
-        for a in self.axes:
-            w = np.full(a.size, a[1] - a[0])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            parts.append(w)
-        return _read_only(parts[0] if self.dim == 1 else np.outer(parts[0], parts[1]).ravel())
-
-    @functools.cached_property
-    def log_weights(self) -> np.ndarray:
-        """Logs of the trapezoid weights, read-only: every log-space mass on
-        the grid sums log density + log weight."""
-        return _read_only(np.log(self.weights))
-
-
-def _boundary_mask(shape: tuple) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    if len(shape) == 1:
-        mask[0] = mask[-1] = True
-    else:
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
-    return mask.ravel()
-
-
 def grid_for_target(target, nodes: int | None = None, halfwidth: float | None = None) -> Grid:
     """Symmetric box wide enough that the tails of both the dual target and
     the standard-normal start carry less than 1e-12 mass.
 
-    The criterion is a 45-nat drop of the unnormalized dual log density from
-    its on-grid peak at every boundary node; the halfwidth starts at 8.0
-    (which already pins the standard-normal tail) and doubles until the drop
-    holds.
+    The box is the one theory's bracket walk picks for the dual density,
+    the walk that prices the certificate: halfwidth 8.0 (which already pins
+    the standard-normal tail), doubled until the dual log density sits
+    theory.TAIL_DROP_NATS under its peak at every border node and keeps
+    falling along rays far beyond.  A given halfwidth is used as is.
     """
-    dim = target.dim
-    if dim > 2:
-        raise ConfigError(f"grid flows support dim <= 2, got dim={dim}")
     if nodes is None:
-        nodes = DEFAULT_NODES_1D if dim == 1 else DEFAULT_NODES_2D
-    if halfwidth is not None:
-        if not halfwidth > 0:
-            raise ConfigError(f"grid halfwidth must be positive, got {halfwidth}")
-        return Grid(tuple(np.linspace(-halfwidth, halfwidth, nodes) for _ in range(dim)))
-
-    half = 8.0
-    for _ in range(13):
-        grid = Grid(tuple(np.linspace(-half, half, nodes) for _ in range(dim)))
-        logpi = -np.asarray(target.potential(grid.nodes), dtype=float)
-        peak = float(np.max(logpi))
-        if float(np.max(logpi[_boundary_mask(grid.shape)])) <= peak - TAIL_DROP_NATS:
-            return grid
-        half *= 2.0
-    raise NumericsError(
-        "could not find a grid that contains the dual target's mass; "
-        "its tails do not decay within the probed boxes"
-    )
+        nodes = DEFAULT_NODES_1D if target.dim == 1 else DEFAULT_NODES_2D
+    if halfwidth is None:
+        return _target_grid(target, nodes)[0]
+    if not halfwidth > 0:
+        raise ConfigError(f"grid halfwidth must be positive, got {halfwidth}")
+    return Grid.box(target.dim, nodes, halfwidth)
 
 
 class GridDensity:
@@ -222,6 +136,15 @@ class GridDensity:
             grad = np.stack([d0.ravel(), d1.ravel()], axis=1)
         return _read_only(grad)
 
+    @classmethod
+    def normalized(cls, grid: Grid, log_values: np.ndarray) -> "GridDensity":
+        """The density proportional to exp(log_values), built and validated
+        once: a nan or +inf value makes the difference nan, and is refused."""
+        log_values = np.asarray(log_values, dtype=float).ravel()
+        if log_values.size == grid.size:
+            log_values = log_values - log_sum_exp(log_values + grid.log_weights)
+        return cls(grid, log_values)
+
     @property
     def log_mass(self) -> float:
         return log_sum_exp(self.log_density + self.grid.log_weights)
@@ -229,9 +152,6 @@ class GridDensity:
     @property
     def mass(self) -> float:
         return math.exp(self.log_mass)
-
-    def renormalized(self) -> "GridDensity":
-        return GridDensity(self.grid, self.log_density - self.log_mass)
 
     def expectation(self, values: np.ndarray) -> float:
         """Trapezoid integral of node values against this density."""
@@ -241,7 +161,7 @@ class GridDensity:
 def standard_normal_density(grid: Grid) -> GridDensity:
     nodes = grid.nodes
     logrho = -0.5 * np.einsum("nd,nd->n", nodes, nodes) - 0.5 * grid.dim * math.log(2.0 * math.pi)
-    return GridDensity(grid, logrho).renormalized()
+    return GridDensity.normalized(grid, logrho)
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +490,7 @@ class MirroredFlow:
 
         x = self.grid.nodes
         potential = np.asarray(mirrored.potential(x), dtype=float)
-        log_partition = log_sum_exp(-potential + self.grid.log_weights)
-        self._pi = GridDensity(self.grid, -potential - log_partition)
+        self._pi = GridDensity.normalized(self.grid, -potential)
         self.grad_potential = np.asarray(mirrored.grad_potential(x), dtype=float)
         self.grad_potential_norm = np.sqrt(
             np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
@@ -755,7 +674,7 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     else:
         det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
         log_rho_at = _bilinear(grid, density.log_density, pieces)
-    return GridDensity(grid, log_rho_at - np.log(det)).renormalized()
+    return GridDensity.normalized(grid, log_rho_at - np.log(det))
 
 
 def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:

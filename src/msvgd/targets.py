@@ -341,8 +341,7 @@ def certified_profile(mirrored):
 
 
 def smoothness_profile(target, samples=100_000, rng=None):
-    """Growth constants for a mirrored target (or a dual-native power law,
-    which lives in the euclidean chart).
+    """Growth constants for a mirrored target.
 
     Catalog entries are returned with "analytic" provenance; anything else
     falls back to an envelope fitted on a sampled dual-space cloud, tagged
@@ -350,8 +349,6 @@ def smoothness_profile(target, samples=100_000, rng=None):
     potential is known not to satisfy the Hessian growth bound (then only a
     user-supplied step size can drive a run).
     """
-    if isinstance(target, MirroredPowerLaw):
-        target = MirroredTarget(target, EuclideanMap(target.dim))
     if not isinstance(target, MirroredTarget):
         raise ConfigError(f"no profile rule for target of type {type(target).__name__}")
     if _catalog_key(target) in _PROFILE_CATALOG:

@@ -14,6 +14,9 @@ whose tails still rise are never evaluated.  Every quadrature sum is one
 ``log_sum_exp``.  Upper bounds are the safe direction throughout: a larger
 ``c_pi_p`` or initial-KL bound only shrinks the certified step size.
 
+``Grid`` lives here, and one bracket walk sizes every quadrature box: the
+boxes priced here and the grids of ``msvgd.gridflow``'s flows.
+
 ``certify`` is the one place that prices these constants for a run: it
 fills in ``c_pi_p``, bounds the initial KL, and returns the fixed step size
 with a per-state cap as one ``Certificate``.
@@ -22,6 +25,7 @@ with a per-state cap as one ``Certificate``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -169,6 +173,9 @@ def step_size_cap(
     """Largest certified step size when the mean mirrored-gradient norm is at
     most ``x``.  Nonincreasing in ``x``.
 
+    This is step_size_cap_exact at the worst-case bounds of its measured
+    arguments in terms of x:
+    step_size_cap(x) == step_size_cap_exact(b1 x + b2 d / K, l0 + l1 x).
     Degenerate constants (l1 = 0, or a vanishing kernel-derivative bound)
     send individual pieces to infinity, and they drop out of the min; the
     result is finite whenever b1 > 0 and l0 + l1 x > 0.
@@ -176,16 +183,10 @@ def step_size_cap(
     if x < 0.0:
         raise DomainError(f"step_size_cap requires x >= 0, got {x!r}")
     b1, b2 = (float(b) for b in kernel_bounds)
-    k = float(strong_convexity)
-    d = float(dim)
-    a = profile.alpha
-    lead = min(_reciprocal_or_inf(b1 * profile.l1), (a - 1.0) * k * _reciprocal_or_inf(a * b2 * d))
-    first = lead * (k * _reciprocal_or_inf(k * b1 * x + b2 * d))
-    second = k * k * _reciprocal_or_inf(
-        a * a * b2 * b2 * d * d
-        + k * k * b1 * b1 * (math.e - 1.0) * (profile.l1 * x + profile.l0)
-    )
-    return min(first, second)
+    field_norm = b1 * x + b2 * float(dim) / float(strong_convexity)
+    growth_stat = profile.l0 + profile.l1 * x
+    return step_size_cap_exact(field_norm, growth_stat, profile, kernel_bounds,
+                               strong_convexity, dim)
 
 
 def step_size_cap_exact(
@@ -198,10 +199,7 @@ def step_size_cap_exact(
 ) -> float:
     """Per-state admissible step size from the measured quantities directly:
     the RKHS norm of the update field and the statistic l0 + l1 E||grad V||.
-
-    step_size_cap is this formula with both arguments replaced by their
-    worst-case bounds in terms of x, so
-    step_size_cap(x) == step_size_cap_exact(b1 x + b2 d / K, l0 + l1 x).
+    step_size_cap evaluates it at their worst-case bounds.
     """
     if field_norm < 0.0 or growth_stat < 0.0:
         raise DomainError("step_size_cap_exact requires nonnegative arguments")
@@ -372,39 +370,106 @@ def stein_fisher_particles(ensemble, kernel, field) -> float:
     return (float(np.einsum("bd,bd->", operand, velocity)) + total / n) / n
 
 
-def _grid_1d(nodes: int, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    ax = np.linspace(-halfwidth, halfwidth, nodes)
-    logw = np.full(nodes, math.log(ax[1] - ax[0]))
-    logw[0] -= math.log(2.0)
-    logw[-1] -= math.log(2.0)
-    return ax[:, None], logw
+# ---------------------------------------------------------------------------
+# quadrature boxes: the bracket walk's border drop (nats), first halfwidth
+# and doubling limit
+
+TAIL_DROP_NATS = 45.0
+START_HALFWIDTH = 8.0
+MAX_DOUBLINGS = 14
 
 
-def _grid_2d(nodes: int, halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    ax = np.linspace(-halfwidth, halfwidth, nodes)
-    w = np.full(nodes, ax[1] - ax[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    logw1 = np.log(w)
-    pts = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
-    return pts, (logw1[:, None] + logw1[None, :]).reshape(-1)
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
-def _tail_clears(vals: np.ndarray, dim: int, nodes: int, drop: float) -> bool:
-    peak = float(np.max(vals))
+@dataclass(frozen=True)
+class Grid:
+    """Uniform tensor grid over a dual-space box."""
+
+    axes: tuple
+
+    def __post_init__(self):
+        axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
+        if not 1 <= len(axes) <= 2:
+            raise ConfigError(f"grids support 1 or 2 dimensions, got {len(axes)}")
+        for a in axes:
+            if a.ndim != 1 or a.size < 8:
+                raise ConfigError("each grid axis needs at least 8 nodes")
+            steps = np.diff(a)
+            if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+                raise ConfigError("grid axes must be uniformly spaced")
+        object.__setattr__(self, "axes", axes)
+
+    @classmethod
+    def box(cls, dim: int, nodes: int, halfwidth: float) -> "Grid":
+        """The square box [-halfwidth, halfwidth]^dim, ``nodes`` per axis."""
+        return cls(tuple(np.linspace(-halfwidth, halfwidth, nodes) for _ in range(dim)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(a.size for a in self.axes)
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.shape))
+
+    @property
+    def spacing(self) -> tuple:
+        return tuple(float(a[1] - a[0]) for a in self.axes)
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """All grid points in row-major order, (size, dim), read-only."""
+        mesh = np.meshgrid(*self.axes, indexing="ij")
+        return _read_only(np.stack([m.ravel() for m in mesh], axis=1))
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """Flat trapezoid quadrature weights matching nodes, read-only."""
+        parts = []
+        for a in self.axes:
+            w = np.full(a.size, a[1] - a[0])
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            parts.append(w)
+        return _read_only(parts[0] if self.dim == 1 else np.outer(parts[0], parts[1]).ravel())
+
+    @functools.cached_property
+    def log_weights(self) -> np.ndarray:
+        """Logs of the trapezoid weights, read-only: every log-space mass on
+        the grid sums log density + log weight."""
+        return _read_only(np.log(self.weights))
+
+
+def log_sum_exp(values: np.ndarray) -> float:
+    """log(sum(exp(values))), shifted by the largest value so no term
+    overflows; -inf when every value is -inf."""
+    peak = float(np.max(values))
+    if not math.isfinite(peak):
+        return peak
+    return peak + math.log(float(np.sum(np.exp(values - peak))))
+
+
+def _tail_clears(vals: np.ndarray, grid: Grid) -> bool:
+    """The log-integrand on the grid's nodes sits TAIL_DROP_NATS under its
+    peak at every border node and, in 1D, still falls at both ends."""
+    peak = float(vals.max())
     if not np.isfinite(peak):
         return False
-    if dim == 1:
-        edge = max(float(vals[0]), float(vals[-1]))
-        return edge <= peak - drop and vals[0] <= vals[1] and vals[-1] <= vals[-2]
-    square = vals.reshape(nodes, nodes)
-    border = max(
-        float(np.max(square[0, :])),
-        float(np.max(square[-1, :])),
-        float(np.max(square[:, 0])),
-        float(np.max(square[:, -1])),
-    )
-    return border <= peak - drop
+    if grid.dim == 1:
+        if not (vals[0] <= vals[1] and vals[-1] <= vals[-2]):
+            return False
+        border = max(vals[0], vals[-1])
+    else:
+        box = vals.reshape(grid.shape)
+        border = max(box[0].max(), box[-1].max(), box[:, 0].max(), box[:, -1].max())
+    return float(border) <= peak - TAIL_DROP_NATS
 
 
 _RAY_DOUBLINGS = 12
@@ -427,8 +492,8 @@ def _ray_points(dim: int, halfwidth: float) -> np.ndarray:
 
 
 class _Bracket:
-    """The boxes of one bracketing sequence, halfwidth ``start * 2**level``,
-    and the ray probes beyond each box.
+    """The boxes of one bracketing sequence, ``Grid.box`` at halfwidth
+    ``start * 2**level``, and the ray probes beyond each box.
 
     ``evaluate`` maps a point set to the arrays a log-integrand is combined
     from.  It runs once per point set, the first time that box or ray set is
@@ -447,15 +512,11 @@ class _Bracket:
     def _halfwidth(self, level: int) -> float:
         return self._start * 2.0 ** level
 
-    def points(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and log-weights of the level's box."""
-        return (_grid_1d if self.dim == 1 else _grid_2d)(self.nodes, self._halfwidth(level))
-
     def box(self, level: int):
-        """(log-weights, evaluated arrays) of the level's box."""
+        """(grid, evaluated arrays) of the level's box."""
         if level not in self._boxes:
-            pts, logw = self.points(level)
-            self._boxes[level] = (logw, self._evaluate(pts))
+            grid = Grid.box(self.dim, self.nodes, self._halfwidth(level))
+            self._boxes[level] = (grid, self._evaluate(grid.nodes))
         return self._boxes[level]
 
     def rays(self, level: int):
@@ -465,64 +526,68 @@ class _Bracket:
         return self._rays[level]
 
 
-def _expand_until_decay(bracket: _Bracket, logf, drop: float = 45.0, max_doublings: int = 14):
+def _expand_until_decay(bracket: _Bracket, logf):
     """Walk the bracket's boxes until the log-integrand ``logf`` (applied to
     the bracket's evaluated arrays) keeps falling along every ray far beyond
-    the box and sits `drop` nats under the interior peak at the box edge.
-    Returns (level, log-weights, values), or None when no bracketed box
-    passes (a divergent integrand).
+    the box and clears ``_tail_clears`` on it.  Returns (level, grid,
+    values), or None when no bracketed box passes (a divergent integrand).
 
     Both tests must pass at one level, so their order leaves the result
     unchanged; the rays go first because they are a few dozen points against
     the box's nodes, and a box whose rays still rise is never evaluated."""
-    for level in range(max_doublings + 1):
+    for level in range(MAX_DOUBLINGS + 1):
         far = np.asarray(logf(bracket.rays(level)), dtype=float)
         if not np.all(np.diff(far.reshape(_RAY_DOUBLINGS, -1), axis=0) <= 0.0):
             continue
-        logw, arrays = bracket.box(level)
+        grid, arrays = bracket.box(level)
         vals = np.asarray(logf(arrays), dtype=float)
-        if _tail_clears(vals, bracket.dim, bracket.nodes, drop):
-            return level, logw, vals
+        if _tail_clears(vals, grid):
+            return level, grid, vals
     return None
+
+
+def _potential(target, q: np.ndarray) -> np.ndarray:
+    """The target's dual potential at the walk's points.  The walk probes
+    far into the dual tails; a chart that saturates there (the box map's
+    logistic past |x| of about 37) is a setting quadrature cannot serve."""
+    try:
+        return np.asarray(target.potential(q), dtype=float)
+    except NumericsError as exc:
+        chart = type(getattr(target, "map", target)).__name__
+        raise ConfigError(
+            f"dual-space quadrature (verify, theory) needs the potential far into "
+            f"the dual tails, and the {chart} chart saturates there ({exc}); "
+            "this map is not supported"
+        ) from None
 
 
 def _default_nodes(dim: int) -> int:
     return 4096 if dim == 1 else 256
 
 
-def _target_grid(target, nodes: int | None):
+def _target_grid(target, nodes: int | None) -> tuple:
+    """(grid, -V on its nodes): the walk's box for the target's dual
+    density exp(-V), ``nodes`` per axis."""
     dim = int(target.dim)
     if dim > 2:
-        raise ConfigError(f"quadrature constants support dim <= 2, got dim={dim}")
+        raise ConfigError(f"dual-space quadrature supports dim <= 2, got dim={dim}")
     nodes = int(nodes) if nodes is not None else _default_nodes(dim)
-    bracket = _Bracket(lambda q: -np.asarray(target.potential(q), dtype=float),
-                       dim, nodes, start=8.0)
+    bracket = _Bracket(lambda q: -_potential(target, q), dim, nodes, start=START_HALFWIDTH)
     got = _expand_until_decay(bracket, lambda vals: vals)
     if got is None:
         raise NumericsError("target density does not decay on any bracketed box")
-    level, logw, vals = got
-    pts, _ = bracket.points(level)
-    return dim, nodes, (pts, logw, vals)
+    _, grid, vals = got
+    return grid, vals
 
 
-def log_sum_exp(values: np.ndarray) -> float:
-    """log(sum(exp(values))), shifted by the largest value so no term
-    overflows; -inf when every value is -inf."""
-    peak = float(np.max(values))
-    if not math.isfinite(peak):
-        return peak
-    return peak + math.log(float(np.sum(np.exp(values - peak))))
-
-
-def _log_mass(grid) -> float:
-    _, _, (_, logw, vals) = grid
-    return log_sum_exp(vals + logw)
+def _log_mass(grid: Grid, log_values: np.ndarray) -> float:
+    return log_sum_exp(log_values + grid.log_weights)
 
 
 def dual_log_partition(target, nodes: int | None = None) -> float:
     """log of the unnormalized mass of exp(-V) over the dual space, by
     trapezoid quadrature on an automatically bracketed box (dim <= 2)."""
-    return _log_mass(_target_grid(target, nodes))
+    return _log_mass(*_target_grid(target, nodes))
 
 
 def kl0_upper_bound(target, profile: SmoothnessProfile, dim: int | None = None,
@@ -557,35 +622,34 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
     exponential-moment assumption does not hold for this (target, p) and a
     domain error is raised.  The result is an upper bound on the infimum,
     never the infimum itself, which is the conservative direction for step
-    sizes.  ``certify`` passes the bracketed target grid it already holds as
-    ``_grid``.
+    sizes.  ``certify`` passes the (grid, -V values) pair of the bracketed
+    target box it already holds as ``_grid``.
     """
     if p < 1.0:
         raise DomainError(f"c_pi_p requires p >= 1, got {p!r}")
-    grid = _grid if _grid is not None else _target_grid(target, nodes)
-    dim, nodes, (pts, logw, vals) = grid
-    log_mass = _log_mass(grid)
-    weights = np.exp(vals + logw - log_mass)
-    center = weights @ pts
-    base_half = float(np.max(np.abs(pts)))
+    grid, vals = _grid if _grid is not None else _target_grid(target, nodes)
+    log_mass = _log_mass(grid, vals)
+    weights = np.exp(vals + grid.log_weights - log_mass)
+    center = weights @ grid.nodes
+    base_half = float(np.max(np.abs(grid.nodes)))
 
     def powered_and_potential(q):
         shift = np.sqrt(np.sum((q - center) ** 2, axis=1))
-        return shift ** p, np.asarray(target.potential(q), dtype=float)
+        return shift ** p, _potential(target, q)
 
     def log_integrand(s):
         return lambda arrays: s * arrays[0] - arrays[1]
 
     # Only the s * ||q - center||^p term depends on s: every growth rate
     # walks the same boxes and rays, so each is evaluated once per call.
-    bracket = _Bracket(powered_and_potential, dim, nodes, start=base_half)
+    bracket = _Bracket(powered_and_potential, grid.dim, grid.shape[0], start=base_half)
     best = math.inf
     for s in np.logspace(math.log10(s_min), math.log10(s_max), num_s):
         got = _expand_until_decay(bracket, log_integrand(float(s)))
         if got is None:
             continue
-        _, logw_s, vals_s = got
-        log_moment = log_sum_exp(vals_s + logw_s) - log_mass
+        _, grid_s, vals_s = got
+        log_moment = _log_mass(grid_s, vals_s) - log_mass
         # The moment is >= 1 pointwise, so its log is >= 0; the floor only
         # absorbs quadrature roundoff.
         log_moment = max(log_moment, 0.0)
@@ -625,11 +689,11 @@ def certify(target, profile: SmoothnessProfile, kernel_bounds: tuple[float, floa
     quadrature when the profile lacks it (tagged "empirical"), then the
     initial-KL upper bound, then the fixed step size.  Both quadratures
     share one bracketing of the target's dual density."""
-    grid = _target_grid(target, None)
+    grid, vals = _target_grid(target, None)
     if profile.c_pi_p is None:
         profile = profile.with_values("empirical",
-                                      c_pi_p=c_pi_p(target, profile.p, _grid=grid))
-    kl0_upper = kl0_upper_bound(target, profile, dim=dim, log_partition=_log_mass(grid))
+                                      c_pi_p=c_pi_p(target, profile.p, _grid=(grid, vals)))
+    kl0_upper = kl0_upper_bound(target, profile, dim=dim, log_partition=_log_mass(grid, vals))
     fixed_cap = step_size_bound(profile, kernel_bounds, strong_convexity, dim, kl0_upper)
     return Certificate(
         profile=profile,

@@ -224,7 +224,7 @@ def test_criterion_08_initial_kl_bound():
         profile = smoothness_profile(target)
         bound = theory.kl0_upper_bound(target, profile, dim=1)
         grid = grid_for_target(target)
-        reference = GridDensity(grid, -target.potential(grid.nodes)).renormalized()
+        reference = GridDensity.normalized(grid, -target.potential(grid.nodes))
         actual = kl_quadrature(standard_normal_density(grid), reference)
         margins[name] = bound - actual
     elapsed = time.perf_counter() - started

@@ -33,6 +33,33 @@ DIRICHLET_SMALL = {
 }
 
 
+# an entropic-box target: the quadrature walk needs its potential far past
+# where the box map's logistic chart reaches a face
+BOX_1D = {
+    "map": "entropic-box",
+    "kernel": "imq",
+    "target": "truncated-gaussian",
+    "target_params": {"mean": [0.2], "cov": [[1.0]], "lo": [-1.0], "hi": [1.0]},
+    "particles": 50,
+    "steps": 5,
+    "seed": 1,
+    "gamma": 0.01,
+}
+
+
+@pytest.fixture
+def box_config(tmp_path):
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps(BOX_1D))
+    return path
+
+
+def assert_box_map_refused(captured):
+    assert "EntropicBoxMap chart saturates" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.fixture
 def quartic_config(tmp_path):
     path = tmp_path / "quartic.json"
@@ -250,6 +277,14 @@ class TestVerifyCommand:
         assert code == 2
         assert "'grid_halfwidth' must be finite" in capsys.readouterr().err
 
+    def test_box_map_exits_two_before_any_output(self, box_config, tmp_path, capsys):
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--suite", "descent", "--target", str(box_config),
+                         "--out", str(out)])
+        assert code == 2
+        assert_box_map_refused(capsys.readouterr())
+        assert not (out / "report.json").exists()
+
     def test_steps_override_and_2d_grid(self, tmp_path):
         # A d=2 preset at the quadrature defaults must be checkable in
         # seconds; --steps keeps the suite length independent of the
@@ -369,6 +404,14 @@ class TestTheoryCommand:
         captured = capsys.readouterr()
         assert f"--eps needs a finite eps > 0, got {float(eps)!r}" in captured.err
         assert captured.out == ""
+
+    def test_box_map_exits_two_before_any_output(self, box_config, tmp_path, capsys):
+        out = tmp_path / "th"
+        code = cli.main(["theory", "--target", str(box_config), "--out", str(out)])
+        assert code == 2
+        assert_box_map_refused(capsys.readouterr())
+        assert not (out / "theory.json").exists()
+        assert not (out / "report.json").exists()
 
     def test_p_mismatch_exits_two(self, capsys):
         code = cli.main(["theory", "--target", "quartic-1d-descent", "-p", "2.0"])

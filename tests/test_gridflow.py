@@ -71,9 +71,20 @@ class WindowedGaussian(GaussianDual):
         return np.where(outside, np.inf, base)
 
 
+class DipThenRise:
+    """V = x^2/2 for |x| <= 20 and 200 - 10 (|x| - 20) beyond: exp(-V) dips,
+    then rises without bound, so it cannot be normalized."""
+
+    dim = 1
+
+    def potential(self, x):
+        r = np.abs(np.atleast_2d(np.asarray(x, dtype=float))[:, 0])
+        return np.where(r <= 20.0, 0.5 * r * r, 200.0 - 10.0 * (r - 20.0))
+
+
 def dual_reference(grid, target):
     """The target's dual density, normalized on the grid."""
-    return GridDensity(grid, -target.potential(grid.nodes)).renormalized()
+    return GridDensity.normalized(grid, -target.potential(grid.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +247,7 @@ class TestGridDensity:
         logrho = -0.5 * nodes[:, 0] ** 2 - 0.5 * math.log(2.0 * math.pi)
         raw = GridDensity(grid, logrho)
         assert abs(raw.mass - 1.0) <= 1e-6
-        assert abs(raw.renormalized().log_mass) <= 1e-13
+        assert abs(GridDensity.normalized(grid, logrho).log_mass) <= 1e-13
 
     def test_moments_of_standard_normal(self):
         grid = Grid((np.linspace(-8.0, 8.0, 4096),))
@@ -251,6 +262,22 @@ class TestGridDensity:
         vals[7] = 0.0
         with pytest.raises(DomainError, match="node 7"):
             density_from_values(grid, vals)
+
+    def test_normalized_subtracts_the_log_mass(self):
+        grid = Grid((np.linspace(-8.0, 8.0, 4096),))
+        logrho = -0.5 * grid.nodes[:, 0] ** 2
+        want = logrho - GridDensity(grid, logrho).log_mass
+        assert GridDensity.normalized(grid, logrho).log_density.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_normalized_rejects_nan_and_plus_inf(self, bad):
+        grid = Grid((np.linspace(-1.0, 1.0, 16),))
+        vals = np.zeros(16)
+        vals[3] = bad
+        with pytest.raises(DomainError):
+            GridDensity.normalized(grid, vals)
+        with pytest.raises(DomainError):
+            GridDensity.normalized(grid, np.full(16, -np.inf))
 
     def test_rejects_nan_and_plus_inf(self):
         grid = Grid((np.linspace(-1.0, 1.0, 16),))
@@ -276,11 +303,21 @@ class TestGridDensity:
         assert fine.axes[0][0] == grid.axes[0][0]
         assert fine.axes[0][-1] == grid.axes[0][-1]
 
+    def test_dip_then_rise_is_refused_by_both_walks(self):
+        # exp(-V) falls 128 nats by |x| = 16, then rises without bound past
+        # |x| = 20: a box's border alone would accept halfwidth 16
+        target = DipThenRise()
+        with pytest.raises(NumericsError, match="does not decay"):
+            grid_for_target(target)
+        profile = theory.SmoothnessProfile(l0=1.0, l1=0.0, c_p=1.0, p=1.0)
+        with pytest.raises(NumericsError, match="does not decay"):
+            theory.certify(target, profile, (1.0, 1.0), 1.0, 1)
+
     def test_grid_for_target_keeps_tail_drop(self):
         grid = grid_for_target(quartic_target())
         assert grid.shape == (4096,)
         logpi = -quartic_target().potential(grid.nodes)
-        assert logpi[0] <= logpi.max() - gridflow.TAIL_DROP_NATS
+        assert logpi[0] <= logpi.max() - theory.TAIL_DROP_NATS
         explicit = grid_for_target(quartic_target(), nodes=512, halfwidth=3.0)
         assert explicit.shape == (512,)
         assert explicit.axes[0][0] == -3.0
@@ -331,7 +368,7 @@ class TestKL:
         reference = dual_reference(grid, target)
         for _ in range(5):
             bump = 0.05 * rng.standard_normal() * np.cos(x * rng.uniform(0.5, 2.0))
-            density = GridDensity(grid, -0.5 * x * x + bump).renormalized()
+            density = GridDensity.normalized(grid, -0.5 * x * x + bump)
             assert kl_quadrature(density, reference) >= -1e-9
 
 
@@ -465,6 +502,27 @@ class TestOneStateAtATime:
         assert len(out["records"]) == 201 and len(counts) == 201
         assert max(counts) <= 2
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pushforward_builds_one_density_per_step(self, monkeypatch, dim):
+        if dim == 1:
+            flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)
+        else:
+            flow = MirroredFlow(dirichlet_target((3.0, 3.0, 3.0)), IMQKernel(),
+                                nodes=16, halfwidth=6.0)
+        built = []
+        init = GridDensity.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(GridDensity, "__init__", counting_init)
+        density = flow.initial_density()
+        assert len(built) == 1
+        for step in range(3):
+            density = pushforward_step(density, flow.g_field(density), 0.01)
+            assert len(built) == step + 2
+
     def test_states_push_forward_only_on_demand(self, monkeypatch):
         pushes = []
         original = gridflow.pushforward_step
@@ -493,7 +551,7 @@ class TestSteinFisher:
         x = flow.grid.nodes[:, 0]
         for _ in range(5):
             bump = 0.1 * rng.standard_normal() * np.sin(x * rng.uniform(0.3, 1.5))
-            density = GridDensity(flow.grid, -0.5 * x * x + bump).renormalized()
+            density = GridDensity.normalized(flow.grid, -0.5 * x * x + bump)
             assert stein_fisher_double(flow, density) >= -1e-12
 
     def test_flow_on_given_grid_matches_own_grid(self):

@@ -220,9 +220,14 @@ def _fd_hess_norm(mirrored, x, h=1e-5):
     return float(np.max(np.abs(np.linalg.eigvalsh(sym))))
 
 
+def euclidean_power_law(**params):
+    base = MirroredPowerLaw(**params)
+    return MirroredTarget(base, EuclideanMap(base.dim))
+
+
 class TestSmoothnessCatalog:
     def test_power_law_constants(self):
-        prof = smoothness_profile(MirroredPowerLaw(power=4.0, dim=1))
+        prof = smoothness_profile(euclidean_power_law(power=4.0, dim=1))
         assert prof.l0 == pytest.approx(4.0 * 27.0, rel=1e-14)
         assert prof.l1 == 1.0
         assert prof.c_p == 4.0
@@ -230,24 +235,16 @@ class TestSmoothnessCatalog:
         assert prof.tag("l0") == "analytic"
 
     def test_standard_normal_constants(self):
-        prof = smoothness_profile(MirroredPowerLaw(power=2.0, scale=0.5, dim=3))
+        prof = smoothness_profile(euclidean_power_law(power=2.0, scale=0.5, dim=3))
         assert (prof.l0, prof.l1, prof.c_p, prof.p) == (1.0, 0.0, 1.0, 1.0)
 
     def test_subquadratic_power_has_no_profile(self):
-        assert smoothness_profile(MirroredPowerLaw(power=1.5, dim=1)) is None
-
-    def test_wrapped_power_law_matches_raw(self):
-        raw = smoothness_profile(MirroredPowerLaw(power=3.0, scale=2.0, dim=2))
-        wrapped = smoothness_profile(
-            MirroredTarget(MirroredPowerLaw(power=3.0, scale=2.0, dim=2), EuclideanMap(2))
-        )
-        assert raw == wrapped
+        assert smoothness_profile(euclidean_power_law(power=1.5, dim=1)) is None
 
     def test_power_law_envelope_certified(self, rng):
         # ||hess V|| <= l0 + l1 ||grad V|| sampled over several scales.
-        target = MirroredPowerLaw(power=4.0, dim=1)
-        prof = smoothness_profile(target)
-        mirrored = MirroredTarget(target, EuclideanMap(1))
+        mirrored = euclidean_power_law(power=4.0, dim=1)
+        prof = smoothness_profile(mirrored)
         for scale in (0.1, 1.0, 5.0, 20.0):
             for x in scale * rng.standard_normal((12, 1)):
                 hess = _fd_hess_norm(mirrored, x)

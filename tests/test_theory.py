@@ -488,16 +488,16 @@ class TestCPiP:
             c_pi_p(gauss_stub(), p=0.5)
 
 
-def _box_first_walk(bracket, logf, drop=45.0, max_doublings=14):
+def _box_first_walk(bracket, logf, max_doublings=14):
     """The bracket walk as first written, kept as the oracle of the
     rays-first one: each level's box, then its rays."""
     for level in range(max_doublings + 1):
-        logw, arrays = bracket.box(level)
+        grid, arrays = bracket.box(level)
         vals = np.asarray(logf(arrays), dtype=float)
-        if theory._tail_clears(vals, bracket.dim, bracket.nodes, drop):
+        if theory._tail_clears(vals, grid):
             far = np.asarray(logf(bracket.rays(level)), dtype=float)
             if np.all(np.diff(far.reshape(theory._RAY_DOUBLINGS, -1), axis=0) <= 0.0):
-                return level, logw, vals
+                return level, grid, vals
     return None
 
 
@@ -547,7 +547,7 @@ class TestBracketWalk:
         assert (got is None) == (want is None)
         if got is not None:
             assert got[0] == want[0]
-            assert got[1].tobytes() == want[1].tobytes()
+            assert got[1].log_weights.tobytes() == want[1].log_weights.tobytes()
             assert got[2].tobytes() == want[2].tobytes()
 
     @pytest.mark.parametrize("name", ["dirichlet-2d", "dirichlet-1d", "quartic"])
@@ -563,7 +563,7 @@ class TestBracketWalk:
                                          lambda v: v)
         want = _box_first_walk(theory._Bracket(evaluate, dim, nodes, 8.0), lambda v: v)
         assert got[0] == want[0]
-        assert got[1].tobytes() == want[1].tobytes()
+        assert got[1].log_weights.tobytes() == want[1].log_weights.tobytes()
         assert got[2].tobytes() == want[2].tobytes()
 
 
