@@ -49,15 +49,15 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import kernel_operator
 from .targets import MirroredTarget
-from .theory import Grid, _read_only, _target_grid, log_sum_exp
+from .theory import Grid, _potential, _read_only, _target_grid, log_sum_exp
 
 DEFAULT_NODES_1D = 4096
 # Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
-# field is an n x n matrix product over the P = 48^2 nodes; the three factors
-# (3 P^2 x 8 bytes = 127 MB) stay precomputed inside kernels.PRECOMPUTE_BYTES
-# with room to spare, and a flow with one step peaks near 130 MB (the build
-# holds at most one P x P block besides them).  Past 73 per axis the factors
-# are rebuilt for every product.
+# field is an n x n matrix product over the P = 48^2 nodes.  The operator
+# stores the upper tiles of its three symmetric factors, four ranges of 576
+# rows (10 tiles, 80 MB against 127 MB for the full factors), inside
+# kernels.PRECOMPUTE_BYTES with room to spare; a flow with one step peaks
+# near 82 MB.  Past 85 per axis the tiles are built inside every product.
 DEFAULT_NODES_2D = 48
 # nodes whose density sits this far (nats) below the peak are excluded from
 # finite differences in the primal chart, where the grid spacing collapses
@@ -139,10 +139,12 @@ class GridDensity:
     @classmethod
     def normalized(cls, grid: Grid, log_values: np.ndarray) -> "GridDensity":
         """The density proportional to exp(log_values), built and validated
-        once: a nan or +inf value makes the difference nan, and is refused."""
+        once: a nan or +inf value, or every value -inf, makes the difference
+        nan (quietly), and it is refused."""
         log_values = np.asarray(log_values, dtype=float).ravel()
         if log_values.size == grid.size:
-            log_values = log_values - log_sum_exp(log_values + grid.log_weights)
+            with np.errstate(invalid="ignore"):
+                log_values = log_values - log_sum_exp(log_values + grid.log_weights)
         return cls(grid, log_values)
 
     @property
@@ -473,8 +475,10 @@ class MirroredFlow:
     moves: FFT convolutions when the kernel is translation invariant and the
     primal nodes are the grid nodes, else kernels.kernel_operator over the
     primal nodes, the kernel's profile in its chart for every kernel, whose
-    three n x n factors are precomputed when they fit in memory and rebuilt
-    per column block when they do not.
+    three symmetric n x n factors are kept as their upper tiles when those
+    fit in memory and built tile by tile inside every product when they do
+    not.  The flow build reads the potential through theory._potential, so
+    a chart that saturates on an explicit wide grid is refused by name.
     """
 
     def __init__(self, mirrored: MirroredTarget, kernel, grid: Grid | None = None,
@@ -489,7 +493,7 @@ class MirroredFlow:
             )
 
         x = self.grid.nodes
-        potential = np.asarray(mirrored.potential(x), dtype=float)
+        potential = _potential(mirrored, x)
         self._pi = GridDensity.normalized(self.grid, -potential)
         self.grad_potential = np.asarray(mirrored.grad_potential(x), dtype=float)
         self.grad_potential_norm = np.sqrt(

@@ -28,17 +28,20 @@ set to per-point values, the sums that both the grid field and the particle
 Stein-Fisher value are made of.  Every such sum is a product of the n x n
 matrices f(t), f'(t) and f''(t) with stacked per-point features, between
 two per-point multiplications by J, so no (n, n, d) or (n, n, d, d) block
-is built.
+is built.  The three matrices are symmetric, so the operator builds only
+their upper tiles over at most TILE_ROWS rows each, and one loop over those
+tiles makes every product: with the tiles cached when they fit in
+PRECOMPUTE_BYTES, with each tile built inside the loop otherwise.
 """
 
 import numpy as np
 
 from .errors import ConfigError
 
-# precompute the kernel matrices over a point set when they fit in memory
+# cache the kernel matrices' upper tiles over a point set when they fit
 PRECOMPUTE_BYTES = 700_000_000
-# matrix entries per column block when an operator streams instead
-STREAM_BLOCK_ENTRIES = 1 << 23
+# most rows in one tile of a point-set operator's kernel matrices
+TILE_ROWS = 640
 
 
 def _sq_dists(X, Y):
@@ -346,14 +349,20 @@ class _RadialOperator:
     identity chart's.  Splitting D into x_i and x_j turns every sum into one
     factor times per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and
     point-wise products with x_j.  Each factor multiplies all its features
-    in one matrix product.  The sums are translation invariant, so x is
-    centred first, which keeps the cancellation between the split terms
-    small.  The profile builds F, F' and F'' in one pass from one
-    transcendental, one of them in the squared distances' buffer, so a
-    build holds the three factors and at most one more block; f'(0) for the
-    identity term is evaluated once per operator.  The factors are
-    precomputed when they fit in PRECOMPUTE_BYTES and rebuilt for each
-    column block otherwise.
+    in one matrix product per tile.  The sums are translation invariant, so
+    x is centred first, which keeps the cancellation between the split
+    terms small.  f'(0) for the identity term is evaluated once per
+    operator.
+
+    The points split into k = ceil(n / TILE_ROWS) near-equal row ranges,
+    and since the factors are symmetric only their upper tiles (i <= j) are
+    built: tile (i, j) adds its transpose times range i's features to range
+    j's products and, off the diagonal, itself times range j's features to
+    range i's.  The profile builds a tile's F, F' and F'' in one pass from
+    one transcendental, one of them in the squared distances' buffer.  The
+    tiles are cached when the three factors' stored tiles fit in
+    PRECOMPUTE_BYTES and built inside each product's loop otherwise; both
+    ways run the same loop on the same tiles, so they give the same bits.
     """
 
     def __init__(self, profile, x, jac):
@@ -363,20 +372,26 @@ class _RadialOperator:
         self._x = x - np.mean(x, axis=0)
         self._fp0 = float(profile._derivatives(np.zeros(1), 1)[1][0])
         n = x.shape[0]
-        self._precomputed = 3 * n * n * 8 <= PRECOMPUTE_BYTES
-        if self._precomputed:
-            self._factors = self._block(slice(0, n))
+        k = max(1, -(-n // TILE_ROWS))
+        edges = [i * n // k for i in range(k + 1)]
+        self._ranges = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        self._pairs = [(i, j) for i in range(k) for j in range(i, k)]
+        sizes = [b - a for a, b in zip(edges, edges[1:])]
+        stored = sum(sizes[i] * sizes[j] for i, j in self._pairs)
+        self._tiles = None
+        if 3 * stored * 8 <= PRECOMPUTE_BYTES:
+            self._tiles = [self._tile(i, j) for i, j in self._pairs]
 
-    def _block(self, cols: slice) -> tuple:
-        """F, F' and F'' between all points (rows) and a column block; the
+    def _tile(self, i: int, j: int) -> tuple:
+        """F, F' and F'' between the points of row ranges i and j; the
         squared distances are summed coordinate by coordinate, and the
         profile builds one factor in their buffer, so the build holds the
-        three factors and at most one more block."""
-        x = self._x
-        diff = x[:, None, 0] - x[None, cols, 0]
+        three factors and at most one more tile."""
+        x, rows, cols = self._x, self._ranges[i], self._ranges[j]
+        diff = x[rows, None, 0] - x[None, cols, 0]
         t = diff * diff
         for c in range(1, x.shape[1]):
-            np.subtract(x[:, None, c], x[None, cols, c], out=diff)
+            np.subtract(x[rows, None, c], x[None, cols, c], out=diff)
             diff *= diff
             t += diff
         del diff
@@ -384,25 +399,30 @@ class _RadialOperator:
         # D vanishes on the diagonal, so F' and F'' enter the split sums only
         # off it (the identity term of K12 adds f'(0) back in apply); zeros
         # there spare the split terms their largest cancellation
-        rows = np.arange(cols.start, cols.stop)
-        for factor in factors[1:]:
-            factor[rows, rows - cols.start] = 0.0
+        if i == j:
+            for factor in factors[1:]:
+                np.fill_diagonal(factor, 0.0)
         return factors
 
     def _products(self, *groups) -> list:
         """factor_k^T @ a for every per-point array a (n, ...) in groups[k],
         with factors F, F', F'' in that order; one matrix product per
-        factor and column block."""
+        factor and tile side.  Every range's first term comes from tile
+        (0, j), so it is assigned and the rest are added in a fixed order."""
         n = self._x.shape[0]
         stacked = [np.concatenate([a.reshape(n, -1) for a in group], axis=1)
                    for group in groups]
         out = [np.empty_like(features) for features in stacked]
-        block = n if self._precomputed else max(1, STREAM_BLOCK_ENTRIES // n)
-        for start in range(0, n, block):
-            cols = slice(start, min(start + block, n))
-            factors = self._factors if self._precomputed else self._block(cols)
-            for factor, features, result in zip(factors, stacked, out):
-                result[cols] = factor.T @ features
+        for index, (i, j) in enumerate(self._pairs):
+            rows, cols = self._ranges[i], self._ranges[j]
+            tile = self._tiles[index] if self._tiles is not None else self._tile(i, j)
+            for factor, features, result in zip(tile, stacked, out):
+                if i == 0:
+                    result[cols] = factor.T @ features[rows]
+                else:
+                    result[cols] += factor.T @ features[rows]
+                if i != j:
+                    result[rows] += factor @ features[cols]
         products = []
         for group, result in zip(groups, out):
             widths = np.cumsum([a[0].size for a in group])[:-1]

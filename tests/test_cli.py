@@ -285,6 +285,18 @@ class TestVerifyCommand:
         assert_box_map_refused(capsys.readouterr())
         assert not (out / "report.json").exists()
 
+    def test_box_map_with_a_wide_explicit_grid_exits_two(self, tmp_path, capsys):
+        # an explicit halfwidth skips the bracket walk, and the flow build
+        # reads the potential past the chart's saturation itself
+        path = tmp_path / "wide-box.json"
+        path.write_text(json.dumps(dict(BOX_1D, grid_halfwidth=64)))
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--suite", "descent", "--target", str(path),
+                         "--out", str(out)])
+        assert code == 2
+        assert_box_map_refused(capsys.readouterr())
+        assert not (out / "report.json").exists()
+
     def test_steps_override_and_2d_grid(self, tmp_path):
         # A d=2 preset at the quadrature defaults must be checkable in
         # seconds; --steps keeps the suite length independent of the

@@ -7,6 +7,7 @@ both step-size regimes."""
 import functools
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -274,10 +275,13 @@ class TestGridDensity:
         grid = Grid((np.linspace(-1.0, 1.0, 16),))
         vals = np.zeros(16)
         vals[3] = bad
-        with pytest.raises(DomainError):
-            GridDensity.normalized(grid, vals)
-        with pytest.raises(DomainError):
-            GridDensity.normalized(grid, np.full(16, -np.inf))
+        # refused quietly: no numpy warning on the way to the DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError):
+                GridDensity.normalized(grid, vals)
+            with pytest.raises(DomainError):
+                GridDensity.normalized(grid, np.full(16, -np.inf))
 
     def test_rejects_nan_and_plus_inf(self):
         grid = Grid((np.linspace(-1.0, 1.0, 16),))
@@ -638,17 +642,26 @@ class TestKernelOperator:
     @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
     def test_streaming_matches_precomputed(self, monkeypatch, conc, nodes):
         flow = MirroredFlow(dirichlet_target(conc), IMQKernel(), nodes=nodes)
-        assert flow.kernel_operator._precomputed
+        assert len(flow.kernel_operator._ranges) == 1
         density = flow.initial_density()
         forms = gridflow.G_FORMS if flow.grid.dim == 1 else ("score", "dual")
-        precomputed = [flow.g_field(density, form=form) for form in forms]
-        # five columns per block, so the last block is a partial one
-        monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
-        monkeypatch.setattr(kernels, "STREAM_BLOCK_ENTRIES", 5 * flow.grid.size)
+        single = [flow.g_field(density, form=form) for form in forms]
+        # at most ten rows per tile: 64 nodes in seven ranges of 9 or 10
+        # rows, 144 in fifteen of 9 or 10
+        monkeypatch.setattr(kernels, "TILE_ROWS", 10)
         flow.kernel_operator = kernels.kernel_operator(flow.kernel, flow.theta)
-        assert not flow.kernel_operator._precomputed
-        for form, reference in zip(forms, precomputed):
-            _assert_fields_close(flow.g_field(density, form=form), reference)
+        assert flow.kernel_operator._tiles is not None
+        assert len(flow.kernel_operator._ranges) == -(-flow.grid.size // 10)
+        cached = [flow.g_field(density, form=form) for form in forms]
+        monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
+        flow.kernel_operator = kernels.kernel_operator(flow.kernel, flow.theta)
+        assert flow.kernel_operator._tiles is None
+        for form, tiled, reference in zip(forms, cached, single):
+            streamed = flow.g_field(density, form=form)
+            # both ways run one loop over the same tiles
+            assert streamed.values.tobytes() == tiled.values.tobytes()
+            assert streamed.derivs.tobytes() == tiled.derivs.tobytes()
+            _assert_fields_close(streamed, reference)
 
     @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
     def test_radial_matches_dense_blocks(self, conc, nodes):
@@ -689,7 +702,10 @@ class TestKernelOperator:
         # one dense 4096 x 4096 gram matrix alone is 134 MB
         assert peak < 32e6
 
-    def test_radial_flow_builds_no_gram_blocks(self):
+    @staticmethod
+    def _radial_flow_peaks():
+        """(operator, tracemalloc peak) of a 48 x 48 Dirichlet flow and one
+        step, for imq and dual-imq."""
         target = dirichlet_target((5.0, 5.0, 5.0))
         for kernel in (IMQKernel(), make_kernel("dual-imq", mirror_map=target.map)):
             tracemalloc.start()
@@ -701,14 +717,27 @@ class TestKernelOperator:
                 tracemalloc.stop()
             assert isinstance(flow.kernel_operator, kernels._RadialOperator)
             assert flow.grid.size == 2304
-            # The three n x n factors are 127 MB.  The profile builds one of
-            # them in the squared distances' buffer, so the build holds them
-            # plus at most one n x n temporary (170 MB); the peak reads 130 MB
-            # for either kernel (255 MB when each factor took its own pass).
-            # Gram blocks would be 1 + d + d^2 = 7 n x n arrays (297 MB), and
-            # on them the same flow and step peaked at 637 MB for imq and
+            assert len(flow.kernel_operator._ranges) == 4
+            yield flow.kernel_operator, peak
+
+    def test_radial_flow_builds_no_gram_blocks(self):
+        for operator, peak in self._radial_flow_peaks():
+            assert operator._tiles is not None
+            # Four ranges of 576 rows: the 10 upper tiles of the three
+            # factors are 80 MB, and the peak reads 82 MB for either kernel.
+            # The three full n x n factors were 127 MB (peak 130 MB); gram
+            # blocks would be 1 + d + d^2 = 7 n x n arrays (297 MB), and on
+            # them the same flow and step peaked at 637 MB for imq and
             # 638 MB for dual-imq.
-            assert peak < 200e6
+            assert peak < 88e6
+
+    def test_radial_flow_streams_one_tile_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
+        for operator, peak in self._radial_flow_peaks():
+            assert operator._tiles is None
+            # one tile's three factors are 8 MB; the peak reads 18 MB for
+            # either kernel
+            assert peak < 22e6
 
 
 # ---------------------------------------------------------------------------

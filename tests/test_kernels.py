@@ -306,19 +306,45 @@ def test_radial_operator_matches_dense_blocks(seed, map_name, kernel_name, d, n,
     _assert_products_close(radial.apply(q, u), dense.apply(q, u), rel)
 
 
+def _assert_products_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_radial_streaming_matches_precomputed(rng, monkeypatch, d):
     _, theta, q, u = _operator_inputs(rng, "simplex", 37, d)
     kernel = RescaledKernel(IMQKernel(), 1.5)
-    precomputed = kernels.kernel_operator(kernel, theta)
-    assert precomputed._precomputed
-    # seven columns per block, so the last block is a partial one
+    single = kernels.kernel_operator(kernel, theta)
+    assert len(single._ranges) == 1
+    # at most seven rows per tile: six ranges of 6 or 7 rows, 21 upper tiles
+    monkeypatch.setattr(kernels, "TILE_ROWS", 7)
+    cached = kernels.kernel_operator(kernel, theta)
+    assert cached._tiles is not None
+    assert [r.stop - r.start for r in cached._ranges] == [6, 6, 6, 6, 6, 7]
     monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
-    monkeypatch.setattr(kernels, "STREAM_BLOCK_ENTRIES", 7 * 37)
     streaming = kernels.kernel_operator(kernel, theta)
-    assert not streaming._precomputed
+    assert streaming._tiles is None
     for uu in (None, u):
-        _assert_products_close(streaming.apply(q, uu), precomputed.apply(q, uu))
+        # both ways run one loop over the same tiles
+        _assert_products_equal(streaming.apply(q, uu), cached.apply(q, uu))
+        _assert_products_close(streaming.apply(q, uu), single.apply(q, uu))
+
+
+@pytest.mark.parametrize("n", [5, 8, 9, 1], ids=["below-tile", "one-tile", "tile-plus-one", "one-point"])
+@pytest.mark.parametrize("kernel_name", ["imq", "rbf", "rescaled-imq", "dual-imq"])
+def test_tiled_operator_matches_dense_blocks(rng, monkeypatch, kernel_name, n):
+    mirror_map, theta, q, u = _operator_inputs(rng, "simplex", n, 2)
+    kernel = {"imq": IMQKernel(), "rbf": RBFKernel(bandwidth=0.7),
+              "rescaled-imq": RescaledKernel(IMQKernel(), 1.5),
+              "dual-imq": DualIMQKernel(mirror_map)}[kernel_name]
+    monkeypatch.setattr(kernels, "TILE_ROWS", 8)
+    radial = kernels.kernel_operator(kernel, theta)
+    assert len(radial._ranges) == (2 if n > 8 else 1)
+    rel = 1e-12 if kernel_name == "dual-imq" else 1e-13
+    dense = DenseKernelOperator(kernel, theta)
+    _assert_products_close(radial.apply(q, None), dense.apply(q, None), rel)
+    _assert_products_close(radial.apply(q, u), dense.apply(q, u), rel)
 
 
 @pytest.mark.parametrize("kernel", [IMQKernel(), DualIMQKernel(EntropicSimplexMap(2))])

@@ -780,11 +780,14 @@ class TestSteinFisherParticles:
         x = rng.standard_normal((37, 2))
         target = ScoreStub(lambda t: -t)
         full = _sf(x, target, EuclideanMap(2), IMQKernel())
-        # seven columns per block, so the last block is a partial one
+        # at most seven rows per tile: six ranges of 6 or 7 rows
+        monkeypatch.setattr(kernels, "TILE_ROWS", 7)
+        cached = _sf(x, target, EuclideanMap(2), IMQKernel())
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
-        monkeypatch.setattr(kernels, "STREAM_BLOCK_ENTRIES", 7 * 37)
-        small = _sf(x, target, EuclideanMap(2), IMQKernel())
-        assert small == pytest.approx(full, rel=1e-13)
+        streamed = _sf(x, target, EuclideanMap(2), IMQKernel())
+        # both ways run one loop over the same tiles
+        assert streamed == cached
+        assert streamed == pytest.approx(full, rel=1e-13)
 
     def test_nonnegative_on_random_clouds(self, rng):
         for d in (1, 2, 3):
