@@ -15,7 +15,8 @@ records and the final density only.
 Each array is computed once per grid (nodes, weights, log weights), per flow
 (the target density, |grad V|), per state (exp(log rho), w rho, the log
 gradient; GridDensity.normalized builds and validates each state once) or
-per field (its 1D Hermite table).
+per field (its 1D Hermite table, its 2D table of nodal values and
+Jacobians).
 descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
 
@@ -31,7 +32,8 @@ images of the primal nodes).  The pushforward inverts x - gamma * g by
 Newton's method.  In 1D one search finds the interval of the field's
 Hermite table that holds each node's preimage, Newton runs inside it, and
 the state's log density is interpolated there without a second lookup; in
-2D each round reads the field and its Jacobian from one cell lookup.
+2D each round reads the field and its Jacobian from one cell lookup and one
+gather, and the log density is interpolated on the converged round's cells.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -320,9 +322,11 @@ class FieldOnGrid:
     data, not re-estimated) and constant beyond the box, which keeps the flow
     map injective out there.  Its formula lives in one per-field table,
     ``hermite``, which evaluate, max_stretch and the pushforward's inverse
-    all read.  2D evaluation is bilinear.  evaluate returns values and
-    Jacobians from one interval lookup; calling the field and jacobian give
-    one of the two.
+    all read.  2D evaluation is bilinear, on one per-field (P, d + d^2)
+    table of the nodal values and Jacobians side by side, so ``bilinear``
+    gathers both in one call from the pieces one cell lookup gives.
+    evaluate returns values and Jacobians from one interval lookup; calling
+    the field and jacobian give one of the two.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, derivs: np.ndarray):
@@ -351,6 +355,21 @@ class FieldOnGrid:
         np.multiply(value[2:], [[2.0 / h], [3.0 / h]], out=slope[1:])
         return _read_only(np.concatenate([value, slope]))
 
+    @functools.cached_property
+    def _nodal(self) -> np.ndarray:
+        """2D only: the (P, d + d^2) table of nodal values and flattened
+        Jacobians, read-only."""
+        return _read_only(np.concatenate(
+            [self.values, self.derivs.reshape(self.grid.size, -1)], axis=1))
+
+    def bilinear(self, pieces) -> tuple:
+        """2D only: (values (n, d), Jacobians (n, d, d)) at the points that
+        the bilinear ``pieces`` locate, from one interpolation of the
+        nodal table."""
+        d = self.grid.dim
+        both = _bilinear(self.grid, self._nodal, pieces)
+        return both[:, :d], both[:, d:].reshape(-1, d, d)
+
     def evaluate(self, points: np.ndarray) -> tuple:
         """(values (n, d), Jacobians (n, d, d)) at points from one interval
         lookup."""
@@ -361,8 +380,7 @@ class FieldOnGrid:
             t = (q - x[np.maximum(columns - 1, 0)]) / (x[1] - x[0])
             c = np.take(self.hermite, columns, axis=1)
             return _cubic(c, t)[:, None], _slope(c, t)[:, None, None]
-        pieces = _bilinear_pieces(self.grid, points)
-        return _bilinear(self.grid, self.values, pieces), _bilinear(self.grid, self.derivs, pieces)
+        return self.bilinear(_bilinear_pieces(self.grid, points))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.evaluate(points)[0]
@@ -694,7 +712,8 @@ def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
     or the constant piece beyond it.  Newton then runs on that column alone,
     gathered once, with no lookup in any round.  2D starts at
     the nodes, and each round evaluates the field and its Jacobian from one
-    cell lookup.  Every residual, beyond the box too, must reach NEWTON_TOL
+    cell lookup and one gather, whose pieces the converged round returns.
+    Every residual, beyond the box too, must reach NEWTON_TOL
     within NEWTON_ROUNDS steps, or the worst node is named in a
     NumericsError.
     """
@@ -724,11 +743,12 @@ def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
         targets = grid.nodes
         y = targets.copy()
         for rounds in range(NEWTON_ROUNDS + 1):
-            values, jac = field.evaluate(y)
+            pieces = _bilinear_pieces(grid, y)
+            values, jac = field.bilinear(pieces)
             residual = y - gamma * values - targets
             worst = np.max(np.abs(residual), axis=1)
             if float(np.max(worst)) <= NEWTON_TOL:
-                return y, jac, _bilinear_pieces(grid, y)
+                return y, jac, pieces
             if rounds < NEWTON_ROUNDS:
                 y = y - _solve_2x2(np.eye(2) - gamma * jac, residual)
     node = int(np.argmax(worst))

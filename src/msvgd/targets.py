@@ -175,9 +175,12 @@ class MirroredPowerLaw(ConstrainedTarget):
         t, squeeze = _as_batch(x, self.dim)
         r = np.sqrt(np.sum(t * t, axis=1))
         # scale * power * r^(power-2) * x, with the removable singularity at
-        # the origin filled by its limit 0 (power > 1).
+        # the origin filled by its limit 0 (power > 1).  Far out (diverging
+        # particles) the product overflows to inf, which the engine's finite
+        # check reports by particle.
         safe = np.where(r > 0.0, r, 1.0)
-        out = (self.scale * self.power * np.where(r > 0.0, safe ** (self.power - 2.0), 0.0))[:, None] * t
+        with np.errstate(over="ignore"):
+            out = (self.scale * self.power * np.where(r > 0.0, safe ** (self.power - 2.0), 0.0))[:, None] * t
         return _unbatch(out, squeeze)
 
     def log_density_unnorm(self, theta):

@@ -512,6 +512,11 @@ class _Bracket:
     def _halfwidth(self, level: int) -> float:
         return self._start * 2.0 ** level
 
+    def seed(self, level: int, grid: Grid, arrays) -> None:
+        """Take the level's box and its evaluated arrays from a caller that
+        already holds them; ``grid`` must be the level's ``Grid.box``."""
+        self._boxes[level] = (grid, arrays)
+
     def box(self, level: int):
         """(grid, evaluated arrays) of the level's box."""
         if level not in self._boxes:
@@ -633,16 +638,18 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
     center = weights @ grid.nodes
     base_half = float(np.max(np.abs(grid.nodes)))
 
-    def powered_and_potential(q):
-        shift = np.sqrt(np.sum((q - center) ** 2, axis=1))
-        return shift ** p, _potential(target, q)
+    def powered(q):
+        return np.sqrt(np.sum((q - center) ** 2, axis=1)) ** p
 
     def log_integrand(s):
         return lambda arrays: s * arrays[0] - arrays[1]
 
     # Only the s * ||q - center||^p term depends on s: every growth rate
     # walks the same boxes and rays, so each is evaluated once per call.
-    bracket = _Bracket(powered_and_potential, grid.dim, grid.shape[0], start=base_half)
+    # The walk starts at the target box itself, whose potential is -vals.
+    bracket = _Bracket(lambda q: (powered(q), _potential(target, q)),
+                       grid.dim, grid.shape[0], start=base_half)
+    bracket.seed(0, grid, (powered(grid.nodes), -vals))
     best = math.inf
     for s in np.logspace(math.log10(s_min), math.log10(s_max), num_s):
         got = _expand_until_decay(bracket, log_integrand(float(s)))

@@ -128,6 +128,7 @@ class TestRunCommand:
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["summary"]["abort"] is not None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_abort_at_an_unlogged_state_keeps_the_abort_block(self, tmp_path, capsys):
         # The blow-up lands at step 1, off the cadence; its field is not
         # finite, so that state is not logged and the abort is reported.
@@ -143,6 +144,7 @@ class TestRunCommand:
         assert summary["abort"]["particle"] is not None
         assert summary["logged_steps"] == [0]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_final_field_fills_the_abort_block(self, tmp_path, capsys):
         # One step: the blow-up lands on the final state, which no step
         # follows; its field still gets the finite check.

@@ -815,6 +815,27 @@ class TestPushforward:
         assert np.max(np.abs(newton - bisection)) <= 1e-12
         assert jac.tobytes() == field.jacobian(newton).tobytes()
 
+    def test_2d_evaluate_is_two_bilinear_interpolations(self, rng):
+        grid = Grid((np.linspace(-4.0, 4.0, 16), np.linspace(-3.0, 5.0, 20)))
+        field = FieldOnGrid(grid, rng.standard_normal((grid.size, 2)),
+                            rng.standard_normal((grid.size, 2, 2)))
+        # inside the box, on nodes and beyond every side
+        points = np.concatenate([rng.uniform(-6.0, 7.0, (200, 2)), grid.nodes[::7]])
+        pieces = gridflow._bilinear_pieces(grid, points)
+        values, jac = field.evaluate(points)
+        assert values.tobytes() == gridflow._bilinear(grid, field.values, pieces).tobytes()
+        assert jac.tobytes() == gridflow._bilinear(grid, field.derivs, pieces).tobytes()
+
+    def test_2d_inverse_returns_its_converged_pieces(self):
+        target = dirichlet_target((5.0, 5.0, 5.0))
+        flow = MirroredFlow(target, IMQKernel(), nodes=24)
+        field = flow.g_field(flow.initial_density())
+        gamma = 0.5 / field.max_stretch()[0]
+        y, jac, pieces = gridflow._invert(flow.grid, field, gamma)
+        assert jac.tobytes() == field.jacobian(y).tobytes()
+        for got, want in zip(pieces, gridflow._bilinear_pieces(flow.grid, y)):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("case", ["beyond-both-ends", "onto-nodes", "fixed-node"])
     def test_inverse_matches_bisection_on_edge_cases(self, case):
         grid = Grid((np.linspace(-4.0, 4.0, 65),))  # spacing 1/8, exact in binary

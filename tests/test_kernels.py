@@ -331,6 +331,62 @@ def test_radial_streaming_matches_precomputed(rng, monkeypatch, d):
         _assert_products_close(streaming.apply(q, uu), single.apply(q, uu))
 
 
+def _row_major_products(operator, *groups):
+    """The oracle for _RadialOperator._products: the same tile loop taken
+    point-major, with features stacked (n, w), tile^T @ features[i] into
+    range j's rows and, off the diagonal, tile @ features[j] into range
+    i's, in the same tile order."""
+    n = operator._x.shape[0]
+    stacked = [np.concatenate([a.reshape(n, -1) for a in group], axis=1) for group in groups]
+    out = [np.empty_like(features) for features in stacked]
+    for index, (i, j) in enumerate(operator._pairs):
+        rows, cols = operator._ranges[i], operator._ranges[j]
+        tile = operator._tiles[index] if operator._tiles is not None else operator._tile(i, j)
+        for factor, features, result in zip(tile, stacked, out):
+            if i == 0:
+                result[cols] = factor.T @ features[rows]
+            else:
+                result[cols] += factor.T @ features[rows]
+            if i != j:
+                result[rows] += factor @ features[cols]
+    return out
+
+
+@pytest.mark.parametrize("tile_rows, ranges", [(40, 1), (20, 2), (10, 4)])
+@pytest.mark.parametrize("cached", [True, False], ids=["cached", "streamed"])
+def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_rows, ranges,
+                                                         cached):
+    n = 40
+    mirror_map, theta, q, _ = _operator_inputs(rng, "simplex", n, 2)
+    # a general u: g_field's weighted Hinv times dual-imq's J is near w I
+    u = rng.standard_normal((n, 2, 2))
+    monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
+    if not cached:
+        monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
+    operator = kernels.kernel_operator(DualIMQKernel(mirror_map), theta)
+    assert len(operator._ranges) == ranges
+    assert (operator._tiles is not None) == cached
+    calls = []
+    products = operator._products
+
+    def recorded(*groups):
+        calls.append((groups, products(*groups)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(operator, "_products", recorded)
+    operator.apply(q, None)
+    operator.apply(q, u)
+    assert [len(groups) for groups, _ in calls] == [2, 3]
+    # apply(q, u) multiplies by u J, which is not symmetric
+    u_j = calls[1][0][1][3]
+    assert np.min(np.abs(u_j - u_j.transpose(0, 2, 1))[:, 0, 1]) > 0.0
+    for groups, got in calls:
+        for got_parts, want in zip(got, _row_major_products(operator, *groups)):
+            got_flat = np.concatenate([p.reshape(n, -1) for p in got_parts], axis=1)
+            assert got_flat.shape == want.shape
+            assert np.all(np.abs(got_flat - want) <= 1e-15 * np.max(np.abs(want), axis=0))
+
+
 @pytest.mark.parametrize("n", [5, 8, 9, 1], ids=["below-tile", "one-tile", "tile-plus-one", "one-point"])
 @pytest.mark.parametrize("kernel_name", ["imq", "rbf", "rescaled-imq", "dual-imq"])
 def test_tiled_operator_matches_dense_blocks(rng, monkeypatch, kernel_name, n):

@@ -474,10 +474,12 @@ class TestCPiP:
         monkeypatch.setattr(target, "potential", lambda q: calls.append(len(q)) or original(q))
         c_pi_p(target, p=1.0)
         assert 0 < len(calls) <= 30
-        # Rays go first, so a box whose rays still rise is never evaluated:
-        # 394 849 points are, and the bound allows one more 256 x 256 box
-        # with its 96 ray probes.  Box first, the walk evaluated 1 114 593.
-        assert sum(calls) <= 394_849 + 65_536 + 96
+        # Rays go first, so a box whose rays still rise is never evaluated,
+        # and the moments' walk starts on the target box, whose potential
+        # the target walk has already evaluated: 329 312 points are, and the
+        # bound allows one more 256 x 256 box with its 96 ray probes.  Box
+        # first and with no shared box, the walks evaluated 1 114 593.
+        assert sum(calls) <= 329_312 + 65_536 + 96
 
     def test_divergent_for_every_rate(self):
         with pytest.raises(DomainError, match="diverges"):
@@ -631,6 +633,30 @@ class TestCertify:
         monkeypatch.setattr(theory, "_target_grid", counting)
         theory.certify(bundle.mirrored, profile, bundle.kernel.bounds(), 1.0, 1)
         assert len(calls) == 1
+
+    def test_c_pi_p_starts_on_the_bracketed_box(self, monkeypatch):
+        # The target walk ends on the box that c_pi_p's walk starts on, so
+        # c_pi_p takes its potential from certify: 5 boxes of 256 x 256
+        # nodes are evaluated in all, not 6, and the constant is unchanged.
+        bundle = _preset_bundle("dirichlet-simplex-d2")
+        setting = (bundle.kernel.bounds(), bundle.mirror_map.strong_convexity, bundle.dim)
+        boxes = []
+        original = theory._potential
+
+        def counting(target, q):
+            if len(q) == 256 * 256:
+                boxes.append(len(q))
+            return original(target, q)
+
+        monkeypatch.setattr(theory, "_potential", counting)
+        seeded = theory.certify(bundle.mirrored, bundle.profile, *setting)
+        assert len(boxes) == 5
+        boxes.clear()
+        monkeypatch.setattr(theory._Bracket, "seed", lambda *args: None)
+        walked = theory.certify(bundle.mirrored, bundle.profile, *setting)
+        assert len(boxes) == 6
+        assert seeded.profile.c_pi_p == walked.profile.c_pi_p
+        assert seeded == walked
 
     def test_a_given_c_pi_p_is_not_repriced(self, monkeypatch):
         bundle = _preset_bundle("quartic-1d-descent")
