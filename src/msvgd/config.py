@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kernels import make_kernel
+from .kernels import make_kernel, particle_bytes
 from .mirrors import make_map
 from .targets import MirroredTarget, certified_profile, make_target
 from . import theory
@@ -292,18 +292,6 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
     dim = target.dim
     if cfg.dim is not None and cfg.dim != dim:
         raise ConfigError(f"config dim {cfg.dim} does not match target dimension {dim}")
-    # The particle field builds float64 (n, n, d) kernel blocks.  One such
-    # block larger than physical memory can never be allocated, so this
-    # refuses only runs that could not fit.
-    block = 8 * cfg.particles ** 2 * dim
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if block > memory:
-        raise ConfigError(
-            f"config key 'particles' = {cfg.particles} needs a float64 "
-            f"({cfg.particles}, {cfg.particles}, {dim}) kernel block of {block} bytes, "
-            f"more than the {memory} bytes of physical memory"
-        )
-
     domain = _MAP_DOMAIN.get(cfg.map)
     if domain is None:
         raise ConfigError(f"unknown mirror map {cfg.map!r}")
@@ -317,6 +305,16 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
         kernel = make_kernel(cfg.kernel, cfg.kernel_params, mirror_map=mirror_map)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for kernel {cfg.kernel!r}: {exc}") from None
+    # Kernel blocks larger than physical memory can never be allocated, so
+    # this refuses only runs that could not fit.
+    need = particle_bytes(kernel, cfg.particles, dim)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigError(
+            f"config key 'particles' = {cfg.particles} needs about {need} bytes of "
+            f"float64 kernel blocks at d = {dim}, more than the {memory} bytes "
+            "of physical memory"
+        )
     mirrored = MirroredTarget(target, mirror_map)
     profile = certified_profile(mirrored)
     if profile is not None and cfg.alpha != profile.alpha:

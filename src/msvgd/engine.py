@@ -10,6 +10,17 @@ and inverse mirror Hessians the field was built from, so no score or mirror
 Hessian is evaluated twice per state.  With the Euclidean map the whole
 scheme collapses to standard SVGD, which is the reduction the tests pin.
 
+The field is built over the near-equal row ranges of at most TILE_ROWS
+particles that the kernel operator of msvgd.kernels tiles with
+(kernels.row_ranges): one range up to 640 particles, two at 1000, seven at
+4000.  For each range of r rows it builds the (r, n) gram and the (n, r, d)
+grad1_gram blocks, writes the range's velocities and drops them, so the
+field holds one (n, r, d) block at a time instead of whole (n, n, d) blocks
+and their temporaries.  Each velocity row is the same einsum sum over
+the same operands whichever range it falls in, and the tests pin the
+ranged field to one block's bits.  The einsum contractions stay until the
+field is one operator apply per state, as the snapshot already is.
+
 Reductions over the particle index use fixed-order einsum paths, and the
 snapshot reduces through matrix products of fixed shape (the kernel operator
 of msvgd.kernels), so a fixed seed gives bit-identical trajectories and
@@ -26,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import theory
+from . import kernels, theory
 from .config import RunConfig, RuntimeBundle, build_runtime
 from .errors import NumericsError
 
@@ -95,6 +106,11 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> Part
     adaptive kernel first refreshes its bandwidth from this primal cloud.
     The returned field keeps the operand and Hinv it was built from, for
     the state's Stein-Fisher snapshot.
+
+    The sums run one row range of r <= TILE_ROWS particles at a time, so
+    the peak is one (n, r, d) grad1_gram block and its (n, r) factor (one
+    more (n, r, d) block when the kernel's chart has a Jacobian), not
+    whole (n, n, d) blocks.  kernels.particle_bytes prices that peak.
     """
     theta = ensemble.primal
     n = theta.shape[0]
@@ -105,11 +121,14 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> Part
     div = np.asarray(mirror_map.div_hess_psi_inv(theta), dtype=float)
     operand = np.einsum("jde,je->jd", hinv, score) + div
 
-    gram = kernel.gram(theta, theta)
-    grad1 = kernel.grad1_gram(theta, theta)  # grad1[j, i] = d/dt_j k(t_j, t_i)
-    drift = np.einsum("ij,jd->id", gram, operand)
-    repulsion = np.einsum("jde,jie->id", hinv, grad1)
-    return ParticleField(velocity=(drift + repulsion) / float(n), operand=operand, hinv=hinv)
+    velocity = np.empty_like(operand)
+    for rows in kernels.row_ranges(n):
+        # each block is dropped once its einsum has read it;
+        # grad1[j, i] = d/dt_j k(t_j, t_i)
+        drift = np.einsum("ij,jd->id", kernel.gram(theta[rows], theta), operand)
+        repulsion = np.einsum("jde,jie->id", hinv, kernel.grad1_gram(theta, theta[rows]))
+        velocity[rows] = (drift + repulsion) / float(n)
+    return ParticleField(velocity=velocity, operand=operand, hinv=hinv)
 
 
 def _require_finite_field(ensemble: ParticleEnsemble, field: ParticleField) -> None:

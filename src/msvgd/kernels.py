@@ -15,7 +15,13 @@ whose derivatives follow by division, and one exp for rbf.  Every caller
 asks it for the orders it needs, so no formula is written twice.
 
 All kernels expose batched ops on point sets X (n, d) and Y (m, d): gram,
-grad1_gram and grad12_gram, written once for every kernel.  grad1
+grad1_gram and grad12_gram, written once for every kernel.  One routine,
+_sq_dists, makes their squared distances and the operator's tiles: it sums
+them coordinate by coordinate, so gram and the median-bandwidth refresh
+build no (n, m, d) array, and grad1_gram scales its one difference block
+in place.  One helper, row_ranges(n), splits n points into the near-equal
+ranges of at most TILE_ROWS rows that both the operator's tiles and the
+particle field's blocks are built over.  grad1
 differentiates the first argument slot; grad12 is the matrix of cross
 second derivatives d^2 k / dtheta_i dtheta'_j.  bounds() returns (b1, b2)
 with sup k(t, t) <= b1^2 and the cross second derivative bounded by b2^2;
@@ -47,9 +53,29 @@ PRECOMPUTE_BYTES = 700_000_000
 TILE_ROWS = 640
 
 
-def _sq_dists(X, Y):
-    diff = X[:, None, :] - Y[None, :, :]
-    return np.sum(diff * diff, axis=2), diff
+def _range_count(n: int) -> int:
+    return max(1, -(-n // TILE_ROWS))
+
+
+def row_ranges(n: int) -> list:
+    """The k = ceil(n / TILE_ROWS) near-equal row ranges, at most TILE_ROWS
+    rows each, that every kernel block over n points is built in."""
+    k = _range_count(n)
+    edges = [i * n // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _sq_dists(x, y):
+    """t[i, j] = ||x_i - y_j||^2 for x (n, d) and y (m, d), summed coordinate
+    by coordinate: the build holds t and one more (n, m) array, never an
+    (n, m, d) one."""
+    diff = x[:, None, 0] - y[None, :, 0]
+    t = diff * diff
+    for c in range(1, x.shape[1]):
+        np.subtract(x[:, None, c], y[None, :, c], out=diff)
+        diff *= diff
+        t += diff
+    return t
 
 
 def _times_jac(v, jac, subscripts):
@@ -82,20 +108,22 @@ class Kernel:
         return points, None
 
     def gram(self, X, Y):
-        t, _ = _sq_dists(self.chart(X)[0], self.chart(Y)[0])
-        return self.profile._derivatives(t, 0)[0]
+        return self.profile._derivatives(_sq_dists(self.chart(X)[0], self.chart(Y)[0]), 0)[0]
 
     def grad1_gram(self, X, Y):
-        x, jac = self.chart(X)
-        t, diff = _sq_dists(x, self.chart(Y)[0])
-        # scaled in place: a named factor must not cost one more n x m array
-        fp = self.profile._derivatives(t, 1)[1]
+        (x, jac), y = self.chart(X), self.chart(Y)[0]
+        # scaled in place: a named factor must not cost one more n x m array,
+        # nor the difference block one more n x m x d array
+        fp = self.profile._derivatives(_sq_dists(x, y), 1)[1]
         fp *= 2.0
-        return _times_jac(fp[:, :, None] * diff, jac, "nma,nab->nmb")
+        diff = x[:, None, :] - y[None, :, :]
+        diff *= fp[:, :, None]
+        return _times_jac(diff, jac, "nma,nab->nmb")
 
     def grad12_gram(self, X, Y):
         (x, jx), (y, jy) = self.chart(X), self.chart(Y)
-        t, diff = _sq_dists(x, y)
+        t = _sq_dists(x, y)
+        diff = x[:, None, :] - y[None, :, :]
         d = x.shape[1]
         eye = np.eye(d)
         fp, fpp = self.profile._derivatives(t, 2)[1:]
@@ -211,9 +239,10 @@ class RBFKernel(_RadialKernel):
     def median_bandwidth(X):
         """bandwidth^2 = median of pairwise squared distances / (2 log(n+1))."""
         n = X.shape[0]
-        t, _ = _sq_dists(X, X)
-        iu = np.triu_indices(n, k=1)
-        med = np.median(t[iu]) if n > 1 else 1.0
+        t = _sq_dists(X, X)
+        # the upper triangle through a boolean mask, not (n, n) integer
+        # indices; the median partitions that copy in place
+        med = np.median(t[~np.tri(n, dtype=bool)], overwrite_input=True) if n > 1 else 1.0
         h2 = med / (2.0 * np.log(n + 1.0))
         return float(np.sqrt(max(h2, 1e-300)))
 
@@ -337,6 +366,40 @@ def kernel_operator(kernel, points):
     return _RadialOperator(kernel.profile, *kernel.chart(points))
 
 
+def _cached_tile_bytes(n: int) -> int:
+    """Bytes of the three factors' upper tiles over the row ranges of n
+    points: (n^2 + the sum of the squared range sizes) / 2 entries each."""
+    k = _range_count(n)
+    q, longer = divmod(n, k)  # ranges of q rows, and ``longer`` of q + 1
+    squares = (k - longer) * q * q + longer * (q + 1) ** 2
+    return 3 * 8 * (n * n + squares) // 2
+
+
+def operator_bytes(n: int) -> int:
+    """About the most bytes of kernel tiles that the operator over n points
+    holds at once: cached, every stored tile plus the spare tile a build
+    takes; streamed, the three factors of one tile while the next tile's
+    three are built."""
+    tile = 8 * (-(-n // _range_count(n))) ** 2
+    cached = _cached_tile_bytes(n)
+    return cached + tile if cached <= PRECOMPUTE_BYTES else 6 * tile
+
+
+def particle_bytes(kernel, n: int, d: int) -> int:
+    """About the most bytes of kernel blocks that a particle run over n
+    points in d dimensions holds at once, the largest of:
+    - the field's largest row range, of r rows: grad1_gram's (n, r, d)
+      difference block and its (n, r) factor, plus one more (n, r, d)
+      block when the chart has a Jacobian to multiply by;
+    - the Stein-Fisher snapshot's operator (operator_bytes);
+    - an adaptive kernel's refresh: the (n, n) squared distances and the
+      spare (n, n) array they are summed with."""
+    rows = -(-n // _range_count(n))
+    blocks = d + 1 if type(kernel).chart is Kernel.chart else 2 * d + 1
+    refresh = 16 * n * n if kernel.adaptive else 0
+    return max(8 * n * rows * blocks, operator_bytes(n), refresh)
+
+
 class _RadialOperator:
     """The products for k(a, b) = f(||x_a - x_b||^2) over chart coordinates
     x (n, d) with symmetric chart Jacobians jac (see Kernel.chart).
@@ -376,15 +439,11 @@ class _RadialOperator:
         x = np.asarray(x, dtype=float)
         self._x = x - np.mean(x, axis=0)
         self._fp0 = float(profile._derivatives(np.zeros(1), 1)[1][0])
-        n = x.shape[0]
-        k = max(1, -(-n // TILE_ROWS))
-        edges = [i * n // k for i in range(k + 1)]
-        self._ranges = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        self._ranges = row_ranges(x.shape[0])
+        k = len(self._ranges)
         self._pairs = [(i, j) for i in range(k) for j in range(i, k)]
-        sizes = [b - a for a, b in zip(edges, edges[1:])]
-        stored = sum(sizes[i] * sizes[j] for i, j in self._pairs)
         self._tiles = None
-        if 3 * stored * 8 <= PRECOMPUTE_BYTES:
+        if _cached_tile_bytes(x.shape[0]) <= PRECOMPUTE_BYTES:
             self._tiles = [self._tile(i, j) for i, j in self._pairs]
 
     def _tile(self, i: int, j: int) -> tuple:
@@ -392,15 +451,8 @@ class _RadialOperator:
         squared distances are summed coordinate by coordinate, and the
         profile builds one factor in their buffer, so the build holds the
         three factors and at most one more tile."""
-        x, rows, cols = self._x, self._ranges[i], self._ranges[j]
-        diff = x[rows, None, 0] - x[None, cols, 0]
-        t = diff * diff
-        for c in range(1, x.shape[1]):
-            np.subtract(x[rows, None, c], x[None, cols, c], out=diff)
-            diff *= diff
-            t += diff
-        del diff
-        factors = self.profile._derivatives(t, 2)
+        factors = self.profile._derivatives(
+            _sq_dists(self._x[self._ranges[i]], self._x[self._ranges[j]]), 2)
         # D vanishes on the diagonal, so F' and F'' enter the split sums only
         # off it (the identity term of K12 adds f'(0) back in apply); zeros
         # there spare the split terms their largest cancellation

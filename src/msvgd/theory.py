@@ -397,8 +397,11 @@ class Grid:
         for a in axes:
             if a.ndim != 1 or a.size < 8:
                 raise ConfigError("each grid axis needs at least 8 nodes")
+            # np.linspace rounds each node to the ulp of its own magnitude,
+            # so a uniform axis's steps differ by up to about two ulps of its
+            # largest node, whatever the node count (and nan is refused)
             steps = np.diff(a)
-            if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+            if not np.max(np.abs(steps - steps[0])) <= 4 * np.spacing(np.max(np.abs(a))):
                 raise ConfigError("grid axes must be uniformly spaced")
         object.__setattr__(self, "axes", axes)
 
@@ -417,7 +420,7 @@ class Grid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def spacing(self) -> tuple:

@@ -2,11 +2,14 @@
 override plumbing, and the verification suites' pass/fail behavior."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from msvgd import cli, theory
 from msvgd.gridflow import MirroredFlow
+
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
 QUARTIC_SMALL = {
     "map": "euclidean",
@@ -213,13 +216,14 @@ class TestRunCommand:
         assert "'gamma' must be finite" in capsys.readouterr().err
 
     def test_oversized_particle_count_exits_two_before_any_output(self, tmp_path, capsys):
-        # one (300000, 300000, 2) float64 block is 1.44e12 bytes
+        # the field's ranges of 640 rows: one float64 (1e9, 640, 2) block and
+        # its (1e9, 640) factor are 1.536e13 bytes
         out = tmp_path / "big"
-        code = cli.main(["run", "--config", "dirichlet-simplex-d2", "--particles", "300000",
+        code = cli.main(["run", "--config", "dirichlet-simplex-d2", "--particles", "1000000000",
                          "--steps", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "'particles' = 300000" in err and "1440000000000 bytes" in err
+        assert "'particles' = 1000000000 needs about 15360000000000 bytes" in err
         assert not out.exists()
 
     def test_preset_name_resolution(self, tmp_path):
@@ -263,6 +267,17 @@ class TestVerifyCommand:
         assert code == 0
         assert len(builds) == 1
         assert len(fields) == 6 + 1
+
+    def test_descent_suite_runs_on_16384_nodes(self, tmp_path):
+        # np.linspace axes this long once failed Grid's uniform-spacing check
+        config = json.loads((PRESETS / "quartic-1d-descent.json").read_text())
+        path = tmp_path / "fine.json"
+        path.write_text(json.dumps(dict(config, grid_nodes=16384)))
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--suite", "descent", "--target", str(path),
+                         "--out", str(out), "--steps", "2"])
+        assert code == 0
+        assert json.loads((out / "report.json").read_text())["passed"] is True
 
     @pytest.mark.parametrize("flag", ["--gamma", "--gamma-scale"])
     def test_infinite_step_size_exits_two(self, quartic_config, tmp_path, capsys, flag):

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from msvgd import kernels
 from msvgd.config import (
     RunConfig,
     apply_overrides,
@@ -163,12 +164,34 @@ def test_non_finite_numbers_are_named(key, value):
 
 
 def test_particle_count_is_refused_only_past_physical_memory():
-    # one float64 (n, n, d) block must fit; here d = 1
+    # The field builds one row range of r rows at a time: grad1_gram's
+    # float64 (n, r, d) block and its (n, r) factor, 8 n r (d + 1) bytes;
+    # here d = 1, and a multiple of TILE_ROWS particles has r = TILE_ROWS.
+    # Past a few thousand particles the snapshot operator streams its tiles
+    # and needs far less.  Counts only: no such config is ever run.
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    largest = math.isqrt(memory // 8)
+    rows = kernels.TILE_ROWS
+    ranges = memory // (8 * rows * rows * 2)
+    largest, past = rows * ranges, rows * (ranges + 1)
     assert config_from_dict(dict(MINIMAL, particles=largest)).particles == largest
-    with pytest.raises(ConfigError, match=rf"'particles' = {largest + 1} .* bytes"):
-        config_from_dict(dict(MINIMAL, particles=largest + 1))
+    with pytest.raises(ConfigError,
+                       match=rf"'particles' = {past} needs about {8 * past * rows * 2} bytes"):
+        config_from_dict(dict(MINIMAL, particles=past))
+
+
+def test_median_bandwidth_refresh_is_priced_at_two_square_blocks():
+    # the refresh sums the (n, n) squared distances with one spare (n, n)
+    # array: 16 n^2 bytes, far above the field's ranges at these counts
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    largest = math.isqrt(memory // 16)
+    median = dict(MINIMAL, kernel="rbf", kernel_params={"bandwidth": "median"}, gamma=0.1)
+    assert config_from_dict(dict(median, particles=largest)).particles == largest
+    with pytest.raises(ConfigError, match=rf"'particles' = {largest + 1} needs about "
+                                          rf"{16 * (largest + 1) ** 2} bytes"):
+        config_from_dict(dict(median, particles=largest + 1))
+    # a fixed bandwidth takes the field's price, which that count fits
+    fixed = dict(median, kernel_params={"bandwidth": 1.0}, particles=largest + 1)
+    assert config_from_dict(fixed).particles == largest + 1
 
 
 def test_overrides_revalidate():

@@ -3,12 +3,16 @@ degenerate-step identities, and the run artifact contract."""
 
 import csv
 import json
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msvgd import engine
+from msvgd import engine, kernels
 from msvgd.config import RunConfig, build_runtime, config_from_dict
 from msvgd.engine import (
     ParticleEnsemble,
@@ -18,11 +22,11 @@ from msvgd.engine import (
     update_field,
 )
 from msvgd.errors import NumericsError
-from msvgd.kernels import IMQKernel, RBFKernel
-from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
+from msvgd.kernels import DualIMQKernel, IMQKernel, RBFKernel, RescaledKernel
+from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
 from msvgd.targets import Dirichlet, MirroredPowerLaw, TruncatedGaussian
 
-from conftest import sample_simplex_interior
+from conftest import sample_box_interior, sample_simplex_interior
 
 
 # announced reduction: with the identity chart the update must coincide with
@@ -137,6 +141,87 @@ def test_permutation_equivariance(rng):
                                 dual=ensemble.dual[perm])
     field_perm = update_field(shuffled, target, mirror_map, kernel).velocity
     assert np.max(np.abs(field_perm - field[perm])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the field one row range at a time
+
+
+def _field_inputs(gen, map_name, n, d):
+    """A mirror map, a target on its domain and a cloud inside it."""
+    if map_name == "euclidean":
+        return (EuclideanMap(d), TruncatedGaussian(np.full(d, 0.3), np.eye(d)),
+                gen.standard_normal((n, d)))
+    if map_name == "simplex":
+        return (EntropicSimplexMap(d), Dirichlet(np.linspace(1.5, 4.0, d + 1)),
+                sample_simplex_interior(gen, n, d, margin=1e-3))
+    lo, hi = -np.ones(d), np.linspace(1.0, 2.0, d)
+    return (EntropicBoxMap(lo, hi), TruncatedGaussian(np.zeros(d), np.eye(d), lo=lo, hi=hi),
+            sample_box_interior(gen, n, lo, hi))
+
+
+def _field_kernel(kernel_name, mirror_map):
+    return {"imq": lambda: IMQKernel(c=0.8), "rbf": lambda: RBFKernel(bandwidth=0.7),
+            "rbf-median": lambda: RBFKernel(bandwidth="median"),
+            "rescaled": lambda: RescaledKernel(IMQKernel(), 1.5),
+            "dual-imq": lambda: DualIMQKernel(mirror_map)}[kernel_name]()
+
+
+@pytest.mark.parametrize("kernel_name", ["imq", "rbf", "rbf-median", "rescaled", "dual-imq"])
+@pytest.mark.parametrize("map_name", ["simplex", "box", "euclidean"])
+def test_field_row_ranges_give_the_same_bits(rng, monkeypatch, map_name, kernel_name):
+    mirror_map, target, theta = _field_inputs(rng, map_name, 37, 2)
+    ensemble = SimpleNamespace(primal=theta)
+    whole = update_field(ensemble, target, mirror_map, _field_kernel(kernel_name, mirror_map))
+    # at most seven rows per range: six ranges of 6 or 7 rows
+    monkeypatch.setattr(kernels, "TILE_ROWS", 7)
+    assert len(kernels.row_ranges(37)) == 6
+    ranged = update_field(ensemble, target, mirror_map, _field_kernel(kernel_name, mirror_map))
+    for got, want in zip((ranged.velocity, ranged.operand, ranged.hinv),
+                         (whole.velocity, whole.operand, whole.hinv)):
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    map_name=st.sampled_from(["simplex", "box", "euclidean"]),
+    kernel_name=st.sampled_from(["imq", "rbf", "rbf-median", "rescaled", "dual-imq"]),
+    d=st.integers(1, 3),
+    n=st.integers(2, 30),
+    tile_rows=st.integers(3, 8),
+)
+def test_field_is_permutation_equivariant_over_row_ranges(seed, map_name, kernel_name, d, n,
+                                                          tile_rows):
+    gen = np.random.default_rng(seed)
+    mirror_map, target, theta = _field_inputs(gen, map_name, n, d)
+    perm = gen.permutation(n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "TILE_ROWS", tile_rows)
+        field = update_field(SimpleNamespace(primal=theta), target, mirror_map,
+                             _field_kernel(kernel_name, mirror_map)).velocity
+        shuffled = update_field(SimpleNamespace(primal=theta[perm]), target, mirror_map,
+                                _field_kernel(kernel_name, mirror_map)).velocity
+    assert np.max(np.abs(shuffled - field[perm])) <= 1e-13 * np.max(np.abs(field))
+
+
+def test_field_holds_one_row_block_at_a_time():
+    bundle = build_runtime(config_from_dict(json.loads(
+        (Path(__file__).resolve().parents[1] / "presets" / "truncated-gaussian-box-d3.json")
+        .read_text(encoding="utf-8"))))
+    ensemble = init_ensemble(1000, bundle.dim, bundle.mirror_map, seed=3)
+    assert len(kernels.row_ranges(1000)) == 2
+    tracemalloc.start()
+    try:
+        update_field(ensemble, bundle.target, bundle.mirror_map, bundle.kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Two ranges of 500 rows: grad1_gram's (1000, 500, 3) block is 12 MB
+    # and its factor 4 MB, and the peak reads 16 MB.  The whole (n, n)
+    # gram and (n, n, 3) blocks with their temporaries peaked at 64 MB.
+    assert peak < 40e6
+    assert peak <= kernels.particle_bytes(bundle.kernel, 1000, bundle.dim) * 1.05
 
 
 def test_stepping_is_deterministic():

@@ -299,6 +299,24 @@ class TestGridDensity:
         with pytest.raises(ConfigError):
             Grid((np.linspace(0, 1, 4),))
 
+    @pytest.mark.parametrize("nodes", [12000, 16384, 65536])
+    @pytest.mark.parametrize("halfwidth", [1.0, 8.0, 64.0])
+    def test_large_linspace_axes_are_uniform(self, nodes, halfwidth):
+        # np.linspace's steps differ by about one ulp of the halfwidth, which
+        # a tolerance relative to the step refused from about 12 000 nodes
+        grid = Grid.box(1, nodes, halfwidth)
+        assert grid.shape == (nodes,) and grid.size == nodes
+
+    @pytest.mark.parametrize("nodes, halfwidth", [(8, 1.0), (16384, 1.0), (65536, 64.0)])
+    def test_a_node_moved_by_a_millionth_of_a_step_is_refused(self, nodes, halfwidth):
+        axis = np.linspace(-halfwidth, halfwidth, nodes)
+        axis[nodes // 2] += 1e-6 * (axis[1] - axis[0])
+        with pytest.raises(ConfigError, match="uniformly spaced"):
+            Grid((axis,))
+        axis[nodes // 2] = np.nan
+        with pytest.raises(ConfigError, match="uniformly spaced"):
+            Grid((axis,))
+
     def test_refined_grid_halves_spacing(self):
         grid = Grid((np.linspace(-2.0, 2.0, 9),))
         fine = refined(grid)
