@@ -26,7 +26,7 @@ the primal nodes are the grid itself (the euclidean map), every kernel matrix
 is (block-)Toeplitz, so the operator applies it as a zero-padded FFT
 convolution with the kernel sampled at the node lags.  Otherwise it is the
 point-set operator of msvgd.kernels: matrix products of the kernel
-profile's f(t), f'(t) and f''(t) in the kernel's chart, for every kernel
+profile's f'(t) and f''(t) in the kernel's chart, for every kernel
 (dual-imq's chart is grad_psi, so there t is measured between the dual
 images of the primal nodes).  The pushforward inverts x - gamma * g by
 Newton's method.  In 1D one search finds the interval of the field's
@@ -49,17 +49,18 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
-from .kernels import kernel_operator
+from .kernels import cached_kernel_operator
 from .targets import MirroredTarget
 from .theory import Grid, _potential, _read_only, _target_grid, log_sum_exp
 
 DEFAULT_NODES_1D = 4096
 # Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
 # field is an n x n matrix product over the P = 48^2 nodes.  The operator
-# stores the upper tiles of its three symmetric factors, four ranges of 576
-# rows (10 tiles, 80 MB against 127 MB for the full factors), inside
-# kernels.PRECOMPUTE_BYTES with room to spare; a flow with one step peaks
-# near 82 MB.  Past 85 per axis the tiles are built inside every product.
+# stores the upper tiles of its two symmetric factors f' and f'', four
+# ranges of 576 rows (10 tiles, 53 MB against 85 MB for the two full
+# factors), inside kernels.PRECOMPUTE_BYTES with room to spare; a flow with
+# one step peaks near 56 MB.  Past 95 per axis the tiles are built inside
+# every product.
 DEFAULT_NODES_2D = 48
 # nodes whose density sits this far (nats) below the peak are excluded from
 # finite differences in the primal chart, where the grid spacing collapses
@@ -491,12 +492,13 @@ class MirroredFlow:
     primal-chart pieces (a MirroredTarget does).  The kernel products of the
     field go through one kernel operator, built once since the grid never
     moves: FFT convolutions when the kernel is translation invariant and the
-    primal nodes are the grid nodes, else kernels.kernel_operator over the
-    primal nodes, the kernel's profile in its chart for every kernel, whose
-    three symmetric n x n factors are kept as their upper tiles when those
-    fit in memory and built tile by tile inside every product when they do
-    not.  The flow build reads the potential through theory._potential, so
-    a chart that saturates on an explicit wide grid is refused by name.
+    primal nodes are the grid nodes, else kernels.cached_kernel_operator
+    over the primal nodes, the kernel's profile in its chart for every
+    kernel, whose two symmetric n x n factors are kept as their upper tiles
+    when those fit in memory and built tile by tile inside every product
+    when they do not.  The flow build reads the potential through
+    theory._potential, so a chart that saturates on an explicit wide grid
+    is refused by name.
     """
 
     def __init__(self, mirrored: MirroredTarget, kernel, grid: Grid | None = None,
@@ -530,7 +532,7 @@ class MirroredFlow:
         if kernel.translation_invariant and np.array_equal(self.theta, x):
             self.kernel_operator = _LatticeKernelOperator(kernel, self.grid)
         else:
-            self.kernel_operator = kernel_operator(kernel, self.theta)
+            self.kernel_operator = cached_kernel_operator(kernel, self.theta)
 
     # -- densities ----------------------------------------------------------
 

@@ -32,15 +32,20 @@ lattice are Toeplitz.
 kernel_operator(kernel, points) applies the kernel matrices over one point
 set to per-point values, the sums that both the grid field and the particle
 Stein-Fisher value are made of.  Every such sum is a product of the n x n
-matrices f(t), f'(t) and f''(t) with stacked per-point features, between
-two per-point multiplications by J, so no (n, n, d) or (n, n, d, d) block
-is built.  The three matrices are symmetric, so the operator builds only
-their upper tiles over at most TILE_ROWS rows each, and one loop over those
-tiles makes every product: with the tiles cached when they fit in
-PRECOMPUTE_BYTES, with each tile built inside the loop otherwise.  The
-features are held feature-major, (w, n) with w at most d + 2 d^2 + d^3
-(18 in 2-D), so each tile product is a (w, rows) @ tile matrix product
-rather than a transposed tile against a narrow (rows, w) block.
+matrices f'(t) and f''(t) with stacked per-point features, between two
+per-point multiplications by J, so no (n, n, d) or (n, n, d, d) block is
+built.  f(t) itself is never built: each profile has
+f(t) = (a + b t) f'(t) (_affine_ratio), so its sums take one more feature
+in the products with f'(t).  The two matrices are symmetric, so the
+operator builds only their upper tiles over at most TILE_ROWS rows each,
+and one loop over those tiles makes every product.  kernel_operator
+builds each tile inside the loop and drops it before the next, for a
+single apply (the particle snapshot); cached_kernel_operator keeps the
+tiles when they fit in PRECOMPUTE_BYTES, for an operator applied at every
+state (the grid flow).  The features are held feature-major, (w, n) with w
+at most d + 2 d^2 + d^3 (18 in 2-D), so each tile product is a
+(w, rows) @ tile matrix product rather than a transposed tile against a
+narrow (rows, w) block.
 """
 
 import numpy as np
@@ -155,6 +160,11 @@ class _RadialKernel(Kernel):
         order 0.)"""
         raise NotImplementedError
 
+    def _affine_ratio(self):
+        """(a, b) with f(t) = (a + b t) f'(t) for every t >= 0, which lets
+        the point-set operator take the sums of f through f'."""
+        raise NotImplementedError
+
 
 def _sampled_cross_derivative_bound(profile):
     """b2^2 for a radial kernel, sampled rather than derived.
@@ -205,6 +215,10 @@ class IMQKernel(_RadialKernel):
         fpp = np.divide(fp, base, out=base)
         fpp *= self.beta - 1.0
         return f, fp, fpp
+
+    def _affine_ratio(self):
+        # f = base f' / beta with base = c^2 + t
+        return self.c**2 / self.beta, 1.0 / self.beta
 
     def bounds(self):
         return self._b1, float(np.sqrt(self._b2sq))
@@ -261,6 +275,10 @@ class RBFKernel(_RadialKernel):
         if order == 1:
             return f, f / -two_h2
         return f, f / -two_h2, f / (4.0 * self.bandwidth**4)
+
+    def _affine_ratio(self):
+        # f = -2 h^2 f'
+        return -2.0 * self.bandwidth**2, 0.0
 
     def bounds(self):
         return 1.0, 1.0 / self.bandwidth
@@ -362,27 +380,40 @@ def make_kernel(name, params=None, mirror_map=None):
 
 def kernel_operator(kernel, points):
     """The operator over ``points`` (n, d): the kernel's profile applied in
-    its chart."""
+    its chart.  It builds each tile inside every product and releases it
+    before the next, which suits an operator applied once, as the particle
+    snapshot's is."""
     return _RadialOperator(kernel.profile, *kernel.chart(points))
 
 
+def cached_kernel_operator(kernel, points):
+    """kernel_operator over ``points`` with its tiles built once and kept
+    when they fit in PRECOMPUTE_BYTES, for an operator applied many times,
+    as a grid flow's is at every state.  Both run the same loop over the
+    same tiles, so they give the same bits."""
+    operator = kernel_operator(kernel, points)
+    if _cached_tile_bytes(operator._x.shape[0]) <= PRECOMPUTE_BYTES:
+        operator._tiles = [operator._tile(i, j) for i, j in operator._pairs]
+    return operator
+
+
 def _cached_tile_bytes(n: int) -> int:
-    """Bytes of the three factors' upper tiles over the row ranges of n
+    """Bytes of the two stored factors' upper tiles over the row ranges of n
     points: (n^2 + the sum of the squared range sizes) / 2 entries each."""
     k = _range_count(n)
     q, longer = divmod(n, k)  # ranges of q rows, and ``longer`` of q + 1
     squares = (k - longer) * q * q + longer * (q + 1) ** 2
-    return 3 * 8 * (n * n + squares) // 2
+    return 8 * (n * n + squares)
 
 
-def operator_bytes(n: int) -> int:
-    """About the most bytes of kernel tiles that the operator over n points
-    holds at once: cached, every stored tile plus the spare tile a build
-    takes; streamed, the three factors of one tile while the next tile's
-    three are built."""
-    tile = 8 * (-(-n // _range_count(n))) ** 2
-    cached = _cached_tile_bytes(n)
-    return cached + tile if cached <= PRECOMPUTE_BYTES else 6 * tile
+def operator_bytes(n: int, d: int) -> int:
+    """About the most bytes that an apply of kernel_operator over n points
+    in d dimensions holds at once: the tile it builds, whose build holds
+    F', F'' and one spare tile (each tile goes before the next is built),
+    and about three copies of the d^3 + 4 d^2 + 4 d features per point
+    (the arrays stacked, their stacks and the accumulators)."""
+    rows = -(-n // _range_count(n))
+    return 8 * (3 * rows * rows + 3 * n * (d**3 + 4 * d * d + 4 * d))
 
 
 def particle_bytes(kernel, n: int, d: int) -> int:
@@ -391,13 +422,14 @@ def particle_bytes(kernel, n: int, d: int) -> int:
     - the field's largest row range, of r rows: grad1_gram's (n, r, d)
       difference block and its (n, r) factor, plus one more (n, r, d)
       block when the chart has a Jacobian to multiply by;
-    - the Stein-Fisher snapshot's operator (operator_bytes);
+    - the Stein-Fisher snapshot's operator, which streams its tiles
+      (operator_bytes);
     - an adaptive kernel's refresh: the (n, n) squared distances and the
       spare (n, n) array they are summed with."""
     rows = -(-n // _range_count(n))
     blocks = d + 1 if type(kernel).chart is Kernel.chart else 2 * d + 1
     refresh = 16 * n * n if kernel.adaptive else 0
-    return max(8 * n * rows * blocks, operator_bytes(n), refresh)
+    return max(8 * n * rows * blocks, operator_bytes(n, d), refresh)
 
 
 class _RadialOperator:
@@ -417,8 +449,20 @@ class _RadialOperator:
     point-wise products with x_j.  Each factor multiplies all its features
     in one matrix product per tile.  The sums are translation invariant, so
     x is centred first, which keeps the cancellation between the split
-    terms small.  f'(0) for the identity term is evaluated once per
-    operator.
+    terms small.
+
+    F itself is never stored.  Every profile has f(t) = (a + b t) f'(t)
+    (imq: a = c^2 / beta, b = 1 / beta; rbf: a = -2 h^2, b = 0), and
+    t_ij = |x_i|^2 + |x_j|^2 - 2 x_i.x_j, so with A_i = a + b |x_i|^2
+
+        (F q)_j = (F' (A q))_j + b |x_j|^2 (F' q)_j - 2 b x_j.(F' (q x^T))_j
+                  + f(0) q_j,
+
+    where F' has a zero diagonal, as stored.  F' q and F' (q x^T) are
+    products apply takes anyway, so the sum of F costs one more feature
+    (A q) in the product with F'.  (a, b), f(0) and f'(0), for K12's
+    identity term, are read once per operator, so a later median-bandwidth
+    refresh cannot pull them apart.
 
     The points split into k = ceil(n / TILE_ROWS) near-equal row ranges,
     and since the factors are symmetric only their upper tiles (i <= j) are
@@ -426,11 +470,10 @@ class _RadialOperator:
     j's products and, off the diagonal, itself times range j's features to
     range i's.  Both products run features-first on feature-major (w, n)
     stacks and accumulators (see _products).  The profile builds a tile's
-    F, F' and F'' in one pass from one transcendental, one of them in the
-    squared distances' buffer.  The tiles are cached when the three
-    factors' stored tiles fit in PRECOMPUTE_BYTES and built inside each
-    product's loop otherwise; both ways run the same loop on the same
-    tiles, so they give the same bits.
+    F' and F'' in one pass from one transcendental, one of them in the
+    squared distances' buffer.  The tiles are built inside each product's
+    loop, one at a time, unless cached_kernel_operator stored them; both
+    ways run the same loop on the same tiles, so they give the same bits.
     """
 
     def __init__(self, profile, x, jac):
@@ -438,33 +481,36 @@ class _RadialOperator:
         self.jac = jac
         x = np.asarray(x, dtype=float)
         self._x = x - np.mean(x, axis=0)
-        self._fp0 = float(profile._derivatives(np.zeros(1), 1)[1][0])
+        self._f0, self._fp0 = (float(v[0]) for v in profile._derivatives(np.zeros(1), 1))
+        a, self._b = profile._affine_ratio()
+        self._sq_norms = np.einsum("nd,nd->n", self._x, self._x)
+        self._affine = a + self._b * self._sq_norms
         self._ranges = row_ranges(x.shape[0])
         k = len(self._ranges)
         self._pairs = [(i, j) for i in range(k) for j in range(i, k)]
         self._tiles = None
-        if _cached_tile_bytes(x.shape[0]) <= PRECOMPUTE_BYTES:
-            self._tiles = [self._tile(i, j) for i, j in self._pairs]
 
     def _tile(self, i: int, j: int) -> tuple:
-        """F, F' and F'' between the points of row ranges i and j; the
-        squared distances are summed coordinate by coordinate, and the
-        profile builds one factor in their buffer, so the build holds the
-        three factors and at most one more tile."""
+        """F' and F'' between the points of row ranges i and j.  The squared
+        distances are summed coordinate by coordinate, and the profile
+        builds one factor in their buffer; the f it also returns is dropped
+        at once, so the build holds the two factors and at most one more
+        tile."""
         factors = self.profile._derivatives(
-            _sq_dists(self._x[self._ranges[i]], self._x[self._ranges[j]]), 2)
+            _sq_dists(self._x[self._ranges[i]], self._x[self._ranges[j]]), 2)[1:]
         # D vanishes on the diagonal, so F' and F'' enter the split sums only
-        # off it (the identity term of K12 adds f'(0) back in apply); zeros
-        # there spare the split terms their largest cancellation
+        # off it (the identity term of K12 and f(0) q add the diagonal back
+        # in apply); zeros there spare the split terms their largest
+        # cancellation
         if i == j:
-            for factor in factors[1:]:
+            for factor in factors:
                 np.fill_diagonal(factor, 0.0)
         return factors
 
     def _products(self, *groups) -> list:
         """factor_k^T @ a for every per-point array a (n, ...) in groups[k],
-        with factors F, F', F'' in that order; one matrix product per
-        factor and tile side.
+        with factors F' and F'' in that order; one matrix product per factor
+        and tile side.
 
         Each group's features are stacked feature-major, (w, n), and each
         factor keeps one (w, n) accumulator.  Every product is
@@ -491,6 +537,8 @@ class _RadialOperator:
                     result[:, cols] += features[:, rows] @ factor
                 if i != j:
                     result[:, rows] += features[:, cols] @ factor.T
+            # a streamed tile goes before the next one is built
+            del tile, factor
         products = []
         for group, result in zip(groups, out):
             widths = np.cumsum([a[0].size for a in group])[:-1]
@@ -501,16 +549,19 @@ class _RadialOperator:
     def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
         x = self._x
         q_x = q[:, :, None] * x[:, None, :]
+        a_q = self._affine[:, None] * q
         if u is None:
-            (Fq,), (Fpq, Fpqx) = self._products([q], [q, q_x])
+            ((Fpq, Fpqx, Fpaq),) = self._products([q, q_x, a_q])
         else:
             u = _times_jac(u, self.jac, "nde,nef->ndf")
             w = np.einsum("ide,ie->id", u, x)
             w_x = w[:, :, None] * x[:, None, :]
             u_x = u[:, :, :, None] * x[:, None, None, :]
-            (Fq,), (Fpq, Fpqx, Fpw, Fpu), (Fppw, Fppwx, Fppu, Fppux) = self._products(
-                [q], [q, q_x, w, u], [w, w_x, u, u_x])
-        vals = Fq
+            (Fpq, Fpqx, Fpaq, Fpw, Fpu), (Fppw, Fppwx, Fppu, Fppux) = self._products(
+                [q, q_x, a_q, w, u], [w, w_x, u, u_x])
+        vals = (Fpaq + self._b * (self._sq_norms[:, None] * Fpq
+                                  - 2.0 * np.einsum("jdc,jc->jd", Fpqx, x))
+                + self._f0 * q)
         dvals = 2.0 * (Fpq[:, :, None] * x[:, None, :] - Fpqx)
         if u is not None:
             vals = vals + 2.0 * (Fpw - np.einsum("jde,je->jd", Fpu, x))

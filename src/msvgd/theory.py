@@ -351,7 +351,8 @@ def stein_fisher_particles(ensemble, kernel, field) -> float:
                                                       + tr(H_b grad12 k(t_b,t_j) H_j)].
 
     The second sum is sum_b <H_b, dvals_b>_F with (_, dvals) the kernel
-    operator's apply(op, Hinv) over the particles (``kernels.kernel_operator``):
+    operator's apply(op, Hinv) over the particles (``kernels.kernel_operator``,
+    which builds each tile inside the one apply instead of caching them):
     its dvals_b pairs grad1 k with op and grad12 k with H_j^T, which is H_j
     because every mirror map's inverse Hessian is symmetric.  The operator
     reduces through matrix products of fixed shape, so a given ensemble

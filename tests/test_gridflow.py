@@ -667,12 +667,12 @@ class TestKernelOperator:
         # at most ten rows per tile: 64 nodes in seven ranges of 9 or 10
         # rows, 144 in fifteen of 9 or 10
         monkeypatch.setattr(kernels, "TILE_ROWS", 10)
-        flow.kernel_operator = kernels.kernel_operator(flow.kernel, flow.theta)
+        flow.kernel_operator = kernels.cached_kernel_operator(flow.kernel, flow.theta)
         assert flow.kernel_operator._tiles is not None
         assert len(flow.kernel_operator._ranges) == -(-flow.grid.size // 10)
         cached = [flow.g_field(density, form=form) for form in forms]
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
-        flow.kernel_operator = kernels.kernel_operator(flow.kernel, flow.theta)
+        flow.kernel_operator = kernels.cached_kernel_operator(flow.kernel, flow.theta)
         assert flow.kernel_operator._tiles is None
         for form, tiled, reference in zip(forms, cached, single):
             streamed = flow.g_field(density, form=form)
@@ -722,13 +722,14 @@ class TestKernelOperator:
 
     @staticmethod
     def _radial_flow_peaks():
-        """(operator, tracemalloc peak) of a 48 x 48 Dirichlet flow and one
-        step, for imq and dual-imq."""
+        """(operator, tracemalloc peak of the build, peak of the build and
+        one step) of a 48 x 48 Dirichlet flow, for imq and dual-imq."""
         target = dirichlet_target((5.0, 5.0, 5.0))
         for kernel in (IMQKernel(), make_kernel("dual-imq", mirror_map=target.map)):
             tracemalloc.start()
             try:
                 flow = MirroredFlow(target, kernel, nodes=48)
+                build = tracemalloc.get_traced_memory()[1]
                 flow.run(gamma=1e-3, steps=1)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -736,26 +737,33 @@ class TestKernelOperator:
             assert isinstance(flow.kernel_operator, kernels._RadialOperator)
             assert flow.grid.size == 2304
             assert len(flow.kernel_operator._ranges) == 4
-            yield flow.kernel_operator, peak
+            yield flow.kernel_operator, build, peak
 
     def test_radial_flow_builds_no_gram_blocks(self):
-        for operator, peak in self._radial_flow_peaks():
+        for operator, build, peak in self._radial_flow_peaks():
+            # the 10 upper tiles of F' and F'' over four ranges of 576 rows
             assert operator._tiles is not None
-            # Four ranges of 576 rows: the 10 upper tiles of the three
-            # factors are 80 MB, and the peak reads 82 MB for either kernel.
-            # The three full n x n factors were 127 MB (peak 130 MB); gram
+            assert all(len(tile) == 2 for tile in operator._tiles)
+            stored = sum(factor.nbytes for tile in operator._tiles for factor in tile)
+            assert stored == kernels._cached_tile_bytes(2304) == 53_084_160
+            # The build peaks at 56 MB for either kernel: the stored tiles
+            # and one spare.  A stored F would add 27 MB (the three factors
+            # peaked at 80 MB, their full n x n matrices at 130 MB); gram
             # blocks would be 1 + d + d^2 = 7 n x n arrays (297 MB), and on
             # them the same flow and step peaked at 637 MB for imq and
             # 638 MB for dual-imq.
-            assert peak < 88e6
+            assert build < 62e6
+            assert peak < 62e6
 
     def test_radial_flow_streams_one_tile_at_a_time(self, monkeypatch):
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
-        for operator, peak in self._radial_flow_peaks():
+        for operator, _, peak in self._radial_flow_peaks():
             assert operator._tiles is None
-            # one tile's three factors are 8 MB; the peak reads 18 MB for
-            # either kernel
-            assert peak < 22e6
+            # one tile's two factors and the spare its build takes are
+            # 8 MB; the peak reads 10.5 MB for either kernel.  Holding the
+            # previous tile's three factors while building the next read
+            # 18 MB.
+            assert peak < 14e6
 
 
 # ---------------------------------------------------------------------------

@@ -319,10 +319,9 @@ def test_radial_streaming_matches_precomputed(rng, monkeypatch, d):
     assert len(single._ranges) == 1
     # at most seven rows per tile: six ranges of 6 or 7 rows, 21 upper tiles
     monkeypatch.setattr(kernels, "TILE_ROWS", 7)
-    cached = kernels.kernel_operator(kernel, theta)
+    cached = kernels.cached_kernel_operator(kernel, theta)
     assert cached._tiles is not None
     assert [r.stop - r.start for r in cached._ranges] == [6, 6, 6, 6, 6, 7]
-    monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
     streaming = kernels.kernel_operator(kernel, theta)
     assert streaming._tiles is None
     for uu in (None, u):
@@ -361,9 +360,8 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
     # a general u: g_field's weighted Hinv times dual-imq's J is near w I
     u = rng.standard_normal((n, 2, 2))
     monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
-    if not cached:
-        monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
-    operator = kernels.kernel_operator(DualIMQKernel(mirror_map), theta)
+    build = kernels.cached_kernel_operator if cached else kernels.kernel_operator
+    operator = build(DualIMQKernel(mirror_map), theta)
     assert len(operator._ranges) == ranges
     assert (operator._tiles is not None) == cached
     calls = []
@@ -376,9 +374,9 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
     monkeypatch.setattr(operator, "_products", recorded)
     operator.apply(q, None)
     operator.apply(q, u)
-    assert [len(groups) for groups, _ in calls] == [2, 3]
+    assert [len(groups) for groups, _ in calls] == [1, 2]
     # apply(q, u) multiplies by u J, which is not symmetric
-    u_j = calls[1][0][1][3]
+    u_j = calls[1][0][0][4]
     assert np.min(np.abs(u_j - u_j.transpose(0, 2, 1))[:, 0, 1]) > 0.0
     for groups, got in calls:
         for got_parts, want in zip(got, _row_major_products(operator, *groups)):
@@ -464,3 +462,21 @@ def test_rbf_one_pass_matches_closed_forms(rng, bandwidth):
         for got, want in zip(RBFKernel(bandwidth=bandwidth)._derivatives(t.copy(), order),
                              (f, fp)):
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("profile", [
+    *(pytest.param(IMQKernel(c=c, beta=beta), id=f"imq-c{c}-beta{beta}")
+      for c in (0.3, 1.0, 2.7) for beta in (-0.999, -0.5, -0.1)),
+    *(pytest.param(RBFKernel(bandwidth=h), id=f"rbf-h{h}") for h in (0.05, 1.0, 30.0)),
+])
+def test_profile_is_its_slope_times_an_affine_function(rng, profile):
+    # f = (a + b t) f' is how the point-set operator sums f without storing it
+    t = np.concatenate([[0.0], 10.0 ** rng.uniform(-12.0, 4.0, 4000),
+                        rng.uniform(0.0, 1e4, 1000)])
+    f, fp = profile._derivatives(t.copy(), 1)
+    a, b = profile._affine_ratio()
+    # where f' is a normal double; rbf's tail below that loses digits by design
+    keep = np.abs(fp) >= np.finfo(float).tiny
+    assert np.count_nonzero(keep) > 1000
+    err = np.abs((a + b * t[keep]) * fp[keep] - f[keep])
+    assert np.all(err <= 1e-15 * f[keep])
