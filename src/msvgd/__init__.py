@@ -14,8 +14,8 @@ from .targets import (
     MirroredPowerLaw,
     MirroredTarget,
     TruncatedGaussian,
+    certified_profile,
     make_target,
-    smoothness_profile,
 )
 from .theory import (
     Certificate,
@@ -45,7 +45,7 @@ __all__ = [
     "MirroredTarget",
     "TruncatedGaussian",
     "make_target",
-    "smoothness_profile",
+    "certified_profile",
     "SmoothnessProfile",
     "Certificate",
     "certify",

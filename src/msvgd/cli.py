@@ -20,7 +20,6 @@ from . import engine, theory
 from .config import apply_overrides, build_runtime, config_from_dict, load_config
 from .errors import ConfigError, DomainError, NumericsError
 from .gridflow import MirroredFlow, descent_check, fisher_norm_margins
-from .targets import smoothness_profile
 
 REPORT_FILE = "report.json"
 VERIFY_CSV_FILE = "verify.csv"
@@ -82,10 +81,7 @@ def _write_verify_csv(path: Path, records, gamma: float) -> None:
 
 
 def _profile_dict(profile) -> dict:
-    values = {
-        name: getattr(profile, name)
-        for name in ("l0", "l1", "c_p", "p", "lam", "c_pi_p", "alpha")
-    }
+    values = {name: getattr(profile, name) for name in theory._PROFILE_FIELDS}
     values["provenance"] = {name: profile.tag(name) for name in values}
     return values
 
@@ -186,6 +182,8 @@ def _verify_bounds(flow, bundle, gamma: float, steps: int) -> tuple:
 
 def _cmd_verify(args) -> int:
     cfg = load_config(_resolve_config_path(args.target))
+    out_dir = _prepare_out_dir(args.out, args.force,
+                               (REPORT_FILE, VERIFY_CSV_FILE, engine.MANIFEST_FILE))
     bundle = build_runtime(cfg)
     if bundle.kernel.adaptive:
         raise ConfigError(
@@ -217,8 +215,6 @@ def _cmd_verify(args) -> int:
         "grid_nodes": flow.grid.shape,
         **report,
     }
-    out_dir = _prepare_out_dir(args.out, args.force,
-                               (REPORT_FILE, VERIFY_CSV_FILE, engine.MANIFEST_FILE))
     _write_json(out_dir / REPORT_FILE, report)
     _write_verify_csv(out_dir / VERIFY_CSV_FILE, records, gamma)
     engine.write_manifest(
@@ -244,7 +240,7 @@ def _cmd_theory(args) -> int:
     if not 0.0 < args.eps < math.inf:
         raise ConfigError(f"--eps needs a finite eps > 0, got {args.eps!r}")
     cfg = load_config(_resolve_config_path(args.target))
-    raw = cfg.to_dict()
+    raw = dict(cfg.to_dict(), gamma="theorem")
     if args.map is not None:
         raw["map"] = args.map
         raw.pop("map_params", None)
@@ -252,32 +248,17 @@ def _cmd_theory(args) -> int:
         raw["kernel"] = args.kernel
         raw.pop("kernel_params", None)
     cfg = config_from_dict(raw)
-    bundle = build_runtime(cfg, resolve_gamma=False)
-    if bundle.kernel.adaptive:
-        raise ConfigError(
-            "the median-heuristic bandwidth has no fixed kernel constants; "
-            "pick a fixed bandwidth for the constants report"
-        )
-    profile = smoothness_profile(bundle.mirrored)
-    if profile is None:
-        raise ConfigError(
-            "no growth constants are available for this target; the Hessian "
-            "growth bound does not hold, so there is nothing to report"
-        )
-    profile = profile.with_values("user", alpha=cfg.alpha)
-    if args.p is not None and args.p != profile.p:
-        raise ConfigError(
-            f"growth exponent p={args.p} does not match the target's "
-            f"exponent {profile.p}"
-        )
+    out_dir = None
+    if args.out is not None:
+        out_dir = _prepare_out_dir(args.out, args.force, (THEORY_FILE, engine.MANIFEST_FILE))
+    certificate = build_runtime(cfg).certificate
+    profile = certificate.profile
     if args.lam is not None:
         profile = profile.with_values("user", lam=args.lam)
 
-    dim = bundle.dim
-    kernel_bounds = bundle.kernel.bounds()
-    strong_convexity = bundle.mirror_map.strong_convexity
-    certificate = theory.certify(bundle.mirrored, profile, kernel_bounds, strong_convexity, dim)
-    profile = certificate.profile
+    dim = certificate.dim
+    kernel_bounds = certificate.kernel_bounds
+    strong_convexity = certificate.strong_convexity
     kl0 = certificate.kl0_upper
     gamma_general = certificate.fixed_cap
     w_p = theory.w_p_to_point_mass(profile.p, dim)
@@ -308,10 +289,8 @@ def _cmd_theory(args) -> int:
         },
     }
     print(_dump_json(report))
-    if args.out is not None:
+    if out_dir is not None:
         started = time.perf_counter()
-        out_dir = _prepare_out_dir(args.out, args.force,
-                                   (THEORY_FILE, engine.MANIFEST_FILE))
         _write_json(out_dir / THEORY_FILE, report)
         engine.write_manifest(
             out_dir, cfg,
@@ -369,8 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="config JSON path or preset name")
     theo.add_argument("--map", default=None, help="override the mirror map name")
     theo.add_argument("--kernel", default=None, help="override the kernel name")
-    theo.add_argument("-p", type=float, default=None,
-                      help="growth exponent (must match the target's)")
     theo.add_argument("--lambda", dest="lam", type=float, default=None,
                       help="transport inequality constant")
     theo.add_argument("--eps", type=float, default=1e-2,

@@ -4,7 +4,8 @@ A config file is a single flat JSON object.  load_config() rejects unknown
 keys by name, fills defaults, and performs every check that does not require
 running anything expensive; build_runtime() turns a validated config into the
 live objects a run needs (map, target, kernel, resolved step size, and for
-a "theorem" step size the certificate that prices it).
+a "theorem" step size the certificate that prices it).  ``msvgd theory``
+prices its report through the same "theorem" path.
 """
 
 from __future__ import annotations
@@ -324,18 +325,18 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
     if gamma_mode == "theorem":
         if profile is None:
             raise ConfigError(
-                "gamma \"theorem\" needs certified growth constants (l0, l1, c_p, p) "
-                f"and none are cataloged for target {cfg.target!r} under map {cfg.map!r}; "
-                "pass an explicit gamma"
+                "a certified step size needs growth constants (l0, l1, c_p, p) that "
+                f"hold by derivation, and none are cataloged for target {cfg.target!r} "
+                f"under map {cfg.map!r}; a run here takes only an explicit gamma"
             )
         if kernel.adaptive:
             raise ConfigError(
-                "gamma \"theorem\" needs fixed kernel bounds; "
+                "a certified step size needs fixed kernel bounds; "
                 "a median-heuristic bandwidth changes every step"
             )
         if dim > 2:
             raise ConfigError(
-                "gamma \"theorem\" prices its constants by dual-space quadrature, "
+                "a certified step size prices its constants by dual-space quadrature, "
                 f"available for dim <= 2 only (target has dim {dim})"
             )
 

@@ -4,9 +4,11 @@ A constrained target lives on the open primal domain and exposes the
 unnormalized log density with its gradient.  Wrapping it with a mirror map
 gives the mirrored target: the potential V of the dual-space density and its
 gradient, built entirely from certified primal primitives.  The module also
-carries the smoothness catalog: analytic growth constants where a closed form
-exists, an envelope fitted on a sampled cloud otherwise, and None when the
-potential is known not to admit the Hessian growth bound at all.
+carries the smoothness catalog, keyed by (target class, map class): growth
+constants that hold by derivation for the power law and the Gaussian on R^d
+under the identity map and for the Dirichlet under the entropic simplex map.
+``certified_profile`` is its one lookup; it returns None for any other pair,
+and for a power law whose potential admits no Hessian growth bound at all.
 """
 
 import numpy as np
@@ -273,50 +275,18 @@ def _dirichlet_entropic_profile(concentration):
     )
 
 
-def _fd_hessian_norms(mirrored, x, h=1e-5):
-    n, d = x.shape
-    cols = np.empty((n, d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = h
-        cols[:, :, k] = (mirrored.grad_potential(x + e) - mirrored.grad_potential(x - e)) / (2.0 * h)
-    sym = 0.5 * (cols + np.swapaxes(cols, 1, 2))
-    return np.max(np.abs(np.linalg.eigvalsh(sym)), axis=1)
-
-
-def _empirical_profile(mirrored, samples, rng):
-    gen = np.random.default_rng(20240817) if rng is None else rng
-    d = mirrored.dim
-    # Cloud spanning several length scales so growth shows up in the fit.
-    scales = np.geomspace(0.25, 8.0, num=8)
-    per = max(samples // scales.shape[0], 2)
-    x = np.concatenate([s * gen.standard_normal((per, d)) for s in scales], axis=0)
-    grad = np.asarray(mirrored.grad_potential(x), dtype=float)
-    gnorm = np.sqrt(np.sum(grad * grad, axis=1))
-    hnorm = _fd_hessian_norms(mirrored, x)
-    # Envelope hess <= l0 + l1 * grad over the cloud: scan slopes, keep the
-    # pair with the smallest induced cloud-level smoothness l0 + l1 * mean.
-    best = None
-    for l1 in np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 61)]):
-        l0 = float(np.max(hnorm - l1 * gnorm))
-        if l0 < 0.0:
-            l0 = 0.0
-        score = l0 + l1 * float(np.mean(gnorm))
-        if best is None or score < best[0]:
-            best = (score, l0, float(l1))
-    _, l0, l1 = best
-    radius = np.sqrt(np.sum(x * x, axis=1))
-    far = radius >= np.quantile(radius, 0.9)
-    with np.errstate(divide="ignore"):
-        slope = np.polyfit(np.log(radius[far]), np.log(np.maximum(gnorm[far], 1e-300)), 1)[0]
-    p = float(max(1.0, slope))
-    c_p = float(np.max(gnorm / (radius ** p + 1.0))) * (1.0 + 1e-9)
+def _gaussian_euclidean_profile(base):
+    if base.lo is not None:
+        return None  # under the identity chart the box edge is a jump in V
+    # V = (x - mu)' P (x - mu) / 2, so hess V = P and
+    # ||grad V|| <= ||P|| (||x|| + ||mu||) <= ||P|| max(1, ||mu||) (||x|| + 1).
+    l0 = float(np.linalg.norm(base.precision, 2))
     return SmoothnessProfile(
         l0=l0,
-        l1=l1,
-        c_p=max(c_p, 1e-12),
-        p=p,
-        provenance={"l0": "empirical", "l1": "empirical", "c_p": "empirical", "p": "empirical"},
+        l1=0.0,
+        c_p=l0 * max(1.0, float(np.linalg.norm(base.mean))),
+        p=1.0,
+        provenance={"l0": "analytic", "l1": "analytic", "c_p": "analytic", "p": "analytic"},
     )
 
 
@@ -325,38 +295,23 @@ def _empirical_profile(mirrored, samples, rng):
 _PROFILE_CATALOG = {
     (MirroredPowerLaw, EuclideanMap): lambda base: _power_law_profile(base.power, base.scale),
     (Dirichlet, EntropicSimplexMap): lambda base: _dirichlet_entropic_profile(base.concentration),
+    (TruncatedGaussian, EuclideanMap): _gaussian_euclidean_profile,
 }
 
 
-def _catalog_key(mirrored) -> tuple:
-    return type(mirrored.base), type(mirrored.map)
-
-
 def certified_profile(mirrored):
-    """Catalog growth constants, or None when only fitted estimates exist.
+    """Growth constants of a mirrored target, from the catalog.
 
-    Only profiles whose constants hold by derivation may back a "theorem"
-    step size; the sampled-envelope fallback in smoothness_profile is
-    advisory and deliberately not accepted here.
+    Every returned constant holds by derivation and is tagged "analytic".
+    Returns None for a pair the catalog does not cover, for a boxed Gaussian
+    under the identity map, and for a power law whose potential does not
+    satisfy the Hessian growth bound; then only a user-supplied step size
+    can drive a run.
     """
-    rule = _PROFILE_CATALOG.get(_catalog_key(mirrored))
+    if not isinstance(mirrored, MirroredTarget):
+        raise ConfigError(f"no profile rule for target of type {type(mirrored).__name__}")
+    rule = _PROFILE_CATALOG.get((type(mirrored.base), type(mirrored.map)))
     return None if rule is None else rule(mirrored.base)
-
-
-def smoothness_profile(target, samples=100_000, rng=None):
-    """Growth constants for a mirrored target.
-
-    Catalog entries are returned with "analytic" provenance; anything else
-    falls back to an envelope fitted on a sampled dual-space cloud, tagged
-    "empirical" and advisory by construction.  Returns None when the
-    potential is known not to satisfy the Hessian growth bound (then only a
-    user-supplied step size can drive a run).
-    """
-    if not isinstance(target, MirroredTarget):
-        raise ConfigError(f"no profile rule for target of type {type(target).__name__}")
-    if _catalog_key(target) in _PROFILE_CATALOG:
-        return certified_profile(target)
-    return _empirical_profile(target, samples, rng)
 
 
 _TARGETS = {

@@ -50,8 +50,10 @@ class SmoothnessProfile:
     inequality constant (W_p^2 <= 2 KL / lam, usable for p in [1, 2]),
     ``c_pi_p`` an optional exponential-moment constant, and ``alpha`` > 1 the
     free split parameter of the step-size formula.  ``provenance`` tags each
-    field "analytic", "empirical", or "user" (the default for untagged
-    fields).
+    field: "analytic" for a catalog constant that holds by derivation
+    (``msvgd.targets.certified_profile``), "empirical" only for a ``c_pi_p``
+    that ``certify`` priced by quadrature, and "user" for anything set by
+    hand (the default for untagged fields).
     """
 
     l0: float
@@ -697,9 +699,10 @@ class Certificate:
 def certify(target, profile: SmoothnessProfile, kernel_bounds: tuple[float, float],
             strong_convexity: float, dim: int) -> Certificate:
     """Price the constants of the descent certificate once: ``c_pi_p`` by
-    quadrature when the profile lacks it (tagged "empirical"), then the
-    initial-KL upper bound, then the fixed step size.  Both quadratures
-    share one bracketing of the target's dual density."""
+    quadrature when the profile lacks it (tagged "empirical", the only
+    constant the library tags so), then the initial-KL upper bound, then the
+    fixed step size.  Both quadratures share one bracketing of the target's
+    dual density."""
     grid, vals = _target_grid(target, None)
     if profile.c_pi_p is None:
         profile = profile.with_values("empirical",

@@ -33,7 +33,7 @@ from msvgd.targets import (
     MirroredPowerLaw,
     MirroredTarget,
     TruncatedGaussian,
-    smoothness_profile,
+    certified_profile,
 )
 
 
@@ -221,7 +221,7 @@ def test_criterion_08_initial_kl_bound():
     margins = {}
     for name, base in cases.items():
         target = MirroredTarget(base, EuclideanMap(1))
-        profile = smoothness_profile(target)
+        profile = certified_profile(target)
         bound = theory.kl0_upper_bound(target, profile, dim=1)
         grid = grid_for_target(target)
         reference = GridDensity.normalized(grid, -target.potential(grid.nodes))

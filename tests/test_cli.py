@@ -8,6 +8,7 @@ import pytest
 
 from msvgd import cli, theory
 from msvgd.gridflow import MirroredFlow
+from msvgd.targets import certified_profile
 
 PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
@@ -47,6 +48,20 @@ BOX_1D = {
     "steps": 5,
     "seed": 1,
     "gamma": 0.01,
+}
+
+
+# the Gaussian on R^2 under the identity map, a cataloged pair; a fit of its
+# constants on sampled points gives c_p 2.2746, under the true 2.3264
+GAUSSIAN_2D = {
+    "map": "euclidean",
+    "kernel": "imq",
+    "target": "truncated-gaussian",
+    "target_params": {"mean": [0.2, -0.3], "cov": [[1.0, 0.2], [0.2, 0.5]]},
+    "particles": 30,
+    "steps": 20,
+    "seed": 3,
+    "gamma": "theorem",
 }
 
 
@@ -226,6 +241,12 @@ class TestRunCommand:
         assert "'particles' = 1000000000 needs about 15360000000000 bytes" in err
         assert not out.exists()
 
+    def test_theorem_step_on_the_gaussian_on_rd(self, tmp_path):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(dict(GAUSSIAN_2D, gamma=0.01)))
+        assert cli.main(["run", "--config", str(path), "--gamma", "theorem",
+                         "--steps", "2", "--out", str(tmp_path / "out")]) == 0
+
     def test_preset_name_resolution(self, tmp_path):
         out = tmp_path / "out"
         code = cli.main(["run", "--config", "dirichlet-simplex-d2",
@@ -374,6 +395,26 @@ class TestVerifyCommand:
         assert cli.main(args) == 0
         assert cli.main(args) == 2
 
+    def test_occupied_out_directory_exits_two_before_any_flow(self, quartic_config, tmp_path,
+                                                               monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("an occupied --out must be refused before the flow is built")
+
+        out = tmp_path / "v"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")
+        monkeypatch.setattr(MirroredFlow, "__init__", fail)
+        code = cli.main(["verify", "--suite", "descent",
+                         "--target", str(quartic_config), "--out", str(out)])
+        assert code == 2
+        assert "already contains manifest.json" in capsys.readouterr().err
+
+    def test_descent_suite_on_the_gaussian_on_rd(self, tmp_path):
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(GAUSSIAN_2D))
+        assert cli.main(["verify", "--suite", "descent", "--target", str(path),
+                         "--out", str(tmp_path / "v"), "--steps", "3"]) == 0
+
 
 class TestTheoryCommand:
     def test_quartic_preset_reports_positive_gamma(self, capsys):
@@ -438,14 +479,57 @@ class TestTheoryCommand:
         out = tmp_path / "th"
         code = cli.main(["theory", "--target", str(box_config), "--out", str(out)])
         assert code == 2
-        assert_box_map_refused(capsys.readouterr())
+        captured = capsys.readouterr()
+        assert ("none are cataloged for target 'truncated-gaussian' under map "
+                "'entropic-box'") in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
         assert not (out / "theory.json").exists()
         assert not (out / "report.json").exists()
 
-    def test_p_mismatch_exits_two(self, capsys):
-        code = cli.main(["theory", "--target", "quartic-1d-descent", "-p", "2.0"])
+    def test_box_map_is_refused_before_pricing(self, box_config, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("an uncataloged pair must be refused before pricing")
+
+        monkeypatch.setattr(theory, "certify", fail)
+        assert cli.main(["theory", "--target", str(box_config)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_growth_exponent_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["theory", "--target", "quartic-1d-descent", "-p", "2.0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -p" in capsys.readouterr().err
+
+    def test_occupied_out_directory_exits_two_before_pricing(self, quartic_config, tmp_path,
+                                                              capsys, pricing_calls):
+        out = tmp_path / "th"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}")
+        code = cli.main(["theory", "--target", str(quartic_config), "--out", str(out)])
         assert code == 2
-        assert "does not match" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "already contains manifest.json" in captured.err
+        assert captured.out == ""
+        assert pricing_calls == {"c_pi_p": 0, "kl0_upper_bound": 0}
+
+    def test_gaussian_on_rd_is_priced_from_the_catalog(self, tmp_path, capsys):
+        from msvgd.config import build_runtime, config_from_dict
+
+        path = tmp_path / "gauss.json"
+        path.write_text(json.dumps(GAUSSIAN_2D))
+        assert cli.main(["theory", "--target", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        for name in ("l0", "l1", "c_p", "p"):
+            assert report["profile"]["provenance"][name] == "analytic"
+        assert report["profile"]["c_p"] == pytest.approx(2.3264265, rel=1e-7)
+
+        bundle = build_runtime(config_from_dict(dict(GAUSSIAN_2D, gamma=0.01)))
+        certificate = theory.certify(bundle.mirrored, certified_profile(bundle.mirrored),
+                                     bundle.kernel.bounds(), bundle.mirror_map.strong_convexity,
+                                     bundle.dim)
+        assert report["gamma"]["general"] == certificate.fixed_cap
+        assert report["gamma"]["general"] == pytest.approx(2.0199e-3, rel=1e-4)
 
     def test_map_override_changes_report(self, tmp_path, capsys):
         code = cli.main(["theory", "--target", "quartic-1d-descent",

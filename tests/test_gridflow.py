@@ -35,7 +35,7 @@ from msvgd.gridflow import (
 )
 from msvgd.kernels import IMQKernel, RBFKernel, RescaledKernel, make_kernel
 from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
-from msvgd.targets import Dirichlet, MirroredPowerLaw, MirroredTarget, smoothness_profile
+from msvgd.targets import Dirichlet, MirroredPowerLaw, MirroredTarget, certified_profile
 
 
 def quartic_target():
@@ -963,7 +963,7 @@ class TestFlowRuns:
     def test_quartic_descent_with_theorem_step(self):
         target = quartic_target()
         kernel = IMQKernel()
-        certificate = theory.certify(target, smoothness_profile(target), kernel.bounds(), 1.0, 1)
+        certificate = theory.certify(target, certified_profile(target), kernel.bounds(), 1.0, 1)
         flow = MirroredFlow(target, kernel)
         gamma = certificate.fixed_cap
         assert gamma > 0.0
@@ -981,7 +981,7 @@ class TestFlowRuns:
 
     def test_certificate_cap_is_the_exact_per_state_cap(self):
         target, kernel = quartic_target(), IMQKernel()
-        profile = smoothness_profile(target).with_values("user", c_pi_p=2.5)
+        profile = certified_profile(target).with_values("user", c_pi_p=2.5)
         certificate = theory.certify(target, profile, kernel.bounds(), 1.0, 1)
         flow = MirroredFlow(target, kernel, nodes=512, halfwidth=6.0)
         for rec in flow.run(certificate.fixed_cap, steps=3)["records"]:
@@ -992,7 +992,7 @@ class TestFlowRuns:
 
     def test_descent_check_refuses_a_certificate_for_another_setting(self):
         target, kernel = quartic_target(), IMQKernel()
-        profile = smoothness_profile(target).with_values("user", c_pi_p=2.5)
+        profile = certified_profile(target).with_values("user", c_pi_p=2.5)
         flow = MirroredFlow(target, kernel, nodes=512, halfwidth=6.0)
         out = flow.run(gamma=0.01, steps=1)
         other = theory.certify(target, profile, RBFKernel(0.5).bounds(), 1.0, 1)

@@ -20,8 +20,8 @@ from msvgd.targets import (
     MirroredPowerLaw,
     MirroredTarget,
     TruncatedGaussian,
+    certified_profile,
     make_target,
-    smoothness_profile,
 )
 
 
@@ -227,7 +227,7 @@ def euclidean_power_law(**params):
 
 class TestSmoothnessCatalog:
     def test_power_law_constants(self):
-        prof = smoothness_profile(euclidean_power_law(power=4.0, dim=1))
+        prof = certified_profile(euclidean_power_law(power=4.0, dim=1))
         assert prof.l0 == pytest.approx(4.0 * 27.0, rel=1e-14)
         assert prof.l1 == 1.0
         assert prof.c_p == 4.0
@@ -235,16 +235,16 @@ class TestSmoothnessCatalog:
         assert prof.tag("l0") == "analytic"
 
     def test_standard_normal_constants(self):
-        prof = smoothness_profile(euclidean_power_law(power=2.0, scale=0.5, dim=3))
+        prof = certified_profile(euclidean_power_law(power=2.0, scale=0.5, dim=3))
         assert (prof.l0, prof.l1, prof.c_p, prof.p) == (1.0, 0.0, 1.0, 1.0)
 
     def test_subquadratic_power_has_no_profile(self):
-        assert smoothness_profile(euclidean_power_law(power=1.5, dim=1)) is None
+        assert certified_profile(euclidean_power_law(power=1.5, dim=1)) is None
 
     def test_power_law_envelope_certified(self, rng):
         # ||hess V|| <= l0 + l1 ||grad V|| sampled over several scales.
         mirrored = euclidean_power_law(power=4.0, dim=1)
-        prof = smoothness_profile(mirrored)
+        prof = certified_profile(mirrored)
         for scale in (0.1, 1.0, 5.0, 20.0):
             for x in scale * rng.standard_normal((12, 1)):
                 hess = _fd_hess_norm(mirrored, x)
@@ -252,7 +252,7 @@ class TestSmoothnessCatalog:
                 assert hess / (prof.l0 + prof.l1 * grad) <= 1.0 + 1e-3
 
     def test_dirichlet_entropic_constants(self):
-        prof = smoothness_profile(MirroredTarget(Dirichlet([2.0, 3.0]), EntropicSimplexMap(1)))
+        prof = certified_profile(MirroredTarget(Dirichlet([2.0, 3.0]), EntropicSimplexMap(1)))
         assert prof.l0 == pytest.approx(2.5, rel=1e-14)
         assert prof.l1 == 0.0
         # Vertex gradients: |5*0 - 2| = 2 and |5*1 - 2| = 3.
@@ -262,39 +262,56 @@ class TestSmoothnessCatalog:
 
     def test_dirichlet_entropic_envelope_certified(self, rng):
         mirrored = MirroredTarget(Dirichlet([2.0, 3.0, 4.0]), EntropicSimplexMap(2))
-        prof = smoothness_profile(mirrored)
+        prof = certified_profile(mirrored)
         for x in rng.uniform(-6.0, 6.0, size=(25, 2)):
             hess = _fd_hess_norm(mirrored, x)
             grad = float(np.linalg.norm(mirrored.grad_potential(x)))
             assert hess / (prof.l0 + prof.l1 * grad) <= 1.0 + 1e-3
             assert grad <= prof.c_p * (float(np.linalg.norm(x)) ** prof.p + 1.0) * (1.0 + 1e-9)
 
-    def test_empirical_fallback_envelope(self):
-        base = TruncatedGaussian(np.zeros(1), np.eye(1), lo=[-1.0], hi=[1.0])
-        mirrored = MirroredTarget(base, EntropicBoxMap([-1.0], [1.0]))
-        prof = smoothness_profile(mirrored, samples=2000)
-        assert prof.tag("l0") == "empirical"
-        assert prof.tag("p") == "empirical"
-        assert prof.l0 >= 0.0 and prof.c_p > 0.0 and prof.p >= 1.0
-        again = smoothness_profile(mirrored, samples=2000)
-        assert prof == again  # fixed internal seed: advisory but reproducible
+    def test_gaussian_euclidean_constants(self):
+        base = TruncatedGaussian([0.2, -0.3], [[1.0, 0.2], [0.2, 0.5]])
+        prof = certified_profile(MirroredTarget(base, EuclideanMap(2)))
+        # ||Sigma^-1|| = 1 / lambda_min(Sigma), and ||mu|| < 1
+        want = 1.0 / float(np.min(np.linalg.eigvalsh(base.cov)))
+        assert prof.l0 == pytest.approx(want, rel=1e-13)
+        assert prof.c_p == pytest.approx(want, rel=1e-13)
+        assert (prof.l1, prof.p) == (0.0, 1.0)
+        assert all(prof.tag(name) == "analytic" for name in ("l0", "l1", "c_p", "p"))
+        far = TruncatedGaussian([3.0, -4.0], [[1.0, 0.2], [0.2, 0.5]])
+        assert certified_profile(MirroredTarget(far, EuclideanMap(2))).c_p == pytest.approx(
+            5.0 * want, rel=1e-13)
 
-    def test_empirical_envelope_holds_on_its_cloud(self):
-        base = TruncatedGaussian(np.zeros(1), np.eye(1), lo=[-1.0], hi=[1.0])
-        mirrored = MirroredTarget(base, EntropicBoxMap([-1.0], [1.0]))
-        prof = smoothness_profile(mirrored, samples=500)
-        gen = np.random.default_rng(20240817)
-        x = np.concatenate(
-            [s * gen.standard_normal((max(500 // 8, 2), 1)) for s in np.geomspace(0.25, 8.0, 8)]
-        )
-        grad = mirrored.grad_potential(x)
-        gnorm = np.sqrt(np.sum(grad * grad, axis=1))
-        for xi, gi in zip(x, gnorm):
-            assert _fd_hess_norm(mirrored, xi) <= prof.l0 + prof.l1 * gi + 1e-6
+    def test_gaussian_euclidean_envelope_certified(self, rng):
+        base = TruncatedGaussian([0.5, -1.5], [[2.0, 0.3], [0.3, 0.4]])
+        mirrored = MirroredTarget(base, EuclideanMap(2))
+        prof = certified_profile(mirrored)
+        for x in rng.uniform(-6.0, 6.0, size=(25, 2)):
+            hess = _fd_hess_norm(mirrored, x)
+            grad = float(np.linalg.norm(mirrored.grad_potential(x)))
+            assert hess / (prof.l0 + prof.l1 * grad) <= 1.0 + 1e-3
+            assert grad <= prof.c_p * (float(np.linalg.norm(x)) ** prof.p + 1.0) * (1.0 + 1e-9)
+
+    def test_gaussian_gradient_bound_holds_far_out(self):
+        # Along the top eigenvector of Sigma^-1 the gradient grows at exactly
+        # ||Sigma^-1||, so a slope fitted below that fails at large radii.
+        base = TruncatedGaussian([0.2, -0.3], [[1.0, 0.2], [0.2, 0.5]])
+        mirrored = MirroredTarget(base, EuclideanMap(2))
+        prof = certified_profile(mirrored)
+        top = np.linalg.eigh(base.precision)[1][:, -1]
+        for sign in (1.0, -1.0):
+            for radius in np.geomspace(1.0, 1e6, 25):
+                x = sign * radius * top
+                grad = float(np.linalg.norm(mirrored.grad_potential(x)))
+                assert grad <= prof.c_p * (radius ** prof.p + 1.0) * (1.0 + 1e-12)
+
+    def test_boxed_gaussian_under_the_identity_map_has_no_profile(self):
+        base = TruncatedGaussian([0.0, 0.0], np.eye(2), lo=[-1.0, -1.0], hi=[1.0, 1.0])
+        assert certified_profile(MirroredTarget(base, EuclideanMap(2))) is None
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ConfigError):
-            smoothness_profile(Dirichlet([1.0, 1.0]))
+            certified_profile(Dirichlet([1.0, 1.0]))
 
 
 class TestRegistry:
