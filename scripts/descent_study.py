@@ -30,12 +30,12 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args()
 
-    cfg = load_config(_resolve_config_path(args.config))
+    cfg = load_config(_resolve_config_path(args.config), {})
     bundle = build_runtime(cfg)
     flow = MirroredFlow(bundle.mirrored, bundle.kernel,
                         nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     print(f"base step size: {bundle.gamma:.6g} ({bundle.gamma_mode})")
-    certificate = bundle.certified()
+    certificate = bundle.certificate
 
     rows = []
     for mult in args.multipliers:

@@ -17,7 +17,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msvgd.cli import _resolve_config_path
-from msvgd.config import apply_overrides, build_runtime, load_config
+from msvgd.config import build_runtime, load_config
 from msvgd.engine import init_ensemble, msvgd_step, update_field
 from msvgd.theory import stein_fisher_particles
 
@@ -29,17 +29,16 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    cfg = load_config(_resolve_config_path("dirichlet-simplex-d2"))
-    cfg = apply_overrides(cfg, steps=args.steps, seed=args.seed,
-                          particles=args.particles)
+    cfg = load_config(_resolve_config_path("dirichlet-simplex-d2"),
+                      {"steps": args.steps, "seed": args.seed, "particles": args.particles})
     bundle = build_runtime(cfg)
 
     ens = init_ensemble(cfg.particles, bundle.dim, bundle.mirror_map, cfg.seed)
-    field = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
+    field = update_field(ens, bundle.mirrored, bundle.kernel)
     fisher0 = stein_fisher_particles(ens, bundle.kernel, field)
     for _ in range(cfg.steps):
         ens = msvgd_step(ens, field, bundle.gamma, bundle.mirror_map)
-        field = update_field(ens, bundle.target, bundle.mirror_map, bundle.kernel)
+        field = update_field(ens, bundle.mirrored, bundle.kernel)
     fisher1 = stein_fisher_particles(ens, bundle.kernel, field)
 
     conc = np.asarray(cfg.target_params["concentration"], dtype=float)

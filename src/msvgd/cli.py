@@ -2,8 +2,9 @@
 and the constants report.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric abort.  Every output directory receives a manifest.json; existing
-outputs are never overwritten without --force.
+3 numeric abort.  Each command wires its runtime once, before it writes any
+output.  Every output directory receives a manifest.json; existing outputs
+are never overwritten without --force.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from pathlib import Path
 
 from . import engine, theory
-from .config import apply_overrides, build_runtime, config_from_dict, load_config
+from .config import build_runtime, load_config
 from .errors import ConfigError, DomainError, NumericsError
 from .gridflow import MirroredFlow, descent_check, fisher_norm_margins
 
@@ -91,7 +92,6 @@ def _profile_dict(profile) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(_resolve_config_path(args.config))
     gamma = args.gamma
     if gamma is not None and gamma != "theorem":
         try:
@@ -100,13 +100,15 @@ def _cmd_run(args) -> int:
             raise ConfigError(
                 f"--gamma must be a positive number or \"theorem\", got {gamma!r}"
             ) from None
-    cfg = apply_overrides(cfg, gamma=gamma, steps=args.steps, seed=args.seed,
-                          particles=args.particles)
+    cfg = load_config(_resolve_config_path(args.config),
+                      {"gamma": gamma, "steps": args.steps, "seed": args.seed,
+                       "particles": args.particles})
+    bundle = build_runtime(cfg)
     out_dir = _prepare_out_dir(
         args.out, args.force,
         (engine.TRAJECTORY_FILE, engine.DIAGNOSTICS_FILE, engine.MANIFEST_FILE),
     )
-    summary = engine.run(cfg, out_dir)
+    summary = engine.run(bundle, out_dir)
     print(f"run complete: {summary['steps_completed']} steps, "
           f"{summary['particles']} particles, outputs in {out_dir}")
     return 0
@@ -181,28 +183,31 @@ def _verify_bounds(flow, bundle, gamma: float, steps: int) -> tuple:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(_resolve_config_path(args.target))
-    out_dir = _prepare_out_dir(args.out, args.force,
-                               (REPORT_FILE, VERIFY_CSV_FILE, engine.MANIFEST_FILE))
+    cfg = load_config(_resolve_config_path(args.target), {})
+    # checked without pricing: a certified step size is positive and finite
+    for name, value in (("--gamma", args.gamma), ("--gamma-scale", args.gamma_scale)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    steps = cfg.steps if args.steps is None else args.steps
+    if steps < 1:
+        raise ConfigError(f"verification needs at least one step, got {steps}")
     bundle = build_runtime(cfg)
     if bundle.kernel.adaptive:
         raise ConfigError(
             "verification suites run in the population limit and need a "
             "fixed-bandwidth kernel, not the median heuristic"
         )
-    gamma = float(args.gamma) if args.gamma is not None else bundle.gamma
-    gamma *= args.gamma_scale
-    if not (gamma > 0.0 and math.isfinite(gamma)):
+    out_dir = _prepare_out_dir(args.out, args.force,
+                               (REPORT_FILE, VERIFY_CSV_FILE, engine.MANIFEST_FILE))
+    gamma = (bundle.gamma if args.gamma is None else args.gamma) * args.gamma_scale
+    if not 0.0 < gamma < math.inf:  # the product over- or underflowed
         raise ConfigError(f"resolved step size must be positive and finite, got {gamma}")
-    steps = cfg.steps if args.steps is None else args.steps
-    if steps < 1:
-        raise ConfigError(f"verification needs at least one step, got {steps}")
 
     flow = MirroredFlow(bundle.mirrored, bundle.kernel,
                         nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     started = time.perf_counter()
     if args.suite == "descent":
-        report, records, passed = _verify_descent(flow, bundle.certified(), gamma, steps)
+        report, records, passed = _verify_descent(flow, bundle.certificate, gamma, steps)
     elif args.suite == "lemmas":
         report, records, passed = _verify_lemmas(flow, gamma, steps)
     else:
@@ -239,19 +244,17 @@ def _cmd_verify(args) -> int:
 def _cmd_theory(args) -> int:
     if not 0.0 < args.eps < math.inf:
         raise ConfigError(f"--eps needs a finite eps > 0, got {args.eps!r}")
-    cfg = load_config(_resolve_config_path(args.target))
-    raw = dict(cfg.to_dict(), gamma="theorem")
+    overrides = {"gamma": "theorem"}
     if args.map is not None:
-        raw["map"] = args.map
-        raw.pop("map_params", None)
+        overrides.update(map=args.map, map_params={})
     if args.kernel is not None:
-        raw["kernel"] = args.kernel
-        raw.pop("kernel_params", None)
-    cfg = config_from_dict(raw)
+        overrides.update(kernel=args.kernel, kernel_params={})
+    cfg = load_config(_resolve_config_path(args.target), overrides)
+    bundle = build_runtime(cfg)
     out_dir = None
     if args.out is not None:
         out_dir = _prepare_out_dir(args.out, args.force, (THEORY_FILE, engine.MANIFEST_FILE))
-    certificate = build_runtime(cfg).certificate
+    certificate = bundle.certificate
     profile = certificate.profile
     if args.lam is not None:
         profile = profile.with_values("user", lam=args.lam)

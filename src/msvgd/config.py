@@ -1,15 +1,18 @@
 """Run configuration: flat JSON schema, validation, and object wiring.
 
-A config file is a single flat JSON object.  load_config() rejects unknown
-keys by name, fills defaults, and performs every check that does not require
-running anything expensive; build_runtime() turns a validated config into the
-live objects a run needs (map, target, kernel, resolved step size, and for
-a "theorem" step size the certificate that prices it).  ``msvgd theory``
-prices its report through the same "theorem" path.
+A config file is a single flat JSON object.  config_from_dict() checks it
+against the schema, builds nothing and fills defaults; load_config() merges
+the command line's overrides into the file's object before that one check.
+build_runtime() wires a checked config into the live objects a run needs
+(target, map, kernel, growth constants) and makes every check that relates
+fields to each other.  Each command calls it once, before any output; a
+"theorem" step size is priced on first use, as ``msvgd theory`` prices its
+report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -145,7 +148,8 @@ def _as_params(raw: dict, key: str) -> dict:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    """Validate a parsed JSON object and return the config it describes."""
+    """The config a parsed JSON object describes, checked against the schema
+    only: build_runtime makes the cross-field checks."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a single JSON object")
     for key in sorted(raw):
@@ -178,13 +182,13 @@ def config_from_dict(raw: dict) -> RunConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError(f"config key 'out' must be a string, got {out!r}")
 
-    cfg = RunConfig(
+    return RunConfig(
         map=raw["map"],
         kernel=raw["kernel"],
         target=raw["target"],
         particles=_as_int(raw, "particles", minimum=1),
         steps=_as_int(raw, "steps", minimum=0),
-        seed=_as_int(raw, "seed"),
+        seed=_as_int(raw, "seed", minimum=0),
         gamma=gamma,
         dim=_as_int(raw, "dim", minimum=1),
         cadence=_as_int(raw, "cadence", default=10, minimum=1),
@@ -196,13 +200,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         grid_nodes=_as_int(raw, "grid_nodes", minimum=8),
         grid_halfwidth=_as_number(raw, "grid_halfwidth", minimum=0.0, strict=True),
     )
-    # cross-field checks need the actual objects; build them once and discard
-    build_runtime(cfg, resolve_gamma=False)
-    return cfg
 
 
-def load_config(path) -> RunConfig:
-    """Read and validate a JSON config file."""
+def load_config(path, overrides: dict) -> RunConfig:
+    """Read a JSON config file, replace each key of ``overrides`` whose value
+    is not None (the command line's), and check the result once."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -210,57 +212,48 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    return config_from_dict(raw)
-
-
-def apply_overrides(cfg: RunConfig, gamma=None, steps=None, seed=None, particles=None) -> RunConfig:
-    """Command-line overrides, re-validated through the same path as a file."""
-    raw = cfg.to_dict()
-    if gamma is not None:
-        raw["gamma"] = gamma
-    if steps is not None:
-        raw["steps"] = steps
-    if seed is not None:
-        raw["seed"] = seed
-    if particles is not None:
-        raw["particles"] = particles
+    if isinstance(raw, dict):  # anything else config_from_dict refuses
+        raw.update((key, value) for key, value in overrides.items() if value is not None)
     return config_from_dict(raw)
 
 
 @dataclass
 class RuntimeBundle:
-    """Live objects for one run, with the step size fully resolved.
+    """Live objects for one run.
 
-    ``profile`` holds the cataloged growth constants.  A resolved "theorem"
-    step size carries its ``certificate`` (the priced constants, with
-    ``c_pi_p`` filled in), and ``gamma`` is the certificate's fixed cap.
+    ``profile`` holds the cataloged growth constants, or None.
+    ``certificate`` prices them (``theory.certify``) on first use and is
+    None without a profile.  ``gamma`` is the config's explicit step size
+    or, in "theorem" mode, the certificate's fixed cap.
     """
 
     config: RunConfig
     dim: int
     mirror_map: object
-    target: object
     mirrored: MirroredTarget
     kernel: object
     profile: object
-    gamma: float | None
-    gamma_mode: str
-    certificate: theory.Certificate | None = None
 
-    def certified(self) -> theory.Certificate | None:
-        """The certificate of a resolved "theorem" step size or, for an
-        explicit one, a certificate priced now from the cataloged profile;
-        None when there is no profile."""
-        if self.certificate is not None or self.profile is None:
-            return self.certificate
+    @property
+    def gamma_mode(self) -> str:
+        return "theorem" if self.config.gamma == "theorem" else "explicit"
+
+    @property
+    def gamma(self) -> float:
+        if self.gamma_mode == "theorem":
+            return self.certificate.fixed_cap
+        return float(self.config.gamma)
+
+    @functools.cached_property
+    def certificate(self) -> theory.Certificate | None:
+        if self.profile is None:
+            return None
         return theory.certify(self.mirrored, self.profile, self.kernel.bounds(),
                               self.mirror_map.strong_convexity, self.dim)
 
 
 def _build_map(cfg: RunConfig, dim: int, target):
-    allowed = _MAP_PARAM_KEYS.get(cfg.map)
-    if allowed is None:
-        raise ConfigError(f"unknown mirror map {cfg.map!r}")
+    allowed = _MAP_PARAM_KEYS[cfg.map]  # build_runtime has refused unknown maps
     for key in sorted(cfg.map_params):
         if key not in allowed:
             raise ConfigError(f"unknown map_params key {key!r} for map {cfg.map!r}")
@@ -282,13 +275,9 @@ def _build_map(cfg: RunConfig, dim: int, target):
         raise ConfigError(str(exc)) from None
 
 
-def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
-    """Wire a validated config into live objects.
-
-    With resolve_gamma=False only the structural checks run (used while
-    loading); "theorem" mode is still verified to be available, but the
-    quadrature that prices it is deferred to the actual run.
-    """
+def build_runtime(cfg: RunConfig) -> RuntimeBundle:
+    """Wire a schema-checked config into live objects, making every
+    cross-field check and refusal; prices nothing."""
     target = make_target(cfg.target, cfg.target_params)
     dim = target.dim
     if cfg.dim is not None and cfg.dim != dim:
@@ -321,8 +310,7 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
     if profile is not None and cfg.alpha != profile.alpha:
         profile = profile.with_values("user", alpha=cfg.alpha)
 
-    gamma_mode = "theorem" if cfg.gamma == "theorem" else "explicit"
-    if gamma_mode == "theorem":
+    if cfg.gamma == "theorem":
         if profile is None:
             raise ConfigError(
                 "a certified step size needs growth constants (l0, l1, c_p, p) that "
@@ -340,18 +328,5 @@ def build_runtime(cfg: RunConfig, resolve_gamma: bool = True) -> RuntimeBundle:
                 f"available for dim <= 2 only (target has dim {dim})"
             )
 
-    bundle = RuntimeBundle(
-        config=cfg,
-        dim=dim,
-        mirror_map=mirror_map,
-        target=target,
-        mirrored=mirrored,
-        kernel=kernel,
-        profile=profile,
-        gamma=None if gamma_mode == "theorem" else float(cfg.gamma),
-        gamma_mode=gamma_mode,
-    )
-    if gamma_mode == "theorem" and resolve_gamma:
-        bundle.certificate = bundle.certified()
-        bundle.gamma = bundle.certificate.fixed_cap
-    return bundle
+    return RuntimeBundle(config=cfg, dim=dim, mirror_map=mirror_map, mirrored=mirrored,
+                         kernel=kernel, profile=profile)

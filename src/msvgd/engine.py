@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels, theory
-from .config import RunConfig, RuntimeBundle, build_runtime
+from .config import RunConfig, RuntimeBundle
 from .errors import NumericsError
 
 TRAJECTORY_FILE = "trajectory.csv"
@@ -94,7 +94,7 @@ class ParticleField:
     hinv: np.ndarray
 
 
-def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> ParticleField:
+def update_field(ensemble: ParticleEnsemble, mirrored, kernel) -> ParticleField:
     """Averaged dual-space velocity field evaluated at every particle.
 
     velocity[i] = (1/n) sum_j [ k(t_i, t_j) (Hinv(t_j) s(t_j) + div Hinv(t_j))
@@ -102,10 +102,11 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> Part
 
     with t the primal positions, s the primal score.  The second term is the
     product-rule remainder of the kernel-smoothed divergence; together they
-    make the field a pure average of certified primal primitives.  An
-    adaptive kernel first refreshes its bandwidth from this primal cloud.
+    make the field a pure average of certified primal primitives.  The
+    operand and Hinv come from the mirrored target (MirroredTarget.operand).
+    An adaptive kernel first refreshes its bandwidth from this primal cloud.
     The returned field keeps the operand and Hinv it was built from, for
-    the state's Stein-Fisher snapshot.
+    the state's Stein-Fisher snapshot and smoothness level.
 
     The sums run one row range of r <= TILE_ROWS particles at a time, so
     the peak is one (n, r, d) grad1_gram block and its (n, r) factor (one
@@ -116,10 +117,7 @@ def update_field(ensemble: ParticleEnsemble, target, mirror_map, kernel) -> Part
     n = theta.shape[0]
     if kernel.adaptive:
         kernel.update_bandwidth(theta)
-    score = np.asarray(target.grad_log_density(theta), dtype=float)
-    hinv = np.asarray(mirror_map.hess_psi_inv(theta), dtype=float)
-    div = np.asarray(mirror_map.div_hess_psi_inv(theta), dtype=float)
-    operand = np.einsum("jde,je->jd", hinv, score) + div
+    _, hinv, operand = mirrored.operand(theta)
 
     velocity = np.empty_like(operand)
     for rows in kernels.row_ranges(n):
@@ -199,8 +197,9 @@ class _RunWriter:
         self._diag_fh.close()
 
 
-def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
-    """Execute a configured run, writing trajectory and diagnostics CSVs.
+def run(bundle: RuntimeBundle, out_dir) -> dict:
+    """Execute a run wired by config.build_runtime (a "theorem" step size is
+    priced here), writing trajectory and diagnostics CSVs.
 
     Rows are written at step 0, every cadence-th step, and the final step,
     each after its state is stepped, from the field it was stepped with;
@@ -211,14 +210,12 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
     summary dict (also serialized into the manifest).
     """
     started = time.perf_counter()
-    if bundle is None or bundle.gamma is None:
-        bundle = build_runtime(cfg)
+    cfg = bundle.config
     gamma = bundle.gamma
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     kernel = bundle.kernel
-    target = bundle.target
     mirror_map = bundle.mirror_map
     ensemble = init_ensemble(cfg.particles, bundle.dim, mirror_map, cfg.seed)
 
@@ -228,10 +225,7 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
 
     def snapshot(ens: ParticleEnsemble, field: ParticleField) -> None:
         sf = theory.stein_fisher_particles(ens, kernel, field)
-        if bundle.profile is not None:
-            an = theory.a_n(ens, bundle.mirrored, bundle.profile)
-        else:
-            an = float("nan")
+        an = float("nan") if bundle.profile is None else theory.a_n(field.operand, bundle.profile)
         record = theory.DiagnosticsRecord(step=ens.step_index, stein_fisher=sf,
                                           a_n=an, gamma=gamma)
         bandwidth = getattr(kernel, "bandwidth", float("nan"))
@@ -241,7 +235,7 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
 
     try:
         for step in range(cfg.steps + 1 if cfg.steps > 0 else 0):
-            field = update_field(ensemble, target, mirror_map, kernel)
+            field = update_field(ensemble, bundle.mirrored, kernel)
             stepped = ensemble
             try:
                 if step < cfg.steps:
@@ -264,7 +258,8 @@ def run(cfg: RunConfig, out_dir, bundle: RuntimeBundle | None = None) -> dict:
             "dim": bundle.dim,
             "gamma": gamma,
             "gamma_mode": bundle.gamma_mode,
-            "kl0_upper": None if bundle.certificate is None else bundle.certificate.kl0_upper,
+            "kl0_upper": (bundle.certificate.kl0_upper
+                          if bundle.gamma_mode == "theorem" else None),
             "stein_fisher_first": logged_sf[0] if logged_sf else None,
             "stein_fisher_final": logged_sf[-1] if logged_sf else None,
             "logged_steps": list(writer.logged_steps),

@@ -488,8 +488,9 @@ class _LatticeKernelOperator:
 class MirroredFlow:
     """Quadrature-side mirrored flow for one (target, kernel) pair.
 
-    The target must expose the dual potential and its gradient plus the
-    primal-chart pieces (a MirroredTarget does).  The kernel products of the
+    The target is a MirroredTarget: the flow reads its dual potential and,
+    once per node, its operand (MirroredTarget.operand), whose negation is
+    the potential's gradient.  The kernel products of the
     field go through one kernel operator, built once since the grid never
     moves: FFT convolutions when the kernel is translation invariant and the
     primal nodes are the grid nodes, else kernels.cached_kernel_operator
@@ -515,19 +516,14 @@ class MirroredFlow:
         x = self.grid.nodes
         potential = _potential(mirrored, x)
         self._pi = GridDensity.normalized(self.grid, -potential)
-        self.grad_potential = np.asarray(mirrored.grad_potential(x), dtype=float)
-        self.grad_potential_norm = np.sqrt(
-            np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
 
         self.theta = self.map.grad_psi_star(x)
-        self.hinv = np.asarray(self.map.hess_psi_inv(self.theta), dtype=float)
-        self.div_hinv = np.asarray(self.map.div_hess_psi_inv(self.theta), dtype=float)
-        self.primal_score = np.asarray(
-            mirrored.base.grad_log_density(self.theta), dtype=float
-        )
         # integrated-by-parts operand: Hinv score + div Hinv, the same vector
-        # the particle engine averages
-        self.operand = np.einsum("nde,ne->nd", self.hinv, self.primal_score) + self.div_hinv
+        # the particle engine averages, and -grad V at the nodes
+        self.primal_score, self.hinv, self.operand = mirrored.operand(self.theta)
+        self.grad_potential = -self.operand
+        self.grad_potential_norm = np.sqrt(
+            np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
 
         if kernel.translation_invariant and np.array_equal(self.theta, x):
             self.kernel_operator = _LatticeKernelOperator(kernel, self.grid)

@@ -42,11 +42,14 @@ and one loop over those tiles makes every product.  kernel_operator
 builds each tile inside the loop and drops it before the next, for a
 single apply (the particle snapshot); cached_kernel_operator keeps the
 tiles when they fit in PRECOMPUTE_BYTES, for an operator applied at every
-state (the grid flow).  The features are held feature-major, (w, n) with w
-at most d + 2 d^2 + d^3 (18 in 2-D), so each tile product is a
-(w, rows) @ tile matrix product rather than a transposed tile against a
-narrow (rows, w) block.
+state (the grid flow).  The features are held as (w, n) stacks with w
+at most d + 2 d^2 + d^3 (18 in 2-D), each feature written in place into
+its rows, so each tile product is a (w, rows) @ tile matrix product rather
+than a transposed tile against a narrow (rows, w) block, and an apply
+holds two copies of the features: the stacks and their products.
 """
+
+import math
 
 import numpy as np
 
@@ -92,6 +95,18 @@ def _times_jac(v, jac, subscripts):
     if np.ndim(jac) == 0:
         return v * jac
     return np.einsum(subscripts, v, jac)
+
+
+def _rows(stack, shapes) -> list:
+    """(n, *shape) views of consecutive row blocks of a (w, n) stack of
+    per-point features, one block per trailing shape, to write or read."""
+    n = stack.shape[1]
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(np.moveaxis(stack[start:start + size].reshape(shape + (n,)), -1, 0))
+        start += size
+    return views
 
 
 class Kernel:
@@ -410,10 +425,10 @@ def operator_bytes(n: int, d: int) -> int:
     """About the most bytes that an apply of kernel_operator over n points
     in d dimensions holds at once: the tile it builds, whose build holds
     F', F'' and one spare tile (each tile goes before the next is built),
-    and about three copies of the d^3 + 4 d^2 + 4 d features per point
-    (the arrays stacked, their stacks and the accumulators)."""
+    and two copies of the d^3 + 4 d^2 + 4 d features per point (their
+    feature-major stacks, written in place, and the accumulators)."""
     rows = -(-n // _range_count(n))
-    return 8 * (3 * rows * rows + 3 * n * (d**3 + 4 * d * d + 4 * d))
+    return 8 * (3 * rows * rows + 2 * n * (d**3 + 4 * d * d + 4 * d))
 
 
 def particle_bytes(kernel, n: int, d: int) -> int:
@@ -507,13 +522,12 @@ class _RadialOperator:
                 np.fill_diagonal(factor, 0.0)
         return factors
 
-    def _products(self, *groups) -> list:
-        """factor_k^T @ a for every per-point array a (n, ...) in groups[k],
+    def _products(self, *stacks) -> list:
+        """features @ factor_k, (w, n), for the (w, n) feature stacks[k],
         with factors F' and F'' in that order; one matrix product per factor
         and tile side.
 
-        Each group's features are stacked feature-major, (w, n), and each
-        factor keeps one (w, n) accumulator.  Every product is
+        Each factor keeps one (w, n) accumulator.  Every product is
         features-first: tile (i, j) adds features[:, i] @ tile to range j's
         columns and, off the diagonal, features[:, j] @ tile^T to range
         i's.  These are the sums of tile^T @ features[i], transposed; taken
@@ -521,16 +535,12 @@ class _RadialOperator:
         columns, they ran 1.3 to 1.4 times slower on the 48 x 48 grid's
         four ranges (1.5 times with one BLAS thread).  Every range's first
         term comes from tile (0, j), so it is assigned and the rest are
-        added in a fixed order; the results are transposed back once at the
-        end."""
-        n = self._x.shape[0]
-        stacked = [np.concatenate([a.reshape(n, -1).T for a in group])
-                   for group in groups]
-        out = [np.empty_like(features) for features in stacked]
+        added in a fixed order."""
+        out = [np.empty_like(features) for features in stacks]
         for index, (i, j) in enumerate(self._pairs):
             rows, cols = self._ranges[i], self._ranges[j]
             tile = self._tiles[index] if self._tiles is not None else self._tile(i, j)
-            for factor, features, result in zip(tile, stacked, out):
+            for factor, features, result in zip(tile, stacks, out):
                 if i == 0:
                     result[:, cols] = features[:, rows] @ factor
                 else:
@@ -539,26 +549,39 @@ class _RadialOperator:
                     result[:, rows] += features[:, cols] @ factor.T
             # a streamed tile goes before the next one is built
             del tile, factor
-        products = []
-        for group, result in zip(groups, out):
-            widths = np.cumsum([a[0].size for a in group])[:-1]
-            parts = np.split(result.T, widths, axis=1)
-            products.append([p.reshape(a.shape) for p, a in zip(parts, group)])
-        return products
+        return out
 
     def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
+        # F' multiplies q, q x^T, A q and, with u, w = u J x and u J; F''
+        # multiplies w, w x^T, u J and u J x^T.  Each is written into its
+        # rows of its factor's (w, n) stack and each product read from its
+        # rows of the result, so an apply holds two copies of the features.
         x = self._x
-        q_x = q[:, :, None] * x[:, None, :]
-        a_q = self._affine[:, None] * q
+        n, d = x.shape
+        shapes = [[(d,), (d, d), (d,), (d,), (d, d)], [(d,), (d, d), (d, d), (d, d, d)]]
         if u is None:
-            ((Fpq, Fpqx, Fpaq),) = self._products([q, q_x, a_q])
-        else:
+            shapes = [shapes[0][:3]]
+        # the memory order picks BLAS's summation order; these orders give
+        # the bits the products were pinned with
+        stacks = [np.empty((sum(map(math.prod, group)), n), order="F" if d > 1 else "C")
+                  for group in shapes]
+        features = [_rows(stack, group) for stack, group in zip(stacks, shapes)]
+        features[0][0][...] = q
+        np.multiply(q[:, :, None], x[:, None, :], out=features[0][1])
+        np.multiply(self._affine[:, None], q, out=features[0][2])
+        if u is not None:
+            (_, _, _, w, u_j), (w2, w_x, u_j2, u_x) = features
             u = _times_jac(u, self.jac, "nde,nef->ndf")
-            w = np.einsum("ide,ie->id", u, x)
-            w_x = w[:, :, None] * x[:, None, :]
-            u_x = u[:, :, :, None] * x[:, None, None, :]
-            (Fpq, Fpqx, Fpaq, Fpw, Fpu), (Fppw, Fppwx, Fppu, Fppux) = self._products(
-                [q, q_x, a_q, w, u], [w, w_x, u, u_x])
+            w[...] = w2[...] = np.einsum("ide,ie->id", u, x)
+            u_j[...] = u_j2[...] = u
+            u = u_j  # u J from here on, read from its rows of the F' stack
+            np.multiply(w[:, :, None], x[:, None, :], out=w_x)
+            np.multiply(u[:, :, :, None], x[:, None, None, :], out=u_x)
+        products = [_rows(p, group) for p, group in zip(self._products(*stacks), shapes)]
+        Fpq, Fpqx, Fpaq, *Fpu = products[0]
+        if u is not None:
+            Fpw, Fpu = Fpu
+            Fppw, Fppwx, Fppu, Fppux = products[1]
         vals = (Fpaq + self._b * (self._sq_norms[:, None] * Fpq
                                   - 2.0 * np.einsum("jdc,jc->jd", Fpqx, x))
                 + self._f0 * q)

@@ -232,12 +232,18 @@ class MirroredTarget:
 
     def grad_potential(self, x):
         t, squeeze = _as_batch(x, self.dim)
-        theta = self.map.grad_psi_star(t)
+        # -(a + b) has the bits of (-a) - b, so this is the negated operand
+        return _unbatch(-self.operand(self.map.grad_psi_star(t))[2], squeeze)
+
+    def operand(self, theta):
+        """(s, Hinv, Hinv s + div Hinv) at primal points theta (n, d): the
+        primal score, the inverse mirror Hessians and the operand that the
+        particle field, the grid flow and a_n read, -grad V at
+        x = grad_psi(theta)."""
         score = np.asarray(self.base.grad_log_density(theta), dtype=float)
         hinv = np.asarray(self.map.hess_psi_inv(theta), dtype=float)
-        out = -np.einsum("nde,ne->nd", hinv, score)
-        out = out - np.asarray(self.map.div_hess_psi_inv(theta), dtype=float)
-        return _unbatch(out, squeeze)
+        div = np.asarray(self.map.div_hess_psi_inv(theta), dtype=float)
+        return score, hinv, np.einsum("nde,ne->nd", hinv, score) + div
 
 
 def _power_law_profile(power, scale):

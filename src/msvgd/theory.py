@@ -326,17 +326,16 @@ def iteration_estimate(profile: SmoothnessProfile, eps: float, d: int, mode: str
     return max(1, math.ceil(math.exp(log_n)))
 
 
-def a_n(ensemble, mirrored_target, profile: SmoothnessProfile) -> float:
+def a_n(operand, profile: SmoothnessProfile) -> float:
     """Smoothness level along the current cloud: l0 + l1 * mean ||grad V||.
 
-    Accepts a particle ensemble (its dual positions are used) or a bare
-    (n, d) array of dual points.
+    ``operand`` (n, d) holds -grad V at each particle: the operand of the
+    state's field (``engine.ParticleField``), so no potential gradient is
+    evaluated again.  grad V itself gives the same value.
     """
     if profile.l1 == 0.0:
         return profile.l0
-    dual = np.asarray(getattr(ensemble, "dual", ensemble), dtype=float)
-    grad = np.asarray(mirrored_target.grad_potential(dual), dtype=float)
-    return profile.l0 + profile.l1 * float(np.mean(np.sqrt(np.sum(grad * grad, axis=1))))
+    return profile.l0 + profile.l1 * float(np.mean(np.sqrt(np.sum(operand * operand, axis=1))))
 
 
 def stein_fisher_particles(ensemble, kernel, field) -> float:

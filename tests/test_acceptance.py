@@ -53,7 +53,7 @@ def _read_rows(path):
 def quartic_setup():
     """Criterion 1's run: quartic preset, theorem step size, 200 steps."""
     started = time.perf_counter()
-    cfg = load_config(cli._resolve_config_path("quartic-1d-descent"))
+    cfg = load_config(cli._resolve_config_path("quartic-1d-descent"), {})
     bundle = build_runtime(cfg)
     flow = MirroredFlow(bundle.mirrored, bundle.kernel)
     out = flow.run(bundle.gamma, cfg.steps)
@@ -146,11 +146,12 @@ def test_criterion_05_svgd_reduction():
     kernel = IMQKernel()
     gamma = 0.05
 
+    mirrored = MirroredTarget(target, mirror_map)
     ens = init_ensemble(50, 2, mirror_map, seed=123)
     reference = ens.dual.copy()
     worst = 0.0
     for _ in range(100):
-        ens = msvgd_step(ens, update_field(ens, target, mirror_map, kernel), gamma, mirror_map)
+        ens = msvgd_step(ens, update_field(ens, mirrored, kernel), gamma, mirror_map)
         # independent SVGD oracle: explicit per-particle loop
         score = (mean[None, :] - reference) @ prec
         new = np.empty_like(reference)

@@ -123,6 +123,34 @@ class TestRunCommand:
         assert manifest["config"]["particles"] == 12
         assert manifest["config"]["gamma"] == 0.01
 
+    def test_overrides_are_checked_with_the_file(self, dirichlet_config, tmp_path, capsys):
+        # each override is merged into the file's raw object before its one
+        # schema check, so a bad one is refused by name before any output
+        out = tmp_path / "o"
+        for flag, value, message in (("--gamma", "-1", "'gamma' must be > 0"),
+                                     ("--steps", "-1", "'steps' must be >= 0"),
+                                     ("--particles", "0", "'particles' must be >= 1")):
+            code = cli.main(["run", "--config", str(dirichlet_config), "--out", str(out),
+                             flag, value])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_negative_seed_exits_two_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", "dirichlet-simplex-d2", "--seed", "-1",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config key 'seed' must be >= 0, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(dict(DIRICHLET_SMALL, seed=-1)))
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert "config key 'seed' must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "o")])
@@ -302,10 +330,30 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("flag", ["--gamma", "--gamma-scale"])
     def test_infinite_step_size_exits_two(self, quartic_config, tmp_path, capsys, flag):
+        out = tmp_path / "o"
         code = cli.main(["verify", "--suite", "descent", "--target", str(quartic_config),
-                         "--out", str(tmp_path / "o"), flag, "inf"])
+                         "--out", str(out), flag, "inf"])
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--gamma-scale", "0", "--gamma-scale must be positive and finite, got 0.0"),
+        ("--gamma-scale", "-2", "--gamma-scale must be positive and finite, got -2.0"),
+        ("--gamma-scale", "nan", "--gamma-scale must be positive and finite, got nan"),
+        ("--gamma", "0", "--gamma must be positive and finite, got 0.0"),
+        ("--steps", "0", "verification needs at least one step, got 0"),
+    ])
+    def test_bad_step_arguments_exit_two_before_any_output(self, quartic_config, tmp_path,
+                                                           capsys, pricing_calls, flag, value,
+                                                           message):
+        out = tmp_path / "o"
+        code = cli.main(["verify", "--suite", "descent", "--target", str(quartic_config),
+                         "--out", str(out), flag, value])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert pricing_calls == {"c_pi_p": 0, "kl0_upper_bound": 0}
 
     def test_infinite_grid_halfwidth_exits_two(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
@@ -383,10 +431,17 @@ class TestVerifyCommand:
         cfg = dict(QUARTIC_SMALL, kernel="rbf", kernel_params={"bandwidth": "median"})
         path = tmp_path / "adaptive.json"
         path.write_text(json.dumps(cfg))
-        code = cli.main(["verify", "--suite", "descent",
-                         "--target", str(path), "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        code = cli.main(["verify", "--suite", "descent", "--target", str(path), "--out", str(out)])
         assert code == 2
         assert "median" in capsys.readouterr().err
+        assert not out.exists()
+        # with an explicit gamma the refusal is verify's own, also before --out
+        path.write_text(json.dumps(dict(cfg, gamma=1e-3)))
+        code = cli.main(["verify", "--suite", "descent", "--target", str(path), "--out", str(out)])
+        assert code == 2
+        assert "fixed-bandwidth kernel, not the median heuristic" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refuses_overwrite(self, quartic_config, tmp_path):
         out = tmp_path / "v"
@@ -548,7 +603,7 @@ class TestPresets:
     def test_preset_loads_and_round_trips(self, name):
         from msvgd.config import config_from_dict, load_config
 
-        cfg = load_config(cli._resolve_config_path(name))
+        cfg = load_config(cli._resolve_config_path(name), {})
         assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_preset_named_in_error(self, tmp_path, capsys):
@@ -611,3 +666,36 @@ class TestPricedOnce:
         report = json.loads(capsys.readouterr().out)
         assert pricing_calls == {"c_pi_p": 1, "kl0_upper_bound": 1}
         assert report["profile"]["provenance"]["c_pi_p"] == "empirical"
+
+
+@pytest.fixture
+def wiring_calls(monkeypatch):
+    """Calls to config.make_target, which only build_runtime makes: one per
+    runtime wired."""
+    from msvgd import config
+
+    calls = []
+    original = config.make_target
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(config, "make_target", counting)
+    return calls
+
+
+class TestWiredOnce:
+    def test_run(self, quartic_config, tmp_path, wiring_calls):
+        assert cli.main(["run", "--config", str(quartic_config), "--out", str(tmp_path / "out"),
+                         "--steps", "2", "--seed", "3"]) == 0
+        assert len(wiring_calls) == 1
+
+    def test_verify_descent(self, quartic_config, tmp_path, wiring_calls):
+        assert cli.main(["verify", "--suite", "descent", "--target", str(quartic_config),
+                         "--out", str(tmp_path / "out"), "--steps", "2"]) == 0
+        assert len(wiring_calls) == 1
+
+    def test_theory(self, quartic_config, capsys, wiring_calls):
+        assert cli.main(["theory", "--target", str(quartic_config), "--kernel", "imq"]) == 0
+        assert len(wiring_calls) == 1

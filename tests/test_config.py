@@ -1,4 +1,5 @@
-"""Config schema: defaults, rejection messages, round trips, wiring checks."""
+"""Config schema: defaults, rejection messages and round trips; and the
+cross-field checks, which build_runtime makes when it wires a config."""
 
 import json
 import math
@@ -10,7 +11,6 @@ import pytest
 from msvgd import kernels
 from msvgd.config import (
     RunConfig,
-    apply_overrides,
     build_runtime,
     certified_profile,
     config_from_dict,
@@ -49,21 +49,39 @@ def test_round_trip_is_semantically_identical():
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(MINIMAL, gamma=0.25)))
-    cfg = load_config(path)
+    cfg = load_config(path, {})
     assert cfg.gamma == 0.25
     with pytest.raises(ConfigError, match="not found"):
-        load_config(tmp_path / "missing.json")
+        load_config(tmp_path / "missing.json", {})
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(bad)
+        load_config(bad, {})
+    bad.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="single JSON object"):
+        load_config(bad, {"seed": 3})
+
+
+def test_load_config_merges_overrides_before_its_one_check(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(MINIMAL, gamma=0.25)))
+    cfg = load_config(path, {"gamma": 0.5, "steps": 7, "seed": None})
+    assert (cfg.gamma, cfg.steps, cfg.seed) == (0.5, 7, MINIMAL["seed"])
+    assert cfg == config_from_dict(dict(MINIMAL, gamma=0.5, steps=7))
+    with pytest.raises(ConfigError, match="'gamma' must be > 0"):
+        load_config(path, {"gamma": -1.0})
+
+
+def _wire(raw):
+    """build_runtime on a schema-checked dict: where cross-field checks run."""
+    return build_runtime(config_from_dict(raw))
 
 
 def test_unknown_keys_are_named():
     with pytest.raises(ConfigError, match="bandwith"):
         config_from_dict(dict(MINIMAL, bandwith=2.0))
     with pytest.raises(ConfigError, match="'lo'"):
-        config_from_dict(dict(MINIMAL, map_params={"lo": 0.0}))
+        _wire(dict(MINIMAL, map_params={"lo": 0.0}))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -0.5, "auto", True, float("inf")])
@@ -79,10 +97,31 @@ def test_required_keys_enforced():
         config_from_dict(raw)
 
 
+def test_seed_must_be_non_negative(tmp_path):
+    assert config_from_dict(dict(MINIMAL, seed=0)).seed == 0
+    with pytest.raises(ConfigError, match="'seed' must be >= 0, got -1"):
+        config_from_dict(dict(MINIMAL, seed=-1))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(MINIMAL, seed=-1)))
+    with pytest.raises(ConfigError, match="'seed' must be >= 0"):
+        load_config(path, {})
+
+
+def test_schema_check_builds_nothing(monkeypatch):
+    # a config whose wiring fails still passes the schema; build_runtime
+    # refuses it
+    raw = dict(MINIMAL, dim=3)
+    monkeypatch.setattr("msvgd.config.make_target", None)
+    assert config_from_dict(raw).dim == 3
+    monkeypatch.undo()
+    with pytest.raises(ConfigError, match="dim 3"):
+        _wire(raw)
+
+
 def test_theorem_gamma_needs_certified_constants():
     raw = dict(MINIMAL, target_params={"power": 1.5})
     with pytest.raises(ConfigError, match="l0, l1, c_p, p"):
-        config_from_dict(raw)
+        _wire(raw)
     boxed = {
         "map": "entropic-box",
         "kernel": "imq",
@@ -93,16 +132,16 @@ def test_theorem_gamma_needs_certified_constants():
         "seed": 0,
     }
     with pytest.raises(ConfigError, match="l0, l1, c_p, p"):
-        config_from_dict(boxed)
+        _wire(boxed)
     # same configs are fine once gamma is explicit
-    config_from_dict(dict(raw, gamma=0.1))
-    config_from_dict(dict(boxed, gamma=0.1))
+    _wire(dict(raw, gamma=0.1))
+    _wire(dict(boxed, gamma=0.1))
 
 
 def test_theorem_gamma_rejects_adaptive_kernel_and_high_dim():
     raw = dict(MINIMAL, kernel="rbf", kernel_params={"bandwidth": "median"})
     with pytest.raises(ConfigError, match="median"):
-        config_from_dict(raw)
+        _wire(raw)
     high = {
         "map": "entropic-simplex",
         "kernel": "imq",
@@ -113,12 +152,12 @@ def test_theorem_gamma_rejects_adaptive_kernel_and_high_dim():
         "seed": 0,
     }
     with pytest.raises(ConfigError, match="dim <= 2"):
-        config_from_dict(high)
+        _wire(high)
 
 
 def test_dim_and_domain_cross_checks():
     with pytest.raises(ConfigError, match="dim 3"):
-        config_from_dict(dict(MINIMAL, dim=3))
+        _wire(dict(MINIMAL, dim=3))
     mismatched = {
         "map": "euclidean",
         "kernel": "imq",
@@ -130,7 +169,7 @@ def test_dim_and_domain_cross_checks():
         "gamma": 0.1,
     }
     with pytest.raises(ConfigError, match="simplex"):
-        config_from_dict(mismatched)
+        _wire(mismatched)
 
 
 def test_box_map_bounds_come_from_target():
@@ -145,12 +184,12 @@ def test_box_map_bounds_come_from_target():
         "seed": 0,
         "gamma": 0.1,
     }
-    bundle = build_runtime(config_from_dict(raw))
+    bundle = _wire(raw)
     assert isinstance(bundle.mirror_map, EntropicBoxMap)
     assert np.allclose(bundle.mirror_map.lo, [-1.0, -2.0])
     assert np.allclose(bundle.mirror_map.hi, [1.0, 2.0])
     with pytest.raises(ConfigError, match="do not match"):
-        config_from_dict(dict(raw, map_params={"lo": [-1.0, -1.0], "hi": [1.0, 2.0]}))
+        _wire(dict(raw, map_params={"lo": [-1.0, -1.0], "hi": [1.0, 2.0]}))
 
 
 @pytest.mark.parametrize("key, value", [
@@ -173,10 +212,10 @@ def test_particle_count_is_refused_only_past_physical_memory():
     rows = kernels.TILE_ROWS
     ranges = memory // (8 * rows * rows * 2)
     largest, past = rows * ranges, rows * (ranges + 1)
-    assert config_from_dict(dict(MINIMAL, particles=largest)).particles == largest
+    assert _wire(dict(MINIMAL, particles=largest)).config.particles == largest
     with pytest.raises(ConfigError,
                        match=rf"'particles' = {past} needs about {8 * past * rows * 2} bytes"):
-        config_from_dict(dict(MINIMAL, particles=past))
+        _wire(dict(MINIMAL, particles=past))
 
 
 def test_median_bandwidth_refresh_is_priced_at_two_square_blocks():
@@ -185,25 +224,17 @@ def test_median_bandwidth_refresh_is_priced_at_two_square_blocks():
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     largest = math.isqrt(memory // 16)
     median = dict(MINIMAL, kernel="rbf", kernel_params={"bandwidth": "median"}, gamma=0.1)
-    assert config_from_dict(dict(median, particles=largest)).particles == largest
+    assert _wire(dict(median, particles=largest)).config.particles == largest
     with pytest.raises(ConfigError, match=rf"'particles' = {largest + 1} needs about "
                                           rf"{16 * (largest + 1) ** 2} bytes"):
-        config_from_dict(dict(median, particles=largest + 1))
+        _wire(dict(median, particles=largest + 1))
     # a fixed bandwidth takes the field's price, which that count fits
     fixed = dict(median, kernel_params={"bandwidth": 1.0}, particles=largest + 1)
-    assert config_from_dict(fixed).particles == largest + 1
-
-
-def test_overrides_revalidate():
-    cfg = config_from_dict(dict(MINIMAL))
-    bumped = apply_overrides(cfg, gamma=0.2, steps=7, seed=9, particles=3)
-    assert (bumped.gamma, bumped.steps, bumped.seed, bumped.particles) == (0.2, 7, 9, 3)
-    with pytest.raises(ConfigError):
-        apply_overrides(cfg, gamma=-1.0)
+    assert _wire(fixed).config.particles == largest + 1
 
 
 def test_certified_profile_covers_catalog_only():
-    quartic = build_runtime(config_from_dict(dict(MINIMAL, gamma=0.1)))
+    quartic = _wire(dict(MINIMAL, gamma=0.1))
     assert quartic.profile is not None
     assert quartic.profile.tag("l0") == "analytic"
 
@@ -215,6 +246,6 @@ def test_certified_profile_covers_catalog_only():
 
 
 def test_alpha_override_lands_in_profile():
-    bundle = build_runtime(config_from_dict(dict(MINIMAL, gamma=0.1, alpha=3.0)))
+    bundle = _wire(dict(MINIMAL, gamma=0.1, alpha=3.0))
     assert bundle.profile.alpha == 3.0
     assert bundle.profile.tag("alpha") == "user"

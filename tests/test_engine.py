@@ -24,7 +24,7 @@ from msvgd.engine import (
 from msvgd.errors import NumericsError
 from msvgd.kernels import DualIMQKernel, IMQKernel, RBFKernel, RescaledKernel
 from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
-from msvgd.targets import Dirichlet, MirroredPowerLaw, TruncatedGaussian
+from msvgd.targets import Dirichlet, MirroredPowerLaw, MirroredTarget, TruncatedGaussian
 
 from conftest import sample_box_interior, sample_simplex_interior
 
@@ -61,7 +61,7 @@ def test_svgd_reduction_trajectory():
     reference = ensemble.primal.copy()
     worst = 0.0
     for _ in range(100):
-        velocity = update_field(ensemble, target, mirror_map, kernel)
+        velocity = update_field(ensemble, MirroredTarget(target, mirror_map), kernel)
         ensemble = msvgd_step(ensemble, velocity, gamma, mirror_map)
         reference = _reference_svgd_step(reference, mean, prec, gamma)
         worst = max(worst, float(np.max(np.abs(ensemble.primal - reference))))
@@ -96,7 +96,7 @@ def test_two_particle_oracle():
     ensemble = ParticleEnsemble(primal=theta[:, None],
                                 dual=mirror_map.grad_psi(theta[:, None]))
 
-    field = update_field(ensemble, target, mirror_map, kernel)
+    field = update_field(ensemble, MirroredTarget(target, mirror_map), kernel)
     assert np.max(np.abs(field.velocity[:, 0] - v)) <= 1e-12
 
     stepped = msvgd_step(ensemble, field, gamma, mirror_map)
@@ -111,7 +111,7 @@ def test_single_particle_symmetric_point_is_stationary():
     kernel = IMQKernel(c=1.0, beta=-0.5)
     theta = np.array([[0.5]])
     ensemble = ParticleEnsemble(primal=theta, dual=mirror_map.grad_psi(theta))
-    field = update_field(ensemble, target, mirror_map, kernel).velocity
+    field = update_field(ensemble, MirroredTarget(target, mirror_map), kernel).velocity
     assert field.shape == (1, 1)
     assert field[0, 0] == 0.0
 
@@ -121,7 +121,7 @@ def test_zero_step_is_bitwise_identity():
     target = Dirichlet([5.0, 5.0, 5.0])
     kernel = IMQKernel()
     ensemble = init_ensemble(16, 2, mirror_map, seed=3)
-    velocity = update_field(ensemble, target, mirror_map, kernel)
+    velocity = update_field(ensemble, MirroredTarget(target, mirror_map), kernel)
     stepped = msvgd_step(ensemble, velocity, 0.0, mirror_map)
     assert np.array_equal(stepped.dual, ensemble.dual)
     assert np.array_equal(stepped.primal, ensemble.primal)
@@ -134,12 +134,12 @@ def test_permutation_equivariance(rng):
     kernel = IMQKernel()
     theta = sample_simplex_interior(rng, 17, 2, margin=1e-3)
     ensemble = ParticleEnsemble(primal=theta, dual=mirror_map.grad_psi(theta))
-    field = update_field(ensemble, target, mirror_map, kernel).velocity
+    field = update_field(ensemble, MirroredTarget(target, mirror_map), kernel).velocity
 
     perm = rng.permutation(17)
     shuffled = ParticleEnsemble(primal=theta[perm],
                                 dual=ensemble.dual[perm])
-    field_perm = update_field(shuffled, target, mirror_map, kernel).velocity
+    field_perm = update_field(shuffled, MirroredTarget(target, mirror_map), kernel).velocity
     assert np.max(np.abs(field_perm - field[perm])) <= 1e-12
 
 
@@ -171,12 +171,12 @@ def _field_kernel(kernel_name, mirror_map):
 @pytest.mark.parametrize("map_name", ["simplex", "box", "euclidean"])
 def test_field_row_ranges_give_the_same_bits(rng, monkeypatch, map_name, kernel_name):
     mirror_map, target, theta = _field_inputs(rng, map_name, 37, 2)
-    ensemble = SimpleNamespace(primal=theta)
-    whole = update_field(ensemble, target, mirror_map, _field_kernel(kernel_name, mirror_map))
+    ensemble, mirrored = SimpleNamespace(primal=theta), MirroredTarget(target, mirror_map)
+    whole = update_field(ensemble, mirrored, _field_kernel(kernel_name, mirror_map))
     # at most seven rows per range: six ranges of 6 or 7 rows
     monkeypatch.setattr(kernels, "TILE_ROWS", 7)
     assert len(kernels.row_ranges(37)) == 6
-    ranged = update_field(ensemble, target, mirror_map, _field_kernel(kernel_name, mirror_map))
+    ranged = update_field(ensemble, mirrored, _field_kernel(kernel_name, mirror_map))
     for got, want in zip((ranged.velocity, ranged.operand, ranged.hinv),
                          (whole.velocity, whole.operand, whole.hinv)):
         assert got.tobytes() == want.tobytes()
@@ -195,12 +195,13 @@ def test_field_is_permutation_equivariant_over_row_ranges(seed, map_name, kernel
                                                           tile_rows):
     gen = np.random.default_rng(seed)
     mirror_map, target, theta = _field_inputs(gen, map_name, n, d)
+    mirrored = MirroredTarget(target, mirror_map)
     perm = gen.permutation(n)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "TILE_ROWS", tile_rows)
-        field = update_field(SimpleNamespace(primal=theta), target, mirror_map,
+        field = update_field(SimpleNamespace(primal=theta), mirrored,
                              _field_kernel(kernel_name, mirror_map)).velocity
-        shuffled = update_field(SimpleNamespace(primal=theta[perm]), target, mirror_map,
+        shuffled = update_field(SimpleNamespace(primal=theta[perm]), mirrored,
                                 _field_kernel(kernel_name, mirror_map)).velocity
     assert np.max(np.abs(shuffled - field[perm])) <= 1e-13 * np.max(np.abs(field))
 
@@ -213,7 +214,7 @@ def test_field_holds_one_row_block_at_a_time():
     assert len(kernels.row_ranges(1000)) == 2
     tracemalloc.start()
     try:
-        update_field(ensemble, bundle.target, bundle.mirror_map, bundle.kernel)
+        update_field(ensemble, bundle.mirrored, bundle.kernel)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,7 +234,7 @@ def test_stepping_is_deterministic():
         ensemble = init_ensemble(25, 2, mirror_map, seed=11)
         states = []
         for _ in range(30):
-            velocity = update_field(ensemble, target, mirror_map, kernel)
+            velocity = update_field(ensemble, MirroredTarget(target, mirror_map), kernel)
             ensemble = msvgd_step(ensemble, velocity, 0.05, mirror_map)
             states.append(ensemble.dual.copy())
         return states
@@ -249,7 +250,7 @@ def test_feasibility_and_chart_consistency():
     kernel = IMQKernel()
     ensemble = init_ensemble(30, 2, mirror_map, seed=5)
     for _ in range(100):
-        velocity = update_field(ensemble, target, mirror_map, kernel)
+        velocity = update_field(ensemble, MirroredTarget(target, mirror_map), kernel)
         ensemble = msvgd_step(ensemble, velocity, 0.05, mirror_map)
         theta = ensemble.primal
         assert np.all(theta > 0.0)
@@ -300,7 +301,7 @@ def _read_csv(path):
 
 def test_run_writes_cadenced_rows(tmp_path):
     cfg = _dirichlet_config()
-    summary = run(cfg, tmp_path / "out")
+    summary = run(build_runtime(cfg), tmp_path / "out")
 
     rows = _read_csv(tmp_path / "out" / "diagnostics.csv")
     assert rows[0] == ["step", "stein_fisher", "a_n", "gamma", "bandwidth", "wallclock_ms"]
@@ -330,7 +331,7 @@ def test_run_writes_cadenced_rows(tmp_path):
 
 def test_run_zero_steps_header_only(tmp_path):
     cfg = _dirichlet_config(steps=0)
-    summary = run(cfg, tmp_path / "out")
+    summary = run(build_runtime(cfg), tmp_path / "out")
     diag = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     traj = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert len(diag) == 1 and len(traj) == 1
@@ -341,8 +342,8 @@ def test_run_zero_steps_header_only(tmp_path):
 def test_run_outputs_deterministic_modulo_wallclock(tmp_path):
     cfg = _dirichlet_config(steps=40, kernel="rbf",
                             kernel_params={"bandwidth": "median"})
-    run(cfg, tmp_path / "a")
-    run(cfg, tmp_path / "b")
+    run(build_runtime(cfg), tmp_path / "a")
+    run(build_runtime(cfg), tmp_path / "b")
 
     traj_a = (tmp_path / "a" / "trajectory.csv").read_bytes()
     traj_b = (tmp_path / "b" / "trajectory.csv").read_bytes()
@@ -359,7 +360,7 @@ def test_run_records_numeric_abort(tmp_path):
     cfg = _dirichlet_config(particles=4, steps=50, gamma=1e8,
                             target_params={"concentration": [0.5, 0.5, 0.5]})
     with pytest.raises(NumericsError):
-        run(cfg, tmp_path / "out")
+        run(build_runtime(cfg), tmp_path / "out")
 
     rows = _read_csv(tmp_path / "out" / "diagnostics.csv")
     assert [int(r[0]) for r in rows[1:]] == [0]  # final valid state kept
@@ -386,7 +387,7 @@ def test_run_builds_one_field_per_state(tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "msvgd_step", counting("msvgd_step", engine.msvgd_step))
     monkeypatch.setattr(engine, "update_field", counting("update_field", engine.update_field))
     monkeypatch.setattr(bundle.kernel, "gram", counting("gram", bundle.kernel.gram))
-    summary = run(cfg, tmp_path / "out", bundle=bundle)
+    summary = run(bundle, tmp_path / "out")
     assert summary["logged_steps"] == [0, 10, 20, 25]
     assert calls == {"msvgd_step": steps, "update_field": steps + 1, "gram": steps + 1}
 
@@ -396,7 +397,7 @@ def test_run_logs_the_median_bandwidth_of_each_logged_state(tmp_path):
     cfg = config_from_dict(dict(json.loads(preset.read_text()), kernel="rbf",
                                 kernel_params={"bandwidth": "median"},
                                 particles=30, steps=3, cadence=1))
-    run(cfg, tmp_path / "out")
+    run(build_runtime(cfg), tmp_path / "out")
 
     traj = _read_csv(tmp_path / "out" / "trajectory.csv")
     diag = _read_csv(tmp_path / "out" / "diagnostics.csv")
@@ -421,7 +422,7 @@ def test_run_theorem_gamma_resolves(tmp_path):
     bundle = build_runtime(cfg)
     assert bundle.gamma_mode == "theorem"
     assert 0 < bundle.gamma < 1e-2
-    summary = run(cfg, tmp_path / "out", bundle=bundle)
+    summary = run(bundle, tmp_path / "out")
     assert summary["gamma"] == bundle.gamma
     rows = _read_csv(tmp_path / "out" / "diagnostics.csv")
     assert all(float(r[3]) == bundle.gamma for r in rows[1:])

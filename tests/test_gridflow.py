@@ -598,7 +598,7 @@ class TestSteinFisher:
         vals = []
         for seed in (0, 1, 2):
             ens = init_ensemble(4000, 1, target.map, seed)
-            field = update_field(ens, target.base, target.map, kernel)
+            field = update_field(ens, target, kernel)
             vals.append(stein_fisher_particles(ens, kernel, field))
         assert np.mean(vals) == pytest.approx(quad, rel=0.1)
 
@@ -754,6 +754,26 @@ class TestKernelOperator:
             # 638 MB for dual-imq.
             assert build < 62e6
             assert peak < 62e6
+
+    def test_flow_build_evaluates_the_operand_once(self, monkeypatch):
+        # grad V at the nodes is the negated operand, so the build reads the
+        # chart, the mirror Hessians and the score once each (twice when it
+        # evaluated grad V on its own)
+        calls = {}
+        for cls, name in ((EntropicSimplexMap, "grad_psi_star"),
+                          (EntropicSimplexMap, "hess_psi_inv"),
+                          (EntropicSimplexMap, "div_hess_psi_inv"),
+                          (Dirichlet, "grad_log_density")):
+            def counting(self, *args, _name=name, _original=getattr(cls, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+        flow = MirroredFlow(dirichlet_target((5.0, 5.0, 5.0)), IMQKernel(), nodes=48)
+        assert flow.grid.size == 2304
+        assert calls == {"grad_psi_star": 1, "hess_psi_inv": 1, "div_hess_psi_inv": 1,
+                         "grad_log_density": 1}
+        assert np.array_equal(flow.grad_potential, flow.target.grad_potential(flow.grid.nodes))
 
     def test_radial_flow_streams_one_tile_at_a_time(self, monkeypatch):
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)

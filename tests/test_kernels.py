@@ -330,13 +330,12 @@ def test_radial_streaming_matches_precomputed(rng, monkeypatch, d):
         _assert_products_close(streaming.apply(q, uu), single.apply(q, uu))
 
 
-def _row_major_products(operator, *groups):
+def _row_major_products(operator, *stacks):
     """The oracle for _RadialOperator._products: the same tile loop taken
-    point-major, with features stacked (n, w), tile^T @ features[i] into
-    range j's rows and, off the diagonal, tile @ features[j] into range
-    i's, in the same tile order."""
-    n = operator._x.shape[0]
-    stacked = [np.concatenate([a.reshape(n, -1) for a in group], axis=1) for group in groups]
+    point-major, on the (n, w) transposes of the feature stacks,
+    tile^T @ features[i] into range j's rows and, off the diagonal,
+    tile @ features[j] into range i's, in the same tile order."""
+    stacked = [np.ascontiguousarray(features.T) for features in stacks]
     out = [np.empty_like(features) for features in stacked]
     for index, (i, j) in enumerate(operator._pairs):
         rows, cols = operator._ranges[i], operator._ranges[j]
@@ -367,22 +366,22 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
     calls = []
     products = operator._products
 
-    def recorded(*groups):
-        calls.append((groups, products(*groups)))
+    def recorded(*stacks):
+        calls.append(([s.copy() for s in stacks], products(*stacks)))
         return calls[-1][1]
 
     monkeypatch.setattr(operator, "_products", recorded)
     operator.apply(q, None)
     operator.apply(q, u)
-    assert [len(groups) for groups, _ in calls] == [1, 2]
-    # apply(q, u) multiplies by u J, which is not symmetric
-    u_j = calls[1][0][0][4]
+    assert [len(stacks) for stacks, _ in calls] == [1, 2]
+    # apply(q, u) multiplies by u J, which is not symmetric; it is the last
+    # feature of the F' stack, after q, q x^T, A q and w
+    u_j = kernels._rows(calls[1][0][0], [(2,), (2, 2), (2,), (2,), (2, 2)])[4]
     assert np.min(np.abs(u_j - u_j.transpose(0, 2, 1))[:, 0, 1]) > 0.0
-    for groups, got in calls:
-        for got_parts, want in zip(got, _row_major_products(operator, *groups)):
-            got_flat = np.concatenate([p.reshape(n, -1) for p in got_parts], axis=1)
-            assert got_flat.shape == want.shape
-            assert np.all(np.abs(got_flat - want) <= 1e-15 * np.max(np.abs(want), axis=0))
+    for stacks, got in calls:
+        for got_stack, want in zip(got, _row_major_products(operator, *stacks)):
+            assert got_stack.T.shape == want.shape
+            assert np.all(np.abs(got_stack.T - want) <= 1e-15 * np.max(np.abs(want), axis=0))
 
 
 @pytest.mark.parametrize("n", [5, 8, 9, 1], ids=["below-tile", "one-tile", "tile-plus-one", "one-point"])

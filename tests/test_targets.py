@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     fd_gradient,
     rel_err,
@@ -16,6 +18,7 @@ from conftest import (
 from msvgd.errors import ConfigError, DomainError
 from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
 from msvgd.targets import (
+    _PROFILE_CATALOG,
     Dirichlet,
     MirroredPowerLaw,
     MirroredTarget,
@@ -223,6 +226,38 @@ def _fd_hess_norm(mirrored, x, h=1e-5):
 def euclidean_power_law(**params):
     base = MirroredPowerLaw(**params)
     return MirroredTarget(base, EuclideanMap(base.dim))
+
+
+def _mirrored_pairs(gen, d):
+    """A random target under each cataloged (target, map) pair, and on the box."""
+    lo, hi = -np.ones(d), np.linspace(1.0, 2.0, d)
+    a = gen.standard_normal((d, d))
+    return {
+        (MirroredPowerLaw, EuclideanMap): MirroredTarget(
+            MirroredPowerLaw(gen.uniform(1.5, 4.0), gen.uniform(0.5, 2.0), dim=d),
+            EuclideanMap(d)),
+        (Dirichlet, EntropicSimplexMap): MirroredTarget(
+            Dirichlet(gen.uniform(0.5, 5.0, d + 1)), EntropicSimplexMap(d)),
+        (TruncatedGaussian, EuclideanMap): MirroredTarget(
+            TruncatedGaussian(gen.standard_normal(d), a @ a.T + np.eye(d)), EuclideanMap(d)),
+        (TruncatedGaussian, EntropicBoxMap): MirroredTarget(
+            TruncatedGaussian(np.zeros(d), a @ a.T + np.eye(d), lo=lo, hi=hi),
+            EntropicBoxMap(lo, hi)),
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 3), n=st.integers(1, 20))
+def test_grad_potential_is_the_negated_operand(seed, d, n):
+    # the field, the grid flow and a_n read the operand, and the flow's
+    # dual score ratio reads grad V: both must be one formula, bit for bit
+    gen = np.random.default_rng(seed)
+    pairs = _mirrored_pairs(gen, d)
+    assert set(_PROFILE_CATALOG) <= set(pairs)
+    for mirrored in pairs.values():
+        x = 3.0 * gen.standard_normal((n, d))
+        _, _, operand = mirrored.operand(mirrored.map.grad_psi_star(x))
+        assert mirrored.grad_potential(x).tobytes() == (-operand).tobytes()
 
 
 class TestSmoothnessCatalog:
