@@ -2,9 +2,11 @@
 and the constants report.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric abort.  Each command wires its runtime once, before it writes any
-output.  Every output directory receives a manifest.json; existing outputs
-are never overwritten without --force.
+3 numeric abort.  Each command wires its runtime once and checks --out
+before it writes any output; --out itself is made only when the first
+output file is written, so a refusal leaves nothing behind.  Every output
+directory receives a manifest.json; existing outputs are never overwritten
+without --force.
 """
 
 from __future__ import annotations
@@ -47,9 +49,14 @@ def _resolve_config_path(name: str) -> Path:
     )
 
 
-def _prepare_out_dir(out: str, force: bool, filenames: tuple) -> Path:
+def _check_out_dir(out: str, force: bool, filenames: tuple) -> Path:
+    """--out as a path, refused when it or one of its parents is a file, or
+    when it already holds one of ``filenames`` (unless ``force``); nothing
+    is created here."""
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {out_dir}: {path} is an existing file, not a directory")
     existing = [name for name in filenames if (out_dir / name).exists()]
     if existing and not force:
         raise ConfigError(
@@ -64,6 +71,8 @@ def _dump_json(obj) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
+    # the first output verify and theory write, so it makes --out
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_dump_json(obj) + "\n", encoding="utf-8")
 
 
@@ -104,7 +113,7 @@ def _cmd_run(args) -> int:
                       {"gamma": gamma, "steps": args.steps, "seed": args.seed,
                        "particles": args.particles})
     bundle = build_runtime(cfg)
-    out_dir = _prepare_out_dir(
+    out_dir = _check_out_dir(
         args.out, args.force,
         (engine.TRAJECTORY_FILE, engine.DIAGNOSTICS_FILE, engine.MANIFEST_FILE),
     )
@@ -197,8 +206,13 @@ def _cmd_verify(args) -> int:
             "verification suites run in the population limit and need a "
             "fixed-bandwidth kernel, not the median heuristic"
         )
-    out_dir = _prepare_out_dir(args.out, args.force,
-                               (REPORT_FILE, VERIFY_CSV_FILE, engine.MANIFEST_FILE))
+    if args.suite == "lemmas" and bundle.dim != 1:
+        raise ConfigError(
+            "the lemmas suite compares the primal-chart field form, implemented "
+            f"for d=1 only (target has dim {bundle.dim})"
+        )
+    out_dir = _check_out_dir(args.out, args.force,
+                             (REPORT_FILE, VERIFY_CSV_FILE, engine.MANIFEST_FILE))
     gamma = (bundle.gamma if args.gamma is None else args.gamma) * args.gamma_scale
     if not 0.0 < gamma < math.inf:  # the product over- or underflowed
         raise ConfigError(f"resolved step size must be positive and finite, got {gamma}")
@@ -246,14 +260,14 @@ def _cmd_theory(args) -> int:
         raise ConfigError(f"--eps needs a finite eps > 0, got {args.eps!r}")
     overrides = {"gamma": "theorem"}
     if args.map is not None:
-        overrides.update(map=args.map, map_params={})
+        overrides["map"] = args.map
     if args.kernel is not None:
         overrides.update(kernel=args.kernel, kernel_params={})
     cfg = load_config(_resolve_config_path(args.target), overrides)
     bundle = build_runtime(cfg)
     out_dir = None
     if args.out is not None:
-        out_dir = _prepare_out_dir(args.out, args.force, (THEORY_FILE, engine.MANIFEST_FILE))
+        out_dir = _check_out_dir(args.out, args.force, (THEORY_FILE, engine.MANIFEST_FILE))
     certificate = bundle.certificate
     profile = certificate.profile
     if args.lam is not None:
@@ -268,9 +282,8 @@ def _cmd_theory(args) -> int:
     gamma_tp = None
     iters_tp = None
     if profile.lam is not None:
-        gamma_tp = theory.step_size_bound_tp(
-            profile, kernel_bounds, strong_convexity, dim, kl0
-        )
+        gamma_tp = theory.step_size_bound(profile, kernel_bounds, strong_convexity, dim, kl0,
+                                          "tp")
         iters_tp = theory.iteration_estimate(profile, args.eps, dim, mode="tp")
 
     report = {

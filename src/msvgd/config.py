@@ -19,8 +19,6 @@ import numbers
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 from .kernels import make_kernel, particle_bytes
 from .mirrors import make_map
@@ -33,8 +31,6 @@ _OPTIONAL_KEYS = (
     "dim",
     "cadence",
     "alpha",
-    "out",
-    "map_params",
     "kernel_params",
     "target_params",
     "grid_nodes",
@@ -42,13 +38,6 @@ _OPTIONAL_KEYS = (
 )
 _ALLOWED_KEYS = frozenset(_REQUIRED_KEYS + _OPTIONAL_KEYS)
 
-# lo/hi are the only map parameters that exist today; everything else about a
-# map is determined by its name and the run dimension.
-_MAP_PARAM_KEYS = {
-    "euclidean": frozenset(),
-    "entropic-simplex": frozenset(),
-    "entropic-box": frozenset({"lo", "hi"}),
-}
 _MAP_DOMAIN = {
     "euclidean": "euclidean",
     "entropic-simplex": "simplex",
@@ -70,8 +59,6 @@ class RunConfig:
     dim: int | None = None
     cadence: int = 10
     alpha: float = 2.0
-    out: str | None = None
-    map_params: dict = field(default_factory=dict)
     kernel_params: dict = field(default_factory=dict)
     target_params: dict = field(default_factory=dict)
     grid_nodes: int | None = None
@@ -90,11 +77,11 @@ class RunConfig:
             "cadence": self.cadence,
             "alpha": self.alpha,
         }
-        for key in ("dim", "out", "grid_nodes", "grid_halfwidth"):
+        for key in ("dim", "grid_nodes", "grid_halfwidth"):
             value = getattr(self, key)
             if value is not None:
                 out[key] = value
-        for key in ("map_params", "kernel_params", "target_params"):
+        for key in ("kernel_params", "target_params"):
             value = getattr(self, key)
             if value:
                 out[key] = dict(value)
@@ -178,10 +165,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         if not gamma > 0:
             raise ConfigError(f"config key 'gamma' must be > 0, got {gamma}")
 
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"config key 'out' must be a string, got {out!r}")
-
     return RunConfig(
         map=raw["map"],
         kernel=raw["kernel"],
@@ -193,8 +176,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         dim=_as_int(raw, "dim", minimum=1),
         cadence=_as_int(raw, "cadence", default=10, minimum=1),
         alpha=_as_number(raw, "alpha", default=2.0, minimum=1.0, strict=True),
-        out=out,
-        map_params=_as_params(raw, "map_params"),
         kernel_params=_as_params(raw, "kernel_params"),
         target_params=_as_params(raw, "target_params"),
         grid_nodes=_as_int(raw, "grid_nodes", minimum=8),
@@ -253,22 +234,10 @@ class RuntimeBundle:
 
 
 def _build_map(cfg: RunConfig, dim: int, target):
-    allowed = _MAP_PARAM_KEYS[cfg.map]  # build_runtime has refused unknown maps
-    for key in sorted(cfg.map_params):
-        if key not in allowed:
-            raise ConfigError(f"unknown map_params key {key!r} for map {cfg.map!r}")
-    params = dict(cfg.map_params)
     if cfg.map == "entropic-box":
-        target_lo = getattr(target, "lo", None)
-        target_hi = getattr(target, "hi", None)
-        lo = params.get("lo", target_lo)
-        hi = params.get("hi", target_hi)
-        if lo is None or hi is None:
-            raise ConfigError("entropic-box map needs lo and hi (from map_params or the target)")
-        if target_lo is not None:
-            if not (np.allclose(lo, target_lo) and np.allclose(hi, target_hi)):
-                raise ConfigError("entropic-box map bounds do not match the target's box")
-        return make_map("entropic-box", lo=lo, hi=hi)
+        # build_runtime has matched the map's domain to the target's, so the
+        # target has a box, and the map takes it
+        return make_map("entropic-box", lo=target.lo, hi=target.hi)
     try:
         return make_map(cfg.map, dim=dim)
     except DomainError as exc:

@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import cached_kernel_operator
 from .targets import MirroredTarget
-from .theory import Grid, _potential, _read_only, _target_grid, log_sum_exp
+from .theory import Grid, _potential, _read_only, _target_grid, field_norm_bound, log_sum_exp
 
 DEFAULT_NODES_1D = 4096
 # Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
@@ -787,11 +787,11 @@ def kl_quadrature(density: GridDensity, reference: GridDensity) -> float:
 
 def fisher_norm_margins(records, kernel_bounds, strong_convexity: float, dim: int):
     """Margin of the kernel-norm bound sqrt(fisher) <= b1 E||grad V|| + b2 d / K
-    for every record; nonnegative margins certify the bound."""
-    b1, b2 = (float(b) for b in kernel_bounds)
+    (theory.field_norm_bound) for every record; nonnegative margins certify
+    the bound."""
     rows = []
     for rec in records:
-        rhs = b1 * rec["mean_grad_norm"] + b2 * dim / float(strong_convexity)
+        rhs = field_norm_bound(rec["mean_grad_norm"], kernel_bounds, strong_convexity, dim)
         rows.append({
             "step": rec["step"],
             "field_norm": rec["field_norm"],
@@ -806,8 +806,9 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
     """Per-step descent report for the records of one flow's run.
 
     Checks KL(n+1) - KL(n) <= -(gamma/2) * fisher(n) + tol at every step,
-    reading KL, fisher and the growth statistic from the records, so the
-    records must cover consecutive steps, as MirroredFlow.run's do.
+    reading KL, fisher, the field norm and the mean gradient norm from the
+    records, so the records must cover consecutive steps, as
+    MirroredFlow.run's do.
     When a ``theory.Certificate`` for the flow's setting is supplied, gamma
     is also checked for admissibility in both regimes: against its fixed
     worst-case cap (the "theorem" step size, priced from the initial-KL
@@ -858,10 +859,7 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
         "descent_ok": all_pass,
     }
     if certificate is not None:
-        caps = [
-            certificate.cap(math.sqrt(max(rec["stein_fisher"], 0.0)), rec["mean_grad_norm"])
-            for rec in records
-        ]
+        caps = [certificate.cap(rec["field_norm"], rec["mean_grad_norm"]) for rec in records]
         report["kl0_upper"] = certificate.kl0_upper
         report["fixed_cap"] = certificate.fixed_cap
         report["fixed_cap_ok"] = bool(gamma <= certificate.fixed_cap * (1.0 + 1e-12))

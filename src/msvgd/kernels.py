@@ -25,7 +25,10 @@ particle field's blocks are built over.  grad1
 differentiates the first argument slot; grad12 is the matrix of cross
 second derivatives d^2 k / dtheta_i dtheta'_j.  bounds() returns (b1, b2)
 with sup k(t, t) <= b1^2 and the cross second derivative bounded by b2^2;
-these two constants feed every step-size bound.  translation_invariant
+these two constants feed every step-size bound.  Both are derived from the
+profile at t = 0, in one _derivatives call: b1^2 = f(0) and
+b2^2 = -2 f'(0), where the cross second derivative of imq (beta in
+(-1, 0)) and rbf peaks, so no constant is sampled.  translation_invariant
 marks kernels with k(a, b) = k(a - b, 0), whose gram blocks over a uniform
 lattice are Toeplitz.
 
@@ -155,7 +158,12 @@ class Kernel:
         return _times_jac(out, jy, "nmac,mcd->nmad")
 
     def bounds(self):
-        raise NotImplementedError
+        """(b1, b2) of the profile in its chart: b1 = sqrt(f(0)) and
+        b2 = sqrt(-2 f'(0)).  The eigenvalues of -4 f''(t) D D^T - 2 f'(t) I
+        are -2 f'(t) across D and -2 f'(t) - 4 t f''(t) along it; for imq
+        with beta in (-1, 0) and for rbf neither exceeds -2 f'(0) in size."""
+        f0, fp0 = (float(v[0]) for v in self.profile._derivatives(np.zeros(1), 1))
+        return math.sqrt(f0), math.sqrt(-2.0 * fp0)
 
 
 class _RadialKernel(Kernel):
@@ -171,34 +179,13 @@ class _RadialKernel(Kernel):
     def _derivatives(self, t, order):
         """(f(t), f'(t), ...) up to the order-th derivative, order <= 2, from
         one transcendental.  t is an array and is consumed: its buffer may
-        hold one of the results.  (imq's sampled bound passes floats at
-        order 0.)"""
+        hold one of the results."""
         raise NotImplementedError
 
     def _affine_ratio(self):
         """(a, b) with f(t) = (a + b t) f'(t) for every t >= 0, which lets
         the point-set operator take the sums of f through f'."""
         raise NotImplementedError
-
-
-def _sampled_cross_derivative_bound(profile):
-    """b2^2 for a radial kernel, sampled rather than derived.
-
-    For the kernels here the cross second derivative peaks at coincidence,
-    where the matrix is -2 f'(0) I. Sample it by a Richardson-refined central
-    difference on the 1-d slice k(a, b) = f((a-b)^2) so an algebra slip in
-    f' cannot silently skew the step-size bounds.
-    """
-
-    def f(t):
-        return profile._derivatives(t, 0)[0]
-
-    def mixed(h):
-        return (f((h - h) ** 2) - f((h + h) ** 2)
-                - f((-h - h) ** 2) + f((-h + h) ** 2)) / (4.0 * h * h)
-
-    c1, c2 = mixed(1e-4), mixed(5e-5)
-    return float((16.0 * c2 - c1) / 15.0)
 
 
 class IMQKernel(_RadialKernel):
@@ -211,8 +198,6 @@ class IMQKernel(_RadialKernel):
             raise ConfigError("imq kernel needs beta in (-1, 0)")
         self.c = float(c)
         self.beta = float(beta)
-        self._b1 = self.c**self.beta
-        self._b2sq = _sampled_cross_derivative_bound(self)
 
     def _derivatives(self, t, order):
         # with base = c^2 + t: f = base^beta, f' = beta f / base and
@@ -234,9 +219,6 @@ class IMQKernel(_RadialKernel):
     def _affine_ratio(self):
         # f = base f' / beta with base = c^2 + t
         return self.c**2 / self.beta, 1.0 / self.beta
-
-    def bounds(self):
-        return self._b1, float(np.sqrt(self._b2sq))
 
 
 class RBFKernel(_RadialKernel):
@@ -295,9 +277,6 @@ class RBFKernel(_RadialKernel):
         # f = -2 h^2 f'
         return -2.0 * self.bandwidth**2, 0.0
 
-    def bounds(self):
-        return 1.0, 1.0 / self.bandwidth
-
 
 class RescaledKernel(Kernel):
     """A radial kernel (imq or rbf) evaluated on points divided by a fixed
@@ -319,7 +298,7 @@ class RescaledKernel(Kernel):
         return points / self.scale, 1.0 / self.scale
 
     def bounds(self):
-        b1, b2 = self.profile.bounds()
+        b1, b2 = super().bounds()
         return b1, b2 / self.scale
 
 
@@ -340,9 +319,6 @@ class DualIMQKernel(Kernel):
 
     def chart(self, points):
         return self.map.grad_psi(points), self.map.hess_psi(points)
-
-    def bounds(self):
-        return self.profile.bounds()
 
 
 def make_kernel(name, params=None, mirror_map=None):

@@ -92,6 +92,10 @@ class SmoothnessProfile:
             raise ConfigError(f"smoothness profile: unknown field {name!r}")
         return self.provenance.get(name, "user")
 
+    def growth(self, x: float) -> float:
+        """The Hessian-norm bound l0 + l1 x at gradient norm x."""
+        return self.l0 + self.l1 * x
+
     def with_values(self, tag: str, **updates: float) -> "SmoothnessProfile":
         """Copy with updated constants, tagging each updated field with `tag`."""
         provenance = dict(self.provenance)
@@ -165,6 +169,18 @@ def _reciprocal_or_inf(z: float) -> float:
     return math.inf if z == 0.0 else 1.0 / z
 
 
+def field_norm_bound(
+    x: float,
+    kernel_bounds: tuple[float, float],
+    strong_convexity: float,
+    dim: int,
+) -> float:
+    """Bound b1 x + b2 d / K on the kernel-space norm of the update field
+    when the mean mirrored-gradient norm is x."""
+    b1, b2 = (float(b) for b in kernel_bounds)
+    return b1 * x + b2 * float(dim) / float(strong_convexity)
+
+
 def step_size_cap(
     x: float,
     profile: SmoothnessProfile,
@@ -176,18 +192,15 @@ def step_size_cap(
     most ``x``.  Nonincreasing in ``x``.
 
     This is step_size_cap_exact at the worst-case bounds of its measured
-    arguments in terms of x:
-    step_size_cap(x) == step_size_cap_exact(b1 x + b2 d / K, l0 + l1 x).
+    arguments in terms of x: field_norm_bound(x) and profile.growth(x).
     Degenerate constants (l1 = 0, or a vanishing kernel-derivative bound)
     send individual pieces to infinity, and they drop out of the min; the
     result is finite whenever b1 > 0 and l0 + l1 x > 0.
     """
     if x < 0.0:
         raise DomainError(f"step_size_cap requires x >= 0, got {x!r}")
-    b1, b2 = (float(b) for b in kernel_bounds)
-    field_norm = b1 * x + b2 * float(dim) / float(strong_convexity)
-    growth_stat = profile.l0 + profile.l1 * x
-    return step_size_cap_exact(field_norm, growth_stat, profile, kernel_bounds,
+    return step_size_cap_exact(field_norm_bound(x, kernel_bounds, strong_convexity, dim),
+                               profile.growth(x), profile, kernel_bounds,
                                strong_convexity, dim)
 
 
@@ -220,12 +233,13 @@ def step_size_cap_exact(
 def exp_grad_bound(
     kl_n_upper: float,
     kl0_upper: float,
-    w_p_mu0: float,
+    w_start: float,
     profile: SmoothnessProfile,
     mode: str = "general",
 ) -> float:
     """Upper bound on the mean mirrored-gradient norm at step n, given KL
-    upper bounds at step n and step 0.
+    upper bounds at step n and step 0 and the p-Wasserstein distance
+    ``w_start`` from the start to a point mass.
 
     The KL arguments are floored at zero: the initial-KL formula can dip
     below zero for small dimension, and a negative divergence certifies the
@@ -233,9 +247,9 @@ def exp_grad_bound(
     """
     kl_n = max(float(kl_n_upper), 0.0)
     kl_0 = max(float(kl0_upper), 0.0)
-    w = float(w_p_mu0)
+    w = float(w_start)
     if w < 0.0:
-        raise DomainError(f"exp_grad_bound requires w_p_mu0 >= 0, got {w!r}")
+        raise DomainError(f"exp_grad_bound requires w_start >= 0, got {w!r}")
     p = profile.p
     if mode == "general":
         if profile.c_pi_p is None:
@@ -261,33 +275,19 @@ def step_size_bound(
     strong_convexity: float,
     dim: int,
     kl0_upper: float,
-    w_p_mu0: float | None = None,
+    mode: str,
 ) -> float:
     """Fixed step size certified for every step of a run started at N(0, I).
 
-    Evaluates the cap at the worst-case gradient-norm bound, with the KL at
-    step n replaced by its step-0 upper bound; descent keeps that replacement
-    valid, so one γ serves the whole run.
+    Evaluates the cap at exp_grad_bound's gradient-norm bound in ``mode``
+    ("general", which needs ``c_pi_p``, or "tp", the transport-inequality
+    regime, which needs ``lam`` and 1 <= p <= 2), with the start's distance
+    to a point mass (w_p_to_point_mass) and the KL at step n replaced by its
+    step-0 upper bound; descent keeps that replacement valid, so one γ
+    serves the whole run.
     """
-    if w_p_mu0 is None:
-        w_p_mu0 = w_p_to_point_mass(profile.p, dim)
-    x = exp_grad_bound(kl0_upper, kl0_upper, w_p_mu0, profile, mode="general")
-    return step_size_cap(x, profile, kernel_bounds, strong_convexity, dim)
-
-
-def step_size_bound_tp(
-    profile: SmoothnessProfile,
-    kernel_bounds: tuple[float, float],
-    strong_convexity: float,
-    dim: int,
-    kl0_upper: float,
-    w_p_mu0: float | None = None,
-) -> float:
-    """Fixed certified step size in the transport-inequality regime (needs
-    ``lam`` and 1 <= p <= 2 in the profile)."""
-    if w_p_mu0 is None:
-        w_p_mu0 = w_p_to_point_mass(profile.p, dim)
-    x = exp_grad_bound(kl0_upper, kl0_upper, w_p_mu0, profile, mode="tp")
+    x = exp_grad_bound(kl0_upper, kl0_upper, w_p_to_point_mass(profile.p, dim), profile,
+                       mode=mode)
     return step_size_cap(x, profile, kernel_bounds, strong_convexity, dim)
 
 
@@ -335,7 +335,7 @@ def a_n(operand, profile: SmoothnessProfile) -> float:
     """
     if profile.l1 == 0.0:
         return profile.l0
-    return profile.l0 + profile.l1 * float(np.mean(np.sqrt(np.sum(operand * operand, axis=1))))
+    return profile.growth(float(np.mean(np.sqrt(np.sum(operand * operand, axis=1)))))
 
 
 def stein_fisher_particles(ensemble, kernel, field) -> float:
@@ -677,10 +677,12 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
 @dataclass(frozen=True)
 class Certificate:
     """The priced constants behind a certified step size for one (target,
-    map, kernel) setting: the profile with ``c_pi_p`` filled in, the
-    initial-KL upper bound, and the fixed step size they certify for every
-    step of a run started at N(0, I).  ``cap`` gives the per-state cap from
-    a state's measured field norm and mean mirrored-gradient norm."""
+    map, kernel) setting: the profile with ``c_pi_p`` filled in, the kernel
+    constants (b1, b2) from ``Kernel.bounds``, the initial-KL upper bound,
+    and the fixed step size they certify for every step of a run started at
+    N(0, I) (``step_size_bound`` in the "general" mode).  ``cap`` gives the
+    per-state cap, step_size_cap_exact at a state's measured field norm and
+    profile.growth of its mean mirrored-gradient norm."""
 
     profile: SmoothnessProfile
     kernel_bounds: tuple[float, float]
@@ -690,8 +692,8 @@ class Certificate:
     fixed_cap: float
 
     def cap(self, field_norm: float, mean_grad_norm: float) -> float:
-        growth = self.profile.l0 + self.profile.l1 * mean_grad_norm
-        return step_size_cap_exact(field_norm, growth, self.profile, self.kernel_bounds,
+        return step_size_cap_exact(field_norm, self.profile.growth(mean_grad_norm),
+                                   self.profile, self.kernel_bounds,
                                    self.strong_convexity, self.dim)
 
 
@@ -707,7 +709,8 @@ def certify(target, profile: SmoothnessProfile, kernel_bounds: tuple[float, floa
         profile = profile.with_values("empirical",
                                       c_pi_p=c_pi_p(target, profile.p, _grid=(grid, vals)))
     kl0_upper = kl0_upper_bound(target, profile, dim=dim, log_partition=_log_mass(grid, vals))
-    fixed_cap = step_size_bound(profile, kernel_bounds, strong_convexity, dim, kl0_upper)
+    fixed_cap = step_size_bound(profile, kernel_bounds, strong_convexity, dim, kl0_upper,
+                                "general")
     return Certificate(
         profile=profile,
         kernel_bounds=tuple(float(b) for b in kernel_bounds),

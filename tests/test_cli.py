@@ -51,6 +51,23 @@ BOX_1D = {
 }
 
 
+# 2-D and 3-D settings that only the flow build refuses: the box map's
+# chart saturates in the quadrature's tails, and the quadrature stops at
+# dim 2
+BOX_2D = dict(BOX_1D, target_params={"mean": [0.2, -0.1], "cov": 1.0,
+                                     "lo": [-1.0, -1.0], "hi": [1.0, 1.0]})
+GAUSSIAN_3D = {
+    "map": "euclidean",
+    "kernel": "imq",
+    "target": "truncated-gaussian",
+    "target_params": {"mean": [0.0, 0.0, 0.0], "cov": 1.0},
+    "particles": 30,
+    "steps": 5,
+    "seed": 3,
+    "gamma": 0.01,
+}
+
+
 # the Gaussian on R^2 under the identity map, a cataloged pair; a fit of its
 # constants on sampled points gives c_p 2.2746, under the true 2.3264
 GAUSSIAN_2D = {
@@ -369,7 +386,7 @@ class TestVerifyCommand:
                          "--out", str(out)])
         assert code == 2
         assert_box_map_refused(capsys.readouterr())
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
     def test_box_map_with_a_wide_explicit_grid_exits_two(self, tmp_path, capsys):
         # an explicit halfwidth skips the bracket walk, and the flow build
@@ -381,7 +398,37 @@ class TestVerifyCommand:
                          "--out", str(out)])
         assert code == 2
         assert_box_map_refused(capsys.readouterr())
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, message", [
+        (BOX_2D, "EntropicBoxMap chart saturates"),
+        (GAUSSIAN_3D, "dual-space quadrature supports dim <= 2, got dim=3"),
+    ])
+    def test_flow_build_refusals_leave_no_output(self, tmp_path, capsys, config, message):
+        # --out is made by the first output written, so a refusal from the
+        # flow build leaves no empty directory behind
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--suite", "descent", "--target", str(path),
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_lemmas_suite_refuses_dim_two_before_any_flow(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a 2-D lemmas suite must be refused before the flow is built")
+
+        monkeypatch.setattr(MirroredFlow, "__init__", fail)
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--suite", "lemmas", "--target", "dirichlet-simplex-d2",
+                         "--out", str(out)])
+        assert code == 2
+        assert "primal-chart field form, implemented for d=1 only" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_steps_override_and_2d_grid(self, tmp_path):
         # A d=2 preset at the quadrature defaults must be checkable in
@@ -592,6 +639,23 @@ class TestTheoryCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["kernel"] == "imq"
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--config", "dirichlet-simplex-d2", "--steps", "1"],
+    ["verify", "--suite", "descent", "--target", "quartic-1d-descent", "--steps", "1"],
+    ["theory", "--target", "quartic-1d-descent"],
+])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_naming_a_file_exits_two(tmp_path, capsys, args, below):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    out = taken / below
+    assert cli.main([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"--out {out}: {taken} is an existing file, not a directory" in captured.err
+    assert captured.out == ""
+    assert taken.read_text() == "x"
 
 
 class TestPresets:

@@ -105,9 +105,13 @@ def test_rbf_frozen_values():
 
 
 def test_bounds_values():
-    b1, b2 = IMQKernel(c=1.0, beta=-0.5).bounds()
-    assert abs(b1 - 1.0) < 1e-12
-    assert abs(b2 - 1.0) < 1e-6     # sampled, not algebraic
+    # f(0) = 1 and -2 f'(0) = 1 exactly for imq with c = 1, beta = -0.5
+    assert IMQKernel(c=1.0, beta=-0.5).bounds() == (1.0, 1.0)
+    for c, beta in [(0.5, -0.3), (2.0, -0.7), (10.0, -0.95)]:
+        k = IMQKernel(c=c, beta=beta)
+        f0, fp0 = (float(v[0]) for v in k._derivatives(np.zeros(1), 1))
+        assert k.bounds() == (np.sqrt(f0), np.sqrt(-2.0 * fp0))
+        assert rel_err(k.bounds()[1], np.sqrt(-2.0 * beta * c ** (2.0 * beta - 2.0))) < 1e-15
 
     for h in [0.5, 1.0, 2.0]:
         b1, b2 = RBFKernel(bandwidth=h).bounds()
@@ -118,6 +122,26 @@ def test_bounds_values():
         b1, b2 = RescaledKernel(RBFKernel(bandwidth=1.0), scale).bounds()
         assert b1 == 1.0
         assert abs(b2 - 1.0 / scale) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["imq", "rbf"]),
+    width=st.floats(1e-2, 1e2),
+    beta=st.floats(-1.0, -1e-6, exclude_min=True),
+)
+def test_cross_derivative_peaks_at_coincidence(kind, width, beta):
+    # K12 between 0 and sqrt(t) e_1 is diagonal: -2 f'(t) - 4 t f''(t)
+    # along D and -2 f'(t) across it; neither exceeds b2^2 = -2 f'(0) in
+    # size, and t = 0 attains it
+    k = IMQKernel(c=width, beta=beta) if kind == "imq" else RBFKernel(bandwidth=width)
+    t = np.concatenate([[0.0], np.logspace(-8, 4, 400), np.linspace(0.0, 1e4, 400)[1:]])
+    y = np.zeros((t.size, 2))
+    y[:, 0] = np.sqrt(t)
+    eig = np.linalg.eigvalsh(k.grad12_gram(np.zeros((1, 2)), y)[0])
+    b2sq = k.bounds()[1] ** 2
+    assert np.max(np.abs(eig)) <= b2sq * (1.0 + 1e-15)
+    assert rel_err(np.max(np.abs(eig[0])), b2sq) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -34,7 +34,6 @@ from msvgd.theory import (
     kl0_upper_bound,
     log_sum_exp,
     step_size_bound,
-    step_size_bound_tp,
     step_size_cap,
     stein_fisher_particles,
     w_p_to_point_mass,
@@ -236,6 +235,8 @@ class TestStepSizeCap:
             x = rng.uniform(0.0, 100.0)
             prof = SmoothnessProfile(l0=l0, l1=l1, c_p=c_p, p=1.0, alpha=alpha)
             via_x = step_size_cap(x, prof, (b1, b2), k, d)
+            assert theory.field_norm_bound(x, (b1, b2), k, d) == b1 * x + b2 * d / k
+            assert prof.growth(x) == l0 + l1 * x
             direct = theory.step_size_cap_exact(
                 b1 * x + b2 * d / k, l0 + l1 * x, prof, (b1, b2), k, d
             )
@@ -300,27 +301,27 @@ class TestExpGradBound:
 class TestStepSizeBound:
     def test_positive_and_consistent_with_cap(self):
         prof = profile(l0=108.0, l1=1.0, c_p=4.0, p=3.0, c_pi_p=2.3)
-        got = step_size_bound(prof, (1.0, 1.0), 1.0, 1, kl0_upper=5.4)
+        got = step_size_bound(prof, (1.0, 1.0), 1.0, 1, kl0_upper=5.4, mode="general")
         x = exp_grad_bound(5.4, 5.4, w_p_to_point_mass(3.0, 1), prof)
         assert got > 0.0
         assert got == pytest.approx(step_size_cap(x, prof, (1.0, 1.0), 1.0, 1), rel=1e-15)
 
     def test_missing_c_pi_p_points_to_tp_mode(self):
         with pytest.raises(ConfigError, match="c_pi_p"):
-            step_size_bound(profile(), (1.0, 1.0), 1.0, 1, kl0_upper=1.0)
+            step_size_bound(profile(), (1.0, 1.0), 1.0, 1, kl0_upper=1.0, mode="general")
 
     def test_tp_zero_kl_reduction(self):
         prof = profile(c_p=2.0, p=2.0, lam=1.0)
         w = w_p_to_point_mass(2.0, 3)
-        got = step_size_bound_tp(prof, (1.0, 1.0), 1.0, 3, kl0_upper=0.0)
+        got = step_size_bound(prof, (1.0, 1.0), 1.0, 3, kl0_upper=0.0, mode="tp")
         x = 2.0 * w ** 2 + 2.0
         assert got == pytest.approx(step_size_cap(x, prof, (1.0, 1.0), 1.0, 3), rel=1e-14)
 
     def test_tp_huge_lambda_matches_zero_kl(self):
         prof_inf = profile(c_p=2.0, p=2.0, lam=1e300)
         prof = profile(c_p=2.0, p=2.0, lam=1.0)
-        a = step_size_bound_tp(prof_inf, (1.0, 1.0), 1.0, 3, kl0_upper=7.0)
-        b = step_size_bound_tp(prof, (1.0, 1.0), 1.0, 3, kl0_upper=0.0)
+        a = step_size_bound(prof_inf, (1.0, 1.0), 1.0, 3, kl0_upper=7.0, mode="tp")
+        b = step_size_bound(prof, (1.0, 1.0), 1.0, 3, kl0_upper=0.0, mode="tp")
         assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -613,7 +614,7 @@ class TestCertify:
         kl0 = kl0_upper_bound(bundle.mirrored, profile, dim=bundle.dim)
         assert cert.profile == profile
         assert cert.kl0_upper == kl0
-        assert cert.fixed_cap == step_size_bound(profile, *setting, kl0)
+        assert cert.fixed_cap == step_size_bound(profile, *setting, kl0, "general")
         assert (cert.kernel_bounds, cert.strong_convexity, cert.dim) == setting
 
     @pytest.mark.parametrize("given_c_pi_p", [None, 2.5])
