@@ -21,19 +21,19 @@ descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
 
 The field is a handful of kernel-matrix products over the nodes, and one
-kernel operator performs them.  When the kernel is translation invariant and
-the primal nodes are the grid itself (the euclidean map), every kernel matrix
-is (block-)Toeplitz, so the operator applies it as a zero-padded FFT
-convolution with the kernel sampled at the node lags.  Otherwise it is the
-point-set operator of msvgd.kernels: matrix products of the kernel
-profile's f'(t) and f''(t) in the kernel's chart, for every kernel
-(dual-imq's chart is grad_psi, so there t is measured between the dual
-images of the primal nodes).  The pushforward inverts x - gamma * g by
-Newton's method.  In 1D one search finds the interval of the field's
-Hermite table that holds each node's preimage, Newton runs inside it, and
-the state's log density is interpolated there without a second lookup; in
-2D each round reads the field and its Jacobian from one cell lookup and one
-gather, and the log density is interpolated on the converged round's cells.
+kernel operator performs them.  The flow holds no operator code: it asks
+msvgd.kernels.cached_kernel_operator for the operator over its primal
+nodes, which picks FFT convolutions on the lattice when the kernel's chart
+is affine and the primal nodes are the grid itself (the euclidean map), and
+the point-set operator otherwise (dual-imq's chart is grad_psi, so there t
+is measured between the dual images of the primal nodes).
+
+The pushforward inverts x - gamma * g by Newton's method.  In 1D one search
+finds the interval of the field's Hermite table that holds each node's
+preimage, Newton runs inside it, and the state's log density is
+interpolated there without a second lookup; in 2D each round reads the
+field and its Jacobian from one cell lookup and one gather, and the log
+density is interpolated on the converged round's cells.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -417,71 +417,6 @@ class FieldOnGrid:
 
 
 # ---------------------------------------------------------------------------
-# the lattice kernel operator
-#
-# g_field's four kernel products over the primal nodes are an apply(q, u)
-# of the kernel operator contract stated in msvgd.kernels, with u present in
-# the "score" form only.  Every operator implements that contract.
-
-
-class _LatticeKernelOperator:
-    """The operator products for a translation-invariant kernel whose nodes
-    are the grid's own nodes.
-
-    Entry (i, j) of each kernel matrix then depends only on the lag between
-    nodes i and j, so each product is a linear convolution of node values
-    with the kernel sampled at the 2n - 1 lags of every axis.  The operator
-    evaluates the kernel's own gram, grad1_gram and grad12_gram at the lag
-    points against the origin, keeps their spectra, and applies them by
-    zero-padded FFTs over the grid's shape.  No node-by-node array exists.
-    """
-
-    def __init__(self, kernel, grid: Grid):
-        self._shape = grid.shape
-        self._axes = tuple(range(grid.dim))
-        # a linear convolution of n values with 2n - 1 lags needs 2n - 1 points
-        self._fft_shape = tuple(1 << (2 * n - 2).bit_length() for n in self._shape)
-        self._window = tuple(slice(n - 1, 2 * n - 1) for n in self._shape)
-        # the spacing as linspace computes it, not a[1] - a[0], which loses
-        # the digits of a[0]
-        lag_axes = [np.arange(1 - a.size, a.size) * ((a[-1] - a[0]) / (a.size - 1))
-                    for a in grid.axes]
-        mesh = np.meshgrid(*lag_axes, indexing="ij")
-        lags = np.stack([m.ravel() for m in mesh], axis=1)
-        origin = np.zeros((1, grid.dim))
-        lag_shape = tuple(2 * n - 1 for n in self._shape)
-        k = kernel.gram(lags, origin).reshape(lag_shape)
-        k1 = kernel.grad1_gram(lags, origin).reshape(lag_shape + (grid.dim,))
-        k12 = kernel.grad12_gram(lags, origin).reshape(lag_shape + (grid.dim, grid.dim))
-        # K[i, j] = k(theta_i - theta_j, 0) sits at lag -(j - i): the products
-        # that sum over the first slot convolve with the reflected samples
-        flip = (slice(None, None, -1),) * grid.dim
-        self._K = self._spectrum(k[flip])
-        self._K1 = self._spectrum(k1[flip])
-        self._K1rev = self._spectrum(k1)
-        self._K12 = self._spectrum(k12[flip])
-
-    def _spectrum(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values, s=self._fft_shape, axes=self._axes)
-
-    def _convolved(self, spectrum: np.ndarray) -> np.ndarray:
-        full = np.fft.irfftn(spectrum, s=self._fft_shape, axes=self._axes)
-        return full[self._window]
-
-    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
-        size, d = q.shape
-        Q = self._spectrum(q.reshape(self._shape + (d,)))
-        V = self._K[..., None] * Q
-        DV = Q[..., :, None] * self._K1rev[..., None, :]
-        if u is not None:
-            U = self._spectrum(u.reshape(self._shape + (d, d)))
-            V += np.einsum("...e,...de->...d", self._K1, U)
-            DV += np.einsum("...ec,...de->...dc", self._K12, U)
-        return (self._convolved(V).reshape(size, d),
-                self._convolved(DV).reshape(size, d, d))
-
-
-# ---------------------------------------------------------------------------
 # the flow
 
 
@@ -490,16 +425,12 @@ class MirroredFlow:
 
     The target is a MirroredTarget: the flow reads its dual potential and,
     once per node, its operand (MirroredTarget.operand), whose negation is
-    the potential's gradient.  The kernel products of the
-    field go through one kernel operator, built once since the grid never
-    moves: FFT convolutions when the kernel is translation invariant and the
-    primal nodes are the grid nodes, else kernels.cached_kernel_operator
-    over the primal nodes, the kernel's profile in its chart for every
-    kernel, whose two symmetric n x n factors are kept as their upper tiles
-    when those fit in memory and built tile by tile inside every product
-    when they do not.  The flow build reads the potential through
-    theory._potential, so a chart that saturates on an explicit wide grid
-    is refused by name.
+    the potential's gradient.  The kernel products of the field go through
+    one kernel operator, built once since the grid never moves, by
+    kernels.cached_kernel_operator over the primal nodes; the flow holds no
+    operator code and makes no choice of its own.  The flow build reads the
+    potential through theory._potential, so a chart that saturates on an
+    explicit wide grid is refused by name.
     """
 
     def __init__(self, mirrored: MirroredTarget, kernel, grid: Grid | None = None,
@@ -524,11 +455,7 @@ class MirroredFlow:
         self.grad_potential = -self.operand
         self.grad_potential_norm = np.sqrt(
             np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
-
-        if kernel.translation_invariant and np.array_equal(self.theta, x):
-            self.kernel_operator = _LatticeKernelOperator(kernel, self.grid)
-        else:
-            self.kernel_operator = cached_kernel_operator(kernel, self.theta)
+        self.kernel_operator = cached_kernel_operator(kernel, self.theta, self.grid)
 
     # -- densities ----------------------------------------------------------
 

@@ -11,45 +11,36 @@ f, f' and f'' apply in the chart.
 
 A radial profile evaluates f and its first two derivatives in one method,
 _derivatives(t, order), from one transcendental: one pow of c^2 + t for imq,
-whose derivatives follow by division, and one exp for rbf.  Every caller
-asks it for the orders it needs, so no formula is written twice.
+whose derivatives follow by division, and one exp for rbf.  Its constants
+(imq c^2; rbf 2 h^2 and 4 h^4) are written once, in _constants, and it
+refuses a parameter that leaves them, or f, f' or f'' at 0, infinite, zero
+or nan in float64.  bounds() returns (b1, b2) with sup k(t, t) <= b1^2 and
+the cross second derivative bounded by b2^2, derived from the profile at
+t = 0: b1^2 = f(0) and b2^2 = -2 f'(0), where the cross second derivative
+of imq (beta in (-1, 0)) and rbf peaks, so no constant is sampled.
 
-All kernels expose batched ops on point sets X (n, d) and Y (m, d): gram,
-grad1_gram and grad12_gram, written once for every kernel.  One routine,
-_sq_dists, makes their squared distances and the operator's tiles: it sums
-them coordinate by coordinate, so gram and the median-bandwidth refresh
-build no (n, m, d) array, and grad1_gram scales its one difference block
-in place.  One helper, row_ranges(n), splits n points into the near-equal
-ranges of at most TILE_ROWS rows that both the operator's tiles and the
-particle field's blocks are built over.  grad1
-differentiates the first argument slot; grad12 is the matrix of cross
-second derivatives d^2 k / dtheta_i dtheta'_j.  bounds() returns (b1, b2)
-with sup k(t, t) <= b1^2 and the cross second derivative bounded by b2^2;
-these two constants feed every step-size bound.  Both are derived from the
-profile at t = 0, in one _derivatives call: b1^2 = f(0) and
-b2^2 = -2 f'(0), where the cross second derivative of imq (beta in
-(-1, 0)) and rbf peaks, so no constant is sampled.  translation_invariant
-marks kernels with k(a, b) = k(a - b, 0), whose gram blocks over a uniform
-lattice are Toeplitz.
+gram and grad1_gram (grad1 differentiates the first slot) are the blocks
+between point sets X (n, d) and Y (m, d) that the particle field contracts.
+_sq_dists sums squared distances coordinate by coordinate, for them and for
+the operators, building no (n, m, d) array, and row_ranges(n) splits n
+points into the near-equal ranges of at most TILE_ROWS rows that the
+point-set operator's tiles and the field's blocks are built over.
 
-kernel_operator(kernel, points) applies the kernel matrices over one point
-set to per-point values, the sums that both the grid field and the particle
-Stein-Fisher value are made of.  Every such sum is a product of the n x n
-matrices f'(t) and f''(t) with stacked per-point features, between two
-per-point multiplications by J, so no (n, n, d) or (n, n, d, d) block is
-built.  f(t) itself is never built: each profile has
-f(t) = (a + b t) f'(t) (_affine_ratio), so its sums take one more feature
-in the products with f'(t).  The two matrices are symmetric, so the
-operator builds only their upper tiles over at most TILE_ROWS rows each,
-and one loop over those tiles makes every product.  kernel_operator
-builds each tile inside the loop and drops it before the next, for a
-single apply (the particle snapshot); cached_kernel_operator keeps the
-tiles when they fit in PRECOMPUTE_BYTES, for an operator applied at every
-state (the grid flow).  The features are held as (w, n) stacks with w
-at most d + 2 d^2 + d^3 (18 in 2-D), each feature written in place into
-its rows, so each tile product is a (w, rows) @ tile matrix product rather
-than a transposed tile against a narrow (rows, w) block, and an apply
-holds two copies of the features: the stacks and their products.
+Two kernel operators implement one contract, stated above them: the kernel
+matrices over one point set applied to per-point values, the sums that both
+the grid field and the particle Stein-Fisher value are made of.
+- The point-set operator (kernel_operator), for every kernel: products of
+  the n x n matrices f'(t) and f''(t) with (w, n) stacks of per-point
+  features, between two per-point multiplications by J.  f(t) is never
+  built (f = (a + b t) f', _affine_ratio), and only the upper tiles of the
+  two symmetric matrices are, each before the next product unless
+  cache_tiles keeps them.
+- The lattice operator, for a kernel whose chart is affine (J None or a
+  number) over a grid's own nodes: every kernel matrix is (block-)Toeplitz,
+  so it is a zero-padded FFT convolution with K, K1 and K12 sampled at the
+  node lags.
+cached_kernel_operator, which a grid flow applies at every state, chooses
+between them by the chart.
 """
 
 import math
@@ -122,7 +113,6 @@ class Kernel:
     """
 
     adaptive = False  # True when the engine must refresh state each step
-    translation_invariant = False
     profile = None  # the radial kernel whose f, f' and f'' apply in the chart
 
     def chart(self, points):
@@ -143,20 +133,6 @@ class Kernel:
         diff *= fp[:, :, None]
         return _times_jac(diff, jac, "nma,nab->nmb")
 
-    def grad12_gram(self, X, Y):
-        (x, jx), (y, jy) = self.chart(X), self.chart(Y)
-        t = _sq_dists(x, y)
-        diff = x[:, None, :] - y[None, :, :]
-        d = x.shape[1]
-        eye = np.eye(d)
-        fp, fpp = self.profile._derivatives(t, 2)[1:]
-        fp *= 2.0
-        fpp *= -4.0
-        out = fpp[:, :, None, None] * (diff[:, :, :, None] * diff[:, :, None, :])
-        out -= fp[:, :, None, None] * eye
-        out = _times_jac(out, jx, "nmac,nab->nmbc")
-        return _times_jac(out, jy, "nmac,mcd->nmad")
-
     def bounds(self):
         """(b1, b2) of the profile in its chart: b1 = sqrt(f(0)) and
         b2 = sqrt(-2 f'(0)).  The eigenvalues of -4 f''(t) D D^T - 2 f'(t) I
@@ -169,8 +145,6 @@ class Kernel:
 class _RadialKernel(Kernel):
     """Kernel of the form k(a, b) = f(||a - b||^2): its own profile, in the
     identity chart."""
-
-    translation_invariant = True
 
     @property
     def profile(self):
@@ -187,6 +161,23 @@ class _RadialKernel(Kernel):
         the point-set operator take the sums of f through f'."""
         raise NotImplementedError
 
+    def _constants(self) -> tuple:
+        """The profile's constants, in the form _derivatives reads them."""
+        raise NotImplementedError
+
+    def _refuse_out_of_range(self, key, value):
+        """ConfigError naming ``key`` unless the constants and f, f', f'' at 0
+        are finite and nonzero in float64, without which the bounds and every
+        kernel sum read inf, nan or 0."""
+        try:
+            with np.errstate(all="ignore"):
+                values = [*self._constants(), *(v[0] for v in self._derivatives(np.zeros(1), 2))]
+        except OverflowError:  # a Python float power past float64's range
+            values = [math.inf]
+        if not all(math.isfinite(v) and v != 0.0 for v in values):
+            raise ConfigError(f"kernel parameter '{key}' = {value!r} is out of float64's range: "
+                              "its constants or f, f', f'' at 0 would be infinite, zero or nan")
+
 
 class IMQKernel(_RadialKernel):
     """Inverse multiquadric k(a, b) = (c^2 + ||a - b||^2)^beta, beta in (-1, 0)."""
@@ -198,13 +189,17 @@ class IMQKernel(_RadialKernel):
             raise ConfigError("imq kernel needs beta in (-1, 0)")
         self.c = float(c)
         self.beta = float(beta)
+        self._refuse_out_of_range("c", self.c)
+
+    def _constants(self):
+        return (self.c**2,)
 
     def _derivatives(self, t, order):
         # with base = c^2 + t: f = base^beta, f' = beta f / base and
         # f'' = (beta - 1) f' / base; the highest order asked for is built
         # in t's buffer
         base = t
-        base += self.c**2
+        base += self._constants()[0]
         f = base**self.beta
         if order == 0:
             return (f,)
@@ -218,7 +213,7 @@ class IMQKernel(_RadialKernel):
 
     def _affine_ratio(self):
         # f = base f' / beta with base = c^2 + t
-        return self.c**2 / self.beta, 1.0 / self.beta
+        return self._constants()[0] / self.beta, 1.0 / self.beta
 
 
 class RBFKernel(_RadialKernel):
@@ -238,6 +233,7 @@ class RBFKernel(_RadialKernel):
             if not (bandwidth > 0):
                 raise ConfigError("rbf kernel needs bandwidth > 0")
             self._h = float(bandwidth)
+            self._refuse_out_of_range("bandwidth", self._h)
 
     @property
     def bandwidth(self):
@@ -261,21 +257,24 @@ class RBFKernel(_RadialKernel):
         self._h = self.median_bandwidth(X)
         return self._h
 
+    def _constants(self):
+        return 2.0 * self.bandwidth**2, 4.0 * self.bandwidth**4
+
     def _derivatives(self, t, order):
         # f = exp(-t / (2 h^2)), built in t's buffer; f' = -f / (2 h^2) and
         # f'' = f / (4 h^4)
-        two_h2 = 2.0 * self.bandwidth**2
+        two_h2, four_h4 = self._constants()
         f = np.divide(t, -two_h2, out=t)
         np.exp(f, out=f)
         if order == 0:
             return (f,)
         if order == 1:
             return f, f / -two_h2
-        return f, f / -two_h2, f / (4.0 * self.bandwidth**4)
+        return f, f / -two_h2, f / four_h4
 
     def _affine_ratio(self):
         # f = -2 h^2 f'
-        return -2.0 * self.bandwidth**2, 0.0
+        return -self._constants()[0], 0.0
 
 
 class RescaledKernel(Kernel):
@@ -285,8 +284,6 @@ class RescaledKernel(Kernel):
     Shrinks the cross-derivative constant by the scale (b2 / scale), which is
     how the dimension dependence of the step-size bound is tamed in practice.
     """
-
-    translation_invariant = True
 
     def __init__(self, inner, scale):
         if not (scale > 0):
@@ -359,8 +356,8 @@ def make_kernel(name, params=None, mirror_map=None):
 # kernel operators
 #
 # An operator over points theta (n, d) applies the kernel matrices
-# K[i, j] = k(theta_i, theta_j), K1 = grad1 k and K12 = grad12 k to per-point
-# values q (n, d) and u (n, d, d):
+# K[i, j] = k(theta_i, theta_j), K1 = grad1 k and K12 = grad12 k (d^2 k /
+# dtheta_i dtheta'_j) to per-point values q (n, d) and u (n, d, d):
 #
 #   vals[j]        = sum_i K[i, j] q[i] + sum_{i,e} K1[i, j, e] u[i, :, e]
 #   dvals[j, :, c] = sum_i K1[j, i, c] q[i] + sum_{i,e} K12[i, j, e, c] u[i, :, e]
@@ -377,15 +374,16 @@ def kernel_operator(kernel, points):
     return _RadialOperator(kernel.profile, *kernel.chart(points))
 
 
-def cached_kernel_operator(kernel, points):
-    """kernel_operator over ``points`` with its tiles built once and kept
-    when they fit in PRECOMPUTE_BYTES, for an operator applied many times,
-    as a grid flow's is at every state.  Both run the same loop over the
-    same tiles, so they give the same bits."""
-    operator = kernel_operator(kernel, points)
-    if _cached_tile_bytes(operator._x.shape[0]) <= PRECOMPUTE_BYTES:
-        operator._tiles = [operator._tile(i, j) for i, j in operator._pairs]
-    return operator
+def cached_kernel_operator(kernel, points, grid):
+    """The operator a grid flow applies at every state over ``points``, the
+    primal images of ``grid``'s nodes: the lattice operator when the
+    kernel's chart is affine (its Jacobian None or a number) and the points
+    are the nodes themselves, else the point-set operator with its tiles
+    kept."""
+    x, jac = kernel.chart(points)
+    if (jac is None or np.ndim(jac) == 0) and np.array_equal(points, grid.nodes):
+        return _LatticeOperator(kernel, grid)
+    return _RadialOperator(kernel.profile, x, jac).cache_tiles()
 
 
 def _cached_tile_bytes(n: int) -> int:
@@ -463,7 +461,7 @@ class _RadialOperator:
     stacks and accumulators (see _products).  The profile builds a tile's
     F' and F'' in one pass from one transcendental, one of them in the
     squared distances' buffer.  The tiles are built inside each product's
-    loop, one at a time, unless cached_kernel_operator stored them; both
+    loop, one at a time, unless cache_tiles stored them; both
     ways run the same loop on the same tiles, so they give the same bits.
     """
 
@@ -480,6 +478,12 @@ class _RadialOperator:
         k = len(self._ranges)
         self._pairs = [(i, j) for i in range(k) for j in range(i, k)]
         self._tiles = None
+
+    def cache_tiles(self):
+        """The operator, its tiles built once and kept if they fit in PRECOMPUTE_BYTES."""
+        if _cached_tile_bytes(self._x.shape[0]) <= PRECOMPUTE_BYTES:
+            self._tiles = [self._tile(i, j) for i, j in self._pairs]
+        return self
 
     def _tile(self, i: int, j: int) -> tuple:
         """F' and F'' between the points of row ranges i and j.  The squared
@@ -569,3 +573,70 @@ class _RadialOperator:
                   + (Fppu_x - Fppw)[:, :, None] * x[:, None, :])
             dvals = dvals - (2.0 * (Fpu + self._fp0 * u) + 4.0 * dd)
         return vals, _times_jac(dvals, self.jac, "nde,nef->ndf")
+
+
+def _lag_samples(kernel, grid) -> tuple:
+    """K, K1 and K12 of Kernel's docstring between the zero lag and each of
+    the (2 n - 1)^d lags between ``grid``'s nodes, shaped over the lag
+    lattice, for a chart Jacobian J that is None or a number: one chart
+    evaluation, one _sq_dists and one _derivatives pass give all three."""
+    # the spacing as linspace computes it, not a[1] - a[0], which loses the
+    # digits of a[0]
+    axes = [np.arange(1 - a.size, a.size) * ((a[-1] - a[0]) / (a.size - 1)) for a in grid.axes]
+    x, jac = kernel.chart(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
+    origin = x[x.shape[0] // 2][None]  # the zero lag, in the middle of the lattice
+    f, fp, fpp = kernel.profile._derivatives(_sq_dists(x, origin)[:, 0], 2)
+    diff = x - origin
+    fp *= 2.0
+    fpp *= -4.0
+    k1 = fp[:, None] * diff
+    k12 = fpp[:, None, None] * (diff[:, :, None] * diff[:, None, :])
+    k12 -= fp[:, None, None] * np.eye(grid.dim)
+    if jac is not None:
+        k1 *= jac
+        k12 *= jac  # J_a, then J_b
+        k12 *= jac
+    shape = tuple(a.size for a in axes)
+    return f.reshape(shape), k1.reshape(shape + (-1,)), k12.reshape(shape + (grid.dim, -1))
+
+
+class _LatticeOperator:
+    """The products for a kernel with an affine chart over a grid's own
+    nodes, where entry (i, j) of each kernel matrix depends only on the lag
+    between nodes i and j: linear convolutions of node values with the
+    kernel sampled at the 2n - 1 lags of every axis (_lag_samples), applied
+    by zero-padded FFTs over the grid's shape, with no node-by-node array."""
+
+    def __init__(self, kernel, grid):
+        self._shape = grid.shape
+        self._axes = tuple(range(grid.dim))
+        # a linear convolution of n values with 2n - 1 lags needs 2n - 1 points
+        self._fft_shape = tuple(1 << (2 * n - 2).bit_length() for n in self._shape)
+        self._window = tuple(slice(n - 1, 2 * n - 1) for n in self._shape)
+        k, k1, k12 = _lag_samples(kernel, grid)
+        # K[i, j] = k(theta_i - theta_j, 0) sits at lag -(j - i): the products
+        # that sum over the first slot convolve with the reflected samples
+        flip = (slice(None, None, -1),) * grid.dim
+        self._K = self._spectrum(k[flip])
+        self._K1 = self._spectrum(k1[flip])
+        self._K1rev = self._spectrum(k1)
+        self._K12 = self._spectrum(k12[flip])
+
+    def _spectrum(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(values, s=self._fft_shape, axes=self._axes)
+
+    def _convolved(self, spectrum: np.ndarray) -> np.ndarray:
+        full = np.fft.irfftn(spectrum, s=self._fft_shape, axes=self._axes)
+        return full[self._window]
+
+    def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
+        size, d = q.shape
+        Q = self._spectrum(q.reshape(self._shape + (d,)))
+        V = self._K[..., None] * Q
+        DV = Q[..., :, None] * self._K1rev[..., None, :]
+        if u is not None:
+            U = self._spectrum(u.reshape(self._shape + (d, d)))
+            V += np.einsum("...e,...de->...d", self._K1, U)
+            DV += np.einsum("...ec,...de->...dc", self._K12, U)
+        return (self._convolved(V).reshape(size, d),
+                self._convolved(DV).reshape(size, d, d))

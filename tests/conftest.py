@@ -4,13 +4,14 @@ The oracles are deliberately dumb and independent of the library code: plain
 central differences and loop-based constructions, so closed forms in the
 package are certified against something that cannot share their bugs.
 DenseKernelOperator is the kernel operators' oracle: the same sums taken
-against explicit gram blocks.
+against explicit gram blocks, of which grad12_gram, the K12 block, serves
+only the tests.
 """
 
 import numpy as np
 import pytest
 
-from msvgd.kernels import Kernel
+from msvgd.kernels import Kernel, _sq_dists, _times_jac
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -69,6 +70,22 @@ def fd_mixed_second(k, a, b, h=1e-4):
     return out
 
 
+def grad12_gram(kernel, X, Y):
+    """The (n, m, d, d) block K12[a, b] = d^2 k / dX_a dY_b between X (n, d)
+    and Y (m, d), by the formula of Kernel's docstring:
+    J_a (-4 f''(t) D D^T - 2 f'(t) I) J_b."""
+    (x, jx), (y, jy) = kernel.chart(X), kernel.chart(Y)
+    t = _sq_dists(x, y)
+    diff = x[:, None, :] - y[None, :, :]
+    fp, fpp = kernel.profile._derivatives(t, 2)[1:]
+    fp *= 2.0
+    fpp *= -4.0
+    out = fpp[:, :, None, None] * (diff[:, :, :, None] * diff[:, :, None, :])
+    out -= fp[:, :, None, None] * np.eye(x.shape[1])
+    out = _times_jac(out, jx, "nmac,nab->nmbc")
+    return _times_jac(out, jy, "nmac,mcd->nmad")
+
+
 class _LongDoubleChart(Kernel):
     """A kernel's profile and chart with the chart coordinates and
     Jacobians carried in long double, so that every gram block built from
@@ -101,7 +118,7 @@ class DenseKernelOperator:
         kernel = _LongDoubleChart(kernel)
         self._K = kernel.gram(theta, theta)
         self._K1 = kernel.grad1_gram(theta, theta)
-        self._K12 = kernel.grad12_gram(theta, theta)
+        self._K12 = grad12_gram(kernel, theta, theta)
 
     def apply(self, q, u):
         vals = self._K.T @ q

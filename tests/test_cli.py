@@ -658,6 +658,29 @@ def test_out_naming_a_file_exits_two(tmp_path, capsys, args, below):
     assert taken.read_text() == "x"
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "theory"])
+@pytest.mark.parametrize("kernel, key, value", [
+    ("imq", "c", 1e155),  # c^2 overflows: a Python OverflowError
+    ("imq", "c", 1e-170),  # c^2 underflows to 0: bounds (inf, inf)
+    ("rbf", "bandwidth", 1e160),  # h^2 overflows in bounds()
+    ("rbf", "bandwidth", 1e100),  # h^4 overflows in f''
+    ("rbf", "bandwidth", 1e-170),  # h^2 underflows to 0: bounds (nan, nan)
+])
+def test_kernel_constants_out_of_float64_range_exit_two(tmp_path, capsys, command, kernel,
+                                                        key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(QUARTIC_SMALL, kernel=kernel, kernel_params={key: value})))
+    flag = "--config" if command == "run" else "--target"
+    out = tmp_path / "out"
+    args = {"run": ["run"], "verify": ["verify", "--suite", "descent"], "theory": ["theory"]}
+    assert cli.main([*args[command], flag, str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"kernel parameter '{key}' = {value!r} is out of float64's range" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 class TestPresets:
     @pytest.mark.parametrize("name", [
         "quartic-1d-descent",

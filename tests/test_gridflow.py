@@ -614,21 +614,30 @@ def _assert_fields_close(fast, reference, rel=1e-13):
 
 class TestKernelOperator:
     def test_operator_choice(self):
-        lattice = MirroredFlow(quartic_target(), IMQKernel(), nodes=64, halfwidth=4.0)
-        assert isinstance(lattice.kernel_operator, gridflow._LatticeKernelOperator)
-        simplex = MirroredFlow(dirichlet_target(), IMQKernel(), nodes=64)
-        assert isinstance(simplex.kernel_operator, kernels._RadialOperator)
-        rescaled = MirroredFlow(dirichlet_target(), RescaledKernel(RBFKernel(0.5), 2.0), nodes=64)
-        assert isinstance(rescaled.kernel_operator, kernels._RadialOperator)
-        # dual-imq is not flagged translation invariant, even on the euclidean
-        # map; it is its IMQ profile in the chart grad_psi
-        dual_imq = make_kernel("dual-imq", mirror_map=EuclideanMap(1))
-        dual = MirroredFlow(quartic_target(), dual_imq, nodes=64, halfwidth=4.0)
-        assert isinstance(dual.kernel_operator, kernels._RadialOperator)
-        target = dirichlet_target()
-        dirichlet_dual = MirroredFlow(target, make_kernel("dual-imq", mirror_map=target.map),
-                                      nodes=64)
-        assert isinstance(dirichlet_dual.kernel_operator, kernels._RadialOperator)
+        # kernels.cached_kernel_operator chooses by the kernel's chart: the
+        # lattice when the chart is affine (its Jacobian None or a number) and
+        # the points are the grid's own nodes, the point set otherwise
+        def chosen(kernel, target, nodes, halfwidth=None):
+            grid = gridflow.grid_for_target(target, nodes, halfwidth)
+            theta = target.map.grad_psi_star(grid.nodes)
+            return type(kernels.cached_kernel_operator(kernel, theta, grid))
+
+        quartic, dirichlet = quartic_target(), dirichlet_target()
+        plane = MirroredTarget(MirroredPowerLaw(4.0, dim=2), EuclideanMap(2))
+        lattice, radial = kernels._LatticeOperator, kernels._RadialOperator
+        assert chosen(IMQKernel(), quartic, 64, 4.0) is lattice
+        assert chosen(IMQKernel(), plane, 12, 4.0) is lattice
+        for inner in (IMQKernel(), RBFKernel(0.5)):
+            assert chosen(RescaledKernel(inner, 2.0), quartic, 64, 4.0) is lattice
+            assert chosen(RescaledKernel(inner, 2.0), plane, 12, 4.0) is lattice
+        assert chosen(IMQKernel(), dirichlet, 64) is radial
+        assert chosen(RescaledKernel(RBFKernel(0.5), 2.0), dirichlet, 64) is radial
+        # dual-imq's chart Jacobian is hess_psi, an array, even on the
+        # euclidean map, where it is the identity
+        for mirror_map, target in ((EuclideanMap(1), quartic), (EuclideanMap(2), plane)):
+            dual_imq = make_kernel("dual-imq", mirror_map=mirror_map)
+            assert chosen(dual_imq, target, 12, 4.0) is radial
+        assert chosen(make_kernel("dual-imq", mirror_map=dirichlet.map), dirichlet, 64) is radial
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -648,7 +657,7 @@ class TestKernelOperator:
         grid = Grid(tuple(np.linspace(-h, h, n) for n, h in zip(shape, halfwidths)))
         target = MirroredTarget(MirroredPowerLaw(4.0, dim=dim), EuclideanMap(dim))
         flow = MirroredFlow(target, kernel, grid=grid)
-        assert isinstance(flow.kernel_operator, gridflow._LatticeKernelOperator)
+        assert isinstance(flow.kernel_operator, kernels._LatticeOperator)
         x = grid.nodes
         density = GridDensity(grid, -0.5 * np.sum((x - mean) ** 2, axis=1) / scale**2)
         forms = gridflow.G_FORMS if dim == 1 else ("score", "dual")
@@ -667,12 +676,12 @@ class TestKernelOperator:
         # at most ten rows per tile: 64 nodes in seven ranges of 9 or 10
         # rows, 144 in fifteen of 9 or 10
         monkeypatch.setattr(kernels, "TILE_ROWS", 10)
-        flow.kernel_operator = kernels.cached_kernel_operator(flow.kernel, flow.theta)
+        flow.kernel_operator = kernels.cached_kernel_operator(flow.kernel, flow.theta, flow.grid)
         assert flow.kernel_operator._tiles is not None
         assert len(flow.kernel_operator._ranges) == -(-flow.grid.size // 10)
         cached = [flow.g_field(density, form=form) for form in forms]
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
-        flow.kernel_operator = kernels.cached_kernel_operator(flow.kernel, flow.theta)
+        flow.kernel_operator = kernels.cached_kernel_operator(flow.kernel, flow.theta, flow.grid)
         assert flow.kernel_operator._tiles is None
         for form, tiled, reference in zip(forms, cached, single):
             streamed = flow.g_field(density, form=form)

@@ -1,10 +1,13 @@
 """Kernel derivative and bound certification against finite differences,
-and the kernel operator against explicit gram blocks.
+and the kernel operators against explicit gram blocks.
 
 Every kernel is a radial profile read through a chart, and its gram blocks
 are written once for all of them, so the finite-difference oracles certify
 the one formula through each chart: the identity (imq, rbf), a scale
 (rescaled) and the mirror map's grad_psi (dual-imq)."""
+
+import functools
+import re
 
 import numpy as np
 import pytest
@@ -21,11 +24,13 @@ from msvgd.kernels import (
     make_kernel,
 )
 from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
+from msvgd.theory import Grid
 
 from conftest import (
     DenseKernelOperator,
     fd_gradient,
     fd_mixed_second,
+    grad12_gram,
     rel_err,
     sample_box_interior,
     sample_simplex_interior,
@@ -67,7 +72,7 @@ def test_grad12_matches_fd(rng, d):
     for k in _euclidean_kernels():
         for _ in range(4):
             a, b = rng.normal(size=d), rng.normal(size=d)
-            m = _pair(k.grad12_gram, a, b)
+            m = _pair(functools.partial(grad12_gram, k), a, b)
             m_fd = fd_mixed_second(lambda x, y: _value(k, x, y), a, b, h=1e-4)
             assert np.max(np.abs(m - m_fd)) < 2e-5 * max(1.0, np.max(np.abs(m)))
 
@@ -82,7 +87,8 @@ def test_dual_imq_grads_match_fd(rng):
             g_fd = fd_gradient(lambda z: _value(k, z, b), a, h=1e-6)
             assert rel_err(g_fd, _pair(k.grad1_gram, a, b), floor=1e-6) < 1e-5
             m_fd = fd_mixed_second(lambda x, y: _value(k, x, y), a, b, h=1e-5)
-            assert rel_err(m_fd, _pair(k.grad12_gram, a, b), floor=1e-5) < 1e-4
+            assert rel_err(m_fd, _pair(functools.partial(grad12_gram, k), a, b),
+                           floor=1e-5) < 1e-4
 
 
 def test_imq_frozen_values():
@@ -138,7 +144,7 @@ def test_cross_derivative_peaks_at_coincidence(kind, width, beta):
     t = np.concatenate([[0.0], np.logspace(-8, 4, 400), np.linspace(0.0, 1e4, 400)[1:]])
     y = np.zeros((t.size, 2))
     y[:, 0] = np.sqrt(t)
-    eig = np.linalg.eigvalsh(k.grad12_gram(np.zeros((1, 2)), y)[0])
+    eig = np.linalg.eigvalsh(grad12_gram(k, np.zeros((1, 2)), y)[0])
     b2sq = k.bounds()[1] ** 2
     assert np.max(np.abs(eig)) <= b2sq * (1.0 + 1e-15)
     assert rel_err(np.max(np.abs(eig[0])), b2sq) <= 1e-15
@@ -242,6 +248,17 @@ def test_parameter_validation():
         IMQKernel(c=1.0, beta=0.0)
     with pytest.raises(ConfigError):
         RBFKernel(bandwidth=0.0)
+    # constants or f, f', f'' at 0 that float64 cannot hold: c^2 or h^2
+    # overflows or is 0, 4 h^4 overflows, or f''(0) of imq at c = 1e-100
+    builds = {"c": [lambda v: IMQKernel(c=v), lambda v: RescaledKernel(IMQKernel(c=v), 2.0),
+                    lambda v: DualIMQKernel(EntropicSimplexMap(2), c=v)],
+              "bandwidth": [lambda v: RBFKernel(bandwidth=v)]}
+    for key, values in [("c", (1e155, 1e-170, 1e-100)), ("bandwidth", (1e160, 1e100, 1e-170))]:
+        for build in builds[key]:
+            for value in values:
+                message = re.escape(f"'{key}' = {value!r} is out of float64's range")
+                with pytest.raises(ConfigError, match=message):
+                    build(value)
     with pytest.raises(ConfigError):
         make_kernel("matern")
     with pytest.raises(ConfigError):
@@ -343,7 +360,7 @@ def test_radial_streaming_matches_precomputed(rng, monkeypatch, d):
     assert len(single._ranges) == 1
     # at most seven rows per tile: six ranges of 6 or 7 rows, 21 upper tiles
     monkeypatch.setattr(kernels, "TILE_ROWS", 7)
-    cached = kernels.cached_kernel_operator(kernel, theta)
+    cached = kernels.kernel_operator(kernel, theta).cache_tiles()
     assert cached._tiles is not None
     assert [r.stop - r.start for r in cached._ranges] == [6, 6, 6, 6, 6, 7]
     streaming = kernels.kernel_operator(kernel, theta)
@@ -383,8 +400,9 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
     # a general u: g_field's weighted Hinv times dual-imq's J is near w I
     u = rng.standard_normal((n, 2, 2))
     monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
-    build = kernels.cached_kernel_operator if cached else kernels.kernel_operator
-    operator = build(DualIMQKernel(mirror_map), theta)
+    operator = kernels.kernel_operator(DualIMQKernel(mirror_map), theta)
+    if cached:
+        operator.cache_tiles()
     assert len(operator._ranges) == ranges
     assert (operator._tiles is not None) == cached
     calls = []
@@ -432,6 +450,26 @@ def test_operator_repeats_bit_for_bit(rng, kernel):
     for a, b in zip(first, second):
         assert a.tobytes() == b.tobytes()
 
+
+@pytest.mark.parametrize("axes", [(np.linspace(-9.7, 8.3, 4096),),
+                                  (np.linspace(-6.1, 5.9, 48), np.linspace(-4.4, 7.0, 48))],
+                         ids=["4096", "48x48"])
+@pytest.mark.parametrize("kernel", [
+    IMQKernel(), IMQKernel(c=0.7, beta=-0.3), RBFKernel(bandwidth=0.8),
+    RescaledKernel(IMQKernel(c=1.3, beta=-0.6), 2.5), RescaledKernel(RBFKernel(1.2), 1.7),
+], ids=["imq", "imq-c0.7", "rbf", "rescaled-imq", "rescaled-rbf"])
+def test_lattice_lag_samples_equal_the_dense_blocks(axes, kernel):
+    # the lattice samples K, K1 and K12 in one pass; the dense blocks between
+    # each lag and the origin, built one by one, give the same bits
+    grid = Grid(axes)
+    lag_axes = [np.arange(1 - a.size, a.size) * ((a[-1] - a[0]) / (a.size - 1)) for a in axes]
+    lags = np.stack([m.ravel() for m in np.meshgrid(*lag_axes, indexing="ij")], axis=1)
+    origin = np.zeros((1, grid.dim))
+    dense = (kernel.gram(lags, origin), kernel.grad1_gram(lags, origin),
+             grad12_gram(kernel, lags, origin))
+    for got, want in zip(kernels._lag_samples(kernel, grid), dense):
+        assert got.shape == tuple(a.size for a in lag_axes) + want.shape[2:]
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def _profile_arguments(gen):

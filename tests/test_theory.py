@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_box_interior, sample_simplex_interior
+from conftest import grad12_gram, sample_box_interior, sample_simplex_interior
 
 from msvgd import kernels, theory
 from msvgd.cli import _resolve_config_path
@@ -728,7 +728,7 @@ def _v_statistic(theta, target, mirror_map, kernel):
     op += mirror_map.div_hess_psi_inv(theta)
     gram = kernel.gram(theta, theta)
     grad1 = kernel.grad1_gram(theta, theta)
-    grad12 = kernel.grad12_gram(theta, theta)
+    grad12 = grad12_gram(kernel, theta, theta)
     total = 0.0
     for b in range(n):
         for j in range(n):
