@@ -6,9 +6,10 @@ update is applied.  A run builds one averaged kernel field per state
 (update_field) and uses it twice: msvgd_step moves the dual cloud along it
 and maps back through the conjugate gradient, so feasibility is automatic;
 then the state's Stein-Fisher snapshot reads it, together with the operand
-and inverse mirror Hessians the field was built from, so no score or mirror
-Hessian is evaluated twice per state.  With the Euclidean map the whole
-scheme collapses to standard SVGD, which is the reduction the tests pin.
+and the kernel's chart-to-dual Jacobians G (msvgd.kernels) the field was
+built from, so no score or mirror Hessian is evaluated twice per state.
+With the Euclidean map the whole scheme collapses to standard SVGD, which
+is the reduction the tests pin.
 
 The field is built over the near-equal row ranges of at most TILE_ROWS
 particles that the kernel operator of msvgd.kernels tiles with
@@ -87,30 +88,30 @@ class ParticleField:
     """One state's update field and the per-particle values it was built
     from: ``velocity`` (n, d) is the field at each particle, ``operand``
     (n, d) the score-plus-divergence term Hinv(t_j) s(t_j) + div Hinv(t_j),
-    and ``hinv`` (n, d, d) the inverse mirror Hessians Hinv(t_j)."""
+    and ``dual_jacobian`` (n, d, d) the kernel's G(t_j) = Hinv(t_j) J(t_j)."""
 
     velocity: np.ndarray
     operand: np.ndarray
-    hinv: np.ndarray
+    dual_jacobian: np.ndarray
 
 
 def update_field(ensemble: ParticleEnsemble, mirrored, kernel) -> ParticleField:
     """Averaged dual-space velocity field evaluated at every particle.
 
     velocity[i] = (1/n) sum_j [ k(t_i, t_j) (Hinv(t_j) s(t_j) + div Hinv(t_j))
-                                + Hinv(t_j) grad1 k(t_j, t_i) ]
+                                + G(t_j) grad1 k(t_j, t_i) ]
 
-    with t the primal positions, s the primal score.  The second term is the
-    product-rule remainder of the kernel-smoothed divergence; together they
-    make the field a pure average of certified primal primitives.  The
+    with t the primal positions, s the primal score, grad1 in the kernel's
+    first chart slot and G = Hinv J (Kernel.dual_jacobian).  The second term
+    is the product-rule remainder of the kernel-smoothed divergence; together
+    they make the field a pure average of certified primal primitives.  The
     operand and Hinv come from the mirrored target (MirroredTarget.operand).
     An adaptive kernel first refreshes its bandwidth from this primal cloud.
-    The returned field keeps the operand and Hinv it was built from, for
+    The returned field keeps the operand and G it was built from, for
     the state's Stein-Fisher snapshot and smoothness level.
 
     The sums run one row range of r <= TILE_ROWS particles at a time, so
-    the peak is one (n, r, d) grad1_gram block and its (n, r) factor (one
-    more (n, r, d) block when the kernel's chart has a Jacobian), not
+    the peak is one (n, r, d) grad1_gram block and its (n, r) factor, not
     whole (n, n, d) blocks.  kernels.particle_bytes prices that peak.
     """
     theta = ensemble.primal
@@ -118,15 +119,16 @@ def update_field(ensemble: ParticleEnsemble, mirrored, kernel) -> ParticleField:
     if kernel.adaptive:
         kernel.update_bandwidth(theta)
     _, hinv, operand = mirrored.operand(theta)
+    jac = kernel.dual_jacobian(hinv)
 
     velocity = np.empty_like(operand)
     for rows in kernels.row_ranges(n):
         # each block is dropped once its einsum has read it;
-        # grad1[j, i] = d/dt_j k(t_j, t_i)
+        # grad1[j, i] = d/dx_j k(t_j, t_i)
         drift = np.einsum("ij,jd->id", kernel.gram(theta[rows], theta), operand)
-        repulsion = np.einsum("jde,jie->id", hinv, kernel.grad1_gram(theta, theta[rows]))
+        repulsion = np.einsum("jde,jie->id", jac, kernel.grad1_gram(theta, theta[rows]))
         velocity[rows] = (drift + repulsion) / float(n)
-    return ParticleField(velocity=velocity, operand=operand, hinv=hinv)
+    return ParticleField(velocity=velocity, operand=operand, dual_jacobian=jac)
 
 
 def _require_finite_field(ensemble: ParticleEnsemble, field: ParticleField) -> None:
@@ -235,16 +237,17 @@ def run(bundle: RuntimeBundle, out_dir) -> dict:
 
     try:
         for step in range(cfg.steps + 1 if cfg.steps > 0 else 0):
-            field = update_field(ensemble, bundle.mirrored, kernel)
-            stepped = ensemble
+            field, stepped = None, ensemble
             try:
+                field = update_field(ensemble, bundle.mirrored, kernel)
                 if step < cfg.steps:
                     stepped = msvgd_step(ensemble, field, gamma, mirror_map)
                 else:
                     _require_finite_field(ensemble, field)
             except NumericsError as exc:
-                abort = {"step": exc.step, "particle": exc.particle, "message": str(exc)}
-                if np.isfinite(field.velocity).all():
+                at = ensemble.step_index if exc.step is None else exc.step
+                abort = {"step": at, "particle": exc.particle, "message": str(exc)}
+                if field is not None and np.isfinite(field.velocity).all():
                     snapshot(ensemble, field)
                 raise
             if step % cfg.cadence == 0 or step == cfg.steps:

@@ -23,10 +23,11 @@ beforehand; it never rebuilds a flow or a field and never prices a constant.
 The field is a handful of kernel-matrix products over the nodes, and one
 kernel operator performs them.  The flow holds no operator code: it asks
 msvgd.kernels.cached_kernel_operator for the operator over its primal
-nodes, which picks FFT convolutions on the lattice when the kernel's chart
-is affine and the primal nodes are the grid itself (the euclidean map), and
-the point-set operator otherwise (dual-imq's chart is grad_psi, so there t
-is measured between the dual images of the primal nodes).
+nodes, which picks FFT convolutions on the lattice when the primal nodes
+are the grid itself (the euclidean map), and the point-set operator
+otherwise.  g_field takes the operator's chart-slot sums to the dual chart
+with the kernel's chart-to-dual Jacobian G per node (msvgd.kernels; the
+identity for dual-imq, so its field derivatives are the operator's own).
 
 The pushforward inverts x - gamma * g by Newton's method.  In 1D one search
 finds the interval of the field's Hermite table that holds each node's
@@ -455,6 +456,7 @@ class MirroredFlow:
         self.grad_potential = -self.operand
         self.grad_potential_norm = np.sqrt(
             np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
+        self.dual_jacobian = kernel.dual_jacobian(self.hinv)
         self.kernel_operator = cached_kernel_operator(kernel, self.theta, self.grid)
 
     # -- densities ----------------------------------------------------------
@@ -492,11 +494,11 @@ class MirroredFlow:
             op, sign = self.dual_score_ratio(density), 1.0
         else:
             op, sign = self._primal_operand(density), 1.0
-        q = wrho[:, None] * op                                        # (P, d)
-        u = wrho[:, None, None] * self.hinv if form == "score" else None  # (P, d, d)
-        vals, dvals = self.kernel_operator.apply(q, u)
-        # dvals differentiates in the primal evaluation slot: chain rule to dual
-        derivs = sign * np.einsum("jdc,jcf->jdf", dvals, self.hinv)
+        jac = self.dual_jacobian                                      # (P, d, d)
+        u = wrho[:, None, None] * jac if form == "score" else None
+        vals, dvals = self.kernel_operator.apply(wrho[:, None] * op, u)
+        # dvals differentiates in the chart's evaluation slot: chain rule to dual
+        derivs = sign * np.einsum("jdc,jcf->jdf", dvals, jac)
         return FieldOnGrid(self.grid, sign * vals, derivs)
 
     def _primal_operand(self, density: GridDensity) -> np.ndarray:

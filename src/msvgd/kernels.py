@@ -2,22 +2,25 @@
 particle update and the discrepancy estimators need.
 
 Every kernel is one radial profile read through a chart:
-k(theta, theta') = f(||x - x'||^2) with x = phi(theta).  chart(points)
-returns the chart coordinates x and the chart's Jacobian J there, which is
-symmetric for every chart here: None for the identity (imq, rbf), the
-number 1 / scale for rescaled, and hess_psi (n, d, d) for dual-imq, whose
-chart is the mirror map's grad_psi.  profile is the radial kernel whose
-f, f' and f'' apply in the chart.
+k(theta, theta') = f(||x - x'||^2) with x = chart(theta): the identity for
+imq and rbf, theta / scale for rescaled, and grad_psi for dual-imq.  profile
+is the radial kernel whose f, f' and f'' apply in the chart.  Every gram
+block and operator here takes chart coordinates and differentiates in chart
+slots, with no Jacobian inside; a consumer in the dual chart multiplies by
+one symmetric per-point matrix, G = Hinv J = (dx/dy)^T for y = grad_psi
+(dual_jacobian): hinv for imq and rbf, hinv / scale for rescaled, and I for
+dual-imq, whose chart is the dual coordinate itself.
 
 A radial profile evaluates f and its first two derivatives in one method,
 _derivatives(t, order), from one transcendental: one pow of c^2 + t for imq,
 whose derivatives follow by division, and one exp for rbf.  Its constants
-(imq c^2; rbf 2 h^2 and 4 h^4) are written once, in _constants, and it
-refuses a parameter that leaves them, or f, f' or f'' at 0, infinite, zero
-or nan in float64.  bounds() returns (b1, b2) with sup k(t, t) <= b1^2 and
-the cross second derivative bounded by b2^2, derived from the profile at
-t = 0: b1^2 = f(0) and b2^2 = -2 f'(0), where the cross second derivative
-of imq (beta in (-1, 0)) and rbf peaks, so no constant is sampled.
+(imq c^2; rbf 2 h^2 and 4 h^4) are written once, in _constants; a parameter
+(or a median refresh) that leaves them, or f, f' or f'' at 0, infinite,
+zero or nan in float64 is refused.  bounds() returns (b1, b2) with
+sup k(t, t) <= b1^2 and the cross second derivative bounded by b2^2,
+derived from the profile at t = 0: b1^2 = f(0) and b2^2 = -2 f'(0), where
+the cross second derivative of imq (beta in (-1, 0)) and rbf peaks, so no
+constant is sampled.
 
 gram and grad1_gram (grad1 differentiates the first slot) are the blocks
 between point sets X (n, d) and Y (m, d) that the particle field contracts.
@@ -31,23 +34,21 @@ matrices over one point set applied to per-point values, the sums that both
 the grid field and the particle Stein-Fisher value are made of.
 - The point-set operator (kernel_operator), for every kernel: products of
   the n x n matrices f'(t) and f''(t) with (w, n) stacks of per-point
-  features, between two per-point multiplications by J.  f(t) is never
-  built (f = (a + b t) f', _affine_ratio), and only the upper tiles of the
-  two symmetric matrices are, each before the next product unless
-  cache_tiles keeps them.
-- The lattice operator, for a kernel whose chart is affine (J None or a
-  number) over a grid's own nodes: every kernel matrix is (block-)Toeplitz,
-  so it is a zero-padded FFT convolution with K, K1 and K12 sampled at the
-  node lags.
+  features.  f(t) is never built (f = (a + b t) f', _affine_ratio), and
+  only the upper tiles of the two symmetric matrices are, each before the
+  next product unless cache_tiles keeps them.
+- The lattice operator, over a grid's own nodes, where every chart is
+  affine: every kernel matrix is (block-)Toeplitz, so it is a zero-padded
+  FFT convolution with K, K1 and K12 sampled at the node lags.
 cached_kernel_operator, which a grid flow applies at every state, chooses
-between them by the chart.
+between them by the points.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 
 # cache the kernel matrices' upper tiles over a point set when they fit
 PRECOMPUTE_BYTES = 700_000_000
@@ -80,17 +81,6 @@ def _sq_dists(x, y):
     return t
 
 
-def _times_jac(v, jac, subscripts):
-    """v multiplied by the chart Jacobians: by the number itself, or by the
-    per-point (n, d, d) matrices through einsum ``subscripts``; v itself
-    when the chart is the identity."""
-    if jac is None:
-        return v
-    if np.ndim(jac) == 0:
-        return v * jac
-    return np.einsum(subscripts, v, jac)
-
-
 def _rows(stack, shapes) -> list:
     """(n, *shape) views of consecutive row blocks of a (w, n) stack of
     per-point features, one block per trailing shape, to write or read."""
@@ -106,32 +96,35 @@ def _rows(stack, shapes) -> list:
 class Kernel:
     """k(a, b) = f(||x_a - x_b||^2) with f = profile and x = chart(points).
 
-    With D = x_a - x_b, t = ||D||^2 and J the chart's symmetric Jacobian:
+    With D = x_a - x_b and t = ||D||^2, in chart slots:
 
-        K = f(t),   K1 = J_a (2 f'(t) D),
-        K12 = J_a (-4 f''(t) D D^T - 2 f'(t) I) J_b.
+        K = f(t),   K1 = 2 f'(t) D,   K12 = -4 f''(t) D D^T - 2 f'(t) I.
     """
 
     adaptive = False  # True when the engine must refresh state each step
     profile = None  # the radial kernel whose f, f' and f'' apply in the chart
 
     def chart(self, points):
-        """(x, jac): the chart coordinates of points (n, d) and the chart's
-        Jacobian there; the identity chart by default."""
-        return points, None
+        """The chart coordinates of points (n, d); the identity by default."""
+        return points
+
+    def dual_jacobian(self, hinv):
+        """G = Hinv J, the chart-to-dual Jacobian at points whose inverse
+        mirror Hessians are hinv (n, d, d); hinv for the identity chart."""
+        return hinv
 
     def gram(self, X, Y):
-        return self.profile._derivatives(_sq_dists(self.chart(X)[0], self.chart(Y)[0]), 0)[0]
+        return self.profile._derivatives(_sq_dists(self.chart(X), self.chart(Y)), 0)[0]
 
     def grad1_gram(self, X, Y):
-        (x, jac), y = self.chart(X), self.chart(Y)[0]
+        x, y = self.chart(X), self.chart(Y)
         # scaled in place: a named factor must not cost one more n x m array,
         # nor the difference block one more n x m x d array
         fp = self.profile._derivatives(_sq_dists(x, y), 1)[1]
         fp *= 2.0
         diff = x[:, None, :] - y[None, :, :]
         diff *= fp[:, :, None]
-        return _times_jac(diff, jac, "nma,nab->nmb")
+        return diff
 
     def bounds(self):
         """(b1, b2) of the profile in its chart: b1 = sqrt(f(0)) and
@@ -165,16 +158,18 @@ class _RadialKernel(Kernel):
         """The profile's constants, in the form _derivatives reads them."""
         raise NotImplementedError
 
-    def _refuse_out_of_range(self, key, value):
-        """ConfigError naming ``key`` unless the constants and f, f', f'' at 0
-        are finite and nonzero in float64, without which the bounds and every
-        kernel sum read inf, nan or 0."""
+    def _in_range(self) -> bool:
+        """Whether the constants and f, f', f'' at 0 are finite and nonzero in
+        float64; otherwise the bounds and every kernel sum read inf, nan or 0."""
         try:
             with np.errstate(all="ignore"):
                 values = [*self._constants(), *(v[0] for v in self._derivatives(np.zeros(1), 2))]
         except OverflowError:  # a Python float power past float64's range
-            values = [math.inf]
-        if not all(math.isfinite(v) and v != 0.0 for v in values):
+            return False
+        return all(math.isfinite(v) and v != 0.0 for v in values)
+
+    def _refuse_out_of_range(self, key, value):
+        if not self._in_range():
             raise ConfigError(f"kernel parameter '{key}' = {value!r} is out of float64's range: "
                               "its constants or f, f', f'' at 0 would be infinite, zero or nan")
 
@@ -250,11 +245,15 @@ class RBFKernel(_RadialKernel):
         # the upper triangle through a boolean mask, not (n, n) integer
         # indices; the median partitions that copy in place
         med = np.median(t[~np.tri(n, dtype=bool)], overwrite_input=True) if n > 1 else 1.0
-        h2 = med / (2.0 * np.log(n + 1.0))
-        return float(np.sqrt(max(h2, 1e-300)))
+        return float(np.sqrt(med / (2.0 * np.log(n + 1.0))))
 
     def update_bandwidth(self, X):
+        """Refresh the median bandwidth from X, refusing a collapsed cloud."""
         self._h = self.median_bandwidth(X)
+        if not self._in_range():
+            h, self._h = self._h, None
+            raise NumericsError(f"median-heuristic rbf bandwidth {h!r} is out of float64's "
+                                f"range: the cloud of {X.shape[0]} points has collapsed")
         return self._h
 
     def _constants(self):
@@ -279,7 +278,7 @@ class RBFKernel(_RadialKernel):
 
 class RescaledKernel(Kernel):
     """A radial kernel (imq or rbf) evaluated on points divided by a fixed
-    scale: the chart x = theta / scale, whose Jacobian is 1 / scale.
+    scale: the chart x = theta / scale, whose Jacobian is I / scale.
 
     Shrinks the cross-derivative constant by the scale (b2 / scale), which is
     how the dimension dependence of the step-size bound is tamed in practice.
@@ -292,7 +291,10 @@ class RescaledKernel(Kernel):
         self.scale = float(scale)
 
     def chart(self, points):
-        return points / self.scale, 1.0 / self.scale
+        return points / self.scale
+
+    def dual_jacobian(self, hinv):
+        return hinv / self.scale
 
     def bounds(self):
         b1, b2 = super().bounds()
@@ -303,7 +305,8 @@ class DualIMQKernel(Kernel):
     """Inverse multiquadric composed with the mirror chart:
     k(theta, theta') = (c^2 + ||grad_psi(theta) - grad_psi(theta')||^2)^beta.
 
-    Its chart is grad_psi, whose Jacobian hess_psi is symmetric.  In the dual
+    Its chart is grad_psi, the dual coordinate itself, so its chart-to-dual
+    Jacobian is the identity and no mirror Hessian is evaluated.  In the dual
     coordinates this kernel is translation invariant, so bounds() reports the
     dual-chart constants (where the kernel actually enters the dual-space
     analysis); the raw primal cross derivative is unbounded near the domain
@@ -315,7 +318,10 @@ class DualIMQKernel(Kernel):
         self.profile = IMQKernel(c=c, beta=beta)
 
     def chart(self, points):
-        return self.map.grad_psi(points), self.map.hess_psi(points)
+        return self.map.grad_psi(points)
+
+    def dual_jacobian(self, hinv):
+        return np.broadcast_to(np.eye(hinv.shape[-1]), hinv.shape)
 
 
 def make_kernel(name, params=None, mirror_map=None):
@@ -355,15 +361,17 @@ def make_kernel(name, params=None, mirror_map=None):
 # ---------------------------------------------------------------------------
 # kernel operators
 #
-# An operator over points theta (n, d) applies the kernel matrices
-# K[i, j] = k(theta_i, theta_j), K1 = grad1 k and K12 = grad12 k (d^2 k /
-# dtheta_i dtheta'_j) to per-point values q (n, d) and u (n, d, d):
+# An operator over points theta (n, d) with chart coordinates x_i applies
+# the kernel matrices K[i, j] = k(theta_i, theta_j), K1 = grad1 k and
+# K12 = grad12 k (d^2 k / dx_i dx'_j), both in chart slots, to per-point
+# values q (n, d) and u (n, d, d):
 #
 #   vals[j]        = sum_i K[i, j] q[i] + sum_{i,e} K1[i, j, e] u[i, :, e]
 #   dvals[j, :, c] = sum_i K1[j, i, c] q[i] + sum_{i,e} K12[i, j, e, c] u[i, :, e]
 #
-# dvals is the derivative of vals in the evaluation slot theta_j.
-# apply(q, None) skips the u terms.
+# dvals is the derivative of vals in the evaluation slot x_j.  A consumer in
+# the dual chart passes u = (its dual-slot values) G and reads dvals G, with
+# G = Kernel.dual_jacobian per point.  apply(q, None) skips the u terms.
 
 
 def kernel_operator(kernel, points):
@@ -371,19 +379,18 @@ def kernel_operator(kernel, points):
     its chart.  It builds each tile inside every product and releases it
     before the next, which suits an operator applied once, as the particle
     snapshot's is."""
-    return _RadialOperator(kernel.profile, *kernel.chart(points))
+    return _RadialOperator(kernel.profile, kernel.chart(points))
 
 
 def cached_kernel_operator(kernel, points, grid):
     """The operator a grid flow applies at every state over ``points``, the
-    primal images of ``grid``'s nodes: the lattice operator when the
-    kernel's chart is affine (its Jacobian None or a number) and the points
-    are the nodes themselves, else the point-set operator with its tiles
-    kept."""
-    x, jac = kernel.chart(points)
-    if (jac is None or np.ndim(jac) == 0) and np.array_equal(points, grid.nodes):
+    primal images of ``grid``'s nodes: the lattice operator when the points
+    are the nodes themselves (the euclidean map, under which every chart
+    here is affine: dual-imq's grad_psi is the identity), else the
+    point-set operator with its tiles kept."""
+    if np.array_equal(points, grid.nodes):
         return _LatticeOperator(kernel, grid)
-    return _RadialOperator(kernel.profile, x, jac).cache_tiles()
+    return kernel_operator(kernel, points).cache_tiles()
 
 
 def _cached_tile_bytes(n: int) -> int:
@@ -409,34 +416,30 @@ def particle_bytes(kernel, n: int, d: int) -> int:
     """About the most bytes of kernel blocks that a particle run over n
     points in d dimensions holds at once, the largest of:
     - the field's largest row range, of r rows: grad1_gram's (n, r, d)
-      difference block and its (n, r) factor, plus one more (n, r, d)
-      block when the chart has a Jacobian to multiply by;
+      difference block and its (n, r) factor;
     - the Stein-Fisher snapshot's operator, which streams its tiles
       (operator_bytes);
     - an adaptive kernel's refresh: the (n, n) squared distances and the
       spare (n, n) array they are summed with."""
     rows = -(-n // _range_count(n))
-    blocks = d + 1 if type(kernel).chart is Kernel.chart else 2 * d + 1
     refresh = 16 * n * n if kernel.adaptive else 0
-    return max(8 * n * rows * blocks, operator_bytes(n, d), refresh)
+    return max(8 * n * rows * (d + 1), operator_bytes(n, d), refresh)
 
 
 class _RadialOperator:
     """The products for k(a, b) = f(||x_a - x_b||^2) over chart coordinates
-    x (n, d) with symmetric chart Jacobians jac (see Kernel.chart).
+    x (n, d) (see Kernel.chart).
 
     With D = x_i - x_j and F, F', F'' the symmetric n x n matrices of f,
     f', f'' at t_ij = ||D||^2:
 
-        K = F,   K1[i, j] = J_i (2 F'_ij D),
-        K12[i, j] = -J_i (4 F''_ij D D^T + 2 F'_ij I) J_j.
+        K = F,   K1[i, j] = 2 F'_ij D,
+        K12[i, j] = -(4 F''_ij D D^T + 2 F'_ij I).
 
-    By the chain rule, apply maps u to u J per point on the way in and
-    dvals to dvals J on the way out; between the two every sum is the
-    identity chart's.  Splitting D into x_i and x_j turns every sum into one
-    factor times per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and
-    point-wise products with x_j.  Each factor multiplies all its features
-    in one matrix product per tile.  The sums are translation invariant, so
+    Splitting D into x_i and x_j turns every sum into one factor times
+    per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and point-wise
+    products with x_j.  Each factor multiplies all its features in one
+    matrix product per tile.  The sums are translation invariant, so
     x is centred first, which keeps the cancellation between the split
     terms small.
 
@@ -465,9 +468,8 @@ class _RadialOperator:
     ways run the same loop on the same tiles, so they give the same bits.
     """
 
-    def __init__(self, profile, x, jac):
+    def __init__(self, profile, x):
         self.profile = profile
-        self.jac = jac
         x = np.asarray(x, dtype=float)
         self._x = x - np.mean(x, axis=0)
         self._f0, self._fp0 = (float(v[0]) for v in profile._derivatives(np.zeros(1), 1))
@@ -532,8 +534,8 @@ class _RadialOperator:
         return out
 
     def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
-        # F' multiplies q, q x^T, A q and, with u, w = u J x and u J; F''
-        # multiplies w, w x^T, u J and u J x^T.  Each is written into its
+        # F' multiplies q, q x^T, A q and, with u, w = u x and u; F''
+        # multiplies w, w x^T, u and u x^T.  Each is written into its
         # rows of its factor's (w, n) stack and each product read from its
         # rows of the result, so an apply holds two copies of the features.
         x = self._x
@@ -550,11 +552,9 @@ class _RadialOperator:
         np.multiply(q[:, :, None], x[:, None, :], out=features[0][1])
         np.multiply(self._affine[:, None], q, out=features[0][2])
         if u is not None:
-            (_, _, _, w, u_j), (w2, w_x, u_j2, u_x) = features
-            u = _times_jac(u, self.jac, "nde,nef->ndf")
+            (_, _, _, w, u_fp), (w2, w_x, u_fpp, u_x) = features
             w[...] = w2[...] = np.einsum("ide,ie->id", u, x)
-            u_j[...] = u_j2[...] = u
-            u = u_j  # u J from here on, read from its rows of the F' stack
+            u_fp[...] = u_fpp[...] = u
             np.multiply(w[:, :, None], x[:, None, :], out=w_x)
             np.multiply(u[:, :, :, None], x[:, None, None, :], out=u_x)
         products = [_rows(p, group) for p, group in zip(self._products(*stacks), shapes)]
@@ -572,18 +572,18 @@ class _RadialOperator:
             dd = (Fppwx - np.einsum("jdec,je->jdc", Fppux, x)
                   + (Fppu_x - Fppw)[:, :, None] * x[:, None, :])
             dvals = dvals - (2.0 * (Fpu + self._fp0 * u) + 4.0 * dd)
-        return vals, _times_jac(dvals, self.jac, "nde,nef->ndf")
+        return vals, dvals
 
 
 def _lag_samples(kernel, grid) -> tuple:
     """K, K1 and K12 of Kernel's docstring between the zero lag and each of
     the (2 n - 1)^d lags between ``grid``'s nodes, shaped over the lag
-    lattice, for a chart Jacobian J that is None or a number: one chart
-    evaluation, one _sq_dists and one _derivatives pass give all three."""
+    lattice, for an affine chart: one chart evaluation, one _sq_dists and one
+    _derivatives pass give all three."""
     # the spacing as linspace computes it, not a[1] - a[0], which loses the
     # digits of a[0]
     axes = [np.arange(1 - a.size, a.size) * ((a[-1] - a[0]) / (a.size - 1)) for a in grid.axes]
-    x, jac = kernel.chart(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
+    x = kernel.chart(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1))
     origin = x[x.shape[0] // 2][None]  # the zero lag, in the middle of the lattice
     f, fp, fpp = kernel.profile._derivatives(_sq_dists(x, origin)[:, 0], 2)
     diff = x - origin
@@ -592,17 +592,13 @@ def _lag_samples(kernel, grid) -> tuple:
     k1 = fp[:, None] * diff
     k12 = fpp[:, None, None] * (diff[:, :, None] * diff[:, None, :])
     k12 -= fp[:, None, None] * np.eye(grid.dim)
-    if jac is not None:
-        k1 *= jac
-        k12 *= jac  # J_a, then J_b
-        k12 *= jac
     shape = tuple(a.size for a in axes)
     return f.reshape(shape), k1.reshape(shape + (-1,)), k12.reshape(shape + (grid.dim, -1))
 
 
 class _LatticeOperator:
-    """The products for a kernel with an affine chart over a grid's own
-    nodes, where entry (i, j) of each kernel matrix depends only on the lag
+    """The products for a kernel over a grid's own nodes, where its chart
+    is affine, so entry (i, j) of each kernel matrix depends only on the lag
     between nodes i and j: linear convolutions of node values with the
     kernel sampled at the 2n - 1 lags of every axis (_lag_samples), applied
     by zero-padded FFTs over the grid's shape, with no node-by-node array."""

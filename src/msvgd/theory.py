@@ -106,15 +106,12 @@ class SmoothnessProfile:
 @dataclass
 class DiagnosticsRecord:
     """One logged row of a run: current step, Stein-Fisher estimate, local
-    smoothness level, step size, and (quadrature runs only) the KL value and
-    per-bound margins."""
+    smoothness level and step size."""
 
     step: int
     stein_fisher: float
     a_n: float
     gamma: float
-    kl: float | None = None
-    margins: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # The estimator is a nonnegative quadratic form; anything below the
@@ -340,22 +337,23 @@ def a_n(operand, profile: SmoothnessProfile) -> float:
 
 def stein_fisher_particles(ensemble, kernel, field) -> float:
     """Squared kernel-space norm of the update field over the ensemble: the
-    V-statistic of the score-plus-divergence operand op_j = H_j s(t_j) +
-    div Hinv(t_j), H_j = Hinv(t_j).  ``field`` is what
-    ``engine.update_field`` built for this ensemble and kernel; its
-    ``operand`` and ``hinv`` are those per-particle values and its
+    V-statistic of the score-plus-divergence operand op_j = Hinv(t_j) s(t_j)
+    + div Hinv(t_j).  ``field`` is what ``engine.update_field`` built for
+    this ensemble and kernel; its ``operand`` and ``dual_jacobian``
+    G_j = Hinv(t_j) J(t_j) are those per-particle values and its
     ``velocity`` is the field v itself, so nothing per particle is
-    evaluated again.  The V-statistic's gram term and one of its two equal
-    cross terms sum to (1/n) sum_b op_b.v_b, so
+    evaluated again.  With grad1 and grad12 in the kernel's chart slots
+    (``msvgd.kernels``), the V-statistic's gram term and one of its two
+    equal cross terms sum to (1/n) sum_b op_b.v_b, so
 
-        SF = (1/n) sum_b op_b.v_b + (1/n^2) sum_{b,j} [op_j.H_b grad1 k(t_b,t_j)
-                                                      + tr(H_b grad12 k(t_b,t_j) H_j)].
+        SF = (1/n) sum_b op_b.v_b + (1/n^2) sum_{b,j} [op_j.G_b grad1 k(t_b,t_j)
+                                                      + tr(G_b grad12 k(t_b,t_j) G_j^T)].
 
-    The second sum is sum_b <H_b, dvals_b>_F with (_, dvals) the kernel
-    operator's apply(op, Hinv) over the particles (``kernels.kernel_operator``,
+    The second sum is sum_b <G_b, dvals_b>_F with (_, dvals) the kernel
+    operator's apply(op, G) over the particles (``kernels.kernel_operator``,
     which builds each tile inside the one apply instead of caching them):
-    its dvals_b pairs grad1 k with op and grad12 k with H_j^T, which is H_j
-    because every mirror map's inverse Hessian is symmetric.  The operator
+    its dvals_b pairs grad1 k with op and grad12 k with G_j^T, which is G_j
+    because every chart-to-dual Jacobian here is symmetric.  The operator
     reduces through matrix products of fixed shape, so a given ensemble
     always produces the same float.  Nonnegative up to roundoff.  A point
     mass still scores positive through the kernel-derivative block; the
@@ -364,11 +362,11 @@ def stein_fisher_particles(ensemble, kernel, field) -> float:
     """
     theta = np.asarray(getattr(ensemble, "primal", ensemble), dtype=float)
     n, _ = theta.shape
-    velocity, operand, hinv = field.velocity, field.operand, field.hinv
+    velocity, operand, jac = field.velocity, field.operand, field.dual_jacobian
     if np.shape(velocity) != theta.shape:
         raise ValueError(f"velocity has shape {np.shape(velocity)}, expected {theta.shape}")
-    _, dvals = kernel_operator(kernel, theta).apply(operand, hinv)
-    total = float(np.einsum("bdc,bdc->", hinv, dvals))
+    _, dvals = kernel_operator(kernel, theta).apply(operand, jac)
+    total = float(np.einsum("bdc,bdc->", jac, dvals))
     return (float(np.einsum("bd,bd->", operand, velocity)) + total / n) / n
 
 

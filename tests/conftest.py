@@ -4,14 +4,17 @@ The oracles are deliberately dumb and independent of the library code: plain
 central differences and loop-based constructions, so closed forms in the
 package are certified against something that cannot share their bugs.
 DenseKernelOperator is the kernel operators' oracle: the same sums taken
-against explicit gram blocks, of which grad12_gram, the K12 block, serves
-only the tests.
+against explicit gram blocks (gram_blocks), written here from the kernel's
+chart and profile alone, with their own squared distances and chart
+Jacobians (chart_jacobian).  The blocks are in primal slots by default, the
+chain rule through J applied here, so they check the library's chart-slot
+sums and its consumers' J together.
 """
 
 import numpy as np
 import pytest
 
-from msvgd.kernels import Kernel, _sq_dists, _times_jac
+from msvgd.kernels import DualIMQKernel, RescaledKernel
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -70,35 +73,53 @@ def fd_mixed_second(k, a, b, h=1e-4):
     return out
 
 
-def grad12_gram(kernel, X, Y):
-    """The (n, m, d, d) block K12[a, b] = d^2 k / dX_a dY_b between X (n, d)
-    and Y (m, d), by the formula of Kernel's docstring:
-    J_a (-4 f''(t) D D^T - 2 f'(t) I) J_b."""
-    (x, jx), (y, jy) = kernel.chart(X), kernel.chart(Y)
-    t = _sq_dists(x, y)
+def chart_jacobian(kernel, points):
+    """J = dx/dtheta (n, d, d) of the kernel's chart at points (n, d), from
+    each chart's definition: the mirror map's hess_psi for dual-imq, I / scale
+    for rescaled and I for imq and rbf."""
+    n, d = np.shape(points)
+    if isinstance(kernel, DualIMQKernel):
+        return np.asarray(kernel.map.hess_psi(points), dtype=float)
+    scale = kernel.scale if isinstance(kernel, RescaledKernel) else 1.0
+    return np.broadcast_to(np.eye(d) / scale, (n, d, d))
+
+
+def gram_blocks(kernel, X, Y, dtype=float, primal=True):
+    """(K, K1, K12) between X (n, d) and Y (m, d), in ``dtype`` from the
+    kernel's chart coordinates x, y and its profile f: with D = x_a - y_b and
+    t = ||D||^2,
+
+        K = f(t),   K1[a, b] = J_a (2 f'(t) D),
+        K12[a, b] = J_a (-4 f''(t) D D^T - 2 f'(t) I) J_b,
+
+    the derivatives in the primal slots X_a and Y_b; primal=False leaves out
+    every J, for the chart slots."""
+    x = np.asarray(kernel.chart(X), dtype=dtype)
+    y = np.asarray(kernel.chart(Y), dtype=dtype)
     diff = x[:, None, :] - y[None, :, :]
-    fp, fpp = kernel.profile._derivatives(t, 2)[1:]
+    f, fp, fpp = kernel.profile._derivatives(np.sum(diff * diff, axis=2), 2)
     fp *= 2.0
     fpp *= -4.0
-    out = fpp[:, :, None, None] * (diff[:, :, :, None] * diff[:, :, None, :])
-    out -= fp[:, :, None, None] * np.eye(x.shape[1])
-    out = _times_jac(out, jx, "nmac,nab->nmbc")
-    return _times_jac(out, jy, "nmac,mcd->nmad")
+    k1 = fp[:, :, None] * diff
+    k12 = fpp[:, :, None, None] * (diff[:, :, :, None] * diff[:, :, None, :])
+    k12 -= fp[:, :, None, None] * np.eye(x.shape[1])
+    if not primal:
+        return f, k1, k12
+    jx = np.asarray(chart_jacobian(kernel, X), dtype=dtype)
+    jy = np.asarray(chart_jacobian(kernel, Y), dtype=dtype)
+    return (f, np.einsum("nab,nmb->nma", jx, k1),
+            np.einsum("nab,nmbc,mcd->nmad", jx, k12, jy))
 
 
-class _LongDoubleChart(Kernel):
-    """A kernel's profile and chart with the chart coordinates and
-    Jacobians carried in long double, so that every gram block built from
-    them is too."""
+def grad12_gram(kernel, X, Y):
+    """The (n, m, d, d) block K12[a, b] = d^2 k / dX_a dY_b (gram_blocks)."""
+    return gram_blocks(kernel, X, Y)[2]
 
-    def __init__(self, kernel):
-        self.profile = kernel.profile
-        self._chart = kernel.chart
 
-    def chart(self, points):
-        x, jac = self._chart(points)
-        return (np.asarray(x, dtype=np.longdouble),
-                None if jac is None else np.asarray(jac, dtype=np.longdouble))
+def primal_grad1_gram(kernel, X, Y):
+    """The library's chart-slot grad1_gram taken to the primal slot X_a by
+    J_a, for the finite-difference oracles."""
+    return np.einsum("nab,nmb->nma", chart_jacobian(kernel, X), kernel.grad1_gram(X, Y))
 
 
 class DenseKernelOperator:
@@ -109,16 +130,16 @@ class DenseKernelOperator:
         dvals[j, :, c] = sum_i K1[j, i, c] q[i] + sum_{i,e} K12[i, j, e, c] u[i, :, e]
 
     The blocks and the sums are in long double from the kernel's own
-    float chart: a chart Jacobian J enters K12 as J_i (.) J_j, and a u near
-    J^-1 (the mirror maps' inverse Hessians) cancels it again, which costs
-    double-precision blocks cond(J) ulps of the result.
+    float chart.  By default they are in primal slots, so the library's
+    chart-slot operator matches them as apply(q, u J) followed by dvals J.
+    A u near J^-1 (the mirror maps' inverse Hessians) cancels J in K12
+    again, which costs double-precision blocks cond(J) ulps of the result.
+    primal=False keeps the chart slots, for a consumer that applies the
+    chart-to-dual Jacobian itself (MirroredFlow.g_field).
     """
 
-    def __init__(self, kernel, theta):
-        kernel = _LongDoubleChart(kernel)
-        self._K = kernel.gram(theta, theta)
-        self._K1 = kernel.grad1_gram(theta, theta)
-        self._K12 = grad12_gram(kernel, theta, theta)
+    def __init__(self, kernel, theta, primal=True):
+        self._K, self._K1, self._K12 = gram_blocks(kernel, theta, theta, np.longdouble, primal)
 
     def apply(self, q, u):
         vals = self._K.T @ q

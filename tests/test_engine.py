@@ -177,8 +177,8 @@ def test_field_row_ranges_give_the_same_bits(rng, monkeypatch, map_name, kernel_
     monkeypatch.setattr(kernels, "TILE_ROWS", 7)
     assert len(kernels.row_ranges(37)) == 6
     ranged = update_field(ensemble, mirrored, _field_kernel(kernel_name, mirror_map))
-    for got, want in zip((ranged.velocity, ranged.operand, ranged.hinv),
-                         (whole.velocity, whole.operand, whole.hinv)):
+    for got, want in zip((ranged.velocity, ranged.operand, ranged.dual_jacobian),
+                         (whole.velocity, whole.operand, whole.dual_jacobian)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -207,22 +207,26 @@ def test_field_is_permutation_equivariant_over_row_ranges(seed, map_name, kernel
 
 
 def test_field_holds_one_row_block_at_a_time():
-    bundle = build_runtime(config_from_dict(json.loads(
-        (Path(__file__).resolve().parents[1] / "presets" / "truncated-gaussian-box-d3.json")
-        .read_text(encoding="utf-8"))))
-    ensemble = init_ensemble(1000, bundle.dim, bundle.mirror_map, seed=3)
+    raw = json.loads((Path(__file__).resolve().parents[1] / "presets"
+                      / "truncated-gaussian-box-d3.json").read_text(encoding="utf-8"))
     assert len(kernels.row_ranges(1000)) == 2
-    tracemalloc.start()
-    try:
-        update_field(ensemble, bundle.mirrored, bundle.kernel)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # Two ranges of 500 rows: grad1_gram's (1000, 500, 3) block is 12 MB
-    # and its factor 4 MB, and the peak reads 16 MB.  The whole (n, n)
-    # gram and (n, n, 3) blocks with their temporaries peaked at 64 MB.
-    assert peak < 40e6
-    assert peak <= kernels.particle_bytes(bundle.kernel, 1000, bundle.dim) * 1.05
+    for kernel, params in (("imq", {}), ("rescaled", {"inner": "imq", "scale": 2.0}),
+                           ("dual-imq", {})):
+        bundle = build_runtime(config_from_dict(dict(raw, kernel=kernel, kernel_params=params)))
+        ensemble = init_ensemble(1000, bundle.dim, bundle.mirror_map, seed=3)
+        tracemalloc.start()
+        try:
+            update_field(ensemble, bundle.mirrored, bundle.kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two ranges of 500 rows: grad1_gram's (1000, 500, 3) block is 12 MB
+        # and its factor 4 MB, and the peak reads 16 MB for every kernel,
+        # since the block stays in chart slots (multiplying it by the
+        # chart's Jacobian took one more 12 MB block).  The whole (n, n) gram
+        # and (n, n, 3) blocks with their temporaries peaked at 64 MB.
+        assert peak < 40e6
+        assert peak <= kernels.particle_bytes(bundle.kernel, 1000, bundle.dim) * 1.05
 
 
 def test_stepping_is_deterministic():
@@ -368,6 +372,19 @@ def test_run_records_numeric_abort(tmp_path):
     abort = manifest["summary"]["abort"]
     assert abort is not None
     assert abort["step"] is not None
+
+
+def test_run_records_a_collapsed_median_bandwidth(tmp_path, monkeypatch):
+    # a cloud whose median pairwise distance is 0 gives h = 0: the refresh
+    # refuses it before any kernel sum divides by 2 h^2 or 4 h^4
+    monkeypatch.setattr(RBFKernel, "median_bandwidth", staticmethod(lambda X: 0.0))
+    cfg = _dirichlet_config(particles=5, steps=3, kernel="rbf",
+                            kernel_params={"bandwidth": "median"})
+    with pytest.raises(NumericsError, match="cloud of 5 points has collapsed"):
+        run(build_runtime(cfg), tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["summary"]["abort"]["step"] == 0
+    assert "collapsed" in manifest["summary"]["abort"]["message"]
 
 
 def test_run_builds_one_field_per_state(tmp_path, monkeypatch):

@@ -33,7 +33,7 @@ from msvgd.gridflow import (
     pushforward_step,
     standard_normal_density,
 )
-from msvgd.kernels import IMQKernel, RBFKernel, RescaledKernel, make_kernel
+from msvgd.kernels import DualIMQKernel, IMQKernel, RBFKernel, RescaledKernel, make_kernel
 from msvgd.mirrors import EntropicSimplexMap, EuclideanMap
 from msvgd.targets import Dirichlet, MirroredPowerLaw, MirroredTarget, certified_profile
 
@@ -157,8 +157,10 @@ def fornberg_scalar(points, center, order):
 
 
 def with_dense_operator(flow):
-    """The same flow with its kernel products on explicit gram blocks."""
-    flow.kernel_operator = DenseKernelOperator(flow.kernel, flow.theta)
+    """The same flow with its kernel products on explicit long-double gram
+    blocks in the kernel's chart slots, which g_field takes to the dual
+    chart itself."""
+    flow.kernel_operator = DenseKernelOperator(flow.kernel, flow.theta, primal=False)
     return flow
 
 
@@ -614,9 +616,9 @@ def _assert_fields_close(fast, reference, rel=1e-13):
 
 class TestKernelOperator:
     def test_operator_choice(self):
-        # kernels.cached_kernel_operator chooses by the kernel's chart: the
-        # lattice when the chart is affine (its Jacobian None or a number) and
-        # the points are the grid's own nodes, the point set otherwise
+        # kernels.cached_kernel_operator chooses by the points: the lattice
+        # when they are the grid's own nodes (the euclidean map, where every
+        # chart is affine), the point set otherwise
         def chosen(kernel, target, nodes, halfwidth=None):
             grid = gridflow.grid_for_target(target, nodes, halfwidth)
             theta = target.map.grad_psi_star(grid.nodes)
@@ -632,11 +634,10 @@ class TestKernelOperator:
             assert chosen(RescaledKernel(inner, 2.0), plane, 12, 4.0) is lattice
         assert chosen(IMQKernel(), dirichlet, 64) is radial
         assert chosen(RescaledKernel(RBFKernel(0.5), 2.0), dirichlet, 64) is radial
-        # dual-imq's chart Jacobian is hess_psi, an array, even on the
-        # euclidean map, where it is the identity
+        # dual-imq's chart is grad_psi, the identity on the euclidean map
         for mirror_map, target in ((EuclideanMap(1), quartic), (EuclideanMap(2), plane)):
             dual_imq = make_kernel("dual-imq", mirror_map=mirror_map)
-            assert chosen(dual_imq, target, 12, 4.0) is radial
+            assert chosen(dual_imq, target, 12, 4.0) is lattice
         assert chosen(make_kernel("dual-imq", mirror_map=dirichlet.map), dirichlet, 64) is radial
 
     @settings(max_examples=40, deadline=None)
@@ -644,18 +645,30 @@ class TestKernelOperator:
         shape=st.one_of(st.tuples(st.integers(8, 64)),
                         st.tuples(st.integers(8, 20), st.integers(8, 20))),
         halfwidths=st.tuples(st.floats(2.0, 8.0), st.floats(2.0, 8.0)),
-        kernel_name=st.sampled_from(["imq", "rbf", "rescaled-imq"]),
+        kernel_name=st.sampled_from(["imq", "rbf", "rescaled-imq", "dual-imq"]),
         width=st.floats(0.5, 3.0),
         mean=st.floats(-1.0, 1.0),
         scale=st.floats(1.0, 2.0),
     )
     def test_lattice_matches_dense_blocks(self, shape, halfwidths, kernel_name, width,
                                           mean, scale):
-        kernel = {"imq": IMQKernel(c=width), "rbf": RBFKernel(bandwidth=width),
-                  "rescaled-imq": RescaledKernel(IMQKernel(), width)}[kernel_name]
+        self._check_lattice_against_dense_blocks(kernel_name, shape, halfwidths, width, mean,
+                                                 scale)
+
+    @pytest.mark.parametrize("shape, halfwidths", [((40,), (5.0,)), ((12, 14), (4.0, 5.5))],
+                             ids=["1d", "2d"])
+    def test_dual_imq_on_the_euclidean_lattice_matches_dense_blocks(self, shape, halfwidths):
+        self._check_lattice_against_dense_blocks("dual-imq", shape, halfwidths, 1.3, 0.4, 1.2)
+
+    @staticmethod
+    def _check_lattice_against_dense_blocks(kernel_name, shape, halfwidths, width, mean, scale):
         dim = len(shape)
+        mirror_map = EuclideanMap(dim)
+        kernel = {"imq": IMQKernel(c=width), "rbf": RBFKernel(bandwidth=width),
+                  "rescaled-imq": RescaledKernel(IMQKernel(), width),
+                  "dual-imq": DualIMQKernel(mirror_map, c=width)}[kernel_name]
         grid = Grid(tuple(np.linspace(-h, h, n) for n, h in zip(shape, halfwidths)))
-        target = MirroredTarget(MirroredPowerLaw(4.0, dim=dim), EuclideanMap(dim))
+        target = MirroredTarget(MirroredPowerLaw(4.0, dim=dim), mirror_map)
         flow = MirroredFlow(target, kernel, grid=grid)
         assert isinstance(flow.kernel_operator, kernels._LatticeOperator)
         x = grid.nodes
@@ -692,6 +705,10 @@ class TestKernelOperator:
 
     @pytest.mark.parametrize("conc, nodes", [((3.0, 2.0), 64), ((2.0, 2.0, 2.0), 12)])
     def test_radial_matches_dense_blocks(self, conc, nodes):
+        # dual-imq's chart is the dual coordinate, so its field derivatives
+        # are the operator's own, with no mirror Hessian in or out: on the
+        # 12 x 12 grid, where cond(hess_psi) reaches 1.6e14, they are as
+        # close to the long-double blocks as imq's
         target = dirichlet_target(conc)
         for kernel in (IMQKernel(), make_kernel("dual-imq", mirror_map=target.map)):
             flow = MirroredFlow(target, kernel, nodes=nodes)
@@ -701,21 +718,7 @@ class TestKernelOperator:
             radial = [flow.g_field(density, form=form) for form in forms]
             with_dense_operator(flow)
             for form, fast in zip(forms, radial):
-                reference = flow.g_field(density, form=form)
-                if isinstance(kernel, IMQKernel):
-                    _assert_fields_close(fast, reference)
-                    continue
-                # g_field takes dvals back to the dual chart through hinv.
-                # dual-imq's dvals carry its chart Jacobian J = hess_psi, so
-                # that multiplies by J and then by its inverse, which alone
-                # costs up to eps cond(J) of the field's scale at a node;
-                # cond(J) reaches 1e14 in the 2-d grid's tails
-                values_err = np.max(np.abs(fast.values - reference.values))
-                assert values_err <= 1e-13 * np.max(np.abs(reference.values))
-                cond = np.linalg.cond(target.map.hess_psi(flow.theta))
-                allowed = np.max(np.abs(reference.derivs)) * (1e-13 + np.finfo(float).eps * cond)
-                err = np.max(np.abs(fast.derivs - reference.derivs), axis=(1, 2))
-                assert np.all(err <= allowed)
+                _assert_fields_close(fast, flow.g_field(density, form=form))
 
     def test_lattice_flow_builds_no_node_by_node_array(self):
         tracemalloc.start()

@@ -2,9 +2,10 @@
 and the kernel operators against explicit gram blocks.
 
 Every kernel is a radial profile read through a chart, and its gram blocks
-are written once for all of them, so the finite-difference oracles certify
-the one formula through each chart: the identity (imq, rbf), a scale
-(rescaled) and the mirror map's grad_psi (dual-imq)."""
+are written once for all of them, in chart slots, so the finite-difference
+oracles certify the one formula through each chart, with the chart's
+Jacobian applied here: the identity (imq, rbf), a scale (rescaled) and the
+mirror map's grad_psi (dual-imq)."""
 
 import functools
 import re
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msvgd import kernels
-from msvgd.errors import ConfigError
+from msvgd.errors import ConfigError, NumericsError
 from msvgd.kernels import (
     DualIMQKernel,
     IMQKernel,
@@ -28,9 +29,12 @@ from msvgd.theory import Grid
 
 from conftest import (
     DenseKernelOperator,
+    chart_jacobian,
     fd_gradient,
     fd_mixed_second,
+    gram_blocks,
     grad12_gram,
+    primal_grad1_gram,
     rel_err,
     sample_box_interior,
     sample_simplex_interior,
@@ -62,7 +66,7 @@ def test_grad1_matches_fd(rng, d):
     for k in _euclidean_kernels():
         for _ in range(6):
             a, b = rng.normal(size=d), rng.normal(size=d)
-            g = _pair(k.grad1_gram, a, b)
+            g = _pair(functools.partial(primal_grad1_gram, k), a, b)
             g_fd = fd_gradient(lambda z: _value(k, z, b), a, h=1e-5)
             assert np.max(np.abs(g - g_fd)) < 1e-6 * max(1.0, np.max(np.abs(g)))
 
@@ -85,7 +89,8 @@ def test_dual_imq_grads_match_fd(rng):
         for i in range(0, 8, 2):
             a, b = pts[i], pts[i + 1]
             g_fd = fd_gradient(lambda z: _value(k, z, b), a, h=1e-6)
-            assert rel_err(g_fd, _pair(k.grad1_gram, a, b), floor=1e-6) < 1e-5
+            assert rel_err(g_fd, _pair(functools.partial(primal_grad1_gram, k), a, b),
+                           floor=1e-6) < 1e-5
             m_fd = fd_mixed_second(lambda x, y: _value(k, x, y), a, b, h=1e-5)
             assert rel_err(m_fd, _pair(functools.partial(grad12_gram, k), a, b),
                            floor=1e-5) < 1e-4
@@ -200,6 +205,25 @@ def test_dual_imq_chart_identity(rng):
         assert np.max(np.abs(via_map - direct)) < 1e-12
 
 
+def test_dual_imq_evaluates_no_mirror_hessian(rng, monkeypatch):
+    # its chart is the dual coordinate, so its chart-to-dual Jacobian is the
+    # identity and no kernel sum needs hess_psi
+    mirror_map = EntropicSimplexMap(2)
+
+    def refuse(theta):
+        raise AssertionError("hess_psi evaluated")
+
+    monkeypatch.setattr(mirror_map, "hess_psi", refuse)
+    kernel = DualIMQKernel(mirror_map)
+    theta = sample_simplex_interior(rng, 12, 2, margin=1e-3)
+    hinv = mirror_map.hess_psi_inv(theta)
+    jac = kernel.dual_jacobian(hinv)
+    assert jac.shape == hinv.shape and np.array_equal(jac, np.broadcast_to(np.eye(2), jac.shape))
+    kernel.gram(theta, theta)
+    kernel.grad1_gram(theta, theta)
+    kernels.kernel_operator(kernel, theta).apply(theta, jac)
+
+
 def test_symmetry_and_grad2(rng):
     d = 3
     for k in _euclidean_kernels():
@@ -230,6 +254,22 @@ def test_median_heuristic_formula(rng):
     expected = np.sqrt(np.median(sq) / (2.0 * np.log(41.0)))
     assert abs(h - expected) < 1e-12
     assert k.adaptive
+
+
+def test_median_refresh_refuses_a_collapsed_cloud():
+    # five equal points: the median squared distance is 0, so h = 0 and
+    # 2 h^2 and 4 h^4 are 0; the refresh refuses it by the same float64 range
+    # test as construction, and no kernel sum divides by it
+    k = RBFKernel(bandwidth="median")
+    points = np.full((5, 2), 0.3)
+    with pytest.raises(NumericsError, match="cloud of 5 points has collapsed"):
+        k.update_bandwidth(points)
+    with pytest.raises(ConfigError, match="not initialized"):
+        kernels.kernel_operator(k, points).apply(points, None)
+    # a tight cloud whose bandwidth float64 still holds is kept
+    h = k.update_bandwidth(1e-60 * np.arange(10.0).reshape(5, 2))
+    assert 0.0 < h < 1e-59
+    kernels.kernel_operator(k, points).apply(points, None)
 
 
 def test_rescaled_is_inner_on_scaled_points(rng):
@@ -315,6 +355,14 @@ def _operator_inputs(gen, map_name, n, d):
     return mirror_map, theta, q, weights[:, None, None] * hinv
 
 
+def _primal_apply(operator, kernel, theta, q, u):
+    """The chart-slot operator's sums in the primal slots of the dense
+    oracle: apply(q, u J), then dvals J, with the chart's J per point."""
+    jac = chart_jacobian(kernel, theta)
+    vals, dvals = operator.apply(q, None if u is None else np.einsum("nde,nef->ndf", u, jac))
+    return vals, np.einsum("nde,nef->ndf", dvals, jac)
+
+
 def _assert_products_close(got, want, rel=1e-13):
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
@@ -343,8 +391,9 @@ def test_radial_operator_matches_dense_blocks(seed, map_name, kernel_name, d, n,
     radial = kernels.kernel_operator(kernel, theta)
     assert isinstance(radial, kernels._RadialOperator)
     dense = DenseKernelOperator(kernel, theta)
-    _assert_products_close(radial.apply(q, None), dense.apply(q, None), rel)
-    _assert_products_close(radial.apply(q, u), dense.apply(q, u), rel)
+    for uu in (None, u):
+        _assert_products_close(_primal_apply(radial, kernel, theta, q, uu), dense.apply(q, uu),
+                               rel)
 
 
 def _assert_products_equal(got, want):
@@ -397,7 +446,7 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
                                                          cached):
     n = 40
     mirror_map, theta, q, _ = _operator_inputs(rng, "simplex", n, 2)
-    # a general u: g_field's weighted Hinv times dual-imq's J is near w I
+    # a general u, not g_field's symmetric weighted G
     u = rng.standard_normal((n, 2, 2))
     monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
     operator = kernels.kernel_operator(DualIMQKernel(mirror_map), theta)
@@ -416,10 +465,11 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
     operator.apply(q, None)
     operator.apply(q, u)
     assert [len(stacks) for stacks, _ in calls] == [1, 2]
-    # apply(q, u) multiplies by u J, which is not symmetric; it is the last
-    # feature of the F' stack, after q, q x^T, A q and w
-    u_j = kernels._rows(calls[1][0][0], [(2,), (2, 2), (2,), (2,), (2, 2)])[4]
-    assert np.min(np.abs(u_j - u_j.transpose(0, 2, 1))[:, 0, 1]) > 0.0
+    # u is not symmetric; it is the last feature of the F' stack, after q,
+    # q x^T, A q and w
+    u_f = kernels._rows(calls[1][0][0], [(2,), (2, 2), (2,), (2,), (2, 2)])[4]
+    assert u_f.tobytes() == u.tobytes()
+    assert np.min(np.abs(u_f - u_f.transpose(0, 2, 1))[:, 0, 1]) > 0.0
     for stacks, got in calls:
         for got_stack, want in zip(got, _row_major_products(operator, *stacks)):
             assert got_stack.T.shape == want.shape
@@ -438,8 +488,9 @@ def test_tiled_operator_matches_dense_blocks(rng, monkeypatch, kernel_name, n):
     assert len(radial._ranges) == (2 if n > 8 else 1)
     rel = 1e-12 if kernel_name == "dual-imq" else 1e-13
     dense = DenseKernelOperator(kernel, theta)
-    _assert_products_close(radial.apply(q, None), dense.apply(q, None), rel)
-    _assert_products_close(radial.apply(q, u), dense.apply(q, u), rel)
+    for uu in (None, u):
+        _assert_products_close(_primal_apply(radial, kernel, theta, q, uu), dense.apply(q, uu),
+                               rel)
 
 
 @pytest.mark.parametrize("kernel", [IMQKernel(), DualIMQKernel(EntropicSimplexMap(2))])
@@ -459,14 +510,14 @@ def test_operator_repeats_bit_for_bit(rng, kernel):
     RescaledKernel(IMQKernel(c=1.3, beta=-0.6), 2.5), RescaledKernel(RBFKernel(1.2), 1.7),
 ], ids=["imq", "imq-c0.7", "rbf", "rescaled-imq", "rescaled-rbf"])
 def test_lattice_lag_samples_equal_the_dense_blocks(axes, kernel):
-    # the lattice samples K, K1 and K12 in one pass; the dense blocks between
-    # each lag and the origin, built one by one, give the same bits
+    # the lattice samples K, K1 and K12 in chart slots in one pass; the
+    # oracle's chart-slot blocks between each lag and the origin give the
+    # same bits
     grid = Grid(axes)
     lag_axes = [np.arange(1 - a.size, a.size) * ((a[-1] - a[0]) / (a.size - 1)) for a in axes]
     lags = np.stack([m.ravel() for m in np.meshgrid(*lag_axes, indexing="ij")], axis=1)
     origin = np.zeros((1, grid.dim))
-    dense = (kernel.gram(lags, origin), kernel.grad1_gram(lags, origin),
-             grad12_gram(kernel, lags, origin))
+    dense = gram_blocks(kernel, lags, origin, primal=False)
     for got, want in zip(kernels._lag_samples(kernel, grid), dense):
         assert got.shape == tuple(a.size for a in lag_axes) + want.shape[2:]
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
