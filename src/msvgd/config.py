@@ -58,7 +58,7 @@ class RunConfig:
     gamma: object = "theorem"
     dim: int | None = None
     cadence: int = 10
-    alpha: float = 2.0
+    alpha: float = theory.SmoothnessProfile.alpha
     kernel_params: dict = field(default_factory=dict)
     target_params: dict = field(default_factory=dict)
     grid_nodes: int | None = None
@@ -149,7 +149,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         if not isinstance(raw[key], str):
             raise ConfigError(f"config key {key!r} must be a string, got {raw[key]!r}")
 
-    gamma = raw.get("gamma", "theorem")
+    gamma = raw.get("gamma", RunConfig.gamma)
     if isinstance(gamma, str):
         if gamma != "theorem":
             raise ConfigError(
@@ -174,8 +174,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         seed=_as_int(raw, "seed", minimum=0),
         gamma=gamma,
         dim=_as_int(raw, "dim", minimum=1),
-        cadence=_as_int(raw, "cadence", default=10, minimum=1),
-        alpha=_as_number(raw, "alpha", default=2.0, minimum=1.0, strict=True),
+        cadence=_as_int(raw, "cadence", default=RunConfig.cadence, minimum=1),
+        alpha=_as_number(raw, "alpha", default=RunConfig.alpha, minimum=1.0, strict=True),
         kernel_params=_as_params(raw, "kernel_params"),
         target_params=_as_params(raw, "target_params"),
         grid_nodes=_as_int(raw, "grid_nodes", minimum=8),

@@ -52,7 +52,8 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import cached_kernel_operator
 from .targets import MirroredTarget
-from .theory import Grid, _potential, _read_only, _target_grid, field_norm_bound, log_sum_exp
+from .theory import (Grid, _read_only, _target_grid, chart_saturation_refused, field_norm_bound,
+                     log_sum_exp)
 
 DEFAULT_NODES_1D = 4096
 # Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
@@ -429,9 +430,9 @@ class MirroredFlow:
     the potential's gradient.  The kernel products of the field go through
     one kernel operator, built once since the grid never moves, by
     kernels.cached_kernel_operator over the primal nodes; the flow holds no
-    operator code and makes no choice of its own.  The flow build reads the
-    potential through theory._potential, so a chart that saturates on an
-    explicit wide grid is refused by name.
+    operator code and makes no choice of its own.  The flow build maps its
+    nodes under theory.chart_saturation_refused, so a chart that saturates
+    on an explicit wide grid is refused by name before any output.
     """
 
     def __init__(self, mirrored: MirroredTarget, kernel, grid: Grid | None = None,
@@ -446,10 +447,10 @@ class MirroredFlow:
             )
 
         x = self.grid.nodes
-        potential = _potential(mirrored, x)
+        with chart_saturation_refused(mirrored):
+            potential = mirrored.potential(x)
+            self.theta = self.map.grad_psi_star(x)
         self._pi = GridDensity.normalized(self.grid, -potential)
-
-        self.theta = self.map.grad_psi_star(x)
         # integrated-by-parts operand: Hinv score + div Hinv, the same vector
         # the particle engine averages, and -grad V at the nodes
         self.primal_score, self.hinv, self.operand = mirrored.operand(self.theta)
@@ -505,7 +506,7 @@ class MirroredFlow:
         if self.grid.dim != 1:
             raise ConfigError("the primal-chart form is implemented for d=1 only")
         theta = self.theta[:, 0]
-        log_det = np.asarray(self.map.log_det_hess_inv(self.theta), dtype=float)
+        log_det = self.map.log_det_hess_inv(self.theta)
         log_mu_primal = density.log_density - log_det
         keep = density.log_density >= density.log_density.max() - PRIMAL_FD_DROP_NATS
         idx = np.flatnonzero(keep)

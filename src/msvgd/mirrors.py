@@ -3,18 +3,51 @@ open domain onto all of R^d.
 
 Every map exposes the potential psi, the forward chart grad_psi, the inverse
 chart grad_psi_star (gradient of the convex conjugate), the inverse Hessian
-hess_psi_inv, and the row divergence of the inverse Hessian. All point ops
-accept a single point of shape (d,) or a batch of shape (n, d) and return
-correspondingly shaped arrays.
+hess_psi_inv, and the row divergence of the inverse Hessian.
 
-Boundary handling is strict: points outside the open domain raise DomainError,
-and conjugate evaluations that underflow onto the boundary raise NumericsError
-instead of clamping.
+The point contract.  Every point op takes an (n, d) batch and returns
+per-row arrays: (n,) for a scalar, (n, d) for a vector, (n, d, d) for a
+matrix.  Each open domain is tested by one predicate, a module-level
+function (``in_open_simplex``, ``in_open_box``).  The map's ``contains``
+is that predicate, the targets' own domain checks call it, and
+grad_psi_star applies it to its own output.  A point outside the open
+domain raises DomainError.  A dual point whose conjugate rounds onto a face
+raises NumericsError naming the first such particle: the chart never clamps
+and never returns a row that ``contains`` refuses.
 """
 
 import numpy as np
 
 from .errors import DomainError, NumericsError
+
+
+def in_open_simplex(t):
+    """Rows of t (n, d) strictly inside {t_i > 0, sum t < 1}, shape (n,)."""
+    return np.all(t > 0.0, axis=1) & (np.sum(t, axis=1) < 1.0)
+
+
+def in_open_box(t, lo, hi):
+    """Rows of t (n, d) strictly inside the box (lo_i, hi_i)^d, shape (n,)."""
+    return np.all((t > lo) & (t < hi), axis=1)
+
+
+def require_inside(ok, points, domain):
+    """DomainError naming the first row of points (n, d) that ok (n,) refuses."""
+    if not np.all(ok):
+        row = int(np.argmin(ok))
+        raise DomainError(f"point outside the open {domain}: row {row}, {points[row]}")
+
+
+def _on_chart(t, ok, domain):
+    """t, the conjugate of a dual batch, or NumericsError naming the first
+    particle whose row ok refuses: float64 rounded it onto a face."""
+    if not np.all(ok):
+        row = int(np.argmin(ok))
+        raise NumericsError(
+            f"conjugate gradient of dual point {row} rounded onto a face of the {domain}",
+            particle=row,
+        )
+    return t
 
 
 class MirrorMap:
@@ -32,7 +65,7 @@ class MirrorMap:
     strong_convexity: float
 
     def contains(self, theta):
-        """Boolean mask (scalar or (n,)) of strict interior membership."""
+        """(n,) mask of strict interior membership: the domain's predicate."""
         raise NotImplementedError
 
     def psi(self, theta):
@@ -51,36 +84,15 @@ class MirrorMap:
         raise NotImplementedError
 
     def div_hess_psi_inv(self, theta):
-        """Row divergence sum_j d/dtheta_j [hess_psi_inv]_ij, shape (..., d)."""
+        """Row divergence sum_j d/dtheta_j [hess_psi_inv]_ij, shape (n, d)."""
         raise NotImplementedError
 
     def log_det_hess_inv(self, theta):
-        """log det hess_psi_inv(theta), shape (...)."""
+        """log det hess_psi_inv(theta), shape (n,)."""
         raise NotImplementedError
 
     def _require_interior(self, theta):
-        ok = self.contains(theta)
-        if not np.all(ok):
-            bad = int(np.argmin(np.atleast_1d(ok)))
-            raise DomainError(
-                f"point outside the open domain of {type(self).__name__} "
-                f"(first offending row {bad})"
-            )
-
-
-def _as_batch(arr, dim):
-    a = np.asarray(arr, dtype=float)
-    if a.ndim == 1:
-        if a.shape[0] != dim:
-            raise DomainError(f"expected point of dimension {dim}, got {a.shape}")
-        return a[None, :], True
-    if a.ndim != 2 or a.shape[1] != dim:
-        raise DomainError(f"expected (n, {dim}) batch, got {a.shape}")
-    return a, False
-
-
-def _unbatch(a, squeeze):
-    return a[0] if squeeze else a
+        require_inside(self.contains(theta), theta, f"domain of {type(self).__name__}")
 
 
 class EuclideanMap(MirrorMap):
@@ -95,36 +107,27 @@ class EuclideanMap(MirrorMap):
         self.strong_convexity = 1.0
 
     def contains(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        ok = np.all(np.isfinite(t), axis=1)
-        return _unbatch(ok, squeeze)
+        return np.all(np.isfinite(theta), axis=1)
 
     def psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        return _unbatch(0.5 * np.sum(t * t, axis=1), squeeze)
+        return 0.5 * np.sum(theta * theta, axis=1)
 
     def grad_psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        return _unbatch(t.copy(), squeeze)
+        return theta.copy()
 
     def grad_psi_star(self, x):
-        t, squeeze = _as_batch(x, self.dim)
-        return _unbatch(t.copy(), squeeze)
+        return x.copy()
 
     def hess_psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        h = np.broadcast_to(np.eye(self.dim), (t.shape[0], self.dim, self.dim)).copy()
-        return _unbatch(h, squeeze)
+        return np.broadcast_to(np.eye(self.dim), (theta.shape[0], self.dim, self.dim)).copy()
 
     hess_psi_inv = hess_psi
 
     def div_hess_psi_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        return _unbatch(np.zeros_like(t), squeeze)
+        return np.zeros_like(theta)
 
     def log_det_hess_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        return _unbatch(np.zeros(t.shape[0]), squeeze)
+        return np.zeros(theta.shape[0])
 
 
 class EntropicSimplexMap(MirrorMap):
@@ -147,10 +150,7 @@ class EntropicSimplexMap(MirrorMap):
         self.strong_convexity = 1.0
 
     def contains(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        ok = np.all(t > 0.0, axis=1) & (np.sum(t, axis=1) < 1.0)
-        ok &= np.all(np.isfinite(t), axis=1)
-        return _unbatch(ok, squeeze)
+        return in_open_simplex(theta)
 
     def _slack(self, t):
         # Neumaier-compensated sum of (1, -t_1, ..., -t_d). Near the face
@@ -167,80 +167,58 @@ class EntropicSimplexMap(MirrorMap):
         return s + c
 
     def psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        t0 = self._slack(t)
-        val = np.sum(t * np.log(t), axis=1) + t0 * np.log(t0)
-        return _unbatch(val, squeeze)
+        self._require_interior(theta)
+        t0 = self._slack(theta)
+        return np.sum(theta * np.log(theta), axis=1) + t0 * np.log(t0)
 
     def grad_psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        t0 = self._slack(t)
-        return _unbatch(np.log(t) - np.log(t0)[:, None], squeeze)
+        self._require_interior(theta)
+        return np.log(theta) - np.log(self._slack(theta))[:, None]
 
     def grad_psi_star(self, x):
-        x2, squeeze = _as_batch(x, self.dim)
         # Softmax over the logits (0, x_1, ..., x_d); the max shift keeps the
-        # exponentials bounded. No clamping: exact underflow to the boundary
+        # exponentials bounded. No clamping: a row that rounds onto a face
         # is an error, not a projection.
-        m = np.maximum(np.max(x2, axis=1), 0.0)
-        ez = np.exp(x2 - m[:, None])
-        denom = np.exp(-m) + np.sum(ez, axis=1)
-        t = ez / denom[:, None]
-        t0 = np.exp(-m) / denom
-        if np.any(t <= 0.0) or np.any(t0 <= 0.0):
-            bad = np.nonzero((t0 <= 0.0) | np.any(t <= 0.0, axis=1))[0]
-            raise NumericsError(
-                "conjugate gradient underflowed to the simplex boundary",
-                particle=int(bad[0]),
-            )
-        return _unbatch(t, squeeze)
+        m = np.maximum(np.max(x, axis=1), 0.0)
+        ez = np.exp(x - m[:, None])
+        t = ez / (np.exp(-m) + np.sum(ez, axis=1))[:, None]
+        return _on_chart(t, self.contains(t), "simplex")
 
     def log_grad_psi_star(self, x):
         """Log of every coordinate of grad_psi_star(x), slack last, shape
-        (..., dim + 1).  Exact at any finite x, including far-field points
+        (n, dim + 1).  Exact at any finite x, including far-field points
         where the coordinates themselves underflow; quadrature that probes
         the dual tails evaluates densities through this instead of the
         saturating chart."""
-        x2, squeeze = _as_batch(x, self.dim)
-        m = np.maximum(np.max(x2, axis=1), 0.0)
-        lse = m + np.log(np.exp(-m) + np.sum(np.exp(x2 - m[:, None]), axis=1))
-        logs = np.concatenate([x2 - lse[:, None], -lse[:, None]], axis=1)
-        return _unbatch(logs, squeeze)
+        m = np.maximum(np.max(x, axis=1), 0.0)
+        lse = m + np.log(np.exp(-m) + np.sum(np.exp(x - m[:, None]), axis=1))
+        return np.concatenate([x - lse[:, None], -lse[:, None]], axis=1)
 
     def log_det_hess_inv_from_logs(self, logs):
         """log det hess_psi_inv from the log coordinates of
         log_grad_psi_star; det(diag(t) - t t^T) is the product of all
         dim + 1 coordinates."""
-        l2, squeeze = _as_batch(logs, self.dim + 1)
-        return _unbatch(np.sum(l2, axis=1), squeeze)
+        return np.sum(logs, axis=1)
 
     def hess_psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        t0 = self._slack(t)
-        h = np.einsum("ni,ij->nij", 1.0 / t, np.eye(self.dim))
-        h += (1.0 / t0)[:, None, None]
-        return _unbatch(h, squeeze)
+        self._require_interior(theta)
+        h = np.einsum("ni,ij->nij", 1.0 / theta, np.eye(self.dim))
+        h += (1.0 / self._slack(theta))[:, None, None]
+        return h
 
     def hess_psi_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        h = np.einsum("ni,ij->nij", t, np.eye(self.dim))
-        h -= t[:, :, None] * t[:, None, :]
-        return _unbatch(h, squeeze)
+        self._require_interior(theta)
+        h = np.einsum("ni,ij->nij", theta, np.eye(self.dim))
+        h -= theta[:, :, None] * theta[:, None, :]
+        return h
 
     def div_hess_psi_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        return _unbatch(1.0 - (self.dim + 1) * t, squeeze)
+        self._require_interior(theta)
+        return 1.0 - (self.dim + 1) * theta
 
     def log_det_hess_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        t0 = self._slack(t)
-        return _unbatch(np.sum(np.log(t), axis=1) + np.log(t0), squeeze)
+        self._require_interior(theta)
+        return np.sum(np.log(theta), axis=1) + np.log(self._slack(theta))
 
 
 class EntropicBoxMap(MirrorMap):
@@ -266,63 +244,44 @@ class EntropicBoxMap(MirrorMap):
         self.strong_convexity = float(np.min(4.0 / (self.hi - self.lo)))
 
     def contains(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        ok = np.all((t > self.lo) & (t < self.hi), axis=1)
-        ok &= np.all(np.isfinite(t), axis=1)
-        return _unbatch(ok, squeeze)
+        return in_open_box(theta, self.lo, self.hi)
 
     def psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        a = t - self.lo
-        b = self.hi - t
-        return _unbatch(np.sum(a * np.log(a) + b * np.log(b), axis=1), squeeze)
+        self._require_interior(theta)
+        a = theta - self.lo
+        b = self.hi - theta
+        return np.sum(a * np.log(a) + b * np.log(b), axis=1)
 
     def grad_psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        return _unbatch(np.log(t - self.lo) - np.log(self.hi - t), squeeze)
+        self._require_interior(theta)
+        return np.log(theta - self.lo) - np.log(self.hi - theta)
 
     def grad_psi_star(self, x):
-        x2, squeeze = _as_batch(x, self.dim)
         # Componentwise logistic rescaled to (lo, hi), evaluated on the side
         # that avoids overflow.
-        t = self.lo + (self.hi - self.lo) * _stable_sigmoid(x2)
-        if np.any(t <= self.lo) or np.any(t >= self.hi):
-            bad = np.nonzero(np.any((t <= self.lo) | (t >= self.hi), axis=1))[0]
-            raise NumericsError(
-                "conjugate gradient underflowed to a box face",
-                particle=int(bad[0]),
-            )
-        return _unbatch(t, squeeze)
+        t = self.lo + (self.hi - self.lo) * _stable_sigmoid(x)
+        return _on_chart(t, self.contains(t), "box")
 
     def hess_psi(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        diag = 1.0 / (t - self.lo) + 1.0 / (self.hi - t)
-        h = np.einsum("ni,ij->nij", diag, np.eye(self.dim))
-        return _unbatch(h, squeeze)
+        self._require_interior(theta)
+        diag = 1.0 / (theta - self.lo) + 1.0 / (self.hi - theta)
+        return np.einsum("ni,ij->nij", diag, np.eye(self.dim))
 
     def hess_psi_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        diag = (t - self.lo) * (self.hi - t) / (self.hi - self.lo)
-        h = np.einsum("ni,ij->nij", diag, np.eye(self.dim))
-        return _unbatch(h, squeeze)
+        self._require_interior(theta)
+        diag = (theta - self.lo) * (self.hi - theta) / (self.hi - self.lo)
+        return np.einsum("ni,ij->nij", diag, np.eye(self.dim))
 
     def div_hess_psi_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        return _unbatch((self.hi + self.lo - 2.0 * t) / (self.hi - self.lo), squeeze)
+        self._require_interior(theta)
+        return (self.hi + self.lo - 2.0 * theta) / (self.hi - self.lo)
 
     def log_det_hess_inv(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._require_interior(t)
-        val = np.sum(
-            np.log(t - self.lo) + np.log(self.hi - t) - np.log(self.hi - self.lo),
+        self._require_interior(theta)
+        return np.sum(
+            np.log(theta - self.lo) + np.log(self.hi - theta) - np.log(self.hi - self.lo),
             axis=1,
         )
-        return _unbatch(val, squeeze)
 
 
 def _stable_sigmoid(x):

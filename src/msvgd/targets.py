@@ -9,12 +9,20 @@ constants that hold by derivation for the power law and the Gaussian on R^d
 under the identity map and for the Dirichlet under the entropic simplex map.
 ``certified_profile`` is its one lookup; it returns None for any other pair,
 and for a power law whose potential admits no Hessian growth bound at all.
+
+Targets keep the point contract of ``mirrors``: every point op takes an
+(n, d) batch and returns per-row arrays.  A target's domain check is its
+domain's one predicate from ``mirrors`` (``in_open_simplex``,
+``in_open_box``), the test the map's ``contains`` makes, so a primal point
+the chart returns is never refused here: the chart itself refuses a dual
+point whose conjugate rounds onto a face, with a NumericsError.
 """
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
-from .mirrors import EntropicSimplexMap, EuclideanMap, MirrorMap, _as_batch, _unbatch
+from .errors import ConfigError
+from .mirrors import (EntropicSimplexMap, EuclideanMap, in_open_box, in_open_simplex,
+                      require_inside)
 from .theory import SmoothnessProfile
 
 
@@ -59,35 +67,25 @@ class Dirichlet(ConstrainedTarget):
         self.concentration = conc
         self.dim = conc.shape[0] - 1
 
-    def _interior(self, t):
-        slack = 1.0 - np.sum(t, axis=1)
-        bad = ~(np.all(t > 0.0, axis=1) & (slack > 0.0))
-        if np.any(bad):
-            row = int(np.argmax(bad))
-            raise DomainError(f"point outside the open simplex chart: {t[row]}")
-        return slack
+    def _slack(self, theta):
+        require_inside(in_open_simplex(theta), theta, "simplex chart")
+        return 1.0 - np.sum(theta, axis=1)
 
     def log_density_unnorm(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        slack = self._interior(t)
+        slack = self._slack(theta)
         head = self.concentration[:-1] - 1.0
-        out = np.log(t) @ head + (self.concentration[-1] - 1.0) * np.log(slack)
-        return _unbatch(out, squeeze)
+        return np.log(theta) @ head + (self.concentration[-1] - 1.0) * np.log(slack)
 
     def log_density_unnorm_from_logs(self, logs):
         """log density from log simplex coordinates, slack last, shape
-        (..., dim + 1).  Valid arbitrarily close to the boundary, where the
+        (n, dim + 1).  Valid arbitrarily close to the boundary, where the
         coordinates themselves underflow."""
-        l2, squeeze = _as_batch(logs, self.dim + 1)
-        out = l2 @ (self.concentration - 1.0)
-        return _unbatch(out, squeeze)
+        return logs @ (self.concentration - 1.0)
 
     def grad_log_density(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        slack = self._interior(t)
+        slack = self._slack(theta)
         head = self.concentration[:-1] - 1.0
-        out = head[None, :] / t - ((self.concentration[-1] - 1.0) / slack)[:, None]
-        return _unbatch(out, squeeze)
+        return head[None, :] / theta - ((self.concentration[-1] - 1.0) / slack)[:, None]
 
 
 class TruncatedGaussian(ConstrainedTarget):
@@ -128,25 +126,18 @@ class TruncatedGaussian(ConstrainedTarget):
                 raise ConfigError("box must satisfy lo < hi componentwise")
             self.domain = "box"
 
-    def _check(self, t):
-        if self.lo is None:
-            return
-        bad = ~np.all((t > self.lo) & (t < self.hi), axis=1)
-        if np.any(bad):
-            row = int(np.argmax(bad))
-            raise DomainError(f"point outside the open box: {t[row]}")
+    def _check(self, theta):
+        if self.lo is not None:
+            require_inside(in_open_box(theta, self.lo, self.hi), theta, "box")
 
     def log_density_unnorm(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._check(t)
-        centered = t - self.mean
-        out = -0.5 * np.einsum("ni,ij,nj->n", centered, self.precision, centered)
-        return _unbatch(out, squeeze)
+        self._check(theta)
+        centered = theta - self.mean
+        return -0.5 * np.einsum("ni,ij,nj->n", centered, self.precision, centered)
 
     def grad_log_density(self, theta):
-        t, squeeze = _as_batch(theta, self.dim)
-        self._check(t)
-        return _unbatch(-(t - self.mean) @ self.precision, squeeze)
+        self._check(theta)
+        return -(theta - self.mean) @ self.precision
 
 
 class MirroredPowerLaw(ConstrainedTarget):
@@ -169,21 +160,18 @@ class MirroredPowerLaw(ConstrainedTarget):
         self.dim = int(dim)
 
     def potential(self, x):
-        t, squeeze = _as_batch(x, self.dim)
-        r = np.sqrt(np.sum(t * t, axis=1))
-        return _unbatch(self.scale * r ** self.power, squeeze)
+        r = np.sqrt(np.sum(x * x, axis=1))
+        return self.scale * r ** self.power
 
     def grad_potential(self, x):
-        t, squeeze = _as_batch(x, self.dim)
-        r = np.sqrt(np.sum(t * t, axis=1))
+        r = np.sqrt(np.sum(x * x, axis=1))
         # scale * power * r^(power-2) * x, with the removable singularity at
         # the origin filled by its limit 0 (power > 1).  Far out (diverging
         # particles) the product overflows to inf, which the engine's finite
         # check reports by particle.
         safe = np.where(r > 0.0, r, 1.0)
         with np.errstate(over="ignore"):
-            out = (self.scale * self.power * np.where(r > 0.0, safe ** (self.power - 2.0), 0.0))[:, None] * t
-        return _unbatch(out, squeeze)
+            return (self.scale * self.power * np.where(r > 0.0, safe ** (self.power - 2.0), 0.0))[:, None] * x
 
     def log_density_unnorm(self, theta):
         return -self.potential(theta)
@@ -199,10 +187,10 @@ class MirroredTarget:
     point, so the potential is
     V(x) = -log_density_unnorm(theta) - log_det_hess_inv(theta) at
     theta = grad_psi_star(x), up to the normalizing constant.  Its gradient
-    reuses the certified primal primitives: the chain rule for the first term
-    gives -hess_psi_inv @ score, and the log-determinant term differentiates
-    to exactly -div_hess_psi_inv (third derivatives of psi* are symmetric in
-    all three slots).
+    is the negated ``operand``, built from the certified primal primitives:
+    the chain rule for the first term gives -hess_psi_inv @ score, and the
+    log-determinant term differentiates to exactly -div_hess_psi_inv (third
+    derivatives of psi* are symmetric in all three slots).
     """
 
     def __init__(self, base, mirror_map):
@@ -215,34 +203,24 @@ class MirroredTarget:
         self.dim = base.dim
 
     def potential(self, x):
-        t, squeeze = _as_batch(x, self.dim)
         from_logs = getattr(self.base, "log_density_unnorm_from_logs", None)
         to_logs = getattr(self.map, "log_grad_psi_star", None)
         if from_logs is not None and to_logs is not None:
             # Log-coordinate pair: stays exact where the chart saturates,
             # which far-field quadrature probes do reach.
-            logs = np.asarray(to_logs(t), dtype=float)
-            out = -np.asarray(from_logs(logs), dtype=float)
-            out = out - np.asarray(self.map.log_det_hess_inv_from_logs(logs), dtype=float)
-            return _unbatch(out, squeeze)
-        theta = self.map.grad_psi_star(t)
-        out = -np.asarray(self.base.log_density_unnorm(theta), dtype=float)
-        out = out - np.asarray(self.map.log_det_hess_inv(theta), dtype=float)
-        return _unbatch(out, squeeze)
-
-    def grad_potential(self, x):
-        t, squeeze = _as_batch(x, self.dim)
-        # -(a + b) has the bits of (-a) - b, so this is the negated operand
-        return _unbatch(-self.operand(self.map.grad_psi_star(t))[2], squeeze)
+            logs = to_logs(x)
+            return -from_logs(logs) - self.map.log_det_hess_inv_from_logs(logs)
+        theta = self.map.grad_psi_star(x)
+        return -self.base.log_density_unnorm(theta) - self.map.log_det_hess_inv(theta)
 
     def operand(self, theta):
         """(s, Hinv, Hinv s + div Hinv) at primal points theta (n, d): the
         primal score, the inverse mirror Hessians and the operand that the
         particle field, the grid flow and a_n read, -grad V at
         x = grad_psi(theta)."""
-        score = np.asarray(self.base.grad_log_density(theta), dtype=float)
-        hinv = np.asarray(self.map.hess_psi_inv(theta), dtype=float)
-        div = np.asarray(self.map.div_hess_psi_inv(theta), dtype=float)
+        score = self.base.grad_log_density(theta)
+        hinv = self.map.hess_psi_inv(theta)
+        div = self.map.div_hess_psi_inv(theta)
         return score, hinv, np.einsum("nde,ne->nd", hinv, score) + div
 
 

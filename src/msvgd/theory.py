@@ -24,6 +24,7 @@ with a per-state cap as one ``Certificate``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
@@ -554,19 +555,29 @@ def _expand_until_decay(bracket: _Bracket, logf):
     return None
 
 
-def _potential(target, q: np.ndarray) -> np.ndarray:
-    """The target's dual potential at the walk's points.  The walk probes
-    far into the dual tails; a chart that saturates there (the box map's
-    logistic past |x| of about 37) is a setting quadrature cannot serve."""
+@contextlib.contextmanager
+def chart_saturation_refused(target):
+    """Refuse, as a configuration error, a face hit of the target's chart
+    at quadrature points: the walk's probes or a flow's nodes.  They reach
+    far into the dual tails, and a chart that saturates there (the box
+    map's logistic past |x| of about 37, the simplex softmax past about 37
+    along a vertex) is a setting quadrature cannot serve."""
     try:
-        return np.asarray(target.potential(q), dtype=float)
+        yield
     except NumericsError as exc:
         chart = type(getattr(target, "map", target)).__name__
         raise ConfigError(
-            f"dual-space quadrature (verify, theory) needs the potential far into "
+            f"dual-space quadrature (verify, theory) reads the target far into "
             f"the dual tails, and the {chart} chart saturates there ({exc}); "
-            "this map is not supported"
+            "a narrower grid_halfwidth avoids it where the config sets one, "
+            "and otherwise this map is not supported"
         ) from None
+
+
+def _potential(target, q: np.ndarray) -> np.ndarray:
+    """The target's dual potential at the walk's points."""
+    with chart_saturation_refused(target):
+        return target.potential(q)
 
 
 def _default_nodes(dim: int) -> int:
@@ -610,7 +621,7 @@ def kl0_upper_bound(target, profile: SmoothnessProfile, dim: int | None = None,
     d = int(dim) if dim is not None else int(target.dim)
     if log_partition is None:
         log_partition = dual_log_partition(target)
-    v0 = float(np.asarray(target.potential(np.zeros((1, d))), dtype=float).reshape(-1)[0])
+    v0 = float(target.potential(np.zeros((1, d)))[0])
     v0 += float(log_partition)
     p, c = profile.p, profile.c_p
     moment_term = (c / (p + 1.0)) * (

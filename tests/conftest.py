@@ -17,6 +17,12 @@ import pytest
 from msvgd.kernels import DualIMQKernel, RescaledKernel
 
 
+def at_point(op):
+    """A library point op, which takes an (n, d) batch and returns per-row
+    arrays, as a function of one point (d,), for the oracles below."""
+    return lambda x: op(np.asarray(x, dtype=float)[None, :])[0]
+
+
 def fd_gradient(f, x, h=1e-5):
     """Central-difference gradient of a scalar function, shape (d,)."""
     x = np.asarray(x, dtype=float)

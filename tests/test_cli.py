@@ -56,6 +56,20 @@ BOX_1D = {
 # dim 2
 BOX_2D = dict(BOX_1D, target_params={"mean": [0.2, -0.1], "cov": 1.0,
                                      "lo": [-1.0, -1.0], "hi": [1.0, 1.0]})
+# the Dirichlet preset on a grid so wide that the simplex chart rounds
+# nodes near a vertex onto a face
+WIDE_SIMPLEX = {
+    "map": "entropic-simplex",
+    "kernel": "imq",
+    "target": "dirichlet",
+    "target_params": {"concentration": [5, 5, 5]},
+    "particles": 200,
+    "steps": 5,
+    "seed": 11,
+    "gamma": 0.05,
+    "grid_halfwidth": 40,
+    "grid_nodes": 16,
+}
 GAUSSIAN_3D = {
     "map": "euclidean",
     "kernel": "imq",
@@ -190,6 +204,22 @@ class TestRunCommand:
         # the manifest still records the abort
         manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
         assert manifest["summary"]["abort"] is not None
+
+    def test_face_hit_is_a_numeric_abort(self, tmp_path, capsys):
+        # gamma 20 throws a particle of the preset so close to a vertex that
+        # float64 rounds its coordinates' sum to 1, the simplex face the
+        # chart must never return; the step that made it stops the run
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", "dirichlet-simplex-d2", "--gamma", "20",
+                         "--steps", "3", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric abort") and "Traceback" not in err
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["abort"]["step"] == 2
+        assert summary["abort"]["particle"] is not None
+        assert "face of the simplex" in summary["abort"]["message"]
+        assert summary["logged_steps"][0] == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_abort_at_an_unlogged_state_keeps_the_abort_block(self, tmp_path, capsys):
@@ -403,6 +433,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("config, message", [
         (BOX_2D, "EntropicBoxMap chart saturates"),
         (GAUSSIAN_3D, "dual-space quadrature supports dim <= 2, got dim=3"),
+        (WIDE_SIMPLEX, "EntropicSimplexMap chart saturates"),
     ])
     def test_flow_build_refusals_leave_no_output(self, tmp_path, capsys, config, message):
         # --out is made by the first output written, so a refusal from the

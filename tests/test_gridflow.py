@@ -785,7 +785,9 @@ class TestKernelOperator:
         assert flow.grid.size == 2304
         assert calls == {"grad_psi_star": 1, "hess_psi_inv": 1, "div_hess_psi_inv": 1,
                          "grad_log_density": 1}
-        assert np.array_equal(flow.grad_potential, flow.target.grad_potential(flow.grid.nodes))
+        nodes = flow.grid.nodes
+        assert np.array_equal(flow.grad_potential,
+                              -flow.target.operand(flow.map.grad_psi_star(nodes))[2])
 
     def test_radial_flow_streams_one_tile_at_a_time(self, monkeypatch):
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)

@@ -183,7 +183,7 @@ def test_dual_imq_bounds_certified_in_dual_chart(rng):
     assert np.max(diag) <= b1**2 * (1 + 1e-12)
 
     def k_dual(x, y):
-        return _value(k, mp.grad_psi_star(x), mp.grad_psi_star(y))
+        return _value(k, mp.grad_psi_star(x[None])[0], mp.grad_psi_star(y[None])[0])
 
     for i in range(6):
         m = fd_mixed_second(k_dual, xs[i], xs[i] + rng.normal(scale=0.5, size=d),

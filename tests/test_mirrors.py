@@ -20,6 +20,7 @@ from msvgd.mirrors import (
 )
 
 from conftest import (
+    at_point,
     fd_gradient,
     fd_jacobian,
     fd_matrix_divergence,
@@ -47,8 +48,8 @@ def _maps_with_samples(rng, d, n):
 def test_grad_psi_matches_fd_of_psi(rng, d):
     for mp, pts in _maps_with_samples(rng, d, 12):
         for t in pts:
-            g = mp.grad_psi(t)
-            g_fd = fd_gradient(lambda z: mp.psi(z), t, h=1e-6)
+            g = mp.grad_psi(t[None])[0]
+            g_fd = fd_gradient(at_point(mp.psi), t, h=1e-6)
             assert rel_err(g_fd, g, floor=1e-8) < 1e-5
 
 
@@ -56,8 +57,8 @@ def test_grad_psi_matches_fd_of_psi(rng, d):
 def test_hess_psi_matches_fd_of_grad(rng, d):
     for mp, pts in _maps_with_samples(rng, d, 8):
         for t in pts:
-            h = mp.hess_psi(t)
-            h_fd = fd_jacobian(mp.grad_psi, t, h=1e-6)
+            h = mp.hess_psi(t[None])[0]
+            h_fd = fd_jacobian(at_point(mp.grad_psi), t, h=1e-6)
             assert rel_err(h_fd, h, floor=1e-6) < 1e-5
 
 
@@ -67,17 +68,17 @@ def test_hess_psi_inv_matches_inverted_fd_hessian(rng, d):
     # box diagonal against an oracle that never forms them.
     for mp, pts in _maps_with_samples(rng, d, 8):
         for t in pts:
-            h_fd = fd_jacobian(mp.grad_psi, t, h=1e-6)
+            h_fd = fd_jacobian(at_point(mp.grad_psi), t, h=1e-6)
             inv_oracle = np.linalg.inv(h_fd)
-            assert rel_err(inv_oracle, mp.hess_psi_inv(t), floor=1e-8) < 1e-5
+            assert rel_err(inv_oracle, mp.hess_psi_inv(t[None])[0], floor=1e-8) < 1e-5
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_div_hess_psi_inv_matches_fd_divergence(rng, d):
     for mp, pts in _maps_with_samples(rng, d, 8):
         for t in pts:
-            div = mp.div_hess_psi_inv(t)
-            div_fd = fd_matrix_divergence(mp.hess_psi_inv, t, h=1e-4)
+            div = mp.div_hess_psi_inv(t[None])[0]
+            div_fd = fd_matrix_divergence(at_point(mp.hess_psi_inv), t, h=1e-4)
             assert np.max(np.abs(div - div_fd)) < 1e-5 * max(
                 1.0, float(np.max(np.abs(div)))
             )
@@ -86,24 +87,24 @@ def test_div_hess_psi_inv_matches_fd_divergence(rng, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_log_det_hess_inv_matches_slogdet(rng, d):
     for mp, pts in _maps_with_samples(rng, d, 8):
-        for t in pts:
-            sign, logdet = np.linalg.slogdet(mp.hess_psi_inv(t))
-            assert sign > 0
-            assert abs(mp.log_det_hess_inv(t) - logdet) < 1e-9 * max(1.0, abs(logdet))
+        sign, logdet = np.linalg.slogdet(mp.hess_psi_inv(pts))
+        assert np.all(sign > 0)
+        assert np.all(np.abs(mp.log_det_hess_inv(pts) - logdet)
+                      < 1e-9 * np.maximum(1.0, np.abs(logdet)))
 
 
 def test_simplex_closed_form_values():
     mp = EntropicSimplexMap(2)
-    g = mp.grad_psi(np.array([0.2, 0.3]))
-    assert np.allclose(g, [np.log(0.2 / 0.5), np.log(0.3 / 0.5)], rtol=0, atol=1e-14)
+    g = mp.grad_psi(np.array([[0.2, 0.3]]))
+    assert np.allclose(g, [[np.log(0.2 / 0.5), np.log(0.3 / 0.5)]], rtol=0, atol=1e-14)
 
-    t = mp.grad_psi_star(np.array([1.0, 1.0]))
+    t = mp.grad_psi_star(np.array([[1.0, 1.0]]))
     e = np.e
-    assert np.allclose(t, [e / (1 + 2 * e), e / (1 + 2 * e)], rtol=1e-14)
+    assert np.allclose(t, [[e / (1 + 2 * e), e / (1 + 2 * e)]], rtol=1e-14)
 
     mp1 = EntropicSimplexMap(1)
-    assert abs(mp1.hess_psi_inv(np.array([0.5]))[0, 0] - 0.25) < 1e-15
-    assert abs(mp1.div_hess_psi_inv(np.array([0.5]))[0]) < 1e-15
+    assert abs(mp1.hess_psi_inv(np.array([[0.5]]))[0, 0, 0] - 0.25) < 1e-15
+    assert abs(mp1.div_hess_psi_inv(np.array([[0.5]]))[0, 0]) < 1e-15
 
 
 def _damped_newton_conjugate(mp, x, start, iters=80):
@@ -111,8 +112,8 @@ def _damped_newton_conjugate(mp, x, start, iters=80):
     never touching the closed-form conjugate."""
     t = start.copy()
     for _ in range(iters):
-        grad = mp.grad_psi(t) - x
-        step = np.linalg.solve(mp.hess_psi(t), grad)
+        grad = at_point(mp.grad_psi)(t) - x
+        step = np.linalg.solve(at_point(mp.hess_psi)(t), grad)
         lam = 1.0
         while lam > 1e-16:
             cand = t - lam * step
@@ -132,7 +133,7 @@ def test_simplex_conjugate_matches_root_finder(rng):
         mp = EntropicSimplexMap(d)
         for _ in range(5):
             x = rng.normal(scale=2.0, size=d)
-            theta = mp.grad_psi_star(x)
+            theta = at_point(mp.grad_psi_star)(x)
             start = np.full(d, 1.0 / (d + 1))
             sol = _damped_newton_conjugate(mp, x, start)
             assert np.max(np.abs(sol - theta)) < 1e-8
@@ -141,13 +142,13 @@ def test_simplex_conjugate_matches_root_finder(rng):
 def test_box_conjugate_matches_root_finder(rng):
     lo, hi = np.array([-2.0]), np.array([3.0])
     mp = EntropicBoxMap(lo, hi)
-    for x in [-5.0, -0.3, 0.0, 1.7, 6.0]:
-        theta = mp.grad_psi_star(np.array([x]))
+    xs = np.array([[-5.0], [-0.3], [0.0], [1.7], [6.0]])
+    for x, theta in zip(xs[:, 0], mp.grad_psi_star(xs)[:, 0]):
         root = optimize.brentq(
-            lambda t: mp.grad_psi(np.array([t]))[0] - x, lo[0] + 1e-12, hi[0] - 1e-12,
+            lambda t: mp.grad_psi(np.array([[t]]))[0, 0] - x, lo[0] + 1e-12, hi[0] - 1e-12,
             xtol=1e-14,
         )
-        assert abs(theta[0] - root) < 1e-10
+        assert abs(theta - root) < 1e-10
 
 
 @pytest.mark.parametrize("d", DIMS)
@@ -216,26 +217,51 @@ def test_strong_convexity_at_samples(rng):
 def test_domain_errors():
     mp = EntropicSimplexMap(2)
     with pytest.raises(DomainError):
-        mp.psi(np.array([0.0, 0.5]))
+        mp.psi(np.array([[0.0, 0.5]]))
     with pytest.raises(DomainError):
-        mp.grad_psi(np.array([0.7, 0.4]))
+        mp.grad_psi(np.array([[0.7, 0.4]]))
     with pytest.raises(DomainError):
-        mp.hess_psi_inv(np.array([-0.1, 0.5]))
+        mp.hess_psi_inv(np.array([[-0.1, 0.5]]))
 
     box = EntropicBoxMap([-1.0], [1.0])
     with pytest.raises(DomainError):
-        box.grad_psi(np.array([1.0]))
+        box.grad_psi(np.array([[1.0]]))
     with pytest.raises(DomainError):
-        box.psi(np.array([2.0]))
+        box.psi(np.array([[2.0]]))
 
 
 def test_conjugate_underflow_raises():
+    # [40, 0] keeps every logit's softmax weight above zero, but float64
+    # rounds the coordinates' sum to 1: the row sits on the face
+    # sum(theta) = 1, which contains refuses, so the chart must refuse it too
     mp = EntropicSimplexMap(2)
-    with pytest.raises(NumericsError):
-        mp.grad_psi_star(np.array([1000.0, 0.0]))
+    for x in ([[1000.0, 0.0]], [[40.0, 0.0]]):
+        with pytest.raises(NumericsError):
+            mp.grad_psi_star(np.array(x))
     box = EntropicBoxMap([-1.0], [1.0])
     with pytest.raises(NumericsError):
-        box.grad_psi_star(np.array([800.0]))
+        box.grad_psi_star(np.array([[800.0]]))
+    with pytest.raises(NumericsError) as caught:
+        mp.grad_psi_star(np.array([[0.0, 0.0], [1.0, -2.0], [40.0, 0.0], [50.0, 0.0]]))
+    assert caught.value.particle == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3]))
+def test_conjugate_never_returns_a_face_row(seed, d):
+    # wide duals, N(0, 30^2 I): the chart either refuses them, naming the
+    # first row it cannot carry, or returns rows its own contains accepts
+    gen = np.random.default_rng(seed)
+    x = 30.0 * gen.standard_normal((200, d))
+    box = EntropicBoxMap(np.linspace(-2.0, -1.0, d), np.linspace(0.5, 3.0, d))
+    for mp in (EntropicSimplexMap(d), box):
+        try:
+            theta = mp.grad_psi_star(x)
+        except NumericsError as exc:
+            with pytest.raises(NumericsError):
+                mp.grad_psi_star(x[exc.particle:exc.particle + 1])
+            theta = mp.grad_psi_star(x[:exc.particle])
+        assert np.all(mp.contains(theta))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -258,8 +284,8 @@ def test_log_conjugate_exact_in_far_field():
     assert np.allclose(logs[0], [0.0, -800.0])
     assert np.allclose(logs[1], [-800.0, 0.0])
     mp2 = EntropicSimplexMap(2)
-    logs2 = mp2.log_grad_psi_star(np.array([700.0, -700.0]))
-    assert np.allclose(logs2, [0.0, -1400.0, -700.0])
+    logs2 = mp2.log_grad_psi_star(np.array([[700.0, -700.0]]))
+    assert np.allclose(logs2, [[0.0, -1400.0, -700.0]])
 
 
 def test_make_map_registry():
