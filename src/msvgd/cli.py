@@ -7,14 +7,24 @@ before it writes any output; --out itself is made only when the first
 output file is written, so a refusal leaves nothing behind.  Every output
 directory receives a manifest.json; existing outputs are never overwritten
 without --force.
+
+On glibc, main first pins the allocator's mmap threshold (32 MiB) and trim
+threshold (64 MiB) through mallopt.  A grid or particle step frees
+transients larger than glibc's dynamic trim threshold, so without the pin
+whether every step trims the heap top and faults it back in depends on the
+layout set-up left, down to the length of the --out path.  Pinned, freed
+transients stay in the heap for the next step.  Only the CLI process pins;
+importing msvgd as a library changes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import json
 import math
+import platform
 import sys
 import time
 from pathlib import Path
@@ -32,6 +42,26 @@ LEMMA_GAP_TOL = 1e-6
 NORM_MARGIN_TOL = -1e-8
 
 _PRESET_DIR = Path(__file__).resolve().parents[2] / "presets"
+
+# (mallopt parameter, value) pairs of glibc's malloc.h: M_MMAP_THRESHOLD (-3)
+# at glibc's 64-bit ceiling, DEFAULT_MMAP_THRESHOLD_MAX, and M_TRIM_THRESHOLD
+# (-1) at twice that, as glibc's own dynamic rule sets it
+_HEAP_PINS = ((-3, 32 * 1024 * 1024), (-1, 64 * 1024 * 1024))
+
+
+def _pin_heap() -> tuple:
+    """Pin glibc's mmap and trim thresholds (_HEAP_PINS) for this process.
+
+    Returns mallopt's result for each pin (1 when accepted), or () where the
+    C library is not glibc and nothing is set.  Calling it again sets the
+    same values.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return ()
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return tuple(mallopt(param, value) for param, value in _HEAP_PINS)
 
 
 def _resolve_config_path(name: str) -> Path:
@@ -377,6 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _pin_heap()
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

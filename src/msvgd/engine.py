@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import resource
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -179,11 +180,8 @@ class _RunWriter:
     def log(self, ensemble: ParticleEnsemble, record: theory.DiagnosticsRecord,
             bandwidth: float, wallclock_ms: float) -> None:
         step = ensemble.step_index
-        for i in range(ensemble.size):
-            row = [str(step), str(i)]
-            row += [_fmt(v) for v in ensemble.primal[i]]
-            row += [_fmt(v) for v in ensemble.dual[i]]
-            self._traj.writerow(row)
+        values = np.hstack([ensemble.primal, ensemble.dual]).tolist()
+        self._traj.writerows([str(step), str(i), *map(repr, row)] for i, row in enumerate(values))
         self._diag.writerow([
             str(step),
             _fmt(record.stein_fisher),
@@ -274,6 +272,20 @@ def run(bundle: RuntimeBundle, out_dir) -> dict:
     return summary
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's own high-water RSS (VmHWM), or None where
+    /proc/self/status does not exist.  A parent's wait4 ru_maxrss cannot
+    give it: a vfork+exec child reports at least its parent's mark."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except FileNotFoundError:
+        pass
+    return None
+
+
 def write_manifest(out_dir, cfg: RunConfig | None, summary: dict, outputs: list,
                    elapsed_s: float) -> Path:
     """Drop a manifest.json describing what was produced and from what."""
@@ -290,6 +302,8 @@ def write_manifest(out_dir, cfg: RunConfig | None, summary: dict, outputs: list,
         "summary": summary,
         "wallclock": {
             "elapsed_s": elapsed_s,
+            "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt,
+            "peak_rss_mb": _peak_rss_mb(),
             "written_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvgd import engine, kernels
+from msvgd import engine, kernels, theory
 from msvgd.config import RunConfig, build_runtime, config_from_dict
 from msvgd.engine import (
     ParticleEnsemble,
@@ -329,8 +329,32 @@ def test_run_writes_cadenced_rows(tmp_path):
     assert manifest["config"]["target"] == "dirichlet"
     assert manifest["summary"]["abort"] is None
     assert manifest["build"]["package"] == "msvgd"
+    assert manifest["wallclock"]["minor_faults"] > 0
+    assert manifest["wallclock"]["peak_rss_mb"] > 0
     # final estimate should not have grown in 25 steps from a cold start
     assert summary["stein_fisher_final"] <= summary["stein_fisher_first"]
+
+
+def test_trajectory_rows_are_each_values_shortest_repr(tmp_path):
+    primal = np.array([[0.1, 1.0 / 3.0], [-0.0, 5e-324]])
+    dual = np.array([[1e300, -2.5], [np.pi, 7.0]])
+    writer = engine._RunWriter(tmp_path, 2)
+    writer.log(ParticleEnsemble(primal=primal, dual=dual, step_index=12),
+               theory.DiagnosticsRecord(step=12, stein_fisher=1.0, a_n=2.0, gamma=0.1),
+               float("nan"), 0.0)
+    writer.close()
+    expected = "step,i,theta1,theta2,x1,x2\r\n" + "".join(
+        ",".join(["12", str(i), *(repr(float(v)) for v in (*primal[i], *dual[i]))]) + "\r\n"
+        for i in range(2))
+    assert (tmp_path / "trajectory.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_peak_rss_is_null_without_proc(monkeypatch):
+    def no_proc(path, *args, **kwargs):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(engine, "open", no_proc, raising=False)
+    assert engine._peak_rss_mb() is None
 
 
 def test_run_zero_steps_header_only(tmp_path):
