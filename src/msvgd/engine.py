@@ -11,16 +11,18 @@ built from, so no score or mirror Hessian is evaluated twice per state.
 With the Euclidean map the whole scheme collapses to standard SVGD, which
 is the reduction the tests pin.
 
-The field is built over the near-equal row ranges of at most TILE_ROWS
-particles that the kernel operator of msvgd.kernels tiles with
-(kernels.row_ranges): one range up to 640 particles, two at 1000, seven at
-4000.  For each range of r rows it builds the (r, n) gram and the (n, r, d)
-grad1_gram blocks, writes the range's velocities and drops them, so the
-field holds one (n, r, d) block at a time instead of whole (n, n, d) blocks
-and their temporaries.  Each velocity row is the same einsum sum over
-the same operands whichever range it falls in, and the tests pin the
-ranged field to one block's bits.  The einsum contractions stay until the
-field is one operator apply per state, as the snapshot already is.
+The field is built over its own blocks of rows, not the kernel operator's
+tiles: near-equal ranges of at most kernels.field_rows(n, d) particles,
+sized so that one block and its factor take about kernels.FIELD_BLOCK_BYTES
+(one block of 200 particles in 2-D, eight of 125 for 1000 in 3-D).  The
+chart is evaluated once per state.  For each block of r rows one pass of
+squared distances and one profile pass give f and f' (r, n): f feeds the
+drift einsum and is dropped, then f' becomes the (n, r, d) chart-slot
+gradient block for the repulsion einsum.  Each velocity row is the same
+einsum sum over the same operands whichever block it falls in, and the
+tests pin the blocked field to one block's bits.  The einsum contractions
+stay until the field is one operator apply per state, as the snapshot
+already is.
 
 Reductions over the particle index use fixed-order einsum paths, and the
 snapshot reduces through matrix products of fixed shape (the kernel operator
@@ -111,9 +113,10 @@ def update_field(ensemble: ParticleEnsemble, mirrored, kernel) -> ParticleField:
     The returned field keeps the operand and G it was built from, for
     the state's Stein-Fisher snapshot and smoothness level.
 
-    The sums run one row range of r <= TILE_ROWS particles at a time, so
-    the peak is one (n, r, d) grad1_gram block and its (n, r) factor, not
-    whole (n, n, d) blocks.  kernels.particle_bytes prices that peak.
+    The sums run one block of r <= kernels.field_rows(n, d) particles at a
+    time, so the peak is one (n, r, d) gradient block and its (r, n)
+    factor, about kernels.FIELD_BLOCK_BYTES.  kernels.particle_bytes prices
+    that peak.
     """
     theta = ensemble.primal
     n = theta.shape[0]
@@ -121,13 +124,17 @@ def update_field(ensemble: ParticleEnsemble, mirrored, kernel) -> ParticleField:
         kernel.update_bandwidth(theta)
     _, hinv, operand = mirrored.operand(theta)
     jac = kernel.dual_jacobian(hinv)
+    x = kernel.chart(theta)
 
     velocity = np.empty_like(operand)
-    for rows in kernels.row_ranges(n):
-        # each block is dropped once its einsum has read it;
-        # grad1[j, i] = d/dx_j k(t_j, t_i)
-        drift = np.einsum("ij,jd->id", kernel.gram(theta[rows], theta), operand)
-        repulsion = np.einsum("jde,jie->id", jac, kernel.grad1_gram(theta, theta[rows]))
+    for rows in kernels.row_ranges(n, kernels.field_rows(n, x.shape[1])):
+        f, fp = kernels.field_factors(kernel.profile, x, rows)
+        drift = np.einsum("ij,jd->id", f, operand)
+        del f  # before the (n, r, d) block is built
+        # grad1[j, i] = d/dx_j k(t_j, t_i); the block and f' go before the
+        # next block's factors are built
+        repulsion = np.einsum("jde,jie->id", jac, kernels.field_gradient(x, rows, fp))
+        del fp
         velocity[rows] = (drift + repulsion) / float(n)
     return ParticleField(velocity=velocity, operand=operand, dual_jacobian=jac)
 

@@ -4,7 +4,7 @@ particle update and the discrepancy estimators need.
 Every kernel is one radial profile read through a chart:
 k(theta, theta') = f(||x - x'||^2) with x = chart(theta): the identity for
 imq and rbf, theta / scale for rescaled, and grad_psi for dual-imq.  profile
-is the radial kernel whose f, f' and f'' apply in the chart.  Every gram
+is the radial kernel whose f, f' and f'' apply in the chart.  Every field
 block and operator here takes chart coordinates and differentiates in chart
 slots, with no Jacobian inside; a consumer in the dual chart multiplies by
 one symmetric per-point matrix, G = Hinv J = (dx/dy)^T for y = grad_psi
@@ -22,12 +22,16 @@ derived from the profile at t = 0: b1^2 = f(0) and b2^2 = -2 f'(0), where
 the cross second derivative of imq (beta in (-1, 0)) and rbf peaks, so no
 constant is sampled.
 
-gram and grad1_gram (grad1 differentiates the first slot) are the blocks
-between point sets X (n, d) and Y (m, d) that the particle field contracts.
-_sq_dists sums squared distances coordinate by coordinate, for them and for
-the operators, building no (n, m, d) array, and row_ranges(n) splits n
-points into the near-equal ranges of at most TILE_ROWS rows that the
-point-set operator's tiles and the field's blocks are built over.
+The particle field is built one block of rows at a time, over chart
+coordinates x (n, d): field_factors gives f and f' between a block's rows
+and every point from one _sq_dists and one _derivatives pass, and
+field_gradient turns f' into the block's (n, r, d) chart-slot gradient
+grad1 k (grad1 differentiates the first slot).  _sq_dists sums squared
+distances coordinate by coordinate, for the field and for the operators,
+building no (n, m, d) array.  row_ranges(n, rows) splits n points into
+near-equal ranges of at most ``rows`` rows: of TILE_ROWS for the point-set
+operator's tiles, and of field_rows(n, d), which FIELD_BLOCK_BYTES sizes,
+for the field's blocks.
 
 Two kernel operators implement one contract, stated above them: the kernel
 matrices over one point set applied to per-point values, the sums that both
@@ -54,18 +58,32 @@ from .errors import ConfigError, NumericsError
 PRECOMPUTE_BYTES = 700_000_000
 # most rows in one tile of a point-set operator's kernel matrices
 TILE_ROWS = 640
+# about the most bytes of one particle-field block: its (n, r, d) gradient
+# and its (r, n) factor, 8 n r (d + 1)
+FIELD_BLOCK_BYTES = 4 << 20
 
 
-def _range_count(n: int) -> int:
-    return max(1, -(-n // TILE_ROWS))
+def _range_count(n: int, rows: int) -> int:
+    return max(1, -(-n // rows))
 
 
-def row_ranges(n: int) -> list:
-    """The k = ceil(n / TILE_ROWS) near-equal row ranges, at most TILE_ROWS
-    rows each, that every kernel block over n points is built in."""
-    k = _range_count(n)
+def _largest_range(n: int, rows: int) -> int:
+    return -(-n // _range_count(n, rows))
+
+
+def row_ranges(n: int, rows: int) -> list:
+    """The k = ceil(n / rows) near-equal ranges of at most ``rows`` rows
+    each that a kernel block over n points is built in."""
+    k = _range_count(n, rows)
     edges = [i * n // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def field_rows(n: int, d: int) -> int:
+    """The most rows r of one particle-field block over n points in d
+    dimensions whose 8 n r (d + 1) bytes fit in FIELD_BLOCK_BYTES, at
+    least one."""
+    return max(1, FIELD_BLOCK_BYTES // (8 * n * (d + 1)))
 
 
 def _sq_dists(x, y):
@@ -79,6 +97,23 @@ def _sq_dists(x, y):
         diff *= diff
         t += diff
     return t
+
+
+def field_factors(profile, x, rows) -> tuple:
+    """(f, f') at t[i, j] = ||x_i - x_j||^2 for i in ``rows`` and every j of
+    the chart coordinates x (n, d): two (r, n) blocks from one _sq_dists and
+    one _derivatives pass."""
+    return profile._derivatives(_sq_dists(x[rows], x), 1)
+
+
+def field_gradient(x, rows, fp):
+    """The (n, r, d) chart-slot block grad1 k(x_j, x_i) = 2 f'(t_ij) (x_j - x_i)
+    at [j, i] for i in ``rows``, from field_factors' f' (r, n), which it
+    scales in place."""
+    fp *= 2.0
+    block = x[:, None, :] - x[None, rows, :]
+    block *= fp.T[:, :, None]
+    return block
 
 
 def _rows(stack, shapes) -> list:
@@ -112,19 +147,6 @@ class Kernel:
         """G = Hinv J, the chart-to-dual Jacobian at points whose inverse
         mirror Hessians are hinv (n, d, d); hinv for the identity chart."""
         return hinv
-
-    def gram(self, X, Y):
-        return self.profile._derivatives(_sq_dists(self.chart(X), self.chart(Y)), 0)[0]
-
-    def grad1_gram(self, X, Y):
-        x, y = self.chart(X), self.chart(Y)
-        # scaled in place: a named factor must not cost one more n x m array,
-        # nor the difference block one more n x m x d array
-        fp = self.profile._derivatives(_sq_dists(x, y), 1)[1]
-        fp *= 2.0
-        diff = x[:, None, :] - y[None, :, :]
-        diff *= fp[:, :, None]
-        return diff
 
     def bounds(self):
         """(b1, b2) of the profile in its chart: b1 = sqrt(f(0)) and
@@ -396,7 +418,7 @@ def cached_kernel_operator(kernel, points, grid):
 def _cached_tile_bytes(n: int) -> int:
     """Bytes of the two stored factors' upper tiles over the row ranges of n
     points: (n^2 + the sum of the squared range sizes) / 2 entries each."""
-    k = _range_count(n)
+    k = _range_count(n, TILE_ROWS)
     q, longer = divmod(n, k)  # ranges of q rows, and ``longer`` of q + 1
     squares = (k - longer) * q * q + longer * (q + 1) ** 2
     return 8 * (n * n + squares)
@@ -408,20 +430,21 @@ def operator_bytes(n: int, d: int) -> int:
     F', F'' and one spare tile (each tile goes before the next is built),
     and two copies of the d^3 + 4 d^2 + 4 d features per point (their
     feature-major stacks, written in place, and the accumulators)."""
-    rows = -(-n // _range_count(n))
+    rows = _largest_range(n, TILE_ROWS)
     return 8 * (3 * rows * rows + 2 * n * (d**3 + 4 * d * d + 4 * d))
 
 
 def particle_bytes(kernel, n: int, d: int) -> int:
     """About the most bytes of kernel blocks that a particle run over n
     points in d dimensions holds at once, the largest of:
-    - the field's largest row range, of r rows: grad1_gram's (n, r, d)
-      difference block and its (n, r) factor;
+    - the field's largest block, of r <= field_rows(n, d) rows: its
+      (n, r, d) gradient and its (r, n) factor f' (f goes before the
+      gradient is built);
     - the Stein-Fisher snapshot's operator, which streams its tiles
       (operator_bytes);
     - an adaptive kernel's refresh: the (n, n) squared distances and the
       spare (n, n) array they are summed with."""
-    rows = -(-n // _range_count(n))
+    rows = _largest_range(n, field_rows(n, d))
     refresh = 16 * n * n if kernel.adaptive else 0
     return max(8 * n * rows * (d + 1), operator_bytes(n, d), refresh)
 
@@ -476,7 +499,7 @@ class _RadialOperator:
         a, self._b = profile._affine_ratio()
         self._sq_norms = np.einsum("nd,nd->n", self._x, self._x)
         self._affine = a + self._b * self._sq_norms
-        self._ranges = row_ranges(x.shape[0])
+        self._ranges = row_ranges(x.shape[0], TILE_ROWS)
         k = len(self._ranges)
         self._pairs = [(i, j) for i in range(k) for j in range(i, k)]
         self._tiles = None

@@ -35,6 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import kernel_operator
+from .mirrors import row_sum
 
 PROVENANCE_TAGS = ("analytic", "empirical", "user")
 
@@ -653,7 +654,7 @@ def c_pi_p(target, p: float, num_s: int = 64, s_min: float = 1e-3, s_max: float 
     base_half = float(np.max(np.abs(grid.nodes)))
 
     def powered(q):
-        return np.sqrt(np.sum((q - center) ** 2, axis=1)) ** p
+        return np.sqrt(row_sum((q - center) ** 2)) ** p
 
     def log_integrand(s):
         return lambda arrays: s * arrays[0] - arrays[1]

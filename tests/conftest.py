@@ -8,7 +8,10 @@ against explicit gram blocks (gram_blocks), written here from the kernel's
 chart and profile alone, with their own squared distances and chart
 Jacobians (chart_jacobian).  The blocks are in primal slots by default, the
 chain rule through J applied here, so they check the library's chart-slot
-sums and its consumers' J together.
+sums and its consumers' J together.  gram and grad1_gram are the chart-slot
+blocks K and K1 alone, between two point sets, in the library's float64
+order of operations: the particle field's blocks must equal them bit for
+bit.
 """
 
 import numpy as np
@@ -117,15 +120,35 @@ def gram_blocks(kernel, X, Y, dtype=float, primal=True):
             np.einsum("nab,nmbc,mcd->nmad", jx, k12, jy))
 
 
+def _chart_sq_dists(kernel, X, Y):
+    """Chart coordinates x, y of X (n, d) and Y (m, d) and t = ||x_a - y_b||^2
+    (n, m), summed coordinate by coordinate, left to right."""
+    x, y = kernel.chart(X), kernel.chart(Y)
+    return x, y, sum((x[:, None, c] - y[None, :, c]) ** 2 for c in range(x.shape[1]))
+
+
+def gram(kernel, X, Y):
+    """The (n, m) block K[a, b] = f(t) between X (n, d) and Y (m, d)."""
+    return kernel.profile._derivatives(_chart_sq_dists(kernel, X, Y)[2], 0)[0]
+
+
+def grad1_gram(kernel, X, Y):
+    """The (n, m, d) block K1[a, b] = 2 f'(t) (x_a - y_b), the derivative in
+    the first chart slot."""
+    x, y, t = _chart_sq_dists(kernel, X, Y)
+    fp = kernel.profile._derivatives(t, 1)[1]
+    return (2.0 * fp)[:, :, None] * (x[:, None, :] - y[None, :, :])
+
+
 def grad12_gram(kernel, X, Y):
     """The (n, m, d, d) block K12[a, b] = d^2 k / dX_a dY_b (gram_blocks)."""
     return gram_blocks(kernel, X, Y)[2]
 
 
 def primal_grad1_gram(kernel, X, Y):
-    """The library's chart-slot grad1_gram taken to the primal slot X_a by
-    J_a, for the finite-difference oracles."""
-    return np.einsum("nab,nmb->nma", chart_jacobian(kernel, X), kernel.grad1_gram(X, Y))
+    """The chart-slot grad1_gram taken to the primal slot X_a by J_a, for
+    the finite-difference oracles."""
+    return np.einsum("nab,nmb->nma", chart_jacobian(kernel, X), grad1_gram(kernel, X, Y))
 
 
 class DenseKernelOperator:

@@ -310,14 +310,15 @@ class TestRunCommand:
         assert "'gamma' must be finite" in capsys.readouterr().err
 
     def test_oversized_particle_count_exits_two_before_any_output(self, tmp_path, capsys):
-        # the field's ranges of 640 rows: one float64 (1e9, 640, 2) block and
-        # its (1e9, 640) factor are 1.536e13 bytes
+        # the snapshot operator's price, past the field's one-row blocks: a
+        # 640-row tile three times over and two copies of the 32 features
+        # per point at d = 2, 8 (3 * 640^2 + 64e9) = 5.12e11 bytes
         out = tmp_path / "big"
         code = cli.main(["run", "--config", "dirichlet-simplex-d2", "--particles", "1000000000",
                          "--steps", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "'particles' = 1000000000 needs about 15360000000000 bytes" in err
+        assert "'particles' = 1000000000 needs about 512009830400 bytes" in err
         assert not out.exists()
 
     def test_theorem_step_on_the_gaussian_on_rd(self, tmp_path):

@@ -211,24 +211,26 @@ def test_non_finite_numbers_are_named(key, value):
 
 
 def test_particle_count_is_refused_only_past_physical_memory():
-    # The field builds one row range of r rows at a time: grad1_gram's
-    # float64 (n, r, d) block and its (n, r) factor, 8 n r (d + 1) bytes;
-    # here d = 1, and a multiple of TILE_ROWS particles has r = TILE_ROWS.
-    # Past a few thousand particles the snapshot operator streams its tiles
-    # and needs far less.  Counts only: no such config is ever run.
+    # Past about 130k particles at d = 1 the field's blocks are one row
+    # each, 8 n (d + 1) bytes, and the snapshot operator sets the price: one
+    # tile of r rows three times over and two copies of the d^3 + 4 d^2 +
+    # 4 d = 9 features per point, 8 (3 r^2 + 18 n) bytes, where a multiple
+    # of TILE_ROWS particles has r = TILE_ROWS.  Counts only: no such config
+    # is ever run.
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     rows = kernels.TILE_ROWS
-    ranges = memory // (8 * rows * rows * 2)
+    ranges = (memory // 8 - 3 * rows * rows) // (18 * rows)
     largest, past = rows * ranges, rows * (ranges + 1)
     assert _wire(dict(MINIMAL, particles=largest)).config.particles == largest
-    with pytest.raises(ConfigError,
-                       match=rf"'particles' = {past} needs about {8 * past * rows * 2} bytes"):
+    need = 8 * (3 * rows * rows + 18 * past)
+    with pytest.raises(ConfigError, match=rf"'particles' = {past} needs about {need} bytes"):
         _wire(dict(MINIMAL, particles=past))
 
 
 def test_median_bandwidth_refresh_is_priced_at_two_square_blocks():
     # the refresh sums the (n, n) squared distances with one spare (n, n)
-    # array: 16 n^2 bytes, far above the field's ranges at these counts
+    # array: 16 n^2 bytes, far above the field's blocks and the snapshot at
+    # these counts
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     largest = math.isqrt(memory // 16)
     median = dict(MINIMAL, kernel="rbf", kernel_params={"bandwidth": "median"}, gamma=0.1)
@@ -236,7 +238,8 @@ def test_median_bandwidth_refresh_is_priced_at_two_square_blocks():
     with pytest.raises(ConfigError, match=rf"'particles' = {largest + 1} needs about "
                                           rf"{16 * (largest + 1) ** 2} bytes"):
         _wire(dict(median, particles=largest + 1))
-    # a fixed bandwidth takes the field's price, which that count fits
+    # a fixed bandwidth takes the field's and the snapshot's price, which
+    # that count fits
     fixed = dict(median, kernel_params={"bandwidth": 1.0}, particles=largest + 1)
     assert _wire(fixed).config.particles == largest + 1
 

@@ -173,9 +173,9 @@ def test_field_row_ranges_give_the_same_bits(rng, monkeypatch, map_name, kernel_
     mirror_map, target, theta = _field_inputs(rng, map_name, 37, 2)
     ensemble, mirrored = SimpleNamespace(primal=theta), MirroredTarget(target, mirror_map)
     whole = update_field(ensemble, mirrored, _field_kernel(kernel_name, mirror_map))
-    # at most seven rows per range: six ranges of 6 or 7 rows
-    monkeypatch.setattr(kernels, "TILE_ROWS", 7)
-    assert len(kernels.row_ranges(37)) == 6
+    # a budget of seven rows per block: six blocks of 6 or 7 rows
+    monkeypatch.setattr(kernels, "FIELD_BLOCK_BYTES", 8 * 37 * 3 * 7)
+    assert len(kernels.row_ranges(37, kernels.field_rows(37, 2))) == 6
     ranged = update_field(ensemble, mirrored, _field_kernel(kernel_name, mirror_map))
     for got, want in zip((ranged.velocity, ranged.operand, ranged.dual_jacobian),
                          (whole.velocity, whole.operand, whole.dual_jacobian)):
@@ -189,16 +189,16 @@ def test_field_row_ranges_give_the_same_bits(rng, monkeypatch, map_name, kernel_
     kernel_name=st.sampled_from(["imq", "rbf", "rbf-median", "rescaled", "dual-imq"]),
     d=st.integers(1, 3),
     n=st.integers(2, 30),
-    tile_rows=st.integers(3, 8),
+    block_rows=st.integers(3, 8),
 )
 def test_field_is_permutation_equivariant_over_row_ranges(seed, map_name, kernel_name, d, n,
-                                                          tile_rows):
+                                                          block_rows):
     gen = np.random.default_rng(seed)
     mirror_map, target, theta = _field_inputs(gen, map_name, n, d)
     mirrored = MirroredTarget(target, mirror_map)
     perm = gen.permutation(n)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "TILE_ROWS", tile_rows)
+        patch.setattr(kernels, "FIELD_BLOCK_BYTES", 8 * n * (d + 1) * block_rows)
         field = update_field(SimpleNamespace(primal=theta), mirrored,
                              _field_kernel(kernel_name, mirror_map)).velocity
         shuffled = update_field(SimpleNamespace(primal=theta[perm]), mirrored,
@@ -209,7 +209,7 @@ def test_field_is_permutation_equivariant_over_row_ranges(seed, map_name, kernel
 def test_field_holds_one_row_block_at_a_time():
     raw = json.loads((Path(__file__).resolve().parents[1] / "presets"
                       / "truncated-gaussian-box-d3.json").read_text(encoding="utf-8"))
-    assert len(kernels.row_ranges(1000)) == 2
+    assert len(kernels.row_ranges(1000, kernels.field_rows(1000, 3))) == 8
     for kernel, params in (("imq", {}), ("rescaled", {"inner": "imq", "scale": 2.0}),
                            ("dual-imq", {})):
         bundle = build_runtime(config_from_dict(dict(raw, kernel=kernel, kernel_params=params)))
@@ -220,12 +220,12 @@ def test_field_holds_one_row_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Two ranges of 500 rows: grad1_gram's (1000, 500, 3) block is 12 MB
-        # and its factor 4 MB, and the peak reads 16 MB for every kernel,
-        # since the block stays in chart slots (multiplying it by the
-        # chart's Jacobian took one more 12 MB block).  The whole (n, n) gram
-        # and (n, n, 3) blocks with their temporaries peaked at 64 MB.
-        assert peak < 40e6
+        # Eight blocks of 125 rows: the (1000, 125, 3) gradient block is
+        # 3 MB and its factor 1 MB, and the peak reads 4.3 to 4.4 MB for
+        # every kernel, since the block stays in chart slots.  Two blocks
+        # of 500 rows peaked at 16 MB, and the whole (n, n) gram and
+        # (n, n, 3) blocks with their temporaries at 64 MB.
+        assert peak <= 1.1 * kernels.FIELD_BLOCK_BYTES
         assert peak <= kernels.particle_bytes(bundle.kernel, 1000, bundle.dim) * 1.05
 
 
@@ -413,11 +413,11 @@ def test_run_records_a_collapsed_median_bandwidth(tmp_path, monkeypatch):
 
 def test_run_builds_one_field_per_state(tmp_path, monkeypatch):
     # The field of each state serves both its step and its snapshot, so the
-    # snapshot builds no gram block of its own.
+    # snapshot builds no field block of its own; 20 particles are one block.
     steps = 25
     cfg = _dirichlet_config(steps=steps, cadence=10)
     bundle = build_runtime(cfg)
-    calls = {"msvgd_step": 0, "update_field": 0, "gram": 0}
+    calls = {"msvgd_step": 0, "update_field": 0, "field_factors": 0}
 
     def counting(name, inner):
         def wrapped(*args, **kwargs):
@@ -427,10 +427,11 @@ def test_run_builds_one_field_per_state(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "msvgd_step", counting("msvgd_step", engine.msvgd_step))
     monkeypatch.setattr(engine, "update_field", counting("update_field", engine.update_field))
-    monkeypatch.setattr(bundle.kernel, "gram", counting("gram", bundle.kernel.gram))
+    monkeypatch.setattr(kernels, "field_factors",
+                        counting("field_factors", kernels.field_factors))
     summary = run(bundle, tmp_path / "out")
     assert summary["logged_steps"] == [0, 10, 20, 25]
-    assert calls == {"msvgd_step": steps, "update_field": steps + 1, "gram": steps + 1}
+    assert calls == {"msvgd_step": steps, "update_field": steps + 1, "field_factors": steps + 1}
 
 
 def test_run_logs_the_median_bandwidth_of_each_logged_state(tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DenseKernelOperator
+from conftest import DenseKernelOperator, gram
 
 from msvgd import gridflow, kernels, theory
 from msvgd.errors import ConfigError, DomainError, NumericsError
@@ -112,7 +112,7 @@ def stein_fisher_double(flow, density):
     estimate)."""
     ratio = flow.dual_score_ratio(density)
     q = (flow.grid.weights * density.density)[:, None] * ratio
-    K = flow.kernel.gram(flow.theta, flow.theta)
+    K = gram(flow.kernel, flow.theta, flow.theta)
     return float(np.einsum("id,ij,jd->", q, K, q))
 
 

@@ -32,7 +32,9 @@ from conftest import (
     chart_jacobian,
     fd_gradient,
     fd_mixed_second,
+    gram,
     gram_blocks,
+    grad1_gram,
     grad12_gram,
     primal_grad1_gram,
     rel_err,
@@ -47,7 +49,7 @@ def _pair(op, a, b):
 
 
 def _value(k, a, b):
-    return float(_pair(k.gram, a, b))
+    return float(_pair(functools.partial(gram, k), a, b))
 
 
 def _euclidean_kernels():
@@ -101,7 +103,7 @@ def test_imq_frozen_values():
     assert abs(_value(k, np.zeros(2), np.zeros(2)) - 1.0) < 1e-15
     a, b = np.array([1.0, 0.0]), np.array([0.0, 0.0])
     assert abs(_value(k, a, b) - 2.0**-0.5) < 1e-15
-    g = _pair(k.grad1_gram, a, b)
+    g = _pair(functools.partial(grad1_gram, k), a, b)
     assert abs(g[0] - (-(2.0**-1.5))) < 1e-15
     assert abs(g[1]) < 1e-15
 
@@ -110,7 +112,7 @@ def test_rbf_frozen_values():
     k = RBFKernel(bandwidth=1.0)
     a, b = np.array([1.0, 0.0]), np.array([0.0, 0.0])
     assert abs(_value(k, a, b) - np.exp(-0.5)) < 1e-15
-    g = _pair(k.grad1_gram, a, b)
+    g = _pair(functools.partial(grad1_gram, k), a, b)
     assert abs(g[0] - (-np.exp(-0.5))) < 1e-15
     assert abs(g[1]) < 1e-15
 
@@ -200,7 +202,7 @@ def test_dual_imq_chart_identity(rng):
         k = DualIMQKernel(mp, c=1.5, beta=-0.6)
         x = rng.normal(scale=2.0, size=(20, d))
         y = rng.normal(scale=2.0, size=(20, d))
-        via_map = k.gram(mp.grad_psi_star(x), mp.grad_psi_star(y))
+        via_map = gram(k, mp.grad_psi_star(x), mp.grad_psi_star(y))
         direct = (1.5**2 + np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)) ** -0.6
         assert np.max(np.abs(via_map - direct)) < 1e-12
 
@@ -219,8 +221,9 @@ def test_dual_imq_evaluates_no_mirror_hessian(rng, monkeypatch):
     hinv = mirror_map.hess_psi_inv(theta)
     jac = kernel.dual_jacobian(hinv)
     assert jac.shape == hinv.shape and np.array_equal(jac, np.broadcast_to(np.eye(2), jac.shape))
-    kernel.gram(theta, theta)
-    kernel.grad1_gram(theta, theta)
+    x = kernel.chart(theta)
+    rows = slice(0, 12)
+    kernels.field_gradient(x, rows, kernels.field_factors(kernel.profile, x, rows)[1])
     kernels.kernel_operator(kernel, theta).apply(theta, jac)
 
 
@@ -231,14 +234,15 @@ def test_symmetry_and_grad2(rng):
         assert _value(k, a, b) == pytest.approx(_value(k, b, a), abs=1e-15)
         # the second-slot gradient, grad1 with the slots swapped, is minus the
         # first-slot one for these translation-invariant kernels
-        assert np.allclose(_pair(k.grad1_gram, b, a), -_pair(k.grad1_gram, a, b), atol=0)
+        grad1 = functools.partial(grad1_gram, k)
+        assert np.allclose(_pair(grad1, b, a), -_pair(grad1, a, b), atol=0)
 
 
 def test_gram_psd(rng):
     for k in _euclidean_kernels():
         pts = rng.normal(size=(64, 3))
-        gram = k.gram(pts, pts)
-        assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) >= -1e-8
+        block = gram(k, pts, pts)
+        assert np.min(np.linalg.eigvalsh(0.5 * (block + block.T))) >= -1e-8
 
 
 def test_median_heuristic_formula(rng):
@@ -326,9 +330,52 @@ def test_psd_property(seed):
     gen = np.random.default_rng(seed)
     k = IMQKernel(c=float(gen.uniform(0.5, 3.0)), beta=float(gen.uniform(-0.9, -0.1)))
     pts = gen.normal(size=(int(gen.integers(2, 32)), int(gen.integers(1, 4))))
-    gram = k.gram(pts, pts)
-    assert np.max(np.abs(gram - gram.T)) < 1e-14
-    assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) >= -1e-8
+    block = gram(k, pts, pts)
+    assert np.max(np.abs(block - block.T)) < 1e-14
+    assert np.min(np.linalg.eigvalsh(0.5 * (block + block.T))) >= -1e-8
+
+
+# ---------------------------------------------------------------------------
+# the particle field's blocks
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 11], ids=["on-block-edge", "past-block-edge"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("map_name", ["simplex", "box", "euclidean"])
+@pytest.mark.parametrize("kernel_name", ["imq", "rbf", "rbf-median", "rescaled", "dual-imq"])
+def test_field_blocks_equal_the_gram_oracles(rng, monkeypatch, kernel_name, map_name, d, n):
+    mirror_map, theta = _interior_cloud(rng, map_name, n, d)
+    kernel = {"imq": lambda: IMQKernel(c=0.8), "rbf": lambda: RBFKernel(bandwidth=0.7),
+              "rbf-median": lambda: RBFKernel(bandwidth="median"),
+              "rescaled": lambda: RescaledKernel(IMQKernel(), 1.5),
+              "dual-imq": lambda: DualIMQKernel(mirror_map)}[kernel_name]()
+    if kernel.adaptive:
+        kernel.update_bandwidth(theta)
+    # a budget of five rows per block: two blocks at n = 10, three at n = 11
+    monkeypatch.setattr(kernels, "FIELD_BLOCK_BYTES", 8 * n * (d + 1) * 5)
+    ranges = kernels.row_ranges(n, kernels.field_rows(n, d))
+    assert [r.stop - r.start for r in ranges] == ([5, 5] if n == 10 else [3, 4, 4])
+    x = kernel.chart(theta)
+    for rows in ranges:
+        f, fp = kernels.field_factors(kernel.profile, x, rows)
+        assert _same_bits(f, gram(kernel, theta[rows], theta))
+        assert _same_bits(kernels.field_gradient(x, rows, fp),
+                          grad1_gram(kernel, theta, theta[rows]))
+
+
+def test_field_rows_fill_the_block_budget():
+    # one block for particles-simplex's 200 points in 2-D; 131 rows at
+    # n = 1000 in 3-D, split into eight near-equal blocks of 125
+    assert kernels.field_rows(200, 2) >= 200
+    assert kernels.field_rows(1000, 3) == 131
+    assert [r.stop - r.start for r in kernels.row_ranges(1000, 131)] == [125] * 8
+    for n, d in ((200, 2), (1000, 3), (4000, 3), (10**7, 1)):
+        rows = kernels.field_rows(n, d)
+        assert 8 * n * rows * (d + 1) <= kernels.FIELD_BLOCK_BYTES or rows == 1
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ from msvgd.mirrors import (
     EntropicSimplexMap,
     EuclideanMap,
     make_map,
+    row_max,
+    row_sum,
 )
 
 from conftest import (
@@ -309,3 +311,12 @@ def test_round_trip_property(seed, d):
     tb = sample_box_interior(gen, 8, box.lo, box.hi)
     backb = box.grad_psi_star(box.grad_psi(tb))
     assert np.max(np.abs(backb - tb)) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_row_reductions_give_numpy_bits(rng, k):
+    # the quadrature's log-coordinates and distances reduce rows of 2 to 4
+    # columns; the column-by-column order must give np.sum's bits
+    a = rng.standard_normal((20000, k)) * np.exp(rng.uniform(-30.0, 30.0, (20000, k)))
+    assert row_sum(a).tobytes() == np.sum(a, axis=1).tobytes()
+    assert row_max(a).tobytes() == np.max(a, axis=1).tobytes()
