@@ -18,8 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msvgd.cli import _resolve_config_path
 from msvgd.config import build_runtime, load_config
-from msvgd.engine import init_ensemble, msvgd_step, update_field
-from msvgd.theory import stein_fisher_particles
+from msvgd.engine import init_ensemble, msvgd_step, stein_fisher_particles, update_field
 
 
 def main() -> int:

@@ -1,9 +1,10 @@
 """Constrained particle sampling by running SVGD through a mirror map.
 
 The package is layered: mirrors/kernels/targets define the geometry, engine
-moves particles, theory prices certified step sizes, gridflow checks the
-descent story by quadrature at desk scale, and cli ties the layers to JSON
-configs and CSV artifacts.
+moves particles, quadrature integrates dual densities on grids, theory
+prices certified step sizes, gridflow checks the descent story by
+quadrature at desk scale, and cli ties the layers to JSON configs and CSV
+artifacts.
 """
 
 from .errors import ConfigError, DomainError, NumericsError
@@ -17,13 +18,8 @@ from .targets import (
     certified_profile,
     make_target,
 )
-from .theory import (
-    Certificate,
-    SmoothnessProfile,
-    certify,
-    step_size_bound,
-    stein_fisher_particles,
-)
+from .engine import stein_fisher_particles
+from .theory import Certificate, SmoothnessProfile, certify, step_size_bound
 
 __version__ = "0.1.0"
 

@@ -120,12 +120,6 @@ def _write_verify_csv(path: Path, records, gamma: float) -> None:
             ])
 
 
-def _profile_dict(profile) -> dict:
-    values = {name: getattr(profile, name) for name in theory._PROFILE_FIELDS}
-    values["provenance"] = {name: profile.tag(name) for name in values}
-    return values
-
-
 # ---------------------------------------------------------------------------
 # run
 
@@ -288,6 +282,8 @@ def _cmd_verify(args) -> int:
 def _cmd_theory(args) -> int:
     if not 0.0 < args.eps < math.inf:
         raise ConfigError(f"--eps needs a finite eps > 0, got {args.eps!r}")
+    if args.lam is not None and not 0.0 < args.lam < math.inf:
+        raise ConfigError(f"--lambda needs a finite lambda > 0, got {args.lam!r}")
     overrides = {"gamma": "theorem"}
     if args.map is not None:
         overrides["map"] = args.map
@@ -295,6 +291,8 @@ def _cmd_theory(args) -> int:
         overrides.update(kernel=args.kernel, kernel_params={})
     cfg = load_config(_resolve_config_path(args.target), overrides)
     bundle = build_runtime(cfg)
+    if args.lam is not None:  # refused before the certificate is priced
+        theory.check_transport_exponent(bundle.profile.p)
     out_dir = None
     if args.out is not None:
         out_dir = _check_out_dir(args.out, args.force, (THEORY_FILE, engine.MANIFEST_FILE))
@@ -321,7 +319,7 @@ def _cmd_theory(args) -> int:
         "map": cfg.map,
         "kernel": cfg.kernel,
         "dim": dim,
-        "profile": _profile_dict(profile),
+        "profile": profile.to_dict(),
         "kernel_bounds": {"b1": kernel_bounds[0], "b2": kernel_bounds[1]},
         "strong_convexity": strong_convexity,
         "w_p_point_mass": w_p,

@@ -5,9 +5,10 @@ constraint set, dual positions in the unconstrained space where the kernel
 update is applied.  A run builds one averaged kernel field per state
 (update_field) and uses it twice: msvgd_step moves the dual cloud along it
 and maps back through the conjugate gradient, so feasibility is automatic;
-then the state's Stein-Fisher snapshot reads it, together with the operand
-and the kernel's chart-to-dual Jacobians G (msvgd.kernels) the field was
-built from, so no score or mirror Hessian is evaluated twice per state.
+then a logged state's Stein-Fisher snapshot (stein_fisher_particles) and
+smoothness level (a_n) read it, together with the operand and the kernel's
+chart-to-dual Jacobians G (msvgd.kernels) the field was built from, so no
+score or mirror Hessian is evaluated twice per state.
 With the Euclidean map the whole scheme collapses to standard SVGD, which
 is the reduction the tests pin.
 
@@ -41,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels, theory
+from . import kernels
 from .config import RunConfig, RuntimeBundle
 from .errors import NumericsError
 
@@ -139,6 +140,73 @@ def update_field(ensemble: ParticleEnsemble, mirrored, kernel) -> ParticleField:
     return ParticleField(velocity=velocity, operand=operand, dual_jacobian=jac)
 
 
+def a_n(operand, profile) -> float:
+    """Smoothness level along the current cloud: l0 + l1 * mean ||grad V||.
+
+    ``operand`` (n, d) holds -grad V at each particle: the operand of the
+    state's field (``ParticleField``), so no potential gradient is
+    evaluated again.  grad V itself gives the same value.
+    """
+    if profile.l1 == 0.0:
+        return profile.l0
+    return profile.growth(float(np.mean(np.sqrt(np.sum(operand * operand, axis=1)))))
+
+
+def stein_fisher_particles(ensemble: ParticleEnsemble, kernel, field: ParticleField) -> float:
+    """Squared kernel-space norm of the update field over the ensemble: the
+    V-statistic of the score-plus-divergence operand op_j = Hinv(t_j) s(t_j)
+    + div Hinv(t_j).  ``field`` is what ``update_field`` built for this
+    ensemble and kernel; its ``operand`` and ``dual_jacobian``
+    G_j = Hinv(t_j) J(t_j) are those per-particle values and its
+    ``velocity`` is the field v itself, so nothing per particle is
+    evaluated again.  With grad1 and grad12 in the kernel's chart slots
+    (``msvgd.kernels``), the V-statistic's gram term and one of its two
+    equal cross terms sum to (1/n) sum_b op_b.v_b, so
+
+        SF = (1/n) sum_b op_b.v_b + (1/n^2) sum_{b,j} [op_j.G_b grad1 k(t_b,t_j)
+                                                      + tr(G_b grad12 k(t_b,t_j) G_j^T)].
+
+    The second sum is sum_b <G_b, dvals_b>_F with (_, dvals) the kernel
+    operator's apply(op, G) over the particles (``kernels.kernel_operator``,
+    which builds each tile inside the one apply instead of caching them):
+    its dvals_b pairs grad1 k with op and grad12 k with G_j^T, which is G_j
+    because every chart-to-dual Jacobian here is symmetric.  The operator
+    reduces through matrix products of fixed shape, so a given ensemble
+    always produces the same float.  Nonnegative up to roundoff.  A point
+    mass still scores positive through the kernel-derivative block; the
+    statistic detects non-convergence, not mere stationarity of the
+    velocity.
+    """
+    theta = ensemble.primal
+    n, _ = theta.shape
+    velocity, operand, jac = field.velocity, field.operand, field.dual_jacobian
+    if np.shape(velocity) != theta.shape:
+        raise ValueError(f"velocity has shape {np.shape(velocity)}, expected {theta.shape}")
+    _, dvals = kernels.kernel_operator(kernel, theta).apply(operand, jac)
+    total = float(np.einsum("bdc,bdc->", jac, dvals))
+    return (float(np.einsum("bd,bd->", operand, velocity)) + total / n) / n
+
+
+@dataclass
+class DiagnosticsRecord:
+    """One logged row of a run: current step, Stein-Fisher estimate, local
+    smoothness level and step size."""
+
+    step: int
+    stein_fisher: float
+    a_n: float
+    gamma: float
+
+    def __post_init__(self) -> None:
+        # The estimator is a nonnegative quadratic form; anything below the
+        # roundoff floor, or NaN, means the estimate itself is broken.
+        if not self.stein_fisher >= -1e-10:
+            raise NumericsError(
+                f"stein_fisher estimate {self.stein_fisher!r} below the roundoff floor",
+                step=self.step,
+            )
+
+
 def _require_finite_field(ensemble: ParticleEnsemble, field: ParticleField) -> None:
     finite = np.isfinite(field.velocity).all(axis=1)
     if not finite.all():
@@ -184,7 +252,7 @@ class _RunWriter:
         self._diag.writerow(["step", "stein_fisher", "a_n", "gamma", "bandwidth", "wallclock_ms"])
         self.logged_steps: list[int] = []
 
-    def log(self, ensemble: ParticleEnsemble, record: theory.DiagnosticsRecord,
+    def log(self, ensemble: ParticleEnsemble, record: DiagnosticsRecord,
             bandwidth: float, wallclock_ms: float) -> None:
         step = ensemble.step_index
         values = np.hstack([ensemble.primal, ensemble.dual]).tolist()
@@ -231,10 +299,9 @@ def run(bundle: RuntimeBundle, out_dir) -> dict:
     abort = None
 
     def snapshot(ens: ParticleEnsemble, field: ParticleField) -> None:
-        sf = theory.stein_fisher_particles(ens, kernel, field)
-        an = float("nan") if bundle.profile is None else theory.a_n(field.operand, bundle.profile)
-        record = theory.DiagnosticsRecord(step=ens.step_index, stein_fisher=sf,
-                                          a_n=an, gamma=gamma)
+        sf = stein_fisher_particles(ens, kernel, field)
+        an = float("nan") if bundle.profile is None else a_n(field.operand, bundle.profile)
+        record = DiagnosticsRecord(step=ens.step_index, stein_fisher=sf, a_n=an, gamma=gamma)
         bandwidth = getattr(kernel, "bandwidth", float("nan"))
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         writer.log(ens, record, bandwidth, elapsed_ms)

@@ -7,11 +7,11 @@ and the smoothed Fisher value are read off the same grid.  This is the
 verification side of the package: the descent inequality and the two-formula
 identities for g are checked here at quadrature accuracy, in d <= 2.
 
-A flow's grid is the box theory's bracket walk picks for the dual target,
-unless a halfwidth is given.  The flow holds one state at a time.
-MirroredFlow.states builds each state's field once and pushes the state
-forward only when the next one is asked for; MirroredFlow.run keeps scalar
-records and the final density only.
+A flow's grid is the box msvgd.quadrature's bracket walk picks for the dual
+target (target_box), unless a halfwidth is given.  The flow holds one state
+at a time.  MirroredFlow.states builds each state's field once and pushes
+the state forward only when the next one is asked for; MirroredFlow.run
+keeps scalar records and the final density only.
 Each array is computed once per grid (nodes, weights, log weights), per flow
 (the target density, |grad V|), per state (exp(log rho), w rho, the log
 gradient; GridDensity.normalized builds and validates each state once) or
@@ -51,9 +51,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import cached_kernel_operator
+from .quadrature import Grid, chart_saturation_refused, read_only, target_box
 from .targets import MirroredTarget
-from .theory import (Grid, _read_only, _target_grid, chart_saturation_refused, field_norm_bound,
-                     log_sum_exp)
+from .theory import field_norm_bound
 
 DEFAULT_NODES_1D = 4096
 # Per-axis 2-d default.  Off the euclidean lattice each kernel sum of the
@@ -82,16 +82,16 @@ def grid_for_target(target, nodes: int | None = None, halfwidth: float | None = 
     """Symmetric box wide enough that the tails of both the dual target and
     the standard-normal start carry less than 1e-12 mass.
 
-    The box is the one theory's bracket walk picks for the dual density,
-    the walk that prices the certificate: halfwidth 8.0 (which already pins
-    the standard-normal tail), doubled until the dual log density sits
-    theory.TAIL_DROP_NATS under its peak at every border node and keeps
+    The box is ``quadrature.target_box``, the walk that also prices the
+    certificate: halfwidth 8.0 (which already pins the standard-normal
+    tail), doubled until the dual log density sits
+    quadrature.TAIL_DROP_NATS under its peak at every border node and keeps
     falling along rays far beyond.  A given halfwidth is used as is.
     """
     if nodes is None:
         nodes = DEFAULT_NODES_1D if target.dim == 1 else DEFAULT_NODES_2D
     if halfwidth is None:
-        return _target_grid(target, nodes)[0]
+        return target_box(target, nodes)[0]
     if not halfwidth > 0:
         raise ConfigError(f"grid halfwidth must be positive, got {halfwidth}")
     return Grid.box(target.dim, nodes, halfwidth)
@@ -114,12 +114,12 @@ class GridDensity:
     @functools.cached_property
     def density(self) -> np.ndarray:
         """exp(log density) at every node, read-only, computed once."""
-        return _read_only(np.exp(self.log_density))
+        return read_only(np.exp(self.log_density))
 
     @functools.cached_property
     def wrho(self) -> np.ndarray:
         """Trapezoid weight times density at every node, read-only."""
-        return _read_only(self.grid.weights * self.density)
+        return read_only(self.grid.weights * self.density)
 
     @functools.cached_property
     def log_gradient(self) -> np.ndarray:
@@ -139,7 +139,7 @@ class GridDensity:
             d0 = _fd4_uniform(logrho.T, grid.spacing[0]).T
             d1 = _fd4_uniform(logrho, grid.spacing[1])
             grad = np.stack([d0.ravel(), d1.ravel()], axis=1)
-        return _read_only(grad)
+        return read_only(grad)
 
     @classmethod
     def normalized(cls, grid: Grid, log_values: np.ndarray) -> "GridDensity":
@@ -149,16 +149,8 @@ class GridDensity:
         log_values = np.asarray(log_values, dtype=float).ravel()
         if log_values.size == grid.size:
             with np.errstate(invalid="ignore"):
-                log_values = log_values - log_sum_exp(log_values + grid.log_weights)
+                log_values = log_values - grid.log_mass(log_values)
         return cls(grid, log_values)
-
-    @property
-    def log_mass(self) -> float:
-        return log_sum_exp(self.log_density + self.grid.log_weights)
-
-    @property
-    def mass(self) -> float:
-        return math.exp(self.log_mass)
 
     def expectation(self, values: np.ndarray) -> float:
         """Trapezoid integral of node values against this density."""
@@ -328,8 +320,7 @@ class FieldOnGrid:
     all read.  2D evaluation is bilinear, on one per-field (P, d + d^2)
     table of the nodal values and Jacobians side by side, so ``bilinear``
     gathers both in one call from the pieces one cell lookup gives.
-    evaluate returns values and Jacobians from one interval lookup; calling
-    the field and jacobian give one of the two.
+    evaluate returns values and Jacobians from one interval lookup.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, derivs: np.ndarray):
@@ -356,13 +347,13 @@ class FieldOnGrid:
         slope = np.zeros((3, x.size + 1))
         slope[0, 1:-1] = m[:-1]
         np.multiply(value[2:], [[2.0 / h], [3.0 / h]], out=slope[1:])
-        return _read_only(np.concatenate([value, slope]))
+        return read_only(np.concatenate([value, slope]))
 
     @functools.cached_property
     def _nodal(self) -> np.ndarray:
         """2D only: the (P, d + d^2) table of nodal values and flattened
         Jacobians, read-only."""
-        return _read_only(np.concatenate(
+        return read_only(np.concatenate(
             [self.values, self.derivs.reshape(self.grid.size, -1)], axis=1))
 
     def bilinear(self, pieces) -> tuple:
@@ -384,12 +375,6 @@ class FieldOnGrid:
             c = np.take(self.hermite, columns, axis=1)
             return _cubic(c, t)[:, None], _slope(c, t)[:, None, None]
         return self.bilinear(_bilinear_pieces(self.grid, points))
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)[0]
-
-    def jacobian(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)[1]
 
     def max_stretch(self) -> tuple:
         """Largest Jacobian magnitude (max row sum) of the interpolated field,
@@ -431,7 +416,7 @@ class MirroredFlow:
     one kernel operator, built once since the grid never moves, by
     kernels.cached_kernel_operator over the primal nodes; the flow holds no
     operator code and makes no choice of its own.  The flow build maps its
-    nodes under theory.chart_saturation_refused, so a chart that saturates
+    nodes under quadrature.chart_saturation_refused, so a chart that saturates
     on an explicit wide grid is refused by name before any output.
     """
 

@@ -223,9 +223,11 @@ def test_criterion_08_initial_kl_bound():
     for name, base in cases.items():
         target = MirroredTarget(base, EuclideanMap(1))
         profile = certified_profile(target)
-        bound = theory.kl0_upper_bound(target, profile, dim=1)
+        # the flow's grid is the box certify prices on: the same walk and nodes
         grid = grid_for_target(target)
-        reference = GridDensity.normalized(grid, -target.potential(grid.nodes))
+        log_pi = -target.potential(grid.nodes)
+        bound = theory.kl0_upper_bound(target, profile, 1, grid.log_mass(log_pi))
+        reference = GridDensity.normalized(grid, log_pi)
         actual = kl_quadrature(standard_normal_density(grid), reference)
         margins[name] = bound - actual
     elapsed = time.perf_counter() - started

@@ -613,6 +613,22 @@ class TestTheoryCommand:
         assert f"--eps needs a finite eps > 0, got {float(eps)!r}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("target, lam, message", [
+        ("dirichlet-simplex-d2", "inf", "--lambda needs a finite lambda > 0, got inf"),
+        ("quartic-1d-descent", "-1", "--lambda needs a finite lambda > 0, got -1.0"),
+        ("quartic-1d-descent", "nan", "--lambda needs a finite lambda > 0, got nan"),
+        # tp mode holds for 1 <= p <= 2, and the quartic's growth exponent is 3
+        ("quartic-1d-descent", "1.0", "requires 1 <= p <= 2, got p=3.0"),
+    ])
+    def test_bad_lambda_exits_two_before_any_pricing(self, capsys, pricing_calls, target, lam,
+                                                     message):
+        code = cli.main(["theory", "--target", target, "--lambda", lam])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert pricing_calls == {"c_pi_p": 0, "kl0_upper_bound": 0}
+
     def test_box_map_exits_two_before_any_output(self, box_config, tmp_path, capsys):
         out = tmp_path / "th"
         code = cli.main(["theory", "--target", str(box_config), "--out", str(out)])

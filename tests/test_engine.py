@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msvgd import engine, kernels, theory
+from msvgd import engine, kernels
 from msvgd.config import RunConfig, build_runtime, config_from_dict
 from msvgd.engine import (
     ParticleEnsemble,
@@ -340,7 +340,7 @@ def test_trajectory_rows_are_each_values_shortest_repr(tmp_path):
     dual = np.array([[1e300, -2.5], [np.pi, 7.0]])
     writer = engine._RunWriter(tmp_path, 2)
     writer.log(ParticleEnsemble(primal=primal, dual=dual, step_index=12),
-               theory.DiagnosticsRecord(step=12, stein_fisher=1.0, a_n=2.0, gamma=0.1),
+               engine.DiagnosticsRecord(step=12, stein_fisher=1.0, a_n=2.0, gamma=0.1),
                float("nan"), 0.0)
     writer.close()
     expected = "step,i,theta1,theta2,x1,x2\r\n" + "".join(

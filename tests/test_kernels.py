@@ -25,7 +25,7 @@ from msvgd.kernels import (
     make_kernel,
 )
 from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
-from msvgd.theory import Grid
+from msvgd.quadrature import Grid
 
 from conftest import (
     DenseKernelOperator,

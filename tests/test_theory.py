@@ -1,6 +1,7 @@
 """Constants and bounds: formula values against independent arithmetic,
-moments against Monte Carlo, the particle Stein-Fisher estimator against a
-straight-loop reference, and quadrature constants against closed forms."""
+moments against Monte Carlo, quadrature constants and the bracket walk
+(msvgd.quadrature) against closed forms, and the particle Stein-Fisher
+estimator (msvgd.engine) against a straight-loop reference."""
 
 import math
 import tracemalloc
@@ -13,29 +14,27 @@ from hypothesis import strategies as st
 
 from conftest import gram_blocks, sample_box_interior, sample_simplex_interior
 
-from msvgd import kernels, theory
+from msvgd import kernels, quadrature, theory
 from msvgd.cli import _resolve_config_path
 from msvgd.config import build_runtime, load_config
-from msvgd.engine import ParticleField, update_field
+from msvgd.engine import (DiagnosticsRecord, ParticleEnsemble, ParticleField, a_n,
+                          stein_fisher_particles, update_field)
 from msvgd.errors import ConfigError, DomainError, NumericsError
 from msvgd.kernels import DualIMQKernel, IMQKernel, RBFKernel, RescaledKernel
 from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
 from msvgd.targets import Dirichlet, MirroredTarget, TruncatedGaussian
+from msvgd.quadrature import log_sum_exp, target_box
 from msvgd.theory import (
-    DiagnosticsRecord,
+    PRICING_NODES,
     SmoothnessProfile,
-    a_n,
     c_pi_p,
-    dual_log_partition,
     exp_grad_bound,
     g_p,
     gaussian_moment,
     iteration_estimate,
     kl0_upper_bound,
-    log_sum_exp,
     step_size_bound,
     step_size_cap,
-    stein_fisher_particles,
     w_p_to_point_mass,
 )
 
@@ -74,6 +73,17 @@ def quartic_stub():
         grad=lambda x: 4.0 * x ** 3,
         dim=1,
     )
+
+
+def priced_box(target):
+    """The bracketed box certify prices on, at its node count."""
+    return target_box(target, PRICING_NODES[0] if target.dim == 1 else PRICING_NODES[1])
+
+
+def log_partition(target, nodes=None):
+    """log of the mass of exp(-V) on the target's bracketed box."""
+    grid, vals = target_box(target, nodes) if nodes else priced_box(target)
+    return grid.log_mass(vals)
 
 
 def profile(**kw):
@@ -351,21 +361,21 @@ class TestIterationEstimate:
 
 class TestLogPartition:
     def test_standard_normal(self):
-        got = dual_log_partition(gauss_stub())
+        got = log_partition(gauss_stub())
         assert got == pytest.approx(0.5 * math.log(2.0 * math.pi), abs=1e-10)
 
     def test_quartic(self):
         quartic_mass = math.gamma(0.25) / 2.0
-        got = dual_log_partition(quartic_stub())
+        got = log_partition(quartic_stub())
         assert got == pytest.approx(math.log(quartic_mass), abs=1e-10)
 
     def test_2d_product(self):
-        got = dual_log_partition(gauss_stub(dim=2), nodes=512)
+        got = log_partition(gauss_stub(dim=2), nodes=512)
         assert got == pytest.approx(math.log(2.0 * math.pi), abs=1e-8)
 
     def test_dim_cap(self):
         with pytest.raises(ConfigError):
-            dual_log_partition(gauss_stub(dim=3))
+            target_box(gauss_stub(dim=3), 256)
 
     def test_simplex_dual_mass_is_beta_function(self):
         # Pushforward preserves mass, so the unnormalized dual integral is
@@ -374,7 +384,7 @@ class TestLogPartition:
         # log-coordinate evaluation path.
         target = MirroredTarget(Dirichlet([3.0, 2.0]), EntropicSimplexMap(1))
         want = math.lgamma(3.0) + math.lgamma(2.0) - math.lgamma(5.0)
-        assert dual_log_partition(target) == pytest.approx(want, abs=1e-9)
+        assert log_partition(target) == pytest.approx(want, abs=1e-9)
 
 
 class TestKl0UpperBound:
@@ -401,7 +411,8 @@ class TestKl0UpperBound:
     def test_valid_for_matching_gaussian(self):
         # KL(N(0,1) | N(0,1)) = 0; the bound must sit above it once the
         # potential is normalized, which the quadrature partition does.
-        got = kl0_upper_bound(gauss_stub(), profile(c_p=1.0, p=1.0))
+        got = kl0_upper_bound(gauss_stub(), profile(c_p=1.0, p=1.0), 1,
+                              log_partition(gauss_stub()))
         assert got >= 0.0
         assert got == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-8)
 
@@ -414,7 +425,7 @@ def _log_abs_moment_gauss(s):
 
 class TestCPiP:
     def test_gaussian_p1_matches_closed_form(self):
-        got = c_pi_p(gauss_stub(), p=1.0)
+        got = c_pi_p(gauss_stub(), 1.0, priced_box(gauss_stub()))
         grid = np.logspace(-3.0, 2.0, 64)
         want = 2.0 * min((1.5 + _log_abs_moment_gauss(s)) / s for s in grid)
         assert got == pytest.approx(want, rel=1e-5)
@@ -422,7 +433,7 @@ class TestCPiP:
     def test_sq_exp_p2_divergent_rates_excluded(self):
         # Density exp(-x^2): the moment at exponent 2 is finite only for
         # s < 1, where log E = -(1/2) log(1 - s).
-        got = c_pi_p(sq_exp_stub(), p=2.0)
+        got = c_pi_p(sq_exp_stub(), 2.0, priced_box(sq_exp_stub()))
         grid = np.logspace(-3.0, 2.0, 64)
         want = 2.0 * min(
             math.sqrt((1.5 - 0.5 * math.log1p(-s)) / s) for s in grid if s < 1.0
@@ -430,16 +441,16 @@ class TestCPiP:
         assert got == pytest.approx(want, rel=1e-4)
 
     def test_dimension_growth_sanity(self):
-        one = c_pi_p(sq_exp_stub(dim=1), p=2.0)
-        two = c_pi_p(sq_exp_stub(dim=2), p=2.0)
+        one = c_pi_p(sq_exp_stub(dim=1), 2.0, priced_box(sq_exp_stub(dim=1)))
+        two = c_pi_p(sq_exp_stub(dim=2), 2.0, priced_box(sq_exp_stub(dim=2)))
         assert 1.0 <= two / one <= 1.5
 
     def test_quartic_all_rates_converge_at_p3(self):
-        got = c_pi_p(quartic_stub(), p=3.0)
+        got = c_pi_p(quartic_stub(), 3.0, priced_box(quartic_stub()))
         assert 1.0 < got < 4.0
 
     def test_quartic_p4_keeps_only_subcritical_rates(self):
-        got = c_pi_p(quartic_stub(), p=4.0)
+        got = c_pi_p(quartic_stub(), 4.0, priced_box(quartic_stub()))
         assert math.isfinite(got) and got > 0.0
 
     def test_dirichlet_simplex_pair(self):
@@ -449,7 +460,7 @@ class TestCPiP:
         # the rate grid must be excluded and the minimum reproduced here by
         # direct quadrature over the subcritical rates.
         target = MirroredTarget(Dirichlet([3.0, 2.0]), EntropicSimplexMap(1))
-        got = c_pi_p(target, p=1.0)
+        got = c_pi_p(target, 1.0, priced_box(target))
 
         x = np.linspace(-300.0, 300.0, 1 << 17)
         logpdf = 3.0 * x - 5.0 * np.logaddexp(0.0, x)
@@ -472,7 +483,7 @@ class TestCPiP:
         calls = []
         original = target.potential
         monkeypatch.setattr(target, "potential", lambda q: calls.append(len(q)) or original(q))
-        c_pi_p(target, p=1.0)
+        c_pi_p(target, 1.0, priced_box(target))
         assert 0 < len(calls) <= 30
         # Rays go first, so a box whose rays still rise is never evaluated,
         # and the moments' walk starts on the target box, whose potential
@@ -482,12 +493,14 @@ class TestCPiP:
         assert sum(calls) <= 329_312 + 65_536 + 96
 
     def test_divergent_for_every_rate(self):
+        # s |x|^3 outgrows the Gaussian tail at every rate, so the walk
+        # never evaluates a box past the one it is given
         with pytest.raises(DomainError, match="diverges"):
-            c_pi_p(gauss_stub(), p=3.0, num_s=5, s_max=10.0)
+            c_pi_p(gauss_stub(), 3.0, priced_box(gauss_stub()))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            c_pi_p(gauss_stub(), p=0.5)
+            c_pi_p(gauss_stub(), 0.5, priced_box(gauss_stub()))
 
 
 def _box_first_walk(bracket, logf, max_doublings=14):
@@ -496,9 +509,9 @@ def _box_first_walk(bracket, logf, max_doublings=14):
     for level in range(max_doublings + 1):
         grid, arrays = bracket.box(level)
         vals = np.asarray(logf(arrays), dtype=float)
-        if theory._tail_clears(vals, grid):
+        if quadrature._tail_clears(vals, grid):
             far = np.asarray(logf(bracket.rays(level)), dtype=float)
-            if np.all(np.diff(far.reshape(theory._RAY_DOUBLINGS, -1), axis=0) <= 0.0):
+            if np.all(np.diff(far.reshape(quadrature._RAY_DOUBLINGS, -1), axis=0) <= 0.0):
                 return level, grid, vals
     return None
 
@@ -544,8 +557,9 @@ class TestBracketWalk:
             return s * arrays[0] - arrays[1]
 
         nodes = 48 if dim == 2 else 512
-        got = theory._expand_until_decay(theory._Bracket(evaluate, dim, nodes, start), logf)
-        want = _box_first_walk(theory._Bracket(evaluate, dim, nodes, start), logf)
+        got = quadrature._expand_until_decay(quadrature._Bracket(evaluate, dim, nodes, start),
+                                             logf)
+        want = _box_first_walk(quadrature._Bracket(evaluate, dim, nodes, start), logf)
         assert (got is None) == (want is None)
         if got is not None:
             assert got[0] == want[0]
@@ -556,14 +570,14 @@ class TestBracketWalk:
     def test_target_walk_matches_box_first(self, name):
         target = _walk_targets()[name]
         dim = int(target.dim)
-        nodes = theory._default_nodes(dim)
+        nodes = PRICING_NODES[dim - 1]
 
         def evaluate(q):
             return -np.asarray(target.potential(q), dtype=float)
 
-        got = theory._expand_until_decay(theory._Bracket(evaluate, dim, nodes, 8.0),
-                                         lambda v: v)
-        want = _box_first_walk(theory._Bracket(evaluate, dim, nodes, 8.0), lambda v: v)
+        got = quadrature._expand_until_decay(quadrature._Bracket(evaluate, dim, nodes, 8.0),
+                                             lambda v: v)
+        want = _box_first_walk(quadrature._Bracket(evaluate, dim, nodes, 8.0), lambda v: v)
         assert got[0] == want[0]
         assert got[1].log_weights.tobytes() == want[1].log_weights.tobytes()
         assert got[2].tobytes() == want[2].tobytes()
@@ -608,9 +622,10 @@ class TestCertify:
         setting = (bundle.kernel.bounds(), bundle.mirror_map.strong_convexity, bundle.dim)
         cert = theory.certify(bundle.mirrored, bundle.profile, *setting)
 
+        box = priced_box(bundle.mirrored)
         profile = bundle.profile.with_values(
-            "empirical", c_pi_p=c_pi_p(bundle.mirrored, bundle.profile.p))
-        kl0 = kl0_upper_bound(bundle.mirrored, profile, dim=bundle.dim)
+            "empirical", c_pi_p=c_pi_p(bundle.mirrored, bundle.profile.p, box))
+        kl0 = kl0_upper_bound(bundle.mirrored, profile, bundle.dim, box[0].log_mass(box[1]))
         assert cert.profile == profile
         assert cert.kl0_upper == kl0
         assert cert.fixed_cap == step_size_bound(profile, *setting, kl0, "general")
@@ -624,13 +639,13 @@ class TestCertify:
         if given_c_pi_p is not None:
             profile = profile.with_values("user", c_pi_p=given_c_pi_p)
         calls = []
-        original = theory._target_grid
+        original = theory.target_box
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(theory, "_target_grid", counting)
+        monkeypatch.setattr(theory, "target_box", counting)
         theory.certify(bundle.mirrored, profile, bundle.kernel.bounds(), 1.0, 1)
         assert len(calls) == 1
 
@@ -641,22 +656,36 @@ class TestCertify:
         bundle = _preset_bundle("dirichlet-simplex-d2")
         setting = (bundle.kernel.bounds(), bundle.mirror_map.strong_convexity, bundle.dim)
         boxes = []
-        original = theory._potential
+        original = quadrature._potential
 
         def counting(target, q):
             if len(q) == 256 * 256:
                 boxes.append(len(q))
             return original(target, q)
 
-        monkeypatch.setattr(theory, "_potential", counting)
+        monkeypatch.setattr(quadrature, "_potential", counting)
         seeded = theory.certify(bundle.mirrored, bundle.profile, *setting)
         assert len(boxes) == 5
         boxes.clear()
-        monkeypatch.setattr(theory._Bracket, "seed", lambda *args: None)
+        monkeypatch.setattr(quadrature._Bracket, "seed", lambda *args: None)
         walked = theory.certify(bundle.mirrored, bundle.profile, *setting)
         assert len(boxes) == 6
         assert seeded.profile.c_pi_p == walked.profile.c_pi_p
         assert seeded == walked
+
+    # (c_pi_p, kl0_upper, fixed_cap) of both verify presets, recorded; a new
+    # pricing route has to move them on purpose
+    PINNED = {
+        "quartic-1d-descent": (2.324447538246817, 5.367475054144917, 3.863350718950804e-05),
+        "dirichlet-simplex-d2": (3.77166611093553, 23.177065500411217, 0.00011018181650801446),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_priced_constants_are_pinned(self, name):
+        cert = _preset_bundle(name).certificate
+        got = (cert.profile.c_pi_p, cert.kl0_upper, cert.fixed_cap)
+        for value, want in zip(got, self.PINNED[name]):
+            assert value == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_a_given_c_pi_p_is_not_repriced(self, monkeypatch):
         bundle = _preset_bundle("quartic-1d-descent")
@@ -716,7 +745,7 @@ def _sf(cloud, target, mirror_map, kernel, **kwargs):
     """stein_fisher_particles on the field the engine builds for the cloud."""
     ensemble = cloud if hasattr(cloud, "primal") else SimpleNamespace(primal=cloud)
     field = update_field(ensemble, MirroredTarget(target, mirror_map), kernel)
-    return stein_fisher_particles(cloud, kernel, field, **kwargs)
+    return stein_fisher_particles(ensemble, kernel, field, **kwargs)
 
 
 def _v_statistic(theta, target, mirror_map, kernel):
@@ -771,10 +800,11 @@ class TestSteinFisherParticles:
         theta = sample_box_interior(np.random.default_rng(1), 1000, lo, hi)
         target = TruncatedGaussian([0.2, -0.1, 0.0], np.eye(3), lo=lo, hi=hi)
         kernel = DualIMQKernel(mirror_map)
-        field = update_field(SimpleNamespace(primal=theta), MirroredTarget(target, mirror_map), kernel)
+        ensemble = SimpleNamespace(primal=theta)
+        field = update_field(ensemble, MirroredTarget(target, mirror_map), kernel)
         tracemalloc.start()
         try:
-            stein_fisher_particles(theta, kernel, field)
+            stein_fisher_particles(ensemble, kernel, field)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -792,7 +822,7 @@ class TestSteinFisherParticles:
     def test_rejects_a_field_of_the_wrong_shape(self, rng):
         x = rng.standard_normal((6, 2))
         with pytest.raises(ValueError, match="velocity has shape"):
-            stein_fisher_particles(x, IMQKernel(), ParticleField(
+            stein_fisher_particles(SimpleNamespace(primal=x), IMQKernel(), ParticleField(
                 np.zeros((6, 1)), np.zeros((6, 2)), np.zeros((6, 2, 2))))
 
     def test_matches_reference_ksd_euclidean(self, rng):
@@ -826,13 +856,11 @@ class TestSteinFisherParticles:
             assert got >= -1e-10
 
     def test_accepts_ensemble_objects(self, rng):
+        # the snapshot reads the ensemble's primal cloud and nothing else
         x = rng.standard_normal((10, 2))
-
-        class Bag:
-            primal = x
-
+        ensemble = ParticleEnsemble(primal=x, dual=np.zeros_like(x))
         target = ScoreStub(lambda t: -t, 2)
-        assert _sf(Bag(), target, EuclideanMap(2), IMQKernel()) == (
+        assert _sf(ensemble, target, EuclideanMap(2), IMQKernel()) == (
             _sf(x, target, EuclideanMap(2), IMQKernel())
         )
 
