@@ -12,10 +12,14 @@ score or mirror Hessian is evaluated twice per state.
 With the Euclidean map the whole scheme collapses to standard SVGD, which
 is the reduction the tests pin.
 
-The field is built over its own blocks of rows, not the kernel operator's
-tiles: near-equal ranges of at most kernels.field_rows(n, d) particles,
-sized so that one block and its factor take about kernels.FIELD_BLOCK_BYTES
-(one block of 200 particles in 2-D, eight of 125 for 1000 in 3-D).  The
+One streaming budget, kernels.STREAM_BYTES (1 MiB), sizes every kernel
+block a particle run streams.  The field is built over its own blocks of
+rows, not the kernel operator's tiles: near-equal ranges of at most
+kernels.field_rows(n, d) particles, so that one block and its factor take
+about that budget (one block of 200 particles in 2-D, 32 of 31 or 32 for
+1000 in 3-D).  The snapshot's operator builds tiles of at most
+kernels.streamed_tile_rows() rows, whose two factors take about the same
+(one tile for 200 particles, four ranges of 250 for 1000).  The
 chart is evaluated once per state.  For each block of r rows one pass of
 squared distances and one profile pass give f and f' (r, n): f feeds the
 drift einsum and is dropped, then f' becomes the (n, r, d) chart-slot
@@ -116,7 +120,7 @@ def update_field(ensemble: ParticleEnsemble, mirrored, kernel) -> ParticleField:
 
     The sums run one block of r <= kernels.field_rows(n, d) particles at a
     time, so the peak is one (n, r, d) gradient block and its (r, n)
-    factor, about kernels.FIELD_BLOCK_BYTES.  kernels.particle_bytes prices
+    factor, about kernels.STREAM_BYTES.  kernels.particle_bytes prices
     that peak.
     """
     theta = ensemble.primal
@@ -168,7 +172,9 @@ def stein_fisher_particles(ensemble: ParticleEnsemble, kernel, field: ParticleFi
 
     The second sum is sum_b <G_b, dvals_b>_F with (_, dvals) the kernel
     operator's apply(op, G) over the particles (``kernels.kernel_operator``,
-    which builds each tile inside the one apply instead of caching them):
+    which builds each tile, two factors of at most
+    ``kernels.streamed_tile_rows()`` rows, inside the one apply instead of
+    caching them):
     its dvals_b pairs grad1 k with op and grad12 k with G_j^T, which is G_j
     because every chart-to-dual Jacobian here is symmetric.  The operator
     reduces through matrix products of fixed shape, so a given ensemble

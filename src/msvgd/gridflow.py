@@ -316,11 +316,10 @@ class FieldOnGrid:
     1D evaluation is cubic Hermite (the nodal derivatives are part of the
     data, not re-estimated) and constant beyond the box, which keeps the flow
     map injective out there.  Its formula lives in one per-field table,
-    ``hermite``, which evaluate, max_stretch and the pushforward's inverse
-    all read.  2D evaluation is bilinear, on one per-field (P, d + d^2)
-    table of the nodal values and Jacobians side by side, so ``bilinear``
-    gathers both in one call from the pieces one cell lookup gives.
-    evaluate returns values and Jacobians from one interval lookup.
+    ``hermite``, which max_stretch and the pushforward's inverse both read.
+    2D evaluation is bilinear, on one per-field (P, d + d^2) table of the
+    nodal values and Jacobians side by side, so ``bilinear`` gathers both
+    in one call from the pieces one cell lookup gives.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, derivs: np.ndarray):
@@ -363,18 +362,6 @@ class FieldOnGrid:
         d = self.grid.dim
         both = _bilinear(self.grid, self._nodal, pieces)
         return both[:, :d], both[:, d:].reshape(-1, d, d)
-
-    def evaluate(self, points: np.ndarray) -> tuple:
-        """(values (n, d), Jacobians (n, d, d)) at points from one interval
-        lookup."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.grid.dim == 1:
-            x, q = self.grid.axes[0], points[:, 0]
-            columns = _hermite_columns(x, q)
-            t = (q - x[np.maximum(columns - 1, 0)]) / (x[1] - x[0])
-            c = np.take(self.hermite, columns, axis=1)
-            return _cubic(c, t)[:, None], _slope(c, t)[:, None, None]
-        return self.bilinear(_bilinear_pieces(self.grid, points))
 
     def max_stretch(self) -> tuple:
         """Largest Jacobian magnitude (max row sum) of the interpolated field,
@@ -446,10 +433,6 @@ class MirroredFlow:
         self.kernel_operator = cached_kernel_operator(kernel, self.theta, self.grid)
 
     # -- densities ----------------------------------------------------------
-
-    def pi_density(self) -> GridDensity:
-        """The target normalized on the grid, the reference of every KL."""
-        return self._pi
 
     def initial_density(self) -> GridDensity:
         return standard_normal_density(self.grid)

@@ -29,18 +29,21 @@ field_gradient turns f' into the block's (n, r, d) chart-slot gradient
 grad1 k (grad1 differentiates the first slot).  _sq_dists sums squared
 distances coordinate by coordinate, for the field and for the operators,
 building no (n, m, d) array.  row_ranges(n, rows) splits n points into
-near-equal ranges of at most ``rows`` rows: of TILE_ROWS for the point-set
-operator's tiles, and of field_rows(n, d), which FIELD_BLOCK_BYTES sizes,
-for the field's blocks.
+near-equal ranges of at most ``rows`` rows.  One streaming budget,
+STREAM_BYTES, serves a particle run: it sizes the field's blocks
+(field_rows(n, d)) and the tiles of the operator the Stein-Fisher snapshot
+applies once (streamed_tile_rows()).  The grid flow's operator, applied at
+every state, keeps tiles of TILE_ROWS rows.
 
 Two kernel operators implement one contract, stated above them: the kernel
 matrices over one point set applied to per-point values, the sums that both
 the grid field and the particle Stein-Fisher value are made of.
 - The point-set operator (kernel_operator), for every kernel: products of
   the n x n matrices f'(t) and f''(t) with (w, n) stacks of per-point
-  features.  f(t) is never built (f = (a + b t) f', _affine_ratio), and
-  only the upper tiles of the two symmetric matrices are, each before the
-  next product unless cache_tiles keeps them.
+  features.  f(t) is never held (f = (a + b t) f', _affine_ratio), and
+  only the upper tiles of the two symmetric matrices are built, each in two
+  buffers (_factors) and before the next product unless cache_tiles keeps
+  them.
 - The lattice operator, over a grid's own nodes, where every chart is
   affine: every kernel matrix is (block-)Toeplitz, so it is a zero-padded
   FFT convolution with K, K1 and K12 sampled at the node lags.
@@ -56,11 +59,12 @@ from .errors import ConfigError, NumericsError
 
 # cache the kernel matrices' upper tiles over a point set when they fit
 PRECOMPUTE_BYTES = 700_000_000
-# most rows in one tile of a point-set operator's kernel matrices
+# most rows in one tile of the grid flow's point-set operator, cached or not
 TILE_ROWS = 640
-# about the most bytes of one particle-field block: its (n, r, d) gradient
-# and its (r, n) factor, 8 n r (d + 1)
-FIELD_BLOCK_BYTES = 4 << 20
+# about the most bytes of one streamed kernel block of a particle run: a
+# field block, its (n, r, d) gradient and (r, n) factor, 8 n r (d + 1), or a
+# tile of the snapshot's operator, its two r x r factors, 16 r^2
+STREAM_BYTES = 1 << 20
 
 
 def _range_count(n: int, rows: int) -> int:
@@ -81,9 +85,16 @@ def row_ranges(n: int, rows: int) -> list:
 
 def field_rows(n: int, d: int) -> int:
     """The most rows r of one particle-field block over n points in d
-    dimensions whose 8 n r (d + 1) bytes fit in FIELD_BLOCK_BYTES, at
+    dimensions whose 8 n r (d + 1) bytes fit in STREAM_BYTES, at least
+    one."""
+    return max(1, STREAM_BYTES // (8 * n * (d + 1)))
+
+
+def streamed_tile_rows() -> int:
+    """The most rows r of one tile of the snapshot's operator whose two
+    r x r factors, 16 r^2 bytes, fit in STREAM_BYTES (256 at 1 MiB), at
     least one."""
-    return max(1, FIELD_BLOCK_BYTES // (8 * n * (d + 1)))
+    return max(1, math.isqrt(STREAM_BYTES // 16))
 
 
 def _sq_dists(x, y):
@@ -171,6 +182,13 @@ class _RadialKernel(Kernel):
         hold one of the results."""
         raise NotImplementedError
 
+    def _factors(self, t):
+        """(f'(t), f''(t)), the point-set operator's two factors: the
+        operations of _derivatives(t, 2)[1:] in the same order, so the same
+        bits, in two buffers, t's and one more, since f is never held.  t
+        is consumed."""
+        raise NotImplementedError
+
     def _affine_ratio(self):
         """(a, b) with f(t) = (a + b t) f'(t) for every t >= 0, which lets
         the point-set operator take the sums of f through f'."""
@@ -227,6 +245,17 @@ class IMQKernel(_RadialKernel):
         fpp = np.divide(fp, base, out=base)
         fpp *= self.beta - 1.0
         return f, fp, fpp
+
+    def _factors(self, t):
+        # f = base^beta is divided into f' in its own buffer
+        base = t
+        base += self._constants()[0]
+        fp = base**self.beta
+        np.divide(fp, base, out=fp)
+        fp *= self.beta
+        fpp = np.divide(fp, base, out=base)
+        fpp *= self.beta - 1.0
+        return fp, fpp
 
     def _affine_ratio(self):
         # f = base f' / beta with base = c^2 + t
@@ -292,6 +321,14 @@ class RBFKernel(_RadialKernel):
         if order == 1:
             return f, f / -two_h2
         return f, f / -two_h2, f / four_h4
+
+    def _factors(self, t):
+        # f = exp(-t / (2 h^2)) in t's buffer becomes f'' there, after f'
+        two_h2, four_h4 = self._constants()
+        f = np.divide(t, -two_h2, out=t)
+        np.exp(f, out=f)
+        fp = f / -two_h2
+        return fp, np.divide(f, four_h4, out=f)
 
     def _affine_ratio(self):
         # f = -2 h^2 f'
@@ -398,10 +435,10 @@ def make_kernel(name, params=None, mirror_map=None):
 
 def kernel_operator(kernel, points):
     """The operator over ``points`` (n, d): the kernel's profile applied in
-    its chart.  It builds each tile inside every product and releases it
-    before the next, which suits an operator applied once, as the particle
-    snapshot's is."""
-    return _RadialOperator(kernel.profile, kernel.chart(points))
+    its chart.  It builds each tile of at most streamed_tile_rows() rows
+    inside every product and releases it before the next, which suits an
+    operator applied once, as the particle snapshot's is."""
+    return _RadialOperator(kernel.profile, kernel.chart(points), streamed_tile_rows())
 
 
 def cached_kernel_operator(kernel, points, grid):
@@ -409,15 +446,17 @@ def cached_kernel_operator(kernel, points, grid):
     primal images of ``grid``'s nodes: the lattice operator when the points
     are the nodes themselves (the euclidean map, under which every chart
     here is affine: dual-imq's grad_psi is the identity), else the
-    point-set operator with its tiles kept."""
+    point-set operator over tiles of at most TILE_ROWS rows, kept when
+    they fit."""
     if np.array_equal(points, grid.nodes):
         return _LatticeOperator(kernel, grid)
-    return kernel_operator(kernel, points).cache_tiles()
+    return _RadialOperator(kernel.profile, kernel.chart(points), TILE_ROWS).cache_tiles()
 
 
 def _cached_tile_bytes(n: int) -> int:
-    """Bytes of the two stored factors' upper tiles over the row ranges of n
-    points: (n^2 + the sum of the squared range sizes) / 2 entries each."""
+    """Bytes of the two stored factors' upper tiles over the grid operator's
+    TILE_ROWS row ranges of n points: (n^2 + the sum of the squared range
+    sizes) / 2 entries each."""
     k = _range_count(n, TILE_ROWS)
     q, longer = divmod(n, k)  # ranges of q rows, and ``longer`` of q + 1
     squares = (k - longer) * q * q + longer * (q + 1) ** 2
@@ -426,12 +465,17 @@ def _cached_tile_bytes(n: int) -> int:
 
 def operator_bytes(n: int, d: int) -> int:
     """About the most bytes that an apply of kernel_operator over n points
-    in d dimensions holds at once: the tile it builds, whose build holds
-    F', F'' and one spare tile (each tile goes before the next is built),
-    and two copies of the d^3 + 4 d^2 + 4 d features per point (their
-    feature-major stacks, written in place, and the accumulators)."""
-    rows = _largest_range(n, TILE_ROWS)
-    return 8 * (3 * rows * rows + 2 * n * (d**3 + 4 * d * d + 4 * d))
+    in d dimensions holds at once, the sum of:
+    - the tile it builds: two r x r arrays, r <= streamed_tile_rows() (the
+      squared distances and their spare, then F' and F''; each tile goes
+      before the next is built), and numpy's two 8192-entry buffers for
+      _sq_dists' broadcast subtraction of strided columns;
+    - one tile's product with the wider feature stack, (d^3 + 2 d^2 + d, r);
+    - two copies of the d^3 + 4 d^2 + 4 d features per point (their
+      feature-major stacks, written in place, and the accumulators)."""
+    rows = _largest_range(n, streamed_tile_rows())
+    wide = d**3 + 2 * d * d + d
+    return 8 * (2 * rows * rows + 2 * 8192 + rows * wide + 2 * n * (d**3 + 4 * d * d + 4 * d))
 
 
 def particle_bytes(kernel, n: int, d: int) -> int:
@@ -439,9 +483,9 @@ def particle_bytes(kernel, n: int, d: int) -> int:
     points in d dimensions holds at once, the largest of:
     - the field's largest block, of r <= field_rows(n, d) rows: its
       (n, r, d) gradient and its (r, n) factor f' (f goes before the
-      gradient is built);
-    - the Stein-Fisher snapshot's operator, which streams its tiles
-      (operator_bytes);
+      gradient is built), about STREAM_BYTES;
+    - the Stein-Fisher snapshot's operator, which streams its tiles, each
+      about STREAM_BYTES (operator_bytes);
     - an adaptive kernel's refresh: the (n, n) squared distances and the
       spare (n, n) array they are summed with."""
     rows = _largest_range(n, field_rows(n, d))
@@ -479,19 +523,21 @@ class _RadialOperator:
     identity term, are read once per operator, so a later median-bandwidth
     refresh cannot pull them apart.
 
-    The points split into k = ceil(n / TILE_ROWS) near-equal row ranges,
-    and since the factors are symmetric only their upper tiles (i <= j) are
-    built: tile (i, j) adds its transpose times range i's features to range
-    j's products and, off the diagonal, itself times range j's features to
-    range i's.  Both products run features-first on feature-major (w, n)
-    stacks and accumulators (see _products).  The profile builds a tile's
-    F' and F'' in one pass from one transcendental, one of them in the
-    squared distances' buffer.  The tiles are built inside each product's
-    loop, one at a time, unless cache_tiles stored them; both
-    ways run the same loop on the same tiles, so they give the same bits.
+    The points split into k = ceil(n / rows) near-equal row ranges, rows
+    being the constructor's: streamed_tile_rows() for the snapshot's
+    operator, TILE_ROWS for the grid flow's.  Since the factors are
+    symmetric only their upper tiles (i <= j) are built: tile (i, j) adds
+    its transpose times range i's features to range j's products and, off
+    the diagonal, itself times range j's features to range i's.  Both
+    products run features-first on feature-major (w, n) stacks and
+    accumulators (see _products).  The profile builds a tile's F' and F''
+    in one pass from one transcendental, in the squared distances' buffer
+    and one more (_factors).  The tiles are built inside each product's
+    loop, one at a time, unless cache_tiles stored them; both ways run the
+    same loop on the same tiles, so they give the same bits.
     """
 
-    def __init__(self, profile, x):
+    def __init__(self, profile, x, rows: int):
         self.profile = profile
         x = np.asarray(x, dtype=float)
         self._x = x - np.mean(x, axis=0)
@@ -499,7 +545,7 @@ class _RadialOperator:
         a, self._b = profile._affine_ratio()
         self._sq_norms = np.einsum("nd,nd->n", self._x, self._x)
         self._affine = a + self._b * self._sq_norms
-        self._ranges = row_ranges(x.shape[0], TILE_ROWS)
+        self._ranges = row_ranges(x.shape[0], rows)
         k = len(self._ranges)
         self._pairs = [(i, j) for i in range(k) for j in range(i, k)]
         self._tiles = None
@@ -512,12 +558,11 @@ class _RadialOperator:
 
     def _tile(self, i: int, j: int) -> tuple:
         """F' and F'' between the points of row ranges i and j.  The squared
-        distances are summed coordinate by coordinate, and the profile
-        builds one factor in their buffer; the f it also returns is dropped
-        at once, so the build holds the two factors and at most one more
-        tile."""
-        factors = self.profile._derivatives(
-            _sq_dists(self._x[self._ranges[i]], self._x[self._ranges[j]]), 2)[1:]
+        distances are summed coordinate by coordinate with one spare tile,
+        and the profile builds the two factors in their buffer and one
+        more, so the build holds two tiles at a time."""
+        factors = self.profile._factors(
+            _sq_dists(self._x[self._ranges[i]], self._x[self._ranges[j]]))
         # D vanishes on the diagonal, so F' and F'' enter the split sums only
         # off it (the identity term of K12 and f(0) q add the diagonal back
         # in apply); zeros there spare the split terms their largest

@@ -11,7 +11,9 @@ chain rule through J applied here, so they check the library's chart-slot
 sums and its consumers' J together.  gram and grad1_gram are the chart-slot
 blocks K and K1 alone, between two point sets, in the library's float64
 order of operations: the particle field's blocks must equal them bit for
-bit.
+bit.  long_double_particle_terms and long_double_g_field are the accuracy
+gate's references: a particle state's velocity and Stein-Fisher value, and
+a grid state's field, from long-double blocks.
 """
 
 import numpy as np
@@ -177,6 +179,47 @@ class DenseKernelOperator:
             vals += np.einsum("ije,ide->jd", self._K1, u)
             dvals += np.einsum("ijec,ide->jdc", self._K12, u)
         return vals.astype(float), dvals.astype(float)
+
+
+def long_double_particle_terms(kernel, theta, operand, jac, rows=100):
+    """The terms of a particle state's velocity (n, d) and Stein-Fisher
+    value in long double, from the chart-slot gram blocks
+    (gram_blocks(..., np.longdouble, primal=False)) of ``rows`` particles
+    at a time against all n, and the state's own float operand op (n, d)
+    and chart-to-dual Jacobians G (n, d, d):
+
+        v_i = (1/n) sum_j K[j, i] op_j + (1/n) sum_j G_j K1[j, i],
+        SF  = (1/n^2) sum_{b,j} [K[b, j] op_b.op_j + 2 op_j.G_b K1[b, j]
+                                 + tr(G_b K12[b, j] G_j^T)].
+
+    Returns ((drift, repulsion), (gram, cross, hessian)), the velocity's
+    and the value's terms apart, so that a test can drop one."""
+    n, d = np.shape(theta)
+    op = np.asarray(operand, dtype=np.longdouble)
+    G = np.asarray(jac, dtype=np.longdouble)
+    drift, repulsion = np.zeros((n, d), np.longdouble), np.zeros((n, d), np.longdouble)
+    gram_sum = cross = hessian = np.longdouble(0.0)
+    for start in range(0, n, rows):
+        b = slice(start, min(start + rows, n))
+        K, K1, K12 = gram_blocks(kernel, theta[b], theta, np.longdouble, primal=False)
+        drift += np.einsum("bi,bd->id", K, op[b])
+        repulsion += np.einsum("bde,bie->id", G[b], K1)
+        gram_sum += np.einsum("bj,bd,jd->", K, op[b], op)
+        cross += np.einsum("jd,bde,bje->", op, G[b], K1)
+        hessian += np.einsum("bde,bjef,jdf->", G[b], K12, G)
+    return (drift / n, repulsion / n), (gram_sum / n**2, 2 * cross / n**2, hessian / n**2)
+
+
+def long_double_g_field(flow, density):
+    """flow.g_field(density) with its kernel sums taken on long-double
+    chart-slot gram blocks (DenseKernelOperator, primal=False); the flow's
+    own operator is put back after."""
+    fast = flow.kernel_operator
+    flow.kernel_operator = DenseKernelOperator(flow.kernel, flow.theta, primal=False)
+    try:
+        return flow.g_field(density)
+    finally:
+        flow.kernel_operator = fast
 
 
 def rel_err(approx, exact, floor=1e-12):

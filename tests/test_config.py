@@ -211,18 +211,21 @@ def test_non_finite_numbers_are_named(key, value):
 
 
 def test_particle_count_is_refused_only_past_physical_memory():
-    # Past about 130k particles at d = 1 the field's blocks are one row
+    # Past about 33k particles at d = 1 the field's blocks are one row
     # each, 8 n (d + 1) bytes, and the snapshot operator sets the price: one
-    # tile of r rows three times over and two copies of the d^3 + 4 d^2 +
-    # 4 d = 9 features per point, 8 (3 r^2 + 18 n) bytes, where a multiple
-    # of TILE_ROWS particles has r = TILE_ROWS.  Counts only: no such config
-    # is ever run.
+    # tile of r rows twice over, numpy's two 8192-entry iteration buffers,
+    # one tile's product with the d^3 + 2 d^2 + d = 4 wider features, and
+    # two copies of the d^3 + 4 d^2 + 4 d = 9 features per point,
+    # 8 (2 r^2 + 16384 + 4 r + 18 n) bytes, where a multiple of
+    # streamed_tile_rows() particles has r = streamed_tile_rows().  Counts
+    # only: no such config is ever run.
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    rows = kernels.TILE_ROWS
-    ranges = (memory // 8 - 3 * rows * rows) // (18 * rows)
+    rows = kernels.streamed_tile_rows()
+    tile = 2 * rows * rows + 2 * 8192 + 4 * rows
+    ranges = (memory // 8 - tile) // (18 * rows)
     largest, past = rows * ranges, rows * (ranges + 1)
     assert _wire(dict(MINIMAL, particles=largest)).config.particles == largest
-    need = 8 * (3 * rows * rows + 18 * past)
+    need = 8 * (tile + 18 * past)
     with pytest.raises(ConfigError, match=rf"'particles' = {past} needs about {need} bytes"):
         _wire(dict(MINIMAL, particles=past))
 

@@ -174,7 +174,7 @@ def test_field_row_ranges_give_the_same_bits(rng, monkeypatch, map_name, kernel_
     ensemble, mirrored = SimpleNamespace(primal=theta), MirroredTarget(target, mirror_map)
     whole = update_field(ensemble, mirrored, _field_kernel(kernel_name, mirror_map))
     # a budget of seven rows per block: six blocks of 6 or 7 rows
-    monkeypatch.setattr(kernels, "FIELD_BLOCK_BYTES", 8 * 37 * 3 * 7)
+    monkeypatch.setattr(kernels, "STREAM_BYTES", 8 * 37 * 3 * 7)
     assert len(kernels.row_ranges(37, kernels.field_rows(37, 2))) == 6
     ranged = update_field(ensemble, mirrored, _field_kernel(kernel_name, mirror_map))
     for got, want in zip((ranged.velocity, ranged.operand, ranged.dual_jacobian),
@@ -198,7 +198,7 @@ def test_field_is_permutation_equivariant_over_row_ranges(seed, map_name, kernel
     mirrored = MirroredTarget(target, mirror_map)
     perm = gen.permutation(n)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "FIELD_BLOCK_BYTES", 8 * n * (d + 1) * block_rows)
+        patch.setattr(kernels, "STREAM_BYTES", 8 * n * (d + 1) * block_rows)
         field = update_field(SimpleNamespace(primal=theta), mirrored,
                              _field_kernel(kernel_name, mirror_map)).velocity
         shuffled = update_field(SimpleNamespace(primal=theta[perm]), mirrored,
@@ -209,7 +209,7 @@ def test_field_is_permutation_equivariant_over_row_ranges(seed, map_name, kernel
 def test_field_holds_one_row_block_at_a_time():
     raw = json.loads((Path(__file__).resolve().parents[1] / "presets"
                       / "truncated-gaussian-box-d3.json").read_text(encoding="utf-8"))
-    assert len(kernels.row_ranges(1000, kernels.field_rows(1000, 3))) == 8
+    assert len(kernels.row_ranges(1000, kernels.field_rows(1000, 3))) == 32
     for kernel, params in (("imq", {}), ("rescaled", {"inner": "imq", "scale": 2.0}),
                            ("dual-imq", {})):
         bundle = build_runtime(config_from_dict(dict(raw, kernel=kernel, kernel_params=params)))
@@ -220,13 +220,14 @@ def test_field_holds_one_row_block_at_a_time():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Eight blocks of 125 rows: the (1000, 125, 3) gradient block is
-        # 3 MB and its factor 1 MB, and the peak reads 4.3 to 4.4 MB for
-        # every kernel, since the block stays in chart slots.  Two blocks
-        # of 500 rows peaked at 16 MB, and the whole (n, n) gram and
-        # (n, n, 3) blocks with their temporaries at 64 MB.
-        assert peak <= 1.1 * kernels.FIELD_BLOCK_BYTES
-        assert peak <= kernels.particle_bytes(bundle.kernel, 1000, bundle.dim) * 1.05
+        # 32 blocks of 31 or 32 rows: the (1000, 32, 3) gradient block is
+        # 0.77 MB and its factor 0.26 MB, and with the per-particle operand
+        # and Jacobians the peak reads 1.31 to 1.40 MB for every kernel,
+        # since the block stays in chart slots.  Eight blocks of 125 rows
+        # peaked at 4.3 MB, two of 500 at 16 MB, and the whole (n, n) gram
+        # and (n, n, 3) blocks with their temporaries at 64 MB.
+        assert peak < 1.45e6
+        assert peak <= kernels.particle_bytes(bundle.kernel, 1000, bundle.dim)
 
 
 def test_stepping_is_deterministic():

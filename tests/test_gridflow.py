@@ -125,12 +125,34 @@ def invert_by_bisection(grid, field, gamma):
     hi = np.full_like(targets, grid.axes[0][-1] + reach)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        too_low = mid - gamma * field.evaluate(mid[:, None])[0][:, 0] < targets
+        too_low = mid - gamma * field_at(field, mid[:, None])[0][:, 0] < targets
         lo = np.where(too_low, mid, lo)
         hi = np.where(too_low, hi, mid)
         if float(np.max(hi - lo)) <= 1e-12:
             break
     return (0.5 * (lo + hi))[:, None]
+
+
+def field_at(field, points):
+    """(values (n, d), Jacobians (n, d, d)) of the interpolated field at
+    points (n, d), read off the field's own tables: the 1-D Hermite table
+    at one interval lookup, the 2-D nodal table through ``bilinear``."""
+    grid = field.grid
+    if grid.dim == 2:
+        return field.bilinear(gridflow._bilinear_pieces(grid, points))
+    x, q = grid.axes[0], points[:, 0]
+    columns = gridflow._hermite_columns(x, q)
+    t = (q - x[np.maximum(columns - 1, 0)]) / (x[1] - x[0])
+    c = np.take(field.hermite, columns, axis=1)
+    return gridflow._cubic(c, t)[:, None], gridflow._slope(c, t)[:, None, None]
+
+
+def target_density(flow):
+    """The target normalized on the flow's grid, which flow.kl measures
+    every density against: KL 0 to itself."""
+    density = GridDensity.normalized(flow.grid, -flow.target.potential(flow.grid.nodes))
+    assert flow.kl(density) == 0.0
+    return density
 
 
 def mass(density):
@@ -409,13 +431,13 @@ class TestGField:
     def test_stationary_at_target_quartic(self):
         flow = MirroredFlow(quartic_target(), IMQKernel())
         assert flow.grid.shape == (4096,)
-        field = flow.g_field(flow.pi_density(), form="score")
+        field = flow.g_field(target_density(flow), form="score")
         assert np.max(np.abs(field.values)) <= 1e-8
-        assert abs(flow.stein_fisher(flow.pi_density())) <= 1e-10
+        assert abs(flow.stein_fisher(target_density(flow))) <= 1e-10
 
     def test_stationary_at_target_dirichlet(self):
         flow = MirroredFlow(dirichlet_target(), IMQKernel())
-        field = flow.g_field(flow.pi_density(), form="score")
+        field = flow.g_field(target_density(flow), form="score")
         assert np.max(np.abs(field.values)) <= 1e-8
 
     def test_three_forms_agree_along_a_run(self):
@@ -433,7 +455,7 @@ class TestGField:
     def test_unknown_form_rejected(self):
         flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=256, halfwidth=4.0)
         with pytest.raises(ConfigError, match="unknown g form"):
-            flow.g_field(flow.pi_density(), form="both")
+            flow.g_field(target_density(flow), form="both")
 
     def test_flow_on_given_grid_matches_own_grid(self):
         target = quartic_target()
@@ -762,14 +784,17 @@ class TestKernelOperator:
             assert all(len(tile) == 2 for tile in operator._tiles)
             stored = sum(factor.nbytes for tile in operator._tiles for factor in tile)
             assert stored == kernels._cached_tile_bytes(2304) == 53_084_160
-            # The build peaks at 56 MB for either kernel: the stored tiles
-            # and one spare.  A stored F would add 27 MB (the three factors
-            # peaked at 80 MB, their full n x n matrices at 130 MB); gram
+            # The build peaks at 53.7 MB for either kernel, the stored tiles
+            # alone: the last tile's F'' takes its squared distances' buffer
+            # and F' the one more it builds in (56 MB when the build held f
+            # in a third).  The build and a step peak at 55.6 MB.  A stored
+            # F would add 27 MB (the three factors peaked at 80 MB, their
+            # full n x n matrices at 130 MB); gram
             # blocks would be 1 + d + d^2 = 7 n x n arrays (297 MB), and on
             # them the same flow and step peaked at 637 MB for imq and
             # 638 MB for dual-imq.
-            assert build < 62e6
-            assert peak < 62e6
+            assert build < 55e6
+            assert peak < 58e6
 
     def test_flow_build_evaluates_the_operand_once(self, monkeypatch):
         # grad V at the nodes is the negated operand, so the build reads the
@@ -797,11 +822,11 @@ class TestKernelOperator:
         monkeypatch.setattr(kernels, "PRECOMPUTE_BYTES", 0)
         for operator, _, peak in self._radial_flow_peaks():
             assert operator._tiles is None
-            # one tile's two factors and the spare its build takes are
-            # 8 MB; the peak reads 10.5 MB for either kernel.  Holding the
-            # previous tile's three factors while building the next read
-            # 18 MB.
-            assert peak < 14e6
+            # one tile's two factors, built in two buffers, are 5.3 MB; the
+            # peak reads 7.6 MB for either kernel.  A build in three buffers
+            # read 10.5 MB, and holding the previous tile's three factors
+            # while building the next 18 MB.
+            assert peak < 8.5e6
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +878,7 @@ class TestPushforward:
             field = FieldOnGrid(grid, rng.standard_normal((12, 1)),
                                 rng.standard_normal((12, 1, 1)))
             stretch, _ = field.max_stretch()
-            sampled = float(np.max(np.abs(field.evaluate(dense[:, None])[1])))
+            sampled = float(np.max(np.abs(field_at(field, dense[:, None])[1])))
             assert sampled <= stretch <= sampled * (1.0 + 1e-6)
 
     def test_linear_field_rescales_gaussian(self):
@@ -877,7 +902,7 @@ class TestPushforward:
         newton, jac, _ = gridflow._invert(flow.grid, field, gamma)
         bisection = invert_by_bisection(flow.grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
-        assert jac.tobytes() == field.evaluate(newton)[1].tobytes()
+        assert jac.tobytes() == field_at(field, newton)[1].tobytes()
 
     def test_2d_evaluate_is_two_bilinear_interpolations(self, rng):
         grid = Grid((np.linspace(-4.0, 4.0, 16), np.linspace(-3.0, 5.0, 20)))
@@ -886,7 +911,7 @@ class TestPushforward:
         # inside the box, on nodes and beyond every side
         points = np.concatenate([rng.uniform(-6.0, 7.0, (200, 2)), grid.nodes[::7]])
         pieces = gridflow._bilinear_pieces(grid, points)
-        values, jac = field.evaluate(points)
+        values, jac = field_at(field, points)
         assert values.tobytes() == gridflow._bilinear(grid, field.values, pieces).tobytes()
         assert jac.tobytes() == gridflow._bilinear(grid, field.derivs, pieces).tobytes()
 
@@ -896,7 +921,7 @@ class TestPushforward:
         field = flow.g_field(flow.initial_density())
         gamma = 0.5 / field.max_stretch()[0]
         y, jac, pieces = gridflow._invert(flow.grid, field, gamma)
-        assert jac.tobytes() == field.evaluate(y)[1].tobytes()
+        assert jac.tobytes() == field_at(field, y)[1].tobytes()
         for got, want in zip(pieces, gridflow._bilinear_pieces(flow.grid, y)):
             assert got.tobytes() == want.tobytes()
 
@@ -918,10 +943,10 @@ class TestPushforward:
         newton, jac, (columns, t) = gridflow._invert(grid, field, gamma)
         bisection = invert_by_bisection(grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
-        assert jac.tobytes() == field.evaluate(newton)[1].tobytes()
+        assert jac.tobytes() == field_at(field, newton)[1].tobytes()
         # the pieces locate the inverse on the field's own table
         c = np.take(field.hermite, columns, axis=1)
-        assert gridflow._cubic(c, t).tobytes() == field.evaluate(newton)[0][:, 0].tobytes()
+        assert gridflow._cubic(c, t).tobytes() == field_at(field, newton)[0][:, 0].tobytes()
         if case == "beyond-both-ends":
             assert newton[0, 0] < x[0] and newton[-1, 0] > x[-1]
             assert columns[0] == 0 and columns[-1] == x.size
@@ -1062,7 +1087,7 @@ class TestFlowRuns:
     def test_descent_report_trivial_at_target(self):
         flow = MirroredFlow(quartic_target(), IMQKernel())
         # gamma = 0 leaves the density in place, so both records sit at pi
-        out = flow.run(gamma=0.0, steps=1, density=flow.pi_density())
+        out = flow.run(gamma=0.0, steps=1, density=target_density(flow))
         report = descent_check(flow, out["records"], 0.01)
         assert report["passed"]
         assert abs(report["kl_first"]) <= 1e-9

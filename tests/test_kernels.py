@@ -356,7 +356,7 @@ def test_field_blocks_equal_the_gram_oracles(rng, monkeypatch, kernel_name, map_
     if kernel.adaptive:
         kernel.update_bandwidth(theta)
     # a budget of five rows per block: two blocks at n = 10, three at n = 11
-    monkeypatch.setattr(kernels, "FIELD_BLOCK_BYTES", 8 * n * (d + 1) * 5)
+    monkeypatch.setattr(kernels, "STREAM_BYTES", 8 * n * (d + 1) * 5)
     ranges = kernels.row_ranges(n, kernels.field_rows(n, d))
     assert [r.stop - r.start for r in ranges] == ([5, 5] if n == 10 else [3, 4, 4])
     x = kernel.chart(theta)
@@ -368,14 +368,30 @@ def test_field_blocks_equal_the_gram_oracles(rng, monkeypatch, kernel_name, map_
 
 
 def test_field_rows_fill_the_block_budget():
-    # one block for particles-simplex's 200 points in 2-D; 131 rows at
-    # n = 1000 in 3-D, split into eight near-equal blocks of 125
+    # one block for particles-simplex's 200 points in 2-D; 32 rows at
+    # n = 1000 in 3-D, split into 32 near-equal blocks of 31 or 32
     assert kernels.field_rows(200, 2) >= 200
-    assert kernels.field_rows(1000, 3) == 131
-    assert [r.stop - r.start for r in kernels.row_ranges(1000, 131)] == [125] * 8
+    assert kernels.field_rows(1000, 3) == 32
+    assert sorted({r.stop - r.start for r in kernels.row_ranges(1000, 32)}) == [31, 32]
+    assert len(kernels.row_ranges(1000, 32)) == 32
     for n, d in ((200, 2), (1000, 3), (4000, 3), (10**7, 1)):
         rows = kernels.field_rows(n, d)
-        assert 8 * n * rows * (d + 1) <= kernels.FIELD_BLOCK_BYTES or rows == 1
+        assert 8 * n * rows * (d + 1) <= kernels.STREAM_BYTES or rows == 1
+
+
+def test_snapshot_tiles_fill_the_stream_budget():
+    # the snapshot operator's two r x r factors fit the field's budget: 256
+    # rows at 1 MiB, so one tile for particles-simplex's 200 points and
+    # four ranges of 250 for 1000; the grid flow's operator keeps TILE_ROWS
+    assert kernels.streamed_tile_rows() == 256
+    assert 16 * 256**2 <= kernels.STREAM_BYTES < 16 * 257**2
+    theta = np.zeros((1000, 3))
+    ranges = kernels.kernel_operator(IMQKernel(), theta)._ranges
+    assert [r.stop - r.start for r in ranges] == [250] * 4
+    assert len(kernels.kernel_operator(IMQKernel(), theta[:200])._ranges) == 1
+    grid = Grid((np.linspace(-1.0, 1.0, 40), np.linspace(-1.0, 1.0, 25)))
+    cached = kernels.cached_kernel_operator(IMQKernel(), grid.nodes + 0.5, grid)
+    assert [r.stop - r.start for r in cached._ranges] == [500, 500]
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +470,9 @@ def test_radial_streaming_matches_precomputed(rng, monkeypatch, d):
     kernel = RescaledKernel(IMQKernel(), 1.5)
     single = kernels.kernel_operator(kernel, theta)
     assert len(single._ranges) == 1
-    # at most seven rows per tile: six ranges of 6 or 7 rows, 21 upper tiles
-    monkeypatch.setattr(kernels, "TILE_ROWS", 7)
+    # a budget of seven rows per tile, two 7 x 7 factors: six ranges of 6 or
+    # 7 rows, 21 upper tiles
+    monkeypatch.setattr(kernels, "STREAM_BYTES", 16 * 7 * 7)
     cached = kernels.kernel_operator(kernel, theta).cache_tiles()
     assert cached._tiles is not None
     assert [r.stop - r.start for r in cached._ranges] == [6, 6, 6, 6, 6, 7]
@@ -495,7 +512,7 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
     mirror_map, theta, q, _ = _operator_inputs(rng, "simplex", n, 2)
     # a general u, not g_field's symmetric weighted G
     u = rng.standard_normal((n, 2, 2))
-    monkeypatch.setattr(kernels, "TILE_ROWS", tile_rows)
+    monkeypatch.setattr(kernels, "STREAM_BYTES", 16 * tile_rows * tile_rows)
     operator = kernels.kernel_operator(DualIMQKernel(mirror_map), theta)
     if cached:
         operator.cache_tiles()
@@ -530,7 +547,7 @@ def test_tiled_operator_matches_dense_blocks(rng, monkeypatch, kernel_name, n):
     kernel = {"imq": IMQKernel(), "rbf": RBFKernel(bandwidth=0.7),
               "rescaled-imq": RescaledKernel(IMQKernel(), 1.5),
               "dual-imq": DualIMQKernel(mirror_map)}[kernel_name]
-    monkeypatch.setattr(kernels, "TILE_ROWS", 8)
+    monkeypatch.setattr(kernels, "STREAM_BYTES", 16 * 8 * 8)
     radial = kernels.kernel_operator(kernel, theta)
     assert len(radial._ranges) == (2 if n > 8 else 1)
     rel = 1e-12 if kernel_name == "dual-imq" else 1e-13
@@ -538,6 +555,22 @@ def test_tiled_operator_matches_dense_blocks(rng, monkeypatch, kernel_name, n):
     for uu in (None, u):
         _assert_products_close(_primal_apply(radial, kernel, theta, q, uu), dense.apply(q, uu),
                                rel)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 1000])
+@pytest.mark.parametrize("kernel_name", ["imq", "rbf", "rescaled", "dual-imq"])
+def test_snapshot_operator_matches_dense_blocks_across_tile_edges(rng, kernel_name, n):
+    # one tile up to 256 points, two past it, four at 1000; against the
+    # long-double chart-slot blocks, so dual-imq's J does not enter
+    mirror_map, theta, q, u = _operator_inputs(rng, "simplex", n, 2)
+    kernel = {"imq": IMQKernel(), "rbf": RBFKernel(bandwidth=0.3),
+              "rescaled": RescaledKernel(IMQKernel(), 0.5),
+              "dual-imq": DualIMQKernel(mirror_map)}[kernel_name]
+    radial = kernels.kernel_operator(kernel, theta)
+    assert len(radial._ranges) == {255: 1, 256: 1, 257: 2, 1000: 4}[n]
+    dense = DenseKernelOperator(kernel, theta, primal=False)
+    for uu in (None, u):
+        _assert_products_close(radial.apply(q, uu), dense.apply(q, uu))
 
 
 @pytest.mark.parametrize("kernel", [IMQKernel(), DualIMQKernel(EntropicSimplexMap(2))])
@@ -639,3 +672,22 @@ def test_profile_is_its_slope_times_an_affine_function(rng, profile):
     assert np.count_nonzero(keep) > 1000
     err = np.abs((a + b * t[keep]) * fp[keep] - f[keep])
     assert np.all(err <= 1e-15 * f[keep])
+
+
+@pytest.mark.parametrize("profile", [
+    *(pytest.param(IMQKernel(c=c, beta=beta), id=f"imq-c{c}-beta{beta}")
+      for c in (0.3, 1.0, 2.7) for beta in (-0.999, -0.5, -0.1)),
+    *(pytest.param(RBFKernel(bandwidth=h), id=f"rbf-h{h}") for h in (0.05, 1.0, 30.0)),
+])
+def test_two_buffer_factors_equal_the_one_pass_derivatives(rng, profile):
+    # the operator's tiles take f' and f'' without holding f: the same
+    # operations in the same order, so the same bits, in t's buffer and one
+    # more
+    t = _profile_arguments(rng).reshape(3, -1)
+    want = profile._derivatives(t.copy(), 2)[1:]
+    buffer = t.copy()
+    got = profile._factors(buffer)
+    assert len(got) == 2
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert any(np.shares_memory(factor, buffer) for factor in got)

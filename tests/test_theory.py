@@ -808,16 +808,18 @@ class TestSteinFisherParticles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The snapshot streams its tiles: one 500-row tile's F' and F'' and
-        # the spare its build takes are 6 MB, and with two copies of the
-        # per-point features (their stacks and the products) the peak reads
-        # 7.3 MB, as operator_bytes prices it.  A third copy, the features
-        # before they were stacked, read 7.8 MB; caching the upper tiles of
-        # three factors peaked at 20 MB.  Gram blocks would be
-        # 1 + d + d^2 = 13 n x n arrays (104 MB), and the snapshot on them
-        # peaked at 216 MB.
-        assert peak < 7.5e6
+        # The snapshot streams its tiles: one 250-row tile's F' and F'',
+        # built in two buffers, are 1 MB, and with two copies of the
+        # per-point features (their stacks and the products, 1.2 MB), one
+        # tile's product and numpy's iteration buffers the peak reads
+        # 2.47 MB, as operator_bytes prices it.  A 500-row tile built in
+        # three buffers peaked at 7.3 MB, and a third copy of the features
+        # at 7.8 MB; caching the upper tiles of three factors peaked at
+        # 20 MB.  Gram blocks would be 1 + d + d^2 = 13 n x n arrays
+        # (104 MB), and the snapshot on them peaked at 216 MB.
+        assert peak < 2.6e6
         assert abs(kernels.operator_bytes(1000, 3) - peak) <= 0.05 * peak
+        assert peak <= kernels.particle_bytes(kernel, 1000, 3) * 1.05
 
     def test_rejects_a_field_of_the_wrong_shape(self, rng):
         x = rng.standard_normal((6, 2))
@@ -843,8 +845,8 @@ class TestSteinFisherParticles:
         x = rng.standard_normal((37, 2))
         target = ScoreStub(lambda t: -t, 2)
         full = _sf(x, target, EuclideanMap(2), IMQKernel())
-        # at most seven rows per tile: six ranges of 6 or 7 rows, streamed
-        monkeypatch.setattr(kernels, "TILE_ROWS", 7)
+        # a budget of seven rows per tile: six ranges of 6 or 7 rows, streamed
+        monkeypatch.setattr(kernels, "STREAM_BYTES", 16 * 7 * 7)
         streamed = _sf(x, target, EuclideanMap(2), IMQKernel())
         assert streamed == pytest.approx(full, rel=1e-13)
 
