@@ -19,8 +19,9 @@ kernels.field_rows(n, d) particles, so that one block and its factor take
 about that budget (one block of 200 particles in 2-D, 32 of 31 or 32 for
 1000 in 3-D).  The snapshot's operator builds tiles of at most
 kernels.streamed_tile_rows() rows, whose two factors take about the same
-(one tile for 200 particles, four ranges of 250 for 1000).  The
-chart is evaluated once per state.  For each block of r rows one pass of
+(one tile for 200 particles, four ranges of 250 for 1000).  The field
+evaluates the chart once per state, and a logged state evaluates it once
+more, in the snapshot's operator.  For each block of r rows one pass of
 squared distances and one profile pass give f and f' (r, n): f feeds the
 drift einsum and is dropped, then f' becomes the (n, r, d) chart-slot
 gradient block for the repulsion einsum.  Each velocity row is the same
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import resource
 import time
 from dataclasses import dataclass
@@ -368,14 +370,22 @@ def _peak_rss_mb() -> float | None:
 
 def write_manifest(out_dir, cfg: RunConfig | None, summary: dict, outputs: list,
                    elapsed_s: float) -> Path:
-    """Drop a manifest.json describing what was produced and from what."""
+    """Drop a manifest.json describing what was produced and from what.
+    Its ``build`` block names the BLAS library and the thread settings the
+    run found (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, each None when unset,
+    and the CPU affinity size), since the snapshot's bits depend on the
+    BLAS thread count."""
     from . import __version__
 
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "build": {
             "package": "msvgd",
             "version": __version__,
             "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
         },
         "config": None if cfg is None else cfg.to_dict(),
         "outputs": sorted(outputs),

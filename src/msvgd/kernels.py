@@ -39,8 +39,9 @@ Two kernel operators implement one contract, stated above them: the kernel
 matrices over one point set applied to per-point values, the sums that both
 the grid field and the particle Stein-Fisher value are made of.
 - The point-set operator (kernel_operator), for every kernel: products of
-  the n x n matrices f'(t) and f''(t) with (w, n) stacks of per-point
-  features.  f(t) is never held (f = (a + b t) f', _affine_ratio), and
+  the n x n matrices f'(t) and f''(t) with two overlapping row ranges of
+  one C-ordered (w, n) stack of per-point features, each feature written
+  once.  f(t) is never held (f = (a + b t) f', _affine_ratio), and
   only the upper tiles of the two symmetric matrices are built, each in two
   buffers (_factors) and before the next product unless cache_tiles keeps
   them.
@@ -470,12 +471,13 @@ def operator_bytes(n: int, d: int) -> int:
       squared distances and their spare, then F' and F''; each tile goes
       before the next is built), and numpy's two 8192-entry buffers for
       _sq_dists' broadcast subtraction of strided columns;
-    - one tile's product with the wider feature stack, (d^3 + 2 d^2 + d, r);
-    - two copies of the d^3 + 4 d^2 + 4 d features per point (their
-      feature-major stacks, written in place, and the accumulators)."""
+    - one tile's product with the wider factor's features, (d^3 + 2 d^2 + d, r);
+    - the one feature stack, d^3 + 3 d^2 + 3 d rows per point, and the two
+      factors' accumulators, d^3 + 4 d^2 + 4 d rows per point, since both
+      factors multiply u and w = u x."""
     rows = _largest_range(n, streamed_tile_rows())
     wide = d**3 + 2 * d * d + d
-    return 8 * (2 * rows * rows + 2 * 8192 + rows * wide + 2 * n * (d**3 + 4 * d * d + 4 * d))
+    return 8 * (2 * rows * rows + 2 * 8192 + rows * wide + n * (2 * d**3 + 7 * d * d + 7 * d))
 
 
 def particle_bytes(kernel, n: int, d: int) -> int:
@@ -506,9 +508,12 @@ class _RadialOperator:
     Splitting D into x_i and x_j turns every sum into one factor times
     per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and point-wise
     products with x_j.  Each factor multiplies all its features in one
-    matrix product per tile.  The sums are translation invariant, so
-    x is centred first, which keeps the cancellation between the split
-    terms small.
+    matrix product per tile.  apply writes each feature once, into one
+    C-ordered (w, n) stack laid out q, q x^T, A q, w, u, w x^T, u x^T: F'
+    reads its first five groups (3 d + 2 d^2 rows), F'' its last four (from
+    row 2 d + d^2 on), and apply(q, None) builds the first three alone.
+    The sums are translation invariant, so x is centred first, which keeps
+    the cancellation between the split terms small.
 
     F itself is never stored.  Every profile has f(t) = (a + b t) f'(t)
     (imq: a = c^2 / beta, b = 1 / beta; rbf: a = -2 h^2, b = 0), and
@@ -529,10 +534,10 @@ class _RadialOperator:
     symmetric only their upper tiles (i <= j) are built: tile (i, j) adds
     its transpose times range i's features to range j's products and, off
     the diagonal, itself times range j's features to range i's.  Both
-    products run features-first on feature-major (w, n) stacks and
-    accumulators (see _products).  The profile builds a tile's F' and F''
-    in one pass from one transcendental, in the squared distances' buffer
-    and one more (_factors).  The tiles are built inside each product's
+    products run features-first on the stack's two row ranges, each into
+    its own (w, n) accumulator (see _products).  The profile builds a
+    tile's F' and F'' in one pass from one transcendental, in the squared
+    distances' buffer and one more (_factors).  The tiles are built inside each product's
     loop, one at a time, unless cache_tiles stored them; both ways run the
     same loop on the same tiles, so they give the same bits.
     """
@@ -573,11 +578,12 @@ class _RadialOperator:
         return factors
 
     def _products(self, *stacks) -> list:
-        """features @ factor_k, (w, n), for the (w, n) feature stacks[k],
+        """features @ factor_k, (w_k, n), for the feature rows stacks[k],
         with factors F' and F'' in that order; one matrix product per factor
-        and tile side.
+        and tile side.  apply passes two overlapping row ranges of its one
+        (w, n) stack.
 
-        Each factor keeps one (w, n) accumulator.  Every product is
+        Each factor keeps one (w_k, n) accumulator.  Every product is
         features-first: tile (i, j) adds features[:, i] @ tile to range j's
         columns and, off the diagonal, features[:, j] @ tile^T to range
         i's.  These are the sums of tile^T @ features[i], transposed; taken
@@ -602,34 +608,27 @@ class _RadialOperator:
         return out
 
     def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
-        # F' multiplies q, q x^T, A q and, with u, w = u x and u; F''
-        # multiplies w, w x^T, u and u x^T.  Each is written into its
-        # rows of its factor's (w, n) stack and each product read from its
-        # rows of the result, so an apply holds two copies of the features.
         x = self._x
         n, d = x.shape
-        shapes = [[(d,), (d, d), (d,), (d,), (d, d)], [(d,), (d, d), (d, d), (d, d, d)]]
-        if u is None:
-            shapes = [shapes[0][:3]]
-        # the memory order picks BLAS's summation order; these orders give
-        # the bits the products were pinned with
-        stacks = [np.empty((sum(map(math.prod, group)), n), order="F" if d > 1 else "C")
-                  for group in shapes]
-        features = [_rows(stack, group) for stack, group in zip(stacks, shapes)]
-        features[0][0][...] = q
-        np.multiply(q[:, :, None], x[:, None, :], out=features[0][1])
-        np.multiply(self._affine[:, None], q, out=features[0][2])
+        groups = [(d,), (d, d), (d,)] + ([(d,), (d, d), (d, d), (d, d, d)] if u is not None else [])
+        stack = np.empty((sum(map(math.prod, groups)), n))
+        features = _rows(stack, groups)
+        features[0][...] = q
+        np.multiply(q[:, :, None], x[:, None, :], out=features[1])
+        np.multiply(self._affine[:, None], q, out=features[2])
+        stacks = [stack]
         if u is not None:
-            (_, _, _, w, u_fp), (w2, w_x, u_fpp, u_x) = features
-            w[...] = w2[...] = np.einsum("ide,ie->id", u, x)
-            u_fp[...] = u_fpp[...] = u
+            w, u_f, w_x, u_x = features[3:]
+            w[...] = np.einsum("ide,ie->id", u, x)
+            u_f[...] = u
             np.multiply(w[:, :, None], x[:, None, :], out=w_x)
             np.multiply(u[:, :, :, None], x[:, None, None, :], out=u_x)
-        products = [_rows(p, group) for p, group in zip(self._products(*stacks), shapes)]
-        Fpq, Fpqx, Fpaq, *Fpu = products[0]
+            stacks = [stack[:3 * d + 2 * d * d], stack[2 * d + d * d:]]
+        products = self._products(*stacks)
+        Fpq, Fpqx, Fpaq, *Fpu = _rows(products[0], groups[:5])
         if u is not None:
             Fpw, Fpu = Fpu
-            Fppw, Fppwx, Fppu, Fppux = products[1]
+            Fppw, Fppu, Fppwx, Fppux = _rows(products[1], groups[3:])
         vals = (Fpaq + self._b * (self._sq_norms[:, None] * Fpq
                                   - 2.0 * np.einsum("jdc,jc->jd", Fpqx, x))
                 + self._f0 * q)

@@ -312,15 +312,16 @@ class TestRunCommand:
     def test_oversized_particle_count_exits_two_before_any_output(self, tmp_path, capsys):
         # the snapshot operator's price, past the field's one-row blocks: a
         # 256-row tile's two factors, numpy's two 8192-entry iteration
-        # buffers, one tile's product with the 18 wider features and two
-        # copies of the 32 features per point at d = 2,
-        # 8 (2 * 256^2 + 16384 + 18 * 256 + 64e9) = 5.12e11 bytes
+        # buffers, one tile's product with the 18 wider features, the 26
+        # rows of the feature stack and the 32 rows of the two accumulators
+        # per point at d = 2, 8 (2 * 256^2 + 16384 + 18 * 256 + 58e9)
+        # = 4.64e11 bytes
         out = tmp_path / "big"
         code = cli.main(["run", "--config", "dirichlet-simplex-d2", "--particles", "1000000000",
                          "--steps", "1", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert "'particles' = 1000000000 needs about 512001216512 bytes" in err
+        assert "'particles' = 1000000000 needs about 464001216512 bytes" in err
         assert not out.exists()
 
     def test_theorem_step_on_the_gaussian_on_rd(self, tmp_path):

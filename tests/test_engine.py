@@ -3,6 +3,7 @@ degenerate-step identities, and the run artifact contract."""
 
 import csv
 import json
+import os
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -334,6 +335,20 @@ def test_run_writes_cadenced_rows(tmp_path):
     assert manifest["wallclock"]["peak_rss_mb"] > 0
     # final estimate should not have grown in 25 steps from a cold start
     assert summary["stein_fisher_final"] <= summary["stein_fisher_first"]
+
+
+def test_manifest_records_the_blas_and_its_thread_settings(tmp_path, monkeypatch):
+    # the snapshot's bits depend on the BLAS thread count, so a run records
+    # the library and the settings it found, None for an unset variable
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    run(build_runtime(_dirichlet_config(steps=1)), tmp_path / "out")
+    build = json.loads((tmp_path / "out" / "manifest.json").read_text())["build"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert build["blas"] == f"{blas['name']} {blas['version']}"
+    assert build["OPENBLAS_NUM_THREADS"] == "1"
+    assert build["OMP_NUM_THREADS"] is None
+    assert build["cpu_affinity"] == len(os.sched_getaffinity(0))
 
 
 def test_trajectory_rows_are_each_values_shortest_repr(tmp_path):

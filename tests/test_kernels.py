@@ -529,7 +529,7 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
     operator.apply(q, None)
     operator.apply(q, u)
     assert [len(stacks) for stacks, _ in calls] == [1, 2]
-    # u is not symmetric; it is the last feature of the F' stack, after q,
+    # u is not symmetric; it is the last feature of the F' rows, after q,
     # q x^T, A q and w
     u_f = kernels._rows(calls[1][0][0], [(2,), (2, 2), (2,), (2,), (2, 2)])[4]
     assert u_f.tobytes() == u.tobytes()
@@ -538,6 +538,46 @@ def test_feature_major_products_match_the_row_major_loop(rng, monkeypatch, tile_
         for got_stack, want in zip(got, _row_major_products(operator, *stacks)):
             assert got_stack.T.shape == want.shape
             assert np.all(np.abs(got_stack.T - want) <= 1e-15 * np.max(np.abs(want), axis=0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_apply_writes_one_feature_stack(rng, monkeypatch, d):
+    # one C-ordered (w, n) stack, q, q x^T, A q, w = u x, u, w x^T, u x^T:
+    # F' reads its first 3 d + 2 d^2 rows, F'' the rows from 2 d + d^2 on,
+    # and apply(q, None) a stack of the first three groups alone
+    n = 30
+    _, theta, q, u = _operator_inputs(rng, "simplex", n, d)
+    operator = kernels.kernel_operator(IMQKernel(), theta)
+    calls = []
+    products = operator._products
+
+    def recorded(*stacks):
+        calls.append(stacks)
+        return products(*stacks)
+
+    monkeypatch.setattr(operator, "_products", recorded)
+    operator.apply(q, None)
+    operator.apply(q, u)
+    (alone,), (fp_rows, fpp_rows) = calls
+    assert alone.shape == (2 * d + d * d, n) and alone.flags.c_contiguous
+    stack = fp_rows.base
+    assert fpp_rows.base is stack and stack.flags.c_contiguous
+    assert stack.shape == (d**3 + 3 * d * d + 3 * d, n)
+    row = stack.strides[0]
+    start = stack.__array_interface__["data"][0]
+    assert fp_rows.__array_interface__["data"][0] == start
+    assert fp_rows.shape[0] == 3 * d + 2 * d * d
+    assert fpp_rows.__array_interface__["data"][0] == start + (2 * d + d * d) * row
+    assert fpp_rows.shape[0] == d**3 + 2 * d * d + d
+    x = operator._x
+    w = np.einsum("ide,ie->id", u, x)
+    want = [q, q[:, :, None] * x[:, None, :], operator._affine[:, None] * q, w, u,
+            w[:, :, None] * x[:, None, :], u[:, :, :, None] * x[:, None, None, :]]
+    groups = [(d,), (d, d), (d,), (d,), (d, d), (d, d), (d, d, d)]
+    for got, value in zip(kernels._rows(stack, groups), want):
+        assert got.tobytes() == np.ascontiguousarray(value).tobytes()
+    for got, value in zip(kernels._rows(alone, groups[:3]), want):
+        assert got.tobytes() == np.ascontiguousarray(value).tobytes()
 
 
 @pytest.mark.parametrize("n", [5, 8, 9, 1], ids=["below-tile", "one-tile", "tile-plus-one", "one-point"])

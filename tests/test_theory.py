@@ -18,7 +18,7 @@ from msvgd import kernels, quadrature, theory
 from msvgd.cli import _resolve_config_path
 from msvgd.config import build_runtime, load_config
 from msvgd.engine import (DiagnosticsRecord, ParticleEnsemble, ParticleField, a_n,
-                          stein_fisher_particles, update_field)
+                          init_ensemble, stein_fisher_particles, update_field)
 from msvgd.errors import ConfigError, DomainError, NumericsError
 from msvgd.kernels import DualIMQKernel, IMQKernel, RBFKernel, RescaledKernel
 from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
@@ -809,17 +809,60 @@ class TestSteinFisherParticles:
         finally:
             tracemalloc.stop()
         # The snapshot streams its tiles: one 250-row tile's F' and F'',
-        # built in two buffers, are 1 MB, and with two copies of the
-        # per-point features (their stacks and the products, 1.2 MB), one
-        # tile's product and numpy's iteration buffers the peak reads
-        # 2.47 MB, as operator_bytes prices it.  A 500-row tile built in
-        # three buffers peaked at 7.3 MB, and a third copy of the features
-        # at 7.8 MB; caching the upper tiles of three factors peaked at
-        # 20 MB.  Gram blocks would be 1 + d + d^2 = 13 n x n arrays
-        # (104 MB), and the snapshot on them peaked at 216 MB.
-        assert peak < 2.6e6
+        # built in two buffers, are 1 MB, and with the one feature stack
+        # and the two factors' accumulators (1.1 MB), one tile's product
+        # and numpy's iteration buffers the peak reads 2.38 MB, as
+        # operator_bytes prices it; the bound fails u and w written into
+        # both factors' stacks, which read 2.47 MB.  A 500-row tile built
+        # in three buffers peaked at 7.3 MB, and a third copy of the
+        # features at 7.8 MB; caching the upper tiles of three factors
+        # peaked at 20 MB.  Gram blocks would be 1 + d + d^2 = 13 n x n
+        # arrays (104 MB), and the snapshot on them peaked at 216 MB.
+        assert peak < 2.45e6
         assert abs(kernels.operator_bytes(1000, 3) - peak) <= 0.05 * peak
         assert peak <= kernels.particle_bytes(kernel, 1000, 3) * 1.05
+
+    # the snapshot operator's tile ranges: one up to 256 particles, two
+    # past it, four at 1000
+    TILE_RANGES = {255: 1, 257: 2, 1000: 4}
+
+    @staticmethod
+    def _preset_cloud(preset, kernel_name, n):
+        """A preset's mirrored target, a kernel by name on its map and the
+        engine's initial cloud of n particles (seed 1)."""
+        bundle = _preset_bundle(preset)
+        params = {"rbf": {"bandwidth": 0.5}}.get(kernel_name)
+        kernel = kernels.make_kernel(kernel_name, params, bundle.mirror_map)
+        assert len(kernels.row_ranges(n, kernels.streamed_tile_rows())) == \
+            TestSteinFisherParticles.TILE_RANGES[n]
+        return bundle.mirrored, kernel, init_ensemble(n, bundle.dim, bundle.mirror_map, 1)
+
+    @pytest.mark.parametrize("n", sorted(TILE_RANGES))
+    @pytest.mark.parametrize("kernel_name", ["imq", "rbf", "dual-imq"])
+    @pytest.mark.parametrize("preset", ["dirichlet-simplex-d2", "truncated-gaussian-box-d3"])
+    def test_snapshot_does_not_depend_on_particle_order(self, preset, kernel_name, n):
+        mirrored, kernel, ensemble = self._preset_cloud(preset, kernel_name, n)
+        perm = np.random.default_rng(n).permutation(n)
+        values = []
+        for theta in (ensemble.primal, ensemble.primal[perm]):
+            cloud = SimpleNamespace(primal=theta)
+            values.append(stein_fisher_particles(cloud, kernel,
+                                                 update_field(cloud, mirrored, kernel)))
+        assert abs(values[1] - values[0]) <= 1e-13 * abs(values[0])
+
+    @pytest.mark.parametrize("n", sorted(TILE_RANGES))
+    @pytest.mark.parametrize("kernel_name", ["imq", "rbf", "dual-imq"])
+    @pytest.mark.parametrize("preset", ["dirichlet-simplex-d2", "truncated-gaussian-box-d3",
+                                        "quartic-1d-descent"])
+    def test_snapshot_operator_values_are_the_velocity(self, preset, kernel_name, n):
+        # the snapshot's apply(op, G) sums the field itself in its vals:
+        # vals_j / n = (1/n) sum_i [k(t_i, t_j) op_i + G_i grad1 k(t_i, t_j)]
+        mirrored, kernel, ensemble = self._preset_cloud(preset, kernel_name, n)
+        field = update_field(ensemble, mirrored, kernel)
+        operator = kernels.kernel_operator(kernel, ensemble.primal)
+        vals, _ = operator.apply(field.operand, field.dual_jacobian)
+        velocity = field.velocity
+        assert np.max(np.abs(vals / n - velocity)) <= 1e-13 * np.max(np.abs(velocity))
 
     def test_rejects_a_field_of_the_wrong_shape(self, rng):
         x = rng.standard_normal((6, 2))
