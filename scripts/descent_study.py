@@ -14,7 +14,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from msvgd.cli import _resolve_config_path
 from msvgd.config import build_runtime, load_config
 from msvgd.errors import NumericsError
 from msvgd.gridflow import MirroredFlow, descent_check
@@ -30,7 +29,7 @@ def main() -> int:
     parser.add_argument("--out", default=None, help="optional CSV path")
     args = parser.parse_args()
 
-    cfg = load_config(_resolve_config_path(args.config), {})
+    cfg = load_config(args.config, {})
     bundle = build_runtime(cfg)
     flow = MirroredFlow(bundle.mirrored, bundle.kernel,
                         nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)

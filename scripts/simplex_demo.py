@@ -16,7 +16,6 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from msvgd.cli import _resolve_config_path
 from msvgd.config import build_runtime, load_config
 from msvgd.engine import init_ensemble, msvgd_step, stein_fisher_particles, update_field
 
@@ -28,7 +27,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
 
-    cfg = load_config(_resolve_config_path("dirichlet-simplex-d2"),
+    cfg = load_config("dirichlet-simplex-d2",
                       {"steps": args.steps, "seed": args.seed, "particles": args.particles})
     bundle = build_runtime(cfg)
 

@@ -41,8 +41,6 @@ THEORY_FILE = "theory.json"
 LEMMA_GAP_TOL = 1e-6
 NORM_MARGIN_TOL = -1e-8
 
-_PRESET_DIR = Path(__file__).resolve().parents[2] / "presets"
-
 # (mallopt parameter, value) pairs of glibc's malloc.h: M_MMAP_THRESHOLD (-3)
 # at glibc's 64-bit ceiling, DEFAULT_MMAP_THRESHOLD_MAX, and M_TRIM_THRESHOLD
 # (-1) at twice that, as glibc's own dynamic rule sets it
@@ -62,21 +60,6 @@ def _pin_heap() -> tuple:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     return tuple(mallopt(param, value) for param, value in _HEAP_PINS)
-
-
-def _resolve_config_path(name: str) -> Path:
-    """A literal path, or the name of a preset shipped in presets/."""
-    direct = Path(name)
-    if direct.is_file():
-        return direct
-    for candidate in (name, f"{name}.json"):
-        preset = _PRESET_DIR / candidate
-        if preset.is_file():
-            return preset
-    raise ConfigError(
-        f"no config file or preset named {name!r} "
-        f"(presets live in {_PRESET_DIR})"
-    )
 
 
 def _check_out_dir(out: str, force: bool, filenames: tuple) -> Path:
@@ -133,7 +116,7 @@ def _cmd_run(args) -> int:
             raise ConfigError(
                 f"--gamma must be a positive number or \"theorem\", got {gamma!r}"
             ) from None
-    cfg = load_config(_resolve_config_path(args.config),
+    cfg = load_config(args.config,
                       {"gamma": gamma, "steps": args.steps, "seed": args.seed,
                        "particles": args.particles})
     bundle = build_runtime(cfg)
@@ -216,7 +199,7 @@ def _verify_bounds(flow, bundle, gamma: float, steps: int) -> tuple:
 
 
 def _cmd_verify(args) -> int:
-    cfg = load_config(_resolve_config_path(args.target), {})
+    cfg = load_config(args.target, {})
     # checked without pricing: a certified step size is positive and finite
     for name, value in (("--gamma", args.gamma), ("--gamma-scale", args.gamma_scale)):
         if value is not None and not 0.0 < value < math.inf:
@@ -289,7 +272,7 @@ def _cmd_theory(args) -> int:
         overrides["map"] = args.map
     if args.kernel is not None:
         overrides.update(kernel=args.kernel, kernel_params={})
-    cfg = load_config(_resolve_config_path(args.target), overrides)
+    cfg = load_config(args.target, overrides)
     bundle = build_runtime(cfg)
     if args.lam is not None:  # refused before the certificate is priced
         theory.check_transport_exponent(bundle.profile.p)

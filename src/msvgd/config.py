@@ -1,8 +1,9 @@
 """Run configuration: flat JSON schema, validation, and object wiring.
 
 A config file is a single flat JSON object.  config_from_dict() checks it
-against the schema, builds nothing and fills defaults; load_config() merges
-the command line's overrides into the file's object before that one check.
+against the schema, builds nothing and fills defaults; load_config() reads
+a file by its path or by a preset's name and merges the command line's
+overrides into the file's object before that one check.
 build_runtime() wires a checked config into the live objects a run needs
 (target, map, kernel, growth constants) and makes every check that relates
 fields to each other.  Each command calls it once, before any output; a
@@ -18,6 +19,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .kernels import make_kernel, particle_bytes
@@ -37,6 +39,8 @@ _OPTIONAL_KEYS = (
     "grid_halfwidth",
 )
 _ALLOWED_KEYS = frozenset(_REQUIRED_KEYS + _OPTIONAL_KEYS)
+
+_PRESET_DIR = Path(__file__).resolve().parents[2] / "presets"
 
 _MAP_DOMAIN = {
     "euclidean": "euclidean",
@@ -183,14 +187,21 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path, overrides: dict) -> RunConfig:
-    """Read a JSON config file, replace each key of ``overrides`` whose value
-    is not None (the command line's), and check the result once."""
+def load_config(name, overrides: dict) -> RunConfig:
+    """Read a JSON config file, named by a path or as a preset shipped in
+    presets/ (with or without its ".json"), replace each key of
+    ``overrides`` whose value is not None (the command line's), and check
+    the result once."""
+    for path in (Path(name), _PRESET_DIR / str(name), _PRESET_DIR / f"{name}.json"):
+        if path.is_file():
+            break
+    else:
+        raise ConfigError(
+            f"no config file or preset named {str(name)!r} (presets live in {_PRESET_DIR})"
+        )
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if isinstance(raw, dict):  # anything else config_from_dict refuses

@@ -15,8 +15,7 @@ keeps scalar records and the final density only.
 Each array is computed once per grid (nodes, weights, log weights), per flow
 (the target density, |grad V|), per state (exp(log rho), w rho, the log
 gradient; GridDensity.normalized builds and validates each state once) or
-per field (its 1D Hermite table, its 2D table of nodal values and
-Jacobians).
+per field (its tensor-product Hermite table).
 descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
 
@@ -29,12 +28,16 @@ otherwise.  g_field takes the operator's chart-slot sums to the dual chart
 with the kernel's chart-to-dual Jacobian G per node (msvgd.kernels; the
 identity for dual-imq, so its field derivatives are the operator's own).
 
-The pushforward inverts x - gamma * g by Newton's method.  In 1D one search
-finds the interval of the field's Hermite table that holds each node's
-preimage, Newton runs inside it, and the state's log density is
-interpolated there without a second lookup; in 2D each round reads the
-field and its Jacobian from one cell lookup and one gather, and the log
-density is interpolated on the converged round's cells.
+One interpolant serves every dimension: a tensor-product cubic Hermite
+table, built by the 1-D Hermite formula along each axis in turn, for the
+field (values and exact nodal Jacobians, held constant beyond the box) and
+for the log density (values and its finite-difference gradient, extended
+linearly beyond the box).  The pushforward inverts x - gamma * g by
+Newton's method, reading the field and its Jacobian from one gather of a
+cell per round and solving each node's d x d system by elimination; in 1D
+one search finds the interval holding each node's preimage, and Newton
+runs inside it with no further lookup.  The state's log density is then
+interpolated on the converged cells without a second lookup.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -45,6 +48,7 @@ finite differences.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -125,21 +129,15 @@ class GridDensity:
     def log_gradient(self) -> np.ndarray:
         """Finite-difference gradient of the log density at every node,
         shape (size, dim), read-only.  Computed once per density: a state's
-        dual score ratio and its 1-D pushforward share it."""
+        dual score ratio and its pushforward's Hermite table share it."""
         if np.any(np.isneginf(self.log_density)):
             node = int(np.argmin(self.log_density))
             raise DomainError(
                 f"density is zero at node {node}; the log gradient is undefined there"
             )
-        grid = self.grid
-        logrho = self.log_density.reshape(grid.shape)
-        if grid.dim == 1:
-            grad = _fd4_uniform(logrho, grid.spacing[0])[:, None]
-        else:
-            d0 = _fd4_uniform(logrho.T, grid.spacing[0]).T
-            d1 = _fd4_uniform(logrho, grid.spacing[1])
-            grad = np.stack([d0.ravel(), d1.ravel()], axis=1)
-        return read_only(grad)
+        logrho = self.log_density.reshape(self.grid.shape)
+        return read_only(np.stack([_fd4_along(logrho, k, h).ravel()
+                                   for k, h in enumerate(self.grid.spacing)], axis=1))
 
     @classmethod
     def normalized(cls, grid: Grid, log_values: np.ndarray) -> "GridDensity":
@@ -244,31 +242,69 @@ def nonuniform_gradient(points: np.ndarray, values: np.ndarray) -> np.ndarray:
 # below the box, column j in 1..n-1 is the interval [x_{j-1}, x_j] (the last
 # node closes the last interval), and column n lies above the box.  A point's
 # offset t on its piece is measured from the piece's left node (x_0 below
-# the box, x_{n-1} above it) in units of the spacing.
+# the box, x_{n-1} above it) in units of the spacing.  A cell of a d-D
+# tensor-product table is one such column along each axis, so beyond the box
+# each axis keeps its own 1-D rule.
 
 
 def _hermite_table(v: np.ndarray, m: np.ndarray, h: float, extend: str) -> np.ndarray:
-    """(4, n + 1) coefficients of the cubic Hermite interpolant through node
-    values v and slopes m, spacing h: on column j the value is
-    c0 + t (c1 + t (c2 + t c3)).  Beyond the box it is held "constant" or
+    """(4,) + v.shape[:-1] + (n + 1,) coefficients of the cubic Hermite
+    interpolant along the last axis through node values v and slopes m,
+    spacing h.  On column j the value is c0 + t (h c1 + t (c2 + t c3)), with
+    c1 the slope at the column's left node, and the slope is
+    c1 + t (c2 2 / h + t c3 3 / h).  Beyond the box it is held "constant" or
     extended "linear"-ly along the edge slope."""
-    n = v.size
-    table = np.zeros((4, n + 1))
-    c0, c1, c2, c3 = table[:, 1:n]  # the intervals, written in place
-    c0[:] = v[:-1]
-    np.multiply(m[:-1], h, out=c1)
-    fall = v[:-1] - v[1:]
-    np.multiply(m[1:], h, out=c3)
+    n = v.shape[-1]
+    table = np.zeros((4,) + v.shape[:-1] + (n + 1,))
+    c0, c1, c2, c3 = table[..., 1:n]  # the intervals, written in place
+    c0[...] = v[..., :-1]
+    np.multiply(m[..., :-1], h, out=c1)  # h m0 until the slope replaces it
+    fall = v[..., :-1] - v[..., 1:]
+    np.multiply(m[..., 1:], h, out=c3)
     c3 += c1
     c3 += fall
     c3 += fall  # 2 fall + h m0 + h m1
     np.add(c3, fall, out=c2)
     c2 += c1
     np.negative(c2, out=c2)  # -(3 fall + 2 h m0 + h m1)
-    table[0, 0], table[0, n] = v[0], v[-1]
+    c1[...] = m[..., :-1]
+    table[0, ..., 0], table[0, ..., n] = v[..., 0], v[..., -1]
     if extend == "linear":
-        table[1, 0], table[1, n] = h * m[0], h * m[-1]
+        table[1, ..., 0], table[1, ..., n] = m[..., 0], m[..., -1]
     return table
+
+
+def _fd4_along(values: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """_fd4_uniform along one axis of an array."""
+    return np.swapaxes(_fd4_uniform(np.swapaxes(values, axis, -1), h), -1, axis)
+
+
+def _hermite_tensor(grid: Grid, values: np.ndarray, derivs: np.ndarray, extend: str) -> np.ndarray:
+    """Tensor-product cubic Hermite table of node values (P,) + rest with
+    first derivatives (P,) + rest + (d,), read-only: (4,) * d + rest +
+    (n_0 + 1, ..., n_{d-1} + 1), the coefficient axes last axis first and
+    the cells last, so one gather reads a cell's every coefficient.
+
+    Its nodal data, (2,) * d + rest + grid.shape, hold at entry s the
+    derivative along each axis where s is 1: a given one, or for a mixed one
+    _fd4_uniform of a lower entry along its last axis.  _hermite_table then
+    runs along each axis in turn, on the pairs (value, derivative along the
+    axis)."""
+    d = grid.dim
+    data = np.empty((2,) * d + values.shape[1:] + grid.shape)
+    for s in itertools.product((0, 1), repeat=d):
+        axes = [k for k, bit in enumerate(s) if bit]
+        if len(axes) < 2:  # rest has at most one axis, so .T moves P last
+            data[s] = (derivs[..., axes[0]] if axes else values).T.reshape(data.shape[d:])
+        else:
+            k = axes[-1]
+            data[s] = _fd4_along(data[s[:k] + (0,) + s[k + 1:]], k - d, grid.spacing[k])
+    for axis, h in enumerate(grid.spacing):
+        # the pair (value, derivative along axis), the axis's nodes last
+        v, m = (np.ascontiguousarray(np.swapaxes(data[(slice(None),) * axis + (i,)], axis - d, -1))
+                for i in (0, 1))
+        data = np.swapaxes(_hermite_table(v, m, h, extend), -1, axis - d)
+    return read_only(data)
 
 
 def _hermite_columns(breaks: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -280,46 +316,52 @@ def _hermite_columns(breaks: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.searchsorted(closed, q, side="right")
 
 
-def _cubic(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return c[0] + t * (c[1] + t * (c[2] + t * c[3]))
+def _gather(table: np.ndarray, cells: tuple) -> np.ndarray:
+    """The cells (a column per axis) of a Hermite table, (4,) * d + rest +
+    (n,), gathered in one take along the flattened cell axes."""
+    flat, d = cells[0], len(cells)
+    for column, size in zip(cells[1:], table.shape[1 - d:]):
+        flat = flat * size + column
+    return np.take(table.reshape(table.shape[:-d] + (-1,)), flat, axis=-1)
 
 
-def _slope(c: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return c[4] + t * (c[5] + t * c[6])
+def _horner(coeffs: np.ndarray, t: np.ndarray, spacing: tuple, slopes: bool) -> list:
+    """The interpolant, and with ``slopes`` its derivative along each axis,
+    at offsets t (d, n) in gathered table cells coeffs (4,) * d + rest +
+    (n,): Horner's rule along each axis in turn, the last axis first.
+    Returns a list of 1 or d + 1 arrays rest + (n,), the value first."""
+    parts = [coeffs]  # the value, then the derivatives along axes k, k + 1, ...
+    for k in reversed(range(len(spacing))):
+        h, tk, c = spacing[k], t[k], parts[0]
+        parts = [p[0] + tk * (h * p[1] + tk * (p[2] + tk * p[3])) for p in parts]
+        parts[1:1] = [c[1] + tk * (c[2] * (2.0 / h) + tk * (c[3] * (3.0 / h)))] if slopes else []
+    return parts
 
 
-def _bilinear_pieces(grid: Grid, q: np.ndarray):
-    """Cell indices and in-cell coordinates of points q (n, 2), clipped to
-    the box."""
-    ax0, ax1 = grid.axes
-    q0 = np.clip(q[:, 0], ax0[0], ax0[-1])
-    q1 = np.clip(q[:, 1], ax1[0], ax1[-1])
-    i = np.clip(np.searchsorted(ax0, q0, side="right") - 1, 0, ax0.size - 2)
-    j = np.clip(np.searchsorted(ax1, q1, side="right") - 1, 0, ax1.size - 2)
-    return i, j, (q0 - ax0[i]) / (ax0[1] - ax0[0]), (q1 - ax1[j]) / (ax1[1] - ax1[0])
-
-
-def _bilinear(grid: Grid, flat_values: np.ndarray, pieces) -> np.ndarray:
-    """Bilinear interpolation of node values (trailing dims preserved) at
-    the points that ``pieces`` locates, constant beyond the box."""
-    vals = flat_values.reshape(grid.shape + flat_values.shape[1:])
-    i, j, t, u = pieces
-    pad = (...,) + (None,) * (vals.ndim - 2)
-    t, u = t[pad], u[pad]
-    return ((1 - t) * (1 - u) * vals[i, j] + t * (1 - u) * vals[i + 1, j]
-            + (1 - t) * u * vals[i, j + 1] + t * u * vals[i + 1, j + 1])
+def _bernstein_rows(spacing: tuple, axis: int) -> np.ndarray:
+    """The matrix that takes a Hermite table's cells, flattened over their
+    coefficient axes, to the Bernstein coefficients on [0, 1]^d of the
+    interpolant's derivative along ``axis``, a cubic in each offset: on
+    [0, 1] a polynomial lies in the hull of its Bernstein coefficients."""
+    # b_j = sum over i <= j of C(j, i) / C(3, i) a_i, from the monomial
+    # coefficients of c0 + t (h c1 + t (c2 + t c3)), or along axis of
+    # c1 + t (2 c2 / h + t 3 c3 / h)
+    bernstein = np.array([[math.comb(j, i) / math.comb(3, i) for i in range(4)] for j in range(4)])
+    factors = [bernstein @ (np.eye(4, k=1) * [[1.0], [2.0 / h], [3.0 / h], [0.0]] if k == axis
+                            else np.diag([1.0, h, 1.0, 1.0])) for k, h in enumerate(spacing)]
+    return functools.reduce(np.kron, reversed(factors))
 
 
 class FieldOnGrid:
     """Vector field sampled on a grid together with its nodal Jacobians.
 
-    1D evaluation is cubic Hermite (the nodal derivatives are part of the
-    data, not re-estimated) and constant beyond the box, which keeps the flow
+    Evaluation is tensor-product cubic Hermite in every dimension: the nodal
+    Jacobians are part of the data, not re-estimated, and in d >= 2 the
+    mixed derivatives are finite differences of Jacobian columns.  Beyond
+    the box the field is held constant along each axis, which keeps the flow
     map injective out there.  Its formula lives in one per-field table,
-    ``hermite``, which max_stretch and the pushforward's inverse both read.
-    2D evaluation is bilinear, on one per-field (P, d + d^2) table of the
-    nodal values and Jacobians side by side, so ``bilinear`` gathers both
-    in one call from the pieces one cell lookup gives.
+    ``hermite``, which max_stretch and the pushforward's inverse both read:
+    one gather of a cell gives the values and every Jacobian column.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, derivs: np.ndarray):
@@ -336,58 +378,45 @@ class FieldOnGrid:
 
     @functools.cached_property
     def hermite(self) -> np.ndarray:
-        """1D only: the (7, n + 1) table of the field on every piece of the
-        line, read-only.  Rows 0-3 are the value's Hermite coefficients in
-        the offset t (constant beyond the box); rows 4-6 give the slope
-        d/dx as s0 + t (s1 + t s2), with s0 the nodal derivative itself."""
-        x = self.grid.axes[0]
-        m, h = self.derivs[:, 0, 0], x[1] - x[0]
-        value = _hermite_table(self.values[:, 0], m, h, "constant")
-        slope = np.zeros((3, x.size + 1))
-        slope[0, 1:-1] = m[:-1]
-        np.multiply(value[2:], [[2.0 / h], [3.0 / h]], out=slope[1:])
-        return read_only(np.concatenate([value, slope]))
-
-    @functools.cached_property
-    def _nodal(self) -> np.ndarray:
-        """2D only: the (P, d + d^2) table of nodal values and flattened
-        Jacobians, read-only."""
-        return read_only(np.concatenate(
-            [self.values, self.derivs.reshape(self.grid.size, -1)], axis=1))
-
-    def bilinear(self, pieces) -> tuple:
-        """2D only: (values (n, d), Jacobians (n, d, d)) at the points that
-        the bilinear ``pieces`` locate, from one interpolation of the
-        nodal table."""
-        d = self.grid.dim
-        both = _bilinear(self.grid, self._nodal, pieces)
-        return both[:, :d], both[:, d:].reshape(-1, d, d)
+        """The field's tensor-product Hermite table (_hermite_tensor), held
+        constant beyond the box, read-only: (4,) * d + (d,) + cells, with
+        the field's component on the axis after the coefficients."""
+        return _hermite_tensor(self.grid, self.values, self.derivs, "constant")
 
     def max_stretch(self) -> tuple:
         """Largest Jacobian magnitude (max row sum) of the interpolated field,
-        and the node nearest to where it is reached.
+        or a bound on it, and a node near where it is reached.
 
-        In 2D the Jacobian is a bilinear blend of the nodal Jacobians, so the
-        largest value sits at a node.  In 1D the slope on each interval is
-        the table's quadratic s0 + t (s1 + t s2), so its supremum is at an
-        end (a node) or at the vertex t = -s1 / (2 s2).
+        In 1D the slope on each interval is the quadratic s0 + t (s1 + t s2),
+        so its supremum is at an end (a node) or at the vertex
+        t = -s1 / (2 s2), and the value is exact.  In d >= 2 each Jacobian
+        entry on a cell lies in the hull of its Bernstein coefficients, so a
+        row's sum of their largest magnitudes bounds its row sum there; a
+        corner node of the worst cell is named.  The cells beyond the box
+        count too: the field is constant across them, so their hull is
+        their range.
         """
-        if self.grid.dim == 2:
-            mags = np.abs(self.derivs).sum(axis=2).max(axis=1)
+        grid = self.grid
+        if grid.dim == 1:
+            mags = np.abs(self.derivs[:, 0, 0])
             node = int(np.argmax(mags))
+            c, h = self.hermite[..., 0, 1:-1], grid.spacing[0]
+            s1, s2 = c[2] * (2.0 / h), c[3] * (3.0 / h)  # _horner's slope
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = s1 / s2
+            t *= -0.5
+            t[~((t > 0.0) & (t < 1.0))] = 0.0
+            peak = np.abs(c[1] + t * (s1 + t * s2))
+            k = int(np.argmax(peak))
+            if peak[k] > mags[node]:
+                return float(peak[k]), k + int(t[k] > 0.5)
             return float(mags[node]), node
-        mags = np.abs(self.derivs[:, 0, 0])
-        node = int(np.argmax(mags))
-        c = self.hermite[:, 1:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = c[5] / c[6]
-        t *= -0.5
-        t[~((t > 0.0) & (t < 1.0))] = 0.0
-        peak = np.abs(_slope(c, t))
-        k = int(np.argmax(peak))
-        if peak[k] > mags[node]:
-            return float(peak[k]), k + int(t[k] > 0.5)
-        return float(mags[node]), node
+        coeffs = self.hermite.reshape(4 ** grid.dim, -1)
+        rows = sum(np.abs(_bernstein_rows(grid.spacing, k) @ coeffs).max(axis=0)
+                   for k in range(grid.dim)).reshape(grid.dim, -1).max(axis=0)
+        cell = np.unravel_index(int(np.argmax(rows)), self.hermite.shape[-grid.dim:])
+        node = np.clip(np.array(cell) - 1, 0, np.array(grid.shape) - 1)
+        return float(rows.max()), int(np.ravel_multi_index(tuple(node), grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +592,10 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
 
     The field must be finite and the map injective: gamma times the largest
     field stretch below one.  The log density is then interpolated at each
-    node's preimage on the piece the inverse found it on, with no second
-    lookup.  gamma = 0 returns the density unchanged, bit for bit.
+    node's preimage on the cell the inverse found it in, with no second
+    lookup, from its own tensor-product Hermite table (the state's
+    log_gradient, extended linearly beyond the box).  gamma = 0 returns the
+    density unchanged, bit for bit.
     """
     finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
     if not finite.all():
@@ -580,73 +611,67 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
             f"{gamma * stretch:.6g} at node {node}",
             particle=node,
         )
-    _, field_jac, pieces = _invert(grid, field, gamma)
-    jac = np.eye(grid.dim) - gamma * field_jac
-    if grid.dim == 1:
-        det = jac[:, 0, 0]
-        x = grid.axes[0]
-        table = _hermite_table(density.log_density, density.log_gradient[:, 0],
-                               x[1] - x[0], "linear")
-        columns, t = pieces
-        log_rho_at = _cubic(np.take(table, columns, axis=1), t)
-    else:
-        det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        log_rho_at = _bilinear(grid, density.log_density, pieces)
+    _, det, cells, t = _invert(grid, field, gamma)
+    table = _hermite_tensor(grid, density.log_density, density.log_gradient, "linear")
+    log_rho_at = _horner(_gather(table, cells), t, grid.spacing, False)[0]
     return GridDensity.normalized(grid, log_rho_at - np.log(det))
 
 
 def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
     """Solve y - gamma * field(y) = x at every node x by Newton's method;
-    returns y, the field's Jacobian there, and the pieces that locate y for
-    interpolating node values: (column, offset t) of the field's Hermite
-    table in 1D, the bilinear cell pieces in 2D.
+    returns y (n, d), det(I - gamma J) there with J the field's Jacobian,
+    and the cells (a column per axis) and offsets t (d, n) that locate y in
+    a Hermite table, for interpolating node values.
 
-    In 1D the map is strictly increasing (pushforward_step has checked
-    gamma * max_stretch < 1, and the field is constant beyond the box), so
-    one search of the nodes among the forward node images x_i - gamma v_i
-    finds the table column holding each preimage: an interval of the box,
-    or the constant piece beyond it.  Newton then runs on that column alone,
-    gathered once, with no lookup in any round.  2D starts at
-    the nodes, and each round evaluates the field and its Jacobian from one
-    cell lookup and one gather, whose pieces the converged round returns.
-    Every residual, beyond the box too, must reach NEWTON_TOL
-    within NEWTON_ROUNDS steps, or the worst node is named in a
+    Each round reads the field and its Jacobian from one gather of the
+    field's table, and solves each node's d x d system, taking its
+    determinant, by Gaussian elimination without pivoting: pushforward_step
+    has checked gamma * max_stretch < 1, so I - gamma J is strictly
+    diagonally dominant by rows.  In d >= 2 Newton starts at x + gamma v(x),
+    v the field's node values, and each round looks up its cells, one search
+    per axis.  In 1D the map is
+    strictly increasing (the field is constant beyond the box), so one
+    search of the nodes among the forward node images x_i - gamma v_i finds
+    the column holding each preimage: an interval of the box, or the
+    constant piece beyond it.  Newton then starts on the secant of the
+    forward map over that column and runs on it alone, gathered once, with
+    no lookup in any round.  Every residual, beyond the box too, must reach
+    NEWTON_TOL within NEWTON_ROUNDS steps, or the worst node is named in a
     NumericsError.
     """
+    nodes, spacing = grid.nodes.T, grid.spacing
     if grid.dim == 1:
-        x = grid.axes[0]
-        n, h = x.size, x[1] - x[0]
+        x, h = grid.axes[0], spacing[0]
         forward = x - gamma * field.values[:, 0]
         columns = _hermite_columns(forward, x)
-        c = np.take(field.hermite, columns, axis=1)
-        prev = columns - 1
-        left = x[np.maximum(prev, 0)]
         # start on the secant of the forward map over the column's interval;
         # beyond the box the piece is constant and any start converges at once
-        lo = np.clip(prev, 0, n - 2)
+        lo = np.clip(columns - 1, 0, x.size - 2)
         f0 = forward[lo]
-        y = left + h * ((x - f0) / (forward[lo + 1] - f0))
-        for rounds in range(NEWTON_ROUNDS + 1):
-            t = (y - left) / h
-            slope = _slope(c, t)
-            residual = y - gamma * _cubic(c, t) - x
-            worst = np.abs(residual)
-            if float(np.max(worst)) <= NEWTON_TOL:
-                return y[:, None], slope[:, None, None], (columns, t)
-            if rounds < NEWTON_ROUNDS:
-                y = y - residual / (1.0 - gamma * slope)
+        y = (x[np.maximum(columns - 1, 0)] + h * ((x - f0) / (forward[lo + 1] - f0)))[None]
+        fixed = (columns,)
     else:
-        targets = grid.nodes
-        y = targets.copy()
-        for rounds in range(NEWTON_ROUNDS + 1):
-            pieces = _bilinear_pieces(grid, y)
-            values, jac = field.bilinear(pieces)
-            residual = y - gamma * values - targets
-            worst = np.max(np.abs(residual), axis=1)
-            if float(np.max(worst)) <= NEWTON_TOL:
-                return y, jac, pieces
-            if rounds < NEWTON_ROUNDS:
-                y = y - _solve_2x2(np.eye(2) - gamma * jac, residual)
+        y, fixed = nodes + gamma * field.values.T, None
+    for rounds in range(NEWTON_ROUNDS + 1):
+        if fixed is None or rounds == 0:  # fixed cells are gathered once
+            cells = fixed or tuple(_hermite_columns(x, q) for x, q in zip(grid.axes, y))
+            coeffs = _gather(field.hermite, cells)
+            # offsets are measured from each column's left node, x_0 below the box
+            origins = np.stack([x[np.maximum(c - 1, 0)] for x, c in zip(grid.axes, cells)])
+        t = (y - origins) / np.array(spacing)[:, None]
+        value, *slopes = _horner(coeffs, t, spacing, True)
+        residual = y - gamma * value - nodes
+        worst = np.abs(residual)
+        # I - gamma J, with J[i, k] the derivative of component i along axis k
+        system = -gamma * np.stack(slopes, axis=1)
+        for k in range(grid.dim):
+            system[k, k] += 1.0
+        step, det = _eliminate(system, residual)
+        if float(np.max(worst)) <= NEWTON_TOL:
+            return y.T, det, cells, t
+        if rounds < NEWTON_ROUNDS:
+            y = y - step
+    worst = np.max(worst, axis=0)
     node = int(np.argmax(worst))
     raise NumericsError(
         f"pushforward inverse did not converge in {NEWTON_ROUNDS} Newton rounds: "
@@ -655,12 +680,22 @@ def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
     )
 
 
-def _solve_2x2(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Per-node solutions of jac @ step = rhs."""
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    step0 = (jac[:, 1, 1] * rhs[:, 0] - jac[:, 0, 1] * rhs[:, 1]) / det
-    step1 = (-jac[:, 1, 0] * rhs[:, 0] + jac[:, 0, 0] * rhs[:, 1]) / det
-    return np.stack([step0, step1], axis=1)
+def _eliminate(a: np.ndarray, x: np.ndarray) -> tuple:
+    """Per-node solutions of a y = x, and det(a), for a (d, d, n) and
+    x (d, n), by Gaussian elimination without pivoting, which is stable when
+    every a is strictly diagonally dominant by rows.  Works in place: a ends
+    eliminated and x holds the solutions."""
+    d = len(x)
+    for k in range(d):
+        for i in range(k + 1, d):
+            ratio = a[i, k] / a[k, k]
+            a[i, k:] -= ratio * a[k, k:]
+            x[i] -= ratio * x[k]
+    for k in reversed(range(d)):
+        for j in range(k + 1, d):
+            x[k] -= a[k, j] * x[j]
+        x[k] /= a[k, k]
+    return x, functools.reduce(np.multiply, (a[k, k] for k in range(d)))
 
 
 # ---------------------------------------------------------------------------

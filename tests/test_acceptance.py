@@ -53,7 +53,7 @@ def _read_rows(path):
 def quartic_setup():
     """Criterion 1's run: quartic preset, theorem step size, 200 steps."""
     started = time.perf_counter()
-    cfg = load_config(cli._resolve_config_path("quartic-1d-descent"), {})
+    cfg = load_config("quartic-1d-descent", {})
     bundle = build_runtime(cfg)
     flow = MirroredFlow(bundle.mirrored, bundle.kernel)
     out = flow.run(bundle.gamma, cfg.steps)

@@ -745,7 +745,7 @@ class TestPresets:
     def test_preset_loads_and_round_trips(self, name):
         from msvgd.config import config_from_dict, load_config
 
-        cfg = load_config(cli._resolve_config_path(name), {})
+        cfg = load_config(name, {})
         assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_unknown_preset_named_in_error(self, tmp_path, capsys):

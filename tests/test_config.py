@@ -51,7 +51,7 @@ def test_load_config_from_file(tmp_path):
     path.write_text(json.dumps(dict(MINIMAL, gamma=0.25)))
     cfg = load_config(path, {})
     assert cfg.gamma == 0.25
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ConfigError, match="no config file or preset named .*missing.json"):
         load_config(tmp_path / "missing.json", {})
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import DenseKernelOperator, gram
 
 from msvgd import gridflow, kernels, theory
+from msvgd.config import build_runtime, load_config
 from msvgd.errors import ConfigError, DomainError, NumericsError
 from msvgd.gridflow import (
     FieldOnGrid,
@@ -83,6 +84,11 @@ class DipThenRise:
         return np.where(r <= 20.0, 0.5 * r * r, 200.0 - 10.0 * (r - 20.0))
 
 
+def dirichlet_preset_bundle():
+    """The Dirichlet preset's runtime at its theorem step size."""
+    return build_runtime(load_config("dirichlet-simplex-d2", {"gamma": "theorem"}))
+
+
 def dual_reference(grid, target):
     """The target's dual density, normalized on the grid."""
     return GridDensity.normalized(grid, -target.potential(grid.nodes))
@@ -135,16 +141,30 @@ def invert_by_bisection(grid, field, gamma):
 
 def field_at(field, points):
     """(values (n, d), Jacobians (n, d, d)) of the interpolated field at
-    points (n, d), read off the field's own tables: the 1-D Hermite table
-    at one interval lookup, the 2-D nodal table through ``bilinear``."""
+    points (n, d), read off the field's own table at one cell lookup per
+    axis."""
     grid = field.grid
-    if grid.dim == 2:
-        return field.bilinear(gridflow._bilinear_pieces(grid, points))
-    x, q = grid.axes[0], points[:, 0]
-    columns = gridflow._hermite_columns(x, q)
-    t = (q - x[np.maximum(columns - 1, 0)]) / (x[1] - x[0])
-    c = np.take(field.hermite, columns, axis=1)
-    return gridflow._cubic(c, t)[:, None], gridflow._slope(c, t)[:, None, None]
+    cells = cells_of(grid, points)
+    value, *slopes = table_at(field.hermite, cells, offsets(grid, cells, points), grid, True)
+    return value.T, np.moveaxis(np.stack(slopes), (0, 1, 2), (2, 1, 0))
+
+
+def cells_of(grid, points):
+    """The cell (a column per axis) of each point (n, d), one search per axis."""
+    return tuple(gridflow._hermite_columns(x, q) for x, q in zip(grid.axes, points.T))
+
+
+def offsets(grid, cells, points):
+    """Offsets t (d, n) of points (n, d) in the cells that hold them, from
+    each column's left node (x_0 below the box)."""
+    origins = np.stack([x[np.maximum(c - 1, 0)] for x, c in zip(grid.axes, cells)])
+    return (points.T - origins) / np.array(grid.spacing)[:, None]
+
+
+def table_at(table, cells, t, grid, slopes):
+    """A Hermite table's interpolant, and with ``slopes`` its derivatives,
+    at offsets t (d, n) in the given cells, a list of arrays rest + (n,)."""
+    return gridflow._horner(gridflow._gather(table, cells), t, grid.spacing, slopes)
 
 
 def target_density(flow):
@@ -787,7 +807,9 @@ class TestKernelOperator:
             # The build peaks at 53.7 MB for either kernel, the stored tiles
             # alone: the last tile's F'' takes its squared distances' buffer
             # and F' the one more it builds in (56 MB when the build held f
-            # in a third).  The build and a step peak at 55.6 MB.  A stored
+            # in a third).  The build and a step peak at 56.1 MB, the
+            # field's 0.6 MB Hermite table alive until the next field is
+            # built (55.6 MB with the bilinear step it replaced).  A stored
             # F would add 27 MB (the three factors peaked at 80 MB, their
             # full n x n matrices at 130 MB); gram
             # blocks would be 1 + d + d^2 = 7 n x n arrays (297 MB), and on
@@ -893,37 +915,132 @@ class TestPushforward:
         expected = np.exp(-0.5 * (x[:, 0] / s) ** 2) / (s * math.sqrt(2 * math.pi))
         assert np.max(np.abs(moved.density - expected)) <= 1e-7
 
+    @pytest.mark.parametrize("nodes", [48, 96])
+    def test_linear_field_rescales_gaussian_2d(self, nodes):
+        # g(x) = A x pushes N(0, I) to N(0, M M^T), M = I - gamma A, in one step
+        grid = Grid.box(2, nodes, 8.0)
+        a = np.array([[1.0, 0.3], [0.3, 0.5]])
+        field = FieldOnGrid(grid, grid.nodes @ a.T, np.broadcast_to(a, (grid.size, 2, 2)))
+        gamma = 0.25
+        moved = pushforward_step(standard_normal_density(grid), field, gamma)
+        m = np.eye(2) - gamma * a
+        cov = m @ m.T
+        x = grid.nodes
+        quad = np.einsum("ni,ij,nj->n", x, np.linalg.inv(cov), x)
+        expected = np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(np.linalg.det(cov)))
+        assert np.max(np.abs(moved.density - expected)) <= 1e-7
+
     @pytest.mark.parametrize("fraction", [1e-3, 0.5, 0.9])
     def test_newton_inverse_matches_bisection(self, fraction):
         flow = MirroredFlow(quartic_target(), IMQKernel())
         field = flow.g_field(flow.initial_density())
         stretch, _ = field.max_stretch()
         gamma = fraction / stretch
-        newton, jac, _ = gridflow._invert(flow.grid, field, gamma)
+        newton, det, _, _ = gridflow._invert(flow.grid, field, gamma)
         bisection = invert_by_bisection(flow.grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
-        assert jac.tobytes() == field_at(field, newton)[1].tobytes()
+        assert det.tobytes() == (1.0 - gamma * field_at(field, newton)[1][:, 0, 0]).tobytes()
 
-    def test_2d_evaluate_is_two_bilinear_interpolations(self, rng):
-        grid = Grid((np.linspace(-4.0, 4.0, 16), np.linspace(-3.0, 5.0, 20)))
-        field = FieldOnGrid(grid, rng.standard_normal((grid.size, 2)),
-                            rng.standard_normal((grid.size, 2, 2)))
-        # inside the box, on nodes and beyond every side
-        points = np.concatenate([rng.uniform(-6.0, 7.0, (200, 2)), grid.nodes[::7]])
-        pieces = gridflow._bilinear_pieces(grid, points)
-        values, jac = field_at(field, points)
-        assert values.tobytes() == gridflow._bilinear(grid, field.values, pieces).tobytes()
-        assert jac.tobytes() == gridflow._bilinear(grid, field.derivs, pieces).tobytes()
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_table_reproduces_per_axis_cubics(self, rng, dim):
+        # field component i is p_i(x) q_i(y), with cubics p_i and q_i: the
+        # tensor-product table holds it exactly inside the box, its values
+        # and Jacobians, and each axis holds it constant beyond the box.  A
+        # log density of the same form is extended linearly there instead.
+        axes = (np.linspace(-2.0, 2.0, 9), np.linspace(-1.0, 3.0, 11))[:dim]
+        grid = Grid(axes)
+        coef = rng.standard_normal((dim, dim, 4))  # (component, axis, power)
+        poly = [[np.polynomial.Polynomial(c) for c in row] for row in coef]
+        lo = np.array([a[0] for a in axes])
+        hi = np.array([a[-1] for a in axes])
+
+        def exact(points, clip):
+            """Values (n, c) and Jacobians (n, c, axis) of p_i(x) q_i(y), held
+            constant along each axis beyond the box when clip is set."""
+            edge = np.clip(points, lo, hi) if clip else points
+            factors = np.array([[p(edge[:, k]) for k, p in enumerate(row)] for row in poly])
+            slopes = np.array([[p.deriv()(edge[:, k]) for k, p in enumerate(row)] for row in poly])
+            held = (edge != points).T
+            jac = np.stack([np.where(held[k], 0.0, slopes[:, k]
+                                     * np.prod(np.delete(factors, k, axis=1), axis=1))
+                            for k in range(dim)], axis=-1)
+            return factors.prod(axis=1).T, np.moveaxis(jac, 1, 0)
+
+        values, jac = exact(grid.nodes, clip=False)
+        field = FieldOnGrid(grid, values, jac)
+        inside = rng.uniform(lo, hi, (300, dim))
+        beyond = rng.uniform(lo - 2.0, hi + 2.0, (300, dim))
+        for points in (inside, beyond, grid.nodes):
+            want_v, want_j = exact(points, clip=True)
+            got_v, got_j = field_at(field, points)
+            assert np.max(np.abs(got_v - want_v)) <= 1e-12 * np.max(np.abs(want_v))
+            assert np.max(np.abs(got_j - want_j)) <= 1e-12 * np.max(np.abs(want_j))
+        # the linear extension of a log density p(x) q(y): along each axis the
+        # edge value plus the edge slope times the distance
+        logp = values[:, 0]
+        table = gridflow._hermite_tensor(grid, logp, jac[:, 0, :], "linear")
+        cells = cells_of(grid, beyond)
+        got = table_at(table, cells, offsets(grid, cells, beyond), grid, False)[0]
+        edge = np.clip(beyond, lo, hi)
+        want = np.ones(len(beyond))
+        for k in range(dim):
+            p = poly[0][k]
+            want *= p(edge[:, k]) + (beyond[:, k] - edge[:, k]) * p.deriv()(edge[:, k])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_2d_inverse_returns_its_converged_pieces(self):
         target = dirichlet_target((5.0, 5.0, 5.0))
         flow = MirroredFlow(target, IMQKernel(), nodes=24)
         field = flow.g_field(flow.initial_density())
         gamma = 0.5 / field.max_stretch()[0]
-        y, jac, pieces = gridflow._invert(flow.grid, field, gamma)
-        assert jac.tobytes() == field_at(field, y)[1].tobytes()
-        for got, want in zip(pieces, gridflow._bilinear_pieces(flow.grid, y)):
-            assert got.tobytes() == want.tobytes()
+        y, det, cells, t = gridflow._invert(flow.grid, field, gamma)
+        values, jac = field_at(field, y)
+        assert np.max(np.abs(y - gamma * values - flow.grid.nodes)) <= gridflow.NEWTON_TOL
+        want = np.linalg.det(np.eye(2) - gamma * jac)
+        assert np.max(np.abs(det - want)) <= 1e-14
+        lookup = cells_of(flow.grid, y)
+        for got, expect in zip(cells, lookup):
+            assert got.tobytes() == expect.tobytes()
+        assert t.tobytes() == offsets(flow.grid, lookup, y).tobytes()
+
+    def test_elimination_solves_and_takes_the_determinant(self, rng):
+        # diagonally dominant systems of size 1 to 3, nodes last
+        for d in (1, 2, 3):
+            a = rng.uniform(-1.0, 1.0, (d, d, 50)) / (2 * d) + np.eye(d)[:, :, None]
+            b = rng.standard_normal((d, 50))
+            mats = np.moveaxis(a, -1, 0)
+            want_x = np.linalg.solve(mats, b.T[:, :, None])[:, :, 0].T
+            want_det = np.linalg.det(mats)
+            x, det = gridflow._eliminate(a, b)  # in place
+            assert x is b
+            assert np.max(np.abs(x - want_x)) <= 1e-14
+            assert np.max(np.abs(det - want_det)) <= 1e-14
+
+    def test_2d_max_stretch_bounds_the_sampled_row_sum(self, rng):
+        # on random fields and on the Dirichlet preset's first state; on the
+        # latter the largest row sum at the nodes falls short of the sup
+        grid = Grid((np.linspace(-2.0, 2.0, 8), np.linspace(-1.0, 3.0, 10)))
+        dense = np.stack(np.meshgrid(np.linspace(-3.0, 3.0, 241), np.linspace(-2.0, 4.0, 241),
+                                     indexing="ij"), axis=-1).reshape(-1, 2)
+        for _ in range(10):
+            field = FieldOnGrid(grid, rng.standard_normal((grid.size, 2)),
+                                rng.standard_normal((grid.size, 2, 2)))
+            stretch, node = field.max_stretch()
+            sampled = np.abs(field_at(field, dense)[1]).sum(axis=2).max()
+            assert sampled <= stretch
+            assert 0 <= node < grid.size
+        bundle = dirichlet_preset_bundle()
+        flow = MirroredFlow(bundle.mirrored, bundle.kernel, nodes=48)
+        field = flow.g_field(flow.initial_density())
+        stretch, _ = field.max_stretch()
+        # 12 points per cell along each axis, a chunk of rows at a time
+        x0, x1 = (np.linspace(a[0], a[-1], 12 * (a.size - 1) + 1) for a in flow.grid.axes)
+        sampled = max(
+            np.abs(field_at(field, np.stack(np.broadcast_arrays(x0[i:i + 48, None], x1),
+                                            axis=-1).reshape(-1, 2))[1]).sum(axis=2).max()
+            for i in range(0, x0.size, 48))
+        nodal = np.abs(field.derivs).sum(axis=2).max()
+        assert nodal < sampled <= stretch
 
     @pytest.mark.parametrize("case", ["beyond-both-ends", "onto-nodes", "fixed-node"])
     def test_inverse_matches_bisection_on_edge_cases(self, case):
@@ -940,16 +1057,16 @@ class TestPushforward:
             values, slopes, gamma = 0.3 * np.sin(x), 0.3 * np.cos(x), 1.0
         field = FieldOnGrid(grid, values[:, None], slopes[:, None, None])
         assert gamma * field.max_stretch()[0] < 1.0
-        newton, jac, (columns, t) = gridflow._invert(grid, field, gamma)
+        newton, det, cells, t = gridflow._invert(grid, field, gamma)
         bisection = invert_by_bisection(grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
-        assert jac.tobytes() == field_at(field, newton)[1].tobytes()
-        # the pieces locate the inverse on the field's own table
-        c = np.take(field.hermite, columns, axis=1)
-        assert gridflow._cubic(c, t).tobytes() == field_at(field, newton)[0][:, 0].tobytes()
+        assert det.tobytes() == (1.0 - gamma * field_at(field, newton)[1][:, 0, 0]).tobytes()
+        # the cells and offsets locate the inverse on the field's own table
+        on_table = table_at(field.hermite, cells, t, grid, False)[0][0]
+        assert on_table.tobytes() == field_at(field, newton)[0][:, 0].tobytes()
         if case == "beyond-both-ends":
             assert newton[0, 0] < x[0] and newton[-1, 0] > x[-1]
-            assert columns[0] == 0 and columns[-1] == x.size
+            assert cells[0][0] == 0 and cells[0][-1] == x.size
         elif case == "onto-nodes":
             assert np.array_equal(newton[:-2, 0], x[2:])
         else:
@@ -985,13 +1102,18 @@ class TestPushforward:
             pushforward_step(standard_normal_density(grid), field, 0.1)
         assert info.value.particle == 5
 
-    def test_unconverged_2d_inverse_names_worst_node(self):
-        # zero nodal derivatives make the bilinear Jacobian zero, so Newton
-        # degrades to a fixed-point iteration contracting only by 0.9
-        grid = Grid((np.linspace(-4.0, 4.0, 16), np.linspace(-4.0, 4.0, 16)))
-        field = FieldOnGrid(grid, grid.nodes.copy(), np.zeros((grid.size, 2, 2)))
-        with pytest.raises(NumericsError, match="did not converge") as info:
-            pushforward_step(standard_normal_density(grid), field, 0.9)
+    def test_unconverged_2d_inverse_names_worst_node(self, monkeypatch):
+        grid = Grid((np.linspace(-4.0, 4.0, 32), np.linspace(-4.0, 4.0, 32)))
+        x0, x1 = grid.nodes.T
+        values = 0.4 * np.stack([np.sin(x0 + x1), np.cos(x0 - x1)], axis=1)
+        derivs = 0.4 * np.stack([np.stack([np.cos(x0 + x1), np.cos(x0 + x1)], axis=1),
+                                 np.stack([-np.sin(x0 - x1), np.sin(x0 - x1)], axis=1)], axis=1)
+        field = FieldOnGrid(grid, values, derivs)
+        density = standard_normal_density(grid)
+        pushforward_step(density, field, 1.0)
+        monkeypatch.setattr(gridflow, "NEWTON_ROUNDS", 1)
+        with pytest.raises(NumericsError, match="in 1 Newton rounds") as info:
+            pushforward_step(density, field, 1.0)
         assert f"at node {info.value.particle}" in str(info.value)
 
     def test_unconverged_1d_inverse_names_worst_node(self, monkeypatch):
@@ -1111,6 +1233,18 @@ class TestFlowRuns:
         for key in ("kl", "stein_fisher"):
             a, b = out_c["records"][-1][key], out_f["records"][-1][key]
             assert abs(a - b) <= 1e-5 * abs(b), f"{key}: {a} vs {b}"
+
+    def test_2d_decrement_converges_in_the_grid(self):
+        # the step-1 KL decrement of the Dirichlet preset at its theorem
+        # step, at 48 and 96 nodes per axis (bilinear: 1.3e-2 apart)
+        bundle = dirichlet_preset_bundle()
+        drops = []
+        for nodes in (48, 96):
+            flow = MirroredFlow(bundle.mirrored, bundle.kernel, nodes=nodes)
+            records = flow.run(bundle.gamma, steps=1)["records"]
+            drops.append(records[1]["kl"] - records[0]["kl"])
+        assert drops[0] < 0.0
+        assert abs(drops[0] - drops[1]) <= 1e-5 * abs(drops[1])
 
     def test_2d_dirichlet_smoke(self):
         target = dirichlet_target((2.0, 2.0, 2.0))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from conftest import gram_blocks, sample_box_interior, sample_simplex_interior
 
 from msvgd import kernels, quadrature, theory
-from msvgd.cli import _resolve_config_path
 from msvgd.config import build_runtime, load_config
 from msvgd.engine import (DiagnosticsRecord, ParticleEnsemble, ParticleField, a_n,
                           init_ensemble, stein_fisher_particles, update_field)
@@ -612,7 +611,7 @@ class TestLogSumExp:
 
 def _preset_bundle(name):
     """A preset's live objects, with no constant priced yet."""
-    return build_runtime(load_config(_resolve_config_path(name), {}))
+    return build_runtime(load_config(name, {}))
 
 
 class TestCertify:
