@@ -359,9 +359,11 @@ class FieldOnGrid:
     Jacobians are part of the data, not re-estimated, and in d >= 2 the
     mixed derivatives are finite differences of Jacobian columns.  Beyond
     the box the field is held constant along each axis, which keeps the flow
-    map injective out there.  Its formula lives in one per-field table,
-    ``hermite``, which max_stretch and the pushforward's inverse both read:
-    one gather of a cell gives the values and every Jacobian column.
+    map injective out there.  Its formula lives in one table, ``hermite()``,
+    which pushforward_step builds once per push and hands to max_stretch and
+    the inverse: one gather of a cell gives the values and every Jacobian
+    column.  The field does not keep it, so the table is freed with its push,
+    before the next state's field is built.
     """
 
     def __init__(self, grid: Grid, values: np.ndarray, derivs: np.ndarray):
@@ -376,16 +378,16 @@ class FieldOnGrid:
                 f"expected {expect_v}/{expect_d}"
             )
 
-    @functools.cached_property
     def hermite(self) -> np.ndarray:
-        """The field's tensor-product Hermite table (_hermite_tensor), held
-        constant beyond the box, read-only: (4,) * d + (d,) + cells, with
-        the field's component on the axis after the coefficients."""
+        """A new tensor-product Hermite table of the field (_hermite_tensor),
+        held constant beyond the box, read-only: (4,) * d + (d,) + cells,
+        with the field's component on the axis after the coefficients."""
         return _hermite_tensor(self.grid, self.values, self.derivs, "constant")
 
-    def max_stretch(self) -> tuple:
+    def max_stretch(self, table: np.ndarray) -> tuple:
         """Largest Jacobian magnitude (max row sum) of the interpolated field,
-        or a bound on it, and a node near where it is reached.
+        or a bound on it, and a node near where it is reached; ``table`` is
+        the field's ``hermite()``.
 
         In 1D the slope on each interval is the quadratic s0 + t (s1 + t s2),
         so its supremum is at an end (a node) or at the vertex
@@ -400,7 +402,7 @@ class FieldOnGrid:
         if grid.dim == 1:
             mags = np.abs(self.derivs[:, 0, 0])
             node = int(np.argmax(mags))
-            c, h = self.hermite[..., 0, 1:-1], grid.spacing[0]
+            c, h = table[..., 0, 1:-1], grid.spacing[0]
             s1, s2 = c[2] * (2.0 / h), c[3] * (3.0 / h)  # _horner's slope
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = s1 / s2
@@ -411,10 +413,10 @@ class FieldOnGrid:
             if peak[k] > mags[node]:
                 return float(peak[k]), k + int(t[k] > 0.5)
             return float(mags[node]), node
-        coeffs = self.hermite.reshape(4 ** grid.dim, -1)
+        coeffs = table.reshape(4 ** grid.dim, -1)
         rows = sum(np.abs(_bernstein_rows(grid.spacing, k) @ coeffs).max(axis=0)
                    for k in range(grid.dim)).reshape(grid.dim, -1).max(axis=0)
-        cell = np.unravel_index(int(np.argmax(rows)), self.hermite.shape[-grid.dim:])
+        cell = np.unravel_index(int(np.argmax(rows)), table.shape[-grid.dim:])
         node = np.clip(np.array(cell) - 1, 0, np.array(grid.shape) - 1)
         return float(rows.max()), int(np.ravel_multi_index(tuple(node), grid.shape))
 
@@ -594,8 +596,9 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     field stretch below one.  The log density is then interpolated at each
     node's preimage on the cell the inverse found it in, with no second
     lookup, from its own tensor-product Hermite table (the state's
-    log_gradient, extended linearly beyond the box).  gamma = 0 returns the
-    density unchanged, bit for bit.
+    log_gradient, extended linearly beyond the box).  The field's own table
+    is built here, read by max_stretch and the inverse, and freed with the
+    push.  gamma = 0 returns the density unchanged, bit for bit.
     """
     finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
     if not finite.all():
@@ -604,24 +607,26 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     if gamma == 0.0:
         return density
     grid = density.grid
-    stretch, node = field.max_stretch()
+    field_table = field.hermite()
+    stretch, node = field.max_stretch(field_table)
     if gamma * stretch >= 1.0 - 1e-9:
         raise NumericsError(
             "pushforward map is not injective: gamma * |field stretch| = "
             f"{gamma * stretch:.6g} at node {node}",
             particle=node,
         )
-    _, det, cells, t = _invert(grid, field, gamma)
+    _, det, cells, t = _invert(grid, field, field_table, gamma)
     table = _hermite_tensor(grid, density.log_density, density.log_gradient, "linear")
     log_rho_at = _horner(_gather(table, cells), t, grid.spacing, False)[0]
     return GridDensity.normalized(grid, log_rho_at - np.log(det))
 
 
-def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
-    """Solve y - gamma * field(y) = x at every node x by Newton's method;
-    returns y (n, d), det(I - gamma J) there with J the field's Jacobian,
-    and the cells (a column per axis) and offsets t (d, n) that locate y in
-    a Hermite table, for interpolating node values.
+def _invert(grid: Grid, field: FieldOnGrid, table: np.ndarray, gamma: float) -> tuple:
+    """Solve y - gamma * field(y) = x at every node x by Newton's method,
+    ``table`` being the field's hermite(); returns y (n, d), det(I - gamma J)
+    there with J the field's Jacobian, and the cells (a column per axis) and
+    offsets t (d, n) that locate y in a Hermite table, for interpolating
+    node values.
 
     Each round reads the field and its Jacobian from one gather of the
     field's table, and solves each node's d x d system, taking its
@@ -655,7 +660,7 @@ def _invert(grid: Grid, field: FieldOnGrid, gamma: float) -> tuple:
     for rounds in range(NEWTON_ROUNDS + 1):
         if fixed is None or rounds == 0:  # fixed cells are gathered once
             cells = fixed or tuple(_hermite_columns(x, q) for x, q in zip(grid.axes, y))
-            coeffs = _gather(field.hermite, cells)
+            coeffs = _gather(table, cells)
             # offsets are measured from each column's left node, x_0 below the box
             origins = np.stack([x[np.maximum(c - 1, 0)] for x, c in zip(grid.axes, cells)])
         t = (y - origins) / np.array(spacing)[:, None]

@@ -31,6 +31,22 @@ def in_open_box(t, lo, hi):
     return np.all((t > lo) & (t < hi), axis=1)
 
 
+def simplex_slack(t):
+    """The slack coordinate 1 - sum(t) of each row of t (n, d), as the
+    Neumaier-compensated sum of (1, -t_1, ..., -t_d).  Near the face
+    sum(t) = 1 the slack sits far below the rounding of a naive
+    1 - sum(t), and the simplex chart and the Dirichlet score divide by it."""
+    s = np.ones(t.shape[0])
+    c = np.zeros(t.shape[0])
+    for j in range(t.shape[1]):
+        x = -t[:, j]
+        tot = s + x
+        big = np.abs(s) >= np.abs(x)
+        c += np.where(big, (s - tot) + x, (x - tot) + s)
+        s = tot
+    return s + c
+
+
 def row_max(a):
     """The largest entry of each row of a (n, k), taken column by column."""
     out = a[:, 0].copy()
@@ -171,28 +187,14 @@ class EntropicSimplexMap(MirrorMap):
     def contains(self, theta):
         return in_open_simplex(theta)
 
-    def _slack(self, t):
-        # Neumaier-compensated sum of (1, -t_1, ..., -t_d). Near the face
-        # sum(theta) = 1 the slack sits far below the rounding of a naive
-        # 1 - sum(t), and it is the quantity the chart divides by.
-        s = np.ones(t.shape[0])
-        c = np.zeros(t.shape[0])
-        for j in range(t.shape[1]):
-            x = -t[:, j]
-            tot = s + x
-            big = np.abs(s) >= np.abs(x)
-            c += np.where(big, (s - tot) + x, (x - tot) + s)
-            s = tot
-        return s + c
-
     def psi(self, theta):
         self._require_interior(theta)
-        t0 = self._slack(theta)
+        t0 = simplex_slack(theta)
         return np.sum(theta * np.log(theta), axis=1) + t0 * np.log(t0)
 
     def grad_psi(self, theta):
         self._require_interior(theta)
-        return np.log(theta) - np.log(self._slack(theta))[:, None]
+        return np.log(theta) - np.log(simplex_slack(theta))[:, None]
 
     def grad_psi_star(self, x):
         # Softmax over the logits (0, x_1, ..., x_d); the max shift keeps the
@@ -222,7 +224,7 @@ class EntropicSimplexMap(MirrorMap):
     def hess_psi(self, theta):
         self._require_interior(theta)
         h = np.einsum("ni,ij->nij", 1.0 / theta, np.eye(self.dim))
-        h += (1.0 / self._slack(theta))[:, None, None]
+        h += (1.0 / simplex_slack(theta))[:, None, None]
         return h
 
     def hess_psi_inv(self, theta):
@@ -237,7 +239,7 @@ class EntropicSimplexMap(MirrorMap):
 
     def log_det_hess_inv(self, theta):
         self._require_interior(theta)
-        return np.sum(np.log(theta), axis=1) + np.log(self._slack(theta))
+        return np.sum(np.log(theta), axis=1) + np.log(simplex_slack(theta))
 
 
 class EntropicBoxMap(MirrorMap):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mirrors import (EntropicSimplexMap, EuclideanMap, in_open_box, in_open_simplex,
-                      require_inside)
+                      require_inside, simplex_slack)
 from .theory import SmoothnessProfile
 
 
@@ -69,7 +69,7 @@ class Dirichlet(ConstrainedTarget):
 
     def _slack(self, theta):
         require_inside(in_open_simplex(theta), theta, "simplex chart")
-        return 1.0 - np.sum(theta, axis=1)
+        return simplex_slack(theta)
 
     def log_density_unnorm(self, theta):
         slack = self._slack(theta)

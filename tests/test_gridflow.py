@@ -141,11 +141,11 @@ def invert_by_bisection(grid, field, gamma):
 
 def field_at(field, points):
     """(values (n, d), Jacobians (n, d, d)) of the interpolated field at
-    points (n, d), read off the field's own table at one cell lookup per
-    axis."""
+    points (n, d), read off a table of the field built here, at one cell
+    lookup per axis."""
     grid = field.grid
     cells = cells_of(grid, points)
-    value, *slopes = table_at(field.hermite, cells, offsets(grid, cells, points), grid, True)
+    value, *slopes = table_at(field.hermite(), cells, offsets(grid, cells, points), grid, True)
     return value.T, np.moveaxis(np.stack(slopes), (0, 1, 2), (2, 1, 0))
 
 
@@ -807,9 +807,10 @@ class TestKernelOperator:
             # The build peaks at 53.7 MB for either kernel, the stored tiles
             # alone: the last tile's F'' takes its squared distances' buffer
             # and F' the one more it builds in (56 MB when the build held f
-            # in a third).  The build and a step peak at 56.1 MB, the
-            # field's 0.6 MB Hermite table alive until the next field is
-            # built (55.6 MB with the bilinear step it replaced).  A stored
+            # in a third).  The build and a step peak at 56.0 MB inside
+            # the push, which holds the field's 0.6 MB Hermite table and the
+            # inverse's gathers; the next field's build peaks at 55.5 MB
+            # (56.1 MB while the field kept its table until then).  A stored
             # F would add 27 MB (the three factors peaked at 80 MB, their
             # full n x n matrices at 130 MB); gram
             # blocks would be 1 + d + d^2 = 7 n x n arrays (297 MB), and on
@@ -885,7 +886,7 @@ class TestPushforward:
         # 1.5 mid-interval: gamma 0.9 folds the map there
         grid = Grid((np.linspace(-3.0, 3.0, 16),))
         field = FieldOnGrid(grid, grid.nodes.copy(), np.zeros((16, 1, 1)))
-        stretch, node = field.max_stretch()
+        stretch, node = field.max_stretch(field.hermite())
         assert stretch == pytest.approx(1.5, rel=1e-12)
         assert 0 <= node < 16
         with pytest.raises(NumericsError, match="not injective") as info:
@@ -899,7 +900,7 @@ class TestPushforward:
         for _ in range(20):
             field = FieldOnGrid(grid, rng.standard_normal((12, 1)),
                                 rng.standard_normal((12, 1, 1)))
-            stretch, _ = field.max_stretch()
+            stretch, _ = field.max_stretch(field.hermite())
             sampled = float(np.max(np.abs(field_at(field, dense[:, None])[1])))
             assert sampled <= stretch <= sampled * (1.0 + 1e-6)
 
@@ -923,6 +924,7 @@ class TestPushforward:
         field = FieldOnGrid(grid, grid.nodes @ a.T, np.broadcast_to(a, (grid.size, 2, 2)))
         gamma = 0.25
         moved = pushforward_step(standard_normal_density(grid), field, gamma)
+        assert set(vars(field)) == {"grid", "values", "derivs"}  # no table outlives the push
         m = np.eye(2) - gamma * a
         cov = m @ m.T
         x = grid.nodes
@@ -934,9 +936,9 @@ class TestPushforward:
     def test_newton_inverse_matches_bisection(self, fraction):
         flow = MirroredFlow(quartic_target(), IMQKernel())
         field = flow.g_field(flow.initial_density())
-        stretch, _ = field.max_stretch()
+        stretch, _ = field.max_stretch(field.hermite())
         gamma = fraction / stretch
-        newton, det, _, _ = gridflow._invert(flow.grid, field, gamma)
+        newton, det, _, _ = gridflow._invert(flow.grid, field, field.hermite(), gamma)
         bisection = invert_by_bisection(flow.grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
         assert det.tobytes() == (1.0 - gamma * field_at(field, newton)[1][:, 0, 0]).tobytes()
@@ -992,8 +994,8 @@ class TestPushforward:
         target = dirichlet_target((5.0, 5.0, 5.0))
         flow = MirroredFlow(target, IMQKernel(), nodes=24)
         field = flow.g_field(flow.initial_density())
-        gamma = 0.5 / field.max_stretch()[0]
-        y, det, cells, t = gridflow._invert(flow.grid, field, gamma)
+        gamma = 0.5 / field.max_stretch(field.hermite())[0]
+        y, det, cells, t = gridflow._invert(flow.grid, field, field.hermite(), gamma)
         values, jac = field_at(field, y)
         assert np.max(np.abs(y - gamma * values - flow.grid.nodes)) <= gridflow.NEWTON_TOL
         want = np.linalg.det(np.eye(2) - gamma * jac)
@@ -1025,14 +1027,14 @@ class TestPushforward:
         for _ in range(10):
             field = FieldOnGrid(grid, rng.standard_normal((grid.size, 2)),
                                 rng.standard_normal((grid.size, 2, 2)))
-            stretch, node = field.max_stretch()
+            stretch, node = field.max_stretch(field.hermite())
             sampled = np.abs(field_at(field, dense)[1]).sum(axis=2).max()
             assert sampled <= stretch
             assert 0 <= node < grid.size
         bundle = dirichlet_preset_bundle()
         flow = MirroredFlow(bundle.mirrored, bundle.kernel, nodes=48)
         field = flow.g_field(flow.initial_density())
-        stretch, _ = field.max_stretch()
+        stretch, _ = field.max_stretch(field.hermite())
         # 12 points per cell along each axis, a chunk of rows at a time
         x0, x1 = (np.linspace(a[0], a[-1], 12 * (a.size - 1) + 1) for a in flow.grid.axes)
         sampled = max(
@@ -1056,13 +1058,13 @@ class TestPushforward:
             # the field vanishes at the middle node, which is its own preimage
             values, slopes, gamma = 0.3 * np.sin(x), 0.3 * np.cos(x), 1.0
         field = FieldOnGrid(grid, values[:, None], slopes[:, None, None])
-        assert gamma * field.max_stretch()[0] < 1.0
-        newton, det, cells, t = gridflow._invert(grid, field, gamma)
+        assert gamma * field.max_stretch(field.hermite())[0] < 1.0
+        newton, det, cells, t = gridflow._invert(grid, field, field.hermite(), gamma)
         bisection = invert_by_bisection(grid, field, gamma)
         assert np.max(np.abs(newton - bisection)) <= 1e-12
         assert det.tobytes() == (1.0 - gamma * field_at(field, newton)[1][:, 0, 0]).tobytes()
         # the cells and offsets locate the inverse on the field's own table
-        on_table = table_at(field.hermite, cells, t, grid, False)[0][0]
+        on_table = table_at(field.hermite(), cells, t, grid, False)[0][0]
         assert on_table.tobytes() == field_at(field, newton)[0][:, 0].tobytes()
         if case == "beyond-both-ends":
             assert newton[0, 0] < x[0] and newton[-1, 0] > x[-1]
@@ -1076,7 +1078,7 @@ class TestPushforward:
         flow = MirroredFlow(quartic_target(), IMQKernel())
         density = flow.initial_density()
         field = flow.g_field(density)
-        gamma = 0.5 / field.max_stretch()[0]
+        gamma = 0.5 / field.max_stretch(field.hermite())[0]
         calls = []
         for name in ("searchsorted", "interp", "digitize"):
             original = getattr(np, name)

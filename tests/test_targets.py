@@ -3,6 +3,7 @@ change-of-variables density, and the smoothness catalog against sampled
 Hessians."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
 )
 
 from msvgd.errors import ConfigError, DomainError
-from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap
+from msvgd.mirrors import EntropicBoxMap, EntropicSimplexMap, EuclideanMap, in_open_simplex
 from msvgd.targets import (
     Dirichlet,
     MirroredPowerLaw,
@@ -66,6 +67,31 @@ class TestDirichlet:
         logs = np.log(np.concatenate([theta, slack], axis=1))
         got = target.log_density_unnorm_from_logs(logs)
         assert np.allclose(got, target.log_density_unnorm(theta), rtol=1e-13)
+
+    @pytest.mark.parametrize("conc", [(2.0, 3.0, 4.0), (2.0, 3.0, 4.0, 5.0)])
+    def test_near_face_score_matches_the_exact_slack(self, rng, conc):
+        # 2000 points with slack 1e-14 to 1e-6, against the score of their
+        # float coordinates with the slack taken exactly in rationals; a
+        # naive 1 - sum(theta) put (alpha_K - 1) / slack off by up to 0.9%
+        target = Dirichlet(conc)
+        d = target.dim
+        g = rng.gamma(1.0, 1.0, size=(2000, d))
+        slack = 10.0 ** rng.uniform(-14.0, -6.0, (2000, 1))
+        theta = (1.0 - slack) * g / g.sum(axis=1, keepdims=True)
+        exact = np.array([1 - sum(map(Fraction, row)) for row in theta], dtype=object)
+        keep = (exact > 0) & in_open_simplex(theta)
+        assert keep.sum() > 1500
+        theta, exact = theta[keep], exact[keep]
+        want = np.array([[float(Fraction(a - 1.0) / Fraction(t) - Fraction(conc[-1] - 1.0) / s)
+                          for a, t in zip(conc, row)] for row, s in zip(theta, exact)])
+        got = target.grad_log_density(theta)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+        # the target's slack is the map's, bit for bit: with alpha (1, .., 1, 2)
+        # the score is -1 / slack, and the map's Hessian adds 1 / slack to
+        # each entry
+        ones = Dirichlet((1.0,) * d + (2.0,)).grad_log_density(theta)
+        hess = EntropicSimplexMap(d).hess_psi(theta)
+        assert (-ones[:, 0]).tobytes() == hess[:, 0, 1].tobytes()
 
     def test_validation(self):
         with pytest.raises(ConfigError):
