@@ -20,6 +20,7 @@ importing msvgd as a library changes nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import csv
 import json
@@ -134,9 +135,34 @@ def _cmd_run(args) -> int:
 # verify
 
 
-def _verify_descent(flow, certificate, gamma: float, steps: int) -> tuple:
-    out = flow.run(gamma, steps)
-    report = descent_check(flow, out["records"], gamma, certificate=certificate)
+# the spans of verify's manifest.json "timings" block, in seconds: the flow's
+# build, its field builds and pushes (MirroredFlow.timings), the records,
+# the suite's checks and the report and csv writes
+VERIFY_SPANS = ("flow_build", "fields", "pushes", "records", "checks", "writes")
+
+
+@contextlib.contextmanager
+def _timed(spans: dict, name: str):
+    """Add the time.perf_counter span of the block to spans[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        spans[name] += time.perf_counter() - start
+
+
+def _records(flow, states, spans: dict) -> list:
+    records = []
+    for state in states:
+        with _timed(spans, "records"):
+            records.append(flow.record(*state))
+    return records
+
+
+def _verify_descent(flow, certificate, gamma: float, steps: int, spans: dict) -> tuple:
+    records = _records(flow, flow.states(gamma, steps), spans)
+    with _timed(spans, "checks"):
+        report = descent_check(flow, records, gamma, certificate=certificate)
     violations = [
         f"step {row['step']}: KL drop {row['kl_next'] - row['kl']:.6g} exceeds "
         f"bound {row['bound_rhs']:.6g}"
@@ -155,7 +181,7 @@ def _verify_descent(flow, certificate, gamma: float, steps: int) -> tuple:
     if not report["kl_strictly_decreased"]:
         violations.append("KL did not strictly decrease over the run")
     report["violations"] = violations
-    return report, out["records"], bool(report["passed"]) and not violations
+    return report, records, bool(report["passed"]) and not violations
 
 
 def _suite_report(tolerance: float, gamma: float, checks: list, violations: list) -> dict:
@@ -168,13 +194,15 @@ def _tenth_states(flow, gamma: float, steps: int):
     return (s for s in flow.states(gamma, steps) if s[0] % 10 == 0 or s[0] == steps)
 
 
-def _verify_lemmas(flow, gamma: float, steps: int) -> tuple:
+def _verify_lemmas(flow, gamma: float, steps: int, spans: dict) -> tuple:
     records, checks, violations = [], [], []
     for step, density, field in _tenth_states(flow, gamma, steps):
-        records.append(flow.record(step, density, field))
+        with _timed(spans, "records"):
+            records.append(flow.record(step, density, field))
         if step % 10:  # the final state is recorded too, but not checked
             continue
-        gaps = flow.g_forms_gap(density, field)
+        with _timed(spans, "checks"):
+            gaps = flow.g_forms_gap(density, field)
         worst = max(gaps.values())
         ok = worst <= LEMMA_GAP_TOL
         checks.append({"step": step, **gaps, "ok": ok})
@@ -186,10 +214,11 @@ def _verify_lemmas(flow, gamma: float, steps: int) -> tuple:
     return _suite_report(LEMMA_GAP_TOL, gamma, checks, violations), records, not violations
 
 
-def _verify_bounds(flow, bundle, gamma: float, steps: int) -> tuple:
-    records = [flow.record(*state) for state in _tenth_states(flow, gamma, steps)]
-    rows = fisher_norm_margins(records, bundle.kernel.bounds(),
-                               flow.map.strong_convexity, flow.grid.dim)
+def _verify_bounds(flow, bundle, gamma: float, steps: int, spans: dict) -> tuple:
+    records = _records(flow, _tenth_states(flow, gamma, steps), spans)
+    with _timed(spans, "checks"):
+        rows = fisher_norm_margins(records, bundle.kernel.bounds(),
+                                   flow.map.strong_convexity, flow.grid.dim)
     violations = [
         f"step {row['step']}: field norm {row['field_norm']:.6g} exceeds "
         f"bound {row['bound_rhs']:.6g}"
@@ -224,15 +253,18 @@ def _cmd_verify(args) -> int:
     if not 0.0 < gamma < math.inf:  # the product over- or underflowed
         raise ConfigError(f"resolved step size must be positive and finite, got {gamma}")
 
-    flow = MirroredFlow(bundle.mirrored, bundle.kernel,
-                        nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
+    spans = dict.fromkeys(VERIFY_SPANS, 0.0)
     started = time.perf_counter()
+    with _timed(spans, "flow_build"):
+        flow = MirroredFlow(bundle.mirrored, bundle.kernel,
+                            nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     if args.suite == "descent":
-        report, records, passed = _verify_descent(flow, bundle.certificate, gamma, steps)
+        report, records, passed = _verify_descent(flow, bundle.certificate, gamma, steps, spans)
     elif args.suite == "lemmas":
-        report, records, passed = _verify_lemmas(flow, gamma, steps)
+        report, records, passed = _verify_lemmas(flow, gamma, steps, spans)
     else:
-        report, records, passed = _verify_bounds(flow, bundle, gamma, steps)
+        report, records, passed = _verify_bounds(flow, bundle, gamma, steps, spans)
+    spans.update(flow.timings)
 
     report = {
         "suite": args.suite,
@@ -241,14 +273,16 @@ def _cmd_verify(args) -> int:
         "grid_nodes": flow.grid.shape,
         **report,
     }
-    _write_json(out_dir / REPORT_FILE, report)
-    _write_verify_csv(out_dir / VERIFY_CSV_FILE, records, gamma)
+    with _timed(spans, "writes"):
+        _write_json(out_dir / REPORT_FILE, report)
+        _write_verify_csv(out_dir / VERIFY_CSV_FILE, records, gamma)
     engine.write_manifest(
         out_dir, cfg,
         summary={"suite": args.suite, "passed": passed, "gamma": gamma,
                  "violations": report["violations"]},
         outputs=[REPORT_FILE, VERIFY_CSV_FILE],
         elapsed_s=time.perf_counter() - started,
+        timings=spans,
     )
     if passed:
         print(f"verify {args.suite}: all checks passed, report in {out_dir}")
@@ -324,6 +358,7 @@ def _cmd_theory(args) -> int:
             summary={"gamma_general": gamma_general, "gamma_tp": gamma_tp},
             outputs=[THEORY_FILE],
             elapsed_s=time.perf_counter() - started,
+            timings=None,
         )
     return 0
 

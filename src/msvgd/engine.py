@@ -360,7 +360,7 @@ def run(bundle: RuntimeBundle, out_dir) -> dict:
         }
         write_manifest(out_dir, cfg, summary=summary,
                        outputs=[TRAJECTORY_FILE, DIAGNOSTICS_FILE],
-                       elapsed_s=time.perf_counter() - started)
+                       elapsed_s=time.perf_counter() - started, timings=None)
     return summary
 
 
@@ -379,12 +379,14 @@ def _peak_rss_mb() -> float | None:
 
 
 def write_manifest(out_dir, cfg: RunConfig | None, summary: dict, outputs: list,
-                   elapsed_s: float) -> Path:
+                   elapsed_s: float, timings: dict | None) -> Path:
     """Drop a manifest.json describing what was produced and from what.
     Its ``build`` block names the BLAS library and the thread settings the
     run found (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, each None when unset,
     and the CPU affinity size), since the snapshot's bits depend on the
-    BLAS thread count."""
+    BLAS thread count.  ``timings``, the command's time.perf_counter spans
+    in seconds within elapsed_s, becomes a ``timings`` block; a command
+    that keeps none passes None and writes no block."""
     from . import __version__
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -407,6 +409,8 @@ def write_manifest(out_dir, cfg: RunConfig | None, summary: dict, outputs: list,
             "written_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
     }
+    if timings is not None:
+        manifest["timings"] = timings
     path = Path(out_dir) / MANIFEST_FILE
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

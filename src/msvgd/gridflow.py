@@ -12,10 +12,23 @@ target (target_box), unless a halfwidth is given.  The flow holds one state
 at a time.  MirroredFlow.states builds each state's field once and pushes
 the state forward only when the next one is asked for; MirroredFlow.run
 keeps scalar records and the final density only.
-Each array is computed once per grid (nodes, weights, log weights), per flow
-(the target density, |grad V|), per state (exp(log rho), w rho, the log
-gradient; GridDensity.normalized builds and validates each state once) or
-per field (its tensor-product Hermite table).
+Each array is built once where it lives:
+- per grid: the nodes, weights, log weights, spacing and shape (Grid), the
+  edge stencils of _fd4_uniform scaled by the spacing, and the Bernstein
+  rows of max_stretch in d >= 2 (both cached by spacing);
+- per flow: the target density, the operand and |grad V|, the dual
+  Jacobians and the kernel operator (the lattice spectra or the tiles);
+- per state: exp(log rho), w rho and the log gradient (GridDensity, built
+  and validated by GridDensity.normalized in one pass), the field, and the
+  record's dual score ratio;
+- per push: the field's Hermite table, read by max_stretch and the
+  inverse, the closed breakpoints of each axis (d >= 2), in 1D the forward
+  node images, their merged columns and the gathered cell coefficients
+  with their products by the spacing, and the log density's Hermite table;
+- per Newton round: the offsets, the residual and det(I - gamma J), and in
+  d >= 2 the cells, their gather and the elimination.
+MirroredFlow.timings keeps the time.perf_counter totals of the field
+builds and the pushes of states, for verify's manifest.
 descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
 
@@ -35,9 +48,10 @@ for the log density (values and its finite-difference gradient, extended
 linearly beyond the box).  The pushforward inverts x - gamma * g by
 Newton's method, reading the field and its Jacobian from one gather of a
 cell per round and solving each node's d x d system by elimination; in 1D
-one search finds the interval holding each node's preimage, and Newton
-runs inside it with no further lookup.  The state's log density is then
-interpolated on the converged cells without a second lookup.
+one merge of the sorted nodes with their sorted forward images finds the
+interval holding each node's preimage, and Newton runs inside it with no
+further lookup.  The state's log density is then interpolated on the
+converged cells without a second lookup.
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -50,6 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import time
 
 import numpy as np
 
@@ -110,7 +125,8 @@ class GridDensity:
             raise ConfigError(
                 f"log density has {log_density.size} values for a grid of {grid.size} nodes"
             )
-        if np.any(np.isnan(log_density)) or np.any(log_density == np.inf):
+        # the largest value is nan when any value is: one pass refuses both
+        if not log_density.max() < np.inf:
             raise DomainError("log density must be finite or -inf")
         self.grid = grid
         self.log_density = log_density
@@ -130,14 +146,17 @@ class GridDensity:
         """Finite-difference gradient of the log density at every node,
         shape (size, dim), read-only.  Computed once per density: a state's
         dual score ratio and its pushforward's Hermite table share it."""
-        if np.any(np.isneginf(self.log_density)):
+        if self.log_density.min() == -np.inf:  # __init__ has refused nan
             node = int(np.argmin(self.log_density))
             raise DomainError(
                 f"density is zero at node {node}; the log gradient is undefined there"
             )
-        logrho = self.log_density.reshape(self.grid.shape)
-        return read_only(np.stack([_fd4_along(logrho, k, h).ravel()
-                                   for k, h in enumerate(self.grid.spacing)], axis=1))
+        grid = self.grid
+        logrho = self.log_density.reshape(grid.shape)
+        out = np.empty((grid.size, grid.dim))
+        for k, h in enumerate(grid.spacing):
+            out[:, k] = _fd4_along(logrho, k, h).ravel()
+        return read_only(out)
 
     @classmethod
     def normalized(cls, grid: Grid, log_values: np.ndarray) -> "GridDensity":
@@ -208,15 +227,27 @@ _FD4_EDGE_STENCILS = tuple(
 )
 
 
+@functools.lru_cache(maxsize=16)
+def _fd4_edge_stencils(h: float) -> tuple:
+    """_FD4_EDGE_STENCILS for spacing h, built once per spacing."""
+    return tuple((row, read_only(w / h)) for row, w in _FD4_EDGE_STENCILS)
+
+
 def _fd4_uniform(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative along the last axis of a uniform grid,
     one-sided five-point stencils at the edges."""
     v = values
     out = np.empty_like(v)
-    out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
-    for row, w in _FD4_EDGE_STENCILS:
+    # (v0 - 8 v1 + 8 v3 - v4) / (12 h), left to right, in the interior's slots
+    mid = out[..., 2:-2]
+    np.multiply(8.0, v[..., 1:-3], out=mid)
+    np.subtract(v[..., :-4], mid, out=mid)
+    mid += 8.0 * v[..., 3:-1]
+    mid -= v[..., 4:]
+    mid /= 12.0 * h
+    for row, w in _fd4_edge_stencils(h):
         chunk = v[..., :5] if row >= 0 else v[..., -5:]
-        out[..., row] = np.dot(chunk, w / h)
+        out[..., row] = np.dot(chunk, w)
     return out
 
 
@@ -255,7 +286,7 @@ def _hermite_table(v: np.ndarray, m: np.ndarray, h: float, extend: str) -> np.nd
     c1 + t (c2 2 / h + t c3 3 / h).  Beyond the box it is held "constant" or
     extended "linear"-ly along the edge slope."""
     n = v.shape[-1]
-    table = np.zeros((4,) + v.shape[:-1] + (n + 1,))
+    table = np.empty((4,) + v.shape[:-1] + (n + 1,))
     c0, c1, c2, c3 = table[..., 1:n]  # the intervals, written in place
     c0[...] = v[..., :-1]
     np.multiply(m[..., :-1], h, out=c1)  # h m0 until the slope replaces it
@@ -268,9 +299,11 @@ def _hermite_table(v: np.ndarray, m: np.ndarray, h: float, extend: str) -> np.nd
     c2 += c1
     np.negative(c2, out=c2)  # -(3 fall + 2 h m0 + h m1)
     c1[...] = m[..., :-1]
-    table[0, ..., 0], table[0, ..., n] = v[..., 0], v[..., -1]
+    beyond = table[..., ::n]  # columns 0 and n
+    beyond[0] = v[..., ::n - 1]
+    beyond[1:] = 0.0
     if extend == "linear":
-        table[1, ..., 0], table[1, ..., n] = m[..., 0], m[..., -1]
+        beyond[1] = m[..., ::n - 1]
     return table
 
 
@@ -307,13 +340,29 @@ def _hermite_tensor(grid: Grid, values: np.ndarray, derivs: np.ndarray, extend: 
     return read_only(data)
 
 
-def _hermite_columns(breaks: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Column of each point q among increasing breakpoints, by one binary
-    search: breaks[j - 1] <= q < breaks[j], except that the last breakpoint
-    itself closes column n - 1."""
+def _closed(breaks: np.ndarray) -> np.ndarray:
+    """A copy of increasing breakpoints with the last one raised by an ulp,
+    so that a right-sided search among them closes column n - 1 at the last
+    breakpoint itself."""
     closed = breaks.copy()
     closed[-1] = np.nextafter(closed[-1], np.inf)
+    return closed
+
+
+def _hermite_columns(closed: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Column of each point q among increasing breakpoints, given as
+    _closed(breaks), by one binary search: breaks[j - 1] <= q < breaks[j],
+    except that the last breakpoint itself closes column n - 1."""
     return np.searchsorted(closed, q, side="right")
+
+
+def _merged_columns(closed: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """_hermite_columns for increasing q, by one merge of the two sorted
+    sequences: a stable sort of their concatenation, linear in its two
+    runs, places every breakpoint before the points equal to it, so each
+    point's column is the count of breakpoints placed before it."""
+    order = np.argsort(np.concatenate([closed, q]), kind="stable")
+    return np.flatnonzero(order >= closed.size) - np.arange(q.size)
 
 
 def _gather(table: np.ndarray, cells: tuple) -> np.ndarray:
@@ -322,7 +371,7 @@ def _gather(table: np.ndarray, cells: tuple) -> np.ndarray:
     flat, d = cells[0], len(cells)
     for column, size in zip(cells[1:], table.shape[1 - d:]):
         flat = flat * size + column
-    return np.take(table.reshape(table.shape[:-d] + (-1,)), flat, axis=-1)
+    return table.reshape(table.shape[:-d] + (-1,)).take(flat, axis=-1)
 
 
 def _horner(coeffs: np.ndarray, t: np.ndarray, spacing: tuple, slopes: bool) -> list:
@@ -338,6 +387,7 @@ def _horner(coeffs: np.ndarray, t: np.ndarray, spacing: tuple, slopes: bool) -> 
     return parts
 
 
+@functools.lru_cache(maxsize=16)
 def _bernstein_rows(spacing: tuple, axis: int) -> np.ndarray:
     """The matrix that takes a Hermite table's cells, flattened over their
     coefficient axes, to the Bernstein coefficients on [0, 1]^d of the
@@ -349,7 +399,7 @@ def _bernstein_rows(spacing: tuple, axis: int) -> np.ndarray:
     bernstein = np.array([[math.comb(j, i) / math.comb(3, i) for i in range(4)] for j in range(4)])
     factors = [bernstein @ (np.eye(4, k=1) * [[1.0], [2.0 / h], [3.0 / h], [0.0]] if k == axis
                             else np.diag([1.0, h, 1.0, 1.0])) for k, h in enumerate(spacing)]
-    return functools.reduce(np.kron, reversed(factors))
+    return read_only(functools.reduce(np.kron, reversed(factors)))
 
 
 class FieldOnGrid:
@@ -408,7 +458,11 @@ class FieldOnGrid:
                 t = s1 / s2
             t *= -0.5
             t[~((t > 0.0) & (t < 1.0))] = 0.0
-            peak = np.abs(c[1] + t * (s1 + t * s2))
+            peak = t * s2  # |c1 + t (s1 + t s2)|, in one buffer
+            peak += s1
+            peak *= t
+            peak += c[1]
+            np.abs(peak, out=peak)
             k = int(np.argmax(peak))
             if peak[k] > mags[node]:
                 return float(peak[k]), k + int(t[k] > 0.5)
@@ -462,6 +516,8 @@ class MirroredFlow:
             np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
         self.dual_jacobian = kernel.dual_jacobian(self.hinv)
         self.kernel_operator = cached_kernel_operator(kernel, self.theta, self.grid)
+        # time.perf_counter totals (s) of the field builds and pushes of states
+        self.timings = {"fields": 0.0, "pushes": 0.0}
 
     # -- densities ----------------------------------------------------------
 
@@ -498,7 +554,8 @@ class MirroredFlow:
         u = wrho[:, None, None] * jac if form == "score" else None
         vals, dvals = self.kernel_operator.apply(wrho[:, None] * op, u)
         # dvals differentiates in the chart's evaluation slot: chain rule to dual
-        derivs = sign * np.einsum("jdc,jcf->jdf", dvals, jac)
+        derivs = np.einsum("jdc,jcf->jdf", dvals, jac)
+        derivs *= sign
         return FieldOnGrid(self.grid, sign * vals, derivs)
 
     def _primal_operand(self, density: GridDensity) -> np.ndarray:
@@ -570,11 +627,16 @@ class MirroredFlow:
         state forward when the next one is asked for."""
         if density is None:
             density = self.initial_density()
+        timings = self.timings
         for n in range(steps + 1):
+            start = time.perf_counter()
             field = self.g_field(density, form="score")
+            timings["fields"] += time.perf_counter() - start
             yield n, density, field
             if n < steps:
+                start = time.perf_counter()
                 density = pushforward_step(density, field, gamma)
+                timings["pushes"] += time.perf_counter() - start
 
     def run(self, gamma: float, steps: int, density: GridDensity | None = None) -> dict:
         """Flow for a fixed number of steps: {"records": the record of every
@@ -600,8 +662,8 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     is built here, read by max_stretch and the inverse, and freed with the
     push.  gamma = 0 returns the density unchanged, bit for bit.
     """
-    finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
-    if not finite.all():
+    if not (np.isfinite(field.values).all() and np.isfinite(field.derivs).all()):
+        finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
         node = int(np.argmin(finite))
         raise NumericsError(f"non-finite field at node {node}", particle=node)
     if gamma == 0.0:
@@ -618,7 +680,8 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     _, det, cells, t = _invert(grid, field, field_table, gamma)
     table = _hermite_tensor(grid, density.log_density, density.log_gradient, "linear")
     log_rho_at = _horner(_gather(table, cells), t, grid.spacing, False)[0]
-    return GridDensity.normalized(grid, log_rho_at - np.log(det))
+    log_rho_at -= np.log(det, out=det)
+    return GridDensity.normalized(grid, log_rho_at)
 
 
 def _invert(grid: Grid, field: FieldOnGrid, table: np.ndarray, gamma: float) -> tuple:
@@ -628,54 +691,84 @@ def _invert(grid: Grid, field: FieldOnGrid, table: np.ndarray, gamma: float) -> 
     offsets t (d, n) that locate y in a Hermite table, for interpolating
     node values.
 
-    Each round reads the field and its Jacobian from one gather of the
+    Each round reads the field and its Jacobian from a gather of the
     field's table, and solves each node's d x d system, taking its
     determinant, by Gaussian elimination without pivoting: pushforward_step
     has checked gamma * max_stretch < 1, so I - gamma J is strictly
     diagonally dominant by rows.  In d >= 2 Newton starts at x + gamma v(x),
     v the field's node values, and each round looks up its cells, one search
-    per axis.  In 1D the map is
-    strictly increasing (the field is constant beyond the box), so one
-    search of the nodes among the forward node images x_i - gamma v_i finds
-    the column holding each preimage: an interval of the box, or the
-    constant piece beyond it.  Newton then starts on the secant of the
-    forward map over that column and runs on it alone, gathered once, with
-    no lookup in any round.  Every residual, beyond the box too, must reach
-    NEWTON_TOL within NEWTON_ROUNDS steps, or the worst node is named in a
-    NumericsError.
+    per axis among the axis's closed breakpoints (built once per push), and
+    gathers them.  In 1D the map is strictly increasing (the field is
+    constant beyond the box), so one merge of the nodes with the forward
+    node images x_i - gamma v_i, both sorted, finds the column holding each
+    preimage: an interval of the box, or the constant piece beyond it.
+    Newton then starts on the secant of the forward map over that column and
+    runs on it alone: the column's coefficients are gathered once, with their products
+    by the spacing that _horner forms, and each round evaluates the cubic
+    and its slope and divides, with no lookup.  Every residual, beyond the
+    box too, must reach NEWTON_TOL within NEWTON_ROUNDS steps, or the worst
+    node is named in a NumericsError.
     """
-    nodes, spacing = grid.nodes.T, grid.spacing
     if grid.dim == 1:
-        x, h = grid.axes[0], spacing[0]
+        x, h = grid.axes[0], grid.spacing[0]
         forward = x - gamma * field.values[:, 0]
-        columns = _hermite_columns(forward, x)
+        columns = _merged_columns(_closed(forward), x)
+        # offsets are measured from each column's left node, x_0 below the box
+        left = np.maximum(columns - 1, 0)
+        origin = x[left]
         # start on the secant of the forward map over the column's interval;
         # beyond the box the piece is constant and any start converges at once
-        lo = np.clip(columns - 1, 0, x.size - 2)
+        lo = np.minimum(left, x.size - 2)
         f0 = forward[lo]
-        y = (x[np.maximum(columns - 1, 0)] + h * ((x - f0) / (forward[lo + 1] - f0)))[None]
-        fixed = (columns,)
+        y = (origin + h * ((x - f0) / (forward[lo + 1] - f0)))[None]
+        c0, c1, c2, c3 = _gather(table, (columns,))[:, 0]
+        hc1, s2, s3 = h * c1, c2 * (2.0 / h), c3 * (3.0 / h)
+        for rounds in range(NEWTON_ROUNDS + 1):
+            t = y - origin
+            t /= h
+            # y - gamma * value - x, the value by _horner's rule
+            residual = t * c3
+            residual += c2
+            residual *= t
+            residual += hc1
+            residual *= t
+            residual += c0
+            residual *= gamma
+            np.subtract(y, residual, out=residual)
+            residual -= x
+            worst = np.abs(residual)
+            # 1 - gamma J, the slope J by _horner's rule
+            det = t * s3
+            det += s2
+            det *= t
+            det += c1
+            det *= -gamma
+            det += 1.0
+            if float(worst.max()) <= NEWTON_TOL:
+                return y.T, det[0], (columns,), t
+            if rounds < NEWTON_ROUNDS:
+                y = y - residual / det
     else:
-        y, fixed = nodes + gamma * field.values.T, None
-    for rounds in range(NEWTON_ROUNDS + 1):
-        if fixed is None or rounds == 0:  # fixed cells are gathered once
-            cells = fixed or tuple(_hermite_columns(x, q) for x, q in zip(grid.axes, y))
-            coeffs = _gather(table, cells)
-            # offsets are measured from each column's left node, x_0 below the box
+        nodes, spacing = grid.nodes.T, grid.spacing
+        closed = [_closed(x) for x in grid.axes]
+        steps = np.array(spacing)[:, None]
+        y = nodes + gamma * field.values.T
+        for rounds in range(NEWTON_ROUNDS + 1):
+            cells = tuple(_hermite_columns(b, q) for b, q in zip(closed, y))
             origins = np.stack([x[np.maximum(c - 1, 0)] for x, c in zip(grid.axes, cells)])
-        t = (y - origins) / np.array(spacing)[:, None]
-        value, *slopes = _horner(coeffs, t, spacing, True)
-        residual = y - gamma * value - nodes
-        worst = np.abs(residual)
-        # I - gamma J, with J[i, k] the derivative of component i along axis k
-        system = -gamma * np.stack(slopes, axis=1)
-        for k in range(grid.dim):
-            system[k, k] += 1.0
-        step, det = _eliminate(system, residual)
-        if float(np.max(worst)) <= NEWTON_TOL:
-            return y.T, det, cells, t
-        if rounds < NEWTON_ROUNDS:
-            y = y - step
+            t = (y - origins) / steps
+            value, *slopes = _horner(_gather(table, cells), t, spacing, True)
+            residual = y - gamma * value - nodes
+            worst = np.abs(residual)
+            # I - gamma J, with J[i, k] the derivative of component i along axis k
+            system = -gamma * np.stack(slopes, axis=1)
+            for k in range(grid.dim):
+                system[k, k] += 1.0
+            step, det = _eliminate(system, residual)
+            if float(worst.max()) <= NEWTON_TOL:
+                return y.T, det, cells, t
+            if rounds < NEWTON_ROUNDS:
+                y = y - step
     worst = np.max(worst, axis=0)
     node = int(np.argmax(worst))
     raise NumericsError(
@@ -713,11 +806,13 @@ def kl_quadrature(density: GridDensity, reference: GridDensity) -> float:
     rho = density.density
     support = rho > 0.0
     gap = density.log_density - reference.log_density
-    if np.any(~np.isfinite(gap[support])):
-        return math.inf
     integrand = np.zeros_like(rho)
-    integrand[support] = rho[support] * gap[support]
+    np.multiply(rho, gap, out=integrand, where=support)
     value = float(np.dot(density.grid.weights, integrand))
+    # a non-finite gap where rho > 0 makes the integral non-finite, so the
+    # gap is searched only then
+    if not math.isfinite(value) and not np.isfinite(gap[support]).all():
+        return math.inf
     if value < -1e-9:
         raise NumericsError(f"KL quadrature returned {value}, below the -1e-9 floor")
     return value

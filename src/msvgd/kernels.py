@@ -694,12 +694,23 @@ class _LatticeOperator:
 
     def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
         size, d = q.shape
-        Q = self._spectrum(q.reshape(self._shape + (d,)))
-        V = self._K[..., None] * Q
-        DV = Q[..., :, None] * self._K1rev[..., None, :]
+        lattice = self._shape
+        # q and u go through one forward transform as the columns of one
+        # stack, and V and DV come back through one inverse as another
+        operands = np.empty(lattice + (d if u is None else d + d * d,))
+        operands[..., :d] = q.reshape(lattice + (d,))
         if u is not None:
-            U = self._spectrum(u.reshape(self._shape + (d, d)))
+            operands[..., d:] = u.reshape(lattice + (d * d,))
+        spectra = self._spectrum(operands)
+        products = np.empty(spectra.shape[:-1] + (d + d * d,), dtype=spectra.dtype)
+        square = spectra.shape[:-1] + (d, d)
+        Q, V = spectra[..., :d], products[..., :d]
+        DV = np.reshape(products[..., d:], square, copy=False)
+        np.multiply(self._K[..., None], Q, out=V)
+        np.multiply(Q[..., :, None], self._K1rev[..., None, :], out=DV)
+        if u is not None:
+            U = np.reshape(spectra[..., d:], square, copy=False)
             V += np.einsum("...e,...de->...d", self._K1, U)
             DV += np.einsum("...ec,...de->...dc", self._K12, U)
-        return (self._convolved(V).reshape(size, d),
-                self._convolved(DV).reshape(size, d, d))
+        full = self._convolved(products)
+        return full[..., :d].reshape(size, d), full[..., d:].reshape(size, d, d)

@@ -8,8 +8,10 @@ hess_psi_inv, and the row divergence of the inverse Hessian.
 The point contract.  Every point op takes an (n, d) batch and returns
 per-row arrays: (n,) for a scalar, (n, d) for a vector, (n, d, d) for a
 matrix.  Each open domain is tested by one predicate, a module-level
-function (``in_open_simplex``, ``in_open_box``).  The map's ``contains``
-is that predicate, the targets' own domain checks call it, and
+function (``in_open_simplex``, ``in_open_box``); ``simplex_interior``
+returns the simplex's mask with the compensated slack it tests, for a
+caller that divides by that slack.  The map's ``contains`` is that
+predicate, the targets' own domain checks call it, and
 grad_psi_star applies it to its own output.  A point outside the open
 domain raises DomainError.  A dual point whose conjugate rounds onto a face
 raises NumericsError naming the first such particle: the chart never clamps
@@ -23,7 +25,18 @@ from .errors import DomainError, NumericsError
 
 def in_open_simplex(t):
     """Rows of t (n, d) strictly inside {t_i > 0, sum t < 1}, shape (n,)."""
-    return np.all(t > 0.0, axis=1) & (np.sum(t, axis=1) < 1.0)
+    return simplex_interior(t)[0]
+
+
+def simplex_interior(t):
+    """(inside, slack) for the rows of t (n, d): in_open_simplex's mask and
+    the slack it tests, simplex_slack(t).  A row is inside when every
+    coordinate and its compensated slack are positive; a naive
+    1 - sum(t) rounds the slack of rows next to the face sum(t) = 1 to 0 or
+    below and would refuse rows the simplex formulas, which divide by the
+    compensated slack, can serve."""
+    slack = simplex_slack(t)
+    return np.all(t > 0.0, axis=1) & (slack > 0.0), slack
 
 
 def in_open_box(t, lo, hi):
@@ -187,14 +200,19 @@ class EntropicSimplexMap(MirrorMap):
     def contains(self, theta):
         return in_open_simplex(theta)
 
+    def _slack(self, theta):
+        """The slack of theta, once for the domain check and the formula."""
+        inside, slack = simplex_interior(theta)
+        require_inside(inside, theta, f"domain of {type(self).__name__}")
+        return slack
+
     def psi(self, theta):
-        self._require_interior(theta)
-        t0 = simplex_slack(theta)
+        t0 = self._slack(theta)
         return np.sum(theta * np.log(theta), axis=1) + t0 * np.log(t0)
 
     def grad_psi(self, theta):
-        self._require_interior(theta)
-        return np.log(theta) - np.log(simplex_slack(theta))[:, None]
+        slack = self._slack(theta)
+        return np.log(theta) - np.log(slack)[:, None]
 
     def grad_psi_star(self, x):
         # Softmax over the logits (0, x_1, ..., x_d); the max shift keeps the
@@ -222,9 +240,9 @@ class EntropicSimplexMap(MirrorMap):
         return row_sum(logs)
 
     def hess_psi(self, theta):
-        self._require_interior(theta)
+        slack = self._slack(theta)
         h = np.einsum("ni,ij->nij", 1.0 / theta, np.eye(self.dim))
-        h += (1.0 / simplex_slack(theta))[:, None, None]
+        h += (1.0 / slack)[:, None, None]
         return h
 
     def hess_psi_inv(self, theta):
@@ -238,8 +256,8 @@ class EntropicSimplexMap(MirrorMap):
         return 1.0 - (self.dim + 1) * theta
 
     def log_det_hess_inv(self, theta):
-        self._require_interior(theta)
-        return np.sum(np.log(theta), axis=1) + np.log(simplex_slack(theta))
+        slack = self._slack(theta)
+        return np.sum(np.log(theta), axis=1) + np.log(slack)
 
 
 class EntropicBoxMap(MirrorMap):

@@ -38,10 +38,11 @@ def read_only(values: np.ndarray) -> np.ndarray:
 def log_sum_exp(values: np.ndarray) -> float:
     """log(sum(exp(values))), shifted by the largest value so no term
     overflows; -inf when every value is -inf."""
-    peak = float(np.max(values))
+    peak = float(values.max())
     if not math.isfinite(peak):
         return peak
-    return peak + math.log(float(np.sum(np.exp(values - peak))))
+    shifted = values - peak
+    return peak + math.log(float(np.exp(shifted, out=shifted).sum()))
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,15 @@ class Grid:
     def dim(self) -> int:
         return len(self.axes)
 
-    @property
+    @functools.cached_property
     def shape(self) -> tuple:
         return tuple(a.size for a in self.axes)
 
-    @property
+    @functools.cached_property
     def size(self) -> int:
         return math.prod(self.shape)
 
-    @property
+    @functools.cached_property
     def spacing(self) -> tuple:
         return tuple(float(a[1] - a[0]) for a in self.axes)
 

@@ -12,8 +12,9 @@ and for a power law whose potential admits no Hessian growth bound at all.
 
 Targets keep the point contract of ``mirrors``: every point op takes an
 (n, d) batch and returns per-row arrays.  A target's domain check is its
-domain's one predicate from ``mirrors`` (``in_open_simplex``,
-``in_open_box``), the test the map's ``contains`` makes, so a primal point
+domain's one predicate from ``mirrors`` (``in_open_simplex``, read with
+its slack through ``simplex_interior``, and ``in_open_box``), the test the
+map's ``contains`` makes, so a primal point
 the chart returns is never refused here: the chart itself refuses a dual
 point whose conjugate rounds onto a face, with a NumericsError.
 """
@@ -21,8 +22,8 @@ point whose conjugate rounds onto a face, with a NumericsError.
 import numpy as np
 
 from .errors import ConfigError
-from .mirrors import (EntropicSimplexMap, EuclideanMap, in_open_box, in_open_simplex,
-                      require_inside, simplex_slack)
+from .mirrors import (EntropicSimplexMap, EuclideanMap, in_open_box, require_inside,
+                      simplex_interior)
 from .theory import SmoothnessProfile
 
 
@@ -68,8 +69,9 @@ class Dirichlet(ConstrainedTarget):
         self.dim = conc.shape[0] - 1
 
     def _slack(self, theta):
-        require_inside(in_open_simplex(theta), theta, "simplex chart")
-        return simplex_slack(theta)
+        inside, slack = simplex_interior(theta)
+        require_inside(inside, theta, "simplex chart")
+        return slack
 
     def log_density_unnorm(self, theta):
         slack = self._slack(theta)

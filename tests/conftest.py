@@ -14,11 +14,23 @@ order of operations: the particle field's blocks must equal them bit for
 bit.  long_double_particle_terms and long_double_g_field are the accuracy
 gate's references: a particle state's velocity and Stein-Fisher value, and
 a grid state's field, from long-double blocks.
+
+ReferenceStep is the grid step as it stood before its per-grid constants
+and per-state arrays were built once: the pushforward with its Newton
+inverse, max_stretch and Hermite table builders, the log gradient, the KL
+quadrature and the lattice operator's apply, each written out pass by pass.
+The library's step does the same floating-point operations in the same
+order, so it must equal these bit for bit.
 """
+
+import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
 
+from msvgd.gridflow import NEWTON_ROUNDS, NEWTON_TOL, fornberg_weights
 from msvgd.kernels import DualIMQKernel, RescaledKernel
 
 
@@ -220,6 +232,232 @@ def long_double_g_field(flow, density):
         return flow.g_field(density)
     finally:
         flow.kernel_operator = fast
+
+
+class ReferenceStep:
+    """The grid step's oracle: each of its stages from the arrays it is
+    given, every array built where the stage needs it."""
+
+    EDGE_STENCILS = tuple((row, fornberg_weights(np.arange(5.0), center, 1))
+                          for row, center in ((0, 0.0), (1, 1.0), (-2, 3.0), (-1, 4.0)))
+
+    @classmethod
+    def fd4_uniform(cls, values, h):
+        v = values
+        out = np.empty_like(v)
+        out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1]
+                          - v[..., 4:]) / (12.0 * h)
+        for row, w in cls.EDGE_STENCILS:
+            chunk = v[..., :5] if row >= 0 else v[..., -5:]
+            out[..., row] = np.dot(chunk, w / h)
+        return out
+
+    @classmethod
+    def fd4_along(cls, values, axis, h):
+        return np.swapaxes(cls.fd4_uniform(np.swapaxes(values, axis, -1), h), -1, axis)
+
+    @classmethod
+    def log_gradient(cls, grid, log_density):
+        logrho = log_density.reshape(grid.shape)
+        spacing = tuple(float(a[1] - a[0]) for a in grid.axes)
+        return np.stack([cls.fd4_along(logrho, k, h).ravel() for k, h in enumerate(spacing)],
+                        axis=1)
+
+    @staticmethod
+    def hermite_table(v, m, h, extend):
+        n = v.shape[-1]
+        table = np.zeros((4,) + v.shape[:-1] + (n + 1,))
+        c0, c1, c2, c3 = table[..., 1:n]
+        c0[...] = v[..., :-1]
+        np.multiply(m[..., :-1], h, out=c1)
+        fall = v[..., :-1] - v[..., 1:]
+        np.multiply(m[..., 1:], h, out=c3)
+        c3 += c1
+        c3 += fall
+        c3 += fall
+        np.add(c3, fall, out=c2)
+        c2 += c1
+        np.negative(c2, out=c2)
+        c1[...] = m[..., :-1]
+        table[0, ..., 0], table[0, ..., n] = v[..., 0], v[..., -1]
+        if extend == "linear":
+            table[1, ..., 0], table[1, ..., n] = m[..., 0], m[..., -1]
+        return table
+
+    @classmethod
+    def hermite_tensor(cls, grid, values, derivs, extend):
+        d = grid.dim
+        spacing = tuple(float(a[1] - a[0]) for a in grid.axes)
+        data = np.empty((2,) * d + values.shape[1:] + grid.shape)
+        for s in itertools.product((0, 1), repeat=d):
+            axes = [k for k, bit in enumerate(s) if bit]
+            if len(axes) < 2:
+                data[s] = (derivs[..., axes[0]] if axes else values).T.reshape(data.shape[d:])
+            else:
+                k = axes[-1]
+                data[s] = cls.fd4_along(data[s[:k] + (0,) + s[k + 1:]], k - d, spacing[k])
+        for axis, h in enumerate(spacing):
+            v, m = (np.ascontiguousarray(np.swapaxes(data[(slice(None),) * axis + (i,)],
+                                                     axis - d, -1))
+                    for i in (0, 1))
+            data = np.swapaxes(cls.hermite_table(v, m, h, extend), -1, axis - d)
+        return data
+
+    @staticmethod
+    def columns(breaks, q):
+        closed = breaks.copy()
+        closed[-1] = np.nextafter(closed[-1], np.inf)
+        return np.searchsorted(closed, q, side="right")
+
+    @staticmethod
+    def gather(table, cells):
+        flat, d = cells[0], len(cells)
+        for column, size in zip(cells[1:], table.shape[1 - d:]):
+            flat = flat * size + column
+        return np.take(table.reshape(table.shape[:-d] + (-1,)), flat, axis=-1)
+
+    @staticmethod
+    def horner(coeffs, t, spacing, slopes):
+        parts = [coeffs]
+        for k in reversed(range(len(spacing))):
+            h, tk, c = spacing[k], t[k], parts[0]
+            parts = [p[0] + tk * (h * p[1] + tk * (p[2] + tk * p[3])) for p in parts]
+            if slopes:
+                parts[1:1] = [c[1] + tk * (c[2] * (2.0 / h) + tk * (c[3] * (3.0 / h)))]
+        return parts
+
+    @staticmethod
+    def bernstein_rows(spacing, axis):
+        bernstein = np.array([[math.comb(j, i) / math.comb(3, i) for i in range(4)]
+                              for j in range(4)])
+        factors = [bernstein @ (np.eye(4, k=1) * [[1.0], [2.0 / h], [3.0 / h], [0.0]] if k == axis
+                                else np.diag([1.0, h, 1.0, 1.0])) for k, h in enumerate(spacing)]
+        return functools.reduce(np.kron, reversed(factors))
+
+    @classmethod
+    def max_stretch(cls, field, table):
+        grid = field.grid
+        spacing = tuple(float(a[1] - a[0]) for a in grid.axes)
+        if grid.dim == 1:
+            mags = np.abs(field.derivs[:, 0, 0])
+            node = int(np.argmax(mags))
+            c, h = table[..., 0, 1:-1], spacing[0]
+            s1, s2 = c[2] * (2.0 / h), c[3] * (3.0 / h)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = s1 / s2
+            t *= -0.5
+            t[~((t > 0.0) & (t < 1.0))] = 0.0
+            peak = np.abs(c[1] + t * (s1 + t * s2))
+            k = int(np.argmax(peak))
+            if peak[k] > mags[node]:
+                return float(peak[k]), k + int(t[k] > 0.5)
+            return float(mags[node]), node
+        coeffs = table.reshape(4 ** grid.dim, -1)
+        rows = sum(np.abs(cls.bernstein_rows(spacing, k) @ coeffs).max(axis=0)
+                   for k in range(grid.dim)).reshape(grid.dim, -1).max(axis=0)
+        cell = np.unravel_index(int(np.argmax(rows)), table.shape[-grid.dim:])
+        node = np.clip(np.array(cell) - 1, 0, np.array(grid.shape) - 1)
+        return float(rows.max()), int(np.ravel_multi_index(tuple(node), grid.shape))
+
+    @staticmethod
+    def eliminate(a, x):
+        d = len(x)
+        for k in range(d):
+            for i in range(k + 1, d):
+                ratio = a[i, k] / a[k, k]
+                a[i, k:] -= ratio * a[k, k:]
+                x[i] -= ratio * x[k]
+        for k in reversed(range(d)):
+            for j in range(k + 1, d):
+                x[k] -= a[k, j] * x[j]
+            x[k] /= a[k, k]
+        return x, functools.reduce(np.multiply, (a[k, k] for k in range(d)))
+
+    @classmethod
+    def invert(cls, grid, field, table, gamma):
+        nodes = grid.nodes.T
+        spacing = tuple(float(a[1] - a[0]) for a in grid.axes)
+        if grid.dim == 1:
+            x, h = grid.axes[0], spacing[0]
+            forward = x - gamma * field.values[:, 0]
+            columns = cls.columns(forward, x)
+            lo = np.clip(columns - 1, 0, x.size - 2)
+            f0 = forward[lo]
+            y = (x[np.maximum(columns - 1, 0)] + h * ((x - f0) / (forward[lo + 1] - f0)))[None]
+            fixed = (columns,)
+        else:
+            y, fixed = nodes + gamma * field.values.T, None
+        for rounds in range(NEWTON_ROUNDS + 1):
+            if fixed is None or rounds == 0:
+                cells = fixed or tuple(cls.columns(x, q) for x, q in zip(grid.axes, y))
+                coeffs = cls.gather(table, cells)
+                origins = np.stack([x[np.maximum(c - 1, 0)] for x, c in zip(grid.axes, cells)])
+            t = (y - origins) / np.array(spacing)[:, None]
+            value, *slopes = cls.horner(coeffs, t, spacing, True)
+            residual = y - gamma * value - nodes
+            worst = np.abs(residual)
+            system = -gamma * np.stack(slopes, axis=1)
+            for k in range(grid.dim):
+                system[k, k] += 1.0
+            step, det = cls.eliminate(system, residual)
+            if float(np.max(worst)) <= NEWTON_TOL:
+                return y.T, det, cells, t
+            if rounds < NEWTON_ROUNDS:
+                y = y - step
+        raise AssertionError("the reference inverse did not converge")
+
+    @staticmethod
+    def normalized(grid, log_values):
+        """log_values less the grid's log mass, as the step normalizes."""
+        values = log_values + grid.log_weights
+        peak = float(np.max(values))
+        log_mass = peak + math.log(float(np.sum(np.exp(values - peak))))
+        return log_values - log_mass
+
+    @classmethod
+    def pushforward(cls, density, field, gamma):
+        """The pushed log density (flat), with (stretch, node) of the field."""
+        grid = density.grid
+        spacing = tuple(float(a[1] - a[0]) for a in grid.axes)
+        field_table = cls.hermite_tensor(grid, field.values, field.derivs, "constant")
+        stretch = cls.max_stretch(field, field_table)
+        assert gamma * stretch[0] < 1.0 - 1e-9
+        _, det, cells, t = cls.invert(grid, field, field_table, gamma)
+        gradient = cls.log_gradient(grid, density.log_density)
+        table = cls.hermite_tensor(grid, density.log_density, gradient, "linear")
+        log_rho_at = cls.horner(cls.gather(table, cells), t, spacing, False)[0]
+        return cls.normalized(grid, log_rho_at - np.log(det)), stretch
+
+    @staticmethod
+    def kl(density, reference):
+        rho = np.exp(density.log_density)
+        support = rho > 0.0
+        gap = density.log_density - reference.log_density
+        if np.any(~np.isfinite(gap[support])):
+            return math.inf
+        integrand = np.zeros_like(rho)
+        integrand[support] = rho[support] * gap[support]
+        return float(np.dot(density.grid.weights, integrand))
+
+    @staticmethod
+    def lattice_apply(operator, q, u):
+        """kernels._LatticeOperator.apply, one transform per operand."""
+        size, d = q.shape
+        lattice = operator._shape
+        Q = operator._spectrum(q.reshape(lattice + (d,)))
+        V = operator._K[..., None] * Q
+        DV = Q[..., :, None] * operator._K1rev[..., None, :]
+        if u is not None:
+            U = operator._spectrum(u.reshape(lattice + (d, d)))
+            V += np.einsum("...e,...de->...d", operator._K1, U)
+            DV += np.einsum("...ec,...de->...dc", operator._K12, U)
+        return (operator._convolved(V).reshape(size, d),
+                operator._convolved(DV).reshape(size, d, d))
+
+
+def same_bits(a, b):
+    """Equal arrays or scalars, bit for bit."""
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def rel_err(approx, exact, floor=1e-12):

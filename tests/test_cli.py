@@ -368,6 +368,28 @@ class TestVerifyCommand:
         assert lines[0] == "step,kl,stein_fisher,gamma,bound_rhs"
         assert len(lines) == QUARTIC_SMALL["steps"] + 2
 
+    @pytest.mark.parametrize("suite", ["descent", "lemmas", "bounds"])
+    def test_manifest_times_each_span_within_the_elapsed_time(self, quartic_config, tmp_path,
+                                                              suite):
+        out = tmp_path / suite
+        assert cli.main(["verify", "--suite", suite, "--target", str(quartic_config),
+                         "--out", str(out), "--steps", "12"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings"]
+        assert tuple(sorted(timings)) == tuple(sorted(cli.VERIFY_SPANS))
+        assert all(value >= 0.0 for value in timings.values())
+        assert all(timings[name] > 0.0 for name in ("flow_build", "fields", "pushes",
+                                                    "records", "writes"))
+        assert sum(timings.values()) <= manifest["wallclock"]["elapsed_s"]
+
+    def test_run_and_theory_manifests_keep_no_timings(self, tmp_path):
+        assert cli.main(["run", "--config", "dirichlet-simplex-d2", "--steps", "2",
+                         "--out", str(tmp_path / "r")]) == 0
+        assert cli.main(["theory", "--target", "quartic-1d-descent",
+                         "--out", str(tmp_path / "t")]) == 0
+        for name in ("r", "t"):
+            assert "timings" not in json.loads((tmp_path / name / "manifest.json").read_text())
+
     def test_descent_suite_builds_one_flow_and_one_field_per_state(
             self, quartic_config, tmp_path, monkeypatch):
         builds, fields = [], []

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DenseKernelOperator, gram
+from conftest import DenseKernelOperator, ReferenceStep, gram, same_bits
 
 from msvgd import gridflow, kernels, theory
 from msvgd.config import build_runtime, load_config
@@ -151,7 +151,8 @@ def field_at(field, points):
 
 def cells_of(grid, points):
     """The cell (a column per axis) of each point (n, d), one search per axis."""
-    return tuple(gridflow._hermite_columns(x, q) for x, q in zip(grid.axes, points.T))
+    return tuple(gridflow._hermite_columns(gridflow._closed(x), q)
+                 for x, q in zip(grid.axes, points.T))
 
 
 def offsets(grid, cells, points):
@@ -1080,7 +1081,7 @@ class TestPushforward:
         field = flow.g_field(density)
         gamma = 0.5 / field.max_stretch(field.hermite())[0]
         calls = []
-        for name in ("searchsorted", "interp", "digitize"):
+        for name in ("searchsorted", "interp", "digitize", "argsort"):
             original = getattr(np, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -1089,7 +1090,8 @@ class TestPushforward:
 
             monkeypatch.setattr(np, name, counted)
         moved = pushforward_step(density, field, gamma)
-        assert calls == ["searchsorted"]
+        # the one lookup is a merge of the sorted nodes and forward images
+        assert calls == ["argsort"]
         assert abs(mass(moved) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(16,), (16, 16)])
@@ -1140,6 +1142,108 @@ class TestPushforward:
         derivs[:, 1, 1] = -0.2 / np.cosh(grid.nodes[:, 1]) ** 2
         moved = pushforward_step(density, FieldOnGrid(grid, values, derivs), 0.5)
         assert abs(mass(moved) - 1.0) <= 1e-6
+
+
+class TestStepMatchesReference:
+    """The grid step builds each per-grid constant once per grid and each
+    per-state array once per state, with the same floating-point
+    operations in the same order as conftest.ReferenceStep, which builds
+    every array where it is used: every stage must match it bit for bit."""
+
+    @staticmethod
+    def _assert_state(flow, density, field, gamma, push):
+        grid = flow.grid
+        assert same_bits(density.log_gradient,
+                         ReferenceStep.log_gradient(grid, density.log_density))
+        assert same_bits(flow.kl(density), ReferenceStep.kl(density, target_density(flow)))
+        table = field.hermite()
+        assert same_bits(table, ReferenceStep.hermite_tensor(grid, field.values, field.derivs,
+                                                             "constant"))
+        stretch = field.max_stretch(table)
+        assert stretch == ReferenceStep.max_stretch(field, table)
+        assert same_bits(stretch[0], ReferenceStep.max_stretch(field, table)[0])
+        inverse = gridflow._invert(grid, field, table, gamma)
+        reference = ReferenceStep.invert(grid, field, table, gamma)
+        assert same_bits(inverse[0], reference[0]) and same_bits(inverse[1], reference[1])
+        assert all(same_bits(a, b) for a, b in zip(inverse[2], reference[2]))
+        assert same_bits(inverse[3], reference[3])
+        if push:
+            moved = pushforward_step(density, field, gamma)
+            log_density, reference_stretch = ReferenceStep.pushforward(density, field, gamma)
+            assert same_bits(moved.log_density, log_density)
+            assert reference_stretch == stretch
+
+    def test_quartic_flow_first_five_states(self):
+        bundle = build_runtime(load_config("quartic-1d-descent", {}))
+        flow = MirroredFlow(bundle.mirrored, bundle.kernel)
+        assert isinstance(flow.kernel_operator, kernels._LatticeOperator)
+        operator = flow.kernel_operator
+        for step, density, field in flow.states(bundle.gamma, 4):
+            q = density.wrho[:, None] * flow.operand
+            u = density.wrho[:, None, None] * flow.dual_jacobian
+            for parts in ((q, u), (q, None)):
+                got, want = operator.apply(*parts), ReferenceStep.lattice_apply(operator, *parts)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+            self._assert_state(flow, density, field, bundle.gamma, push=step < 4)
+
+    @pytest.mark.parametrize("kernel", [IMQKernel(), RescaledKernel(IMQKernel(), 2.0),
+                                        DualIMQKernel(EuclideanMap(2))],
+                             ids=["imq", "rescaled-imq", "dual-imq"])
+    def test_2d_lattice_apply(self, kernel, rng):
+        grid = Grid((np.linspace(-5.0, 5.0, 24), np.linspace(-4.0, 6.0, 20)))
+        target = MirroredTarget(MirroredPowerLaw(4.0, dim=2), EuclideanMap(2))
+        operator = MirroredFlow(target, kernel, grid=grid).kernel_operator
+        assert isinstance(operator, kernels._LatticeOperator)
+        q = rng.standard_normal((grid.size, 2))
+        u = rng.standard_normal((grid.size, 2, 2))
+        for parts in ((q, u), (q, None)):
+            got, want = operator.apply(*parts), ReferenceStep.lattice_apply(operator, *parts)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    def test_dirichlet_48x48_states_0_and_1_at_the_theorem_gamma(self):
+        bundle = dirichlet_preset_bundle()
+        flow = MirroredFlow(bundle.mirrored, bundle.kernel, nodes=48)
+        for step, density, field in flow.states(bundle.gamma, 1):
+            self._assert_state(flow, density, field, bundle.gamma, push=step < 1)
+
+    def test_2d_linear_field(self):
+        grid = Grid.box(2, 48, 8.0)
+        a = np.array([[1.0, 0.3], [0.3, 0.5]])
+        field = FieldOnGrid(grid, grid.nodes @ a.T, np.broadcast_to(a, (grid.size, 2, 2)))
+        density = standard_normal_density(grid)
+        moved = pushforward_step(density, field, 0.25)
+        log_density, stretch = ReferenceStep.pushforward(density, field, 0.25)
+        assert same_bits(moved.log_density, log_density)
+        assert field.max_stretch(field.hermite()) == stretch
+
+    def test_max_stretch_value_and_node(self, rng):
+        # 1-D fields whose slope peaks inside an interval or at a node, and
+        # 2-D fields, whose bound comes from the Bernstein rows
+        grid = Grid((np.linspace(-2.0, 2.0, 12),))
+        for _ in range(20):
+            field = FieldOnGrid(grid, rng.standard_normal((12, 1)),
+                                rng.standard_normal((12, 1, 1)))
+            table = field.hermite()
+            got, want = field.max_stretch(table), ReferenceStep.max_stretch(field, table)
+            assert got == want and same_bits(got[0], want[0])
+        grid = Grid((np.linspace(-2.0, 2.0, 16), np.linspace(-1.0, 3.0, 12)))
+        for _ in range(5):
+            field = FieldOnGrid(grid, rng.standard_normal((grid.size, 2)),
+                                rng.standard_normal((grid.size, 2, 2)))
+            table = field.hermite()
+            got, want = field.max_stretch(table), ReferenceStep.max_stretch(field, table)
+            assert got == want and same_bits(got[0], want[0])
+
+    def test_merged_columns_match_the_binary_search(self, rng):
+        breaks = np.cumsum(rng.uniform(0.1, 1.0, 40))
+        # every breakpoint itself, points between them, and beyond both ends
+        q = np.sort(np.concatenate([breaks, rng.uniform(breaks[0] - 3.0, breaks[-1] + 3.0, 200),
+                                    [breaks[-1], breaks[-1] + 1e-9]]))
+        closed = gridflow._closed(breaks)
+        merged = gridflow._merged_columns(closed, q)
+        assert same_bits(merged, gridflow._hermite_columns(closed, q))
+        assert merged[0] == 0 and merged[-1] == breaks.size
+        assert merged[np.searchsorted(q, breaks[-1])] == breaks.size - 1
 
 
 # ---------------------------------------------------------------------------

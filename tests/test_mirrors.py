@@ -16,9 +16,12 @@ from msvgd.mirrors import (
     EntropicBoxMap,
     EntropicSimplexMap,
     EuclideanMap,
+    in_open_simplex,
     make_map,
     row_max,
     row_sum,
+    simplex_interior,
+    simplex_slack,
 )
 
 from conftest import (
@@ -230,6 +233,26 @@ def test_domain_errors():
         box.grad_psi(np.array([[1.0]]))
     with pytest.raises(DomainError):
         box.psi(np.array([[2.0]]))
+
+
+def test_open_simplex_tests_the_compensated_slack(rng):
+    # rows (a, b) with b one ulp below the float 1 - a lie strictly inside:
+    # their exact slack 1 - a - b is positive, though a naive 1 - sum(t)
+    # rounds it to 0 for about half of them.  Rows one ulp above, or on the
+    # face, are outside.
+    from fractions import Fraction
+
+    a = rng.uniform(0.0, 1.0, 2000)
+    inside = np.stack([a, np.nextafter(1.0 - a, 0.0)], axis=1)
+    assert all(Fraction(1) - Fraction(x) - Fraction(y) > 0 for x, y in inside)
+    assert np.all(in_open_simplex(inside))
+    assert np.all(EntropicSimplexMap(2).contains(inside))
+    mask, slack = simplex_interior(inside)
+    assert np.all(mask) and slack.tobytes() == simplex_slack(inside).tobytes()
+    for b in (np.nextafter(1.0 - a, 2.0), 1.0 - a):
+        outside = np.stack([a, b], axis=1)
+        exact = [Fraction(1) - Fraction(x) - Fraction(y) for x, y in outside]
+        assert np.array_equal(in_open_simplex(outside), [e > 0 for e in exact])
 
 
 def test_conjugate_underflow_raises():
