@@ -20,7 +20,6 @@ importing msvgd as a library changes nothing.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import ctypes
 import csv
 import json
@@ -135,33 +134,23 @@ def _cmd_run(args) -> int:
 # verify
 
 
-# the spans of verify's manifest.json "timings" block, in seconds: the flow's
-# build, its field builds and pushes (MirroredFlow.timings), the records,
-# the suite's checks and the report and csv writes
-VERIFY_SPANS = ("flow_build", "fields", "pushes", "records", "checks", "writes")
-
-
-@contextlib.contextmanager
-def _timed(spans: dict, name: str):
-    """Add the time.perf_counter span of the block to spans[name]."""
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        spans[name] += time.perf_counter() - start
+# the spans of verify's manifest.json "timings" block, in seconds: the step
+# size's and certificate's pricing, the flow's build, its field builds and
+# pushes (MirroredFlow.timings), the records, the checks, the output writes
+VERIFY_SPANS = ("pricing", "flow_build", "fields", "pushes", "records", "checks", "writes")
 
 
 def _records(flow, states, spans: dict) -> list:
     records = []
     for state in states:
-        with _timed(spans, "records"):
+        with engine.timed(spans, "records"):
             records.append(flow.record(*state))
     return records
 
 
 def _verify_descent(flow, certificate, gamma: float, steps: int, spans: dict) -> tuple:
     records = _records(flow, flow.states(gamma, steps), spans)
-    with _timed(spans, "checks"):
+    with engine.timed(spans, "checks"):
         report = descent_check(flow, records, gamma, certificate=certificate)
     violations = [
         f"step {row['step']}: KL drop {row['kl_next'] - row['kl']:.6g} exceeds "
@@ -197,11 +186,11 @@ def _tenth_states(flow, gamma: float, steps: int):
 def _verify_lemmas(flow, gamma: float, steps: int, spans: dict) -> tuple:
     records, checks, violations = [], [], []
     for step, density, field in _tenth_states(flow, gamma, steps):
-        with _timed(spans, "records"):
+        with engine.timed(spans, "records"):
             records.append(flow.record(step, density, field))
         if step % 10:  # the final state is recorded too, but not checked
             continue
-        with _timed(spans, "checks"):
+        with engine.timed(spans, "checks"):
             gaps = flow.g_forms_gap(density, field)
         worst = max(gaps.values())
         ok = worst <= LEMMA_GAP_TOL
@@ -216,7 +205,7 @@ def _verify_lemmas(flow, gamma: float, steps: int, spans: dict) -> tuple:
 
 def _verify_bounds(flow, bundle, gamma: float, steps: int, spans: dict) -> tuple:
     records = _records(flow, _tenth_states(flow, gamma, steps), spans)
-    with _timed(spans, "checks"):
+    with engine.timed(spans, "checks"):
         rows = fisher_norm_margins(records, bundle.kernel.bounds(),
                                    flow.map.strong_convexity, flow.grid.dim)
     violations = [
@@ -228,6 +217,7 @@ def _verify_bounds(flow, bundle, gamma: float, steps: int, spans: dict) -> tuple
 
 
 def _cmd_verify(args) -> int:
+    started = time.perf_counter()
     cfg = load_config(args.target, {})
     # checked without pricing: a certified step size is positive and finite
     for name, value in (("--gamma", args.gamma), ("--gamma-scale", args.gamma_scale)):
@@ -249,17 +239,19 @@ def _cmd_verify(args) -> int:
         )
     out_dir = _check_out_dir(args.out, args.force,
                              (REPORT_FILE, VERIFY_CSV_FILE, engine.MANIFEST_FILE))
-    gamma = (bundle.gamma if args.gamma is None else args.gamma) * args.gamma_scale
+    spans = dict.fromkeys(VERIFY_SPANS, 0.0)
+    with engine.timed(spans, "pricing"):
+        # the descent suite checks any step size against the certificate
+        certificate = bundle.certificate if args.suite == "descent" else None
+        gamma = (bundle.gamma if args.gamma is None else args.gamma) * args.gamma_scale
     if not 0.0 < gamma < math.inf:  # the product over- or underflowed
         raise ConfigError(f"resolved step size must be positive and finite, got {gamma}")
 
-    spans = dict.fromkeys(VERIFY_SPANS, 0.0)
-    started = time.perf_counter()
-    with _timed(spans, "flow_build"):
+    with engine.timed(spans, "flow_build"):
         flow = MirroredFlow(bundle.mirrored, bundle.kernel,
                             nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     if args.suite == "descent":
-        report, records, passed = _verify_descent(flow, bundle.certificate, gamma, steps, spans)
+        report, records, passed = _verify_descent(flow, certificate, gamma, steps, spans)
     elif args.suite == "lemmas":
         report, records, passed = _verify_lemmas(flow, gamma, steps, spans)
     else:
@@ -273,7 +265,7 @@ def _cmd_verify(args) -> int:
         "grid_nodes": flow.grid.shape,
         **report,
     }
-    with _timed(spans, "writes"):
+    with engine.timed(spans, "writes"):
         _write_json(out_dir / REPORT_FILE, report)
         _write_verify_csv(out_dir / VERIFY_CSV_FILE, records, gamma)
     engine.write_manifest(
@@ -296,7 +288,13 @@ def _cmd_verify(args) -> int:
 # theory
 
 
+# the spans of theory's manifest.json "timings" block, in seconds: the
+# certificate's pricing, and the report's print and writes
+THEORY_SPANS = ("pricing", "writes")
+
+
 def _cmd_theory(args) -> int:
+    started = time.perf_counter()
     if not 0.0 < args.eps < math.inf:
         raise ConfigError(f"--eps needs a finite eps > 0, got {args.eps!r}")
     if args.lam is not None and not 0.0 < args.lam < math.inf:
@@ -313,7 +311,9 @@ def _cmd_theory(args) -> int:
     out_dir = None
     if args.out is not None:
         out_dir = _check_out_dir(args.out, args.force, (THEORY_FILE, engine.MANIFEST_FILE))
-    certificate = bundle.certificate
+    spans = dict.fromkeys(THEORY_SPANS, 0.0)
+    with engine.timed(spans, "pricing"):
+        certificate = bundle.certificate
     profile = certificate.profile
     if args.lam is not None:
         profile = profile.with_values("user", lam=args.lam)
@@ -349,16 +349,17 @@ def _cmd_theory(args) -> int:
             "note": "order estimate; hidden leading constants set to 1",
         },
     }
-    print(_dump_json(report))
+    with engine.timed(spans, "writes"):
+        print(_dump_json(report))
+        if out_dir is not None:
+            _write_json(out_dir / THEORY_FILE, report)
     if out_dir is not None:
-        started = time.perf_counter()
-        _write_json(out_dir / THEORY_FILE, report)
         engine.write_manifest(
             out_dir, cfg,
             summary={"gamma_general": gamma_general, "gamma_tp": gamma_tp},
             outputs=[THEORY_FILE],
             elapsed_s=time.perf_counter() - started,
-            timings=None,
+            timings=spans,
         )
     return 0
 

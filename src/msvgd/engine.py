@@ -40,6 +40,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -58,6 +59,21 @@ from .errors import NumericsError
 TRAJECTORY_FILE = "trajectory.csv"
 DIAGNOSTICS_FILE = "diagnostics.csv"
 MANIFEST_FILE = "manifest.json"
+
+# the spans of run's manifest.json "timings" block, in seconds: the step
+# size's pricing, the start cloud and opened csv files, the fields, the
+# steps, the snapshots' Stein-Fisher values and growth levels, the csv writes
+RUN_SPANS = ("pricing", "init", "fields", "steps", "snapshots", "writes")
+
+
+@contextlib.contextmanager
+def timed(spans: dict, name: str):
+    """Add the time.perf_counter span of the block to spans[name]."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        spans[name] += time.perf_counter() - start
 
 
 @dataclass
@@ -300,40 +316,44 @@ def run(bundle: RuntimeBundle, out_dir) -> dict:
     is not stepped, but its field gets the same finite check.  A numeric
     abort fills the abort block, logs the last valid state if its field is
     finite, and writes a manifest before the error propagates.  Returns a
-    summary dict (also serialized into the manifest).
+    summary dict (also serialized into the manifest, with the RUN_SPANS
+    timings).
     """
     started = time.perf_counter()
+    spans = dict.fromkeys(RUN_SPANS, 0.0)
     cfg = bundle.config
-    gamma = bundle.gamma
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    kernel = bundle.kernel
-    mirror_map = bundle.mirror_map
-    ensemble = init_ensemble(cfg.particles, bundle.dim, mirror_map, cfg.seed)
-
-    writer = _RunWriter(out_dir, bundle.dim)
+    with timed(spans, "pricing"):
+        gamma = bundle.gamma
+    kernel, mirror_map = bundle.kernel, bundle.mirror_map
+    with timed(spans, "init"):
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        ensemble = init_ensemble(cfg.particles, bundle.dim, mirror_map, cfg.seed)
+        writer = _RunWriter(out_dir, bundle.dim)
     logged_sf = []
     abort = None
 
     def snapshot(ens: ParticleEnsemble, field: ParticleField) -> None:
-        sf = stein_fisher_particles(ens, kernel, field)
-        an = float("nan") if bundle.profile is None else a_n(field.operand, bundle.profile)
-        record = DiagnosticsRecord(step=ens.step_index, stein_fisher=sf, a_n=an, gamma=gamma)
+        with timed(spans, "snapshots"):
+            sf = stein_fisher_particles(ens, kernel, field)
+            an = float("nan") if bundle.profile is None else a_n(field.operand, bundle.profile)
+            record = DiagnosticsRecord(step=ens.step_index, stein_fisher=sf, a_n=an, gamma=gamma)
         bandwidth = getattr(kernel, "bandwidth", float("nan"))
-        elapsed_ms = (time.perf_counter() - started) * 1000.0
-        writer.log(ens, record, bandwidth, elapsed_ms)
+        with timed(spans, "writes"):
+            writer.log(ens, record, bandwidth, (time.perf_counter() - started) * 1000.0)
         logged_sf.append(sf)
 
     try:
         for step in range(cfg.steps + 1 if cfg.steps > 0 else 0):
             field, stepped = None, ensemble
             try:
-                field = update_field(ensemble, bundle.mirrored, kernel)
-                if step < cfg.steps:
-                    stepped = msvgd_step(ensemble, field, gamma, mirror_map)
-                else:
-                    _require_finite_field(ensemble, field)
+                with timed(spans, "fields"):
+                    field = update_field(ensemble, bundle.mirrored, kernel)
+                with timed(spans, "steps"):
+                    if step < cfg.steps:
+                        stepped = msvgd_step(ensemble, field, gamma, mirror_map)
+                    else:
+                        _require_finite_field(ensemble, field)
             except NumericsError as exc:
                 at = ensemble.step_index if exc.step is None else exc.step
                 abort = {"step": at, "particle": exc.particle, "message": str(exc)}
@@ -344,7 +364,8 @@ def run(bundle: RuntimeBundle, out_dir) -> dict:
                 snapshot(ensemble, field)
             ensemble = stepped
     finally:
-        writer.close()
+        with timed(spans, "writes"):
+            writer.close()
         summary = {
             "steps_completed": ensemble.step_index,
             "particles": cfg.particles,
@@ -360,7 +381,7 @@ def run(bundle: RuntimeBundle, out_dir) -> dict:
         }
         write_manifest(out_dir, cfg, summary=summary,
                        outputs=[TRAJECTORY_FILE, DIAGNOSTICS_FILE],
-                       elapsed_s=time.perf_counter() - started, timings=None)
+                       elapsed_s=time.perf_counter() - started, timings=spans)
     return summary
 
 
@@ -379,14 +400,13 @@ def _peak_rss_mb() -> float | None:
 
 
 def write_manifest(out_dir, cfg: RunConfig | None, summary: dict, outputs: list,
-                   elapsed_s: float, timings: dict | None) -> Path:
+                   elapsed_s: float, timings: dict) -> Path:
     """Drop a manifest.json describing what was produced and from what.
     Its ``build`` block names the BLAS library and the thread settings the
     run found (OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, each None when unset,
     and the CPU affinity size), since the snapshot's bits depend on the
     BLAS thread count.  ``timings``, the command's time.perf_counter spans
-    in seconds within elapsed_s, becomes a ``timings`` block; a command
-    that keeps none passes None and writes no block."""
+    in seconds within elapsed_s, becomes the ``timings`` block."""
     from . import __version__
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -408,9 +428,8 @@ def write_manifest(out_dir, cfg: RunConfig | None, summary: dict, outputs: list,
             "peak_rss_mb": _peak_rss_mb(),
             "written_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
+        "timings": timings,
     }
-    if timings is not None:
-        manifest["timings"] = timings
     path = Path(out_dir) / MANIFEST_FILE
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

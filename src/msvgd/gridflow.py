@@ -12,23 +12,13 @@ target (target_box), unless a halfwidth is given.  The flow holds one state
 at a time.  MirroredFlow.states builds each state's field once and pushes
 the state forward only when the next one is asked for; MirroredFlow.run
 keeps scalar records and the final density only.
-Each array is built once where it lives:
-- per grid: the nodes, weights, log weights, spacing and shape (Grid), the
-  edge stencils of _fd4_uniform scaled by the spacing, and the Bernstein
-  rows of max_stretch in d >= 2 (both cached by spacing);
-- per flow: the target density, the operand and |grad V|, the dual
-  Jacobians and the kernel operator (the lattice spectra or the tiles);
-- per state: exp(log rho), w rho and the log gradient (GridDensity, built
-  and validated by GridDensity.normalized in one pass), the field, and the
-  record's dual score ratio;
-- per push: the field's Hermite table, read by max_stretch and the
-  inverse, the closed breakpoints of each axis (d >= 2), in 1D the forward
-  node images, their merged columns and the gathered cell coefficients
-  with their products by the spacing, and the log density's Hermite table;
-- per Newton round: the offsets, the residual and det(I - gamma J), and in
-  d >= 2 the cells, their gather and the elimination.
-MirroredFlow.timings keeps the time.perf_counter totals of the field
-builds and the pushes of states, for verify's manifest.
+Each array is built once where it lives (README's grid-flow section lists
+them): per grid the nodes, weights and spacing (Grid), the edge stencils
+and the Bernstein rows of max_stretch; per flow the target density, the
+operand, the dual Jacobians and the kernel operator; per state the
+density's exponential, weights and log gradient (GridDensity) and the
+field; per push the field's and the log density's Hermite tables, and in
+1D the gathered columns of the inverse.
 descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
 
@@ -45,13 +35,10 @@ One interpolant serves every dimension: a tensor-product cubic Hermite
 table, built by the 1-D Hermite formula along each axis in turn, for the
 field (values and exact nodal Jacobians, held constant beyond the box) and
 for the log density (values and its finite-difference gradient, extended
-linearly beyond the box).  The pushforward inverts x - gamma * g by
-Newton's method, reading the field and its Jacobian from one gather of a
-cell per round and solving each node's d x d system by elimination; in 1D
-one merge of the sorted nodes with their sorted forward images finds the
-interval holding each node's preimage, and Newton runs inside it with no
-further lookup.  The state's log density is then interpolated on the
-converged cells without a second lookup.
+linearly beyond the box).  Every read of a table goes through one column
+rule, _column_monomials, summed by _evaluate: _horner, max_stretch (the 1D
+vertex search and the Bernstein rows) and the 1D Newton loop of the
+pushforward's inverse (_invert).
 
 Densities are carried in log space throughout.  Targets like exp(-x^4) reach
 log values around -4000 on a grid wide enough to hold the standard-normal
@@ -278,12 +265,32 @@ def nonuniform_gradient(points: np.ndarray, values: np.ndarray) -> np.ndarray:
 # each axis keeps its own 1-D rule.
 
 
+def _column_monomials(c: np.ndarray, h: float, slope: bool) -> tuple:
+    """The column rule of every table read: the monomial coefficients, lowest
+    degree first, in the offset t of columns c (4,) + rest of spacing h, the
+    value's (c0, h c1, c2, c3) or, with ``slope``, the slope's along the
+    axis (c1, c2 2 / h, c3 3 / h)."""
+    if slope:
+        return c[1], c[2] * (2.0 / h), c[3] * (3.0 / h)
+    return c[0], h * c[1], c[2], c[3]
+
+
+def _evaluate(monomials: tuple, t: np.ndarray) -> np.ndarray:
+    """sum_i monomials[i] t^i by Horner's rule, highest degree first, in one
+    new buffer."""
+    out = t * monomials[-1]
+    for a in monomials[-2:0:-1]:
+        out += a
+        out *= t
+    out += monomials[0]
+    return out
+
+
 def _hermite_table(v: np.ndarray, m: np.ndarray, h: float, extend: str) -> np.ndarray:
     """(4,) + v.shape[:-1] + (n + 1,) coefficients of the cubic Hermite
     interpolant along the last axis through node values v and slopes m,
-    spacing h.  On column j the value is c0 + t (h c1 + t (c2 + t c3)), with
-    c1 the slope at the column's left node, and the slope is
-    c1 + t (c2 2 / h + t c3 3 / h).  Beyond the box it is held "constant" or
+    spacing h, read by _column_monomials: c0 is the value and c1 the slope
+    at the column's left node.  Beyond the box it is held "constant" or
     extended "linear"-ly along the edge slope."""
     n = v.shape[-1]
     table = np.empty((4,) + v.shape[:-1] + (n + 1,))
@@ -377,13 +384,13 @@ def _gather(table: np.ndarray, cells: tuple) -> np.ndarray:
 def _horner(coeffs: np.ndarray, t: np.ndarray, spacing: tuple, slopes: bool) -> list:
     """The interpolant, and with ``slopes`` its derivative along each axis,
     at offsets t (d, n) in gathered table cells coeffs (4,) * d + rest +
-    (n,): Horner's rule along each axis in turn, the last axis first.
+    (n,): the column rule along each axis in turn, the last axis first.
     Returns a list of 1 or d + 1 arrays rest + (n,), the value first."""
     parts = [coeffs]  # the value, then the derivatives along axes k, k + 1, ...
     for k in reversed(range(len(spacing))):
         h, tk, c = spacing[k], t[k], parts[0]
-        parts = [p[0] + tk * (h * p[1] + tk * (p[2] + tk * p[3])) for p in parts]
-        parts[1:1] = [c[1] + tk * (c[2] * (2.0 / h) + tk * (c[3] * (3.0 / h)))] if slopes else []
+        parts = [_evaluate(_column_monomials(p, h, False), tk) for p in parts]
+        parts[1:1] = [_evaluate(_column_monomials(c, h, True), tk)] if slopes else []
     return parts
 
 
@@ -394,12 +401,12 @@ def _bernstein_rows(spacing: tuple, axis: int) -> np.ndarray:
     interpolant's derivative along ``axis``, a cubic in each offset: on
     [0, 1] a polynomial lies in the hull of its Bernstein coefficients."""
     # b_j = sum over i <= j of C(j, i) / C(3, i) a_i, from the monomial
-    # coefficients of c0 + t (h c1 + t (c2 + t c3)), or along axis of
-    # c1 + t (2 c2 / h + t 3 c3 / h)
+    # coefficients a of each axis's column rule, applied to the identity;
+    # the slope is a quadratic, whose a_3 is 0
     bernstein = np.array([[math.comb(j, i) / math.comb(3, i) for i in range(4)] for j in range(4)])
-    factors = [bernstein @ (np.eye(4, k=1) * [[1.0], [2.0 / h], [3.0 / h], [0.0]] if k == axis
-                            else np.diag([1.0, h, 1.0, 1.0])) for k, h in enumerate(spacing)]
-    return read_only(functools.reduce(np.kron, reversed(factors)))
+    rules = [np.stack(_column_monomials(np.eye(4), h, k == axis)) for k, h in enumerate(spacing)]
+    factors = [bernstein[:, :len(rule)] @ rule for rule in reversed(rules)]
+    return read_only(functools.reduce(np.kron, factors))
 
 
 class FieldOnGrid:
@@ -452,16 +459,12 @@ class FieldOnGrid:
         if grid.dim == 1:
             mags = np.abs(self.derivs[:, 0, 0])
             node = int(np.argmax(mags))
-            c, h = table[..., 0, 1:-1], grid.spacing[0]
-            s1, s2 = c[2] * (2.0 / h), c[3] * (3.0 / h)  # _horner's slope
+            slope = _column_monomials(table[..., 0, 1:-1], grid.spacing[0], True)
             with np.errstate(divide="ignore", invalid="ignore"):
-                t = s1 / s2
+                t = slope[1] / slope[2]
             t *= -0.5
             t[~((t > 0.0) & (t < 1.0))] = 0.0
-            peak = t * s2  # |c1 + t (s1 + t s2)|, in one buffer
-            peak += s1
-            peak *= t
-            peak += c[1]
+            peak = _evaluate(slope, t)
             np.abs(peak, out=peak)
             k = int(np.argmax(peak))
             if peak[k] > mags[node]:
@@ -657,10 +660,9 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     The field must be finite and the map injective: gamma times the largest
     field stretch below one.  The log density is then interpolated at each
     node's preimage on the cell the inverse found it in, with no second
-    lookup, from its own tensor-product Hermite table (the state's
-    log_gradient, extended linearly beyond the box).  The field's own table
-    is built here, read by max_stretch and the inverse, and freed with the
-    push.  gamma = 0 returns the density unchanged, bit for bit.
+    lookup, from its own Hermite table (the state's log_gradient, extended
+    linearly beyond the box).  gamma = 0 returns the density unchanged, bit
+    for bit.
     """
     if not (np.isfinite(field.values).all() and np.isfinite(field.derivs).all()):
         finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
@@ -688,26 +690,21 @@ def _invert(grid: Grid, field: FieldOnGrid, table: np.ndarray, gamma: float) -> 
     """Solve y - gamma * field(y) = x at every node x by Newton's method,
     ``table`` being the field's hermite(); returns y (n, d), det(I - gamma J)
     there with J the field's Jacobian, and the cells (a column per axis) and
-    offsets t (d, n) that locate y in a Hermite table, for interpolating
-    node values.
+    offsets t (d, n) that locate y in a Hermite table.
 
-    Each round reads the field and its Jacobian from a gather of the
-    field's table, and solves each node's d x d system, taking its
-    determinant, by Gaussian elimination without pivoting: pushforward_step
-    has checked gamma * max_stretch < 1, so I - gamma J is strictly
-    diagonally dominant by rows.  In d >= 2 Newton starts at x + gamma v(x),
-    v the field's node values, and each round looks up its cells, one search
-    per axis among the axis's closed breakpoints (built once per push), and
-    gathers them.  In 1D the map is strictly increasing (the field is
-    constant beyond the box), so one merge of the nodes with the forward
-    node images x_i - gamma v_i, both sorted, finds the column holding each
-    preimage: an interval of the box, or the constant piece beyond it.
-    Newton then starts on the secant of the forward map over that column and
-    runs on it alone: the column's coefficients are gathered once, with their products
-    by the spacing that _horner forms, and each round evaluates the cubic
-    and its slope and divides, with no lookup.  Every residual, beyond the
-    box too, must reach NEWTON_TOL within NEWTON_ROUNDS steps, or the worst
-    node is named in a NumericsError.
+    Each round solves each node's d x d system, taking its determinant, by
+    Gaussian elimination without pivoting: pushforward_step has checked
+    gamma * max_stretch < 1, so I - gamma J is strictly diagonally dominant
+    by rows.  In d >= 2 Newton starts at x + gamma v(x), v the field's node
+    values, and each round looks up its cells, one search per axis among
+    the axis's closed breakpoints, and gathers them.  In 1D the map is
+    strictly increasing (the field is constant beyond the box), so one merge
+    of the nodes with their forward images x_i - gamma v_i, both sorted,
+    finds the column holding each preimage.  Newton starts on the secant of
+    the forward map over that column and runs on it alone, the column
+    gathered and its monomials formed once.  Every residual, beyond the box
+    too, must reach NEWTON_TOL within NEWTON_ROUNDS steps, or the worst node
+    is named in a NumericsError.
     """
     if grid.dim == 1:
         x, h = grid.axes[0], grid.spacing[0]
@@ -721,27 +718,19 @@ def _invert(grid: Grid, field: FieldOnGrid, table: np.ndarray, gamma: float) -> 
         lo = np.minimum(left, x.size - 2)
         f0 = forward[lo]
         y = (origin + h * ((x - f0) / (forward[lo + 1] - f0)))[None]
-        c0, c1, c2, c3 = _gather(table, (columns,))[:, 0]
-        hc1, s2, s3 = h * c1, c2 * (2.0 / h), c3 * (3.0 / h)
+        coeffs = _gather(table, (columns,))[:, 0]
+        value, slope = (_column_monomials(coeffs, h, s) for s in (False, True))
         for rounds in range(NEWTON_ROUNDS + 1):
             t = y - origin
             t /= h
-            # y - gamma * value - x, the value by _horner's rule
-            residual = t * c3
-            residual += c2
-            residual *= t
-            residual += hc1
-            residual *= t
-            residual += c0
+            # y - gamma * value - x
+            residual = _evaluate(value, t)
             residual *= gamma
             np.subtract(y, residual, out=residual)
             residual -= x
             worst = np.abs(residual)
-            # 1 - gamma J, the slope J by _horner's rule
-            det = t * s3
-            det += s2
-            det *= t
-            det += c1
+            # 1 - gamma J
+            det = _evaluate(slope, t)
             det *= -gamma
             det += 1.0
             if float(worst.max()) <= NEWTON_TOL:

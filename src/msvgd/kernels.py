@@ -39,12 +39,8 @@ Two kernel operators implement one contract, stated above them: the kernel
 matrices over one point set applied to per-point values, the sums that both
 the grid field and the particle Stein-Fisher value are made of.
 - The point-set operator (kernel_operator), for every kernel: products of
-  the n x n matrices f'(t) and f''(t) with two overlapping row ranges of
-  one C-ordered (w, n) stack of per-point features, each feature written
-  once.  f(t) is never held (f = (a + b t) f', _affine_ratio), and
-  only the upper tiles of the two symmetric matrices are built, each in two
-  buffers (_factors) and before the next product unless cache_tiles keeps
-  them.
+  the upper tiles of the symmetric n x n matrices f'(t) and f''(t) with one
+  stack of per-point features (_RadialOperator); f(t) is never held.
 - The lattice operator, over a grid's own nodes, where every chart is
   affine: every kernel matrix is (block-)Toeplitz, so it is a zero-padded
   FFT convolution with K, K1 and K12 sampled at the node lags.
@@ -52,6 +48,7 @@ cached_kernel_operator, which a grid flow applies at every state, chooses
 between them by the points.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -126,6 +123,17 @@ def field_gradient(x, rows, fp):
     block = x[:, None, :] - x[None, rows, :]
     block *= fp.T[:, :, None]
     return block
+
+
+def _feature_layout(d: int, with_u: bool) -> tuple:
+    """The point-set operator's (w, n) feature stack in d dimensions: its row
+    groups' shapes, q, q x^T, A q and with u also w, u, w x^T, u x^T, and
+    the (row slice, groups) each factor multiplies: F' the first five
+    groups (three without u) and F'' the last four."""
+    groups = [(d,), (d, d), (d,)] + ([(d,), (d, d), (d, d), (d, d, d)] if with_u else [])
+    edges = list(itertools.accumulate((math.prod(g) for g in groups), initial=0))
+    spans = ((0, 5), (3, 7)) if with_u else ((0, 3),)
+    return groups, [(slice(edges[a], edges[b]), groups[a:b]) for a, b in spans]
 
 
 def _rows(stack, shapes) -> list:
@@ -471,13 +479,16 @@ def operator_bytes(n: int, d: int) -> int:
       squared distances and their spare, then F' and F''; each tile goes
       before the next is built), and numpy's two 8192-entry buffers for
       _sq_dists' broadcast subtraction of strided columns;
-    - one tile's product with the wider factor's features, (d^3 + 2 d^2 + d, r);
-    - the one feature stack, d^3 + 3 d^2 + 3 d rows per point, and the two
-      factors' accumulators, d^3 + 4 d^2 + 4 d rows per point, since both
-      factors multiply u and w = u x."""
+    - one tile's product with the features of F'' (_feature_layout), the
+      wider factor from d = 2 on;
+    - the one feature stack and the two factors' accumulators, as many rows
+      per point as the features the factors read, since both multiply u and
+      w = u x."""
     rows = _largest_range(n, streamed_tile_rows())
-    wide = d**3 + 2 * d * d + d
-    return 8 * (2 * rows * rows + 2 * 8192 + rows * wide + n * (2 * d**3 + 7 * d * d + 7 * d))
+    groups, reads = _feature_layout(d, True)
+    widths = [read.stop - read.start for read, _ in reads]
+    stack = sum(map(math.prod, groups))
+    return 8 * (2 * rows * rows + 2 * 8192 + rows * widths[1] + n * (stack + sum(widths)))
 
 
 def particle_bytes(kernel, n: int, d: int) -> int:
@@ -509,9 +520,7 @@ class _RadialOperator:
     per-point features (q, q x^T, w = u x, u, w x^T, u x^T) and point-wise
     products with x_j.  Each factor multiplies all its features in one
     matrix product per tile.  apply writes each feature once, into one
-    C-ordered (w, n) stack laid out q, q x^T, A q, w, u, w x^T, u x^T: F'
-    reads its first five groups (3 d + 2 d^2 rows), F'' its last four (from
-    row 2 d + d^2 on), and apply(q, None) builds the first three alone.
+    C-ordered (w, n) stack laid out by _feature_layout.
     The sums are translation invariant, so x is centred first, which keeps
     the cancellation between the split terms small.
 
@@ -535,9 +544,8 @@ class _RadialOperator:
     its transpose times range i's features to range j's products and, off
     the diagonal, itself times range j's features to range i's.  Both
     products run features-first on the stack's two row ranges, each into
-    its own (w, n) accumulator (see _products).  The profile builds a
-    tile's F' and F'' in one pass from one transcendental, in the squared
-    distances' buffer and one more (_factors).  The tiles are built inside each product's
+    its own (w, n) accumulator (see _products), each tile's two factors
+    built in one pass (_tile).  The tiles are built inside each product's
     loop, one at a time, unless cache_tiles stored them; both ways run the
     same loop on the same tiles, so they give the same bits.
     """
@@ -610,25 +618,23 @@ class _RadialOperator:
     def apply(self, q: np.ndarray, u: np.ndarray | None) -> tuple:
         x = self._x
         n, d = x.shape
-        groups = [(d,), (d, d), (d,)] + ([(d,), (d, d), (d, d), (d, d, d)] if u is not None else [])
+        groups, reads = _feature_layout(d, u is not None)
         stack = np.empty((sum(map(math.prod, groups)), n))
         features = _rows(stack, groups)
         features[0][...] = q
         np.multiply(q[:, :, None], x[:, None, :], out=features[1])
         np.multiply(self._affine[:, None], q, out=features[2])
-        stacks = [stack]
         if u is not None:
             w, u_f, w_x, u_x = features[3:]
             w[...] = np.einsum("ide,ie->id", u, x)
             u_f[...] = u
             np.multiply(w[:, :, None], x[:, None, :], out=w_x)
             np.multiply(u[:, :, :, None], x[:, None, None, :], out=u_x)
-            stacks = [stack[:3 * d + 2 * d * d], stack[2 * d + d * d:]]
-        products = self._products(*stacks)
-        Fpq, Fpqx, Fpaq, *Fpu = _rows(products[0], groups[:5])
+        products = self._products(*(stack[read] for read, _ in reads))
+        Fpq, Fpqx, Fpaq, *Fpu = _rows(products[0], reads[0][1])
         if u is not None:
             Fpw, Fpu = Fpu
-            Fppw, Fppu, Fppwx, Fppux = _rows(products[1], groups[3:])
+            Fppw, Fppu, Fppwx, Fppux = _rows(products[1], reads[1][1])
         vals = (Fpaq + self._b * (self._sq_norms[:, None] * Fpq
                                   - 2.0 * np.einsum("jdc,jc->jd", Fpqx, x))
                 + self._f0 * q)
@@ -678,11 +684,11 @@ class _LatticeOperator:
         self._window = tuple(slice(n - 1, 2 * n - 1) for n in self._shape)
         k, k1, k12 = _lag_samples(kernel, grid)
         # K[i, j] = k(theta_i - theta_j, 0) sits at lag -(j - i): the products
-        # that sum over the first slot convolve with the reflected samples
+        # that sum over the first slot convolve with the reflected samples,
+        # and DV's first term, over the second, with -K1, since K1 is odd
         flip = (slice(None, None, -1),) * grid.dim
         self._K = self._spectrum(k[flip])
         self._K1 = self._spectrum(k1[flip])
-        self._K1rev = self._spectrum(k1)
         self._K12 = self._spectrum(k12[flip])
 
     def _spectrum(self, values: np.ndarray) -> np.ndarray:
@@ -707,7 +713,7 @@ class _LatticeOperator:
         Q, V = spectra[..., :d], products[..., :d]
         DV = np.reshape(products[..., d:], square, copy=False)
         np.multiply(self._K[..., None], Q, out=V)
-        np.multiply(Q[..., :, None], self._K1rev[..., None, :], out=DV)
+        np.multiply(np.negative(Q)[..., :, None], self._K1[..., None, :], out=DV)
         if u is not None:
             U = np.reshape(spectra[..., d:], square, copy=False)
             V += np.einsum("...e,...de->...d", self._K1, U)

@@ -9,8 +9,9 @@ The point contract.  Every point op takes an (n, d) batch and returns
 per-row arrays: (n,) for a scalar, (n, d) for a vector, (n, d, d) for a
 matrix.  Each open domain is tested by one predicate, a module-level
 function (``in_open_simplex``, ``in_open_box``); ``simplex_interior``
-returns the simplex's mask with the compensated slack it tests, for a
-caller that divides by that slack.  The map's ``contains`` is that
+returns the simplex's mask with the compensated slack it tests, and
+``checked_simplex_slack`` the slack of rows it admits, for a caller that
+divides by that slack.  The map's ``contains`` is that
 predicate, the targets' own domain checks call it, and
 grad_psi_star applies it to its own output.  A point outside the open
 domain raises DomainError.  A dual point whose conjugate rounds onto a face
@@ -84,6 +85,14 @@ def require_inside(ok, points, domain):
     if not np.all(ok):
         row = int(np.argmin(ok))
         raise DomainError(f"point outside the open {domain}: row {row}, {points[row]}")
+
+
+def checked_simplex_slack(t, domain):
+    """simplex_interior's slack of the rows of t (n, d), once for the domain
+    check and the formula that divides by it; require_inside names ``domain``."""
+    inside, slack = simplex_interior(t)
+    require_inside(inside, t, domain)
+    return slack
 
 
 def _on_chart(t, ok, domain):
@@ -201,10 +210,7 @@ class EntropicSimplexMap(MirrorMap):
         return in_open_simplex(theta)
 
     def _slack(self, theta):
-        """The slack of theta, once for the domain check and the formula."""
-        inside, slack = simplex_interior(theta)
-        require_inside(inside, theta, f"domain of {type(self).__name__}")
-        return slack
+        return checked_simplex_slack(theta, f"domain of {type(self).__name__}")
 
     def psi(self, theta):
         t0 = self._slack(theta)

@@ -13,17 +13,17 @@ and for a power law whose potential admits no Hessian growth bound at all.
 Targets keep the point contract of ``mirrors``: every point op takes an
 (n, d) batch and returns per-row arrays.  A target's domain check is its
 domain's one predicate from ``mirrors`` (``in_open_simplex``, read with
-its slack through ``simplex_interior``, and ``in_open_box``), the test the
-map's ``contains`` makes, so a primal point
-the chart returns is never refused here: the chart itself refuses a dual
-point whose conjugate rounds onto a face, with a NumericsError.
+its slack through ``checked_simplex_slack``, and ``in_open_box``), the test
+the map's ``contains`` makes, so a primal point the chart returns is never
+refused here: the chart itself refuses a dual point whose conjugate rounds
+onto a face, with a NumericsError.
 """
 
 import numpy as np
 
 from .errors import ConfigError
-from .mirrors import (EntropicSimplexMap, EuclideanMap, in_open_box, require_inside,
-                      simplex_interior)
+from .mirrors import (EntropicSimplexMap, EuclideanMap, checked_simplex_slack, in_open_box,
+                      require_inside)
 from .theory import SmoothnessProfile
 
 
@@ -68,13 +68,8 @@ class Dirichlet(ConstrainedTarget):
         self.concentration = conc
         self.dim = conc.shape[0] - 1
 
-    def _slack(self, theta):
-        inside, slack = simplex_interior(theta)
-        require_inside(inside, theta, "simplex chart")
-        return slack
-
     def log_density_unnorm(self, theta):
-        slack = self._slack(theta)
+        slack = checked_simplex_slack(theta, "simplex chart")
         head = self.concentration[:-1] - 1.0
         return np.log(theta) @ head + (self.concentration[-1] - 1.0) * np.log(slack)
 
@@ -85,7 +80,7 @@ class Dirichlet(ConstrainedTarget):
         return logs @ (self.concentration - 1.0)
 
     def grad_log_density(self, theta):
-        slack = self._slack(theta)
+        slack = checked_simplex_slack(theta, "simplex chart")
         head = self.concentration[:-1] - 1.0
         return head[None, :] / theta - ((self.concentration[-1] - 1.0) / slack)[:, None]
 

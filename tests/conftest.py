@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from msvgd.gridflow import NEWTON_ROUNDS, NEWTON_TOL, fornberg_weights
-from msvgd.kernels import DualIMQKernel, RescaledKernel
+from msvgd.kernels import DualIMQKernel, RescaledKernel, _lag_samples
 
 
 def at_point(op):
@@ -440,13 +440,16 @@ class ReferenceStep:
         return float(np.dot(density.grid.weights, integrand))
 
     @staticmethod
-    def lattice_apply(operator, q, u):
-        """kernels._LatticeOperator.apply, one transform per operand."""
+    def lattice_apply(operator, kernel, grid, q, u):
+        """kernels._LatticeOperator.apply over ``grid``'s nodes, one transform
+        per operand, with DV's first term from the spectrum of the
+        unreflected K1 samples, built here."""
         size, d = q.shape
         lattice = operator._shape
+        K1rev = operator._spectrum(_lag_samples(kernel, grid)[1])
         Q = operator._spectrum(q.reshape(lattice + (d,)))
         V = operator._K[..., None] * Q
-        DV = Q[..., :, None] * operator._K1rev[..., None, :]
+        DV = Q[..., :, None] * K1rev[..., None, :]
         if u is not None:
             U = operator._spectrum(u.reshape(lattice + (d, d)))
             V += np.einsum("...e,...de->...d", operator._K1, U)

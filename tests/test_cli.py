@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from msvgd import cli, theory
+from msvgd import cli, engine, theory
 from msvgd.gridflow import MirroredFlow
 from msvgd.targets import certified_profile
 
@@ -378,17 +378,34 @@ class TestVerifyCommand:
         timings = manifest["timings"]
         assert tuple(sorted(timings)) == tuple(sorted(cli.VERIFY_SPANS))
         assert all(value >= 0.0 for value in timings.values())
-        assert all(timings[name] > 0.0 for name in ("flow_build", "fields", "pushes",
+        # a "theorem" config: the step size is priced inside the clock
+        assert all(timings[name] > 0.0 for name in ("pricing", "flow_build", "fields", "pushes",
                                                     "records", "writes"))
         assert sum(timings.values()) <= manifest["wallclock"]["elapsed_s"]
 
-    def test_run_and_theory_manifests_keep_no_timings(self, tmp_path):
-        assert cli.main(["run", "--config", "dirichlet-simplex-d2", "--steps", "2",
+    def test_descent_suite_times_the_certificate_of_a_given_gamma(self, quartic_config,
+                                                                  tmp_path):
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--suite", "descent", "--target", str(quartic_config),
+                         "--gamma", "2e-5", "--steps", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["timings"]["pricing"] > 0.0
+        assert "fixed_cap" in json.loads((out / "report.json").read_text())
+
+    def test_run_and_theory_manifests_time_each_span_within_the_elapsed_time(
+            self, quartic_config, tmp_path):
+        # a "theorem" config, whose certificate both commands price
+        assert cli.main(["run", "--config", str(quartic_config), "--steps", "2",
                          "--out", str(tmp_path / "r")]) == 0
-        assert cli.main(["theory", "--target", "quartic-1d-descent",
+        assert cli.main(["theory", "--target", str(quartic_config),
                          "--out", str(tmp_path / "t")]) == 0
-        for name in ("r", "t"):
-            assert "timings" not in json.loads((tmp_path / name / "manifest.json").read_text())
+        for name, spans in (("r", engine.RUN_SPANS), ("t", cli.THEORY_SPANS)):
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            timings = manifest["timings"]
+            assert sorted(timings) == sorted(spans)
+            assert all(value >= 0.0 for value in timings.values())
+            assert timings["pricing"] > 0.0 and timings["writes"] > 0.0
+            assert sum(timings.values()) <= manifest["wallclock"]["elapsed_s"]
 
     def test_descent_suite_builds_one_flow_and_one_field_per_state(
             self, quartic_config, tmp_path, monkeypatch):

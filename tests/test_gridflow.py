@@ -1182,7 +1182,8 @@ class TestStepMatchesReference:
             q = density.wrho[:, None] * flow.operand
             u = density.wrho[:, None, None] * flow.dual_jacobian
             for parts in ((q, u), (q, None)):
-                got, want = operator.apply(*parts), ReferenceStep.lattice_apply(operator, *parts)
+                got = operator.apply(*parts)
+                want = ReferenceStep.lattice_apply(operator, flow.kernel, flow.grid, *parts)
                 assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
             self._assert_state(flow, density, field, bundle.gamma, push=step < 4)
 
@@ -1197,8 +1198,25 @@ class TestStepMatchesReference:
         q = rng.standard_normal((grid.size, 2))
         u = rng.standard_normal((grid.size, 2, 2))
         for parts in ((q, u), (q, None)):
-            got, want = operator.apply(*parts), ReferenceStep.lattice_apply(operator, *parts)
+            got = operator.apply(*parts)
+            want = ReferenceStep.lattice_apply(operator, kernel, grid, *parts)
             assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("kernel", [IMQKernel(), RBFKernel(0.7)], ids=["imq", "rbf"])
+    def test_lattice_k1_spectrum_is_odd(self, kernel):
+        # DV's first term reads -K1 for the unreflected samples' spectrum:
+        # the same numbers, though where both are exact zeros their signs
+        # may differ (the tests above pin the apply's outputs bit for bit)
+        grid = Grid((np.linspace(-5.0, 5.0, 24), np.linspace(-4.0, 6.0, 20)))
+        operator = kernels._LatticeOperator(kernel, grid)
+        unreflected = operator._spectrum(kernels._lag_samples(kernel, grid)[1])
+        assert np.array_equal(unreflected, -operator._K1)
+
+    @pytest.mark.parametrize("spacing", [(0.25,), (0.0123, 0.75), (2.5, 1e-3)])
+    def test_bernstein_rows_match_the_reference_construction(self, spacing):
+        for axis in range(len(spacing)):
+            assert same_bits(gridflow._bernstein_rows(spacing, axis),
+                             ReferenceStep.bernstein_rows(spacing, axis))
 
     def test_dirichlet_48x48_states_0_and_1_at_the_theorem_gamma(self):
         bundle = dirichlet_preset_bundle()
