@@ -2,6 +2,9 @@
 """Sweep step-size multipliers on a quadrature flow and report which ones
 keep the per-step descent inequality and the certified caps intact.
 
+Each multiplier's ``passed`` is ``msvgd verify --suite descent``'s verdict
+at that step size: both read gridflow.descent_suite.
+
 Usage:
     python3 scripts/descent_study.py                       # quartic preset
     python3 scripts/descent_study.py --multipliers 1 5 20 --steps 50
@@ -16,7 +19,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msvgd.config import build_runtime, load_config
 from msvgd.errors import NumericsError
-from msvgd.gridflow import MirroredFlow, descent_check
+from msvgd.gridflow import MirroredFlow, descent_suite
+
+COLUMNS = ("kl_first", "kl_last", "descent_ok", "fixed_cap_ok", "per_step_cap_ok", "passed")
 
 
 def main() -> int:
@@ -34,34 +39,22 @@ def main() -> int:
     flow = MirroredFlow(bundle.mirrored, bundle.kernel,
                         nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     print(f"base step size: {bundle.gamma:.6g} ({bundle.gamma_mode})")
-    certificate = bundle.certificate
 
     rows = []
     for mult in args.multipliers:
         gamma = mult * bundle.gamma
         try:
-            out = flow.run(gamma, args.steps)
-            report = descent_check(flow, out["records"], gamma, certificate=certificate)
-            row = {
-                "multiplier": mult,
-                "gamma": gamma,
-                "kl_first": report["kl_first"],
-                "kl_last": report["kl_last"],
-                "descent_ok": report["descent_ok"],
-                "fixed_cap_ok": report.get("fixed_cap_ok"),
-                "per_step_cap_ok": report.get("per_step_cap_ok"),
-                "passed": report["passed"],
-            }
+            report = descent_suite(flow, gamma, args.steps, bundle.certificate)[0]
         except NumericsError as exc:
-            row = {"multiplier": mult, "gamma": gamma, "kl_first": None,
-                   "kl_last": None, "descent_ok": False, "fixed_cap_ok": None,
-                   "per_step_cap_ok": None, "passed": False}
+            report = {"descent_ok": False, "passed": False}
             print(f"  x{mult:g}: numeric abort: {exc}")
-        rows.append(row)
-        if row["kl_last"] is not None:
-            print(f"  x{mult:<6g} gamma={gamma:.3e}  KL {row['kl_first']:.4f} -> "
-                  f"{row['kl_last']:.4f}  descent={row['descent_ok']}  "
-                  f"caps=({row['fixed_cap_ok']}, {row['per_step_cap_ok']})")
+        else:
+            print(f"  x{mult:<6g} gamma={gamma:.3e}  KL {report['kl_first']:.4f} -> "
+                  f"{report['kl_last']:.4f}  descent={report['descent_ok']}  "
+                  f"caps=({report.get('fixed_cap_ok')}, {report.get('per_step_cap_ok')})  "
+                  f"passed={report['passed']}")
+        rows.append({"multiplier": mult, "gamma": gamma,
+                     **{key: report.get(key) for key in COLUMNS}})
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -18,6 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from msvgd.config import build_runtime, load_config
 from msvgd.engine import init_ensemble, msvgd_step, stein_fisher_particles, update_field
+from msvgd.mirrors import simplex_slack
 
 
 def main() -> int:
@@ -42,7 +43,7 @@ def main() -> int:
     conc = np.asarray(cfg.target_params["concentration"], dtype=float)
     analytic = conc[:-1] / conc.sum()
     sample = ens.primal.mean(axis=0)
-    last = 1.0 - ens.primal.sum(axis=1)
+    last = simplex_slack(ens.primal)
 
     print(f"steps={cfg.steps} particles={cfg.particles} gamma={bundle.gamma}")
     print(f"stein_fisher: {fisher0:.6f} -> {fisher1:.6f}")

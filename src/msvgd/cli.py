@@ -2,11 +2,12 @@
 and the constants report.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numeric abort.  Each command wires its runtime once and checks --out
-before it writes any output; --out itself is made only when the first
-output file is written, so a refusal leaves nothing behind.  Every output
-directory receives a manifest.json; existing outputs are never overwritten
-without --force.
+3 numeric abort; verify exits 1 exactly when its suite's report, built in
+msvgd.gridflow, says "passed": false.  Each command wires its runtime once
+and checks --out before it writes any output; --out itself is made only
+when the first output file is written, so a refusal leaves nothing behind.
+Every output directory receives a manifest.json; existing outputs are
+never overwritten without --force.
 
 On glibc, main first pins the allocator's mmap threshold (32 MiB) and trim
 threshold (64 MiB) through mallopt.  A grid or particle step frees
@@ -32,14 +33,11 @@ from pathlib import Path
 from . import engine, theory
 from .config import build_runtime, load_config
 from .errors import ConfigError, DomainError, NumericsError
-from .gridflow import MirroredFlow, descent_check, fisher_norm_margins
+from .gridflow import MirroredFlow, bounds_suite, descent_suite, lemmas_suite
 
 REPORT_FILE = "report.json"
 VERIFY_CSV_FILE = "verify.csv"
 THEORY_FILE = "theory.json"
-
-LEMMA_GAP_TOL = 1e-6
-NORM_MARGIN_TOL = -1e-8
 
 # (mallopt parameter, value) pairs of glibc's malloc.h: M_MMAP_THRESHOLD (-3)
 # at glibc's 64-bit ceiling, DEFAULT_MMAP_THRESHOLD_MAX, and M_TRIM_THRESHOLD
@@ -134,86 +132,9 @@ def _cmd_run(args) -> int:
 # verify
 
 
-# the spans of verify's manifest.json "timings" block, in seconds: the step
-# size's and certificate's pricing, the flow's build, its field builds and
-# pushes (MirroredFlow.timings), the records, the checks, the output writes
+# verify's manifest.json "timings" spans (s): the step size's and certificate's
+# pricing, the flow build, MirroredFlow.timings' four, the output writes
 VERIFY_SPANS = ("pricing", "flow_build", "fields", "pushes", "records", "checks", "writes")
-
-
-def _records(flow, states, spans: dict) -> list:
-    records = []
-    for state in states:
-        with engine.timed(spans, "records"):
-            records.append(flow.record(*state))
-    return records
-
-
-def _verify_descent(flow, certificate, gamma: float, steps: int, spans: dict) -> tuple:
-    records = _records(flow, flow.states(gamma, steps), spans)
-    with engine.timed(spans, "checks"):
-        report = descent_check(flow, records, gamma, certificate=certificate)
-    violations = [
-        f"step {row['step']}: KL drop {row['kl_next'] - row['kl']:.6g} exceeds "
-        f"bound {row['bound_rhs']:.6g}"
-        for row in report["steps"] if not row["ok"]
-    ]
-    if not report.get("fixed_cap_ok", True):
-        violations.append(
-            f"step size {gamma:.6g} exceeds the certified fixed cap "
-            f"{report['fixed_cap']:.6g}"
-        )
-    if not report.get("per_step_cap_ok", True):
-        worst = min(report["per_step_caps"])
-        violations.append(
-            f"step size {gamma:.6g} exceeds the smallest per-state cap {worst:.6g}"
-        )
-    if not report["kl_strictly_decreased"]:
-        violations.append("KL did not strictly decrease over the run")
-    report["violations"] = violations
-    return report, records, bool(report["passed"]) and not violations
-
-
-def _suite_report(tolerance: float, gamma: float, checks: list, violations: list) -> dict:
-    return {"tolerance": tolerance, "gamma": gamma, "checks": checks,
-            "violations": violations, "passed": not violations}
-
-
-def _tenth_states(flow, gamma: float, steps: int):
-    """The states the lemmas and bounds suites write: every tenth and the last."""
-    return (s for s in flow.states(gamma, steps) if s[0] % 10 == 0 or s[0] == steps)
-
-
-def _verify_lemmas(flow, gamma: float, steps: int, spans: dict) -> tuple:
-    records, checks, violations = [], [], []
-    for step, density, field in _tenth_states(flow, gamma, steps):
-        with engine.timed(spans, "records"):
-            records.append(flow.record(step, density, field))
-        if step % 10:  # the final state is recorded too, but not checked
-            continue
-        with engine.timed(spans, "checks"):
-            gaps = flow.g_forms_gap(density, field)
-        worst = max(gaps.values())
-        ok = worst <= LEMMA_GAP_TOL
-        checks.append({"step": step, **gaps, "ok": ok})
-        if not ok:
-            violations.append(
-                f"step {step}: field formulas disagree by {worst:.3g} "
-                f"(tolerance {LEMMA_GAP_TOL:g})"
-            )
-    return _suite_report(LEMMA_GAP_TOL, gamma, checks, violations), records, not violations
-
-
-def _verify_bounds(flow, bundle, gamma: float, steps: int, spans: dict) -> tuple:
-    records = _records(flow, _tenth_states(flow, gamma, steps), spans)
-    with engine.timed(spans, "checks"):
-        rows = fisher_norm_margins(records, bundle.kernel.bounds(),
-                                   flow.map.strong_convexity, flow.grid.dim)
-    violations = [
-        f"step {row['step']}: field norm {row['field_norm']:.6g} exceeds "
-        f"bound {row['bound_rhs']:.6g}"
-        for row in rows if row["margin"] < NORM_MARGIN_TOL
-    ]
-    return _suite_report(NORM_MARGIN_TOL, gamma, rows, violations), records, not violations
 
 
 def _cmd_verify(args) -> int:
@@ -251,11 +172,11 @@ def _cmd_verify(args) -> int:
         flow = MirroredFlow(bundle.mirrored, bundle.kernel,
                             nodes=cfg.grid_nodes, halfwidth=cfg.grid_halfwidth)
     if args.suite == "descent":
-        report, records, passed = _verify_descent(flow, certificate, gamma, steps, spans)
+        report, records = descent_suite(flow, gamma, steps, certificate)
     elif args.suite == "lemmas":
-        report, records, passed = _verify_lemmas(flow, gamma, steps, spans)
+        report, records = lemmas_suite(flow, gamma, steps)
     else:
-        report, records, passed = _verify_bounds(flow, bundle, gamma, steps, spans)
+        report, records = bounds_suite(flow, gamma, steps)
     spans.update(flow.timings)
 
     report = {
@@ -270,13 +191,13 @@ def _cmd_verify(args) -> int:
         _write_verify_csv(out_dir / VERIFY_CSV_FILE, records, gamma)
     engine.write_manifest(
         out_dir, cfg,
-        summary={"suite": args.suite, "passed": passed, "gamma": gamma,
+        summary={"suite": args.suite, "passed": report["passed"], "gamma": gamma,
                  "violations": report["violations"]},
         outputs=[REPORT_FILE, VERIFY_CSV_FILE],
         elapsed_s=time.perf_counter() - started,
         timings=spans,
     )
-    if passed:
+    if report["passed"]:
         print(f"verify {args.suite}: all checks passed, report in {out_dir}")
         return 0
     for line in report["violations"]:

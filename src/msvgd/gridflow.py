@@ -21,6 +21,8 @@ field; per push the field's and the log density's Hermite tables, and in
 1D the gathered columns of the inverse.
 descent_check reads the records and the caps of a theory.Certificate priced
 beforehand; it never rebuilds a flow or a field and never prices a constant.
+verify's three suites live beside it (descent_suite, lemmas_suite,
+bounds_suite), each with its tolerances, messages and verdict.
 
 The field is a handful of kernel-matrix products over the nodes, and one
 kernel operator performs them.  The flow holds no operator code: it asks
@@ -51,10 +53,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import time
 
 import numpy as np
 
+from .engine import timed
 from .errors import ConfigError, DomainError, NumericsError
 from .kernels import cached_kernel_operator
 from .quadrature import Grid, chart_saturation_refused, read_only, target_box
@@ -519,8 +521,9 @@ class MirroredFlow:
             np.einsum("nd,nd->n", self.grad_potential, self.grad_potential))
         self.dual_jacobian = kernel.dual_jacobian(self.hinv)
         self.kernel_operator = cached_kernel_operator(kernel, self.theta, self.grid)
-        # time.perf_counter totals (s) of the field builds and pushes of states
-        self.timings = {"fields": 0.0, "pushes": 0.0}
+        # time.perf_counter totals (s) of the field builds and pushes of
+        # states, and of a suite's records and checks
+        self.timings = dict.fromkeys(("fields", "pushes", "records", "checks"), 0.0)
 
     # -- densities ----------------------------------------------------------
 
@@ -630,16 +633,13 @@ class MirroredFlow:
         state forward when the next one is asked for."""
         if density is None:
             density = self.initial_density()
-        timings = self.timings
         for n in range(steps + 1):
-            start = time.perf_counter()
-            field = self.g_field(density, form="score")
-            timings["fields"] += time.perf_counter() - start
+            with timed(self.timings, "fields"):
+                field = self.g_field(density, form="score")
             yield n, density, field
             if n < steps:
-                start = time.perf_counter()
-                density = pushforward_step(density, field, gamma)
-                timings["pushes"] += time.perf_counter() - start
+                with timed(self.timings, "pushes"):
+                    density = pushforward_step(density, field, gamma)
 
     def run(self, gamma: float, steps: int, density: GridDensity | None = None) -> dict:
         """Flow for a fixed number of steps: {"records": the record of every
@@ -893,3 +893,86 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
     else:
         report["passed"] = all_pass
     return report
+
+
+# ---------------------------------------------------------------------------
+# verify's suites: each returns the (report, records) verify writes, with
+# "passed" = not "violations", and times its records and checks in flow.timings
+
+LEMMA_GAP_TOL = 1e-6  # on each worst gap of g_forms_gap
+NORM_MARGIN_TOL = -1e-8  # the floor under fisher_norm_margins' margins
+
+
+def _records(flow: MirroredFlow, states) -> list:
+    records = []
+    for state in states:
+        with timed(flow.timings, "records"):
+            records.append(flow.record(*state))
+    return records
+
+
+def _tenth_states(flow: MirroredFlow, gamma: float, steps: int):
+    """The states the lemmas and bounds suites record: every tenth and the last."""
+    return (s for s in flow.states(gamma, steps) if s[0] % 10 == 0 or s[0] == steps)
+
+
+def descent_suite(flow: MirroredFlow, gamma: float, steps: int, certificate) -> tuple:
+    """descent_check on the record of every state, against ``certificate``
+    (None checks the inequality alone).  A violation for each step whose KL
+    drop exceeds its bound, then for gamma past the fixed cap, past the
+    smallest per-state cap, and for a KL that did not strictly decrease
+    over the run: descent_check's own "passed" leaves out that last rule."""
+    records = _records(flow, flow.states(gamma, steps))
+    with timed(flow.timings, "checks"):
+        report = descent_check(flow, records, gamma, certificate=certificate)
+    violations = [
+        f"step {row['step']}: KL drop {row['kl_next'] - row['kl']:.6g} exceeds "
+        f"bound {row['bound_rhs']:.6g}"
+        for row in report["steps"] if not row["ok"]
+    ]
+    if not report.get("fixed_cap_ok", True):
+        violations.append(
+            f"step size {gamma:.6g} exceeds the certified fixed cap {report['fixed_cap']:.6g}")
+    if not report.get("per_step_cap_ok", True):
+        violations.append(f"step size {gamma:.6g} exceeds the smallest per-state cap "
+                          f"{min(report['per_step_caps']):.6g}")
+    if not report["kl_strictly_decreased"]:
+        violations.append("KL did not strictly decrease over the run")
+    report.update(violations=violations, passed=not violations)
+    return report, records
+
+
+def lemmas_suite(flow: MirroredFlow, gamma: float, steps: int) -> tuple:
+    """g_forms_gap at every tenth state, each worst gap against
+    LEMMA_GAP_TOL; the last state is recorded but not checked."""
+    records, checks, violations = [], [], []
+    for step, density, field in _tenth_states(flow, gamma, steps):
+        with timed(flow.timings, "records"):
+            records.append(flow.record(step, density, field))
+        if step % 10:
+            continue
+        with timed(flow.timings, "checks"):
+            gaps = flow.g_forms_gap(density, field)
+        worst = max(gaps.values())
+        checks.append({"step": step, **gaps, "ok": worst <= LEMMA_GAP_TOL})
+        if not checks[-1]["ok"]:
+            violations.append(f"step {step}: field formulas disagree by {worst:.3g} "
+                              f"(tolerance {LEMMA_GAP_TOL:g})")
+    return {"tolerance": LEMMA_GAP_TOL, "gamma": gamma, "checks": checks,
+            "violations": violations, "passed": not violations}, records
+
+
+def bounds_suite(flow: MirroredFlow, gamma: float, steps: int) -> tuple:
+    """fisher_norm_margins at every tenth state and the last, each margin
+    against the NORM_MARGIN_TOL floor."""
+    records = _records(flow, _tenth_states(flow, gamma, steps))
+    with timed(flow.timings, "checks"):
+        rows = fisher_norm_margins(records, flow.kernel.bounds(),
+                                   flow.map.strong_convexity, flow.grid.dim)
+    violations = [
+        f"step {row['step']}: field norm {row['field_norm']:.6g} exceeds "
+        f"bound {row['bound_rhs']:.6g}"
+        for row in rows if row["margin"] < NORM_MARGIN_TOL
+    ]
+    return {"tolerance": NORM_MARGIN_TOL, "gamma": gamma, "checks": rows,
+            "violations": violations, "passed": not violations}, records

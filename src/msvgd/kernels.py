@@ -479,8 +479,8 @@ def operator_bytes(n: int, d: int) -> int:
       squared distances and their spare, then F' and F''; each tile goes
       before the next is built), and numpy's two 8192-entry buffers for
       _sq_dists' broadcast subtraction of strided columns;
-    - one tile's product with the features of F'' (_feature_layout), the
-      wider factor from d = 2 on;
+    - one tile's product with the features of the factor that reads more
+      (_feature_layout): F' at d = 1, F'' from d = 2 on;
     - the one feature stack and the two factors' accumulators, as many rows
       per point as the features the factors read, since both multiply u and
       w = u x."""
@@ -488,7 +488,7 @@ def operator_bytes(n: int, d: int) -> int:
     groups, reads = _feature_layout(d, True)
     widths = [read.stop - read.start for read, _ in reads]
     stack = sum(map(math.prod, groups))
-    return 8 * (2 * rows * rows + 2 * 8192 + rows * widths[1] + n * (stack + sum(widths)))
+    return 8 * (2 * rows * rows + 2 * 8192 + rows * max(widths) + n * (stack + sum(widths)))
 
 
 def particle_bytes(kernel, n: int, d: int) -> int:

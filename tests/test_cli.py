@@ -552,6 +552,36 @@ class TestVerifyCommand:
         assert report["passed"] is False
         assert report["violations"]
 
+    def test_flat_kl_fails_in_the_report_as_in_the_exit_code(self, tmp_path, capsys):
+        # at gamma 1e-17 one step leaves KL where it was: the inequality and
+        # both caps hold, and the strict-decrease rule alone fails the run
+        out = tmp_path / "flat"
+        code = cli.main(["verify", "--suite", "descent", "--target", "quartic-1d-descent",
+                         "--gamma", "1e-17", "--steps", "1", "--out", str(out)])
+        assert code == 1
+        assert "KL did not strictly decrease over the run" in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["descent_ok"] and report["fixed_cap_ok"] and report["per_step_cap_ok"]
+        assert report["violations"] == ["KL did not strictly decrease over the run"]
+        assert report["passed"] is False
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"]["passed"] is False
+
+    @pytest.mark.parametrize("suite, extra, expected", [
+        ("descent", [], 0),
+        ("lemmas", [], 0),
+        ("bounds", [], 0),
+        ("descent", ["--gamma-scale", "10"], 1),
+    ])
+    def test_report_verdict_is_the_exit_code(self, quartic_config, tmp_path, suite, extra,
+                                             expected):
+        out = tmp_path / "v"
+        code = cli.main(["verify", "--suite", suite, "--target", str(quartic_config),
+                         "--out", str(out), *extra])
+        assert code == expected
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is (not report["violations"]) is (code == 0)
+
     def test_lemmas_suite(self, quartic_config, tmp_path):
         out = tmp_path / "vl"
         code = cli.main(["verify", "--suite", "lemmas",

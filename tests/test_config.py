@@ -214,15 +214,15 @@ def test_particle_count_is_refused_only_past_physical_memory():
     # Past about 33k particles at d = 1 the field's blocks are one row
     # each, 8 n (d + 1) bytes, and the snapshot operator sets the price: one
     # tile of r rows twice over, numpy's two 8192-entry iteration buffers,
-    # one tile's product with the d^3 + 2 d^2 + d = 4 wider features, the
-    # d^3 + 3 d^2 + 3 d = 7 rows of the feature stack and the
-    # d^3 + 4 d^2 + 4 d = 9 rows of the two accumulators per point,
-    # 8 (2 r^2 + 16384 + 4 r + 16 n) bytes, where a multiple of
-    # streamed_tile_rows() particles has r = streamed_tile_rows().  Counts
-    # only: no such config is ever run.
+    # one tile's product with the 2 d^2 + 3 d = 5 wider features, those of
+    # F' (F'' reads d^3 + 2 d^2 + d = 4), the d^3 + 3 d^2 + 3 d = 7 rows of
+    # the feature stack and the d^3 + 4 d^2 + 4 d = 9 rows of the two
+    # accumulators per point, 8 (2 r^2 + 16384 + 5 r + 16 n) bytes, where a
+    # multiple of streamed_tile_rows() particles has r = streamed_tile_rows().
+    # Counts only: no such config is ever run.
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     rows = kernels.streamed_tile_rows()
-    tile = 2 * rows * rows + 2 * 8192 + 4 * rows
+    tile = 2 * rows * rows + 2 * 8192 + 5 * rows
     ranges = (memory // 8 - tile) // (16 * rows)
     largest, past = rows * ranges, rows * (ranges + 1)
     assert _wire(dict(MINIMAL, particles=largest)).config.particles == largest

@@ -24,11 +24,14 @@ from msvgd.gridflow import (
     FieldOnGrid,
     GridDensity,
     MirroredFlow,
+    bounds_suite,
     descent_check,
+    descent_suite,
     fisher_norm_margins,
     fornberg_weights,
     grid_for_target,
     kl_quadrature,
+    lemmas_suite,
     nonuniform_gradient,
     pushforward_step,
     standard_normal_density,
@@ -1337,6 +1340,24 @@ class TestFlowRuns:
         report = descent_check(flow, out["records"], 0.01)
         assert report["passed"]
         assert abs(report["kl_first"]) <= 1e-9
+
+    def test_descent_suite_adds_strict_decrease_to_descent_check(self):
+        flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=512, halfwidth=6.0)
+        # gamma = 0 leaves KL where it was: the inequality holds, the run fails
+        report, records = descent_suite(flow, 0.0, 1, None)
+        assert [r["step"] for r in records] == [0, 1]
+        assert descent_check(flow, records, 0.0)["passed"]
+        assert report["violations"] == ["KL did not strictly decrease over the run"]
+        assert report["passed"] is False
+        assert flow.timings["records"] > 0.0 and flow.timings["checks"] > 0.0
+
+    @pytest.mark.parametrize("suite", [lemmas_suite, bounds_suite])
+    def test_suites_record_every_tenth_state_and_the_last(self, suite):
+        flow = MirroredFlow(quartic_target(), IMQKernel(), nodes=1024)
+        report, records = suite(flow, 1e-4, 12)
+        assert [r["step"] for r in records] == [0, 10, 12]
+        assert report["violations"] == [] and report["passed"] is True
+        assert flow.timings["records"] > 0.0 and flow.timings["checks"] > 0.0
 
     def test_fisher_norm_margins(self):
         target = quartic_target()
