@@ -10,8 +10,8 @@ identities for g are checked here at quadrature accuracy, in d <= 2.
 A flow's grid is the box msvgd.quadrature's bracket walk picks for the dual
 target (target_box), unless a halfwidth is given.  The flow holds one state
 at a time.  MirroredFlow.states builds each state's field once and pushes
-the state forward only when the next one is asked for; MirroredFlow.run
-keeps scalar records and the final density only.
+the state forward only when the next one is asked for; MirroredFlow.record
+reads a state's scalars off the field it was built with.
 Each array is built once where it lives (README's grid-flow section lists
 them): per grid the nodes, weights and spacing (Grid), the edge stencils
 and the Bernstein rows of max_stretch; per flow the target density, the
@@ -35,9 +35,9 @@ identity for dual-imq, so its field derivatives are the operator's own).
 
 One interpolant serves every dimension: a tensor-product cubic Hermite
 table, built by the 1-D Hermite formula along each axis in turn, for the
-field (values and exact nodal Jacobians, held constant beyond the box) and
-for the log density (values and its finite-difference gradient, extended
-linearly beyond the box).  Every read of a table goes through one column
+field (values and exact nodal Jacobians) and for the log density (values
+and its finite-difference gradient), each held constant beyond the box by
+one rule.  Every read of a table goes through one column
 rule, _column_monomials, summed by _evaluate: _horner, max_stretch (the 1D
 vertex search and the Bernstein rows) and the 1D Newton loop of the
 pushforward's inverse (_invert).
@@ -288,12 +288,15 @@ def _evaluate(monomials: tuple, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _hermite_table(v: np.ndarray, m: np.ndarray, h: float, extend: str) -> np.ndarray:
+def _hermite_table(v: np.ndarray, m: np.ndarray, h: float) -> np.ndarray:
     """(4,) + v.shape[:-1] + (n + 1,) coefficients of the cubic Hermite
     interpolant along the last axis through node values v and slopes m,
     spacing h, read by _column_monomials: c0 is the value and c1 the slope
-    at the column's left node.  Beyond the box it is held "constant" or
-    extended "linear"-ly along the edge slope."""
+    at the column's left node.  Beyond the box it is held at the edge
+    value, for the field and the log density alike: extended linearly, the
+    log density amplified any edge slope out there and brought mass in at
+    every push (Staniforth & Cote, Mon. Wea. Rev. 119, 1991, on departure
+    points that fall off the grid)."""
     n = v.shape[-1]
     table = np.empty((4,) + v.shape[:-1] + (n + 1,))
     c0, c1, c2, c3 = table[..., 1:n]  # the intervals, written in place
@@ -311,8 +314,6 @@ def _hermite_table(v: np.ndarray, m: np.ndarray, h: float, extend: str) -> np.nd
     beyond = table[..., ::n]  # columns 0 and n
     beyond[0] = v[..., ::n - 1]
     beyond[1:] = 0.0
-    if extend == "linear":
-        beyond[1] = m[..., ::n - 1]
     return table
 
 
@@ -321,7 +322,7 @@ def _fd4_along(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.swapaxes(_fd4_uniform(np.swapaxes(values, axis, -1), h), -1, axis)
 
 
-def _hermite_tensor(grid: Grid, values: np.ndarray, derivs: np.ndarray, extend: str) -> np.ndarray:
+def _hermite_tensor(grid: Grid, values: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     """Tensor-product cubic Hermite table of node values (P,) + rest with
     first derivatives (P,) + rest + (d,), read-only: (4,) * d + rest +
     (n_0 + 1, ..., n_{d-1} + 1), the coefficient axes last axis first and
@@ -345,7 +346,7 @@ def _hermite_tensor(grid: Grid, values: np.ndarray, derivs: np.ndarray, extend: 
         # the pair (value, derivative along axis), the axis's nodes last
         v, m = (np.ascontiguousarray(np.swapaxes(data[(slice(None),) * axis + (i,)], axis - d, -1))
                 for i in (0, 1))
-        data = np.swapaxes(_hermite_table(v, m, h, extend), -1, axis - d)
+        data = np.swapaxes(_hermite_table(v, m, h), -1, axis - d)
     return read_only(data)
 
 
@@ -441,7 +442,7 @@ class FieldOnGrid:
         """A new tensor-product Hermite table of the field (_hermite_tensor),
         held constant beyond the box, read-only: (4,) * d + (d,) + cells,
         with the field's component on the axis after the coefficients."""
-        return _hermite_tensor(self.grid, self.values, self.derivs, "constant")
+        return _hermite_tensor(self.grid, self.values, self.derivs)
 
     def max_stretch(self, table: np.ndarray) -> tuple:
         """Largest Jacobian magnitude (max row sum) of the interpolated field,
@@ -641,14 +642,6 @@ class MirroredFlow:
                 with timed(self.timings, "pushes"):
                     density = pushforward_step(density, field, gamma)
 
-    def run(self, gamma: float, steps: int, density: GridDensity | None = None) -> dict:
-        """Flow for a fixed number of steps: {"records": the record of every
-        state, "final": the last density}, from steps + 1 g_field calls."""
-        records = []
-        for step, density, field in self.states(gamma, steps, density):
-            records.append(self.record(step, density, field))
-        return {"records": records, "final": density}
-
 
 # ---------------------------------------------------------------------------
 # pushforward
@@ -660,9 +653,9 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
     The field must be finite and the map injective: gamma times the largest
     field stretch below one.  The log density is then interpolated at each
     node's preimage on the cell the inverse found it in, with no second
-    lookup, from its own Hermite table (the state's log_gradient, extended
-    linearly beyond the box).  gamma = 0 returns the density unchanged, bit
-    for bit.
+    lookup, from its own Hermite table (the state's log_gradient), held
+    constant beyond the box as the field's is.  gamma = 0 returns the
+    density unchanged, bit for bit.
     """
     if not (np.isfinite(field.values).all() and np.isfinite(field.derivs).all()):
         finite = np.isfinite(field.values).all(axis=1) & np.isfinite(field.derivs).all(axis=(1, 2))
@@ -680,7 +673,7 @@ def pushforward_step(density: GridDensity, field: FieldOnGrid, gamma: float) -> 
             particle=node,
         )
     _, det, cells, t = _invert(grid, field, field_table, gamma)
-    table = _hermite_tensor(grid, density.log_density, density.log_gradient, "linear")
+    table = _hermite_tensor(grid, density.log_density, density.log_gradient)
     log_rho_at = _horner(_gather(table, cells), t, grid.spacing, False)[0]
     log_rho_at -= np.log(det, out=det)
     return GridDensity.normalized(grid, log_rho_at)
@@ -829,21 +822,23 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
 
     Checks KL(n+1) - KL(n) <= -(gamma/2) * fisher(n) + tol at every step,
     reading KL, fisher, the field norm and the mean gradient norm from the
-    records, so the records must cover consecutive steps, as
-    MirroredFlow.run's do.
+    records, so the records must cover consecutive steps, as a record of
+    every state of MirroredFlow.states does.
     When a ``theory.Certificate`` for the flow's setting is supplied, gamma
     is also checked for admissibility in both regimes: against its fixed
     worst-case cap (the "theorem" step size, priced from the initial-KL
     upper bound, not the measured KL), and against the per-state cap from
     each record's measured field norm and growth statistic.  The
-    certificate is read, never re-priced.
+    certificate is read, never re-priced.  The report holds the flags
+    descent_ok, fixed_cap_ok and per_step_cap_ok, and no verdict:
+    descent_suite turns them into verify's.
     """
     if not records:
         raise ConfigError("descent_check needs at least one record")
     steps = [rec["step"] for rec in records]
     if steps != list(range(steps[0], steps[0] + len(steps))):
         raise ConfigError(
-            "descent_check needs a record for every step, as MirroredFlow.run gives"
+            "descent_check needs a record for every step, as MirroredFlow.states gives"
         )
     if certificate is not None and (
         certificate.dim != flow.grid.dim
@@ -854,13 +849,11 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
     kls = [rec["kl"] for rec in records]
     fishers = [rec["stein_fisher"] for rec in records]
 
-    rows, all_pass = [], True
+    rows = []
     for n in range(len(records) - 1):
         drop = kls[n + 1] - kls[n]
         rhs = -(gamma / 2.0) * fishers[n]
         margin = rhs + tol - drop
-        ok = bool(margin >= 0.0)
-        all_pass = all_pass and ok
         rows.append({
             "step": steps[n],
             "kl": kls[n],
@@ -868,7 +861,7 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
             "stein_fisher": fishers[n],
             "bound_rhs": rhs,
             "margin": margin,
-            "ok": ok,
+            "ok": bool(margin >= 0.0),
         })
 
     report = {
@@ -878,7 +871,7 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
         "kl_first": kls[0],
         "kl_last": kls[-1],
         "kl_strictly_decreased": bool(kls[-1] < kls[0]) if len(kls) > 1 else True,
-        "descent_ok": all_pass,
+        "descent_ok": all(row["ok"] for row in rows),
     }
     if certificate is not None:
         caps = [certificate.cap(rec["field_norm"], rec["mean_grad_norm"]) for rec in records]
@@ -887,11 +880,6 @@ def descent_check(flow: MirroredFlow, records, gamma: float, certificate=None,
         report["fixed_cap_ok"] = bool(gamma <= certificate.fixed_cap * (1.0 + 1e-12))
         report["per_step_caps"] = caps
         report["per_step_cap_ok"] = bool(all(gamma <= c * (1.0 + 1e-12) for c in caps))
-        report["passed"] = bool(
-            all_pass and report["fixed_cap_ok"] and report["per_step_cap_ok"]
-        )
-    else:
-        report["passed"] = all_pass
     return report
 
 
@@ -921,7 +909,7 @@ def descent_suite(flow: MirroredFlow, gamma: float, steps: int, certificate) -> 
     (None checks the inequality alone).  A violation for each step whose KL
     drop exceeds its bound, then for gamma past the fixed cap, past the
     smallest per-state cap, and for a KL that did not strictly decrease
-    over the run: descent_check's own "passed" leaves out that last rule."""
+    over the run.  Its "passed", no violation, is verify's verdict."""
     records = _records(flow, flow.states(gamma, steps))
     with timed(flow.timings, "checks"):
         report = descent_check(flow, records, gamma, certificate=certificate)

@@ -264,7 +264,7 @@ class ReferenceStep:
                         axis=1)
 
     @staticmethod
-    def hermite_table(v, m, h, extend):
+    def hermite_table(v, m, h):
         n = v.shape[-1]
         table = np.zeros((4,) + v.shape[:-1] + (n + 1,))
         c0, c1, c2, c3 = table[..., 1:n]
@@ -280,12 +280,10 @@ class ReferenceStep:
         np.negative(c2, out=c2)
         c1[...] = m[..., :-1]
         table[0, ..., 0], table[0, ..., n] = v[..., 0], v[..., -1]
-        if extend == "linear":
-            table[1, ..., 0], table[1, ..., n] = m[..., 0], m[..., -1]
         return table
 
     @classmethod
-    def hermite_tensor(cls, grid, values, derivs, extend):
+    def hermite_tensor(cls, grid, values, derivs):
         d = grid.dim
         spacing = tuple(float(a[1] - a[0]) for a in grid.axes)
         data = np.empty((2,) * d + values.shape[1:] + grid.shape)
@@ -300,7 +298,7 @@ class ReferenceStep:
             v, m = (np.ascontiguousarray(np.swapaxes(data[(slice(None),) * axis + (i,)],
                                                      axis - d, -1))
                     for i in (0, 1))
-            data = np.swapaxes(cls.hermite_table(v, m, h, extend), -1, axis - d)
+            data = np.swapaxes(cls.hermite_table(v, m, h), -1, axis - d)
         return data
 
     @staticmethod
@@ -419,12 +417,12 @@ class ReferenceStep:
         """The pushed log density (flat), with (stretch, node) of the field."""
         grid = density.grid
         spacing = tuple(float(a[1] - a[0]) for a in grid.axes)
-        field_table = cls.hermite_tensor(grid, field.values, field.derivs, "constant")
+        field_table = cls.hermite_tensor(grid, field.values, field.derivs)
         stretch = cls.max_stretch(field, field_table)
         assert gamma * stretch[0] < 1.0 - 1e-9
         _, det, cells, t = cls.invert(grid, field, field_table, gamma)
         gradient = cls.log_gradient(grid, density.log_density)
-        table = cls.hermite_tensor(grid, density.log_density, gradient, "linear")
+        table = cls.hermite_tensor(grid, density.log_density, gradient)
         log_rho_at = cls.horner(cls.gather(table, cells), t, spacing, False)[0]
         return cls.normalized(grid, log_rho_at - np.log(det)), stretch
 
